@@ -13,6 +13,13 @@ marginal satisfies T^kappa ~ Gamma(e) and, given T, the first coordinate
 is T^kappa plus an independent unit exponential. That decomposition is
 used here as the exact sampler, which makes it the reference every Monte
 Carlo comparison is measured against: no rejection step, no approximation.
+It also gives the joint CDF in closed form,
+
+    F(r, t) = P(e, m^kappa) - kappa / Gamma(e) * e^{-r} m^{1+tau} / (1 + tau),
+              m = min(t, r^{1/kappa}),
+
+with P the regularized lower incomplete gamma function, so cell masses
+of the limit law are exact differences of F rather than quadratures.
 
 The two-sided law mixes a positive and a negative side. A sign S is drawn
 with Gamma-weighted probabilities built from the per-side (p, kappa, tau),
@@ -34,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as sp_special
 
 from . import oracle as _oracle
 from ._seeding import make_generator
@@ -48,6 +56,8 @@ __all__ = [
     "CorollaryCase",
     "density_one_sided",
     "density_two_sided",
+    "cdf_one_sided",
+    "cdf_two_sided",
     "sign_probability",
     "sample_one_sided",
     "sample_two_sided",
@@ -244,6 +254,54 @@ def density_two_sided(law: LimitLawTwoSided, r, t):
         if np.any(inside):
             vals = p * safe ** tau * np.exp(-r) / law.norm_const
             out = np.where(inside, vals, out)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def cdf_one_sided(law: LimitLawOneSided, r, t):
+    """Joint CDF P{r' <= r, t' <= t} of the one-sided pair; 0 for r <= 0 or t <= 0.
+
+    With g = min(t^kappa, r) = m^kappa, the correction term of the closed
+    form equals e^{g - r} (P(e, g) - P(e + 1, g)) by the incomplete gamma
+    recurrence, which stays finite where e^{-r} m^{1+tau} would be 0 * inf.
+    Both r and t may be +inf: F(r, inf) = P(e + 1, r), F(inf, t) = P(e, t^kappa).
+    """
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    r, t = np.broadcast_arrays(r, t)
+    inside = (r > 0) & (t > 0)
+    g = np.minimum(np.where(inside, t, 0.0) ** law.kappa, np.where(inside, r, 0.0))
+    e = law.gamma_shape
+    p_e = sp_special.gammainc(e, g)
+    with np.errstate(invalid="ignore"):
+        decay = np.where(g < r, np.exp(g - r), 1.0)
+    out = np.where(inside, p_e - decay * (p_e - sp_special.gammainc(e + 1.0, g)), 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def cdf_two_sided(law: LimitLawTwoSided, r, t):
+    """Joint CDF of the signed pair under PER_SIGN scaling; 0 for r <= 0.
+
+    The sign-law mixture of the one-sided CDFs: for t < 0 only the minus
+    side, mirrored, contributes P_- (F_-(r, inf) - F_-(r, -t)); for t >= 0
+    the whole minus side plus the plus side up to t, P_- F_-(r, inf) +
+    P_+ F_+(r, t). STAR scaling is refused, as in ``density_two_sided``.
+    """
+    if law.scaling != Scaling.PER_SIGN:
+        raise ParameterError("cdf_two_sided applies to PER_SIGN scaling only")
+    r = np.asarray(r, dtype=float)
+    t = np.asarray(t, dtype=float)
+    r, t = np.broadcast_arrays(r, t)
+    minus, plus = law.side(-1), law.side(1)
+    minus_all = cdf_one_sided(minus, r, np.inf)
+    out = np.where(
+        t < 0,
+        law.sign_law.prob_minus * (minus_all - cdf_one_sided(minus, r, -t)),
+        law.sign_law.prob_minus * minus_all + law.sign_law.prob_plus * cdf_one_sided(plus, r, t),
+    )
     if out.ndim == 0:
         return float(out)
     return out

@@ -6,7 +6,9 @@ The one-sided limit density is
 
 and the exact sampler draws G ~ Gamma((1+tau)/kappa), T = G^(1/kappa),
 R = G + E with E ~ Exp(1) independent. Everything here checks against
-that construction or against Gamma-function arithmetic done by hand.
+that construction or against Gamma-function arithmetic done by hand. The
+closed-form joint CDF is checked cell by cell against an independent
+scipy quadrature of that density.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from polartail import (
     CorollaryCase,
@@ -25,6 +27,8 @@ from polartail import (
     ParameterError,
     Scaling,
     SignLaw,
+    cdf_one_sided,
+    cdf_two_sided,
     density_normalization,
     density_one_sided,
     density_two_sided,
@@ -36,6 +40,7 @@ from polartail import (
 )
 
 SAMPLER_CASES = ((2.0, 0.0), (1.0, 1.0), (0.5, -0.5))
+CDF_CASES = ((2.0, 0.0), (1.0, 0.5), (3.0, -0.5), (0.5, 1.0))
 
 
 def _sym_two_sided():
@@ -175,6 +180,113 @@ def test_normalization_two_sided_asymmetric():
         lambda r, t: density_two_sided(law, r, t), normalization_support(law)
     )
     assert abs(res.value - 1.0) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Closed-form CDF against an independent quadrature
+# ---------------------------------------------------------------------------
+
+
+def _quantile_grid(draws, bins=12):
+    return np.unique(np.quantile(draws, np.linspace(0.0005, 0.9995, bins + 1)))
+
+
+def _cells_from_cdf(cdf, edges_r, edges_t):
+    f = cdf(edges_r[:, None], edges_t[None, :])
+    return np.diff(np.diff(f, axis=0), axis=1)
+
+
+def _side_cell_quad(weight, kappa, r0, r1, s0, s1):
+    """Mass of weight(s) e^{-r} on {s^kappa < r} over [r0, r1] x [s0, s1], s > 0.
+
+    The r integral is done by hand, leaving the t integral to scipy, with
+    breakpoints where the support boundary s^kappa = r crosses r0 and r1.
+    """
+    if s1 <= s0:
+        return 0.0
+
+    def inner(s):
+        lo = max(r0, s ** kappa)
+        return weight(s) * (math.exp(-lo) - math.exp(-r1)) if lo < r1 else 0.0
+
+    points = [c for c in (r0 ** (1.0 / kappa), r1 ** (1.0 / kappa)) if s0 < c < s1]
+    val, _ = integrate.quad(inner, s0, s1, points=points or None,
+                            epsabs=1e-15, epsrel=1e-13, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("kappa, tau", CDF_CASES)
+def test_one_sided_cdf_cell_masses_match_quadrature(kappa, tau):
+    law = LimitLawOneSided(kappa=kappa, tau=tau)
+    r, t = sample_one_sided(law, 20000, seed=11)
+    edges_r, edges_t = _quantile_grid(r), _quantile_grid(t)
+    got = _cells_from_cdf(lambda a, b: cdf_one_sided(law, a, b), edges_r, edges_t)
+    c = kappa / math.gamma((1.0 + tau) / kappa)
+    cut = 0
+    for i in range(edges_r.size - 1):
+        for j in range(edges_t.size - 1):
+            r0, r1, s0, s1 = edges_r[i], edges_r[i + 1], edges_t[j], edges_t[j + 1]
+            cut += s0 ** kappa < r1 and r0 < s1 ** kappa
+            want = _side_cell_quad(lambda s: c * s ** tau, kappa, r0, r1, s0, s1)
+            assert abs(got[i, j] - want) <= 1e-12, (i, j, got[i, j], want)
+    assert cut > 0  # the grid includes cells the support boundary runs through
+
+
+def test_two_sided_cdf_cell_masses_match_quadrature():
+    law = LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.3,
+                           tau_plus=-0.2, p_minus=0.4, p_plus=0.6)
+    r, t = sample_two_sided(law, 20000, seed=12)
+    edges_r, edges_t = _quantile_grid(r), _quantile_grid(t)
+    assert edges_t[0] < 0.0 < edges_t[-1]
+    got = _cells_from_cdf(lambda a, b: cdf_two_sided(law, a, b), edges_r, edges_t)
+    denom = sum((p / k) * math.gamma((1.0 + tau) / k)
+                for p, k, tau in ((0.4, 1.0, 0.3), (0.6, 2.0, -0.2)))
+    for i in range(edges_r.size - 1):
+        for j in range(edges_t.size - 1):
+            r0, r1, t0, t1 = edges_r[i], edges_r[i + 1], edges_t[j], edges_t[j + 1]
+            plus = _side_cell_quad(lambda s: 0.6 * s ** -0.2 / denom, 2.0,
+                                   r0, r1, max(t0, 0.0), max(t1, 0.0))
+            minus = _side_cell_quad(lambda s: 0.4 * s ** 0.3 / denom, 1.0,
+                                    r0, r1, max(-t1, 0.0), max(-t0, 0.0))
+            assert abs(got[i, j] - (plus + minus)) <= 1e-12, (i, j)
+
+
+@pytest.mark.parametrize("kappa, tau", CDF_CASES)
+def test_one_sided_cdf_limits_are_gamma_marginals(kappa, tau):
+    law = LimitLawOneSided(kappa=kappa, tau=tau)
+    e = law.gamma_shape
+    rs = np.array([1.0, 5.0, 20.0, 60.0, 200.0])
+    f_r = cdf_one_sided(law, rs, np.inf)
+    assert np.all(np.diff(f_r) >= 0.0)
+    np.testing.assert_allclose(f_r, special.gammainc(e + 1.0, rs), rtol=0, atol=1e-14)
+    assert abs(f_r[-1] - 1.0) <= 1e-14
+    ts = np.array([0.05, 0.4, 1.0, 2.5])
+    np.testing.assert_allclose(cdf_one_sided(law, np.inf, ts),
+                               special.gammainc(e, ts ** kappa), rtol=0, atol=1e-15)
+    assert cdf_one_sided(law, np.inf, np.inf) == 1.0
+
+
+def test_cdf_zero_off_support_and_broadcasts():
+    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    assert cdf_one_sided(law, 0.0, 1.0) == 0.0
+    assert cdf_one_sided(law, -1.0, 1.0) == 0.0
+    assert cdf_one_sided(law, 1.0, 0.0) == 0.0
+    assert cdf_one_sided(law, 1.0, -2.0) == 0.0
+    out = cdf_one_sided(law, np.array([[0.5], [2.0]]), np.array([0.1, 0.5, 3.0]))
+    assert out.shape == (2, 3)
+    two = _sym_two_sided()
+    assert cdf_two_sided(two, 0.0, 1.0) == 0.0
+    assert cdf_two_sided(two, np.inf, -np.inf) == 0.0
+    assert cdf_two_sided(two, np.inf, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert cdf_two_sided(two, np.inf, np.inf) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_two_sided_cdf_rejects_star_scaling():
+    law = LimitLawTwoSided(kappa_minus=2.0, kappa_plus=2.0, tau_minus=0.0,
+                           tau_plus=0.0, p_minus=0.5, p_plus=0.5,
+                           q_minus=0.5, q_plus=0.5, scaling=Scaling.STAR)
+    with pytest.raises(ParameterError):
+        cdf_two_sided(law, 1.0, 0.5)
 
 
 def test_sampler_moments_and_support():

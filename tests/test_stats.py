@@ -11,11 +11,15 @@ from scipy import special
 
 from polartail import (
     Condition,
+    LimitLawOneSided,
     LimitLawTwoSided,
+    NonConvergence,
     ParameterError,
+    cdf_one_sided,
     cell_masses,
     chi_square_2d,
     convergence_report,
+    density_one_sided,
     density_two_sided,
     ks_one_sample,
     ks_two_sample,
@@ -173,6 +177,25 @@ def test_chi_square_precomputed_masses_match_inline():
     direct = chi_square_2d(pairs, _unit_density, UNIT_EDGES)
     reused = chi_square_2d(pairs, _unit_density, UNIT_EDGES, masses=masses)
     assert direct == reused
+
+
+def test_cell_masses_match_exact_where_density_is_smooth_in_each_cell():
+    # every cell lies inside the support t^2 < r, so no jump is inside a cell
+    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    binning = (np.array([1.5, 2.0, 3.0]), np.array([0.1, 0.5, 1.0]))
+    quad = cell_masses(lambda r, t: density_one_sided(law, r, t), binning)
+    f = cdf_one_sided(law, binning[0][:, None], binning[1])
+    exact = np.diff(np.diff(f, axis=0), axis=1)
+    np.testing.assert_allclose(quad, exact, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("coord", [0, 1])
+def test_cell_masses_raise_when_a_quadrature_does_not_converge(coord):
+    # too fast an oscillation for 60 panels, in the outer (a) or inner (b)
+    # coordinate
+    wiggly = lambda a, b: 1.0 + np.sin(1e5 * np.asarray((a, b)[coord], dtype=float))
+    with pytest.raises(NonConvergence):
+        cell_masses(wiggly, UNIT_EDGES)
 
 
 def test_chi_square_rejects_zero_mass_and_bad_edges():
