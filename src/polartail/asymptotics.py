@@ -31,13 +31,12 @@ NonConvergence when it still drifts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import limitlaw as _limitlaw
 from . import model as _model
-from . import oracle as _oracle
 from .errors import BracketError, MonotonicityError, NonConvergence, ParameterError
 
 __all__ = [
@@ -50,6 +49,7 @@ __all__ = [
     "mixture_p",
     "ratio_q",
     "tail_asymptotic",
+    "limit_law",
 ]
 
 _BRACKET_FLOOR = 1e-14
@@ -233,9 +233,9 @@ def mixture_limits(mdl: _model.PolarModel, x_grid=None) -> tuple[float, float, f
     """(p_minus, p_plus, q_minus, q_plus, is_estimate) for a model.
 
     One-sided models carry everything on the plus side. Two-sided models
-    with full builtin coefficient data get the exact limits; otherwise the
-    limits are read off a grid of thresholds (see ``mixture_p``) and the
-    last flag is True.
+    with full builtin coefficient data get the exact limits and ignore
+    ``x_grid``; otherwise the limits are read off ``x_grid`` (see
+    ``mixture_p``) and the last flag is True.
     """
     if mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
         return 0.0, 1.0, 0.0, 1.0, False
@@ -267,7 +267,7 @@ def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
         )
     root_m = compute_phi(mdl, x, "-")
     anchored = tuple(float(v) for v in np.geomspace(x, 100.0 * x, 9))
-    p_m, p_p, q_m, q_p, estimate = mixture_limits(mdl, anchored if _closed_form_pq(mdl) is None else None)
+    p_m, p_p, q_m, q_p, estimate = mixture_limits(mdl, anchored)
     return Normalizers(
         x=x, psi_x=psi,
         phi_plus=root_p.phi, phi_minus=root_m.phi,
@@ -344,7 +344,7 @@ def _side_term(mdl: _model.PolarModel, x: float, side: str) -> float:
     kappa = mdl.shape_u.kappa_plus if sgn > 0 else mdl.shape_u.kappa_minus
     tau = mdl.angular.tau_plus if sgn > 0 else mdl.angular.tau_minus
     g_at = float(mdl.angular.g_tilde(sgn * root.phi))
-    return root.phi * g_at * _oracle.gamma_eval((1.0 + tau) / kappa) / kappa
+    return root.phi * g_at / _limitlaw.LimitLawOneSided(kappa, tau).norm_const
 
 
 def tail_asymptotic(mdl: _model.PolarModel, x: float,
@@ -368,3 +368,27 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
     if scaled:
         return total
     return total * float(np.asarray(mdl.radial.survival(np.array([x])))[0])
+
+
+def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
+              normalizers: Normalizers | None = None):
+    """The limit law of the normalized pair under ``condition``.
+
+    UNRESTRICTED conditioning of a TWO_SIDED model gives the PER_SIGN
+    two-sided law, weighted by the p and q of ``normalizers`` or, when
+    omitted, by ``mixture_limits``. Every other case gives the one-sided
+    law of the plus side.
+    """
+    if (condition != _model.Condition.UNRESTRICTED
+            or mdl.sidedness != _model.Sidedness.TWO_SIDED):
+        return _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
+    if normalizers is None:
+        p_m, p_p, q_m, q_p, _ = mixture_limits(mdl)
+    else:
+        nz = normalizers
+        p_m, p_p, q_m, q_p = nz.p_minus, nz.p_plus, nz.q_minus, nz.q_plus
+    return _limitlaw.LimitLawTwoSided(
+        kappa_minus=mdl.shape_u.kappa_minus, kappa_plus=mdl.shape_u.kappa_plus,
+        tau_minus=mdl.angular.tau_minus, tau_plus=mdl.angular.tau_plus,
+        p_minus=p_m, p_plus=p_p, q_minus=q_m, q_plus=q_p,
+    )

@@ -134,15 +134,6 @@ def _case_from_model(mdl: _model.PolarModel, kind_name: str) -> _limitlaw.Coroll
     return _limitlaw.CorollaryCase(kind=kind, kappa=mdl.shape_u.kappa_plus, rho=sv.rho, **kw)
 
 
-def _two_sided_law(mdl: _model.PolarModel, scaling=_limitlaw.Scaling.PER_SIGN):
-    p_m, p_p, q_m, q_p, _ = _asymptotics.mixture_limits(mdl)
-    return _limitlaw.LimitLawTwoSided(
-        kappa_minus=mdl.shape_u.kappa_minus, kappa_plus=mdl.shape_u.kappa_plus,
-        tau_minus=mdl.angular.tau_minus, tau_plus=mdl.angular.tau_plus,
-        p_minus=p_m, p_plus=p_p, q_minus=q_m, q_plus=q_p, scaling=scaling,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -242,17 +233,16 @@ def _cmd_limit_sample(args) -> int:
     meta = {"condition": args.condition, "seed": seed}
     if args.case:
         case = _case_from_model(mdl, args.case)
-        law = _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
+        law = _asymptotics.limit_law(mdl, _model.Condition.RIGHT_SIDED)
         r, t = _limitlaw.sample_one_sided(law, n, seed)
         x1, x2 = _limitlaw.pushforward_corollary(case, r, t)
         meta["case"] = case.kind.value
         _emit(args, "limit-sample", config, meta, ("x1", "x2"), zip(x1, x2))
         return 0
-    if cond == _model.Condition.UNRESTRICTED and mdl.sidedness == _model.Sidedness.TWO_SIDED:
-        law = _two_sided_law(mdl)
+    law = _asymptotics.limit_law(mdl, cond)
+    if isinstance(law, _limitlaw.LimitLawTwoSided):
         r, t = _limitlaw.sample_two_sided(law, n, seed)
     else:
-        law = _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
         r, t = _limitlaw.sample_one_sided(law, n, seed)
     _emit(args, "limit-sample", config, meta, ("r", "t"), zip(r, t))
     return 0
@@ -268,14 +258,13 @@ def _cmd_density(args) -> int:
     r_hi = -float(np.log(1e-6))
     rs = np.linspace(0.0, r_hi, points)
     meta = {"condition": args.condition}
-    if cond == _model.Condition.UNRESTRICTED and mdl.sidedness == _model.Sidedness.TWO_SIDED:
-        law = _two_sided_law(mdl)
+    law = _asymptotics.limit_law(mdl, cond)
+    if isinstance(law, _limitlaw.LimitLawTwoSided):
         t_lo = -(r_hi ** (1.0 / law.kappa_minus))
         t_hi = r_hi ** (1.0 / law.kappa_plus)
         ts = np.linspace(t_lo, t_hi, points)
         dens = lambda r, t: _limitlaw.density_two_sided(law, r, t)
     else:
-        law = _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
         ts = np.linspace(0.0, r_hi ** (1.0 / law.kappa), points)
         dens = lambda r, t: _limitlaw.density_one_sided(law, r, t)
     rows = []

@@ -78,11 +78,21 @@ class Scaling(str, enum.Enum):
     STAR = "star"
 
 
+# Gamma(e) overflows a double beyond e = 171.62
+_MAX_GAMMA_SHAPE = 171.0
+
+
 def _check_side(name: str, kappa: float, tau: float):
     if not (np.isfinite(kappa) and kappa > 0):
         raise ParameterError(f"{name}: kappa must be > 0, got {kappa}")
     if not (np.isfinite(tau) and tau > -1):
         raise ParameterError(f"{name}: tau must exceed -1, got {tau}")
+    e = (1.0 + tau) / kappa
+    if e > _MAX_GAMMA_SHAPE:
+        raise ParameterError(
+            f"{name}: (1 + tau)/kappa = {e:g} exceeds {_MAX_GAMMA_SHAPE:g}, "
+            "where Gamma((1 + tau)/kappa) overflows"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ class LimitLawOneSided:
     def __post_init__(self):
         _check_side("LimitLawOneSided", self.kappa, self.tau)
         object.__setattr__(
-            self, "norm_const", self.kappa / _oracle.gamma_eval(self.gamma_shape)
+            self, "norm_const", self.kappa / math.gamma(self.gamma_shape)
         )
 
     @property
@@ -129,8 +139,7 @@ class LimitLawTwoSided:
     ``p_minus``/``p_plus`` are the mixture weights of the window-mass
     limits; the realized sign law reweights them by Gamma factors and is
     computed at construction. ``q_minus``/``q_plus`` (window ratios) are
-    only needed for STAR scaling. ``norm_const`` is the density
-    denominator sum over sides of (p/kappa) Gamma((1+tau)/kappa).
+    only needed for STAR scaling.
     """
 
     kappa_minus: float
@@ -143,7 +152,6 @@ class LimitLawTwoSided:
     q_plus: float | None = None
     scaling: Scaling = Scaling.PER_SIGN
     sign_law: SignLaw = field(init=False)
-    norm_const: float = field(init=False)
 
     def __post_init__(self):
         _check_side("LimitLawTwoSided minus side", self.kappa_minus, self.tau_minus)
@@ -167,14 +175,6 @@ class LimitLawTwoSided:
             (self.tau_minus, self.tau_plus),
             (self.p_minus, self.p_plus),
         ))
-        d = 0.0
-        for p, kappa, tau in (
-            (self.p_minus, self.kappa_minus, self.tau_minus),
-            (self.p_plus, self.kappa_plus, self.tau_plus),
-        ):
-            if p > 0:
-                d += (p / kappa) * _oracle.gamma_eval((1.0 + tau) / kappa)
-        object.__setattr__(self, "norm_const", d)
 
     def side(self, sign: int) -> LimitLawOneSided:
         """The one-sided law of the requested side (+1 or -1)."""
@@ -194,8 +194,8 @@ def sign_probability(kappa_sigma, tau_sigma, p_sigma) -> SignLaw:
     _check_side("sign_probability plus side", k_p, t_p)
     if not (0.0 <= p_m <= 1.0 and 0.0 <= p_p <= 1.0 and abs(p_m + p_p - 1.0) <= 1e-12):
         raise ParameterError(f"mixture weights must be probabilities summing to 1, got {(p_m, p_p)}")
-    w_m = (p_m / k_m) * _oracle.gamma_eval((1.0 + t_m) / k_m) if p_m > 0 else 0.0
-    w_p = (p_p / k_p) * _oracle.gamma_eval((1.0 + t_p) / k_p) if p_p > 0 else 0.0
+    w_m = (p_m / k_m) * math.gamma((1.0 + t_m) / k_m) if p_m > 0 else 0.0
+    w_p = (p_p / k_p) * math.gamma((1.0 + t_p) / k_p) if p_p > 0 else 0.0
     total = w_m + w_p
     if total <= 0:
         raise ParameterError("sign law undefined: both Gamma weights vanish")
@@ -230,33 +230,19 @@ def density_one_sided(law: LimitLawOneSided, r, t):
 def density_two_sided(law: LimitLawTwoSided, r, t):
     """Joint density of the signed pair under PER_SIGN scaling.
 
-    Each sign contributes p_sigma |t|^{tau_sigma} e^{-r} on
-    {|t|^{kappa_sigma} < r, sigma t > 0}, all divided by the shared
-    constant ``law.norm_const``. The STAR-scaled pair is a different
-    density (change of variable t -> t / q_sigma per side) and is refused
-    here rather than silently mislabeled.
+    The sign-law mixture P_- f_-(r, -t) + P_+ f_+(r, t) of the one-sided
+    densities, as in ``cdf_two_sided``; equivalently p_sigma
+    |t|^{tau_sigma} e^{-r} on {|t|^{kappa_sigma} < r, sigma t > 0} over
+    sum_sigma (p_sigma / kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma).
+    The STAR-scaled pair is a different density (change of variable
+    t -> t / q_sigma per side) and is refused here rather than silently
+    mislabeled.
     """
     if law.scaling != Scaling.PER_SIGN:
         raise ParameterError("density_two_sided applies to PER_SIGN scaling only")
-    r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    r, t = np.broadcast_arrays(r, t)
-    out = np.zeros(np.shape(t), dtype=float)
-    for sign, p, kappa, tau in (
-        (-1.0, law.p_minus, law.kappa_minus, law.tau_minus),
-        (1.0, law.p_plus, law.kappa_plus, law.tau_plus),
-    ):
-        if p == 0.0:
-            continue
-        mag = np.abs(t)
-        safe = np.where(mag > 0, mag, 1.0)
-        inside = (sign * t > 0) & (safe ** kappa < r)
-        if np.any(inside):
-            vals = p * safe ** tau * np.exp(-r) / law.norm_const
-            out = np.where(inside, vals, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return (law.sign_law.prob_minus * density_one_sided(law.side(-1), r, -t)
+            + law.sign_law.prob_plus * density_one_sided(law.side(1), r, t))
 
 
 def cdf_one_sided(law: LimitLawOneSided, r, t):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -83,14 +83,6 @@ class RadialLaw:
     log_survival: Callable[[np.ndarray], np.ndarray]
     aux_psi: Callable[[float], float]
     tail_quantile: Callable[[np.ndarray, float], np.ndarray]
-    sample: Callable[[np.random.Generator, int], np.ndarray]
-    support_lower: float = 0.0
-
-    def __post_init__(self):
-        if self.support_lower < 0:
-            raise ParameterError(
-                f"radial support_lower must be >= 0, got {self.support_lower}"
-            )
 
 
 @dataclass(frozen=True)
@@ -167,7 +159,7 @@ class ShapeV:
     "-"); regular variation is applied to the absolute value since v may
     increase or decrease through t0. ``ratio_c`` stores the limit of
     u_tilde/v_tilde at 0+ when it is finite and known in closed form.
-    ``theta``/``theta_n``/``theta_n_deriv_at_t0`` describe the v = theta*u
+    ``theta_n``/``theta_n_deriv_at_t0`` describe the v = theta*u
     factorization when available.
     """
 
@@ -177,7 +169,6 @@ class ShapeV:
     delta: float
     v_sign: str
     family_tag: str = "custom"
-    theta: Callable[[np.ndarray], np.ndarray] | None = None
     theta_n: int | None = None
     theta_n_deriv_at_t0: float | None = None
     ratio_c: float | None = None
@@ -256,7 +247,6 @@ def _radial_exponential(rate: float) -> RadialLaw:
         log_survival=log_survival,
         aux_psi=lambda x: 1.0 / rate,
         tail_quantile=tail_quantile,
-        sample=lambda rng, n: rng.exponential(1.0 / rate, n),
     )
 
 
@@ -285,7 +275,6 @@ def _radial_weibull(beta: float) -> RadialLaw:
         log_survival=log_survival,
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
-        sample=lambda rng, n: rng.weibull(beta, n),
     )
 
 
@@ -314,7 +303,6 @@ def _radial_half_normal() -> RadialLaw:
         log_survival=log_survival,
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
-        sample=lambda rng, n: np.abs(rng.normal(0.0, 1.0, n)),
     )
 
 
@@ -604,7 +592,7 @@ def _shape_v_theta_polynomial(
         v=v, t0=t0, rho=rho, delta=delta,
         v_sign="+" if lead > 0 else "-",
         family_tag="theta_polynomial",
-        theta=theta, theta_n=n, theta_n_deriv_at_t0=deriv,
+        theta_n=n, theta_n_deriv_at_t0=deriv,
         ratio_c=ratio_c,
     )
 
@@ -966,22 +954,26 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
     run("angular.normalization", f"|integral - 1| <= {grid.density_tol}", normalization)
 
-    def tau_slope(side: int, declared: float):
+    def slope_check(local, side: int, declared: float, not_positive: str):
+        """Log-log slope of local(side * s) on the small-s grid against ``declared``."""
         def check():
             s = _s_grid(grid, (hi - t0) if side > 0 else (t0 - lo))
             if s is None:
                 return False, math.nan, None, "support too narrow for the slope grid"
-            y = np.asarray(mdl.angular.g_tilde(side * s), dtype=float)
+            y = np.asarray(local(side * s), dtype=float)
             if np.any(y <= 0) or not np.all(np.isfinite(y)):
-                return False, math.nan, None, "g_tilde not positive on the slope grid"
+                return False, math.nan, None, not_positive
             slope = _slope_fit(s, y)
             err = abs(slope - declared)
             return err <= grid.slope_tol, slope, grid.slope_tol - err, f"declared {declared}"
         return check
 
-    run("angular.tau_slope_plus", "log-log slope matches tau_plus", tau_slope(+1, mdl.angular.tau_plus))
+    g_not_positive = "g_tilde not positive on the slope grid"
+    run("angular.tau_slope_plus", "log-log slope matches tau_plus",
+        slope_check(mdl.angular.g_tilde, +1, mdl.angular.tau_plus, g_not_positive))
     if two_sided:
-        run("angular.tau_slope_minus", "log-log slope matches tau_minus", tau_slope(-1, mdl.angular.tau_minus))
+        run("angular.tau_slope_minus", "log-log slope matches tau_minus",
+            slope_check(mdl.angular.g_tilde, -1, mdl.angular.tau_minus, g_not_positive))
 
     # --- shape u ---
     support_ts = np.linspace(lo, hi, grid.support_points)
@@ -1011,24 +1003,12 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
         run(f"shape_u.sup_outside_eps_{eps:g}", "sup u < 1 strictly", sup_outside)
 
-    def u_tilde_checks(side: int, declared: float):
-        def check():
-            s = _s_grid(grid, (hi - t0) if side > 0 else (t0 - lo))
-            if s is None:
-                return False, math.nan, None, "support too narrow for the slope grid"
-            y = np.asarray(mdl.shape_u.u_tilde(side * s), dtype=float)
-            if np.any(y <= 0) or not np.all(np.isfinite(y)):
-                return False, math.nan, None, "u_tilde not positive on the slope grid"
-            slope = _slope_fit(s, y)
-            err = abs(slope - declared)
-            return err <= grid.slope_tol, slope, grid.slope_tol - err, f"declared {declared}"
-        return check
-
+    u_not_positive = "u_tilde not positive on the slope grid"
     run("shape_u.kappa_slope_plus", "u_tilde > 0 and slope matches kappa_plus",
-        u_tilde_checks(+1, mdl.shape_u.kappa_plus))
+        slope_check(mdl.shape_u.u_tilde, +1, mdl.shape_u.kappa_plus, u_not_positive))
     if two_sided:
         run("shape_u.kappa_slope_minus", "u_tilde > 0 and slope matches kappa_minus",
-            u_tilde_checks(-1, mdl.shape_u.kappa_minus))
+            slope_check(mdl.shape_u.u_tilde, -1, mdl.shape_u.kappa_minus, u_not_positive))
 
     # --- shape v ---
     if mdl.shape_v is not None:
@@ -1053,18 +1033,9 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
         run("shape_v.sign", "sign of v_tilde equals v_sign on (0, 1e-2]", v_sign_check)
 
-        def delta_slope():
-            s = _s_grid(grid, hi - t0)
-            if s is None:
-                return False, math.nan, None, "support too narrow for the slope grid"
-            y = np.abs(np.asarray(sv.v_tilde(s), dtype=float))
-            if np.any(y == 0) or not np.all(np.isfinite(y)):
-                return False, math.nan, None, "v_tilde vanishes on the slope grid"
-            slope = _slope_fit(s, y)
-            err = abs(slope - sv.delta)
-            return err <= grid.slope_tol, slope, grid.slope_tol - err, f"declared {sv.delta}"
-
-        run("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta", delta_slope)
+        run("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta",
+            slope_check(lambda s: np.abs(sv.v_tilde(s)), +1, sv.delta,
+                        "v_tilde vanishes on the slope grid"))
 
     # --- joint finiteness of the callables ---
     def finite_callables():

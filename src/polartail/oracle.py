@@ -3,20 +3,18 @@
 This module deliberately avoids the closed forms implemented elsewhere in
 the package. It provides
 
-* ``gamma_eval``       -- Gamma function from a rational (Lanczos)
-  approximation, validated by the recurrence Gamma(a+1) = a Gamma(a)
-  rather than trusted;
 * ``adaptive_quadrature`` -- globally adaptive Gauss-Kronrod 15 integration
   with an error-ordered panel heap;
-* ``tail_probability_quadrature`` -- P{X > x (and T > t0)} for a polar
-  model X = R u(T), computed as the one dimensional integral
+* ``scaled_tail_quadrature`` -- P{X > x (and T > t0)} / Hbar(x) for a
+  polar model X = R u(T), computed as the one dimensional integral
 
-      integral over {u(t) > 0} of  Hbar(x / u(t)) g(t) dt,
+      integral over {u(t) > 0} of  Hbar(x / u(t)) / Hbar(x) g(t) dt,
 
-  which is exact because R and T are independent and R >= 0;
-* ``scaled_tail_quadrature`` -- the same integral divided through by
-  Hbar(x), evaluated in log space so it survives thresholds where Hbar(x)
-  underflows (Weibull-type tails at large x);
+  which is exact because R and T are independent and R >= 0; evaluated
+  in log space so it survives thresholds where Hbar(x) underflows
+  (Weibull-type tails at large x);
+* ``tail_probability_quadrature`` -- the same probability unscaled,
+  Hbar(x) times the scaled integral;
 * ``density_normalization`` -- 2-D integrals of limit densities, with the
   unbounded r direction mapped to (0, 1) by r = r0 - log(1 - w);
 * ``small_t_mass_check``   -- the near-center angular mass
@@ -44,60 +42,12 @@ from . import model as _model
 __all__ = [
     "QuadratureResult",
     "PlanarSupport",
-    "gamma_eval",
     "adaptive_quadrature",
     "tail_probability_quadrature",
     "scaled_tail_quadrature",
     "density_normalization",
     "small_t_mass_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Gamma function
-# ---------------------------------------------------------------------------
-
-# Lanczos coefficients for g = 7, n = 9 (double precision workhorse set).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_eval(a: float) -> float:
-    """Gamma(a) for a > 0 with relative error around 1e-14.
-
-    Uses the Lanczos rational approximation
-
-        Gamma(a) = sqrt(2 pi) (a + g - 1/2)^(a - 1/2)
-                   exp(-(a + g - 1/2)) A_g(a)
-
-    where A_g is a fixed 9-term rational series. Large arguments are
-    evaluated in log space to postpone overflow until Gamma itself
-    overflows (a > 171.6).
-
-    Raises ParameterError for a <= 0 or non-finite a.
-    """
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise ParameterError(f"gamma_eval: argument a must be positive and finite, got {a!r}")
-    z = a - 1.0
-    series = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        series += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    log_gamma = 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(series)
-    if log_gamma > 709.0:
-        raise ParameterError(f"gamma_eval: Gamma({a}) overflows double precision")
-    return math.exp(log_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +141,6 @@ def adaptive_quadrature(
     abs_tol: float = 0.0,
     max_panels: int = 4000,
     breakpoints: Sequence[float] = (),
-    vectorized: bool = True,
 ) -> QuadratureResult:
     """Integrate f over [a, b], splitting the worst panel first.
 
@@ -205,9 +154,6 @@ def adaptive_quadrature(
     """
     if not (b > a):
         raise ParameterError(f"adaptive_quadrature: empty interval [{a}, {b}]")
-    if not vectorized:
-        scalar_f = f
-        f = lambda xs: np.array([scalar_f(float(v)) for v in np.atleast_1d(xs)])
 
     cuts = [a]
     for p in sorted(set(float(q) for q in breakpoints)):
@@ -295,45 +241,20 @@ def _peak_breakpoints(mdl, x: float, condition) -> list[float]:
 
 
 def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
-    """P{X > x} (optionally joint with T > t0) by direct quadrature.
+    """P{X > x} (optionally joint with T > t0) by quadrature.
 
-    The integrand H̄(x / u(t)) g(t) is set to zero wherever u(t) <= 0,
-    since R >= 0 makes X > x > 0 impossible there. Relative tolerance
-    1e-9; raises NonConvergence if the panel budget runs out first.
-
-    The returned value underflows to 0.0 when Hbar(x) itself is below the
-    smallest double; use scaled_tail_quadrature for ratio work at such
-    thresholds.
+    Hbar(x) times ``scaled_tail_quadrature``: value and error estimate are
+    scaled, evaluations and the convergence flag are kept. Where Hbar(x)
+    underflows to 0.0 the result is exactly 0.0, converged, with no
+    integrand evaluations; use scaled_tail_quadrature for ratio work at
+    such thresholds. Raises NonConvergence as scaled_tail_quadrature does.
     """
-    if x < 0:
-        raise ParameterError(f"tail_probability_quadrature: x must be >= 0, got {x}")
-    lo, hi = _tail_domain(mdl, condition)
-    survival = mdl.radial.survival
-    u = mdl.shape_u.u
-    g = mdl.angular.density
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        w = np.asarray(u(t), dtype=float)
-        out = np.zeros_like(t)
-        pos = w > 0
-        if np.any(pos):
-            with np.errstate(over="ignore", divide="ignore"):
-                ratio = np.where(pos, x / np.where(pos, w, 1.0), np.inf)
-                vals = np.asarray(survival(ratio), dtype=float) * np.asarray(g(t), dtype=float)
-            out = np.where(pos, vals, 0.0)
-        return out
-
-    res = adaptive_quadrature(
-        integrand, lo, hi, rel_tol=1e-9, abs_tol=0.0,
-        breakpoints=_peak_breakpoints(mdl, x, condition),
-    )
-    if not res.converged:
-        raise NonConvergence(
-            f"tail_probability_quadrature: error estimate {res.abs_error_estimate:.3e} "
-            f"stalled above tolerance at x={x}"
-        )
-    return res
+    hbar = float(np.asarray(mdl.radial.survival(np.array([x])))[0])
+    if hbar == 0.0:
+        return QuadratureResult(0.0, 0.0, 0, True)
+    res = scaled_tail_quadrature(mdl, x, condition)
+    return QuadratureResult(hbar * res.value, hbar * res.abs_error_estimate,
+                            res.evaluations, res.converged)
 
 
 def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
@@ -342,7 +263,10 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     Integrates exp(log Hbar(x / u(t)) - log Hbar(x)) g(t) dt, which stays
     representable even when both survival values underflow. This is also
     the exact acceptance probability of the rejection sampler that
-    proposes from the radial tail law given R > x.
+    proposes from the radial tail law given R > x. The integrand is zero
+    wherever u(t) <= 0, since R >= 0 makes X > x > 0 impossible there.
+    Relative tolerance 1e-9; raises NonConvergence if the panel budget
+    runs out first.
     """
     if x < 0:
         raise ParameterError(f"scaled_tail_quadrature: x must be >= 0, got {x}")

@@ -164,14 +164,13 @@ def cell_masses(density, binning, *, rel_tol: float = 1e-6) -> np.ndarray:
     return out
 
 
-def chi_square_2d(pairs, density, binning, *, masses=None,
+def chi_square_2d(pairs, binning, masses, *,
                   min_expected: float = 5.0) -> tuple[float, float, float]:
-    """Pearson fit of binned pairs against the cell masses of a density.
+    """Pearson fit of binned pairs against expected cell probabilities.
 
-    ``masses`` are the expected cell probabilities. When omitted they come
-    from ``cell_masses(density, binning)``, the slow quadrature oracle;
-    ``density`` is not used otherwise, so callers with a closed-form CDF
-    pass its cell differences and may give None.
+    ``masses`` has one probability per cell of ``binning``: differences
+    of a closed-form CDF where one exists (``convergence_report`` uses
+    the limit law's), otherwise ``cell_masses`` of a density.
 
     Cells whose expected count falls below ``min_expected`` are pooled,
     together with the off-grid mass, into a single tail bin. Returns
@@ -181,8 +180,6 @@ def chi_square_2d(pairs, density, binning, *, masses=None,
     a, b = _as_pair_arrays(pairs)
     edges_a = _check_edges("a", binning[0])
     edges_b = _check_edges("b", binning[1])
-    if masses is None:
-        masses = cell_masses(density, (edges_a, edges_b))
     masses = np.asarray(masses, dtype=float)
     if masses.shape != (edges_a.size - 1, edges_b.size - 1):
         raise ParameterError(
@@ -298,29 +295,19 @@ def convergence_report(
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     key = seed_key(seed)
-    two_sided_joint = (condition == _model.Condition.UNRESTRICTED
-                       and mdl.sidedness == _model.Sidedness.TWO_SIDED)
+    if (condition == _model.Condition.UNRESTRICTED
+            and mdl.sidedness == _model.Sidedness.TWO_SIDED):
+        scale, sample, cdf = "phi_sign", _limitlaw.sample_two_sided, _limitlaw.cdf_two_sided
+    else:
+        scale, sample, cdf = "phi_plus", _limitlaw.sample_one_sided, _limitlaw.cdf_one_sided
 
     rows = []
     for i, x in enumerate(xs):
-        scale = "phi_sign" if two_sided_joint else "phi_plus"
         mc = _montecarlo.sample_conditional(
             mdl, x, n, condition, key + (i, 0), scale=scale, workers=workers,
         )
-        norm = mc.normalizers
-        if two_sided_joint:
-            law = _limitlaw.LimitLawTwoSided(
-                kappa_minus=mdl.shape_u.kappa_minus, kappa_plus=mdl.shape_u.kappa_plus,
-                tau_minus=mdl.angular.tau_minus, tau_plus=mdl.angular.tau_plus,
-                p_minus=norm.p_minus, p_plus=norm.p_plus,
-                q_minus=norm.q_minus, q_plus=norm.q_plus,
-            )
-            lim_r, lim_t = _limitlaw.sample_two_sided(law, n, key + (i, 1))
-            cdf = _limitlaw.cdf_two_sided
-        else:
-            law = _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
-            lim_r, lim_t = _limitlaw.sample_one_sided(law, n, key + (i, 1))
-            cdf = _limitlaw.cdf_one_sided
+        law = _asymptotics.limit_law(mdl, condition, mc.normalizers)
+        lim_r, lim_t = sample(law, n, key + (i, 1))
 
         ks_r = ks_two_sample(mc.r_norm, lim_r)[0]
         ks_t = ks_two_sample(mc.t_norm, lim_t)[0]
@@ -328,8 +315,7 @@ def convergence_report(
         # inclusion-exclusion; rounding can leave a cell a few ulps below 0
         f = cdf(law, edges_r[:, None], edges_t)
         masses = np.maximum(np.diff(np.diff(f, axis=0), axis=1), 0.0)
-        _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), None, (edges_r, edges_t),
-                                     masses=masses)
+        _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), (edges_r, edges_t), masses)
         quad = _oracle.tail_probability_quadrature(mdl, x, condition).value
         asym = _asymptotics.tail_asymptotic(mdl, x, condition)
         rows.append(ReportRow(

@@ -1,5 +1,6 @@
 """Normalizer roots, mixture weights, and the tail asymptotic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from polartail import (
     AngularLaw,
     BracketError,
     Condition,
+    LimitLawOneSided,
+    LimitLawTwoSided,
     MonotonicityError,
     NonConvergence,
     ParameterError,
@@ -17,6 +20,7 @@ from polartail import (
     build_builtin_model,
     compute_normalizers,
     compute_phi,
+    limit_law,
     mixture_limits,
     mixture_p,
     ratio_q,
@@ -172,6 +176,31 @@ def test_mixture_limits_tied_exponent_splits_by_weight():
     assert p_m == pytest.approx(0.25, rel=1e-12)
     assert q_p == pytest.approx(0.5, rel=1e-12)
     assert not is_estimate
+
+
+def test_limit_law_picks_the_law_and_its_weights(asym_model):
+    one_sided = build_builtin_model(
+        {
+            "radial.family": "exponential",
+            "angular.halfwidth": 1.0,
+            "angular.halfwidth_minus": 0.0,
+            "shape_u.kappa": 2.0,
+        }
+    )
+    for cond in (Condition.RIGHT_SIDED, Condition.UNRESTRICTED):
+        law = limit_law(one_sided, cond)
+        assert type(law) is LimitLawOneSided and (law.kappa, law.tau) == (2.0, 0.0)
+    # asym_model: kappa = (1, 2), uniform angle
+    right = limit_law(asym_model, Condition.RIGHT_SIDED)
+    assert type(right) is LimitLawOneSided and (right.kappa, right.tau) == (2.0, 0.0)
+    both = limit_law(asym_model, Condition.UNRESTRICTED)
+    assert type(both) is LimitLawTwoSided
+    assert (both.kappa_minus, both.kappa_plus, both.tau_minus, both.tau_plus) == (1.0, 2.0, 0.0, 0.0)
+    assert (both.p_minus, both.p_plus, both.q_minus, both.q_plus) == mixture_limits(asym_model)[:4]
+    nz = dataclasses.replace(compute_normalizers(asym_model, 50.0),
+                             p_minus=0.25, p_plus=0.75, q_minus=0.5, q_plus=0.5)
+    given = limit_law(asym_model, Condition.UNRESTRICTED, nz)
+    assert (given.p_minus, given.p_plus, given.q_minus, given.q_plus) == (0.25, 0.75, 0.5, 0.5)
 
 
 def test_mixture_p_numeric_matches_closed_form():

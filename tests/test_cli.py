@@ -192,6 +192,16 @@ def test_limit_sample_plain_two_sided(f1_cfg, capsys):
     assert any(t < 0 for t in ts) and any(t > 0 for t in ts)
 
 
+def test_limit_sample_gamma_overflow_is_usage_error(tmp_path, capsys):
+    # kappa = 0.005 puts the Gamma shape (1 + tau)/kappa at 200
+    p = tmp_path / "flat.cfg"
+    p.write_text(F1_TEXT.replace("shape_u.kappa = 2.0", "shape_u.kappa = 0.005"))
+    code = main(["limit-sample", "--config", str(p), "--n", "10", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "overflows" in err
+
+
 def test_density_grid_masses(f1_cfg, capsys):
     code = main(["density", "--config", f1_cfg, "--n", "8"])
     out = capsys.readouterr().out

@@ -111,6 +111,31 @@ def test_two_sided_density_collapse_matches_one_sided():
     assert density_two_sided(law, 1.0, -0.5) == 0.0
 
 
+@pytest.mark.parametrize(
+    "kappas, taus, p_minus",
+    [((1.0, 2.0), (0.3, -0.2), 0.4), ((2.0, 2.0), (0.0, 0.0), 0.5), ((0.5, 3.0), (-0.5, 1.0), 0.0)],
+)
+def test_two_sided_density_matches_closed_form(kappas, taus, p_minus):
+    # p_sigma |t|^tau_sigma e^-r on {|t|^kappa_sigma < r, sigma t > 0}
+    # over sum_sigma (p_sigma / kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma)
+    law = LimitLawTwoSided(
+        kappa_minus=kappas[0], kappa_plus=kappas[1], tau_minus=taus[0], tau_plus=taus[1],
+        p_minus=p_minus, p_plus=1.0 - p_minus,
+    )
+    sides = ((-1.0, p_minus, kappas[0], taus[0]), (1.0, 1.0 - p_minus, kappas[1], taus[1]))
+    norm = sum((p / k) * math.gamma((1.0 + tau) / k) for _, p, k, tau in sides if p > 0)
+    rng = np.random.default_rng(11)
+    r = rng.uniform(0.0, 6.0, 4000)
+    t = rng.uniform(-3.0, 3.0, 4000)
+    expected = np.zeros_like(t)
+    for sign, p, k, tau in sides:
+        inside = (sign * t > 0) & (np.abs(t) ** k < r)
+        expected = np.where(inside, p * np.abs(t) ** tau * np.exp(-r) / norm, expected)
+    assert np.count_nonzero(expected[t > 0]) > 100
+    assert np.count_nonzero(expected[t < 0]) > (100 if p_minus > 0 else -1)
+    np.testing.assert_allclose(density_two_sided(law, r, t), expected, rtol=1e-13, atol=0)
+
+
 def test_two_sided_density_rejects_star_scaling():
     law = LimitLawTwoSided(
         kappa_minus=2.0,
@@ -140,6 +165,15 @@ def test_star_scaling_requires_unit_q_sum():
             q_plus=0.3,
             scaling=Scaling.STAR,
         )
+
+
+def test_gamma_overflow_is_a_parameter_error():
+    # e = (1 + tau) / kappa = 200 lies past Gamma's double range (171.6)
+    with pytest.raises(ParameterError, match="overflows"):
+        LimitLawOneSided(kappa=0.005, tau=0.0)
+    with pytest.raises(ParameterError, match="overflows"):
+        sign_probability((0.005, 2.0), (0.0, 0.0), (0.5, 0.5))
+    assert math.isfinite(LimitLawOneSided(kappa=1.0, tau=170.0).norm_const)
 
 
 def test_sign_law_must_sum_to_one():

@@ -1,4 +1,4 @@
-"""Gamma evaluation, adaptive quadrature, and the tail integrals.
+"""Adaptive quadrature and the tail integrals.
 
 Reference values were computed with mpmath at 40 digits and are quoted
 to full double precision.
@@ -8,8 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from polartail import (
     Condition,
@@ -18,7 +16,6 @@ from polartail import (
     adaptive_quadrature,
     build_builtin_model,
     density_normalization,
-    gamma_eval,
     scaled_tail_quadrature,
     small_t_mass_check,
     tail_probability_quadrature,
@@ -31,31 +28,6 @@ F1_TAIL = {
     25.0: 1.1963522594665681909e-12,
     100.0: 1.6306425277340852744e-45,
 }
-
-
-def test_gamma_integer_and_half_integer_values():
-    assert gamma_eval(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_eval(5.0) == pytest.approx(24.0, rel=1e-13)
-    assert gamma_eval(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_eval(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gamma_recurrence_on_spot_values():
-    for a in (0.1, 0.5, 1.5, 3.7, 9.2):
-        assert gamma_eval(a + 1.0) == pytest.approx(a * gamma_eval(a), rel=1e-11)
-
-
-def test_gamma_rejects_nonpositive_argument():
-    with pytest.raises(ParameterError):
-        gamma_eval(0.0)
-    with pytest.raises(ParameterError):
-        gamma_eval(-1.3)
-
-
-@given(st.floats(min_value=0.05, max_value=25.0))
-@settings(max_examples=200, deadline=None)
-def test_gamma_recurrence_property(a):
-    assert gamma_eval(a + 1.0) == pytest.approx(a * gamma_eval(a), rel=1e-9)
 
 
 def test_quadrature_polynomial_exact():
@@ -150,11 +122,26 @@ def test_scaled_tail_quadrature_reference_values(f1_model):
 
 
 def test_scaled_tail_quadrature_is_tail_over_survival(f1_model):
-    x = 10.0
-    scaled = scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED).value
-    plain = tail_probability_quadrature(f1_model, x, Condition.RIGHT_SIDED).value
-    hbar = float(f1_model.radial.survival(np.array([x]))[0])
-    assert scaled == pytest.approx(plain / hbar, rel=1e-9)
+    for x in (2.0, 10.0, 50.0):
+        for cond in (Condition.RIGHT_SIDED, Condition.UNRESTRICTED):
+            scaled = scaled_tail_quadrature(f1_model, x, cond)
+            plain = tail_probability_quadrature(f1_model, x, cond)
+            hbar = float(f1_model.radial.survival(np.array([x]))[0])
+            assert plain.value == pytest.approx(hbar * scaled.value, rel=1e-15)
+            assert plain.abs_error_estimate == pytest.approx(
+                hbar * scaled.abs_error_estimate, rel=1e-15)
+            assert plain.evaluations == scaled.evaluations > 0
+            assert plain.converged and scaled.converged
+
+
+def test_tail_quadrature_is_exact_zero_where_survival_underflows(f1_model):
+    # exp(-1e4) is 0.0 in double precision; nothing is integrated
+    x = 1e4
+    assert float(f1_model.radial.survival(np.array([x]))[0]) == 0.0
+    res = tail_probability_quadrature(f1_model, x, Condition.RIGHT_SIDED)
+    assert (res.value, res.abs_error_estimate, res.evaluations, res.converged) == (
+        0.0, 0.0, 0, True)
+    assert scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED).value > 0.0
 
 
 def test_density_normalization_zero_function_integrates_to_zero():

@@ -37,6 +37,9 @@ def _unit_density(r, t):
     return np.ones_like(np.asarray(r, dtype=float))
 
 
+UNIT_MASSES = cell_masses(_unit_density, UNIT_EDGES)
+
+
 def test_ks_two_sample_identical_is_zero():
     a = np.array([1.0, 2.0, 3.0])
     stat, p = ks_two_sample(a, a.copy())
@@ -140,7 +143,7 @@ def test_chi_square_balanced_cells():
                 )
             )
     pairs = np.vstack(parts)
-    stat, dof, p = chi_square_2d(pairs, _unit_density, UNIT_EDGES)
+    stat, dof, p = chi_square_2d(pairs, UNIT_EDGES, UNIT_MASSES)
     assert stat == pytest.approx(0.0, abs=1e-12)
     assert dof == 3.0
     assert p == pytest.approx(1.0)
@@ -152,7 +155,7 @@ def test_chi_square_concentrated_sample_rejected():
         [rng.uniform(0.0, 0.5, 40), rng.uniform(0.0, 0.5, 40)]
     )
     # all 40 points in a cell expecting 10: stat (30^2 + 3*10^2)/10 = 120
-    stat, dof, p = chi_square_2d(pairs, _unit_density, UNIT_EDGES)
+    stat, dof, p = chi_square_2d(pairs, UNIT_EDGES, UNIT_MASSES)
     assert stat == pytest.approx(120.0, rel=1e-9)
     assert dof == 3.0
     assert p == pytest.approx(special.gammaincc(1.5, 60.0), rel=1e-9)
@@ -165,18 +168,17 @@ def test_chi_square_point_outside_model_support_is_fatal():
     box = lambda r, t: np.where(
         (np.asarray(r) <= 1.0) & (np.asarray(t) <= 1.0), 1.0, 0.0
     )
-    _, _, p = chi_square_2d(mixed, box, UNIT_EDGES)
+    _, _, p = chi_square_2d(mixed, UNIT_EDGES, cell_masses(box, UNIT_EDGES))
     assert p == 0.0
 
 
 def test_chi_square_precomputed_masses_match_inline():
     rng = np.random.default_rng(3)
     pairs = np.column_stack([rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)])
-    masses = cell_masses(_unit_density, UNIT_EDGES)
-    np.testing.assert_allclose(masses, 0.25, rtol=1e-9)
-    direct = chi_square_2d(pairs, _unit_density, UNIT_EDGES)
-    reused = chi_square_2d(pairs, _unit_density, UNIT_EDGES, masses=masses)
-    assert direct == reused
+    np.testing.assert_allclose(UNIT_MASSES, 0.25, rtol=1e-9)
+    quad = chi_square_2d(pairs, UNIT_EDGES, UNIT_MASSES)
+    exact = chi_square_2d(pairs, UNIT_EDGES, np.full((2, 2), 0.25))
+    np.testing.assert_allclose(quad, exact, rtol=1e-8)
 
 
 def test_cell_masses_match_exact_where_density_is_smooth_in_each_cell():
@@ -202,18 +204,18 @@ def test_chi_square_rejects_zero_mass_and_bad_edges():
     pairs = np.array([[0.2, 0.2], [0.4, 0.4], [0.6, 0.6]])
     zero = lambda r, t: np.zeros_like(np.asarray(r, dtype=float))
     with pytest.raises(ParameterError):
-        chi_square_2d(pairs, zero, UNIT_EDGES)
+        chi_square_2d(pairs, UNIT_EDGES, cell_masses(zero, UNIT_EDGES))
     bad = (np.array([0.0, 0.0, 1.0]), UNIT_EDGES[1])
     with pytest.raises(ParameterError):
-        chi_square_2d(pairs, _unit_density, bad)
+        chi_square_2d(pairs, bad, UNIT_MASSES)
 
 
 def test_chi_square_accepts_pair_tuple_and_matrix():
     rng = np.random.default_rng(4)
     a = rng.uniform(0, 1, 50)
     b = rng.uniform(0, 1, 50)
-    as_tuple = chi_square_2d((a, b), _unit_density, UNIT_EDGES)
-    as_matrix = chi_square_2d(np.column_stack([a, b]), _unit_density, UNIT_EDGES)
+    as_tuple = chi_square_2d((a, b), UNIT_EDGES, UNIT_MASSES)
+    as_matrix = chi_square_2d(np.column_stack([a, b]), UNIT_EDGES, UNIT_MASSES)
     assert as_tuple == as_matrix
 
 
@@ -236,12 +238,7 @@ def test_chi_square_calibration_against_exact_law():
     low = 0
     for seed in range(200):
         r, t = sample_two_sided(law, 4000, seed=seed)
-        _, _, p = chi_square_2d(
-            (r, t),
-            lambda rr, tt: density_two_sided(law, rr, tt),
-            (edges_r, edges_t),
-            masses=masses,
-        )
+        _, _, p = chi_square_2d((r, t), (edges_r, edges_t), masses)
         if p < 0.001:
             low += 1
     assert low <= 4
