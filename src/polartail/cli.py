@@ -218,6 +218,8 @@ def _cmd_simulate(args) -> int:
         "condition": args.condition,
         "seed": seed,
         "acceptance_rate": _fmt(sample.acceptance.acceptance_rate),
+        "proposals": sample.acceptance.proposals,
+        "proposal_mass": _fmt(sample.acceptance.proposal_mass),
     }
     rows = zip(sample.r, sample.t, sample.r_norm, sample.t_norm)
     _emit(args, "simulate", config, meta, ("R", "T", "r_norm", "t_norm"), rows)

@@ -93,6 +93,14 @@ class AngularLaw:
     of g(t0 + s) as s -> 0 on each side; both must exceed -1. The
     ``g_coeff_*`` fields carry exact leading coefficients for builtin
     families (g(t0 + sigma s) ~ coeff * s^tau) and are None for custom laws.
+
+    ``side_mass(sigma, s)`` is P{0 < sigma (T - t0) <= s}, the angular mass
+    within distance s >= 0 of t0 on side sigma (+1 or -1), measured from t0
+    so that it keeps full relative precision for small s;
+    ``side_mass_inverse(sigma, m)`` inverts it for m up to the side's total
+    mass. Builtin families supply both in closed form; when they are None
+    the Monte Carlo sampler proposes T from ``sample`` over the whole
+    support.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -104,6 +112,8 @@ class AngularLaw:
     family_tag: str = "custom"
     g_coeff_minus: float | None = None
     g_coeff_plus: float | None = None
+    side_mass: Callable[[int, np.ndarray], np.ndarray] | None = None
+    side_mass_inverse: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -128,6 +138,9 @@ class ShapeU:
     ``kappa_minus``/``kappa_plus`` are the regular variation indices of
     u_tilde(sigma s) = 1 - u(t0 + sigma s) as s -> 0+. ``u_coeff_*`` carry
     exact or asymptotic leading coefficients for builtins.
+    ``monotone_reach`` declares the distance from t0 within which u is
+    nonincreasing in |t - t0| on both sides (inf for power shapes, pi for
+    the cosine); the default 0 declares nothing.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
@@ -137,6 +150,7 @@ class ShapeU:
     family_tag: str = "custom"
     u_coeff_minus: float | None = None
     u_coeff_plus: float | None = None
+    monotone_reach: float = 0.0
 
     def __post_init__(self):
         for name, k in (("kappa_minus", self.kappa_minus), ("kappa_plus", self.kappa_plus)):
@@ -323,6 +337,27 @@ def _power_density_one_side(s, coeff, tau, width):
     return out
 
 
+def _power_side_masses(minus, plus):
+    """(side_mass, side_mass_inverse) for the density coeff * s^tau on (0, width] per side.
+
+    ``minus``/``plus`` are (coeff, tau, width). The mass coeff s^(1+tau)/(1+tau)
+    is formed from s itself, never as a difference of CDF values, so it
+    keeps full relative precision near t0.
+    """
+    params = {-1: minus, 1: plus}
+
+    def side_mass(side, s):
+        coeff, tau, width = params[side]
+        s = np.clip(np.asarray(s, dtype=float), 0.0, width)
+        return coeff * s ** (1.0 + tau) / (1.0 + tau)
+
+    def side_mass_inverse(side, m):
+        coeff, tau, _ = params[side]
+        return (np.asarray(m, dtype=float) * (1.0 + tau) / coeff) ** (1.0 / (1.0 + tau))
+
+    return side_mass, side_mass_inverse
+
+
 def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
     if w_plus <= 0:
         raise ParameterError(f"angular.halfwidth_plus must be > 0, got {w_plus}")
@@ -335,6 +370,7 @@ def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
         t = np.asarray(t, dtype=float)
         return np.where((t >= lo) & (t <= hi), g0, 0.0)
 
+    side_mass, side_mass_inverse = _power_side_masses((g0, 0.0, w_minus), (g0, 0.0, w_plus))
     return AngularLaw(
         density=density,
         t0=t0,
@@ -345,6 +381,8 @@ def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
         family_tag="uniform",
         g_coeff_minus=g0 if w_minus > 0 else None,
         g_coeff_plus=g0,
+        side_mass=side_mass,
+        side_mass_inverse=side_mass_inverse,
     )
 
 
@@ -364,6 +402,7 @@ def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
         signs = rng.integers(0, 2, n) * 2 - 1
         return t0 + signs * mags
 
+    side_mass, side_mass_inverse = _power_side_masses((coeff, tau, width), (coeff, tau, width))
     return AngularLaw(
         density=density,
         t0=t0,
@@ -374,6 +413,8 @@ def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
         family_tag="symmetric_power",
         g_coeff_minus=coeff,
         g_coeff_plus=coeff,
+        side_mass=side_mass,
+        side_mass_inverse=side_mass_inverse,
     )
 
 
@@ -406,6 +447,9 @@ def _angular_asymmetric_power(
         mag_minus = w_minus * mags_u ** (1.0 / (1.0 + tau_minus))
         return t0 + np.where(side_plus, mag_plus, -mag_minus)
 
+    side_mass, side_mass_inverse = _power_side_masses(
+        (c_minus, tau_minus, w_minus), (c_plus, tau_plus, w_plus),
+    )
     return AngularLaw(
         density=density,
         t0=t0,
@@ -416,6 +460,8 @@ def _angular_asymmetric_power(
         family_tag="asymmetric_power",
         g_coeff_minus=c_minus,
         g_coeff_plus=c_plus,
+        side_mass=side_mass,
+        side_mass_inverse=side_mass_inverse,
     )
 
 
@@ -444,6 +490,7 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         family_tag="power",
         u_coeff_minus=scale,
         u_coeff_plus=scale,
+        monotone_reach=math.inf,
     )
 
 
@@ -460,6 +507,7 @@ def _shape_u_cosine(t0: float) -> ShapeU:
         family_tag="cosine",
         u_coeff_minus=0.5,
         u_coeff_plus=0.5,
+        monotone_reach=math.pi,
     )
 
 

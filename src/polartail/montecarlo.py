@@ -1,22 +1,55 @@
 """Exact sampling of the conditional law of (R, T) given an exceedance.
 
 The event {X > x} with X = R u(T) is rare but sits inside {R > x}: since
-|u| <= 1 and R >= 0, an exceedance of X forces one of R. Proposals are
-therefore drawn from the exact radial tail law given R > x (by quantile
-inversion, no approximation) times the unconditional angular law, and a
+|u| <= 1 and R >= 0, an exceedance of X forces one of R. The base
+proposal law is therefore the exact radial tail law given R > x (by
+quantile inversion, no approximation) times the angular law g, and a
 proposal is kept iff R u(T) > x (and T > t0 under right-sided
-conditioning). Accepted pairs follow the exact conditional law, and the
-acceptance rate against these proposals is P{X > x | R > x}, which decays
-only like the angular window phi(x) rather than like the radial tail, so
-desk-scale runs stay feasible at large x.
+conditioning). Restricting the base law to any region that holds every
+acceptable pair and applying the same test still gives exactly the
+conditional law (rejection from a restricted proposal; Devroye 1986,
+Non-Uniform Random Variate Generation, ch. II).
 
-Determinism contract: draws are generated in batches, and batch i of a
-run with seed s uses the stream SeedSequence(key(s) + (i,)). The output
-is a pure function of (model, x, n_target, condition, seed, batch_size):
-batches are consumed in index order until enough pairs accumulate, so
-worker count and scheduling cannot change the result, only the wall time.
-The batch size takes part in the stream assignment, so changing it
-changes the draws (but not their law).
+Given the event, T - t0 lives on the angular window phi(x) and R - x on
+the radial scale psi(x), so the sampler splits the base law into
+
+    A:  R <= r_c and T in W = [t0 - b_minus, t0 + b_plus],
+    B:  R > r_c and T anywhere on the allowed sides,
+    C:  the rest, R <= r_c and T outside W,
+
+with b_sigma = min(phi_sigma L^(1/kappa_sigma), support width of the
+side), L = 20, u_out the largest u(t0 + sigma b_sigma) over the sides
+whose window stops short of the support edge, and
+r_c = (x / u_out)(1 - 4 eps). Since u does not increase away from t0,
+every pair in C has r u(t) <= r_c u_out <= x and is never accepted; the
+factor 1 - 4 eps keeps fl(r_c u_out) <= x under rounding. Proposals are
+drawn from the base law restricted to A and B: B has conditional radial
+mass w_edge = Hbar(r_c) / Hbar(x), about e^-L, and A the angular mass of
+the window, so the acceptance rate is O(1) at every x (about 0.19 for
+kappa = 2, tau = 0) instead of falling like phi(x). Within A and B, T
+comes from the exact per-side angular masses measured from t0 and their
+inverses. This stratified plan needs ``angular.side_mass`` and its
+inverse and a ``shape_u.monotone_reach`` covering every allowed side of
+the support. Otherwise, and always in ``estimate_tail_probability`` (the
+independent Monte Carlo check of the quadrature), the whole-support plan
+draws T from ``angular.sample``: r_c = inf and C is empty.
+
+``AcceptanceStats.acceptance_rate`` is proposal_mass * accepted /
+proposals, where proposal_mass is the base-law probability of A and B
+together (1 for the whole-support plan), so under either plan it
+estimates P{X > x (and T > t0) | R > x}.
+
+Determinism contract: the plan is a pure function of (model, x,
+condition). Draws are generated in batches, and batch i of a run with
+seed s uses the stream SeedSequence(key(s) + (i,)): the whole-support
+plan draws m uniforms for R, then ``angular.sample(rng, m)``; the
+stratified plan draws m uniforms each for the region and side, for R and
+for T, in that order. The output is a pure function of (model, x,
+n_target, condition, seed, batch_size): batches are consumed in index
+order until enough pairs accumulate, so worker count and scheduling
+cannot change the result, only the wall time. The batch size takes part
+in the stream assignment, so changing it changes the draws (but not
+their law).
 """
 
 from __future__ import annotations
@@ -45,12 +78,20 @@ __all__ = [
 
 _DEFAULT_BATCH = 65536
 _DEFAULT_BUDGET = 10 ** 9
+# window edge b = phi L^(1/kappa): a power shape has u_tilde(b) = L psi(x)/x
+# there, so beyond it an exceedance needs R - x > ~L psi(x), mass ~ e^-L
+_WINDOW_L = 20.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class AcceptanceStats:
     """Bookkeeping of the proposal loop.
 
+    ``proposal_mass`` is the probability of the region proposals are drawn
+    from under the radial tail law given R > x times g (1 for the
+    whole-support plan), and ``acceptance_rate`` = proposal_mass *
+    accepted / proposals estimates P{event | R > x}.
     ``radial_tail_prob`` is P{R > x}, the factor that converts the
     acceptance rate into the tail probability estimate.
     """
@@ -59,6 +100,7 @@ class AcceptanceStats:
     accepted: int
     acceptance_rate: float
     radial_tail_prob: float
+    proposal_mass: float
 
     def __post_init__(self):
         if self.accepted > self.proposals:
@@ -97,19 +139,103 @@ class ConditionalSample:
         return self.r.size
 
 
-def _run_batch(mdl, x, condition, key, batch_index, m):
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The proposal law of one run (see the module docstring).
+
+    The whole-support plan has ``cum`` None and r_c = inf. Otherwise the
+    cells are (A minus, A plus, B minus, B plus): ``cum`` holds the
+    upper ends of the first three cumulative cell probabilities, ``caps``
+    the angular mass each cell draws from, and ``a_share`` is
+    1 - w_edge = P{R <= r_c | R > x}.
+    """
+
+    x: float
+    r_c: float = math.inf
+    u_out: float | None = None
+    a_share: float = 1.0
+    cum: np.ndarray | None = None
+    caps: np.ndarray | None = None
+    proposal_mass: float = 1.0
+
+
+def _build_plan(mdl, x, condition, norm) -> _Plan:
+    """The stratified plan when the model supports it, else the whole-support plan."""
+    ang, su = mdl.angular, mdl.shape_u
+    lo, hi = ang.support
+    t0 = mdl.t0
+    sides = [(1, hi - t0, norm.phi_plus, su.kappa_plus)]
+    if condition == _model.Condition.UNRESTRICTED and lo < t0:
+        sides.append((-1, t0 - lo, norm.phi_minus, su.kappa_minus))
+    if (ang.side_mass is None or ang.side_mass_inverse is None
+            or any(su.monotone_reach < width for _, width, _, _ in sides)):
+        return _Plan(x)
+
+    caps = np.zeros(4)
+    u_out = -math.inf
+    for side, width, phi, kappa in sides:
+        b = width if phi is None else min(phi * _WINDOW_L ** (1.0 / kappa), width)
+        if b < width:
+            u_out = max(u_out, float(np.asarray(su.u(np.array([t0 + side * b])))[0]))
+        cell = (side + 1) // 2
+        caps[[cell, cell + 2]] = ang.side_mass(side, np.array([b, width]))
+
+    r_c = x / u_out * (1.0 - 4.0 * _EPS) if u_out > 0.0 else math.inf
+    if not r_c > x:
+        return _Plan(x)
+    if math.isinf(r_c):
+        w_edge, a_share = 0.0, 1.0
+    else:
+        ls_rc, ls_x = np.asarray(mdl.radial.log_survival(np.array([r_c, x])), dtype=float)
+        w_edge, a_share = math.exp(ls_rc - ls_x), -math.expm1(ls_rc - ls_x)
+    probs = caps * np.array([a_share, a_share, w_edge, w_edge])
+    mass = float(probs.sum())
+    return _Plan(
+        x=x, r_c=r_c, u_out=u_out, a_share=a_share,
+        cum=np.cumsum(probs)[:3] / mass, caps=caps, proposal_mass=mass,
+    )
+
+
+def _draw_stratified(mdl, plan, rng, m):
+    """m proposals from the base law restricted to regions A and B.
+
+    Updates run in place and cells are int8: fewer and smaller batch-sized
+    temporaries keep the peak memory of a run at that of the
+    whole-support plan.
+    """
+    cell = np.searchsorted(plan.cum, rng.random(m), side="right").astype(np.int8)
+    p_r = rng.random(m)
+    mass = rng.random(m)
+    mass *= plan.caps[cell]
+    edge = cell >= 2
+    r_edge = mdl.radial.tail_quantile(p_r[edge], plan.r_c) if np.any(edge) else None
+    p_r *= plan.a_share
+    r = np.asarray(mdl.radial.tail_quantile(p_r, plan.x), dtype=float)
+    if r_edge is not None:
+        r[edge] = r_edge
+    t = np.asarray(mdl.angular.side_mass_inverse(1, mass), dtype=float)
+    minus = cell % 2 == 0
+    if np.any(minus):
+        t[minus] = -np.asarray(mdl.angular.side_mass_inverse(-1, mass[minus]), dtype=float)
+    t += mdl.t0
+    return r, t
+
+
+def _run_batch(mdl, plan, condition, key, batch_index, m):
     """One proposal batch; returns the accepted (r, t) pairs."""
     rng = batch_generator(key, batch_index)
-    u1 = rng.random(m)
-    r = np.asarray(mdl.radial.tail_quantile(u1, x), dtype=float)
-    t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
-    keep = r * np.asarray(mdl.shape_u.u(t), dtype=float) > x
+    if plan.cum is None:
+        r = np.asarray(mdl.radial.tail_quantile(rng.random(m), plan.x), dtype=float)
+        t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
+    else:
+        r, t = _draw_stratified(mdl, plan, rng, m)
+    keep = r * np.asarray(mdl.shape_u.u(t), dtype=float) > plan.x
     if condition == _model.Condition.RIGHT_SIDED:
         keep &= t > mdl.t0
     return r[keep], t[keep]
 
 
-def _consume_batches(mdl, x, condition, key, batch_sizes, workers, stop_at=None, budget=None):
+def _consume_batches(mdl, plan, condition, key, batch_sizes, workers, stop_at=None, budget=None):
     """Run batches in index order; returns (r_parts, t_parts, proposals, accepted).
 
     ``batch_sizes`` is an iterable of per-batch proposal counts (possibly
@@ -125,7 +251,7 @@ def _consume_batches(mdl, x, condition, key, batch_sizes, workers, stop_at=None,
     def check_budget(m):
         if budget is not None and proposals + m > budget:
             raise BudgetExceeded(
-                f"proposal budget {budget} would be exceeded at x = {x:g}: "
+                f"proposal budget {budget} would be exceeded at x = {plan.x:g}: "
                 f"{accepted} accepted of target {stop_at} after {proposals} proposals"
             )
 
@@ -139,7 +265,7 @@ def _consume_batches(mdl, x, condition, key, batch_sizes, workers, stop_at=None,
     if workers <= 1:
         for i, m in sizes:
             check_budget(m)
-            absorb(m, *_run_batch(mdl, x, condition, key, i, m))
+            absorb(m, *_run_batch(mdl, plan, condition, key, i, m))
             if stop_at is not None and accepted >= stop_at:
                 break
     else:
@@ -153,7 +279,7 @@ def _consume_batches(mdl, x, condition, key, batch_sizes, workers, stop_at=None,
                         exhausted = True
                         break
                     i, m = nxt
-                    pending.append((m, pool.submit(_run_batch, mdl, x, condition, key, i, m)))
+                    pending.append((m, pool.submit(_run_batch, mdl, plan, condition, key, i, m)))
                 if not pending:
                     break
                 m, fut = pending.popleft()
@@ -205,9 +331,10 @@ def sample_conditional(
         )
     key = seed_key(seed)
     norm = _asymptotics.compute_normalizers(mdl, x)
+    plan = _build_plan(mdl, x, condition, norm)
 
     r_parts, t_parts, proposals, accepted = _consume_batches(
-        mdl, x, condition, key, _endless_batches(batch_size), workers,
+        mdl, plan, condition, key, _endless_batches(batch_size), workers,
         stop_at=n_target, budget=max_proposals,
     )
     r = np.concatenate(r_parts)[:n_target]
@@ -228,8 +355,9 @@ def sample_conditional(
     stats = AcceptanceStats(
         proposals=proposals,
         accepted=accepted,
-        acceptance_rate=accepted / proposals,
+        acceptance_rate=plan.proposal_mass * accepted / proposals,
         radial_tail_prob=float(np.asarray(mdl.radial.survival(np.array([x])))[0]),
+        proposal_mass=plan.proposal_mass,
     )
     return ConditionalSample(
         x=x, condition=condition, scale_kind=scale, scale_value=scale_value,
@@ -250,7 +378,8 @@ def estimate_tail_probability(
 ) -> tuple[float, float]:
     """Unbiased estimate of P{X > x (and T > t0)} with a standard error.
 
-    Runs exactly n_proposals proposals and returns
+    Runs exactly n_proposals proposals of the whole-support plan, whose
+    streams stay those of earlier versions, and returns
     (survival(x) * acceptance_rate, survival(x) * binomial standard
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
     """
@@ -262,7 +391,7 @@ def estimate_tail_probability(
     full, rem = divmod(n_proposals, batch_size)
     sizes = [batch_size] * full + ([rem] if rem else [])
     _, _, proposals, accepted = _consume_batches(
-        mdl, x, condition, key, sizes, workers,
+        mdl, _Plan(x), condition, key, sizes, workers,
     )
     rate = accepted / proposals
     hbar = float(np.asarray(mdl.radial.survival(np.array([x])))[0])

@@ -284,7 +284,8 @@ def convergence_report(
     streams derived from the single seed), computes the marginal KS
     distances, the joint chi-square p-value against exact cell masses of
     the limit law (differences of its closed-form CDF), the acceptance
-    rate, and the quadrature/asymptotic tail ratio.
+    rate, and the quadrature/asymptotic tail ratio, formed from the forms
+    scaled by 1/Hbar(x) so that it stays finite where Hbar(x) underflows.
     Deterministic given (model, x_grid, n, seed, condition).
     """
     xs = [float(v) for v in x_grid]
@@ -316,8 +317,8 @@ def convergence_report(
         f = cdf(law, edges_r[:, None], edges_t)
         masses = np.maximum(np.diff(np.diff(f, axis=0), axis=1), 0.0)
         _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), (edges_r, edges_t), masses)
-        quad = _oracle.tail_probability_quadrature(mdl, x, condition).value
-        asym = _asymptotics.tail_asymptotic(mdl, x, condition)
+        quad = _oracle.scaled_tail_quadrature(mdl, x, condition).value
+        asym = _asymptotics.tail_asymptotic(mdl, x, condition, scaled=True)
         rows.append(ReportRow(
             x=x, n=n, ks_r=ks_r, ks_t=ks_t, chi2_p=chi2_p,
             acceptance_rate=mc.acceptance.acceptance_rate,

@@ -5,9 +5,11 @@ The benchmark model used throughout: Exp(1) radial, uniform angle on
 has a closed or high-precision reference value.
 """
 
+import math
+
 import pytest
 
-from polartail import build_builtin_model
+from polartail import build_builtin_model, montecarlo
 
 F1_CONFIG = {
     "radial.family": "exponential",
@@ -43,3 +45,17 @@ def seifert_model():
 @pytest.fixture(scope="session")
 def sine_model():
     return build_builtin_model(dict(F1_CONFIG, **{"shape_v.family": "sine"}))
+
+
+@pytest.fixture(autouse=True)
+def _plans_round_conservatively(monkeypatch):
+    """Every stratified proposal plan a test builds keeps fl(r_c * u_out) <= x."""
+    build = montecarlo._build_plan
+
+    def checked(*args):
+        plan = build(*args)
+        if math.isfinite(plan.r_c):
+            assert plan.r_c * plan.u_out <= plan.x, plan
+        return plan
+
+    monkeypatch.setattr(montecarlo, "_build_plan", checked)

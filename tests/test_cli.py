@@ -136,6 +136,36 @@ def test_simulate_deterministic_across_runs_and_workers(f1_cfg, tmp_path):
     assert "R,T,r_norm,t_norm" in head
 
 
+def test_simulate_metadata_explains_the_acceptance_rate(f1_cfg, tmp_path):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", f1_cfg, "--x", "50", "--n", "2000",
+                 "--seed", "11", "--out", str(out)]) == 0
+    meta = dict(l[2:].split(" = ", 1) for l in out.read_text().splitlines()
+                if l.startswith("# "))
+    proposals = int(meta["proposals"])
+    mass = float(meta["proposal_mass"])
+    rate = float(meta["acceptance_rate"])
+    assert proposals >= 2000
+    assert 0.0 < mass < 1.0
+    # acceptance_rate = proposal_mass * accepted / proposals, accepted >= n
+    assert rate >= mass * 2000 / proposals
+
+
+def test_verify_beyond_survival_underflow_keeps_a_finite_tail_ratio(f1_cfg, tmp_path, capsys):
+    # Hbar(x) = e^-x underflows to 0 from x ~ 745 on; the ratio of the
+    # scaled forms stays finite there
+    out = tmp_path / "verify.csv"
+    code = main(["verify", "--config", f1_cfg, "--seed", "5", "--n", "2000",
+                 "--x-grid", "700,800", "--out", str(out)])
+    capsys.readouterr()
+    assert code in (0, 1)
+    rows = [l.split(",") for l in out.read_text().splitlines()
+            if l and not l.startswith("#")]
+    assert rows[0][-1] == "tail_ratio"
+    ratios = [float(r[-1]) for r in rows[1:]]
+    assert ratios == [pytest.approx(0.99893, abs=1e-5), pytest.approx(0.99906, abs=1e-5)]
+
+
 def test_simulate_missing_seed_is_usage_error(f1_cfg, capsys):
     code = main(["simulate", "--config", f1_cfg, "--x", "50", "--n", "100"])
     out = capsys.readouterr()

@@ -225,3 +225,69 @@ def test_validate_angular_slope_detects_declared_index():
     assert report.entry("angular.tau_slope_plus").passed
     assert report.entry("angular.tau_slope_minus").passed
     assert report.passed
+
+
+# angular families whose per-side masses are checked; every case is
+# two-sided with unequal sides, and tau covers a singular (< 0) and a
+# steep (3) density at t0
+SIDE_MASS_CASES = {
+    "uniform": {"angular.family": "uniform", "angular.halfwidth_minus": 0.7,
+                "angular.halfwidth_plus": 1.3},
+    "symmetric_power_tau_neg": {"angular.family": "symmetric_power", "angular.tau": -0.5,
+                                "angular.halfwidth": 0.8},
+    "symmetric_power_tau_3": {"angular.family": "symmetric_power", "angular.tau": 3.0},
+    "asymmetric_power": {"angular.family": "asymmetric_power", "angular.tau_minus": -0.4,
+                         "angular.tau_plus": 3.0, "angular.weight_plus": 0.3,
+                         "angular.halfwidth_minus": 0.6, "angular.halfwidth_plus": 1.2},
+}
+
+
+def _angular(case, t0):
+    cfg = dict(SIDE_MASS_CASES[case], **{"radial.family": "exponential", "angular.t0": t0})
+    return build_builtin_model(cfg).angular
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_MASS_CASES))
+def test_side_mass_matches_quadrature_of_the_density(case):
+    from polartail.oracle import adaptive_quadrature
+
+    # t0 = 0 gives t full relative resolution next to the singular point;
+    # panels halving toward t0 keep every GK15 panel on a smooth piece
+    ang = _angular(case, 0.0)
+    lo, hi = ang.support
+    for side in (-1, 1):
+        for s in (1e-6, 1e-3, 0.1, 0.5, 2.0):
+            a, b = sorted((0.0, side * s))
+            res = adaptive_quadrature(
+                ang.density, a, b, rel_tol=1e-14,
+                breakpoints=[side * s * 2.0 ** -k for k in range(1, 101)] + [lo, hi],
+            )
+            assert res.converged
+            mass = float(ang.side_mass(side, np.array([s]))[0])
+            assert abs(mass / res.value - 1.0) <= 1e-12, (side, s, mass, res.value)
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_MASS_CASES))
+def test_side_mass_inverse_round_trip(case):
+    ang = _angular(case, 0.25)
+    lo, hi = ang.support
+    for side, width in ((-1, 0.25 - lo), (1, hi - 0.25)):
+        s = np.geomspace(1e-9 * width, width, 61)
+        np.testing.assert_allclose(ang.side_mass_inverse(side, ang.side_mass(side, s)), s,
+                                   rtol=1e-13)
+        total = float(ang.side_mass(side, np.array([width]))[0])
+        m = np.linspace(0.0, total, 61)
+        np.testing.assert_allclose(ang.side_mass(side, ang.side_mass_inverse(side, m)), m,
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_MASS_CASES))
+def test_side_mass_keeps_full_precision_next_to_t0(case):
+    # a CDF difference F(t0 + s) - F(t0) would keep no digit of these masses
+    ang = _angular(case, 0.25)
+    s = 1e-6
+    for side, coeff, tau in ((-1, ang.g_coeff_minus, ang.tau_minus),
+                             (1, ang.g_coeff_plus, ang.tau_plus)):
+        mass = float(ang.side_mass(side, np.array([s]))[0])
+        assert mass == pytest.approx(coeff * s ** (1.0 + tau) / (1.0 + tau), rel=1e-15, abs=0.0)
+

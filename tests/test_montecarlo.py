@@ -1,5 +1,6 @@
 """Conditional rejection sampler, tail estimator, and case normalization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,12 +17,14 @@ from polartail import (
     build_builtin_model,
     empirical_sign_freq,
     estimate_tail_probability,
+    ks_two_sample,
     sample_conditional,
     scaled_tail_quadrature,
     tail_probability_quadrature,
 )
 
-from conftest import F1_CONFIG
+from polartail._seeding import batch_generator
+from conftest import ASYM_CONFIG, F1_CONFIG
 
 F1_TAIL_X5 = 1.1844109244600762683e-3
 F1_TAIL_X10 = 5.9549152101336907609e-6
@@ -238,3 +241,97 @@ def test_quadrature_consistency_of_estimator_inputs(f1_model):
     scaled = scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED).value
     se = math.sqrt(scaled * (1.0 - scaled) / n)
     assert abs(s.acceptance.acceptance_rate - scaled) <= 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# Window-stratified proposals against the whole-support plan
+# ---------------------------------------------------------------------------
+
+STRATIFIED_CASES = {
+    "readme-right": (F1_CONFIG, Condition.RIGHT_SIDED, 100.0),
+    "kappa-1-2-unrestricted": (ASYM_CONFIG, Condition.UNRESTRICTED, 1e3),
+    "sympower-tau-neg-unrestricted": (
+        {"radial.family": "exponential", "angular.family": "symmetric_power",
+         "angular.tau": -0.5, "angular.halfwidth": 1.0, "shape_u.kappa": 2.0},
+        Condition.UNRESTRICTED, 100.0),
+    "halfnormal-cosine-right": (
+        {"radial.family": "half_normal", "angular.halfwidth": 1.0,
+         "shape_u.family": "cosine"},
+        Condition.RIGHT_SIDED, 10.0),
+    "weibull-b2-right": (
+        {"radial.family": "weibull", "radial.beta": 2.0, "angular.halfwidth": 1.0,
+         "shape_u.kappa": 2.0},
+        Condition.RIGHT_SIDED, 10.0),
+}
+
+
+def _whole_support_copy(mdl):
+    """The model with its shape tagged custom, declaring no monotone reach."""
+    shape = dataclasses.replace(mdl.shape_u, family_tag="custom", monotone_reach=0.0)
+    return dataclasses.replace(mdl, shape_u=shape)
+
+
+@pytest.mark.parametrize("case", sorted(STRATIFIED_CASES))
+def test_stratified_draws_match_the_whole_support_sampler(case):
+    config, cond, x = STRATIFIED_CASES[case]
+    mdl = build_builtin_model(config)
+    n = 20_000
+    scale = "phi_plus" if cond == Condition.RIGHT_SIDED else "phi_sign"
+    strat = sample_conditional(mdl, x, n, cond, seed=51, scale=scale)
+    whole = sample_conditional(_whole_support_copy(mdl), x, n, cond, seed=52, scale=scale)
+    assert strat.acceptance.proposal_mass < 1.0
+    assert whole.acceptance.proposal_mass == 1.0
+    assert strat.acceptance.proposals < whole.acceptance.proposals
+    for coord in ("r_norm", "t_norm"):
+        _, p = ks_two_sample(getattr(strat, coord), getattr(whole, coord))
+        assert p > 1e-3, (coord, p)
+    # both plans estimate P{event | R > x}, the scaled tail mass
+    scaled = scaled_tail_quadrature(mdl, x, cond).value
+    for s in (strat, whole):
+        acc = s.acceptance
+        a = acc.accepted / acc.proposals
+        se = acc.proposal_mass * math.sqrt(a * (1.0 - a) / acc.proposals)
+        assert abs(acc.acceptance_rate - scaled) <= 4.0 * se, (acc, scaled)
+
+
+def test_stratified_acceptance_does_not_shrink_with_x(f1_model):
+    n = 20_000
+    s = sample_conditional(f1_model, 1e6, n, Condition.RIGHT_SIDED, seed=3)
+    assert s.n == n
+    assert s.acceptance.proposals <= 10 * n
+    assert np.all(s.r * f1_model.shape_u.u(s.t) > 1e6)
+
+
+def test_shape_without_reach_over_the_support_keeps_the_whole_support_plan():
+    # cos(t - t0) turns back up beyond pi, so a support wider than pi
+    # leaves region C without its guarantee
+    mdl = build_builtin_model({"radial.family": "half_normal", "angular.halfwidth": 3.5,
+                               "shape_u.family": "cosine"})
+    s = sample_conditional(mdl, 10.0, 500, Condition.RIGHT_SIDED, seed=4)
+    assert s.acceptance.proposal_mass == 1.0
+
+
+def test_whole_support_stream_is_the_plain_rejection_loop(f1_model):
+    x, n, m, seed = 25.0, 3000, 4096, 9
+    mdl = _whole_support_copy(f1_model)
+    s = sample_conditional(mdl, x, n, Condition.RIGHT_SIDED, seed=seed, batch_size=m)
+
+    r_parts, t_parts, batches = [], [], 0
+    while sum(p.size for p in r_parts) < n:
+        rng = batch_generator((seed,), batches)
+        r = mdl.radial.tail_quantile(rng.random(m), x)
+        t = mdl.angular.sample(rng, m)
+        keep = (r * mdl.shape_u.u(t) > x) & (t > mdl.t0)
+        r_parts.append(r[keep])
+        t_parts.append(t[keep])
+        batches += 1
+    np.testing.assert_array_equal(s.r, np.concatenate(r_parts)[:n])
+    np.testing.assert_array_equal(s.t, np.concatenate(t_parts)[:n])
+    assert s.acceptance.proposals == batches * m
+    assert s.acceptance.acceptance_rate == s.acceptance.accepted / s.acceptance.proposals
+
+    # the estimator keeps that stream for builtin models too
+    est, _ = estimate_tail_probability(f1_model, x, 2 * m, seed=seed, batch_size=m)
+    accepted = sum(p.size for p in r_parts[:2])
+    hbar = float(f1_model.radial.survival(np.array([x]))[0])
+    assert est == hbar * (accepted / (2 * m))
