@@ -9,10 +9,12 @@ where psi is the auxiliary scale of the radial tail. phi measures how far
 T may stray from t0 before the deficit of u eats one psi-unit of radial
 tail; it is the natural scale of T - t0 given X > x.
 
-The window is found by bisection on a bracket strictly inside the angular
-support, after a grid check that u_tilde is increasing there; shapes whose
-deficit is not monotone near the peak (for example a cosine over several
-periods) are rejected rather than silently giving one of several roots.
+The deficit u_tilde is taken from ``ShapeU.deficit``, exact for builtin
+shapes however small phi is. The window is bracketed on a grid strictly
+inside the angular support, which also checks that the deficit increases
+there, and then solved in log space; shapes whose deficit is not
+monotone near the peak (for example a cosine over several periods) are
+rejected rather than silently giving one of several roots.
 
 Two limits describe how the sides combine:
 
@@ -31,6 +33,7 @@ NonConvergence when it still drifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +57,11 @@ __all__ = [
 
 _BRACKET_FLOOR = 1e-14
 _RESIDUAL_TOL = 1e-10
-_MONOTONE_GRID = 512
+# the monotonicity and bracketing grid, in units of the bracket ceiling
+_UNIT_GRID = np.geomspace(1e-9, 1.0, 512)
+# the log-space secant stops at this |log(deficit x / psi)| or step count
+_SOLVE_TOL = 4.0 * float(np.finfo(float).eps)
+_SOLVE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -125,16 +132,63 @@ def _side_reach(mdl: _model.PolarModel, side: str) -> float:
     return dist / 2.0
 
 
+def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f(y) on [lo, hi] with f(lo) < 0 < f(hi).
+
+    Regula falsi with the Illinois weight halving, stepping from the end
+    with the smaller |f| and falling back to the midpoint where f is not
+    finite. Stops once |f| <= 4 eps or the secant correction vanishes
+    against y; a function linear in y is solved by its first step.
+    """
+    best_y, best_f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+    side = 0
+    for _ in range(_SOLVE_STEPS):
+        y = math.nan
+        if math.isfinite(f_lo) and math.isfinite(f_hi):
+            step = (hi - lo) / (f_hi - f_lo)
+            y = lo - f_lo * step if -f_lo < f_hi else hi - f_hi * step
+            if y == lo or y == hi:
+                break
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+            if not lo < y < hi:
+                break
+        fy = f(y)
+        if abs(fy) < abs(best_f):
+            best_y, best_f = y, fy
+        if not abs(fy) > _SOLVE_TOL:
+            break
+        if fy < 0:
+            lo, f_lo = y, fy
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = y, fy
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return best_y
+
+
 def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
-    """Solve u_tilde(sigma phi) x / psi(x) = 1 by bisection.
+    """Solve deficit(sigma phi) x / psi(x) = 1 in log space.
 
     The bracket is (1e-14, s_max] with s_max half the distance from t0 to
     the support edge on the requested side, keeping the search away from
-    boundary effects. Raises MonotonicityError if u_tilde is not
-    increasing on the bracket, BracketError if the target lies outside the
-    reachable range (x too small for this model), ParameterError for the
-    minus side of a one-sided model, and NonConvergence if the residual at
-    the root exceeds 1e-10.
+    boundary effects. ``ShapeU.deficit`` is evaluated once on a geometric
+    grid of 512 points from 1e-9 s_max to s_max; the grid checks that the
+    deficit increases and brackets the root between two adjacent points
+    (or between 1e-14 and the first point). On that bracket the root of
+    log(deficit(e^y) x / psi(x)) = 0 is found by a safeguarded secant in
+    y = log s. For power shapes that equation is linear in y, so a
+    single step lands on the root; for the cosine it takes a few more.
+
+    Raises MonotonicityError if the deficit is not increasing on the
+    bracket, BracketError if the target lies outside the reachable range
+    (x too small for this model), ParameterError for the minus side of a
+    one-sided model, and NonConvergence if the residual at the root
+    exceeds 1e-10.
     """
     sgn = _side_sign(side)
     if sgn < 0 and mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
@@ -153,45 +207,54 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
             f"no room on side {side!r}: bracket ceiling {s_max:g} at or below the floor"
         )
 
-    def ut(s):
-        return np.asarray(mdl.shape_u.u_tilde(sgn * np.asarray(s, dtype=float)), dtype=float)
+    def deficit(s):
+        return np.asarray(mdl.shape_u.deficit(sgn, s), dtype=float)
 
-    s_grid = np.geomspace(max(_BRACKET_FLOOR, s_max * 1e-9), s_max, _MONOTONE_GRID)
-    vals = ut(s_grid)
+    s_grid = np.maximum(s_max * _UNIT_GRID, _BRACKET_FLOOR)
+    vals = deficit(s_grid)
     if not np.all(np.isfinite(vals)):
-        raise MonotonicityError(f"u_tilde is not finite on the side {side!r} bracket")
+        raise MonotonicityError(f"the deficit is not finite on the side {side!r} bracket")
     tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     drops = np.diff(vals) < -tol
     if np.any(drops):
         where = float(s_grid[1:][drops][0])
         raise MonotonicityError(
-            f"u_tilde decreases near s = {where:.6g} on side {side!r}; "
+            f"the deficit decreases near s = {where:.6g} on side {side!r}; "
             "the window equation needs an increasing deficit"
         )
 
-    ut_hi = float(ut(s_max))
-    ut_lo = float(ut(_BRACKET_FLOOR))
-    if target > ut_hi:
+    if target > vals[-1]:
         raise BracketError(
             f"x = {x:g} is too small on side {side!r}: needs deficit {target:.3g} "
-            f"but u_tilde reaches only {ut_hi:.3g} within the bracket"
+            f"but it reaches only {vals[-1]:.3g} within the bracket"
         )
-    if target < ut_lo:
-        raise BracketError(
-            f"x = {x:g} puts the root below the bracket floor on side {side!r}"
-        )
+    # the first grid point at or above the target and the one before it
+    # (or the floor) bracket the root
+    k = int(np.argmax(vals >= target))
+    hi_s, hi_val = float(s_grid[k]), float(vals[k])
+    if k > 0:
+        lo_s, lo_val = float(s_grid[k - 1]), float(vals[k - 1])
+    else:
+        lo_s = _BRACKET_FLOOR
+        lo_val = float(deficit(np.array([lo_s]))[0])
+        if target < lo_val:
+            raise BracketError(
+                f"x = {x:g} puts the root below the bracket floor on side {side!r}"
+            )
 
-    lo_s, hi_s = _BRACKET_FLOOR, s_max
-    for _ in range(200):
-        mid = 0.5 * (lo_s + hi_s)
-        if mid <= lo_s or mid >= hi_s:
-            break
-        if float(ut(mid)) < target:
-            lo_s = mid
-        else:
-            hi_s = mid
-    phi = 0.5 * (lo_s + hi_s)
-    residual = abs(float(ut(phi)) * x / psi - 1.0)
+    def log_ratio(d):
+        with np.errstate(divide="ignore"):
+            return float(np.log(d / target))
+
+    def f(y):
+        return log_ratio(deficit(np.array([math.exp(y)]))[0])
+
+    f_lo, f_hi = log_ratio(lo_val), log_ratio(hi_val)
+    if f_hi == 0.0 or lo_s >= hi_s:
+        phi = hi_s
+    else:
+        phi = math.exp(_log_secant(f, math.log(lo_s), math.log(hi_s), f_lo, f_hi))
+    residual = abs(float(deficit(np.array([phi]))[0]) * x / psi - 1.0)
     if residual > _RESIDUAL_TOL:
         raise NonConvergence(
             f"window root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g} "

@@ -10,6 +10,12 @@ from the primitives, never stored separately:
     v_tilde(s) = v(t0) - v(t0 + s)      (index delta)
     g_tilde(s) = g(t0 + s)              (index tau per side)
 
+Two quantities lose every digit to cancellation as the threshold grows:
+the deficit 1 - u near t0 and the radial log-survival difference
+log Hbar(x + d) - log Hbar(x). ``ShapeU.deficit`` and
+``RadialLaw.log_survival_gap`` are the one place each is formed: in
+closed form for builtin families, as the plain difference otherwise.
+
 ``build_builtin_model`` assembles a model from a flat key=value mapping
 (the same format the CLI reads from disk); ``validate_model`` runs the
 numerical assumption checks and returns a report instead of raising, so a
@@ -75,7 +81,9 @@ class RadialLaw:
     / survival(x) tends to e^{-lam}. ``tail_quantile(p, x_floor)`` inverts
     the conditional law of R given R > x_floor. ``log_survival`` must stay
     finite-precision accurate far beyond the point where ``survival``
-    underflows; ratio computations rely on it.
+    underflows; ratio computations rely on it. ``exact_gap(x, d)``, when
+    given, is log Hbar(x + d) - log Hbar(x) formed without either term
+    (see ``log_survival_gap``).
     """
 
     family_tag: str
@@ -83,6 +91,19 @@ class RadialLaw:
     log_survival: Callable[[np.ndarray], np.ndarray]
     aux_psi: Callable[[float], float]
     tail_quantile: Callable[[np.ndarray, float], np.ndarray]
+    exact_gap: Callable[[float, np.ndarray], np.ndarray] | None = None
+
+    def log_survival_gap(self, x, d):
+        """log Hbar(x + d) - log Hbar(x) for x >= 0 and d >= 0.
+
+        Builtin families give it in closed form, accurate where d is far
+        below the resolution of x; without ``exact_gap`` it is the
+        difference of ``log_survival`` values.
+        """
+        if self.exact_gap is not None:
+            return self.exact_gap(x, d)
+        x = np.asarray(x, dtype=float)
+        return self.log_survival(x + np.asarray(d, dtype=float)) - self.log_survival(x)
 
 
 @dataclass(frozen=True)
@@ -140,7 +161,8 @@ class ShapeU:
     exact or asymptotic leading coefficients for builtins.
     ``monotone_reach`` declares the distance from t0 within which u is
     nonincreasing in |t - t0| on both sides (inf for power shapes, pi for
-    the cosine); the default 0 declares nothing.
+    the cosine); the default 0 declares nothing. ``exact_deficit(side, s)``,
+    when given, is u(t0) - u(t0 + side*s) in closed form (see ``deficit``).
     """
 
     u: Callable[[np.ndarray], np.ndarray]
@@ -151,6 +173,7 @@ class ShapeU:
     u_coeff_minus: float | None = None
     u_coeff_plus: float | None = None
     monotone_reach: float = 0.0
+    exact_deficit: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for name, k in (("kappa_minus", self.kappa_minus), ("kappa_plus", self.kappa_plus)):
@@ -162,6 +185,18 @@ class ShapeU:
         s = np.asarray(s, dtype=float)
         u0 = float(np.asarray(self.u(np.array([self.t0])))[0])
         return u0 - self.u(self.t0 + s)
+
+    def deficit(self, side: int, s):
+        """u(t0) - u(t0 + side*s) for distances s >= 0 on side +1 or -1.
+
+        Builtin shapes give it in closed form, with full relative
+        precision however small s is; without ``exact_deficit`` it is
+        ``u_tilde``, which cancels once the deficit nears double
+        resolution.
+        """
+        if self.exact_deficit is not None:
+            return self.exact_deficit(side, s)
+        return self.u_tilde(side * np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -255,12 +290,16 @@ def _radial_exponential(rate: float) -> RadialLaw:
     def tail_quantile(p, x_floor):
         return x_floor - np.log1p(-np.asarray(p, dtype=float)) / rate
 
+    def exact_gap(x, d):
+        return -rate * np.asarray(d, dtype=float)
+
     return RadialLaw(
         family_tag="exponential",
         survival=survival,
         log_survival=log_survival,
         aux_psi=lambda x: 1.0 / rate,
         tail_quantile=tail_quantile,
+        exact_gap=exact_gap,
     )
 
 
@@ -283,12 +322,21 @@ def _radial_weibull(beta: float) -> RadialLaw:
         p = np.asarray(p, dtype=float)
         return (max(x_floor, 0.0) ** beta - np.log1p(-p)) ** (1.0 / beta)
 
+    def exact_gap(x, d):
+        # x^beta - (x + d)^beta = -x^beta ((1 + d/x)^beta - 1)
+        x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+        d = np.asarray(d, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = -(x ** beta) * np.expm1(beta * np.log1p(d / x))
+        return np.where(x > 0, gap, -(d ** beta))
+
     return RadialLaw(
         family_tag="weibull",
         survival=survival,
         log_survival=log_survival,
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
+        exact_gap=exact_gap,
     )
 
 
@@ -311,12 +359,20 @@ def _radial_half_normal() -> RadialLaw:
         log_phi = sp_special.log_ndtr(-max(x_floor, 0.0))
         return -sp_special.ndtri_exp(np.log1p(-p) + log_phi)
 
+    def exact_gap(x, d):
+        # erfc(z) = erfcx(z) e^{-z^2} and (x + d)^2 - x^2 = d (2x + d)
+        x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+        d = np.asarray(d, dtype=float)
+        ratio = sp_special.erfcx((x + d) * inv_sqrt2) / sp_special.erfcx(x * inv_sqrt2)
+        return np.log(ratio) - 0.5 * d * (2.0 * x + d)
+
     return RadialLaw(
         family_tag="half_normal",
         survival=survival,
         log_survival=log_survival,
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
+        exact_gap=exact_gap,
     )
 
 
@@ -482,6 +538,9 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         k = np.where(s >= 0, kappa_plus, kappa_minus)
         return 1.0 - scale * np.abs(s) ** k
 
+    def exact_deficit(side, s):
+        return scale * np.asarray(s, dtype=float) ** (kappa_plus if side > 0 else kappa_minus)
+
     return ShapeU(
         u=u,
         t0=t0,
@@ -491,12 +550,16 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         u_coeff_minus=scale,
         u_coeff_plus=scale,
         monotone_reach=math.inf,
+        exact_deficit=exact_deficit,
     )
 
 
 def _shape_u_cosine(t0: float) -> ShapeU:
     def u(t):
         return np.cos(np.asarray(t, dtype=float) - t0)
+
+    def exact_deficit(side, s):
+        return 2.0 * np.sin(0.5 * np.asarray(s, dtype=float)) ** 2
 
     # 1 - cos(s) = s^2/2 (1 + O(s^2)): index 2 with asymptotic coefficient 1/2
     return ShapeU(
@@ -508,6 +571,7 @@ def _shape_u_cosine(t0: float) -> ShapeU:
         u_coeff_minus=0.5,
         u_coeff_plus=0.5,
         monotone_reach=math.pi,
+        exact_deficit=exact_deficit,
     )
 
 
@@ -991,6 +1055,20 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
     run("radial.psi_sublinear", "psi(x)/x decreasing toward 0", psi_sublinear)
 
+    def gap_matches_difference():
+        # moderate x and d, where the plain difference keeps its digits
+        x = np.geomspace(0.5, 20.0, 8)[:, None]
+        d = np.geomspace(1e-2, 5.0, 8)[None, :]
+        ls_far = np.asarray(mdl.radial.log_survival(x + d), dtype=float)
+        diff = ls_far - np.asarray(mdl.radial.log_survival(x), dtype=float)
+        gap = np.asarray(mdl.radial.log_survival_gap(x, d), dtype=float)
+        worst = float(np.max(np.abs(gap - diff) / np.maximum(1.0, np.abs(ls_far))))
+        return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+            "max |gap - difference| / max(1, |log_survival(x + d)|), x in [0.5, 20], d in [0.01, 5]"
+
+    run("radial.log_survival_gap", "log_survival_gap(x, d) = log_survival(x + d) - log_survival(x)",
+        gap_matches_difference)
+
     # --- angular ---
     def normalization():
         res = oracle.adaptive_quadrature(
@@ -1057,6 +1135,34 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
     if two_sided:
         run("shape_u.kappa_slope_minus", "u_tilde > 0 and slope matches kappa_minus",
             slope_check(mdl.shape_u.u_tilde, -1, mdl.shape_u.kappa_minus, u_not_positive))
+
+    # distances from t0 to the support edge on each side that has one
+    side_widths = [(side, w) for side, w in ((1, hi - t0), (-1, t0 - lo)) if w > 0]
+
+    def deficit_matches_difference():
+        worst = 0.0
+        for side, width in side_widths:
+            s = width * np.geomspace(1e-3, 1.0, 64)
+            dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
+            diff = np.asarray(mdl.shape_u.u_tilde(side * s), dtype=float)
+            worst = max(worst, float(np.max(np.abs(dlt - diff) / np.maximum(1.0, np.abs(diff)))))
+        return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+            "max |deficit - u_tilde| / max(1, |u_tilde|) for s from 1e-3 to 1 side widths"
+
+    run("shape_u.deficit", "deficit(side, s) = u(t0) - u(t0 + side*s)", deficit_matches_difference)
+
+    reach = mdl.shape_u.monotone_reach
+    if reach > 0:
+        def monotone_within_reach():
+            worst = -math.inf
+            for side, width in side_widths:
+                s = np.linspace(0.0, min(reach, width), grid.support_points)
+                worst = max(worst, float(np.max(np.diff(np.asarray(mdl.shape_u.u(t0 + side * s))))))
+            return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+                f"max increase of u moving away from t0 within min(monotone_reach = {reach:g}, side width)"
+
+        run("shape_u.monotone_reach", "u nonincreasing in |t - t0| within monotone_reach",
+            monotone_within_reach)
 
     # --- shape v ---
     if mdl.shape_v is not None:

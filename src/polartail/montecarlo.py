@@ -30,7 +30,8 @@ kappa = 2, tau = 0) instead of falling like phi(x). Within A and B, T
 comes from the exact per-side angular masses measured from t0 and their
 inverses. This stratified plan needs ``angular.side_mass`` and its
 inverse and a ``shape_u.monotone_reach`` covering every allowed side of
-the support. Otherwise, and always in ``estimate_tail_probability`` (the
+the support (``validate_model`` checks the declared reach on a grid).
+Otherwise, and always in ``estimate_tail_probability`` (the
 independent Monte Carlo check of the quadrature), the whole-support plan
 draws T from ``angular.sample``: r_c = inf and C is empty.
 
@@ -186,8 +187,8 @@ def _build_plan(mdl, x, condition, norm) -> _Plan:
     if math.isinf(r_c):
         w_edge, a_share = 0.0, 1.0
     else:
-        ls_rc, ls_x = np.asarray(mdl.radial.log_survival(np.array([r_c, x])), dtype=float)
-        w_edge, a_share = math.exp(ls_rc - ls_x), -math.expm1(ls_rc - ls_x)
+        gap = float(np.asarray(mdl.radial.log_survival_gap(x, np.array([r_c - x])))[0])
+        w_edge, a_share = math.exp(gap), -math.expm1(gap)
     probs = caps * np.array([a_share, a_share, w_edge, w_edge])
     mass = float(probs.sum())
     return _Plan(

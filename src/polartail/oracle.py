@@ -6,13 +6,18 @@ the package. It provides
 * ``adaptive_quadrature`` -- globally adaptive Gauss-Kronrod 15 integration
   with an error-ordered panel heap;
 * ``scaled_tail_quadrature`` -- P{X > x (and T > t0)} / Hbar(x) for a
-  polar model X = R u(T), computed as the one dimensional integral
+  polar model X = R u(T), computed side by side as one dimensional
+  integrals over the distance s from t0,
 
-      integral over {u(t) > 0} of  Hbar(x / u(t)) / Hbar(x) g(t) dt,
+      integral over {delta(s) < 1} of
+          exp(gap(x, x delta(s) / (1 - delta(s)))) g(t0 + sigma s) ds,
 
-  which is exact because R and T are independent and R >= 0; evaluated
-  in log space so it survives thresholds where Hbar(x) underflows
-  (Weibull-type tails at large x);
+  where delta = 1 - u is ``ShapeU.deficit`` and gap(x, d) = log Hbar(x + d)
+  - log Hbar(x) is ``RadialLaw.log_survival_gap``. This is exact because R
+  and T are independent and R >= 0, so X > x means R > x / u. Nothing in
+  it is formed as Hbar(x) or as 1 - u(t), so for builtin families it
+  keeps its digits where Hbar(x) underflows and where 1 - u at the window
+  is far below double resolution (x up to 1e12 and beyond);
 * ``tail_probability_quadrature`` -- the same probability unscaled,
   Hbar(x) times the scaled integral;
 * ``density_normalization`` -- 2-D integrals of limit densities, with the
@@ -36,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence, ParameterError
+from .errors import BracketError, MonotonicityError, NonConvergence, ParameterError
 from . import model as _model
 
 __all__ = [
@@ -208,36 +213,36 @@ def adaptive_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def _tail_domain(mdl, condition) -> tuple[float, float]:
+# Panel seeds at these multiples of the window phi, where the mass sits.
+_PEAK_MULTS = (1.0, 4.0, 16.0, 64.0)
+
+
+def _sides(mdl, condition) -> list[tuple[int, float]]:
+    """(side, width) for each side of t0 the condition integrates over."""
     lo, hi = mdl.angular.support
-    if condition == _model.Condition.RIGHT_SIDED:
-        lo = mdl.angular.t0
-    if not hi > lo:
-        raise ParameterError("tail quadrature: conditioning leaves an empty angular domain")
-    return lo, hi
+    t0 = mdl.angular.t0
+    sides = [(1, hi - t0)]
+    if condition == _model.Condition.UNRESTRICTED and lo < t0:
+        sides.append((-1, t0 - lo))
+    return sides
 
 
-def _peak_breakpoints(mdl, x: float, condition) -> list[float]:
-    """Panel seeds at multiples of phi(x) around t0, where the mass sits."""
+def _peak_breakpoints(mdl, x: float, side: int, width: float) -> list[float]:
+    """Distances k phi_sigma(x) from t0 inside (0, width), k in _PEAK_MULTS.
+
+    Empty at x = 0, on the minus side of a one-sided model, and where the
+    window cannot be bracketed or its deficit is not monotone; any other
+    failure of the window solve propagates.
+    """
     from . import asymptotics
 
-    t0 = mdl.angular.t0
-    lo, hi = _tail_domain(mdl, condition)
-    pts = [t0] if lo < t0 < hi else []
-    for side in (+1, -1):
-        if side == -1 and condition == _model.Condition.RIGHT_SIDED:
-            continue
-        if side == -1 and mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
-            continue
-        try:
-            phi = asymptotics.compute_phi(mdl, side, x)
-        except Exception:
-            continue
-        for mult in (1.0, 4.0, 16.0, 64.0):
-            p = t0 + side * mult * phi
-            if lo < p < hi:
-                pts.append(p)
-    return pts
+    if x == 0 or (side < 0 and mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT):
+        return []
+    try:
+        phi = asymptotics.compute_phi(mdl, x, "+" if side > 0 else "-").phi
+    except (BracketError, MonotonicityError):
+        return []
+    return [k * phi for k in _PEAK_MULTS if k * phi < width]
 
 
 def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
@@ -260,45 +265,50 @@ def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
 def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     """P{X > x (and T > t0)} / Hbar(x), computed without forming Hbar(x).
 
-    Integrates exp(log Hbar(x / u(t)) - log Hbar(x)) g(t) dt, which stays
-    representable even when both survival values underflow. This is also
-    the exact acceptance probability of the rejection sampler that
-    proposes from the radial tail law given R > x. The integrand is zero
-    wherever u(t) <= 0, since R >= 0 makes X > x > 0 impossible there.
-    Relative tolerance 1e-9; raises NonConvergence if the panel budget
-    runs out first.
+    Sums one integral per conditioning side over the distance s from t0:
+
+        integral of exp(gap(x, x delta / (1 - delta))) g(t0 + sigma s) ds,
+
+    with delta = ``shape_u.deficit(sigma, s)`` and gap =
+    ``radial.log_survival_gap``: X > x means R > x / u = x + x delta /
+    (1 - delta). The integrand is zero where delta >= 1, since u <= 0
+    there and R >= 0 makes X > x > 0 impossible. Neither factor cancels
+    for builtin families, so the integral keeps its digits wherever the
+    window phi(x) is representable. This is also the exact acceptance
+    probability of the rejection sampler that proposes from the radial
+    tail law given R > x. Panels are seeded at multiples of the window
+    (see ``_peak_breakpoints``). Relative tolerance 1e-9 per side; raises
+    NonConvergence if the panel budget runs out first.
     """
     if x < 0:
         raise ParameterError(f"scaled_tail_quadrature: x must be >= 0, got {x}")
-    lo, hi = _tail_domain(mdl, condition)
-    log_survival = mdl.radial.log_survival
-    u = mdl.shape_u.u
-    g = mdl.angular.density
-    ls_x = float(log_survival(x))
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        w = np.asarray(u(t), dtype=float)
-        out = np.zeros_like(t)
-        pos = w > 0
-        if np.any(pos):
+    t0 = mdl.angular.t0
+    value = error = 0.0
+    evaluations = 0
+    for side, width in _sides(mdl, condition):
+        def integrand(s, side=side):
+            s = np.asarray(s, dtype=float)
+            dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
+            inside = dlt < 1.0
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                ratio = np.where(pos, x / np.where(pos, w, 1.0), np.inf)
-                ls = np.asarray(log_survival(ratio), dtype=float)
-                vals = np.exp(ls - ls_x) * np.asarray(g(t), dtype=float)
-            out = np.where(pos, vals, 0.0)
-        return out
+                d = x * dlt / np.where(inside, 1.0 - dlt, 1.0)
+                gap = np.asarray(mdl.radial.log_survival_gap(x, np.where(inside, d, 0.0)), dtype=float)
+                vals = np.exp(gap) * np.asarray(mdl.angular.density(t0 + side * s), dtype=float)
+            return np.where(inside, vals, 0.0)
 
-    res = adaptive_quadrature(
-        integrand, lo, hi, rel_tol=1e-9, abs_tol=0.0,
-        breakpoints=_peak_breakpoints(mdl, x, condition),
-    )
-    if not res.converged:
-        raise NonConvergence(
-            f"scaled_tail_quadrature: error estimate {res.abs_error_estimate:.3e} "
-            f"stalled above tolerance at x={x}"
+        res = adaptive_quadrature(
+            integrand, 0.0, width, rel_tol=1e-9, abs_tol=0.0,
+            breakpoints=_peak_breakpoints(mdl, x, side, width),
         )
-    return res
+        if not res.converged:
+            raise NonConvergence(
+                f"scaled_tail_quadrature: error estimate {res.abs_error_estimate:.3e} "
+                f"stalled above tolerance at x={x} on side {side:+d}"
+            )
+        value += res.value
+        error += res.abs_error_estimate
+        evaluations += res.evaluations
+    return QuadratureResult(value, error, evaluations, True)
 
 
 # ---------------------------------------------------------------------------

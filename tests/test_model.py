@@ -1,5 +1,6 @@
 """Model construction, configuration parsing, and self-validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -291,3 +292,70 @@ def test_side_mass_keeps_full_precision_next_to_t0(case):
         mass = float(ang.side_mass(side, np.array([s]))[0])
         assert mass == pytest.approx(coeff * s ** (1.0 + tau) / (1.0 + tau), rel=1e-15, abs=0.0)
 
+
+
+def test_builtin_deficit_keeps_full_precision_next_to_t0():
+    # 1 - u(t0 + s) computed as a difference is 0.0 at these distances
+    power = build_builtin_model(dict(F1_CONFIG, **{"shape_u.scale": 3.0,
+                                                   "shape_u.kappa_minus": 1.0})).shape_u
+    cosine = build_builtin_model({"radial.family": "exponential",
+                                  "shape_u.family": "cosine"}).shape_u
+    s = np.array([1e-10])
+    assert power.deficit(1, s)[0] == pytest.approx(3e-20, rel=1e-15, abs=0.0)
+    assert power.deficit(-1, s)[0] == pytest.approx(3e-10, rel=1e-15, abs=0.0)
+    for side in (-1, 1):
+        # 1 - cos s = s^2/2 - s^4/24 + ...
+        assert cosine.deficit(side, s)[0] == pytest.approx(5e-21, rel=1e-15, abs=0.0)
+    assert power.u_tilde(s)[0] == 0.0
+
+
+def test_builtin_log_survival_gap_keeps_full_precision_at_large_x():
+    def radial(extra):
+        return build_builtin_model(dict(extra, **{"angular.halfwidth": 1.0})).radial
+
+    x, d = 1e8, 1e-9
+    exponential = radial({"radial.family": "exponential", "radial.rate": 2.0})
+    assert exponential.log_survival_gap(x, d) == pytest.approx(-2e-9, rel=1e-15)
+    # x^2 - (x + d)^2 = -d (2x + d)
+    weibull = radial({"radial.family": "weibull", "radial.beta": 2.0})
+    assert weibull.log_survival_gap(x, d) == pytest.approx(-d * (2.0 * x + d), rel=1e-14)
+    # Hbar(x) = erfc(x / sqrt 2) ~ sqrt(2/pi) e^{-x^2/2} / x (1 - 1/x^2 + ...)
+    half_normal = radial({"radial.family": "half_normal"})
+    want = -0.5 * d * (2.0 * x + d) - math.log1p(d / x)
+    assert half_normal.log_survival_gap(x, d) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("config", [
+    F1_CONFIG,
+    {"radial.family": "weibull", "radial.beta": 2.0, "shape_u.kappa_minus": 1.0},
+    {"radial.family": "half_normal", "shape_u.family": "cosine"},
+], ids=["exponential-power", "weibull-asymmetric-power", "half-normal-cosine"])
+def test_validate_checks_builtin_closed_forms_and_reach(config):
+    report = validate_model(build_builtin_model(config))
+    for name in ("radial.log_survival_gap", "shape_u.deficit", "shape_u.monotone_reach"):
+        assert report.entry(name).passed, (name, report.entry(name).detail)
+
+
+def test_validate_flags_wrong_closed_form_deficit(f1_model):
+    su = dataclasses.replace(f1_model.shape_u,
+                             exact_deficit=lambda side, s: 1.001 * np.asarray(s) ** 2)
+    report = validate_model(dataclasses.replace(f1_model, shape_u=su))
+    assert {e.name for e in report.failures()} == {"shape_u.deficit"}
+
+
+def test_validate_flags_wrong_closed_form_gap(f1_model):
+    radial = dataclasses.replace(f1_model.radial, exact_gap=lambda x, d: -1.001 * np.asarray(d))
+    report = validate_model(dataclasses.replace(f1_model, radial=radial))
+    assert {e.name for e in report.failures()} == {"radial.log_survival_gap"}
+
+
+def test_validate_flags_shape_rising_within_declared_reach():
+    # cos t rises again beyond pi, inside the support [-4, 4]
+    su = ShapeU(u=lambda t: np.cos(np.asarray(t, dtype=float)), t0=0.0,
+                kappa_minus=2.0, kappa_plus=2.0, family_tag="custom",
+                monotone_reach=math.inf)
+    mdl = PolarModel(radial=_radial_exponential(1.0), angular=_uniform_angular(4.0), shape_u=su)
+    report = validate_model(mdl)
+    assert {e.name for e in report.failures()} == {"shape_u.monotone_reach"}
+    honest = dataclasses.replace(mdl, shape_u=dataclasses.replace(su, monotone_reach=math.pi))
+    assert validate_model(honest).passed

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polartail import (
+    AngularLaw,
     Condition,
     ParameterError,
     PlanarSupport,
@@ -142,6 +143,43 @@ def test_tail_quadrature_is_exact_zero_where_survival_underflows(f1_model):
     assert (res.value, res.abs_error_estimate, res.evaluations, res.converged) == (
         0.0, 0.0, 0, True)
     assert scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED).value > 0.0
+
+
+def test_peak_breakpoints_sit_at_window_multiples(asym_model):
+    from polartail.oracle import _peak_breakpoints
+
+    # at x = 100 the windows are 100^(-1/2) on the kappa = 2 side and
+    # 1/100 on the kappa = 1 side; multiples beyond the width are dropped
+    plus = _peak_breakpoints(asym_model, 100.0, 1, 1.0)
+    minus = _peak_breakpoints(asym_model, 100.0, -1, 1.0)
+    assert plus == pytest.approx([0.1, 0.4], rel=1e-12)
+    assert minus == pytest.approx([0.01, 0.04, 0.16, 0.64], rel=1e-12)
+    assert _peak_breakpoints(asym_model, 0.0, 1, 1.0) == []
+
+
+def test_custom_shape_without_a_window_still_integrates():
+    # u = 1 - t^2 reaches a deficit of only 1/4 inside the window bracket
+    # s <= 1/2, so at x = 2 (psi/x = 1/2) the window cannot be bracketed
+    from scipy import integrate
+
+    from polartail import BracketError, PolarModel, ShapeU, compute_phi
+    from polartail.model import _radial_exponential
+
+    half = 1.0
+    ang = AngularLaw(
+        density=lambda t: np.where(np.abs(t) <= half, 1.0 / (2.0 * half), 0.0),
+        t0=0.0, tau_minus=0.0, tau_plus=0.0, support=(-half, half),
+        sample=lambda rng, n: rng.uniform(-half, half, n),
+    )
+    su = ShapeU(u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2, t0=0.0,
+                kappa_minus=2.0, kappa_plus=2.0, family_tag="custom")
+    mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
+    with pytest.raises(BracketError):
+        compute_phi(mdl, 2.0)
+    ref, _ = integrate.quad(lambda t: 0.5 * math.exp(-2.0 * t * t / (1.0 - t * t)), 0.0, 1.0,
+                            epsabs=0.0, epsrel=1e-13)
+    res = scaled_tail_quadrature(mdl, 2.0, Condition.RIGHT_SIDED)
+    assert res.value == pytest.approx(ref, rel=1e-9)
 
 
 def test_density_normalization_zero_function_integrates_to_zero():

@@ -1,0 +1,101 @@
+"""Numerical reach: windows and tails right up to x = 1e12.
+
+Each reference is an independent closed form written here from the
+model's definition: the window phi solves deficit(phi) = psi(x)/x, and
+the scaled tail is a scipy integral over the distance s from t0 of
+exp(log Hbar(x + d) - log Hbar(x)) g with d = x delta / (1 - delta).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import integrate, special
+
+from polartail import Condition, build_builtin_model, compute_phi, scaled_tail_quadrature
+
+from conftest import ASYM_CONFIG, F1_CONFIG
+
+WEIBULL_B2 = {"radial.family": "weibull", "radial.beta": 2.0,
+              "angular.halfwidth": 1.0, "shape_u.kappa": 2.0}
+HALFNORMAL_COS = {"radial.family": "half_normal", "angular.halfwidth": 1.0,
+                  "shape_u.family": "cosine"}
+# half decades from 10 to 1e12
+LADDER = tuple(10.0 ** (1 + k / 2) for k in range(23))
+
+
+def _halfnormal_cos_window(x):
+    target = math.sqrt(math.pi / 2.0) * float(special.erfcx(x / math.sqrt(2.0))) / x
+    return 2.0 * math.asin(math.sqrt(0.5 * target))
+
+
+# (config, side, closed-form phi(x)); every model has scale 1
+WINDOWS = {
+    # psi = 1/(2x): s^2 = 1/(2 x^2)
+    "weibull-b2": (WEIBULL_B2, "+", lambda x: 1.0 / (math.sqrt(2.0) * x)),
+    # 2 sin^2(phi/2) = psi(x)/x
+    "halfnormal-cos": (HALFNORMAL_COS, "+", _halfnormal_cos_window),
+    # psi = 1: s^kappa = 1/x
+    "exp-k2": (F1_CONFIG, "+", lambda x: x ** -0.5),
+    "exp-k1-k2-plus": (ASYM_CONFIG, "+", lambda x: x ** -0.5),
+    "exp-k1-k2-minus": (ASYM_CONFIG, "-", lambda x: 1.0 / x),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWS))
+def test_window_exact_up_to_1e12(case):
+    config, side, window = WINDOWS[case]
+    mdl = build_builtin_model(config)
+    for x in LADDER:
+        root = compute_phi(mdl, x, side)
+        assert root.residual <= 1e-12, (x, root.residual)
+        assert abs(root.phi - window(x)) <= 1e-12 * window(x), (x, root.phi, window(x))
+
+
+def _reference(gap, deficit, x, phi, density=0.5):
+    """scipy integral over s in (0, 1) of exp(gap(x, d)) * density."""
+    def f(s):
+        dlt = deficit(s)
+        if dlt >= 1.0:
+            return 0.0
+        return math.exp(gap(x, x * dlt / (1.0 - dlt))) * density
+
+    points = [k * phi for k in (1.0, 4.0, 16.0, 64.0) if k * phi < 1.0]
+    value, err = integrate.quad(f, 0.0, 1.0, points=points, epsabs=0.0, epsrel=1e-12, limit=500)
+    assert err <= 1e-10 * value
+    return value
+
+
+def _exp_gap(x, d):
+    return -d
+
+
+def _weibull2_gap(x, d):
+    # x^2 - (x + d)^2
+    return -d * (2.0 * x + d)
+
+
+def _power(kappa):
+    return lambda s: s ** kappa
+
+
+@pytest.mark.parametrize("config, x, gap, phi", [
+    (WEIBULL_B2, 1e4, _weibull2_gap, 1.0 / (math.sqrt(2.0) * 1e4)),
+    (F1_CONFIG, 1e8, _exp_gap, 1e-4),
+], ids=["weibull-b2-1e4", "readme-1e8"])
+def test_right_sided_tail_keeps_its_digits(config, x, gap, phi):
+    res = scaled_tail_quadrature(build_builtin_model(config), x, Condition.RIGHT_SIDED)
+    ref = _reference(gap, _power(2.0), x, phi)
+    assert res.value > 0.0
+    assert res.value == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+def test_both_sides_of_asymmetric_model_at_1e4():
+    x = 1e4
+    mdl = build_builtin_model(ASYM_CONFIG)
+    plus = _reference(_exp_gap, _power(2.0), x, x ** -0.5)
+    minus = _reference(_exp_gap, _power(1.0), x, 1.0 / x)
+    right = scaled_tail_quadrature(mdl, x, Condition.RIGHT_SIDED)
+    both = scaled_tail_quadrature(mdl, x, Condition.UNRESTRICTED)
+    assert right.value == pytest.approx(plus, rel=1e-8, abs=0.0)
+    assert both.value - right.value == pytest.approx(minus, rel=1e-8, abs=0.0)
