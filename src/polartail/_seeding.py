@@ -8,15 +8,14 @@ from .errors import ParameterError
 
 
 def seed_key(seed) -> tuple[int, ...]:
-    """Normalize an int or tuple-of-ints seed into a stream key."""
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return (int(seed),)
-    if isinstance(seed, tuple) and seed and all(
-        isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in seed
+    """Normalize a nonnegative int or tuple-of-such seed into a stream key."""
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if parts and all(
+        isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in parts
     ):
-        return tuple(int(s) for s in seed)
+        return tuple(int(s) for s in parts)
     raise ParameterError(
-        f"seed must be an int or a nonempty tuple of ints, got {seed!r}"
+        f"seed must be a nonnegative int or a nonempty tuple of them, got {seed!r}"
     )
 
 

@@ -9,7 +9,8 @@ all thresholds pass), 1 threshold failure, 2 usage or config error,
 
 Seeds are mandatory for every stochastic command; there is no ambient
 entropy anywhere, so rerunning a command line reproduces its output byte
-for byte, regardless of --workers.
+for byte. --workers is accepted and ignored (proposal batches run
+sequentially); it will be removed in the next minor version.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def _require_seed(args) -> int:
     if args.seed is None:
         raise ConfigError("--seed is required for stochastic commands")
     return args.seed
+
+
+def _n_or(args, default: int) -> int:
+    """--n if given (0 included, so range checks see it), else the default."""
+    return default if args.n is None else args.n
 
 
 def _x_values(args) -> list[float]:
@@ -182,14 +188,12 @@ def _cmd_tailprob(args) -> int:
         _emit(args, "tailprob", config, meta, ("x", "value"), rows)
     else:
         seed = _require_seed(args)
-        n = args.n or 10 ** 6
+        n = _n_or(args, 10 ** 6)
         meta["seed"] = seed
         meta["n_proposals"] = n
         rows = []
         for i, x in enumerate(xs):
-            est, se = _montecarlo.estimate_tail_probability(
-                mdl, x, n, cond, (seed, i), workers=args.workers,
-            )
+            est, se = _montecarlo.estimate_tail_probability(mdl, x, n, cond, (seed, i))
             rows.append((x, est, se))
         _emit(args, "tailprob", config, meta, ("x", "value", "std_error"), rows)
     return 0
@@ -202,11 +206,9 @@ def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
     if args.x is None:
         raise ConfigError("--x is required for simulate")
-    n = args.n or 10 ** 4
+    n = _n_or(args, 10 ** 4)
     scale = "phi_plus" if cond == _model.Condition.RIGHT_SIDED else "phi_sign"
-    sample = _montecarlo.sample_conditional(
-        mdl, args.x, n, cond, seed, scale=scale, workers=args.workers,
-    )
+    sample = _montecarlo.sample_conditional(mdl, args.x, n, cond, seed, scale=scale)
     phi_used = sample.scale_value
     phi_text = (",".join(_fmt(v) for v in phi_used)
                 if isinstance(phi_used, tuple) else _fmt(phi_used))
@@ -231,7 +233,7 @@ def _cmd_limit_sample(args) -> int:
     mdl = _build_model(config)
     cond = _condition(args)
     seed = _require_seed(args)
-    n = args.n or 10 ** 4
+    n = _n_or(args, 10 ** 4)
     meta = {"condition": args.condition, "seed": seed}
     if args.case:
         case = _case_from_model(mdl, args.case)
@@ -254,7 +256,7 @@ def _cmd_density(args) -> int:
     config = _load_config(args)
     mdl = _build_model(config)
     cond = _condition(args)
-    points = args.n or 64
+    points = _n_or(args, 64)
     if points < 2:
         raise ConfigError(f"--n must be >= 2 grid points, got {points}")
     r_hi = -float(np.log(1e-6))
@@ -282,11 +284,11 @@ def _cmd_verify(args) -> int:
     mdl = _build_model(config)
     cond = _condition(args)
     seed = _require_seed(args)
-    n = args.n or 5 * 10 ** 4
+    n = _n_or(args, 5 * 10 ** 4)
     xs = _x_values(args) if (args.x is not None or args.x_grid) else [10.0, 25.0, 50.0, 100.0]
 
     validation = _model.validate_model(mdl)
-    report = _stats.convergence_report(mdl, xs, n, seed, cond, workers=args.workers)
+    report = _stats.convergence_report(mdl, xs, n, seed, cond)
     rows = [
         (row.x, row.n, row.ks_r, row.ks_t, row.chi2_p, row.acceptance_rate, row.tail_ratio)
         for row in report.rows
@@ -338,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if n:
             p.add_argument("--n", type=int, help="sample size / proposal count / grid points")
         if workers:
-            p.add_argument("--workers", type=int, default=1, help="worker threads (results identical)")
+            p.add_argument("--workers", type=int, default=1,
+                           help="accepted and ignored; removed in the next minor version")
         if condition:
             p.add_argument("--condition", choices=("right", "unrestricted"), default="right")
         if method:

@@ -46,18 +46,16 @@ seed s uses the stream SeedSequence(key(s) + (i,)): the whole-support
 plan draws m uniforms for R, then ``angular.sample(rng, m)``; the
 stratified plan draws m uniforms each for the region and side, for R and
 for T, in that order. The output is a pure function of (model, x,
-n_target, condition, seed, batch_size): batches are consumed in index
-order until enough pairs accumulate, so worker count and scheduling
-cannot change the result, only the wall time. The batch size takes part
-in the stream assignment, so changing it changes the draws (but not
-their law).
+n_target, condition, seed, batch_size): batches run one after another in
+index order until enough pairs accumulate, and no batch is drawn that is
+not consumed. The batch size takes part in the stream assignment, so
+changing it changes the draws (but not their law).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,71 +234,31 @@ def _run_batch(mdl, plan, condition, key, batch_index, m):
     return r[keep], t[keep]
 
 
-def _consume_batches(mdl, plan, condition, key, batch_sizes, workers, stop_at=None, budget=None):
+def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budget=None):
     """Run batches in index order; returns (r_parts, t_parts, proposals, accepted).
 
     ``batch_sizes`` is an iterable of per-batch proposal counts (possibly
     unbounded). Consumption stops after the batch that reaches ``stop_at``
-    accepted pairs, or when ``batch_sizes`` is exhausted. Results are
-    consumed strictly in batch order, so worker count cannot affect them.
+    accepted pairs, or when ``batch_sizes`` is exhausted; no batch is
+    drawn that is not consumed.
     """
-    sizes = iter(enumerate(batch_sizes))
     r_parts, t_parts = [], []
     proposals = 0
     accepted = 0
-
-    def check_budget(m):
+    for i, m in enumerate(batch_sizes):
         if budget is not None and proposals + m > budget:
             raise BudgetExceeded(
                 f"proposal budget {budget} would be exceeded at x = {plan.x:g}: "
                 f"{accepted} accepted of target {stop_at} after {proposals} proposals"
             )
-
-    def absorb(m, rb, tb):
-        nonlocal proposals, accepted
+        rb, tb = _run_batch(mdl, plan, condition, key, i, m)
         proposals += m
         accepted += rb.size
         r_parts.append(rb)
         t_parts.append(tb)
-
-    if workers <= 1:
-        for i, m in sizes:
-            check_budget(m)
-            absorb(m, *_run_batch(mdl, plan, condition, key, i, m))
-            if stop_at is not None and accepted >= stop_at:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            exhausted = False
-            while True:
-                while not exhausted and len(pending) < workers:
-                    nxt = next(sizes, None)
-                    if nxt is None:
-                        exhausted = True
-                        break
-                    i, m = nxt
-                    pending.append((m, pool.submit(_run_batch, mdl, plan, condition, key, i, m)))
-                if not pending:
-                    break
-                m, fut = pending.popleft()
-                try:
-                    check_budget(m)
-                except BudgetExceeded:
-                    for _, f in pending:
-                        f.cancel()
-                    raise
-                absorb(m, *fut.result())
-                if stop_at is not None and accepted >= stop_at:
-                    for _, f in pending:
-                        f.cancel()
-                    break
+        if stop_at is not None and accepted >= stop_at:
+            break
     return r_parts, t_parts, proposals, accepted
-
-
-def _endless_batches(batch_size):
-    while True:
-        yield batch_size
 
 
 def sample_conditional(
@@ -321,6 +279,8 @@ def sample_conditional(
     enough, which signals a misconfigured (too small or infeasible) x
     rather than a tight budget: the default cap is 1e9. Window errors
     from ``compute_normalizers`` propagate before any sampling happens.
+    ``workers`` is accepted and ignored (batches run sequentially); it
+    will be removed in the next minor version.
     """
     if n_target < 1:
         raise ParameterError(f"n_target must be >= 1, got {n_target}")
@@ -335,7 +295,7 @@ def sample_conditional(
     plan = _build_plan(mdl, x, condition, norm)
 
     r_parts, t_parts, proposals, accepted = _consume_batches(
-        mdl, plan, condition, key, _endless_batches(batch_size), workers,
+        mdl, plan, condition, key, itertools.repeat(batch_size),
         stop_at=n_target, budget=max_proposals,
     )
     r = np.concatenate(r_parts)[:n_target]
@@ -383,6 +343,7 @@ def estimate_tail_probability(
     streams stay those of earlier versions, and returns
     (survival(x) * acceptance_rate, survival(x) * binomial standard
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
+    ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
     if n_proposals < 1:
         raise ParameterError(f"n_proposals must be >= 1, got {n_proposals}")
@@ -391,9 +352,7 @@ def estimate_tail_probability(
     key = seed_key(seed)
     full, rem = divmod(n_proposals, batch_size)
     sizes = [batch_size] * full + ([rem] if rem else [])
-    _, _, proposals, accepted = _consume_batches(
-        mdl, _Plan(x), condition, key, sizes, workers,
-    )
+    _, _, proposals, accepted = _consume_batches(mdl, _Plan(x), condition, key, sizes)
     rate = accepted / proposals
     hbar = float(np.asarray(mdl.radial.survival(np.array([x])))[0])
     se = hbar * float(np.sqrt(rate * (1.0 - rate) / proposals))
@@ -414,13 +373,13 @@ def empirical_sign_freq(
 
     Draws n accepted pairs under unrestricted conditioning; pairs with
     T exactly at t0 count as plus. Needs a two-sided model.
+    ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
     if mdl.sidedness != _model.Sidedness.TWO_SIDED:
         raise ParameterError("empirical_sign_freq needs a two-sided model")
     sample = sample_conditional(
         mdl, x, n, _model.Condition.UNRESTRICTED, seed,
-        scale="phi_sign", batch_size=batch_size,
-        max_proposals=max_proposals, workers=workers,
+        scale="phi_sign", batch_size=batch_size, max_proposals=max_proposals,
     )
     freq_plus = float(np.mean(sample.t >= mdl.t0))
     return 1.0 - freq_plus, freq_plus

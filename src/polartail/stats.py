@@ -287,6 +287,8 @@ def convergence_report(
     rate, and the quadrature/asymptotic tail ratio, formed from the forms
     scaled by 1/Hbar(x) so that it stays finite where Hbar(x) underflows.
     Deterministic given (model, x_grid, n, seed, condition).
+    ``workers`` is accepted and ignored, as in
+    ``montecarlo.sample_conditional``.
     """
     xs = [float(v) for v in x_grid]
     if not xs:
@@ -304,9 +306,7 @@ def convergence_report(
 
     rows = []
     for i, x in enumerate(xs):
-        mc = _montecarlo.sample_conditional(
-            mdl, x, n, condition, key + (i, 0), scale=scale, workers=workers,
-        )
+        mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0), scale=scale)
         law = _asymptotics.limit_law(mdl, condition, mc.normalizers)
         lim_r, lim_t = sample(law, n, key + (i, 1))
 

@@ -175,6 +175,29 @@ def test_simulate_missing_seed_is_usage_error(f1_cfg, capsys):
     assert "--seed" in out.err
 
 
+def test_negative_seed_is_usage_error(f1_cfg, capsys):
+    code = main(["simulate", "--config", f1_cfg, "--x", "50", "--n", "5", "--seed", "-1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "nonnegative" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--x", "50", "--seed", "1"],
+    ["limit-sample", "--seed", "1"],
+    ["tailprob", "--method", "mc", "--x", "10", "--seed", "1"],
+    ["density"],
+    ["verify", "--x-grid", "10,25", "--seed", "1"],
+])
+def test_zero_n_is_usage_error_not_the_default(f1_cfg, command, capsys):
+    code = main(command + ["--config", f1_cfg, "--n", "0"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "must be >= " in out.err
+    assert out.out == ""
+
+
 def test_config_hash_stable_under_reordering(tmp_path, capsys):
     p = tmp_path / "r.cfg"
     p.write_text(

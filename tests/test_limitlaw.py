@@ -360,6 +360,13 @@ def test_sampler_deterministic_per_seed():
     assert not np.array_equal(r1, r3)
 
 
+def test_sampler_rejects_negative_seeds():
+    law = LimitLawOneSided(kappa=1.0, tau=1.0)
+    for seed in (-3, (1, -2)):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            sample_one_sided(law, 5, seed)
+
+
 def test_two_sided_sampler_sign_frequency():
     law = LimitLawTwoSided(
         kappa_minus=1.0,

@@ -106,6 +106,38 @@ def test_worker_count_does_not_change_the_stream(f1_model):
     assert est1 == est4
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_every_drawn_batch_is_consumed(f1_model, workers):
+    # a whole-support copy draws T once per batch through angular.sample,
+    # so counting those calls counts the batches drawn
+    calls = []
+    ang = f1_model.angular
+
+    def counting_sample(rng, m):
+        calls.append(m)
+        return ang.sample(rng, m)
+
+    mdl = dataclasses.replace(
+        f1_model,
+        angular=dataclasses.replace(ang, side_mass=None, sample=counting_sample),
+    )
+    s = sample_conditional(
+        mdl, 25.0, 3000, Condition.RIGHT_SIDED, seed=9, batch_size=512, workers=workers
+    )
+    assert len(calls) == math.ceil(s.acceptance.proposals / 512)
+    calls.clear()
+    estimate_tail_probability(mdl, 10.0, 40_960, seed=13, batch_size=4096, workers=workers)
+    assert len(calls) == 40_960 // 4096
+
+
+def test_negative_seeds_are_parameter_errors(f1_model):
+    for seed in (-1, (1, -2), (np.int64(-5),)):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            sample_conditional(f1_model, 25.0, 10, Condition.RIGHT_SIDED, seed=seed)
+    with pytest.raises(ParameterError):
+        estimate_tail_probability(f1_model, 10.0, 100, seed=-3)
+
+
 def test_batch_size_is_part_of_the_stream(f1_model):
     a = sample_conditional(
         f1_model, 25.0, 2000, Condition.RIGHT_SIDED, seed=9, batch_size=512
