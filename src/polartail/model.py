@@ -533,10 +533,14 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         if not k > 0:
             raise ParameterError(f"{name} must be > 0, got {k}")
 
+    # scalar exponents only: a power with an array of exponents costs
+    # several times as much, and boolean gathers more than a second power
     def u(t):
         s = np.asarray(t, dtype=float) - t0
-        k = np.where(s >= 0, kappa_plus, kappa_minus)
-        return 1.0 - scale * np.abs(s) ** k
+        a = np.abs(s)
+        if kappa_minus == kappa_plus:
+            return 1.0 - scale * a ** kappa_plus
+        return 1.0 - scale * np.where(s >= 0, a ** kappa_plus, a ** kappa_minus)
 
     def exact_deficit(side, s):
         return scale * np.asarray(s, dtype=float) ** (kappa_plus if side > 0 else kappa_minus)

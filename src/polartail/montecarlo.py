@@ -42,13 +42,16 @@ estimates P{X > x (and T > t0) | R > x}.
 
 Determinism contract: the plan is a pure function of (model, x,
 condition). Draws are generated in batches, and batch i of a run with
-seed s uses the stream SeedSequence(key(s) + (i,)): the whole-support
-plan draws m uniforms for R, then ``angular.sample(rng, m)``; the
-stratified plan draws m uniforms each for the region and side, for R and
-for T, in that order. The output is a pure function of (model, x,
-n_target, condition, seed, batch_size): batches run one after another in
-index order until enough pairs accumulate, and no batch is drawn that is
-not consumed. The batch size takes part in the stream assignment, so
+seed s uses the stream SeedSequence(key(s) + (i,)). Each batch draws its
+uniforms in full before anything is transformed: the whole-support plan
+draws m uniforms for R, then ``angular.sample(rng, m)``; the stratified
+plan draws m uniforms each for the region and side, for R and for T, in
+that order. The transforms and the acceptance test then run over fixed
+chunks of the batch; chunking draws nothing, so it never changes the
+stream. The output is a pure function of (model, x, n_target,
+condition, seed, batch_size): batches run one after another in index
+order until enough pairs accumulate, and no batch is drawn that is not
+consumed. The batch size takes part in the stream assignment, so
 changing it changes the draws (but not their law).
 """
 
@@ -76,6 +79,9 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 65536
+# proposals transformed and tested at once: 64 KB float temporaries, which
+# the allocator reuses from batch to batch instead of mapping them afresh
+_CHUNK = 8192
 _DEFAULT_BUDGET = 10 ** 9
 # window edge b = phi L^(1/kappa): a power shape has u_tilde(b) = L psi(x)/x
 # there, so beyond it an exceedance needs R - x > ~L psi(x), mass ~ e^-L
@@ -195,23 +201,21 @@ def _build_plan(mdl, x, condition, norm) -> _Plan:
     )
 
 
-def _draw_stratified(mdl, plan, rng, m):
-    """m proposals from the base law restricted to regions A and B.
+def _stratified_chunk(mdl, plan, p_cell, p_r, p_t):
+    """Proposals from regions A and B, given one chunk of a batch's uniforms.
 
-    Updates run in place and cells are int8: fewer and smaller batch-sized
-    temporaries keep the peak memory of a run at that of the
-    whole-support plan.
+    The cell index counts the cumulative cell probabilities at or below
+    p_cell, as a right-sided search of ``plan.cum`` would.
     """
-    cell = np.searchsorted(plan.cum, rng.random(m), side="right").astype(np.int8)
-    p_r = rng.random(m)
-    mass = rng.random(m)
-    mass *= plan.caps[cell]
+    cum = plan.cum
+    cell = (p_cell >= cum[0]).view(np.int8)
+    cell += p_cell >= cum[1]
+    cell += p_cell >= cum[2]
+    mass = p_t * plan.caps[cell]
+    r = np.asarray(mdl.radial.tail_quantile(p_r * plan.a_share, plan.x), dtype=float)
     edge = cell >= 2
-    r_edge = mdl.radial.tail_quantile(p_r[edge], plan.r_c) if np.any(edge) else None
-    p_r *= plan.a_share
-    r = np.asarray(mdl.radial.tail_quantile(p_r, plan.x), dtype=float)
-    if r_edge is not None:
-        r[edge] = r_edge
+    if np.any(edge):
+        r[edge] = mdl.radial.tail_quantile(p_r[edge], plan.r_c)
     t = np.asarray(mdl.angular.side_mass_inverse(1, mass), dtype=float)
     minus = cell % 2 == 0
     if np.any(minus):
@@ -220,27 +224,43 @@ def _draw_stratified(mdl, plan, rng, m):
     return r, t
 
 
-def _run_batch(mdl, plan, condition, key, batch_index, m):
-    """One proposal batch; returns the accepted (r, t) pairs."""
+def _batch_chunks(mdl, plan, key, batch_index, m):
+    """The proposals (r, t) of one batch, _CHUNK at a time.
+
+    The uniforms are drawn for the whole batch first, so the stream does
+    not depend on the chunking.
+    """
     rng = batch_generator(key, batch_index)
     if plan.cum is None:
-        r = np.asarray(mdl.radial.tail_quantile(rng.random(m), plan.x), dtype=float)
+        p_r = rng.random(m)
         t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
+        for lo in range(0, m, _CHUNK):
+            s = slice(lo, lo + _CHUNK)
+            yield np.asarray(mdl.radial.tail_quantile(p_r[s], plan.x), dtype=float), t[s]
     else:
-        r, t = _draw_stratified(mdl, plan, rng, m)
-    keep = r * np.asarray(mdl.shape_u.u(t), dtype=float) > plan.x
+        p_cell, p_r, p_t = rng.random(m), rng.random(m), rng.random(m)
+        for lo in range(0, m, _CHUNK):
+            s = slice(lo, lo + _CHUNK)
+            yield _stratified_chunk(mdl, plan, p_cell[s], p_r[s], p_t[s])
+
+
+def _accept(mdl, condition, x, r, t):
+    """Mask of the proposals in the event: r u(t) > x, and t > t0 when right-sided."""
+    keep = r * np.asarray(mdl.shape_u.u(t), dtype=float) > x
     if condition == _model.Condition.RIGHT_SIDED:
         keep &= t > mdl.t0
-    return r[keep], t[keep]
+    return keep
 
 
-def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budget=None):
+def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budget=None,
+                     gather=True):
     """Run batches in index order; returns (r_parts, t_parts, proposals, accepted).
 
     ``batch_sizes`` is an iterable of per-batch proposal counts (possibly
     unbounded). Consumption stops after the batch that reaches ``stop_at``
     accepted pairs, or when ``batch_sizes`` is exhausted; no batch is
-    drawn that is not consumed.
+    drawn that is not consumed. With ``gather`` False the accepted pairs
+    are only counted and the part lists stay empty.
     """
     r_parts, t_parts = [], []
     proposals = 0
@@ -251,11 +271,13 @@ def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budge
                 f"proposal budget {budget} would be exceeded at x = {plan.x:g}: "
                 f"{accepted} accepted of target {stop_at} after {proposals} proposals"
             )
-        rb, tb = _run_batch(mdl, plan, condition, key, i, m)
+        for r, t in _batch_chunks(mdl, plan, key, i, m):
+            keep = _accept(mdl, condition, plan.x, r, t)
+            accepted += int(np.count_nonzero(keep))
+            if gather:
+                r_parts.append(r[keep])
+                t_parts.append(t[keep])
         proposals += m
-        accepted += rb.size
-        r_parts.append(rb)
-        t_parts.append(tb)
         if stop_at is not None and accepted >= stop_at:
             break
     return r_parts, t_parts, proposals, accepted
@@ -340,7 +362,8 @@ def estimate_tail_probability(
     """Unbiased estimate of P{X > x (and T > t0)} with a standard error.
 
     Runs exactly n_proposals proposals of the whole-support plan, whose
-    streams stay those of earlier versions, and returns
+    streams stay those of earlier versions, counts the accepted ones
+    without keeping them, and returns
     (survival(x) * acceptance_rate, survival(x) * binomial standard
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
     ``workers`` is accepted and ignored, as in ``sample_conditional``.
@@ -352,7 +375,9 @@ def estimate_tail_probability(
     key = seed_key(seed)
     full, rem = divmod(n_proposals, batch_size)
     sizes = [batch_size] * full + ([rem] if rem else [])
-    _, _, proposals, accepted = _consume_batches(mdl, _Plan(x), condition, key, sizes)
+    _, _, proposals, accepted = _consume_batches(
+        mdl, _Plan(x), condition, key, sizes, gather=False
+    )
     rate = accepted / proposals
     hbar = float(np.asarray(mdl.radial.survival(np.array([x])))[0])
     se = hbar * float(np.sqrt(rate * (1.0 - rate) / proposals))

@@ -359,3 +359,24 @@ def test_validate_flags_shape_rising_within_declared_reach():
     assert {e.name for e in report.failures()} == {"shape_u.monotone_reach"}
     honest = dataclasses.replace(mdl, shape_u=dataclasses.replace(su, monotone_reach=math.pi))
     assert validate_model(honest).passed
+
+
+@pytest.mark.parametrize("kappas", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0),
+                                    (1.0, 2.0), (3.0, 0.5)])
+def test_power_shape_is_one_minus_scaled_power_per_side(kappas):
+    k_minus, k_plus = kappas
+    scale = 0.75
+    mdl = build_builtin_model({
+        "radial.family": "exponential", "angular.halfwidth": 1.0,
+        "shape_u.kappa_minus": k_minus, "shape_u.kappa_plus": k_plus,
+        "shape_u.scale": scale,
+    })
+    t0 = mdl.t0
+    assert mdl.shape_u.u(np.array([t0]))[0] == 1.0
+    s = np.concatenate([np.random.default_rng(5).uniform(-1.0, 1.0, 4000), [-1.0, 1.0]])
+    u = mdl.shape_u.u(t0 + s)
+    libm = np.array([1.0 - scale * math.pow(abs(v), k_plus if v >= 0 else k_minus) for v in s])
+    # u is a difference of terms of size up to 1 and NumPy's power may
+    # round differently from libm's, so the unit is one ulp of 1
+    assert np.all(np.abs(u - libm) <= np.spacing(1.0))
+    assert np.all(u[s == 1.0] == 1.0 - scale) and np.all(u[s == -1.0] == 1.0 - scale)

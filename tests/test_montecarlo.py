@@ -23,6 +23,7 @@ from polartail import (
     tail_probability_quadrature,
 )
 
+from polartail import montecarlo
 from polartail._seeding import batch_generator
 from conftest import ASYM_CONFIG, F1_CONFIG
 
@@ -367,3 +368,76 @@ def test_whole_support_stream_is_the_plain_rejection_loop(f1_model):
     accepted = sum(p.size for p in r_parts[:2])
     hbar = float(f1_model.radial.survival(np.array([x]))[0])
     assert est == hbar * (accepted / (2 * m))
+
+
+# ---------------------------------------------------------------------------
+# The chunked kernel against whole-batch evaluation
+# ---------------------------------------------------------------------------
+
+KERNEL_CASES = {
+    "readme": (F1_CONFIG, 25.0),
+    "kappa-1-2": (ASYM_CONFIG, 100.0),
+    "halfnormal-cosine": (
+        {"radial.family": "half_normal", "angular.halfwidth": 1.0,
+         "shape_u.family": "cosine"},
+        10.0),
+}
+KERNEL_BATCH_SIZES = (1, 8191, 8192, 8193, 10000, 65536)
+
+
+def _whole_batch(mdl, plan, cond, key, i, m):
+    """Batch i drawn, transformed and tested at once; returns the accepted (r, t)."""
+    rng = batch_generator(key, i)
+    if plan.cum is None:
+        r = np.asarray(mdl.radial.tail_quantile(rng.random(m), plan.x), dtype=float)
+        t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
+    else:
+        cell = np.searchsorted(plan.cum, rng.random(m), side="right")
+        p_r = rng.random(m)
+        mass = rng.random(m) * plan.caps[cell]
+        edge = cell >= 2
+        r = np.asarray(mdl.radial.tail_quantile(p_r * plan.a_share, plan.x), dtype=float)
+        r[edge] = mdl.radial.tail_quantile(p_r[edge], plan.r_c)
+        minus = cell % 2 == 0
+        t = np.asarray(mdl.angular.side_mass_inverse(1, mass), dtype=float)
+        t[minus] = -np.asarray(mdl.angular.side_mass_inverse(-1, mass[minus]), dtype=float)
+        t += mdl.t0
+    keep = r * mdl.shape_u.u(t) > plan.x
+    if cond == Condition.RIGHT_SIDED:
+        keep &= t > mdl.t0
+    return r[keep], t[keep]
+
+
+@pytest.mark.parametrize("m", KERNEL_BATCH_SIZES)
+@pytest.mark.parametrize("cond", [Condition.RIGHT_SIDED, Condition.UNRESTRICTED])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_chunked_kernel_matches_whole_batch_evaluation(case, cond, m):
+    config, x = KERNEL_CASES[case]
+    stratified = build_builtin_model(config)
+    n = 100 if m == 1 else 3000
+    key = (61,)
+    for mdl in (stratified, _whole_support_copy(stratified)):
+        s = sample_conditional(mdl, x, n, cond, seed=key, batch_size=m, scale="phi_sign")
+        plan = montecarlo._build_plan(mdl, x, cond, s.normalizers)
+        assert (plan.cum is None) == (mdl is not stratified)
+        r_parts, t_parts = [], []
+        while sum(p.size for p in r_parts) < n:
+            r, t = _whole_batch(mdl, plan, cond, key, len(r_parts), m)
+            r_parts.append(r)
+            t_parts.append(t)
+        assert s.r.tobytes() == np.concatenate(r_parts)[:n].tobytes()
+        assert s.t.tobytes() == np.concatenate(t_parts)[:n].tobytes()
+        assert s.acceptance.proposals == len(r_parts) * m
+        assert s.acceptance.accepted == sum(p.size for p in r_parts)
+
+    # the estimator counts the whole-support stream of the model itself
+    n_proposals = 3 * m + 1234
+    full, rem = divmod(n_proposals, m)
+    whole = montecarlo._Plan(x)
+    accepted = sum(
+        _whole_batch(stratified, whole, cond, key, i, size)[0].size
+        for i, size in enumerate([m] * full + ([rem] if rem else []))
+    )
+    est, _ = estimate_tail_probability(stratified, x, n_proposals, cond, key, batch_size=m)
+    hbar = float(stratified.radial.survival(np.array([x]))[0])
+    assert est == hbar * (accepted / n_proposals)
