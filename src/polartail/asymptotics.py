@@ -126,10 +126,12 @@ def _side_sign(side: str) -> int:
     raise ParameterError(f"side must be '+' or '-', got {side!r}")
 
 
-def _side_reach(mdl: _model.PolarModel, side: str) -> float:
-    lo, hi = mdl.angular.support
-    dist = (hi - mdl.t0) if side == "+" else (mdl.t0 - lo)
-    return dist / 2.0
+def _side_reach(mdl: _model.PolarModel, sgn: int) -> float:
+    """Half the distance from t0 to the support edge on side ``sgn``."""
+    widths = dict(mdl.sides(_model.Condition.UNRESTRICTED))
+    if sgn not in widths:
+        raise ParameterError("side '-' is not available on a one_sided_right model")
+    return widths[sgn] / 2.0
 
 
 def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -191,8 +193,7 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
     exceeds 1e-10.
     """
     sgn = _side_sign(side)
-    if sgn < 0 and mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
-        raise ParameterError("side '-' is not available on a one_sided_right model")
+    s_max = _side_reach(mdl, sgn)
     if not (np.isfinite(x) and x > 0):
         raise ParameterError(f"x must be a positive finite number, got {x}")
 
@@ -201,7 +202,6 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
         raise ParameterError(f"aux_psi({x}) = {psi} is not a positive number")
     target = psi / x
 
-    s_max = _side_reach(mdl, side)
     if s_max <= _BRACKET_FLOOR:
         raise BracketError(
             f"no room on side {side!r}: bracket ceiling {s_max:g} at or below the floor"
@@ -400,10 +400,9 @@ def ratio_q(mdl: _model.PolarModel, side: str = "+",
     return _grid_limit(mdl, side, x_grid, ratio, change_tol, "ratio_q")
 
 
-def _side_term(mdl: _model.PolarModel, x: float, side: str) -> float:
+def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
     """phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma."""
-    sgn = _side_sign(side)
-    root = compute_phi(mdl, x, side)
+    root = compute_phi(mdl, x, "+" if sgn > 0 else "-")
     kappa = mdl.shape_u.kappa_plus if sgn > 0 else mdl.shape_u.kappa_minus
     tau = mdl.angular.tau_plus if sgn > 0 else mdl.angular.tau_minus
     g_at = float(mdl.angular.g_tilde(sgn * root.phi))
@@ -424,10 +423,7 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
     asymptotic conditional probability P{X > x | R > x}; this form stays
     representable when the tail itself underflows.
     """
-    total = _side_term(mdl, x, "+")
-    if (condition == _model.Condition.UNRESTRICTED
-            and mdl.sidedness == _model.Sidedness.TWO_SIDED):
-        total += _side_term(mdl, x, "-")
+    total = sum(_side_term(mdl, x, sgn) for sgn, _ in mdl.sides(condition))
     if scaled:
         return total
     return total * float(np.asarray(mdl.radial.survival(np.array([x])))[0])
@@ -437,13 +433,12 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
               normalizers: Normalizers | None = None):
     """The limit law of the normalized pair under ``condition``.
 
-    UNRESTRICTED conditioning of a TWO_SIDED model gives the PER_SIGN
-    two-sided law, weighted by the p and q of ``normalizers`` or, when
-    omitted, by ``mixture_limits``. Every other case gives the one-sided
+    When the event covers both sides of t0 (``PolarModel.sides``), this is
+    the PER_SIGN two-sided law, weighted by the p and q of ``normalizers``
+    or, when omitted, by ``mixture_limits``. Otherwise it is the one-sided
     law of the plus side.
     """
-    if (condition != _model.Condition.UNRESTRICTED
-            or mdl.sidedness != _model.Sidedness.TWO_SIDED):
+    if len(mdl.sides(condition)) == 1:
         return _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
     if normalizers is None:
         p_m, p_p, q_m, q_p, _ = mixture_limits(mdl)

@@ -166,8 +166,9 @@ def _cmd_phi(args) -> int:
     rows = []
     for x in _x_values(args):
         psi = float(mdl.radial.aux_psi(x))
-        sides = ["+"] if mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT else ["-", "+"]
-        for side in sides:
+        # the CSV lists the minus side before the plus side
+        for sgn, _ in reversed(mdl.sides(_model.Condition.UNRESTRICTED)):
+            side = "+" if sgn > 0 else "-"
             root = _asymptotics.compute_phi(mdl, x, side)
             rows.append((x, side, root.phi, root.residual, psi, psi / x))
     _emit(args, "phi", config, {}, ("x", "side", "phi", "residual", "psi", "psi_over_x"), rows)
@@ -236,8 +237,10 @@ def _cmd_limit_sample(args) -> int:
     n = _n_or(args, 10 ** 4)
     meta = {"condition": args.condition, "seed": seed}
     if args.case:
+        if cond != _model.Condition.RIGHT_SIDED:
+            raise ConfigError("--case applies to right-sided limit draws; drop --condition unrestricted")
         case = _case_from_model(mdl, args.case)
-        law = _asymptotics.limit_law(mdl, _model.Condition.RIGHT_SIDED)
+        law = _asymptotics.limit_law(mdl, cond)
         r, t = _limitlaw.sample_one_sided(law, n, seed)
         x1, x2 = _limitlaw.pushforward_corollary(case, r, t)
         meta["case"] = case.kind.value

@@ -57,8 +57,10 @@ __all__ = [
 
 
 class Sidedness(str, enum.Enum):
-    ONE_SIDED_RIGHT = "one_sided_right"
-    TWO_SIDED = "two_sided"
+    """Which sides of t0 the angular support covers (see ``PolarModel.sidedness``)."""
+
+    ONE_SIDED_RIGHT = "one_sided_right"  # support starts at t0
+    TWO_SIDED = "two_sided"              # support extends below t0 as well
 
 
 class Condition(str, enum.Enum):
@@ -241,15 +243,15 @@ class ShapeV:
 class PolarModel:
     """Immutable bundle of the polar components.
 
-    ``sidedness`` declares whether the analysis may use both sides of t0;
-    TWO_SIDED requires angular support strictly below t0 as well.
+    The angular support alone fixes which sides of t0 the model has:
+    ``sidedness`` is TWO_SIDED exactly when the support extends below t0,
+    and ``sides`` lists the sides an event covers.
     """
 
     radial: RadialLaw
     angular: AngularLaw
     shape_u: ShapeU
     shape_v: ShapeV | None = None
-    sidedness: Sidedness = Sidedness.TWO_SIDED
 
     def __post_init__(self):
         if self.angular.t0 != self.shape_u.t0:
@@ -260,16 +262,30 @@ class PolarModel:
             raise ParameterError(
                 f"t0 mismatch: angular.t0={self.angular.t0} shape_v.t0={self.shape_v.t0}"
             )
-        lo, hi = self.angular.support
-        if self.sidedness == Sidedness.TWO_SIDED and not lo < self.angular.t0:
-            raise ParameterError(
-                "sidedness=two_sided needs angular support below t0 "
-                f"(support={self.angular.support}, t0={self.angular.t0})"
-            )
 
     @property
     def t0(self) -> float:
         return self.angular.t0
+
+    @property
+    def sidedness(self) -> Sidedness:
+        """TWO_SIDED iff the angular support extends below t0."""
+        if self.angular.support[0] < self.angular.t0:
+            return Sidedness.TWO_SIDED
+        return Sidedness.ONE_SIDED_RIGHT
+
+    def sides(self, condition: Condition) -> tuple[tuple[int, float], ...]:
+        """(sign, width) of each side of t0 the event under ``condition`` covers.
+
+        The sign is +1 or -1 and the width is the distance from t0 to the
+        support edge on that side. The plus side comes first; the minus
+        side follows under UNRESTRICTED conditioning of a two-sided model.
+        """
+        lo, hi = self.angular.support
+        t0 = self.angular.t0
+        if condition == Condition.UNRESTRICTED and self.sidedness == Sidedness.TWO_SIDED:
+            return ((1, hi - t0), (-1, t0 - lo))
+        return ((1, hi - t0),)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +831,11 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
                      shape_v.coeff (1.0)
         theta_polynomial: shape_v.rho (0.0), shape_v.n (required),
                      shape_v.deriv (required)
-    model.sidedness  one_sided_right | two_sided (inferred from support)
 
-    Range violations raise ParameterError naming the key; unknown family
-    tags raise UnknownFamilyError; unknown keys raise ConfigError.
+    The model is two-sided exactly when the angular support extends below
+    angular.t0; no key sets it. Range violations raise ParameterError
+    naming the key; unknown family tags raise UnknownFamilyError; unknown
+    keys raise ConfigError.
     """
     cfg = _ConfigReader(config)
 
@@ -897,24 +914,8 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
     else:
         raise UnknownFamilyError(f"shape_v.family: unknown family {vfam!r}")
 
-    sided_text = cfg.text("model.sidedness")
-    if sided_text is None:
-        lo, _ = angular.support
-        sidedness = Sidedness.TWO_SIDED if lo < t0 else Sidedness.ONE_SIDED_RIGHT
-    else:
-        try:
-            sidedness = Sidedness(sided_text)
-        except ValueError:
-            raise ConfigError(
-                f"model.sidedness: expected one of "
-                f"{[s.value for s in Sidedness]}, got {sided_text!r}"
-            ) from None
-
     cfg.finish()
-    return PolarModel(
-        radial=radial, angular=angular, shape_u=shape_u,
-        shape_v=shape_v, sidedness=sidedness,
-    )
+    return PolarModel(radial=radial, angular=angular, shape_u=shape_u, shape_v=shape_v)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +1017,9 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
     lo, hi = mdl.angular.support
     t0 = mdl.angular.t0
-    two_sided = mdl.sidedness == Sidedness.TWO_SIDED
+    # (sign, distance from t0 to the support edge) of each side the model has
+    sides = mdl.sides(Condition.UNRESTRICTED)
+    width_plus = sides[0][1]
 
     # --- radial ---
     def survival_monotone():
@@ -1084,10 +1087,10 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
     run("angular.normalization", f"|integral - 1| <= {grid.density_tol}", normalization)
 
-    def slope_check(local, side: int, declared: float, not_positive: str):
+    def slope_check(local, side: int, width: float, declared: float, not_positive: str):
         """Log-log slope of local(side * s) on the small-s grid against ``declared``."""
         def check():
-            s = _s_grid(grid, (hi - t0) if side > 0 else (t0 - lo))
+            s = _s_grid(grid, width)
             if s is None:
                 return False, math.nan, None, "support too narrow for the slope grid"
             y = np.asarray(local(side * s), dtype=float)
@@ -1098,12 +1101,10 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
             return err <= grid.slope_tol, slope, grid.slope_tol - err, f"declared {declared}"
         return check
 
-    g_not_positive = "g_tilde not positive on the slope grid"
-    run("angular.tau_slope_plus", "log-log slope matches tau_plus",
-        slope_check(mdl.angular.g_tilde, +1, mdl.angular.tau_plus, g_not_positive))
-    if two_sided:
-        run("angular.tau_slope_minus", "log-log slope matches tau_minus",
-            slope_check(mdl.angular.g_tilde, -1, mdl.angular.tau_minus, g_not_positive))
+    for side, width in sides:
+        name, tau = ("plus", mdl.angular.tau_plus) if side > 0 else ("minus", mdl.angular.tau_minus)
+        run(f"angular.tau_slope_{name}", f"log-log slope matches tau_{name}",
+            slope_check(mdl.angular.g_tilde, side, width, tau, "g_tilde not positive on the slope grid"))
 
     # --- shape u ---
     support_ts = np.linspace(lo, hi, grid.support_points)
@@ -1133,19 +1134,14 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
         run(f"shape_u.sup_outside_eps_{eps:g}", "sup u < 1 strictly", sup_outside)
 
-    u_not_positive = "u_tilde not positive on the slope grid"
-    run("shape_u.kappa_slope_plus", "u_tilde > 0 and slope matches kappa_plus",
-        slope_check(mdl.shape_u.u_tilde, +1, mdl.shape_u.kappa_plus, u_not_positive))
-    if two_sided:
-        run("shape_u.kappa_slope_minus", "u_tilde > 0 and slope matches kappa_minus",
-            slope_check(mdl.shape_u.u_tilde, -1, mdl.shape_u.kappa_minus, u_not_positive))
-
-    # distances from t0 to the support edge on each side that has one
-    side_widths = [(side, w) for side, w in ((1, hi - t0), (-1, t0 - lo)) if w > 0]
+    for side, width in sides:
+        name, kappa = ("plus", mdl.shape_u.kappa_plus) if side > 0 else ("minus", mdl.shape_u.kappa_minus)
+        run(f"shape_u.kappa_slope_{name}", f"u_tilde > 0 and slope matches kappa_{name}",
+            slope_check(mdl.shape_u.u_tilde, side, width, kappa, "u_tilde not positive on the slope grid"))
 
     def deficit_matches_difference():
         worst = 0.0
-        for side, width in side_widths:
+        for side, width in sides:
             s = width * np.geomspace(1e-3, 1.0, 64)
             dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
             diff = np.asarray(mdl.shape_u.u_tilde(side * s), dtype=float)
@@ -1159,7 +1155,7 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
     if reach > 0:
         def monotone_within_reach():
             worst = -math.inf
-            for side, width in side_widths:
+            for side, width in sides:
                 s = np.linspace(0.0, min(reach, width), grid.support_points)
                 worst = max(worst, float(np.max(np.diff(np.asarray(mdl.shape_u.u(t0 + side * s))))))
             return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
@@ -1180,7 +1176,7 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
         run("shape_v.center_value", "v(t0) = rho within 1e-12", rho_value)
 
         def v_sign_check():
-            s = _s_grid(grid, hi - t0)
+            s = _s_grid(grid, width_plus)
             if s is None:
                 return False, math.nan, None, "support too narrow for the sign grid"
             y = np.asarray(sv.v_tilde(s), dtype=float)
@@ -1192,7 +1188,7 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
         run("shape_v.sign", "sign of v_tilde equals v_sign on (0, 1e-2]", v_sign_check)
 
         run("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta",
-            slope_check(lambda s: np.abs(sv.v_tilde(s)), +1, sv.delta,
+            slope_check(lambda s: np.abs(sv.v_tilde(s)), +1, width_plus, sv.delta,
                         "v_tilde vanishes on the slope grid"))
 
     # --- joint finiteness of the callables ---

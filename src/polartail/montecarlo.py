@@ -167,19 +167,17 @@ class _Plan:
 def _build_plan(mdl, x, condition, norm) -> _Plan:
     """The stratified plan when the model supports it, else the whole-support plan."""
     ang, su = mdl.angular, mdl.shape_u
-    lo, hi = ang.support
     t0 = mdl.t0
-    sides = [(1, hi - t0, norm.phi_plus, su.kappa_plus)]
-    if condition == _model.Condition.UNRESTRICTED and lo < t0:
-        sides.append((-1, t0 - lo, norm.phi_minus, su.kappa_minus))
+    sides = mdl.sides(condition)
     if (ang.side_mass is None or ang.side_mass_inverse is None
-            or any(su.monotone_reach < width for _, width, _, _ in sides)):
+            or any(su.monotone_reach < width for _, width in sides)):
         return _Plan(x)
 
     caps = np.zeros(4)
     u_out = -math.inf
-    for side, width, phi, kappa in sides:
-        b = width if phi is None else min(phi * _WINDOW_L ** (1.0 / kappa), width)
+    for side, width in sides:
+        phi, kappa = (norm.phi_plus, su.kappa_plus) if side > 0 else (norm.phi_minus, su.kappa_minus)
+        b = min(phi * _WINDOW_L ** (1.0 / kappa), width)
         if b < width:
             u_out = max(u_out, float(np.asarray(su.u(np.array([t0 + side * b])))[0]))
         cell = (side + 1) // 2

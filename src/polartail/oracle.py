@@ -42,7 +42,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, MonotonicityError, NonConvergence, ParameterError
-from . import model as _model
 
 __all__ = [
     "QuadratureResult",
@@ -217,26 +216,16 @@ def adaptive_quadrature(
 _PEAK_MULTS = (1.0, 4.0, 16.0, 64.0)
 
 
-def _sides(mdl, condition) -> list[tuple[int, float]]:
-    """(side, width) for each side of t0 the condition integrates over."""
-    lo, hi = mdl.angular.support
-    t0 = mdl.angular.t0
-    sides = [(1, hi - t0)]
-    if condition == _model.Condition.UNRESTRICTED and lo < t0:
-        sides.append((-1, t0 - lo))
-    return sides
-
-
 def _peak_breakpoints(mdl, x: float, side: int, width: float) -> list[float]:
     """Distances k phi_sigma(x) from t0 inside (0, width), k in _PEAK_MULTS.
 
-    Empty at x = 0, on the minus side of a one-sided model, and where the
-    window cannot be bracketed or its deficit is not monotone; any other
-    failure of the window solve propagates.
+    ``side`` is one of the sides of ``PolarModel.sides``. Empty at x = 0
+    and where the window cannot be bracketed or its deficit is not
+    monotone; any other failure of the window solve propagates.
     """
     from . import asymptotics
 
-    if x == 0 or (side < 0 and mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT):
+    if x == 0:
         return []
     try:
         phi = asymptotics.compute_phi(mdl, x, "+" if side > 0 else "-").phi
@@ -285,7 +274,7 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     t0 = mdl.angular.t0
     value = error = 0.0
     evaluations = 0
-    for side, width in _sides(mdl, condition):
+    for side, width in mdl.sides(condition):
         def integrand(s, side=side):
             s = np.asarray(s, dtype=float)
             dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)

@@ -298,8 +298,7 @@ def convergence_report(
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     key = seed_key(seed)
-    if (condition == _model.Condition.UNRESTRICTED
-            and mdl.sidedness == _model.Sidedness.TWO_SIDED):
+    if len(mdl.sides(condition)) == 2:
         scale, sample, cdf = "phi_sign", _limitlaw.sample_two_sided, _limitlaw.cdf_two_sided
     else:
         scale, sample, cdf = "phi_plus", _limitlaw.sample_one_sided, _limitlaw.cdf_one_sided

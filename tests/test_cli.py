@@ -234,6 +234,20 @@ def test_limit_sample_case_pushforward(f1_cfg, tmp_path, capsys):
     assert all(float(r.split(",")[0]) > 0.0 for r in rows[1:])
 
 
+def test_limit_sample_case_refuses_unrestricted_condition(f1_cfg, tmp_path, capsys):
+    # the case maps push forward the right-sided limit only
+    p = tmp_path / "seif.cfg"
+    p.write_text(F1_TEXT + "shape_v.family = seifert_linear\nshape_v.rho = 0.4\n")
+    code = main(
+        ["limit-sample", "--config", str(p), "--n", "50", "--seed", "5",
+         "--case", "seifert", "--condition", "unrestricted"]
+    )
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "--case" in out.err
+
+
 def test_limit_sample_plain_two_sided(f1_cfg, capsys):
     code = main(
         ["limit-sample", "--config", f1_cfg, "--n", "40", "--seed", "5",

@@ -8,7 +8,9 @@ import pytest
 
 from polartail import (
     AngularLaw,
+    Condition,
     ConfigError,
+    LimitLawTwoSided,
     ParameterError,
     PolarModel,
     ShapeU,
@@ -17,6 +19,9 @@ from polartail import (
     ValidationGrid,
     build_builtin_model,
     load_config,
+    limit_law,
+    scaled_tail_quadrature,
+    tail_asymptotic,
     validate_model,
 )
 from polartail.model import _radial_exponential, parse_config_text
@@ -90,6 +95,55 @@ def test_build_builtin_model_one_sided_when_support_starts_at_center():
         }
     )
     assert mdl.sidedness is Sidedness.ONE_SIDED_RIGHT
+
+
+def _parabola_on(lo, hi):
+    """Exp(1) radius, uniform angle on (lo, hi) around t0 = 0, custom u = 1 - t^2."""
+    ang = AngularLaw(
+        density=lambda t: np.where((t >= lo) & (t <= hi), 1.0 / (hi - lo), 0.0),
+        t0=0.0,
+        tau_minus=0.0,
+        tau_plus=0.0,
+        support=(lo, hi),
+        sample=lambda rng, n: rng.uniform(lo, hi, n),
+    )
+    su = ShapeU(
+        u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
+        t0=0.0,
+        kappa_minus=2.0,
+        kappa_plus=2.0,
+    )
+    return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
+
+
+def test_sidedness_follows_the_angular_support():
+    assert "sidedness" not in {f.name for f in dataclasses.fields(PolarModel)}
+    one, two = _parabola_on(0.0, 1.0), _parabola_on(-1.0, 1.0)
+    assert one.sidedness is Sidedness.ONE_SIDED_RIGHT
+    assert two.sidedness is Sidedness.TWO_SIDED
+    for cond in Condition:
+        assert one.sides(cond) == ((1, 1.0),)
+    assert two.sides(Condition.RIGHT_SIDED) == ((1, 1.0),)
+    assert two.sides(Condition.UNRESTRICTED) == ((1, 1.0), (-1, 1.0))
+
+
+def test_two_sided_custom_model_unrestricted_tail_and_limit_law():
+    mdl = _parabola_on(-1.0, 1.0)
+    cond = Condition.UNRESTRICTED
+    assert len(mdl.sides(cond)) == 2
+    assert isinstance(limit_law(mdl, cond), LimitLawTwoSided)
+    x = 1e4
+    quad = scaled_tail_quadrature(mdl, x, cond).value
+    asym = tail_asymptotic(mdl, x, cond, scaled=True)
+    assert abs(quad / asym - 1.0) <= 1e-3
+    # both sides count: twice the right-sided mass of this symmetric model
+    assert asym == pytest.approx(2.0 * tail_asymptotic(mdl, x, scaled=True), rel=1e-12)
+
+
+def test_sidedness_config_key_rejected():
+    for value in ("one_sided_right", "two_sided"):
+        with pytest.raises(ConfigError, match="model.sidedness"):
+            build_builtin_model(dict(F1_CONFIG, **{"model.sidedness": value}))
 
 
 def test_build_builtin_model_weibull_and_half_normal_radials():
