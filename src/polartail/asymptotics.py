@@ -329,8 +329,12 @@ def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
             p_minus=0.0, p_plus=1.0, q_minus=0.0, q_plus=1.0,
         )
     root_m = compute_phi(mdl, x, "-")
-    anchored = tuple(float(v) for v in np.geomspace(x, 100.0 * x, 9))
-    p_m, p_p, q_m, q_p, estimate = mixture_limits(mdl, anchored)
+    closed = _closed_form_pq(mdl)
+    if closed is None:
+        anchored = tuple(float(v) for v in np.geomspace(x, 100.0 * x, 9))
+        p_m, p_p, q_m, q_p, estimate = mixture_limits(mdl, anchored)
+    else:
+        (p_m, p_p, q_m, q_p), estimate = closed, False
     return Normalizers(
         x=x, psi_x=psi,
         phi_plus=root_p.phi, phi_minus=root_m.phi,

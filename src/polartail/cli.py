@@ -208,7 +208,7 @@ def _cmd_simulate(args) -> int:
     if args.x is None:
         raise ConfigError("--x is required for simulate")
     n = _n_or(args, 10 ** 4)
-    scale = "phi_plus" if cond == _model.Condition.RIGHT_SIDED else "phi_sign"
+    scale = "phi_sign" if len(mdl.sides(cond)) == 2 else "phi_plus"
     sample = _montecarlo.sample_conditional(mdl, args.x, n, cond, seed, scale=scale)
     phi_used = sample.scale_value
     phi_text = (",".join(_fmt(v) for v in phi_used)

@@ -4,7 +4,9 @@ This module deliberately avoids the closed forms implemented elsewhere in
 the package. It provides
 
 * ``adaptive_quadrature`` -- globally adaptive Gauss-Kronrod 15 integration
-  with an error-ordered panel heap;
+  that bisects, in each sweep, the fewest worst panels whose errors exceed
+  what the tolerance allows, and evaluates all their halves with one
+  integrand call;
 * ``scaled_tail_quadrature`` -- P{X > x (and T > t0)} / Hbar(x) for a
   polar model X = R u(T), computed side by side as one dimensional
   integrals over the distance s from t0,
@@ -34,9 +36,9 @@ the integrand is never evaluated at a singular endpoint.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,18 +110,23 @@ def _build_gk15():
 _GK_NODES, _GK_WK, _GK_WG = _build_gk15()
 
 
-def _gk15_panel(f, a: float, b: float):
-    """One Kronrod panel: returns (kronrod_value, error_estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _GK_NODES
-    y = np.asarray(f(x), dtype=float)
-    kron = h * float(_GK_WK @ y)
-    gauss = h * float(_GK_WG @ y)
-    err = abs(kron - gauss)
-    if not np.isfinite(kron):
-        err = math.inf
-    return kron, err
+def _gk15_panels(f, lo, hi):
+    """Kronrod panels [lo[i], hi[i]] from one call of f on all their nodes.
+
+    Returns the lists (kronrod_values, error_estimates); the error of a
+    panel whose Kronrod or Gauss sum is not finite is infinite.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = c[:, None] + h[:, None] * _GK_NODES
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    kron = h * (y @ _GK_WK)
+    with np.errstate(invalid="ignore"):
+        err = np.abs(kron - h * (y @ _GK_WG))
+    err[~np.isfinite(err)] = math.inf
+    return kron.tolist(), err.tolist()
 
 
 @dataclass(frozen=True)
@@ -146,15 +153,26 @@ def adaptive_quadrature(
     max_panels: int = 4000,
     breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
-    """Integrate f over [a, b], splitting the worst panel first.
+    """Integrate f over [a, b], refining the worst panels in sweeps.
 
     ``breakpoints`` seeds initial panel boundaries (interior points only);
     use them to mark kinks, support edges, or the scale of a sharp peak so
     that the first error estimates already see the structure.
 
-    Stops when the summed panel error is below max(abs_tol, rel_tol*|I|)
-    or when ``max_panels`` panels exist; the latter yields converged=False
-    and it is the caller's decision whether that is fatal.
+    Each sweep sorts the panels by error estimate and bisects the fewest
+    worst ones whose errors sum to more than the excess of the total error
+    over the tolerance max(abs_tol, rel_tol*|I|): at least one panel, and
+    never more than ``max_panels`` minus the panel count. All new halves
+    are evaluated with one call of f. A panel whose midpoint is at machine
+    resolution is kept with error 0 instead of being bisected. Totals are
+    exact sums of the panels (``math.fsum``), so a worst error of 0 is a
+    total error of 0 and ends refinement.
+
+    Stops with converged=True when the total error is within the
+    tolerance. Stops with converged=False when ``max_panels`` panels exist
+    first, or at once when f is not finite on some panel; it is the
+    caller's decision whether that is fatal. ``evaluations`` counts the
+    points at which f was evaluated.
     """
     if not (b > a):
         raise ParameterError(f"adaptive_quadrature: empty interval [{a}, {b}]")
@@ -165,46 +183,40 @@ def adaptive_quadrature(
             cuts.append(p)
     cuts.append(b)
 
-    heap = []
-    total_val = 0.0
-    total_err = 0.0
-    evals = 0
-    counter = 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15_panel(f, lo, hi)
-        evals += 15
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total_val += val
-        total_err += err
-
-    while len(heap) < max_panels:
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            break
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        if err == 0.0:
-            heapq.heappush(heap, (neg_err, counter, lo, hi, val, err))
-            counter += 1
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval is at machine resolution; keep its estimate as is
-            heapq.heappush(heap, (0.0, counter, lo, hi, val, 0.0))
-            counter += 1
-            total_err -= err
-            continue
-        v1, e1 = _gk15_panel(f, lo, mid)
-        v2, e2 = _gk15_panel(f, mid, hi)
-        evals += 30
-        total_val += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        counter += 1
-
-    converged = bool(total_err <= max(abs_tol, rel_tol * abs(total_val))) and math.isfinite(total_val)
-    return QuadratureResult(total_val, total_err, evals, converged)
+    # panels are (lo, hi, value, error)
+    panels = list(zip(cuts[:-1], cuts[1:], *_gk15_panels(f, cuts[:-1], cuts[1:])))
+    evals = 15 * len(panels)
+    while True:
+        total_err = math.fsum(p[3] for p in panels)
+        if not math.isfinite(total_err):
+            # f is not finite on some panel; no bisection mends the total
+            return QuadratureResult(sum(p[2] for p in panels), total_err, evals, False)
+        total_val = math.fsum(p[2] for p in panels)
+        tol = max(abs_tol, rel_tol * abs(total_val))
+        if total_err <= tol or total_err == 0.0 or len(panels) >= max_panels:
+            return QuadratureResult(total_val, total_err, evals, total_err <= tol)
+        panels.sort(key=itemgetter(3), reverse=True)
+        excess = total_err - tol
+        # the errors of all panels sum to more than the excess; the cap at
+        # len(panels) only guards against rounding in the running sum
+        room = min(max_panels - len(panels), len(panels))
+        k, removed = 0, 0.0
+        while k < room and removed <= excess:
+            removed += panels[k][3]
+            k += 1
+        worst, panels = panels[:k], panels[k:]
+        los, his = [], []
+        for lo, hi, val, _ in worst:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                # interval is at machine resolution; keep its estimate as is
+                panels.append((lo, hi, val, 0.0))
+            else:
+                los += (lo, mid)
+                his += (mid, hi)
+        if los:
+            panels += zip(los, his, *_gk15_panels(f, los, his))
+            evals += 15 * len(los)
 
 
 # ---------------------------------------------------------------------------

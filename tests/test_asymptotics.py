@@ -281,6 +281,18 @@ def test_compute_normalizers_benchmark(f1_model):
     assert not norms.p_is_estimate
 
 
+def test_compute_normalizers_closed_form_skips_the_grid_estimate(f1_model, monkeypatch):
+    from polartail import asymptotics
+
+    def grid_estimate(*args, **kwargs):
+        raise AssertionError("closed-form p and q need no anchor grid")
+
+    monkeypatch.setattr(asymptotics, "mixture_limits", grid_estimate)
+    norms = compute_normalizers(f1_model, 100.0)
+    assert (norms.p_minus, norms.p_plus, norms.q_minus, norms.q_plus) == (0.5, 0.5, 0.5, 0.5)
+    assert not norms.p_is_estimate
+
+
 def test_tail_asymptotic_closed_form(f1_model):
     # H(x) phi(x) g(phi) Gamma(1/2) / kappa = e^(-x) sqrt(pi) / (4 sqrt(x))
     got = tail_asymptotic(f1_model, 10.0)

@@ -153,6 +153,23 @@ def test_simulate_metadata_explains_the_acceptance_rate(f1_cfg, tmp_path):
     assert rate >= mass * 2000 / proposals
 
 
+@pytest.mark.parametrize("extra, kind, n_phi", [
+    ("angular.halfwidth_minus = 0\n", "phi_plus", 1),
+    ("", "phi_sign", 2),
+])
+def test_simulate_unrestricted_scale_follows_the_sides(tmp_path, extra, kind, n_phi):
+    # a one-sided model has no minus window to scale by, whatever the condition
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(F1_TEXT + extra)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--x", "100", "--n", "200", "--seed", "7",
+                 "--condition", "unrestricted", "--out", str(out)]) == 0
+    meta = dict(l[2:].split(" = ", 1) for l in out.read_text().splitlines()
+                if l.startswith("# "))
+    assert meta["scale_kind"] == kind
+    assert len(meta["phi_used"].split(",")) == n_phi
+
+
 def test_verify_beyond_survival_underflow_keeps_a_finite_tail_ratio(f1_cfg, tmp_path, capsys):
     # Hbar(x) = e^-x underflows to 0 from x ~ 745 on; the ratio of the
     # scaled forms stays finite there

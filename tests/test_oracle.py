@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from polartail import (
     AngularLaw,
@@ -56,6 +59,97 @@ def test_quadrature_breakpoints_split_kink():
     assert split.value == pytest.approx(2.5, rel=1e-12)
     assert plain.value == pytest.approx(2.5, rel=1e-9)
     assert split.evaluations <= plain.evaluations
+
+
+def test_gk15_panels_batch_matches_one_call_per_panel():
+    from polartail.oracle import _gk15_panels
+
+    f = lambda t: np.exp(-t) * np.sqrt(t)
+    lo, hi = [0.0, 0.3, 1.0, 2.5], [0.3, 1.0, 2.5, 7.0]
+    vals, errs = _gk15_panels(f, lo, hi)
+    for a, b, val, err in zip(lo, hi, vals, errs):
+        (one_val,), (one_err,) = _gk15_panels(f, [a], [b])
+        assert val == pytest.approx(one_val, rel=4e-16)
+        assert err == pytest.approx(one_err, abs=4e-16 * abs(val))
+
+
+@given(tau=st.floats(-0.8, -0.05), b=st.floats(0.2, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_quadrature_matches_scipy_endpoint_singularity(tau, b):
+    # t^tau cos t on (0, b); scipy's algebraic-weight rule takes t^tau exactly
+    res = adaptive_quadrature(lambda t: t**tau * np.cos(t), 0.0, b, rel_tol=1e-10)
+    ref, _ = integrate.quad(np.cos, 0.0, b, weight="alg", wvar=(tau, 0.0), epsabs=0.0, epsrel=1e-13)
+    assert res.converged
+    assert res.value == pytest.approx(ref, rel=1e-9)
+
+
+@given(c=st.floats(0.05, 0.95), beta=st.floats(0.2, 1.0), slope=st.floats(0.5, 20.0))
+@settings(max_examples=40, deadline=None)
+def test_quadrature_matches_scipy_interior_kink(c, beta, slope):
+    # slope |t - c|^beta has a kink (beta = 1) or a cusp at c, marked as a
+    # breakpoint as the docstring asks; refinement works toward c from both
+    # sides. An unmarked kink can fool the |Kronrod - Gauss| estimate.
+    f = lambda t: np.exp(t) + slope * np.abs(t - c) ** beta
+    res = adaptive_quadrature(f, 0.0, 1.0, rel_tol=1e-10, breakpoints=(c,))
+    one = lambda t: 1.0
+    ref = (integrate.quad(np.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+           + slope * integrate.quad(one, 0.0, c, weight="alg", wvar=(0.0, beta), epsabs=0.0)[0]
+           + slope * integrate.quad(one, c, 1.0, weight="alg", wvar=(beta, 0.0), epsabs=0.0)[0])
+    assert res.converged
+    assert res.value == pytest.approx(ref, rel=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_quadrature_matches_scipy_seeded_narrow_peak(seed):
+    # a Gaussian peak of width 1e-4..1e-2 at a random center; both rules
+    # get breakpoints at multiples of its width, as scaled_tail_quadrature
+    # seeds its windows, since a peak far narrower than a panel is
+    # invisible to either error estimate
+    rng = np.random.default_rng(seed)
+    m, w = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-4.0, -2.0)
+    f = lambda t: np.exp(-0.5 * ((t - m) / w) ** 2) + 0.01 * t
+    cuts = [m + k * w for k in (-64, -16, -4, -1, 0, 1, 4, 16, 64) if 0.0 < m + k * w < 1.0]
+    res = adaptive_quadrature(f, 0.0, 1.0, rel_tol=1e-10, breakpoints=cuts)
+    ref, _ = integrate.quad(f, 0.0, 1.0, points=cuts, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert res.converged
+    assert res.value == pytest.approx(ref, rel=1e-9)
+
+
+def test_quadrature_panel_budget_exhausted():
+    # t^-0.99 needs ~300 bisections at 0; the budget allows 18
+    max_panels, initial = 20, 2
+    res = adaptive_quadrature(lambda t: t**-0.99, 0.0, 1.0, max_panels=max_panels,
+                              breakpoints=(0.5,))
+    assert not res.converged
+    assert res.evaluations <= 15 * (2 * max_panels - initial)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.where(t < 0.3, np.nan, t),
+    lambda t: np.where(t > 0.7, np.inf, t),
+])
+def test_quadrature_non_finite_integrand_does_not_converge(f):
+    res = adaptive_quadrature(f, 0.0, 1.0, breakpoints=(0.5,))
+    assert not res.converged
+    # refinement stops at once instead of spending the panel budget
+    assert res.evaluations == 30
+
+
+def test_quadrature_evaluates_each_sweep_in_one_call():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return t**-0.5
+
+    res = adaptive_quadrature(f, 0.0, 1.0, rel_tol=1e-9)
+    assert res.converged
+    assert res.value == pytest.approx(2.0, rel=1e-9)
+    assert sum(sizes) == res.evaluations == 1545
+    # one call per sweep: 52 calls where one call per 15-point panel makes 103
+    assert len(sizes) == 52
+    assert res.evaluations // 15 == 103
 
 
 def test_tail_quadrature_matches_reference(f1_model):
