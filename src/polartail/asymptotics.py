@@ -10,11 +10,15 @@ T may stray from t0 before the deficit of u eats one psi-unit of radial
 tail; it is the natural scale of T - t0 given X > x.
 
 The deficit u_tilde is taken from ``ShapeU.deficit``, exact for builtin
-shapes however small phi is. The window is bracketed on a grid strictly
-inside the angular support, which also checks that the deficit increases
-there, and then solved in log space; shapes whose deficit is not
-monotone near the peak (for example a cosine over several periods) are
-rejected rather than silently giving one of several roots.
+shapes however small phi is. Builtin shapes also invert it in closed
+form (``ShapeU.deficit_inverse``), so their window is phi =
+u_tilde^{-1}(psi(x)/x) with no search. Other shapes, and a builtin
+cosine whose bracket reaches past its monotone half-period, have the
+window bracketed on a grid strictly inside the angular support, which
+also checks that the deficit increases there, and then solved in log
+space; shapes whose deficit is not monotone near the peak (for example a
+cosine over several periods) are rejected rather than silently giving
+one of several roots.
 
 Two limits describe how the sides combine:
 
@@ -69,8 +73,8 @@ class PhiRoot:
     """Root of the window equation on one side.
 
     ``residual`` is |u_tilde(sigma phi) x / psi(x) - 1| at the returned
-    root and is guaranteed <= 1e-10; ``s_max`` is the bracket ceiling that
-    was searched.
+    root and is guaranteed <= 1e-10; ``s_max`` is the bracket ceiling the
+    root had to lie below.
     """
 
     phi: float
@@ -173,23 +177,85 @@ def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return best_y
 
 
+def _too_small(x: float, side: str, target: float, reached: float) -> BracketError:
+    return BracketError(
+        f"x = {x:g} is too small on side {side!r}: needs deficit {target:.3g} "
+        f"but it reaches only {reached:.3g} within the bracket"
+    )
+
+
+def _below_floor(x: float, side: str) -> BracketError:
+    return BracketError(f"x = {x:g} puts the root below the bracket floor on side {side!r}")
+
+
+def _grid_root(deficit, s_max: float, target: float, x: float, side: str) -> float:
+    """The window root by grid bracketing and a log-space secant (see ``compute_phi``)."""
+    s_grid = np.maximum(s_max * _UNIT_GRID, _BRACKET_FLOOR)
+    vals = deficit(s_grid)
+    if not np.all(np.isfinite(vals)):
+        raise MonotonicityError(f"the deficit is not finite on the side {side!r} bracket")
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    drops = np.diff(vals) < -tol
+    if np.any(drops):
+        where = float(s_grid[1:][drops][0])
+        raise MonotonicityError(
+            f"the deficit decreases near s = {where:.6g} on side {side!r}; "
+            "the window equation needs an increasing deficit"
+        )
+
+    if target > vals[-1]:
+        raise _too_small(x, side, target, vals[-1])
+    # the first grid point at or above the target and the one before it
+    # (or the floor) bracket the root
+    k = int(np.argmax(vals >= target))
+    hi_s, hi_val = float(s_grid[k]), float(vals[k])
+    if k > 0:
+        lo_s, lo_val = float(s_grid[k - 1]), float(vals[k - 1])
+    else:
+        lo_s = _BRACKET_FLOOR
+        lo_val = float(deficit(np.array([lo_s]))[0])
+        if target < lo_val:
+            raise _below_floor(x, side)
+
+    def log_ratio(d):
+        with np.errstate(divide="ignore"):
+            return float(np.log(d / target))
+
+    def f(y):
+        return log_ratio(deficit(np.array([math.exp(y)]))[0])
+
+    f_lo, f_hi = log_ratio(lo_val), log_ratio(hi_val)
+    if f_hi == 0.0 or lo_s >= hi_s:
+        return hi_s
+    return math.exp(_log_secant(f, math.log(lo_s), math.log(hi_s), f_lo, f_hi))
+
+
 def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
-    """Solve deficit(sigma phi) x / psi(x) = 1 in log space.
+    """Solve deficit(sigma phi) x / psi(x) = 1.
 
     The bracket is (1e-14, s_max] with s_max half the distance from t0 to
     the support edge on the requested side, keeping the search away from
-    boundary effects. ``ShapeU.deficit`` is evaluated once on a geometric
-    grid of 512 points from 1e-9 s_max to s_max; the grid checks that the
-    deficit increases and brackets the root between two adjacent points
-    (or between 1e-14 and the first point). On that bracket the root of
-    log(deficit(e^y) x / psi(x)) = 0 is found by a safeguarded secant in
-    y = log s. For power shapes that equation is linear in y, so a
-    single step lands on the root; for the cosine it takes a few more.
+    boundary effects.
 
-    Raises MonotonicityError if the deficit is not increasing on the
-    bracket, BracketError if the target lies outside the reachable range
-    (x too small for this model), ParameterError for the minus side of a
-    one-sided model, and NonConvergence if the residual at the root
+    When the shape has a closed-form ``ShapeU.deficit_inverse`` and
+    declares u monotone over the whole bracket (``monotone_reach >=
+    s_max``), phi is that inverse at psi(x)/x and no search is made.
+    Builtin shapes take this path, except a cosine whose bracket reaches
+    past pi.
+
+    Otherwise ``ShapeU.deficit`` is evaluated once on a geometric grid of
+    512 points from 1e-9 s_max to s_max; the grid checks that the deficit
+    increases and brackets the root between two adjacent points (or
+    between 1e-14 and the first point). On that bracket the root of
+    log(deficit(e^y) x / psi(x)) = 0 is found by a safeguarded secant in
+    y = log s.
+
+    Either way the residual is formed with ``deficit`` at the returned
+    root. Raises MonotonicityError if the grid finds the deficit not
+    increasing on the bracket, BracketError if the target lies outside
+    the reachable range (x too small for this model, or the root below
+    the floor), ParameterError for a bad x or psi(x) or the minus side
+    of a one-sided model, and NonConvergence if the residual at the root
     exceeds 1e-10.
     """
     sgn = _side_sign(side)
@@ -207,55 +273,22 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
             f"no room on side {side!r}: bracket ceiling {s_max:g} at or below the floor"
         )
 
+    su = mdl.shape_u
+
     def deficit(s):
-        return np.asarray(mdl.shape_u.deficit(sgn, s), dtype=float)
+        return np.asarray(su.deficit(sgn, s), dtype=float)
 
-    s_grid = np.maximum(s_max * _UNIT_GRID, _BRACKET_FLOOR)
-    vals = deficit(s_grid)
-    if not np.all(np.isfinite(vals)):
-        raise MonotonicityError(f"the deficit is not finite on the side {side!r} bracket")
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-    drops = np.diff(vals) < -tol
-    if np.any(drops):
-        where = float(s_grid[1:][drops][0])
-        raise MonotonicityError(
-            f"the deficit decreases near s = {where:.6g} on side {side!r}; "
-            "the window equation needs an increasing deficit"
-        )
-
-    if target > vals[-1]:
-        raise BracketError(
-            f"x = {x:g} is too small on side {side!r}: needs deficit {target:.3g} "
-            f"but it reaches only {vals[-1]:.3g} within the bracket"
-        )
-    # the first grid point at or above the target and the one before it
-    # (or the floor) bracket the root
-    k = int(np.argmax(vals >= target))
-    hi_s, hi_val = float(s_grid[k]), float(vals[k])
-    if k > 0:
-        lo_s, lo_val = float(s_grid[k - 1]), float(vals[k - 1])
+    if su.deficit_inverse is not None and su.monotone_reach >= s_max:
+        reached = float(deficit(np.array([s_max]))[0])
+        if target > reached:
+            raise _too_small(x, side, target, reached)
+        phi = float(np.asarray(su.deficit_inverse(sgn, np.array([target])), dtype=float)[0])
+        if not (math.isfinite(phi) and phi >= _BRACKET_FLOOR):
+            raise _below_floor(x, side)
     else:
-        lo_s = _BRACKET_FLOOR
-        lo_val = float(deficit(np.array([lo_s]))[0])
-        if target < lo_val:
-            raise BracketError(
-                f"x = {x:g} puts the root below the bracket floor on side {side!r}"
-            )
-
-    def log_ratio(d):
-        with np.errstate(divide="ignore"):
-            return float(np.log(d / target))
-
-    def f(y):
-        return log_ratio(deficit(np.array([math.exp(y)]))[0])
-
-    f_lo, f_hi = log_ratio(lo_val), log_ratio(hi_val)
-    if f_hi == 0.0 or lo_s >= hi_s:
-        phi = hi_s
-    else:
-        phi = math.exp(_log_secant(f, math.log(lo_s), math.log(hi_s), f_lo, f_hi))
+        phi = _grid_root(deficit, s_max, target, x, side)
     residual = abs(float(deficit(np.array([phi]))[0]) * x / psi - 1.0)
-    if residual > _RESIDUAL_TOL:
+    if not residual <= _RESIDUAL_TOL:
         raise NonConvergence(
             f"window root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g} "
             f"on side {side!r} at x = {x:g}"

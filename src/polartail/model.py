@@ -165,6 +165,9 @@ class ShapeU:
     nonincreasing in |t - t0| on both sides (inf for power shapes, pi for
     the cosine); the default 0 declares nothing. ``exact_deficit(side, s)``,
     when given, is u(t0) - u(t0 + side*s) in closed form (see ``deficit``).
+    ``deficit_inverse(side, d)``, when given, inverts ``deficit`` in closed
+    form for d up to the deficit at ``monotone_reach``; builtin shapes
+    supply it and the window solve then needs no root search.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
@@ -176,6 +179,7 @@ class ShapeU:
     u_coeff_plus: float | None = None
     monotone_reach: float = 0.0
     exact_deficit: Callable[[int, np.ndarray], np.ndarray] | None = None
+    deficit_inverse: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for name, k in (("kappa_minus", self.kappa_minus), ("kappa_plus", self.kappa_plus)):
@@ -344,7 +348,7 @@ def _radial_weibull(beta: float) -> RadialLaw:
         d = np.asarray(d, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = -(x ** beta) * np.expm1(beta * np.log1p(d / x))
-        return np.where(x > 0, gap, -(d ** beta))
+            return np.where(x > 0, gap, -(d ** beta))
 
     return RadialLaw(
         family_tag="weibull",
@@ -561,6 +565,9 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
     def exact_deficit(side, s):
         return scale * np.asarray(s, dtype=float) ** (kappa_plus if side > 0 else kappa_minus)
 
+    def deficit_inverse(side, d):
+        return (np.asarray(d, dtype=float) / scale) ** (1.0 / (kappa_plus if side > 0 else kappa_minus))
+
     return ShapeU(
         u=u,
         t0=t0,
@@ -571,6 +578,7 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         u_coeff_plus=scale,
         monotone_reach=math.inf,
         exact_deficit=exact_deficit,
+        deficit_inverse=deficit_inverse,
     )
 
 
@@ -580,6 +588,9 @@ def _shape_u_cosine(t0: float) -> ShapeU:
 
     def exact_deficit(side, s):
         return 2.0 * np.sin(0.5 * np.asarray(s, dtype=float)) ** 2
+
+    def deficit_inverse(side, d):
+        return 2.0 * np.arcsin(np.sqrt(0.5 * np.asarray(d, dtype=float)))
 
     # 1 - cos(s) = s^2/2 (1 + O(s^2)): index 2 with asymptotic coefficient 1/2
     return ShapeU(
@@ -592,6 +603,7 @@ def _shape_u_cosine(t0: float) -> ShapeU:
         u_coeff_plus=0.5,
         monotone_reach=math.pi,
         exact_deficit=exact_deficit,
+        deficit_inverse=deficit_inverse,
     )
 
 
@@ -934,7 +946,7 @@ class ValidationGrid:
     points_per_decade: int = 64
     s_lo: float = 1e-4
     s_hi: float = 1e-2
-    gamma_x: tuple[float, ...] = (20.0, 50.0, 100.0)
+    gamma_x: tuple[float, ...] = (1e2, 1e4, 1e6)
     gamma_lambdas: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0)
     eps_values: tuple[float, ...] = (0.05, 0.1, 0.5)
     support_points: int = 2001
@@ -1038,14 +1050,17 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
         run("radial.survival_at_zero", "survival(0) = 1", survival_at_zero)
 
     def gamma_psi():
+        # Hbar(x + psi lam) / Hbar(x) from the gap, never as a difference of
+        # log_survival values; a lam < 0 step is the gap from x + psi lam up to x
         per_x = []
         for x in grid.gamma_x:
             psi = float(mdl.radial.aux_psi(x))
             errs = []
             for lam in grid.gamma_lambdas:
-                ls1 = float(np.asarray(mdl.radial.log_survival(np.array([x + psi * lam])))[0])
-                ls0 = float(np.asarray(mdl.radial.log_survival(np.array([x])))[0])
-                errs.append(abs(math.exp(ls1 - ls0) - math.exp(-lam)))
+                d = psi * abs(lam)
+                lo = x + psi * min(lam, 0.0)
+                gap = float(np.asarray(mdl.radial.log_survival_gap(lo, d)))
+                errs.append(abs(math.exp(gap if lam >= 0 else -gap) - math.exp(-lam)))
             per_x.append(max(errs))
         worst_last = per_x[-1]
         detail = "max ratio errors per x: " + ", ".join(f"{e:.3g}" for e in per_x)
@@ -1152,6 +1167,23 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
     run("shape_u.deficit", "deficit(side, s) = u(t0) - u(t0 + side*s)", deficit_matches_difference)
 
     reach = mdl.shape_u.monotone_reach
+    # compute_phi inverts the deficit only within monotone_reach
+    if mdl.shape_u.deficit_inverse is not None and reach > 0:
+        def inverse_round_trip():
+            worst = 0.0
+            for side, width in sides:
+                ceiling = float(np.asarray(mdl.shape_u.deficit(side, min(reach, width) / 2.0)))
+                d = ceiling * np.geomspace(1e-12, 1.0, 64)
+                s = np.asarray(mdl.shape_u.deficit_inverse(side, d), dtype=float)
+                back = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
+                worst = max(worst, float(np.max(np.abs(back / d - 1.0))))
+            return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+                "max |deficit(deficit_inverse(d)) / d - 1| for d up to the deficit at " \
+                "half of min(monotone_reach, side width)"
+
+        run("shape_u.deficit_inverse", "deficit(side, deficit_inverse(side, d)) = d",
+            inverse_round_trip)
+
     if reach > 0:
         def monotone_within_reach():
             worst = -math.inf

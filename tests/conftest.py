@@ -6,6 +6,8 @@ has a closed or high-precision reference value.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,17 @@ ASYM_CONFIG = {
     "shape_u.kappa_minus": 1.0,
     "shape_u.kappa_plus": 2.0,
 }
+
+
+def tail_sweep():
+    """(SWEEP_MODELS, LADDER) of the benchmark's tail-sweep workload: seven
+    builtin configs and the half-decade thresholds x = 10 .. 1e12."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    return workloads.SWEEP_MODELS, workloads.LADDER
 
 
 @pytest.fixture(scope="session")

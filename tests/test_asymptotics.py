@@ -29,7 +29,7 @@ from polartail import (
 )
 from polartail.model import _radial_exponential
 
-from conftest import F1_CONFIG
+from conftest import F1_CONFIG, tail_sweep
 
 
 def _uniform_angular(half):
@@ -96,6 +96,86 @@ def test_phi_cosine_u_inverts_exactly():
     mdl = _cosine_u_model(math.pi)
     root = compute_phi(mdl, 200.0)
     assert root.phi == pytest.approx(0.10004171361154002933, rel=1e-10)
+
+
+def _solve(mdl, x, side):
+    try:
+        return compute_phi(mdl, x, side)
+    except (BracketError, MonotonicityError, NonConvergence, ParameterError) as exc:
+        return type(exc)
+
+
+def test_closed_form_window_matches_the_grid_solver_over_the_sweep():
+    models, ladder = tail_sweep()
+    solved = 0
+    for name, config in models.items():
+        mdl = build_builtin_model(config)
+        grid = dataclasses.replace(mdl, shape_u=dataclasses.replace(mdl.shape_u, deficit_inverse=None))
+        for x in ladder:
+            for side in ("+", "-"):
+                closed, searched = _solve(mdl, x, side), _solve(grid, x, side)
+                where = (name, x, side)
+                if isinstance(searched, type):
+                    assert closed is searched, where
+                    continue
+                assert isinstance(closed, type(searched)), where
+                assert closed.phi == pytest.approx(searched.phi, rel=1e-14, abs=0.0), where
+                assert closed.residual <= 1e-12, where
+                assert (closed.s_max, closed.side) == (searched.s_max, searched.side)
+                solved += 1
+    assert solved > 250
+
+
+def _recording_deficit(su):
+    """``su`` with a deficit that records the size of every array it is called on."""
+    sizes = []
+
+    def deficit(side, s):
+        sizes.append(np.asarray(s).size)
+        return su.exact_deficit(side, s)
+
+    return dataclasses.replace(su, exact_deficit=deficit), sizes
+
+
+def test_builtin_window_skips_the_grid_and_custom_shapes_keep_it(f1_model):
+    # the closed form evaluates the deficit at single points, the grid at 512
+    su, sizes = _recording_deficit(f1_model.shape_u)
+    root = compute_phi(dataclasses.replace(f1_model, shape_u=su), 100.0)
+    assert root.phi == pytest.approx(0.1, rel=1e-15) and max(sizes) == 1
+
+    su, sizes = _recording_deficit(f1_model.shape_u)
+    custom = dataclasses.replace(f1_model, shape_u=dataclasses.replace(su, deficit_inverse=None))
+    root = compute_phi(custom, 100.0)
+    assert root.phi == pytest.approx(0.1, rel=1e-10) and max(sizes) == 512
+    with pytest.raises(BracketError):
+        compute_phi(custom, 2.0)
+
+
+def test_builtin_cosine_past_its_half_period_keeps_the_grid_check():
+    # halfwidth 4 pi puts the bracket ceiling at 2 pi, beyond monotone_reach = pi
+    mdl = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 4.0 * math.pi,
+                               "shape_u.family": "cosine"})
+    assert mdl.shape_u.deficit_inverse is not None
+    with pytest.raises(MonotonicityError):
+        compute_phi(mdl, 100.0)
+
+
+def test_closed_form_window_keeps_the_typed_errors(f1_model):
+    for bad_x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            compute_phi(f1_model, bad_x)
+    # a root below the 1e-14 floor: kappa = 0.25 needs s = (psi / x)^4
+    deep = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 1.0,
+                                "shape_u.kappa": 0.25})
+    assert compute_phi(deep, 1e3).phi == pytest.approx(1e-12, rel=1e-14)
+    grid = dataclasses.replace(deep, shape_u=dataclasses.replace(deep.shape_u, deficit_inverse=None))
+    for mdl in (deep, grid):
+        with pytest.raises(BracketError, match="floor"):
+            compute_phi(mdl, 1e4)
+    # an inverse that misses the deficit trips the residual gate
+    wrong = dataclasses.replace(f1_model.shape_u, deficit_inverse=lambda side, d: 1.001 * np.sqrt(d))
+    with pytest.raises(NonConvergence):
+        compute_phi(dataclasses.replace(f1_model, shape_u=wrong), 100.0)
 
 
 def test_phi_strictly_decreasing_in_x(f1_model):

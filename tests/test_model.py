@@ -26,7 +26,7 @@ from polartail import (
 )
 from polartail.model import _radial_exponential, parse_config_text
 
-from conftest import F1_CONFIG
+from conftest import F1_CONFIG, tail_sweep
 
 
 def _uniform_angular(half):
@@ -394,7 +394,43 @@ def test_validate_flags_wrong_closed_form_deficit(f1_model):
     su = dataclasses.replace(f1_model.shape_u,
                              exact_deficit=lambda side, s: 1.001 * np.asarray(s) ** 2)
     report = validate_model(dataclasses.replace(f1_model, shape_u=su))
-    assert {e.name for e in report.failures()} == {"shape_u.deficit"}
+    # the true inverse no longer round-trips through the wrong deficit either
+    assert {e.name for e in report.failures()} == {"shape_u.deficit", "shape_u.deficit_inverse"}
+
+
+def test_validate_flags_wrong_deficit_inverse(asym_model):
+    # kappa = (1, 2): inverting each side with the other side's kappa
+    su = asym_model.shape_u
+    swapped = ShapeU(u=su.u, t0=su.t0, kappa_minus=1.0, kappa_plus=2.0, monotone_reach=math.inf,
+                     exact_deficit=su.exact_deficit,
+                     deficit_inverse=lambda side, d: np.asarray(d) ** (1.0 if side > 0 else 0.5))
+    report = validate_model(dataclasses.replace(asym_model, shape_u=swapped))
+    assert {e.name for e in report.failures()} == {"shape_u.deficit_inverse"}
+    assert validate_model(dataclasses.replace(
+        asym_model, shape_u=dataclasses.replace(swapped, deficit_inverse=su.deficit_inverse))).passed
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_sweep_model_validates():
+    # Weibull beta = 0.5 converges to the Gamma limit like x^-beta only
+    models, _ = tail_sweep()
+    for name, config in models.items():
+        report = validate_model(build_builtin_model(config))
+        assert report.passed, (name, [(e.name, e.detail) for e in report.failures()])
+
+
+@pytest.mark.parametrize("config", [
+    {"radial.family": "exponential", "radial.rate": 2.0},
+    {"radial.family": "weibull", "radial.beta": 2.0},
+    {"radial.family": "weibull", "radial.beta": 0.5},
+    {"radial.family": "half_normal"},
+], ids=["exponential", "weibull-b2", "weibull-b0.5", "half-normal"])
+def test_validate_flags_wrong_psi(config):
+    mdl = build_builtin_model(dict(config, **{"angular.halfwidth": 1.0, "shape_u.kappa": 2.0}))
+    psi = mdl.radial.aux_psi
+    radial = dataclasses.replace(mdl.radial, aux_psi=lambda x: 2.0 * psi(x))
+    report = validate_model(dataclasses.replace(mdl, radial=radial))
+    assert {e.name for e in report.failures()} == {"radial.gamma_psi_ratio"}
 
 
 def test_validate_flags_wrong_closed_form_gap(f1_model):
