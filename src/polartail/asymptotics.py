@@ -333,7 +333,7 @@ def mixture_limits(mdl: _model.PolarModel, x_grid=None) -> tuple[float, float, f
     ``x_grid``; otherwise the limits are read off ``x_grid`` (see
     ``mixture_p``) and the last flag is True.
     """
-    if mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
+    if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
         return 0.0, 1.0, 0.0, 1.0, False
     closed = _closed_form_pq(mdl)
     if closed is not None:
@@ -347,32 +347,30 @@ def mixture_limits(mdl: _model.PolarModel, x_grid=None) -> tuple[float, float, f
 def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
     """Windows, mixture weights, and window ratios at threshold x.
 
-    Uses the closed-form limits when every builtin leading coefficient is
-    available; otherwise falls back to grid estimates anchored at x (see
-    ``mixture_p``), flagged by ``p_is_estimate``.
+    Solves one window per side of ``mdl.sides(UNRESTRICTED)``. One-sided
+    models carry all of p and q on the plus side. Two-sided models use the
+    closed-form limits when every builtin leading coefficient is
+    available; otherwise they fall back to grid estimates anchored at x
+    (see ``mixture_p``), flagged by ``p_is_estimate``.
     """
-    root_p = compute_phi(mdl, x, "+")
+    roots = {sgn: compute_phi(mdl, x, "+" if sgn > 0 else "-")
+             for sgn, _ in mdl.sides(_model.Condition.UNRESTRICTED)}
+    root_p, root_m = roots[1], roots.get(-1)
     psi = float(mdl.radial.aux_psi(x))
-    if mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
-        return Normalizers(
-            x=x, psi_x=psi,
-            phi_plus=root_p.phi, phi_minus=None,
-            phi_star=root_p.phi,
-            residual_plus=root_p.residual, residual_minus=None,
-            p_minus=0.0, p_plus=1.0, q_minus=0.0, q_plus=1.0,
-        )
-    root_m = compute_phi(mdl, x, "-")
-    closed = _closed_form_pq(mdl)
-    if closed is None:
+    estimate = False
+    if root_m is None:
+        p_m, p_p, q_m, q_p = 0.0, 1.0, 0.0, 1.0
+    elif (closed := _closed_form_pq(mdl)) is not None:
+        p_m, p_p, q_m, q_p = closed
+    else:
         anchored = tuple(float(v) for v in np.geomspace(x, 100.0 * x, 9))
         p_m, p_p, q_m, q_p, estimate = mixture_limits(mdl, anchored)
-    else:
-        (p_m, p_p, q_m, q_p), estimate = closed, False
     return Normalizers(
         x=x, psi_x=psi,
-        phi_plus=root_p.phi, phi_minus=root_m.phi,
-        phi_star=root_p.phi + root_m.phi,
-        residual_plus=root_p.residual, residual_minus=root_m.residual,
+        phi_plus=root_p.phi, phi_minus=None if root_m is None else root_m.phi,
+        phi_star=sum(root.phi for root in roots.values()),
+        residual_plus=root_p.residual,
+        residual_minus=None if root_m is None else root_m.residual,
         p_minus=p_m, p_plus=p_p, q_minus=q_m, q_plus=q_p,
         p_is_estimate=estimate,
     )
@@ -380,7 +378,7 @@ def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
 
 def _grid_limit(mdl, side, x_grid, ratio_fn, change_tol, what) -> LimitEstimate:
     sgn = _side_sign(side)
-    if mdl.sidedness == _model.Sidedness.ONE_SIDED_RIGHT:
+    if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
         raise ParameterError(f"{what} needs a two-sided model")
     if x_grid is None:
         x_grid = tuple(float(v) for v in np.geomspace(10.0, 1e4, 13))

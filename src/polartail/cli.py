@@ -10,7 +10,7 @@ all thresholds pass), 1 threshold failure, 2 usage or config error,
 Seeds are mandatory for every stochastic command; there is no ambient
 entropy anywhere, so rerunning a command line reproduces its output byte
 for byte. --workers is accepted and ignored (proposal batches run
-sequentially); it will be removed in the next minor version.
+sequentially) until the benchmark stops passing it.
 """
 
 from __future__ import annotations
@@ -104,9 +104,12 @@ def _x_values(args) -> list[float]:
         return [args.x]
     if args.x_grid:
         try:
-            return [float(v) for v in args.x_grid.split(",") if v.strip()]
+            xs = [float(v) for v in args.x_grid.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"--x-grid: expected comma-separated numbers, got {args.x_grid!r}") from None
+        if not xs:
+            raise ConfigError(f"--x-grid: no thresholds in {args.x_grid!r}")
+        return xs
     raise ConfigError("--x or --x-grid is required")
 
 
@@ -208,8 +211,7 @@ def _cmd_simulate(args) -> int:
     if args.x is None:
         raise ConfigError("--x is required for simulate")
     n = _n_or(args, 10 ** 4)
-    scale = "phi_sign" if len(mdl.sides(cond)) == 2 else "phi_plus"
-    sample = _montecarlo.sample_conditional(mdl, args.x, n, cond, seed, scale=scale)
+    sample = _montecarlo.sample_conditional(mdl, args.x, n, cond, seed)
     phi_used = sample.scale_value
     phi_text = (",".join(_fmt(v) for v in phi_used)
                 if isinstance(phi_used, tuple) else _fmt(phi_used))
@@ -331,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, x=False, n=False, workers=False,
+    def common(p, *, seed=False, x=False, x_grid=False, n=False, workers=False,
                condition=False, method=False, case=False):
         p.add_argument("--config", help="flat key=value model configuration file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
@@ -339,12 +341,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="integer seed (mandatory when sampling)")
         if x:
             p.add_argument("--x", type=float, help="single threshold")
+        if x_grid:
             p.add_argument("--x-grid", help="comma-separated thresholds")
         if n:
             p.add_argument("--n", type=int, help="sample size / proposal count / grid points")
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="accepted and ignored; removed in the next minor version")
+                           help="accepted and ignored (batches run sequentially)")
         if condition:
             p.add_argument("--condition", choices=("right", "unrestricted"), default="right")
         if method:
@@ -354,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     common(sub.add_parser("validate", help="run the model assumption checks"))
-    common(sub.add_parser("phi", help="angular windows and residuals"), x=True)
+    common(sub.add_parser("phi", help="angular windows and residuals"), x=True, x_grid=True)
     common(sub.add_parser("tailprob", help="tail probability by quad, asym, or mc"),
-           seed=True, x=True, n=True, workers=True, condition=True, method=True)
+           seed=True, x=True, x_grid=True, n=True, workers=True, condition=True, method=True)
     common(sub.add_parser("simulate", help="conditional sample given the exceedance"),
            seed=True, x=True, n=True, workers=True, condition=True)
     common(sub.add_parser("limit-sample", help="exact draws from the limit law"),
@@ -364,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("density", help="limit density on a grid"),
            n=True, condition=True)
     p_verify = common(sub.add_parser("verify", help="convergence report with pass/fail"),
-                      seed=True, x=True, n=True, workers=True, condition=True)
+                      seed=True, x=True, x_grid=True, n=True, workers=True, condition=True)
     p_verify.add_argument("--ks-tol", type=float, default=0.03)
     p_verify.add_argument("--ratio-tol", type=float, default=0.05)
     return parser

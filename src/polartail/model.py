@@ -39,7 +39,6 @@ from scipy import special as sp_special
 from .errors import ConfigError, ParameterError, UnknownFamilyError
 
 __all__ = [
-    "Sidedness",
     "Condition",
     "RadialLaw",
     "AngularLaw",
@@ -54,13 +53,6 @@ __all__ = [
     "parse_config_text",
     "load_config",
 ]
-
-
-class Sidedness(str, enum.Enum):
-    """Which sides of t0 the angular support covers (see ``PolarModel.sidedness``)."""
-
-    ONE_SIDED_RIGHT = "one_sided_right"  # support starts at t0
-    TWO_SIDED = "two_sided"              # support extends below t0 as well
 
 
 class Condition(str, enum.Enum):
@@ -247,9 +239,11 @@ class ShapeV:
 class PolarModel:
     """Immutable bundle of the polar components.
 
-    The angular support alone fixes which sides of t0 the model has:
-    ``sidedness`` is TWO_SIDED exactly when the support extends below t0,
-    and ``sides`` lists the sides an event covers.
+    The angular support alone fixes which sides of t0 the model has, and
+    ``sides`` is the one rule that reads it: the model is two-sided
+    exactly when the support extends below t0, and ``sides`` lists the
+    sides an event covers. Every one- versus two-sided choice in the
+    package (windows, limit law, sampler scale) goes through it.
     """
 
     radial: RadialLaw
@@ -271,13 +265,6 @@ class PolarModel:
     def t0(self) -> float:
         return self.angular.t0
 
-    @property
-    def sidedness(self) -> Sidedness:
-        """TWO_SIDED iff the angular support extends below t0."""
-        if self.angular.support[0] < self.angular.t0:
-            return Sidedness.TWO_SIDED
-        return Sidedness.ONE_SIDED_RIGHT
-
     def sides(self, condition: Condition) -> tuple[tuple[int, float], ...]:
         """(sign, width) of each side of t0 the event under ``condition`` covers.
 
@@ -287,7 +274,7 @@ class PolarModel:
         """
         lo, hi = self.angular.support
         t0 = self.angular.t0
-        if condition == Condition.UNRESTRICTED and self.sidedness == Sidedness.TWO_SIDED:
+        if condition == Condition.UNRESTRICTED and lo < t0:
             return ((1, hi - t0), (-1, t0 - lo))
         return ((1, hi - t0),)
 

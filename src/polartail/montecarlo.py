@@ -40,6 +40,11 @@ proposals, where proposal_mass is the base-law probability of A and B
 together (1 for the whole-support plan), so under either plan it
 estimates P{X > x (and T > t0) | R > x}.
 
+The normalized coordinates are those of ``asymptotics.limit_law`` under
+the same condition: R - x is divided by psi(x), and T - t0 by the window
+of the side T falls on when the event covers both sides of t0
+(``PolarModel.sides``), else by phi_plus.
+
 Determinism contract: the plan is a pure function of (model, x,
 condition). Draws are generated in batches, and batch i of a run with
 seed s uses the stream SeedSequence(key(s) + (i,)). Each batch draws its
@@ -120,10 +125,12 @@ class ConditionalSample:
 
     ``r``/``t`` hold exactly n raw pairs, each satisfying the conditioning
     predicate; ``r_norm`` = (r - x)/psi(x) is strictly positive because
-    R > x on the event. ``t_norm`` = (t - t0)/scale with the scale choice
-    recorded in ``scale_kind`` ("phi_plus", "phi_sign", or "phi_star") and
-    its value(s) in ``scale_value``. ``acceptance`` counts whole consumed
-    batches, including the tail of the last batch beyond n.
+    R > x on the event. ``t_norm`` = (t - t0)/scale: when the event covers
+    both sides of t0 (``PolarModel.sides``) each pair is scaled by the
+    window of its own side, ``scale_kind`` is "phi_sign" and
+    ``scale_value`` is (phi_minus, phi_plus); otherwise ``scale_kind`` is
+    "phi_plus" and ``scale_value`` is phi_plus. ``acceptance`` counts whole
+    consumed batches, including the tail of the last batch beyond n.
     """
 
     x: float
@@ -288,7 +295,6 @@ def sample_conditional(
     condition: _model.Condition = _model.Condition.RIGHT_SIDED,
     seed=None,
     *,
-    scale: str = "phi_plus",
     batch_size: int = _DEFAULT_BATCH,
     max_proposals: int = _DEFAULT_BUDGET,
     workers: int = 1,
@@ -299,17 +305,14 @@ def sample_conditional(
     enough, which signals a misconfigured (too small or infeasible) x
     rather than a tight budget: the default cap is 1e9. Window errors
     from ``compute_normalizers`` propagate before any sampling happens.
-    ``workers`` is accepted and ignored (batches run sequentially); it
-    will be removed in the next minor version.
+    ``ConditionalSample`` gives the scale of ``t_norm``.
+    ``workers`` is accepted and ignored (batches run sequentially) until
+    the benchmark stops passing it.
     """
     if n_target < 1:
         raise ParameterError(f"n_target must be >= 1, got {n_target}")
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    if scale not in ("phi_plus", "phi_sign", "phi_star"):
-        raise ParameterError(
-            f"scale must be one of phi_plus, phi_sign, phi_star; got {scale!r}"
-        )
     key = seed_key(seed)
     norm = _asymptotics.compute_normalizers(mdl, x)
     plan = _build_plan(mdl, x, condition, norm)
@@ -322,16 +325,13 @@ def sample_conditional(
     t = np.concatenate(t_parts)[:n_target]
 
     t0 = mdl.t0
-    if scale == "phi_plus":
-        scale_value: float | tuple[float, float] = norm.phi_plus
-        t_norm = (t - t0) / norm.phi_plus
-    elif scale == "phi_star":
-        scale_value = norm.phi_star
-        t_norm = (t - t0) / norm.phi_star
+    if len(mdl.sides(condition)) == 2:
+        scale_kind = "phi_sign"
+        scale_value: float | tuple[float, float] = (norm.phi_minus, norm.phi_plus)
+        t_norm = (t - t0) / np.where(t >= t0, norm.phi_plus, norm.phi_minus)
     else:
-        phi_minus = norm.phi_minus if norm.phi_minus is not None else norm.phi_plus
-        scale_value = (phi_minus, norm.phi_plus)
-        t_norm = (t - t0) / np.where(t >= t0, norm.phi_plus, phi_minus)
+        scale_kind, scale_value = "phi_plus", norm.phi_plus
+        t_norm = (t - t0) / norm.phi_plus
 
     stats = AcceptanceStats(
         proposals=proposals,
@@ -341,7 +341,7 @@ def sample_conditional(
         proposal_mass=plan.proposal_mass,
     )
     return ConditionalSample(
-        x=x, condition=condition, scale_kind=scale, scale_value=scale_value,
+        x=x, condition=condition, scale_kind=scale_kind, scale_value=scale_value,
         r=r, t=t, r_norm=(r - x) / norm.psi_x, t_norm=t_norm,
         normalizers=norm, acceptance=stats, seed=key, batch_size=batch_size,
     )
@@ -398,11 +398,11 @@ def empirical_sign_freq(
     T exactly at t0 count as plus. Needs a two-sided model.
     ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
-    if mdl.sidedness != _model.Sidedness.TWO_SIDED:
+    cond = _model.Condition.UNRESTRICTED
+    if len(mdl.sides(cond)) != 2:
         raise ParameterError("empirical_sign_freq needs a two-sided model")
     sample = sample_conditional(
-        mdl, x, n, _model.Condition.UNRESTRICTED, seed,
-        scale="phi_sign", batch_size=batch_size, max_proposals=max_proposals,
+        mdl, x, n, cond, seed, batch_size=batch_size, max_proposals=max_proposals,
     )
     freq_plus = float(np.mean(sample.t >= mdl.t0))
     return 1.0 - freq_plus, freq_plus

@@ -29,13 +29,12 @@ from . import model as _model
 from . import montecarlo as _montecarlo
 from . import oracle as _oracle
 from ._seeding import seed_key
-from .errors import NonConvergence, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "ks_two_sample",
     "ks_one_sample",
     "chi_square_2d",
-    "cell_masses",
     "ReportRow",
     "ConvergenceReport",
     "convergence_report",
@@ -109,68 +108,13 @@ def _check_edges(name: str, edges) -> np.ndarray:
     return e
 
 
-def _require_converged(res, a_lo, a_hi, b_lo, b_hi):
-    if not res.converged:
-        raise NonConvergence(
-            f"cell [{a_lo:.6g}, {a_hi:.6g}] x [{b_lo:.6g}, {b_hi:.6g}]: quadrature "
-            f"error estimate {res.abs_error_estimate:.3g} above tolerance"
-        )
-
-
-def cell_masses(density, binning, *, rel_tol: float = 1e-6) -> np.ndarray:
-    """Quadrature masses of density(a, b) over a rectangular grid of cells.
-
-    Returns an array with shape (len(edges_a) - 1, len(edges_b) - 1).
-    Nested adaptive quadrature, slow and meant as an independent oracle:
-    where a closed-form CDF exists, its differences are exact and far
-    cheaper (``convergence_report`` uses the limit law's CDF).
-
-    The masses are reliable only for densities that are smooth inside each
-    cell. A jump inside a cell, such as the limit law's support boundary
-    t^kappa = r, is invisible to the GK15 error estimate: the quadratures
-    report convergence while the cell mass is off (by up to 9e-6 absolute,
-    0.5% relative, in one cell of the default ``verify`` grid). Raises
-    NonConvergence if any inner or outer quadrature exhausts its panels.
-    """
-    edges_a = _check_edges("a", binning[0])
-    edges_b = _check_edges("b", binning[1])
-    out = np.empty((edges_a.size - 1, edges_b.size - 1))
-    for i in range(edges_a.size - 1):
-        a_lo, a_hi = edges_a[i], edges_a[i + 1]
-        for j in range(edges_b.size - 1):
-            b_lo, b_hi = edges_b[j], edges_b[j + 1]
-
-            def outer(avals):
-                avals = np.asarray(avals, dtype=float)
-                vals = np.empty_like(avals)
-                for k, aval in enumerate(avals):
-                    inner = _oracle.adaptive_quadrature(
-                        lambda bs, aval=aval: np.asarray(
-                            density(np.full_like(np.asarray(bs, dtype=float), aval),
-                                    np.asarray(bs, dtype=float)),
-                            dtype=float,
-                        ),
-                        b_lo, b_hi, rel_tol=rel_tol, abs_tol=1e-12, max_panels=60,
-                    )
-                    _require_converged(inner, a_lo, a_hi, b_lo, b_hi)
-                    vals[k] = inner.value
-                return vals
-
-            res = _oracle.adaptive_quadrature(
-                outer, a_lo, a_hi, rel_tol=rel_tol, abs_tol=1e-12, max_panels=60,
-            )
-            _require_converged(res, a_lo, a_hi, b_lo, b_hi)
-            out[i, j] = max(res.value, 0.0)
-    return out
-
-
 def chi_square_2d(pairs, binning, masses, *,
                   min_expected: float = 5.0) -> tuple[float, float, float]:
     """Pearson fit of binned pairs against expected cell probabilities.
 
-    ``masses`` has one probability per cell of ``binning``: differences
-    of a closed-form CDF where one exists (``convergence_report`` uses
-    the limit law's), otherwise ``cell_masses`` of a density.
+    ``masses`` has one probability per cell of ``binning``, such as the
+    differences of a closed-form CDF (``convergence_report`` uses the
+    limit law's).
 
     Cells whose expected count falls below ``min_expected`` are pooled,
     together with the off-grid mass, into a single tail bin. Returns
@@ -299,13 +243,13 @@ def convergence_report(
         raise ParameterError(f"n must be >= 2, got {n}")
     key = seed_key(seed)
     if len(mdl.sides(condition)) == 2:
-        scale, sample, cdf = "phi_sign", _limitlaw.sample_two_sided, _limitlaw.cdf_two_sided
+        sample, cdf = _limitlaw.sample_two_sided, _limitlaw.cdf_two_sided
     else:
-        scale, sample, cdf = "phi_plus", _limitlaw.sample_one_sided, _limitlaw.cdf_one_sided
+        sample, cdf = _limitlaw.sample_one_sided, _limitlaw.cdf_one_sided
 
     rows = []
     for i, x in enumerate(xs):
-        mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0), scale=scale)
+        mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0))
         law = _asymptotics.limit_law(mdl, condition, mc.normalizers)
         lim_r, lim_t = sample(law, n, key + (i, 1))
 

@@ -120,6 +120,26 @@ def test_x_and_x_grid_are_mutually_exclusive(f1_cfg, capsys):
     assert code == 2
 
 
+def test_x_grid_without_numbers_is_usage_error(f1_cfg, tmp_path, capsys):
+    out = tmp_path / "phi.csv"
+    code = main(["phi", "--config", f1_cfg, "--x-grid", ",", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--x-grid" in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_x_grid(f1_cfg, tmp_path, capsys):
+    # simulate draws at one threshold, so it takes no --x-grid
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--config", f1_cfg, "--x", "10", "--x-grid", "50,100",
+                 "--n", "10", "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--x-grid" in err
+    assert not out.exists()
+
+
 def test_simulate_deterministic_across_runs_and_workers(f1_cfg, tmp_path):
     args = ["simulate", "--config", f1_cfg, "--x", "50", "--n", "2000",
             "--seed", "11"]

@@ -14,7 +14,6 @@ from polartail import (
     ParameterError,
     PolarModel,
     ShapeU,
-    Sidedness,
     UnknownFamilyError,
     ValidationGrid,
     build_builtin_model,
@@ -77,7 +76,7 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_build_builtin_model_benchmark(f1_model):
-    assert f1_model.sidedness is Sidedness.TWO_SIDED
+    assert len(f1_model.sides(Condition.UNRESTRICTED)) == 2
     assert f1_model.t0 == 0.0
     u = f1_model.shape_u.u(np.array([0.0, 0.5, -0.5]))
     np.testing.assert_allclose(u, [1.0, 0.75, 0.75])
@@ -94,7 +93,7 @@ def test_build_builtin_model_one_sided_when_support_starts_at_center():
             "shape_u.kappa": 2.0,
         }
     )
-    assert mdl.sidedness is Sidedness.ONE_SIDED_RIGHT
+    assert mdl.sides(Condition.UNRESTRICTED) == ((1, 1.0),)
 
 
 def _parabola_on(lo, hi):
@@ -116,11 +115,10 @@ def _parabola_on(lo, hi):
     return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
 
 
-def test_sidedness_follows_the_angular_support():
+def test_sides_follow_the_angular_support():
     assert "sidedness" not in {f.name for f in dataclasses.fields(PolarModel)}
+    assert not hasattr(PolarModel, "sidedness")
     one, two = _parabola_on(0.0, 1.0), _parabola_on(-1.0, 1.0)
-    assert one.sidedness is Sidedness.ONE_SIDED_RIGHT
-    assert two.sidedness is Sidedness.TWO_SIDED
     for cond in Condition:
         assert one.sides(cond) == ((1, 1.0),)
     assert two.sides(Condition.RIGHT_SIDED) == ((1, 1.0),)

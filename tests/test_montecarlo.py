@@ -15,10 +15,13 @@ from polartail import (
     ParameterError,
     bivariate_normalized,
     build_builtin_model,
+    compute_normalizers,
     empirical_sign_freq,
     estimate_tail_probability,
     ks_two_sample,
+    limit_law,
     sample_conditional,
+    sample_two_sided,
     scaled_tail_quadrature,
     tail_probability_quadrature,
 )
@@ -31,6 +34,19 @@ F1_TAIL_X5 = 1.1844109244600762683e-3
 F1_TAIL_X10 = 5.9549152101336907609e-6
 F1_SCALED_X50 = 0.061759062081107046527
 ASYM_FREQ_PLUS_X100 = 0.8994182080425657918
+
+# kappa = (1, 2) with tau = (-0.5, 0): the exponents (1 + tau) / kappa tie at
+# 1/2, so both sides keep mass in the limit while phi_minus << phi_plus
+TIED_CONFIG = {
+    "radial.family": "exponential",
+    "angular.family": "asymmetric_power",
+    "angular.tau_minus": -0.5,
+    "angular.tau_plus": 0.0,
+    "angular.weight_plus": 0.5,
+    "angular.halfwidth": 1.0,
+    "shape_u.kappa_minus": 1.0,
+    "shape_u.kappa_plus": 2.0,
+}
 
 
 def test_accepted_pairs_satisfy_the_event(f1_model):
@@ -50,12 +66,29 @@ def test_accepted_pairs_satisfy_the_event(f1_model):
 
 
 def test_unrestricted_sample_keeps_both_signs(f1_model):
-    s = sample_conditional(
-        f1_model, 50.0, 4000, Condition.UNRESTRICTED, seed=2, scale="phi_sign"
-    )
+    s = sample_conditional(f1_model, 50.0, 4000, Condition.UNRESTRICTED, seed=2)
     assert np.any(s.t > 0.0) and np.any(s.t < 0.0)
     u = f1_model.shape_u.u(s.t)
     assert np.all(s.r * u > 50.0)
+
+
+def test_unrestricted_default_scales_each_side_by_its_own_window():
+    mdl = build_builtin_model(TIED_CONFIG)
+    x, n = 100.0, 20_000
+    norm = compute_normalizers(mdl, x)
+    assert norm.phi_minus < 0.1 * norm.phi_plus
+    cond = Condition.UNRESTRICTED
+    s = sample_conditional(mdl, x, n, cond, seed=13)
+    assert s.scale_kind == "phi_sign"
+    assert s.scale_value == (norm.phi_minus, norm.phi_plus)
+    _, lim_t = sample_two_sided(limit_law(mdl, cond), n, seed=14)
+    _, p = ks_two_sample(s.t_norm, lim_t)
+    assert p > 1e-3, p
+
+    right = sample_conditional(mdl, x, 2000, Condition.RIGHT_SIDED, seed=13)
+    assert right.scale_kind == "phi_plus"
+    assert right.scale_value == norm.phi_plus
+    assert right.t_norm.tobytes() == ((right.t - mdl.t0) / norm.phi_plus).tobytes()
 
 
 def test_acceptance_rate_matches_conditional_mass(f1_model):
@@ -233,9 +266,7 @@ def test_bivariate_requires_shape_v(f1_model):
 
 
 def test_bivariate_rejects_unrestricted_sample(seifert_model):
-    s = sample_conditional(
-        seifert_model, 50.0, 200, Condition.UNRESTRICTED, seed=7, scale="phi_sign"
-    )
+    s = sample_conditional(seifert_model, 50.0, 200, Condition.UNRESTRICTED, seed=7)
     case = CorollaryCase(kind=CorollaryKind.SEIFERT, kappa=2.0, rho=0.3)
     with pytest.raises(ParameterError):
         bivariate_normalized(seifert_model, case, s)
@@ -309,9 +340,8 @@ def test_stratified_draws_match_the_whole_support_sampler(case):
     config, cond, x = STRATIFIED_CASES[case]
     mdl = build_builtin_model(config)
     n = 20_000
-    scale = "phi_plus" if cond == Condition.RIGHT_SIDED else "phi_sign"
-    strat = sample_conditional(mdl, x, n, cond, seed=51, scale=scale)
-    whole = sample_conditional(_whole_support_copy(mdl), x, n, cond, seed=52, scale=scale)
+    strat = sample_conditional(mdl, x, n, cond, seed=51)
+    whole = sample_conditional(_whole_support_copy(mdl), x, n, cond, seed=52)
     assert strat.acceptance.proposal_mass < 1.0
     assert whole.acceptance.proposal_mass == 1.0
     assert strat.acceptance.proposals < whole.acceptance.proposals
@@ -417,7 +447,7 @@ def test_chunked_kernel_matches_whole_batch_evaluation(case, cond, m):
     n = 100 if m == 1 else 3000
     key = (61,)
     for mdl in (stratified, _whole_support_copy(stratified)):
-        s = sample_conditional(mdl, x, n, cond, seed=key, batch_size=m, scale="phi_sign")
+        s = sample_conditional(mdl, x, n, cond, seed=key, batch_size=m)
         plan = montecarlo._build_plan(mdl, x, cond, s.normalizers)
         assert (plan.cum is None) == (mdl is not stratified)
         r_parts, t_parts = [], []

@@ -16,7 +16,6 @@ from polartail import (
     NonConvergence,
     ParameterError,
     cdf_one_sided,
-    cell_masses,
     chi_square_2d,
     convergence_report,
     density_one_sided,
@@ -25,6 +24,8 @@ from polartail import (
     ks_two_sample,
     sample_two_sided,
 )
+
+from conftest import cell_masses
 
 # Kolmogorov survival function at the size-corrected statistic
 # (en + 0.12 + 0.11/en) * d with d = 0.5, en = 1
