@@ -20,19 +20,19 @@ space; shapes whose deficit is not monotone near the peak (for example a
 cosine over several periods) are rejected rather than silently giving
 one of several roots.
 
-Two limits describe how the sides combine:
+When the event covers both sides of t0, the two-sided limit law mixes
+them with the weights
 
-    p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum over sides
-    q_sigma = lim phi_sigma / (phi_minus + phi_plus)
+    p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum over sides.
 
-For builtin families both are available in closed form from the leading
+For builtin families p is available in closed form from the leading
 power exponents: with u_tilde(sigma s) ~ a_sigma s^kappa_sigma and
 g_tilde(sigma s) ~ c_sigma s^tau_sigma, the side with the smaller
-(1 + tau_sigma) / kappa_sigma carries all of p, and the side with the
-larger kappa_sigma carries all of q; ties split by the coefficients.
-For custom models ``mixture_p`` and ``ratio_q`` estimate the limits on a
-finite grid of x values and report how settled the ratio looks, raising
-NonConvergence when it still drifts.
+(1 + tau_sigma) / kappa_sigma carries all of p; ties split by the
+coefficients. For custom models ``mixture_p`` estimates the limit on a
+finite grid of x values and reports how settled the ratio looks,
+raising NonConvergence when it still drifts. Only ``limit_law`` reads
+p; the windows at one threshold (``compute_normalizers``) do not need it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "compute_normalizers",
     "mixture_limits",
     "mixture_p",
-    "ratio_q",
     "tail_asymptotic",
     "limit_law",
 ]
@@ -85,26 +84,17 @@ class PhiRoot:
 
 @dataclass(frozen=True)
 class Normalizers:
-    """All normalizing quantities of a model at one threshold x.
+    """The normalizers of a model at one threshold x: psi(x) and the windows.
 
     ``phi_minus``/``residual_minus`` are None for one-sided models.
-    ``phi_star`` is the sum of the available windows. The mixture weights
-    p and window ratios q are exact limits for builtin families and grid
-    estimates for custom ones (see ``p_is_estimate``).
     """
 
     x: float
     psi_x: float
     phi_plus: float
     phi_minus: float | None
-    phi_star: float
     residual_plus: float
     residual_minus: float | None
-    p_minus: float
-    p_plus: float
-    q_minus: float
-    q_plus: float
-    p_is_estimate: bool = False
 
 
 @dataclass(frozen=True)
@@ -296,8 +286,8 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
     return PhiRoot(phi=phi, residual=residual, s_max=s_max, side=side)
 
 
-def _closed_form_pq(mdl: _model.PolarModel) -> tuple[float, float, float, float] | None:
-    """Exact (p_minus, p_plus, q_minus, q_plus) from leading coefficients."""
+def _closed_form_p(mdl: _model.PolarModel) -> tuple[float, float] | None:
+    """Exact (p_minus, p_plus) from leading coefficients."""
     ang, su = mdl.angular, mdl.shape_u
     coeffs = (ang.g_coeff_minus, ang.g_coeff_plus, su.u_coeff_minus, su.u_coeff_plus)
     if any(c is None for c in coeffs):
@@ -306,100 +296,44 @@ def _closed_form_pq(mdl: _model.PolarModel) -> tuple[float, float, float, float]
     e_m = (1.0 + ang.tau_minus) / su.kappa_minus
     e_p = (1.0 + ang.tau_plus) / su.kappa_plus
     if e_p < e_m:
-        p_m, p_p = 0.0, 1.0
-    elif e_p > e_m:
-        p_m, p_p = 1.0, 0.0
-    else:
-        w_m = c_m * a_m ** (-e_m)
-        w_p = c_p * a_p ** (-e_p)
-        p_m, p_p = w_m / (w_m + w_p), w_p / (w_m + w_p)
-    if su.kappa_plus > su.kappa_minus:
-        q_m, q_p = 0.0, 1.0
-    elif su.kappa_plus < su.kappa_minus:
-        q_m, q_p = 1.0, 0.0
-    else:
-        k = su.kappa_plus
-        r_m = a_m ** (-1.0 / k)
-        r_p = a_p ** (-1.0 / k)
-        q_m, q_p = r_m / (r_m + r_p), r_p / (r_m + r_p)
-    return p_m, p_p, q_m, q_p
+        return 0.0, 1.0
+    if e_p > e_m:
+        return 1.0, 0.0
+    w_m = c_m * a_m ** (-e_m)
+    w_p = c_p * a_p ** (-e_p)
+    return w_m / (w_m + w_p), w_p / (w_m + w_p)
 
 
-def mixture_limits(mdl: _model.PolarModel, x_grid=None) -> tuple[float, float, float, float, bool]:
-    """(p_minus, p_plus, q_minus, q_plus, is_estimate) for a model.
+def mixture_limits(mdl: _model.PolarModel, x_grid=None) -> tuple[float, float, bool]:
+    """(p_minus, p_plus, is_estimate) for a model.
 
     One-sided models carry everything on the plus side. Two-sided models
     with full builtin coefficient data get the exact limits and ignore
-    ``x_grid``; otherwise the limits are read off ``x_grid`` (see
-    ``mixture_p``) and the last flag is True.
+    ``x_grid``; otherwise p is read off ``x_grid`` (see ``mixture_p``)
+    and the last flag is True.
     """
     if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
-        return 0.0, 1.0, 0.0, 1.0, False
-    closed = _closed_form_pq(mdl)
+        return 0.0, 1.0, False
+    closed = _closed_form_p(mdl)
     if closed is not None:
-        p_m, p_p, q_m, q_p = closed
-        return p_m, p_p, q_m, q_p, False
+        return closed + (False,)
     p_p = mixture_p(mdl, "+", x_grid).value
-    q_p = ratio_q(mdl, "+", x_grid).value
-    return 1.0 - p_p, p_p, 1.0 - q_p, q_p, True
+    return 1.0 - p_p, p_p, True
 
 
 def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
-    """Windows, mixture weights, and window ratios at threshold x.
+    """psi(x) and one window per side of ``mdl.sides(UNRESTRICTED)``.
 
-    Solves one window per side of ``mdl.sides(UNRESTRICTED)``. One-sided
-    models carry all of p and q on the plus side. Two-sided models use the
-    closed-form limits when every builtin leading coefficient is
-    available; otherwise they fall back to grid estimates anchored at x
-    (see ``mixture_p``), flagged by ``p_is_estimate``.
+    Errors of ``compute_phi`` propagate.
     """
     roots = {sgn: compute_phi(mdl, x, "+" if sgn > 0 else "-")
              for sgn, _ in mdl.sides(_model.Condition.UNRESTRICTED)}
     root_p, root_m = roots[1], roots.get(-1)
-    psi = float(mdl.radial.aux_psi(x))
-    estimate = False
-    if root_m is None:
-        p_m, p_p, q_m, q_p = 0.0, 1.0, 0.0, 1.0
-    elif (closed := _closed_form_pq(mdl)) is not None:
-        p_m, p_p, q_m, q_p = closed
-    else:
-        anchored = tuple(float(v) for v in np.geomspace(x, 100.0 * x, 9))
-        p_m, p_p, q_m, q_p, estimate = mixture_limits(mdl, anchored)
     return Normalizers(
-        x=x, psi_x=psi,
+        x=x, psi_x=float(mdl.radial.aux_psi(x)),
         phi_plus=root_p.phi, phi_minus=None if root_m is None else root_m.phi,
-        phi_star=sum(root.phi for root in roots.values()),
         residual_plus=root_p.residual,
         residual_minus=None if root_m is None else root_m.residual,
-        p_minus=p_m, p_plus=p_p, q_minus=q_m, q_plus=q_p,
-        p_is_estimate=estimate,
-    )
-
-
-def _grid_limit(mdl, side, x_grid, ratio_fn, change_tol, what) -> LimitEstimate:
-    sgn = _side_sign(side)
-    if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
-        raise ParameterError(f"{what} needs a two-sided model")
-    if x_grid is None:
-        x_grid = tuple(float(v) for v in np.geomspace(10.0, 1e4, 13))
-    xs = tuple(float(v) for v in x_grid)
-    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ParameterError(f"{what} needs a strictly increasing x grid of length >= 2")
-    values = []
-    for x in xs:
-        phi_m = compute_phi(mdl, x, "-").phi
-        phi_p = compute_phi(mdl, x, "+").phi
-        values.append(ratio_fn(phi_m, phi_p, sgn))
-    arr = np.asarray(values)
-    max_change = float(np.max(np.abs(np.diff(arr)))) if len(arr) > 1 else 0.0
-    if max_change > change_tol:
-        raise NonConvergence(
-            f"{what} still moves by {max_change:.3g} per grid step "
-            f"(tolerance {change_tol:g}); extend the x grid"
-        )
-    return LimitEstimate(
-        value=float(arr[-1]), max_change=max_change,
-        values=tuple(float(v) for v in arr), x_grid=xs,
     )
 
 
@@ -407,32 +341,37 @@ def mixture_p(mdl: _model.PolarModel, side: str = "+",
               x_grid=None, *, change_tol: float = 0.1) -> LimitEstimate:
     """Estimate p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum.
 
-    Evaluates the ratio along an increasing grid of thresholds and returns
-    the value at the largest one together with the worst successive
-    change; raises NonConvergence when that change exceeds ``change_tol``.
-    This is a numerical read of an asymptotic limit, not a proof.
+    Evaluates the ratio along an increasing grid of thresholds (by
+    default 13 points from 10 to 1e4) and returns the value at the
+    largest one together with the worst successive change; raises
+    NonConvergence when that change exceeds ``change_tol``. This is a
+    numerical read of an asymptotic limit, not a proof.
     """
-    def ratio(phi_m, phi_p, sgn):
+    sgn = _side_sign(side)
+    if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
+        raise ParameterError("mixture_p needs a two-sided model")
+    if x_grid is None:
+        x_grid = np.geomspace(10.0, 1e4, 13)
+    xs = tuple(float(v) for v in x_grid)
+    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ParameterError("mixture_p needs a strictly increasing x grid of length >= 2")
+    values = []
+    for x in xs:
+        phi_m = compute_phi(mdl, x, "-").phi
+        phi_p = compute_phi(mdl, x, "+").phi
         v_m = phi_m * float(mdl.angular.g_tilde(-phi_m))
         v_p = phi_p * float(mdl.angular.g_tilde(phi_p))
-        total = v_m + v_p
-        if total <= 0:
+        if v_m + v_p <= 0:
             raise NonConvergence("mixture ratio undefined: g_tilde vanishes at both windows")
-        return (v_p if sgn > 0 else v_m) / total
-
-    return _grid_limit(mdl, side, x_grid, ratio, change_tol, "mixture_p")
-
-
-def ratio_q(mdl: _model.PolarModel, side: str = "+",
-            x_grid=None, *, change_tol: float = 0.1) -> LimitEstimate:
-    """Estimate q_sigma = lim phi_sigma / (phi_minus + phi_plus).
-
-    Same grid protocol and caveats as ``mixture_p``.
-    """
-    def ratio(phi_m, phi_p, sgn):
-        return (phi_p if sgn > 0 else phi_m) / (phi_m + phi_p)
-
-    return _grid_limit(mdl, side, x_grid, ratio, change_tol, "ratio_q")
+        values.append((v_p if sgn > 0 else v_m) / (v_m + v_p))
+    max_change = float(np.max(np.abs(np.diff(values))))
+    if max_change > change_tol:
+        raise NonConvergence(
+            f"mixture_p still moves by {max_change:.3g} per grid step "
+            f"(tolerance {change_tol:g}); extend the x grid"
+        )
+    return LimitEstimate(value=values[-1], max_change=max_change,
+                         values=tuple(values), x_grid=xs)
 
 
 def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
@@ -465,23 +404,26 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
 
 
 def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
-              normalizers: Normalizers | None = None):
+              x: float | None = None):
     """The limit law of the normalized pair under ``condition``.
 
     When the event covers both sides of t0 (``PolarModel.sides``), this is
-    the PER_SIGN two-sided law, weighted by the p and q of ``normalizers``
-    or, when omitted, by ``mixture_limits``. Otherwise it is the one-sided
-    law of the plus side.
+    the two-sided law weighted by the p of ``mixture_limits``; otherwise
+    it is the one-sided law of the plus side. Builtin models get p in
+    closed form. Custom models estimate it with ``mixture_p``, on the grid
+    of 9 thresholds from x to 100x when ``x`` is given and on its default
+    grid otherwise, and raise NonConvergence when p still drifts there.
     """
     if len(mdl.sides(condition)) == 1:
         return _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
-    if normalizers is None:
-        p_m, p_p, q_m, q_p, _ = mixture_limits(mdl)
-    else:
-        nz = normalizers
-        p_m, p_p, q_m, q_p = nz.p_minus, nz.p_plus, nz.q_minus, nz.q_plus
+    grid = None
+    if x is not None:
+        if not (math.isfinite(x) and x > 0):
+            raise ParameterError(f"x must be a positive finite number, got {x}")
+        grid = np.geomspace(x, 100.0 * x, 9)
+    p_m, p_p, _ = mixture_limits(mdl, grid)
     return _limitlaw.LimitLawTwoSided(
         kappa_minus=mdl.shape_u.kappa_minus, kappa_plus=mdl.shape_u.kappa_plus,
         tau_minus=mdl.angular.tau_minus, tau_plus=mdl.angular.tau_plus,
-        p_minus=p_m, p_plus=p_p, q_minus=q_m, q_plus=q_p,
+        p_minus=p_m, p_plus=p_p,
     )

@@ -24,10 +24,7 @@ of the limit law are exact differences of F rather than quadratures.
 The two-sided law mixes a positive and a negative side. A sign S is drawn
 with Gamma-weighted probabilities built from the per-side (p, kappa, tau),
 then the pair follows the one-sided law of that side, with the t
-coordinate negated on the minus side. Two scalings of the t coordinate
-are supported: PER_SIGN divides by the window of the realized side,
-STAR divides by the combined window and so multiplies t by the window
-ratio q of the realized side.
+coordinate negated on the minus side.
 
 Bivariate limits for (X, Y) = (R u(T), R v(T)) are pushforwards of the
 one-sided pair (r, t); ``CorollaryCase`` names the map and carries its
@@ -48,7 +45,6 @@ from ._seeding import make_generator
 from .errors import ParameterError
 
 __all__ = [
-    "Scaling",
     "LimitLawOneSided",
     "LimitLawTwoSided",
     "SignLaw",
@@ -64,18 +60,6 @@ __all__ = [
     "pushforward_corollary",
     "normalization_support",
 ]
-
-
-class Scaling(str, enum.Enum):
-    """How the two-sided t coordinate is normalized.
-
-    PER_SIGN divides T - t0 by the window of the realized side; STAR
-    divides by the combined window phi_minus + phi_plus, which scales the
-    realized side by its window ratio q.
-    """
-
-    PER_SIGN = "per_sign"
-    STAR = "star"
 
 
 # Gamma(e) overflows a double beyond e = 171.62
@@ -138,8 +122,8 @@ class LimitLawTwoSided:
 
     ``p_minus``/``p_plus`` are the mixture weights of the window-mass
     limits; the realized sign law reweights them by Gamma factors and is
-    computed at construction. ``q_minus``/``q_plus`` (window ratios) are
-    only needed for STAR scaling.
+    computed at construction. The t coordinate of each side is T - t0
+    over that side's own window.
     """
 
     kappa_minus: float
@@ -148,9 +132,6 @@ class LimitLawTwoSided:
     tau_plus: float
     p_minus: float
     p_plus: float
-    q_minus: float | None = None
-    q_plus: float | None = None
-    scaling: Scaling = Scaling.PER_SIGN
     sign_law: SignLaw = field(init=False)
 
     def __post_init__(self):
@@ -163,13 +144,6 @@ class LimitLawTwoSided:
             raise ParameterError(
                 f"mixture weights must sum to 1, got {self.p_minus + self.p_plus}"
             )
-        if self.scaling == Scaling.STAR:
-            if self.q_minus is None or self.q_plus is None:
-                raise ParameterError("STAR scaling needs q_minus and q_plus")
-            if abs(self.q_minus + self.q_plus - 1.0) > 1e-12:
-                raise ParameterError(
-                    f"window ratios must sum to 1, got {self.q_minus + self.q_plus}"
-                )
         object.__setattr__(self, "sign_law", sign_probability(
             (self.kappa_minus, self.kappa_plus),
             (self.tau_minus, self.tau_plus),
@@ -228,18 +202,13 @@ def density_one_sided(law: LimitLawOneSided, r, t):
 
 
 def density_two_sided(law: LimitLawTwoSided, r, t):
-    """Joint density of the signed pair under PER_SIGN scaling.
+    """Joint density of the signed pair.
 
     The sign-law mixture P_- f_-(r, -t) + P_+ f_+(r, t) of the one-sided
     densities, as in ``cdf_two_sided``; equivalently p_sigma
     |t|^{tau_sigma} e^{-r} on {|t|^{kappa_sigma} < r, sigma t > 0} over
     sum_sigma (p_sigma / kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma).
-    The STAR-scaled pair is a different density (change of variable
-    t -> t / q_sigma per side) and is refused here rather than silently
-    mislabeled.
     """
-    if law.scaling != Scaling.PER_SIGN:
-        raise ParameterError("density_two_sided applies to PER_SIGN scaling only")
     t = np.asarray(t, dtype=float)
     return (law.sign_law.prob_minus * density_one_sided(law.side(-1), r, -t)
             + law.sign_law.prob_plus * density_one_sided(law.side(1), r, t))
@@ -269,15 +238,13 @@ def cdf_one_sided(law: LimitLawOneSided, r, t):
 
 
 def cdf_two_sided(law: LimitLawTwoSided, r, t):
-    """Joint CDF of the signed pair under PER_SIGN scaling; 0 for r <= 0.
+    """Joint CDF of the signed pair; 0 for r <= 0.
 
     The sign-law mixture of the one-sided CDFs: for t < 0 only the minus
     side, mirrored, contributes P_- (F_-(r, inf) - F_-(r, -t)); for t >= 0
     the whole minus side plus the plus side up to t, P_- F_-(r, inf) +
-    P_+ F_+(r, t). STAR scaling is refused, as in ``density_two_sided``.
+    P_+ F_+(r, t).
     """
-    if law.scaling != Scaling.PER_SIGN:
-        raise ParameterError("cdf_two_sided applies to PER_SIGN scaling only")
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     r, t = np.broadcast_arrays(r, t)
@@ -348,8 +315,7 @@ def sample_two_sided(law: LimitLawTwoSided, n: int, seed) -> tuple[np.ndarray, n
     """Exact draws of the signed pair: n arrays (r, t_signed).
 
     Draws the sign from the law's Gamma-weighted sign distribution, then
-    the one-sided pair of that side; STAR scaling multiplies each t by the
-    window ratio of its realized side.
+    the one-sided pair of that side.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -360,10 +326,7 @@ def sample_two_sided(law: LimitLawTwoSided, n: int, seed) -> tuple[np.ndarray, n
     g = rng.gamma(shape, 1.0)
     t_mag = g ** np.where(plus, 1.0 / law.kappa_plus, 1.0 / law.kappa_minus)
     r = g + rng.exponential(1.0, n)
-    t = np.where(plus, t_mag, -t_mag)
-    if law.scaling == Scaling.STAR:
-        t = t * np.where(plus, law.q_plus, law.q_minus)
-    return r, t
+    return r, np.where(plus, t_mag, -t_mag)
 
 
 # ---------------------------------------------------------------------------

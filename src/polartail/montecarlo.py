@@ -303,8 +303,9 @@ def sample_conditional(
 
     Raises BudgetExceeded when ``max_proposals`` proposals would not be
     enough, which signals a misconfigured (too small or infeasible) x
-    rather than a tight budget: the default cap is 1e9. Window errors
-    from ``compute_normalizers`` propagate before any sampling happens.
+    rather than a tight budget: the default cap is 1e9. The windows come
+    from ``compute_normalizers``, which solves nothing else, so only
+    window errors propagate from it, before any sampling happens.
     ``ConditionalSample`` gives the scale of ``t_norm``.
     ``workers`` is accepted and ignored (batches run sequentially) until
     the benchmark stops passing it.

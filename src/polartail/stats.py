@@ -249,8 +249,9 @@ def convergence_report(
 
     rows = []
     for i, x in enumerate(xs):
+        # a custom model's p that has not settled at x fails before any sampling
+        law = _asymptotics.limit_law(mdl, condition, x)
         mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0))
-        law = _asymptotics.limit_law(mdl, condition, mc.normalizers)
         lim_r, lim_t = sample(law, n, key + (i, 1))
 
         ks_r = ks_two_sample(mc.r_norm, lim_r)[0]

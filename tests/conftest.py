@@ -12,7 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polartail import NonConvergence, adaptive_quadrature, build_builtin_model, montecarlo
+from polartail import (
+    AngularLaw,
+    NonConvergence,
+    PolarModel,
+    ShapeU,
+    adaptive_quadrature,
+    build_builtin_model,
+    montecarlo,
+)
+from polartail.model import _radial_exponential
 from polartail.stats import _check_edges
 
 F1_CONFIG = {
@@ -117,6 +126,31 @@ def seifert_model():
 @pytest.fixture(scope="session")
 def sine_model():
     return build_builtin_model(dict(F1_CONFIG, **{"shape_v.family": "sine"}))
+
+
+@pytest.fixture(scope="session")
+def slow_p_model():
+    """Custom two-sided model whose mixture weight p settles only for large x.
+
+    Exp(1) radius, flat angle on [-1, 1], u = 1 - 0.106|t| on the minus
+    side and 1 - t^4 on the plus side. The plus side carries all of p in
+    the limit, but at x = 20 both windows are about 0.47, so p_plus still
+    climbs from 1/2 towards 1 along x = 20 .. 2000.
+    """
+    def u(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 0.0, 1.0 + 0.106 * t, 1.0 - t ** 4)
+
+    ang = AngularLaw(
+        density=lambda t: np.where(np.abs(t) <= 1.0, 0.5, 0.0),
+        t0=0.0,
+        tau_minus=0.0,
+        tau_plus=0.0,
+        support=(-1.0, 1.0),
+        sample=lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    )
+    su = ShapeU(u=u, t0=0.0, kappa_minus=1.0, kappa_plus=4.0)
+    return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
 
 
 @pytest.fixture(autouse=True)

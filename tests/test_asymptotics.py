@@ -23,9 +23,9 @@ from polartail import (
     limit_law,
     mixture_limits,
     mixture_p,
-    ratio_q,
     tail_asymptotic,
     tail_probability_quadrature,
+    validate_model,
 )
 from polartail.model import _radial_exponential
 
@@ -211,20 +211,13 @@ def test_phi_minus_side_of_one_sided_model_rejected():
 
 
 def test_mixture_limits_symmetric_model(f1_model):
-    p_m, p_p, q_m, q_p, is_estimate = mixture_limits(f1_model)
-    assert (p_m, p_p) == (0.5, 0.5)
-    assert (q_m, q_p) == (0.5, 0.5)
-    assert not is_estimate
+    assert mixture_limits(f1_model) == (0.5, 0.5, False)
 
 
 def test_mixture_limits_faster_side_takes_all(asym_model):
     # kappa_- = 1 has exponent e_- = 1, kappa_+ = 2 has e_+ = 1/2; the
-    # smaller exponent side dominates the mixture entirely, and the
-    # larger kappa side absorbs the angular normalization
-    p_m, p_p, q_m, q_p, is_estimate = mixture_limits(asym_model)
-    assert (p_m, p_p) == (0.0, 1.0)
-    assert (q_m, q_p) == (0.0, 1.0)
-    assert not is_estimate
+    # smaller exponent side dominates the mixture entirely
+    assert mixture_limits(asym_model) == (0.0, 1.0, False)
 
 
 def test_mixture_limits_one_sided_model():
@@ -236,7 +229,7 @@ def test_mixture_limits_one_sided_model():
             "shape_u.kappa": 2.0,
         }
     )
-    assert mixture_limits(mdl) == (0.0, 1.0, 0.0, 1.0, False)
+    assert mixture_limits(mdl) == (0.0, 1.0, False)
 
 
 def test_mixture_limits_tied_exponent_splits_by_weight():
@@ -251,10 +244,9 @@ def test_mixture_limits_tied_exponent_splits_by_weight():
             "shape_u.kappa": 2.0,
         }
     )
-    p_m, p_p, q_m, q_p, is_estimate = mixture_limits(mdl)
+    p_m, p_p, is_estimate = mixture_limits(mdl)
     assert p_p == pytest.approx(0.75, rel=1e-12)
     assert p_m == pytest.approx(0.25, rel=1e-12)
-    assert q_p == pytest.approx(0.5, rel=1e-12)
     assert not is_estimate
 
 
@@ -276,11 +268,7 @@ def test_limit_law_picks_the_law_and_its_weights(asym_model):
     both = limit_law(asym_model, Condition.UNRESTRICTED)
     assert type(both) is LimitLawTwoSided
     assert (both.kappa_minus, both.kappa_plus, both.tau_minus, both.tau_plus) == (1.0, 2.0, 0.0, 0.0)
-    assert (both.p_minus, both.p_plus, both.q_minus, both.q_plus) == mixture_limits(asym_model)[:4]
-    nz = dataclasses.replace(compute_normalizers(asym_model, 50.0),
-                             p_minus=0.25, p_plus=0.75, q_minus=0.5, q_plus=0.5)
-    given = limit_law(asym_model, Condition.UNRESTRICTED, nz)
-    assert (given.p_minus, given.p_plus, given.q_minus, given.q_plus) == (0.25, 0.75, 0.5, 0.5)
+    assert (both.p_minus, both.p_plus) == mixture_limits(asym_model)[:2]
 
 
 def test_mixture_p_numeric_matches_closed_form():
@@ -308,9 +296,7 @@ def test_mixture_p_numeric_matches_closed_form():
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
     est = mixture_p(mdl, "+")
     assert est.value == pytest.approx(0.75, abs=1e-3)
-    est_q = ratio_q(mdl, "+")
-    assert est_q.value == pytest.approx(0.5, abs=1e-3)
-    _, p_p, _, _, is_estimate = mixture_limits(mdl)
+    _, p_p, is_estimate = mixture_limits(mdl)
     assert is_estimate
     assert p_p == pytest.approx(0.75, abs=1e-3)
 
@@ -357,20 +343,50 @@ def test_compute_normalizers_benchmark(f1_model):
     assert norms.phi_plus == pytest.approx(0.1, rel=1e-10)
     assert norms.phi_minus == pytest.approx(0.1, rel=1e-10)
     assert abs(norms.residual_plus) <= 1e-10
-    assert norms.p_plus == 0.5
-    assert not norms.p_is_estimate
+    assert [f.name for f in dataclasses.fields(norms)] == [
+        "x", "psi_x", "phi_plus", "phi_minus", "residual_plus", "residual_minus"]
 
 
-def test_compute_normalizers_closed_form_skips_the_grid_estimate(f1_model, monkeypatch):
+def test_limit_law_closed_form_skips_the_grid_estimate(f1_model, monkeypatch):
     from polartail import asymptotics
 
     def grid_estimate(*args, **kwargs):
-        raise AssertionError("closed-form p and q need no anchor grid")
+        raise AssertionError("closed-form p needs no anchor grid")
 
-    monkeypatch.setattr(asymptotics, "mixture_limits", grid_estimate)
-    norms = compute_normalizers(f1_model, 100.0)
-    assert (norms.p_minus, norms.p_plus, norms.q_minus, norms.q_plus) == (0.5, 0.5, 0.5, 0.5)
-    assert not norms.p_is_estimate
+    monkeypatch.setattr(asymptotics, "mixture_p", grid_estimate)
+    law = limit_law(f1_model, Condition.UNRESTRICTED, 100.0)
+    assert (law.p_minus, law.p_plus) == (0.5, 0.5)
+
+
+def test_slow_p_model_passes_validation(slow_p_model):
+    assert validate_model(slow_p_model).passed
+
+
+def test_compute_normalizers_solves_only_the_windows(slow_p_model, monkeypatch):
+    from polartail import asymptotics
+
+    calls = []
+    solve = asymptotics.compute_phi
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "compute_phi", counted)
+    compute_normalizers(slow_p_model, 50.0)
+    assert sorted(calls) == [(50.0, "+"), (50.0, "-")]
+
+
+def test_limit_law_estimates_p_from_x_for_custom_models(slow_p_model):
+    # the windows are about equal at x = 20, so p_plus still climbs
+    # from 1/2 towards 1 along x = 20 .. 2000; from x = 200 on it has settled
+    with pytest.raises(NonConvergence, match="mixture_p"):
+        limit_law(slow_p_model, Condition.UNRESTRICTED, 20.0)
+    law = limit_law(slow_p_model, Condition.UNRESTRICTED, 200.0)
+    assert law.p_plus > 0.99
+    assert law.p_minus == pytest.approx(1.0 - law.p_plus, abs=1e-15)
+    with pytest.raises(ParameterError):
+        limit_law(slow_p_model, Condition.UNRESTRICTED, 0.0)
 
 
 def test_tail_asymptotic_closed_form(f1_model):

@@ -25,7 +25,6 @@ from polartail import (
     LimitLawOneSided,
     LimitLawTwoSided,
     ParameterError,
-    Scaling,
     SignLaw,
     cdf_one_sided,
     cdf_two_sided,
@@ -134,37 +133,6 @@ def test_two_sided_density_matches_closed_form(kappas, taus, p_minus):
     assert np.count_nonzero(expected[t > 0]) > 100
     assert np.count_nonzero(expected[t < 0]) > (100 if p_minus > 0 else -1)
     np.testing.assert_allclose(density_two_sided(law, r, t), expected, rtol=1e-13, atol=0)
-
-
-def test_two_sided_density_rejects_star_scaling():
-    law = LimitLawTwoSided(
-        kappa_minus=2.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.5,
-        p_plus=0.5,
-        q_minus=0.5,
-        q_plus=0.5,
-        scaling=Scaling.STAR,
-    )
-    with pytest.raises(ParameterError):
-        density_two_sided(law, 1.0, 0.5)
-
-
-def test_star_scaling_requires_unit_q_sum():
-    with pytest.raises(ParameterError):
-        LimitLawTwoSided(
-            kappa_minus=2.0,
-            kappa_plus=2.0,
-            tau_minus=0.0,
-            tau_plus=0.0,
-            p_minus=0.5,
-            p_plus=0.5,
-            q_minus=0.3,
-            q_plus=0.3,
-            scaling=Scaling.STAR,
-        )
 
 
 def test_gamma_overflow_is_a_parameter_error():
@@ -315,14 +283,6 @@ def test_cdf_zero_off_support_and_broadcasts():
     assert cdf_two_sided(two, np.inf, np.inf) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_two_sided_cdf_rejects_star_scaling():
-    law = LimitLawTwoSided(kappa_minus=2.0, kappa_plus=2.0, tau_minus=0.0,
-                           tau_plus=0.0, p_minus=0.5, p_plus=0.5,
-                           q_minus=0.5, q_plus=0.5, scaling=Scaling.STAR)
-    with pytest.raises(ParameterError):
-        cdf_two_sided(law, 1.0, 0.5)
-
-
 def test_sampler_moments_and_support():
     for kappa, tau in SAMPLER_CASES:
         law = LimitLawOneSided(kappa=kappa, tau=tau)
@@ -385,23 +345,6 @@ def test_two_sided_sampler_sign_frequency():
     # each side restricted to its sign obeys the support constraint
     assert np.all(r[t > 0] > t[t > 0] ** 2)
     assert np.all(r[t < 0] > (-t[t < 0]) ** 1)
-
-
-def test_two_sided_sampler_star_window_collapse():
-    law = LimitLawTwoSided(
-        kappa_minus=2.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.5,
-        p_plus=0.5,
-        q_minus=0.0,
-        q_plus=1.0,
-        scaling=Scaling.STAR,
-    )
-    _, t = sample_two_sided(law, 2000, seed=3)
-    assert np.all(t >= 0.0)
-    assert np.any(t == 0.0)  # minus-sign draws are pinned at the origin
 
 
 def test_two_sided_sampler_marginal_against_gamma():

@@ -91,6 +91,19 @@ def test_unrestricted_default_scales_each_side_by_its_own_window():
     assert right.t_norm.tobytes() == ((right.t - mdl.t0) / norm.phi_plus).tobytes()
 
 
+@pytest.mark.parametrize("cond", list(Condition))
+def test_sampling_needs_no_mixture_weight(slow_p_model, cond):
+    # p of this custom model has not settled by x = 20 (limit_law raises
+    # there), yet the draws need only psi and the windows
+    s = sample_conditional(slow_p_model, 20.0, 2000, cond, seed=1)
+    assert s.n == 2000
+    assert np.all(s.r * slow_p_model.shape_u.u(s.t) > 20.0)
+    if cond == Condition.RIGHT_SIDED:
+        assert np.all(s.t >= 0.0)
+    else:
+        assert np.any(s.t < 0.0) and np.any(s.t > 0.0)
+
+
 def test_acceptance_rate_matches_conditional_mass(f1_model):
     s = sample_conditional(
         f1_model, 50.0, 6000, Condition.RIGHT_SIDED, seed=31, batch_size=100_000
