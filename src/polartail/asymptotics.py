@@ -29,10 +29,10 @@ For builtin families p is available in closed form from the leading
 power exponents: with u_tilde(sigma s) ~ a_sigma s^kappa_sigma and
 g_tilde(sigma s) ~ c_sigma s^tau_sigma, the side with the smaller
 (1 + tau_sigma) / kappa_sigma carries all of p; ties split by the
-coefficients. For custom models ``mixture_p`` estimates the limit on a
-finite grid of x values and reports how settled the ratio looks,
-raising NonConvergence when it still drifts. Only ``limit_law`` reads
-p; the windows at one threshold (``compute_normalizers``) do not need it.
+coefficients. For custom models ``limit_law`` reads the limit off a
+finite grid of x values and raises NonConvergence when it still drifts.
+``limit_law`` is the only place p is formed; the windows at one
+threshold (``compute_normalizers``) do not need it.
 """
 
 from __future__ import annotations
@@ -49,11 +49,8 @@ from .errors import BracketError, MonotonicityError, NonConvergence, ParameterEr
 __all__ = [
     "PhiRoot",
     "Normalizers",
-    "LimitEstimate",
     "compute_phi",
     "compute_normalizers",
-    "mixture_limits",
-    "mixture_p",
     "tail_asymptotic",
     "limit_law",
 ]
@@ -65,6 +62,8 @@ _UNIT_GRID = np.geomspace(1e-9, 1.0, 512)
 # the log-space secant stops at this |log(deficit x / psi)| or step count
 _SOLVE_TOL = 4.0 * float(np.finfo(float).eps)
 _SOLVE_STEPS = 100
+# the grid estimate of p fails when p moves by more than this per grid step
+_P_CHANGE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ class PhiRoot:
 class Normalizers:
     """The normalizers of a model at one threshold x: psi(x) and the windows.
 
-    ``phi_minus``/``residual_minus`` are None for one-sided models.
+    ``phi_minus``/``residual_minus`` are None when the minus window was
+    not solved: for one-sided models, and under right-sided conditioning.
     """
 
     x: float
@@ -95,21 +95,6 @@ class Normalizers:
     phi_minus: float | None
     residual_plus: float
     residual_minus: float | None
-
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    """A ratio limit read off a finite grid of thresholds.
-
-    ``value`` is the ratio at the largest grid x; ``max_change`` the
-    largest successive change along the grid, a crude settledness
-    diagnostic.
-    """
-
-    value: float
-    max_change: float
-    values: tuple[float, ...]
-    x_grid: tuple[float, ...]
 
 
 def _side_sign(side: str) -> int:
@@ -304,30 +289,18 @@ def _closed_form_p(mdl: _model.PolarModel) -> tuple[float, float] | None:
     return w_m / (w_m + w_p), w_p / (w_m + w_p)
 
 
-def mixture_limits(mdl: _model.PolarModel, x_grid=None) -> tuple[float, float, bool]:
-    """(p_minus, p_plus, is_estimate) for a model.
+def compute_normalizers(mdl: _model.PolarModel, x: float,
+                        condition: _model.Condition = _model.Condition.UNRESTRICTED
+                        ) -> Normalizers:
+    """psi(x) and one window per side of ``mdl.sides(condition)``.
 
-    One-sided models carry everything on the plus side. Two-sided models
-    with full builtin coefficient data get the exact limits and ignore
-    ``x_grid``; otherwise p is read off ``x_grid`` (see ``mixture_p``)
-    and the last flag is True.
-    """
-    if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
-        return 0.0, 1.0, False
-    closed = _closed_form_p(mdl)
-    if closed is not None:
-        return closed + (False,)
-    p_p = mixture_p(mdl, "+", x_grid).value
-    return 1.0 - p_p, p_p, True
-
-
-def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
-    """psi(x) and one window per side of ``mdl.sides(UNRESTRICTED)``.
-
-    Errors of ``compute_phi`` propagate.
+    The default covers every side of the support. Under right-sided
+    conditioning only the plus window is solved, and ``phi_minus`` and
+    ``residual_minus`` are None, so an unreachable minus window cannot
+    fail an event that never uses it. Errors of ``compute_phi`` propagate.
     """
     roots = {sgn: compute_phi(mdl, x, "+" if sgn > 0 else "-")
-             for sgn, _ in mdl.sides(_model.Condition.UNRESTRICTED)}
+             for sgn, _ in mdl.sides(condition)}
     root_p, root_m = roots[1], roots.get(-1)
     return Normalizers(
         x=x, psi_x=float(mdl.radial.aux_psi(x)),
@@ -337,50 +310,40 @@ def compute_normalizers(mdl: _model.PolarModel, x: float) -> Normalizers:
     )
 
 
-def mixture_p(mdl: _model.PolarModel, side: str = "+",
-              x_grid=None, *, change_tol: float = 0.1) -> LimitEstimate:
-    """Estimate p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum.
+def _window_mass(mdl: _model.PolarModel, x: float, sign: int) -> float:
+    """phi_sigma g_tilde(sigma phi_sigma), the angular mass of one window at x."""
+    phi = compute_phi(mdl, x, "+" if sign > 0 else "-").phi
+    return phi * float(mdl.angular.g_tilde(sign * phi))
 
-    Evaluates the ratio along an increasing grid of thresholds (by
-    default 13 points from 10 to 1e4) and returns the value at the
-    largest one together with the worst successive change; raises
-    NonConvergence when that change exceeds ``change_tol``. This is a
+
+def _grid_p(mdl: _model.PolarModel, x_grid) -> float:
+    """p_plus read off an increasing grid of thresholds.
+
+    Forms the window-mass ratio p_plus at every grid x and returns it at
+    the largest. Raises NonConvergence when both window masses vanish, or
+    when the ratio still moves by more than 0.1 per grid step. This is a
     numerical read of an asymptotic limit, not a proof.
     """
-    sgn = _side_sign(side)
-    if len(mdl.sides(_model.Condition.UNRESTRICTED)) == 1:
-        raise ParameterError("mixture_p needs a two-sided model")
-    if x_grid is None:
-        x_grid = np.geomspace(10.0, 1e4, 13)
-    xs = tuple(float(v) for v in x_grid)
-    if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ParameterError("mixture_p needs a strictly increasing x grid of length >= 2")
     values = []
-    for x in xs:
-        phi_m = compute_phi(mdl, x, "-").phi
-        phi_p = compute_phi(mdl, x, "+").phi
-        v_m = phi_m * float(mdl.angular.g_tilde(-phi_m))
-        v_p = phi_p * float(mdl.angular.g_tilde(phi_p))
+    for x in x_grid:
+        v_m, v_p = _window_mass(mdl, x, -1), _window_mass(mdl, x, 1)
         if v_m + v_p <= 0:
-            raise NonConvergence("mixture ratio undefined: g_tilde vanishes at both windows")
-        values.append((v_p if sgn > 0 else v_m) / (v_m + v_p))
-    max_change = float(np.max(np.abs(np.diff(values))))
-    if max_change > change_tol:
+            raise NonConvergence("p is undefined: g_tilde vanishes at both windows")
+        values.append(v_p / (v_m + v_p))
+    change = float(np.max(np.abs(np.diff(values))))
+    if change > _P_CHANGE_TOL:
         raise NonConvergence(
-            f"mixture_p still moves by {max_change:.3g} per grid step "
-            f"(tolerance {change_tol:g}); extend the x grid"
+            f"p still moves by {change:.3g} per grid step (tolerance "
+            f"{_P_CHANGE_TOL:g}) on x = {x_grid[0]:g} .. {x_grid[-1]:g}"
         )
-    return LimitEstimate(value=values[-1], max_change=max_change,
-                         values=tuple(values), x_grid=xs)
+    return values[-1]
 
 
 def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
     """phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma."""
-    root = compute_phi(mdl, x, "+" if sgn > 0 else "-")
     kappa = mdl.shape_u.kappa_plus if sgn > 0 else mdl.shape_u.kappa_minus
     tau = mdl.angular.tau_plus if sgn > 0 else mdl.angular.tau_minus
-    g_at = float(mdl.angular.g_tilde(sgn * root.phi))
-    return root.phi * g_at / _limitlaw.LimitLawOneSided(kappa, tau).norm_const
+    return _window_mass(mdl, x, sgn) / _limitlaw.LimitLawOneSided(kappa, tau).norm_const
 
 
 def tail_asymptotic(mdl: _model.PolarModel, x: float,
@@ -408,22 +371,27 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
     """The limit law of the normalized pair under ``condition``.
 
     When the event covers both sides of t0 (``PolarModel.sides``), this is
-    the two-sided law weighted by the p of ``mixture_limits``; otherwise
-    it is the one-sided law of the plus side. Builtin models get p in
-    closed form. Custom models estimate it with ``mixture_p``, on the grid
-    of 9 thresholds from x to 100x when ``x`` is given and on its default
-    grid otherwise, and raise NonConvergence when p still drifts there.
+    the two-sided law with mixture weights p, the one place p is formed;
+    otherwise it is the one-sided law of the plus side. Builtin models get
+    p in closed form. Custom models read p_plus off the window masses on
+    9 thresholds from x to 100x when ``x`` is given, and on 13 thresholds
+    from 10 to 1e4 otherwise, and raise NonConvergence when p still
+    drifts there by more than 0.1 per step.
     """
     if len(mdl.sides(condition)) == 1:
         return _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
-    grid = None
-    if x is not None:
-        if not (math.isfinite(x) and x > 0):
-            raise ParameterError(f"x must be a positive finite number, got {x}")
+    if x is None:
+        grid = np.geomspace(10.0, 1e4, 13)
+    elif math.isfinite(x) and x > 0:
         grid = np.geomspace(x, 100.0 * x, 9)
-    p_m, p_p, _ = mixture_limits(mdl, grid)
+    else:
+        raise ParameterError(f"x must be a positive finite number, got {x}")
+    p = _closed_form_p(mdl)
+    if p is None:
+        p_p = _grid_p(mdl, grid)
+        p = (1.0 - p_p, p_p)
     return _limitlaw.LimitLawTwoSided(
         kappa_minus=mdl.shape_u.kappa_minus, kappa_plus=mdl.shape_u.kappa_plus,
         tau_minus=mdl.angular.tau_minus, tau_plus=mdl.angular.tau_plus,
-        p_minus=p_m, p_plus=p_p,
+        p_minus=p[0], p_plus=p[1],
     )

@@ -47,14 +47,12 @@ from .errors import ParameterError
 __all__ = [
     "LimitLawOneSided",
     "LimitLawTwoSided",
-    "SignLaw",
     "CorollaryKind",
     "CorollaryCase",
     "density_one_sided",
     "density_two_sided",
     "cdf_one_sided",
     "cdf_two_sided",
-    "sign_probability",
     "sample_one_sided",
     "sample_two_sided",
     "pushforward_corollary",
@@ -77,23 +75,6 @@ def _check_side(name: str, kappa: float, tau: float):
             f"{name}: (1 + tau)/kappa = {e:g} exceeds {_MAX_GAMMA_SHAPE:g}, "
             "where Gamma((1 + tau)/kappa) overflows"
         )
-
-
-@dataclass(frozen=True)
-class SignLaw:
-    """Limit distribution of sign(T - t0) given the exceedance."""
-
-    prob_plus: float
-    prob_minus: float
-
-    def __post_init__(self):
-        for name, p in (("prob_plus", self.prob_plus), ("prob_minus", self.prob_minus)):
-            if not (0.0 <= p <= 1.0):
-                raise ParameterError(f"SignLaw.{name} must lie in [0, 1], got {p}")
-        if abs(self.prob_plus + self.prob_minus - 1.0) > 1e-12:
-            raise ParameterError(
-                f"sign probabilities must sum to 1, got {self.prob_plus + self.prob_minus}"
-            )
 
 
 @dataclass(frozen=True)
@@ -121,9 +102,10 @@ class LimitLawTwoSided:
     """Signed mixture of two one-sided laws.
 
     ``p_minus``/``p_plus`` are the mixture weights of the window-mass
-    limits; the realized sign law reweights them by Gamma factors and is
-    computed at construction. The t coordinate of each side is T - t0
-    over that side's own window.
+    limits. The sign law P{S = sigma}, proportional to (p_sigma /
+    kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma), reweights them and
+    is computed at construction as ``prob_minus``/``prob_plus``. The t
+    coordinate of each side is T - t0 over that side's own window.
     """
 
     kappa_minus: float
@@ -132,7 +114,8 @@ class LimitLawTwoSided:
     tau_plus: float
     p_minus: float
     p_plus: float
-    sign_law: SignLaw = field(init=False)
+    prob_minus: float = field(init=False)
+    prob_plus: float = field(init=False)
 
     def __post_init__(self):
         _check_side("LimitLawTwoSided minus side", self.kappa_minus, self.tau_minus)
@@ -144,36 +127,25 @@ class LimitLawTwoSided:
             raise ParameterError(
                 f"mixture weights must sum to 1, got {self.p_minus + self.p_plus}"
             )
-        object.__setattr__(self, "sign_law", sign_probability(
-            (self.kappa_minus, self.kappa_plus),
-            (self.tau_minus, self.tau_plus),
-            (self.p_minus, self.p_plus),
-        ))
+        # with the sides checked, Gamma is finite, so a side with p = 0 weighs 0
+        w_m = (self.p_minus / self.kappa_minus) * math.gamma(
+            (1.0 + self.tau_minus) / self.kappa_minus)
+        w_p = (self.p_plus / self.kappa_plus) * math.gamma(
+            (1.0 + self.tau_plus) / self.kappa_plus)
+        total = w_m + w_p
+        if not 0.0 < total < math.inf:
+            raise ParameterError(
+                f"sign law undefined: the side weights (p / kappa) Gamma((1 + tau) / kappa) "
+                f"sum to {total}"
+            )
+        object.__setattr__(self, "prob_minus", w_m / total)
+        object.__setattr__(self, "prob_plus", w_p / total)
 
     def side(self, sign: int) -> LimitLawOneSided:
         """The one-sided law of the requested side (+1 or -1)."""
         if sign > 0:
             return LimitLawOneSided(self.kappa_plus, self.tau_plus)
         return LimitLawOneSided(self.kappa_minus, self.tau_minus)
-
-
-def sign_probability(kappa_sigma, tau_sigma, p_sigma) -> SignLaw:
-    """Gamma-weighted sign law from per-side (kappa, tau, p), minus first.
-
-    P{S = sigma} is proportional to (p_sigma / kappa_sigma)
-    Gamma((1 + tau_sigma) / kappa_sigma).
-    """
-    (k_m, k_p), (t_m, t_p), (p_m, p_p) = kappa_sigma, tau_sigma, p_sigma
-    _check_side("sign_probability minus side", k_m, t_m)
-    _check_side("sign_probability plus side", k_p, t_p)
-    if not (0.0 <= p_m <= 1.0 and 0.0 <= p_p <= 1.0 and abs(p_m + p_p - 1.0) <= 1e-12):
-        raise ParameterError(f"mixture weights must be probabilities summing to 1, got {(p_m, p_p)}")
-    w_m = (p_m / k_m) * math.gamma((1.0 + t_m) / k_m) if p_m > 0 else 0.0
-    w_p = (p_p / k_p) * math.gamma((1.0 + t_p) / k_p) if p_p > 0 else 0.0
-    total = w_m + w_p
-    if total <= 0:
-        raise ParameterError("sign law undefined: both Gamma weights vanish")
-    return SignLaw(prob_plus=w_p / total, prob_minus=w_m / total)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +182,8 @@ def density_two_sided(law: LimitLawTwoSided, r, t):
     sum_sigma (p_sigma / kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma).
     """
     t = np.asarray(t, dtype=float)
-    return (law.sign_law.prob_minus * density_one_sided(law.side(-1), r, -t)
-            + law.sign_law.prob_plus * density_one_sided(law.side(1), r, t))
+    return (law.prob_minus * density_one_sided(law.side(-1), r, -t)
+            + law.prob_plus * density_one_sided(law.side(1), r, t))
 
 
 def cdf_one_sided(law: LimitLawOneSided, r, t):
@@ -252,8 +224,8 @@ def cdf_two_sided(law: LimitLawTwoSided, r, t):
     minus_all = cdf_one_sided(minus, r, np.inf)
     out = np.where(
         t < 0,
-        law.sign_law.prob_minus * (minus_all - cdf_one_sided(minus, r, -t)),
-        law.sign_law.prob_minus * minus_all + law.sign_law.prob_plus * cdf_one_sided(plus, r, t),
+        law.prob_minus * (minus_all - cdf_one_sided(minus, r, -t)),
+        law.prob_minus * minus_all + law.prob_plus * cdf_one_sided(plus, r, t),
     )
     if out.ndim == 0:
         return float(out)
@@ -320,7 +292,7 @@ def sample_two_sided(law: LimitLawTwoSided, n: int, seed) -> tuple[np.ndarray, n
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rng = make_generator(seed)
-    plus = rng.random(n) < law.sign_law.prob_plus
+    plus = rng.random(n) < law.prob_plus
     shape = np.where(plus, (1.0 + law.tau_plus) / law.kappa_plus,
                      (1.0 + law.tau_minus) / law.kappa_minus)
     g = rng.gamma(shape, 1.0)

@@ -101,15 +101,13 @@ class AcceptanceStats:
     ``proposal_mass`` is the probability of the region proposals are drawn
     from under the radial tail law given R > x times g (1 for the
     whole-support plan), and ``acceptance_rate`` = proposal_mass *
-    accepted / proposals estimates P{event | R > x}.
-    ``radial_tail_prob`` is P{R > x}, the factor that converts the
-    acceptance rate into the tail probability estimate.
+    accepted / proposals estimates P{event | R > x}, so survival(x) times it
+    estimates P{event}.
     """
 
     proposals: int
     accepted: int
     acceptance_rate: float
-    radial_tail_prob: float
     proposal_mass: float
 
     def __post_init__(self):
@@ -304,8 +302,9 @@ def sample_conditional(
     Raises BudgetExceeded when ``max_proposals`` proposals would not be
     enough, which signals a misconfigured (too small or infeasible) x
     rather than a tight budget: the default cap is 1e9. The windows come
-    from ``compute_normalizers``, which solves nothing else, so only
-    window errors propagate from it, before any sampling happens.
+    from ``compute_normalizers`` under the same condition, which solves
+    nothing else, so only errors of the windows the event uses propagate
+    from it, before any sampling happens.
     ``ConditionalSample`` gives the scale of ``t_norm``.
     ``workers`` is accepted and ignored (batches run sequentially) until
     the benchmark stops passing it.
@@ -315,7 +314,7 @@ def sample_conditional(
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     key = seed_key(seed)
-    norm = _asymptotics.compute_normalizers(mdl, x)
+    norm = _asymptotics.compute_normalizers(mdl, x, condition)
     plan = _build_plan(mdl, x, condition, norm)
 
     r_parts, t_parts, proposals, accepted = _consume_batches(
@@ -338,7 +337,6 @@ def sample_conditional(
         proposals=proposals,
         accepted=accepted,
         acceptance_rate=plan.proposal_mass * accepted / proposals,
-        radial_tail_prob=float(np.asarray(mdl.radial.survival(np.array([x])))[0]),
         proposal_mass=plan.proposal_mass,
     )
     return ConditionalSample(
@@ -391,13 +389,11 @@ def empirical_sign_freq(
     *,
     batch_size: int = _DEFAULT_BATCH,
     max_proposals: int = _DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Sign frequencies (freq_minus, freq_plus) of T - t0 given {X > x}.
 
     Draws n accepted pairs under unrestricted conditioning; pairs with
     T exactly at t0 count as plus. Needs a two-sided model.
-    ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
     cond = _model.Condition.UNRESTRICTED
     if len(mdl.sides(cond)) != 2:

@@ -220,7 +220,6 @@ def convergence_report(
     *,
     noise: float = 0.01,
     bins: int = 12,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Distances between conditional samples and the exact limit along x.
 
@@ -231,8 +230,6 @@ def convergence_report(
     rate, and the quadrature/asymptotic tail ratio, formed from the forms
     scaled by 1/Hbar(x) so that it stays finite where Hbar(x) underflows.
     Deterministic given (model, x_grid, n, seed, condition).
-    ``workers`` is accepted and ignored, as in
-    ``montecarlo.sample_conditional``.
     """
     xs = [float(v) for v in x_grid]
     if not xs:

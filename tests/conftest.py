@@ -37,6 +37,19 @@ ASYM_CONFIG = {
     "shape_u.kappa_plus": 2.0,
 }
 
+# kappa = (1, 2) with tau = (-0.5, 0): the exponents (1 + tau) / kappa tie at
+# 1/2, so both sides keep mass in the limit while phi_minus << phi_plus
+TIED_CONFIG = {
+    "radial.family": "exponential",
+    "angular.family": "asymmetric_power",
+    "angular.tau_minus": -0.5,
+    "angular.tau_plus": 0.0,
+    "angular.weight_plus": 0.5,
+    "angular.halfwidth": 1.0,
+    "shape_u.kappa_minus": 1.0,
+    "shape_u.kappa_plus": 2.0,
+}
+
 
 def tail_sweep():
     """(SWEEP_MODELS, LADDER) of the benchmark's tail-sweep workload: seven

@@ -21,8 +21,6 @@ from polartail import (
     compute_normalizers,
     compute_phi,
     limit_law,
-    mixture_limits,
-    mixture_p,
     tail_asymptotic,
     tail_probability_quadrature,
     validate_model,
@@ -210,29 +208,22 @@ def test_phi_minus_side_of_one_sided_model_rejected():
         compute_phi(mdl, 50.0, side="-")
 
 
-def test_mixture_limits_symmetric_model(f1_model):
-    assert mixture_limits(f1_model) == (0.5, 0.5, False)
+def _p(mdl):
+    law = limit_law(mdl, Condition.UNRESTRICTED)
+    return law.p_minus, law.p_plus
 
 
-def test_mixture_limits_faster_side_takes_all(asym_model):
+def test_limit_law_p_symmetric_model(f1_model):
+    assert _p(f1_model) == (0.5, 0.5)
+
+
+def test_limit_law_p_faster_side_takes_all(asym_model):
     # kappa_- = 1 has exponent e_- = 1, kappa_+ = 2 has e_+ = 1/2; the
     # smaller exponent side dominates the mixture entirely
-    assert mixture_limits(asym_model) == (0.0, 1.0, False)
+    assert _p(asym_model) == (0.0, 1.0)
 
 
-def test_mixture_limits_one_sided_model():
-    mdl = build_builtin_model(
-        {
-            "radial.family": "exponential",
-            "angular.halfwidth": 1.0,
-            "angular.halfwidth_minus": 0.0,
-            "shape_u.kappa": 2.0,
-        }
-    )
-    assert mixture_limits(mdl) == (0.0, 1.0, False)
-
-
-def test_mixture_limits_tied_exponent_splits_by_weight():
+def test_limit_law_p_tied_exponent_splits_by_weight():
     mdl = build_builtin_model(
         {
             "radial.family": "exponential",
@@ -244,10 +235,9 @@ def test_mixture_limits_tied_exponent_splits_by_weight():
             "shape_u.kappa": 2.0,
         }
     )
-    p_m, p_p, is_estimate = mixture_limits(mdl)
+    p_m, p_p = _p(mdl)
     assert p_p == pytest.approx(0.75, rel=1e-12)
     assert p_m == pytest.approx(0.25, rel=1e-12)
-    assert not is_estimate
 
 
 def test_limit_law_picks_the_law_and_its_weights(asym_model):
@@ -268,10 +258,10 @@ def test_limit_law_picks_the_law_and_its_weights(asym_model):
     both = limit_law(asym_model, Condition.UNRESTRICTED)
     assert type(both) is LimitLawTwoSided
     assert (both.kappa_minus, both.kappa_plus, both.tau_minus, both.tau_plus) == (1.0, 2.0, 0.0, 0.0)
-    assert (both.p_minus, both.p_plus) == mixture_limits(asym_model)[:2]
+    assert (both.p_minus, both.p_plus) == (0.0, 1.0)
 
 
-def test_mixture_p_numeric_matches_closed_form():
+def test_limit_law_grid_p_matches_closed_form():
     # same density as the tied-weight builtin, fed in as raw callables so
     # the closed form is unavailable and the grid estimate must be used
     def density(t):
@@ -294,14 +284,12 @@ def test_mixture_p_numeric_matches_closed_form():
         family_tag="custom",
     )
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
-    est = mixture_p(mdl, "+")
-    assert est.value == pytest.approx(0.75, abs=1e-3)
-    _, p_p, is_estimate = mixture_limits(mdl)
-    assert is_estimate
+    p_m, p_p = _p(mdl)
     assert p_p == pytest.approx(0.75, abs=1e-3)
+    assert p_m == pytest.approx(1.0 - p_p, abs=1e-15)
 
 
-def test_mixture_p_oscillating_shape_never_settles():
+def test_limit_law_grid_p_oscillating_shape_never_settles():
     def osc(t):
         t = np.asarray(t, dtype=float)
         s = np.abs(t)
@@ -319,21 +307,8 @@ def test_mixture_p_oscillating_shape_never_settles():
     mdl = PolarModel(
         radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su
     )
-    with pytest.raises(NonConvergence):
-        mixture_p(mdl, "+", x_grid=np.geomspace(10.0, 1e6, 7))
-
-
-def test_mixture_p_one_sided_model_rejected():
-    mdl = build_builtin_model(
-        {
-            "radial.family": "exponential",
-            "angular.halfwidth": 1.0,
-            "angular.halfwidth_minus": 0.0,
-            "shape_u.kappa": 2.0,
-        }
-    )
-    with pytest.raises(ParameterError):
-        mixture_p(mdl, "+")
+    with pytest.raises(NonConvergence, match="p still moves"):
+        limit_law(mdl, Condition.UNRESTRICTED, 10.0)
 
 
 def test_compute_normalizers_benchmark(f1_model):
@@ -353,7 +328,7 @@ def test_limit_law_closed_form_skips_the_grid_estimate(f1_model, monkeypatch):
     def grid_estimate(*args, **kwargs):
         raise AssertionError("closed-form p needs no anchor grid")
 
-    monkeypatch.setattr(asymptotics, "mixture_p", grid_estimate)
+    monkeypatch.setattr(asymptotics, "_grid_p", grid_estimate)
     law = limit_law(f1_model, Condition.UNRESTRICTED, 100.0)
     assert (law.p_minus, law.p_plus) == (0.5, 0.5)
 
@@ -380,7 +355,7 @@ def test_compute_normalizers_solves_only_the_windows(slow_p_model, monkeypatch):
 def test_limit_law_estimates_p_from_x_for_custom_models(slow_p_model):
     # the windows are about equal at x = 20, so p_plus still climbs
     # from 1/2 towards 1 along x = 20 .. 2000; from x = 200 on it has settled
-    with pytest.raises(NonConvergence, match="mixture_p"):
+    with pytest.raises(NonConvergence, match="p still moves"):
         limit_law(slow_p_model, Condition.UNRESTRICTED, 20.0)
     law = limit_law(slow_p_model, Condition.UNRESTRICTED, 200.0)
     assert law.p_plus > 0.99

@@ -1,8 +1,21 @@
 """Command line interface: exit codes, CSV shape, and determinism."""
 
+import numpy as np
 import pytest
 
-from polartail.cli import main
+from polartail import (
+    Condition,
+    ConfigError,
+    bivariate_normalized,
+    build_builtin_model,
+    density_two_sided,
+    limit_law,
+    sample_conditional,
+    validate_model,
+)
+from polartail.cli import _case_from_model, main
+
+from conftest import F1_CONFIG, TIED_CONFIG
 
 F1_TEXT = """\
 # benchmark model
@@ -271,6 +284,38 @@ def test_limit_sample_case_pushforward(f1_cfg, tmp_path, capsys):
     assert all(float(r.split(",")[0]) > 0.0 for r in rows[1:])
 
 
+# every builtin second shape on u = 1 - t^2 (kappa = 2), with the case of
+# the regime its delta, rho and factorization put it in
+@pytest.mark.parametrize("extra, kind", [
+    ({"shape_v.family": "sine"}, "fs"),
+    ({"shape_v.family": "seifert_linear", "shape_v.rho": 0.0}, "seifert"),
+    ({"shape_v.family": "seifert_linear", "shape_v.rho": 0.3}, "seifert"),
+    ({"shape_v.family": "power_v", "shape_v.delta": 1.0}, "fs"),
+    ({"shape_v.family": "power_v", "shape_v.delta": 2.0, "shape_v.rho": 0.5}, "ratio_c"),
+    ({"shape_v.family": "power_v", "shape_v.delta": 3.0, "shape_v.rho": 0.5},
+     "delta_gt_kappa"),
+    ({"shape_v.family": "theta_polynomial", "shape_v.n": 1, "shape_v.deriv": 1.0},
+     "theta_n"),
+    ({"shape_v.family": "theta_polynomial", "shape_v.n": 2, "shape_v.rho": 0.5,
+      "shape_v.deriv": 2.0}, "theta_n"),
+    ({"shape_v.family": "theta_polynomial", "shape_v.n": 3, "shape_v.deriv": 1.0},
+     "theta_n"),
+], ids=lambda v: v.get("shape_v.family") if isinstance(v, dict) else v)
+def test_second_shape_validates_and_fits_its_case(extra, kind):
+    mdl = build_builtin_model(dict(F1_CONFIG, **extra))
+    assert validate_model(mdl).passed
+    case = _case_from_model(mdl, kind)
+    sample = sample_conditional(mdl, 50.0, 200, Condition.RIGHT_SIDED, seed=1)
+    first, second = bivariate_normalized(mdl, case, sample)
+    assert np.all(first > 0.0) and np.all(np.isfinite(second))
+
+
+def test_second_shape_order_must_be_an_integer():
+    with pytest.raises(ConfigError, match="shape_v.n"):
+        build_builtin_model(dict(F1_CONFIG, **{
+            "shape_v.family": "theta_polynomial", "shape_v.n": "1.5", "shape_v.deriv": 1.0}))
+
+
 def test_limit_sample_case_refuses_unrestricted_condition(f1_cfg, tmp_path, capsys):
     # the case maps push forward the right-sided limit only
     p = tmp_path / "seif.cfg"
@@ -318,6 +363,20 @@ def test_density_grid_masses(f1_cfg, capsys):
     vals = [float(r.split(",")[2]) for r in rows[1:]]
     assert max(vals) > 0.0
     assert min(vals) >= 0.0
+
+
+def test_density_unrestricted_is_the_two_sided_limit(tmp_path, capsys):
+    p = tmp_path / "tied.cfg"
+    p.write_text("".join(f"{k} = {v}\n" for k, v in TIED_CONFIG.items()))
+    code = main(["density", "--config", str(p), "--n", "9", "--condition", "unrestricted"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+    assert rows[0] == "r,t,density"
+    r, t, dens = np.array([[float(v) for v in row.split(",")] for row in rows[1:]]).T
+    assert np.any(t < 0.0) and np.any(dens[t < 0.0] > 0.0)
+    law = limit_law(build_builtin_model(TIED_CONFIG), Condition.UNRESTRICTED)
+    assert dens.tolist() == density_two_sided(law, r, t).tolist()
 
 
 def test_verify_small_grid_passes_with_loose_tolerances(f1_cfg, tmp_path, capsys):

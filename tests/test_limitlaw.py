@@ -25,7 +25,6 @@ from polartail import (
     LimitLawOneSided,
     LimitLawTwoSided,
     ParameterError,
-    SignLaw,
     cdf_one_sided,
     cdf_two_sided,
     density_normalization,
@@ -35,7 +34,6 @@ from polartail import (
     pushforward_corollary,
     sample_one_sided,
     sample_two_sided,
-    sign_probability,
 )
 
 SAMPLER_CASES = ((2.0, 0.0), (1.0, 1.0), (0.5, -0.5))
@@ -140,24 +138,27 @@ def test_gamma_overflow_is_a_parameter_error():
     with pytest.raises(ParameterError, match="overflows"):
         LimitLawOneSided(kappa=0.005, tau=0.0)
     with pytest.raises(ParameterError, match="overflows"):
-        sign_probability((0.005, 2.0), (0.0, 0.0), (0.5, 0.5))
+        LimitLawTwoSided(kappa_minus=0.005, kappa_plus=2.0, tau_minus=0.0,
+                         tau_plus=0.0, p_minus=0.5, p_plus=0.5)
     assert math.isfinite(LimitLawOneSided(kappa=1.0, tau=170.0).norm_const)
+    # e = 171 is in range, but the sign weight Gamma(e) / kappa is not
+    with pytest.raises(ParameterError, match="sign law"):
+        LimitLawTwoSided(kappa_minus=0.01, kappa_plus=0.01, tau_minus=0.71,
+                         tau_plus=0.71, p_minus=0.5, p_plus=0.5)
 
 
-def test_sign_law_must_sum_to_one():
-    with pytest.raises(ParameterError):
-        SignLaw(prob_plus=0.6, prob_minus=0.5)
+def _sign_plus(kappa, p):
+    return LimitLawTwoSided(kappa_minus=kappa[0], kappa_plus=kappa[1], tau_minus=0.0,
+                            tau_plus=0.0, p_minus=p[0], p_plus=p[1]).prob_plus
 
 
-def test_sign_probability_reference_value():
+def test_sign_law_reference_value():
     # kappa = (1, 2), tau = (0, 0), equal angular weights: the plus side
     # carries Gamma(1/2)/2 against Gamma(1)/1 on the minus side
-    law = sign_probability((1.0, 2.0), (0.0, 0.0), (0.5, 0.5))
-    assert law.prob_plus == pytest.approx(0.46984109573138114992, rel=1e-13)
-    sym = sign_probability((2.0, 2.0), (0.0, 0.0), (0.5, 0.5))
-    assert sym.prob_plus == pytest.approx(0.5, rel=1e-14)
-    degenerate = sign_probability((1.0, 2.0), (0.0, 0.0), (0.0, 1.0))
-    assert degenerate.prob_plus == 1.0
+    assert _sign_plus((1.0, 2.0), (0.5, 0.5)) == pytest.approx(
+        0.46984109573138114992, rel=1e-13)
+    assert _sign_plus((2.0, 2.0), (0.5, 0.5)) == pytest.approx(0.5, rel=1e-14)
+    assert _sign_plus((1.0, 2.0), (0.0, 1.0)) == 1.0
 
 
 def test_normalization_one_sided_spot_checks():
@@ -340,7 +341,7 @@ def test_two_sided_sampler_sign_frequency():
     r, t = sample_two_sided(law, n, seed=5)
     assert np.all(r > 0.0)
     freq = np.mean(t > 0.0)
-    p = law.sign_law.prob_plus
+    p = law.prob_plus
     assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
     # each side restricted to its sign obeys the support constraint
     assert np.all(r[t > 0] > t[t > 0] ** 2)

@@ -28,25 +28,12 @@ from polartail import (
 
 from polartail import montecarlo
 from polartail._seeding import batch_generator
-from conftest import ASYM_CONFIG, F1_CONFIG
+from conftest import ASYM_CONFIG, F1_CONFIG, TIED_CONFIG
 
 F1_TAIL_X5 = 1.1844109244600762683e-3
 F1_TAIL_X10 = 5.9549152101336907609e-6
 F1_SCALED_X50 = 0.061759062081107046527
 ASYM_FREQ_PLUS_X100 = 0.8994182080425657918
-
-# kappa = (1, 2) with tau = (-0.5, 0): the exponents (1 + tau) / kappa tie at
-# 1/2, so both sides keep mass in the limit while phi_minus << phi_plus
-TIED_CONFIG = {
-    "radial.family": "exponential",
-    "angular.family": "asymmetric_power",
-    "angular.tau_minus": -0.5,
-    "angular.tau_plus": 0.0,
-    "angular.weight_plus": 0.5,
-    "angular.halfwidth": 1.0,
-    "shape_u.kappa_minus": 1.0,
-    "shape_u.kappa_plus": 2.0,
-}
 
 
 def test_accepted_pairs_satisfy_the_event(f1_model):
@@ -118,6 +105,16 @@ def test_estimator_agrees_with_quadrature(f1_model):
     est, se = estimate_tail_probability(f1_model, 10.0, 1_000_000, seed=17)
     assert se > 0.0
     assert abs(est - F1_TAIL_X10) <= 4.0 * se
+
+
+@pytest.mark.parametrize("cond", list(Condition))
+@pytest.mark.parametrize("x", [10.0, 100.0])
+def test_estimator_agrees_with_quadrature_on_the_tied_model(x, cond):
+    # the estimator's whole-support plan draws T by asymmetric_power's own sampler
+    mdl = build_builtin_model(TIED_CONFIG)
+    est, se = estimate_tail_probability(mdl, x, 2 ** 20, cond, seed=19)
+    assert se > 0.0
+    assert abs(est - tail_probability_quadrature(mdl, x, cond).value) <= 5.0 * se
 
 
 def test_estimator_coverage_over_many_seeds(f1_model):
@@ -213,6 +210,26 @@ def test_infeasible_threshold_fails_before_sampling(f1_model):
 
     with pytest.raises(BracketError):
         sample_conditional(f1_model, 2.0, 100, Condition.RIGHT_SIDED, seed=1)
+
+
+def test_right_sided_draw_needs_no_minus_window():
+    from polartail import BracketError
+
+    # the minus side is too narrow for a window at x = 100; the plus side is not
+    mdl = build_builtin_model({
+        "radial.family": "exponential",
+        "angular.halfwidth": 1.0,
+        "angular.halfwidth_minus": 0.1,
+        "shape_u.kappa": 2.0,
+    })
+    s = sample_conditional(mdl, 100.0, 1000, Condition.RIGHT_SIDED, seed=1)
+    assert s.n == 1000 and np.all(s.t > mdl.t0)
+    assert s.normalizers.phi_plus == pytest.approx(0.1, rel=1e-10)
+    assert s.normalizers.phi_minus is None
+    with pytest.raises(BracketError, match="side '-'"):
+        sample_conditional(mdl, 100.0, 1000, Condition.UNRESTRICTED, seed=1)
+    with pytest.raises(BracketError, match="side '-'"):
+        compute_normalizers(mdl, 100.0)
 
 
 def test_seed_type_is_checked(f1_model):
