@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp_special
 
 from . import oracle as _oracle
 from ._seeding import make_generator
@@ -127,17 +126,17 @@ class LimitLawTwoSided:
             raise ParameterError(
                 f"mixture weights must sum to 1, got {self.p_minus + self.p_plus}"
             )
-        # with the sides checked, Gamma is finite, so a side with p = 0 weighs 0
-        w_m = (self.p_minus / self.kappa_minus) * math.gamma(
-            (1.0 + self.tau_minus) / self.kappa_minus)
-        w_p = (self.p_plus / self.kappa_plus) * math.gamma(
-            (1.0 + self.tau_plus) / self.kappa_plus)
+        # log weights, since (p / kappa) Gamma(e) overflows for small kappa
+        # even where the ratio of the sides is 1; a side with p = 0 weighs 0
+        log_w = [
+            math.log(p / kappa) + math.lgamma((1.0 + tau) / kappa) if p > 0 else -math.inf
+            for p, kappa, tau in ((self.p_minus, self.kappa_minus, self.tau_minus),
+                                  (self.p_plus, self.kappa_plus, self.tau_plus))
+        ]
+        # normalized by the larger weight, finite because p_minus + p_plus = 1
+        top = max(log_w)
+        w_m, w_p = (math.exp(w - top) for w in log_w)
         total = w_m + w_p
-        if not 0.0 < total < math.inf:
-            raise ParameterError(
-                f"sign law undefined: the side weights (p / kappa) Gamma((1 + tau) / kappa) "
-                f"sum to {total}"
-            )
         object.__setattr__(self, "prob_minus", w_m / total)
         object.__setattr__(self, "prob_plus", w_p / total)
 
@@ -194,6 +193,10 @@ def cdf_one_sided(law: LimitLawOneSided, r, t):
     recurrence, which stays finite where e^{-r} m^{1+tau} would be 0 * inf.
     Both r and t may be +inf: F(r, inf) = P(e + 1, r), F(inf, t) = P(e, t^kappa).
     """
+    # scipy.special costs more to import than the rest of the package, so
+    # it is imported where a special function is evaluated, not at the top
+    from scipy import special as sp_special
+
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     r, t = np.broadcast_arrays(r, t)

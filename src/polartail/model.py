@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import special as sp_special
 
 from .errors import ConfigError, ParameterError, UnknownFamilyError
 
@@ -348,6 +347,10 @@ def _radial_weibull(beta: float) -> RadialLaw:
 
 
 def _radial_half_normal() -> RadialLaw:
+    # scipy.special costs more to import than the rest of the package, so
+    # it is imported where a special function is evaluated, not at the top
+    from scipy import special as sp_special
+
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     log2 = math.log(2.0)
     mills_scale = math.sqrt(math.pi / 2.0)

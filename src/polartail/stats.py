@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp_special
 
 from . import asymptotics as _asymptotics
 from . import limitlaw as _limitlaw
@@ -42,20 +41,31 @@ __all__ = [
 
 
 def _ks_pvalue(d: float, effective_n: float) -> float:
+    # scipy.special costs more to import than the rest of the package, so
+    # it is imported where a special function is evaluated, not at the top
+    from scipy import special as sp_special
+
     en = math.sqrt(effective_n)
     return float(sp_special.kolmogorov((en + 0.12 + 0.11 / en) * d))
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
-    """Sup distance of two empirical CDFs with an asymptotic p-value."""
+    """Sup distance of two empirical CDFs with an asymptotic p-value.
+
+    Both CDFs are step functions that only jump at sample points, so the
+    sup is reached where one sample's CDF steps: at the last point of one
+    of its tie groups. There its own CDF is that point's index + 1 over
+    its size, and only the other sample needs a search.
+    """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.size == 0 or b.size == 0:
         raise ParameterError("ks_two_sample needs two nonempty samples")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    d = 0.0
+    for own, other in ((a, b), (b, a)):
+        ends = np.flatnonzero(np.append(own[1:] != own[:-1], True))
+        gap = (ends + 1) / own.size - np.searchsorted(other, own[ends], side="right") / other.size
+        d = max(d, float(np.max(np.abs(gap))))
     return d, _ks_pvalue(d, a.size * b.size / (a.size + b.size))
 
 
@@ -167,6 +177,8 @@ def chi_square_2d(pairs, binning, masses, *,
     dof = terms - 1
     if dof < 1:
         raise ParameterError("degenerate binning: fewer than two comparable bins")
+    from scipy import special as sp_special
+
     p = float(sp_special.gammaincc(dof / 2.0, stat / 2.0))
     return stat, float(dof), p
 

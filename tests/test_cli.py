@@ -1,4 +1,9 @@
-"""Command line interface: exit codes, CSV shape, and determinism."""
+"""Command line interface: exit codes, CSV shape, determinism, and cold start."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,3 +412,23 @@ def test_unknown_command_is_usage_error(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+# fresh process: which scipy modules a CLI start and the README model's
+# checks load, then whether a half-normal model loads scipy.special
+COLD_START = f"""
+import sys
+import polartail, polartail.cli
+assert polartail.validate_model(polartail.build_builtin_model({F1_CONFIG!r})).passed
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+polartail.build_builtin_model({{**{F1_CONFIG!r}, "radial.family": "half_normal"}})
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_cold_start_loads_scipy_only_for_special_functions():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]

@@ -141,10 +141,14 @@ def test_gamma_overflow_is_a_parameter_error():
         LimitLawTwoSided(kappa_minus=0.005, kappa_plus=2.0, tau_minus=0.0,
                          tau_plus=0.0, p_minus=0.5, p_plus=0.5)
     assert math.isfinite(LimitLawOneSided(kappa=1.0, tau=170.0).norm_const)
-    # e = 171 is in range, but the sign weight Gamma(e) / kappa is not
-    with pytest.raises(ParameterError, match="sign law"):
-        LimitLawTwoSided(kappa_minus=0.01, kappa_plus=0.01, tau_minus=0.71,
-                         tau_plus=0.71, p_minus=0.5, p_plus=0.5)
+    # e = 171 is in range, and the sign law is formed from log weights,
+    # although each weight Gamma(e) / kappa overflows a double
+    assert LimitLawTwoSided(kappa_minus=0.01, kappa_plus=0.01, tau_minus=0.71,
+                            tau_plus=0.71, p_minus=0.5, p_plus=0.5).prob_plus == 0.5
+    # Gamma(171) / Gamma(170) = 170
+    assert LimitLawTwoSided(kappa_minus=0.01, kappa_plus=0.01, tau_minus=0.70,
+                            tau_plus=0.71, p_minus=0.5, p_plus=0.5).prob_plus == pytest.approx(
+        170.0 / 171.0, rel=1e-13)
 
 
 def _sign_plus(kappa, p):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import special
+from scipy import special, stats
 
 from polartail import (
     Condition,
@@ -94,6 +94,39 @@ def test_ks_two_sample_invariant_under_monotone_map(a, b):
     s1, _ = ks_two_sample(a, b)
     s2, _ = ks_two_sample(2.0 * a, 2.0 * b)
     assert s1 == s2
+
+
+def _ks_pooled_grid(a, b):
+    # both empirical CDFs at every point of the pooled sample
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
+
+
+@given(
+    st.integers(1, 60), st.integers(1, 60), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_ks_two_sample_matches_pooled_grid(n, m, tied, seed):
+    rng = np.random.default_rng(seed)
+    if tied:
+        a = rng.integers(0, 8, n).astype(float)
+        b = rng.integers(0, 8, m).astype(float)
+    else:
+        a = rng.normal(size=n)
+        b = rng.normal(0.3, 1.5, size=m)
+    assert ks_two_sample(a, b)[0] == _ks_pooled_grid(a, b)
+
+
+def test_ks_two_sample_matches_scipy_statistic():
+    rng = np.random.default_rng(17)
+    for a, b in ((rng.exponential(size=5000), rng.exponential(1.05, size=3000)),
+                 (rng.integers(0, 30, 4000).astype(float),
+                  rng.integers(0, 31, 2500).astype(float))):
+        assert ks_two_sample(a, b)[0] == pytest.approx(
+            stats.ks_2samp(a, b).statistic, rel=1e-12, abs=1e-15)
 
 
 def test_ks_one_sample_single_median_point():
