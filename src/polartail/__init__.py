@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 from .asymptotics import (
     Normalizers,
@@ -37,7 +37,6 @@ from .limitlaw import (
     cdf_two_sided,
     density_one_sided,
     density_two_sided,
-    normalization_support,
     pushforward_corollary,
     sample_one_sided,
     sample_two_sided,
@@ -66,12 +65,9 @@ from .montecarlo import (
     sample_conditional,
 )
 from .oracle import (
-    PlanarSupport,
     QuadratureResult,
     adaptive_quadrature,
-    density_normalization,
     scaled_tail_quadrature,
-    small_t_mass_check,
     tail_probability_quadrature,
 )
 from .stats import (
@@ -104,7 +100,6 @@ __all__ = [
     "Normalizers",
     "ParameterError",
     "PhiRoot",
-    "PlanarSupport",
     "PolarModel",
     "PolarTailError",
     "QuadratureResult",
@@ -124,7 +119,6 @@ __all__ = [
     "compute_normalizers",
     "compute_phi",
     "convergence_report",
-    "density_normalization",
     "density_one_sided",
     "density_two_sided",
     "empirical_sign_freq",
@@ -133,14 +127,12 @@ __all__ = [
     "ks_two_sample",
     "limit_law",
     "load_config",
-    "normalization_support",
     "parse_config_text",
     "pushforward_corollary",
     "sample_conditional",
     "sample_one_sided",
     "sample_two_sided",
     "scaled_tail_quadrature",
-    "small_t_mass_check",
     "tail_asymptotic",
     "tail_probability_quadrature",
     "validate_model",

@@ -109,7 +109,7 @@ def _side_reach(mdl: _model.PolarModel, sgn: int) -> float:
     """Half the distance from t0 to the support edge on side ``sgn``."""
     widths = dict(mdl.sides(_model.Condition.UNRESTRICTED))
     if sgn not in widths:
-        raise ParameterError("side '-' is not available on a one_sided_right model")
+        raise ParameterError("side '-' is not available: the angular support has no minus side")
     return widths[sgn] / 2.0
 
 

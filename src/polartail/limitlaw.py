@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import oracle as _oracle
 from ._seeding import make_generator
 from .errors import ParameterError
 
@@ -55,7 +54,6 @@ __all__ = [
     "sample_one_sided",
     "sample_two_sided",
     "pushforward_corollary",
-    "normalization_support",
 ]
 
 
@@ -233,36 +231,6 @@ def cdf_two_sided(law: LimitLawTwoSided, r, t):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def normalization_support(law) -> _oracle.PlanarSupport:
-    """Integration region for checking that a limit density has mass 1.
-
-    The r direction is handled by the quadrature's own substitution; this
-    picks the t interval wide enough that the truncated tail mass is below
-    1e-15 (the t marginal decays like e^{-t^kappa}).
-    """
-    reach = -math.log(1e-16)
-    if isinstance(law, LimitLawOneSided):
-        t_hi = reach ** (1.0 / law.kappa)
-        return _oracle.PlanarSupport(
-            t_lo=0.0, t_hi=t_hi,
-            r_lower=lambda t: np.abs(t) ** law.kappa,
-        )
-    if isinstance(law, LimitLawTwoSided):
-        t_hi = reach ** (1.0 / law.kappa_plus)
-        t_lo = -(reach ** (1.0 / law.kappa_minus))
-        kappa_m, kappa_p = law.kappa_minus, law.kappa_plus
-
-        def r_lower(t):
-            t = np.asarray(t, dtype=float)
-            k = np.where(t >= 0, kappa_p, kappa_m)
-            return np.abs(t) ** k
-
-        return _oracle.PlanarSupport(
-            t_lo=t_lo, t_hi=t_hi, r_lower=r_lower, t_breakpoints=(0.0,),
-        )
-    raise ParameterError(f"unsupported law type {type(law).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,8 @@ def estimate_tail_probability(
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
     ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
+    if not x >= 0:
+        raise ParameterError(f"estimate_tail_probability: x must be >= 0, got {x}")
     if n_proposals < 1:
         raise ParameterError(f"n_proposals must be >= 1, got {n_proposals}")
     if batch_size < 1:

@@ -21,12 +21,7 @@ the package. It provides
   keeps its digits where Hbar(x) underflows and where 1 - u at the window
   is far below double resolution (x up to 1e12 and beyond);
 * ``tail_probability_quadrature`` -- the same probability unscaled,
-  Hbar(x) times the scaled integral;
-* ``density_normalization`` -- 2-D integrals of limit densities, with the
-  unbounded r direction mapped to (0, 1) by r = r0 - log(1 - w);
-* ``small_t_mass_check``   -- the near-center angular mass
-  P{0 < T - t0 <= theta * phi(x)} against its first order approximation
-  phi(x) g(t0 + phi(x)) theta^(1+tau) / (1+tau).
+  Hbar(x) times the scaled integral.
 
 All integrands handed to the quadrature routines must accept numpy arrays.
 Endpoint singularities of the form t^tau with tau in (-1, 0) are integrable
@@ -47,12 +42,9 @@ from .errors import BracketError, MonotonicityError, NonConvergence, ParameterEr
 
 __all__ = [
     "QuadratureResult",
-    "PlanarSupport",
     "adaptive_quadrature",
     "tail_probability_quadrature",
     "scaled_tail_quadrature",
-    "density_normalization",
-    "small_t_mass_check",
 ]
 
 
@@ -310,127 +302,3 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
         error += res.abs_error_estimate
         evaluations += res.evaluations
     return QuadratureResult(value, error, evaluations, True)
-
-
-# ---------------------------------------------------------------------------
-# 2-D normalization integrals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanarSupport:
-    """Integration region {(r, t): t in [t_lo, t_hi], r > r_lower(t)}.
-
-    ``r_lower`` must accept an ndarray of t values. ``t_breakpoints``
-    marks kinks of the t cross-section (typically t = 0 where a power
-    t^tau is singular or the per-sign exponent switches).
-    """
-
-    t_lo: float
-    t_hi: float
-    r_lower: Callable[[np.ndarray], np.ndarray]
-    t_breakpoints: tuple[float, ...] = ()
-
-
-def density_normalization(
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    support: PlanarSupport,
-    *,
-    rel_tol: float = 1e-8,
-) -> QuadratureResult:
-    """Integrate density(r, t) over the region described by ``support``.
-
-    The inner r integral runs over (r_lower(t), infinity) through the
-    substitution r = r_lower(t) - log(1 - w), w in (0, 1), which turns any
-    e^{-r} factor into a constant in w and makes a single Kronrod panel
-    nearly exact. The outer t integral is adaptive with the declared
-    breakpoints.
-
-    ``density`` must be vectorized in both arguments.
-    """
-    if not (support.t_hi > support.t_lo):
-        raise ParameterError("density_normalization: empty t interval")
-
-    inner_rel = min(rel_tol, 1e-9)
-    inner_evals = 0
-    worst_inner_rel = 0.0
-
-    def outer_integrand(ts):
-        nonlocal inner_evals, worst_inner_rel
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            r0 = float(np.asarray(support.r_lower(np.array([t])))[0])
-
-            def inner(w, t=t, r0=r0):
-                w = np.asarray(w, dtype=float)
-                r = r0 - np.log1p(-w)
-                return np.asarray(density(r, np.full_like(r, t)), dtype=float) / (1.0 - w)
-
-            res = adaptive_quadrature(inner, 0.0, 1.0, rel_tol=inner_rel, abs_tol=1e-300, max_panels=200)
-            inner_evals += res.evaluations
-            if res.value != 0.0:
-                worst_inner_rel = max(worst_inner_rel, res.abs_error_estimate / abs(res.value))
-            out[i] = res.value
-        return out
-
-    res = adaptive_quadrature(
-        outer_integrand,
-        support.t_lo,
-        support.t_hi,
-        rel_tol=rel_tol,
-        abs_tol=0.0,
-        max_panels=2000,
-        breakpoints=support.t_breakpoints,
-    )
-    # The outer pass integrates inner values carrying relative error at
-    # most worst_inner_rel each, so their contribution scales with the
-    # integral itself, not with the width of the t interval.
-    total_err = res.abs_error_estimate + worst_inner_rel * abs(res.value)
-    converged = res.converged and total_err <= max(rel_tol * abs(res.value), 1e-10)
-    if not converged:
-        raise NonConvergence(
-            f"density_normalization: error estimate {total_err:.3e} stalled above tolerance"
-        )
-    return QuadratureResult(res.value, total_err, inner_evals, converged)
-
-
-# ---------------------------------------------------------------------------
-# Small-t mass estimate
-# ---------------------------------------------------------------------------
-
-
-def small_t_mass_check(mdl, theta: float, x: float) -> tuple[float, float, float]:
-    """Compare P{0 < T - t0 <= theta phi(x)} with its first order form.
-
-    Returns (lhs, rhs, ratio) where
-
-        lhs = integral of g over (t0, t0 + theta phi(x)],
-        rhs = phi(x) g(t0 + phi(x)) theta^(1+tau) / (1+tau),
-
-    tau being the right-side angular index. The ratio tends to 1 as x
-    grows by regular variation of g near t0; for exact power densities it
-    equals 1 at every feasible x.
-    """
-    from . import asymptotics
-
-    if not theta > 0:
-        raise ParameterError(f"small_t_mass_check: theta must be > 0, got {theta}")
-    tau = mdl.angular.tau_plus
-    if not tau > -1:
-        raise ParameterError(f"small_t_mass_check: tau_plus must exceed -1, got {tau}")
-    phi = asymptotics.compute_phi(mdl, x, "+").phi
-    t0 = mdl.angular.t0
-    upper = min(t0 + theta * phi, mdl.angular.support[1])
-    res = adaptive_quadrature(
-        lambda t: np.asarray(mdl.angular.density(np.asarray(t)), dtype=float),
-        t0,
-        upper,
-        rel_tol=1e-10,
-        abs_tol=1e-300,
-    )
-    lhs = res.value
-    g_at_phi = float(np.asarray(mdl.angular.g_tilde(np.array([phi])))[0])
-    rhs = phi * g_at_phi * theta ** (1.0 + tau) / (1.0 + tau)
-    ratio = lhs / rhs if rhs != 0 else math.inf
-    return lhs, rhs, ratio

@@ -3,19 +3,29 @@
 The benchmark model used throughout: Exp(1) radial, uniform angle on
 [-1, 1], u(t) = 1 - t^2, so phi(x) = x^(-1/2) and every tail quantity
 has a closed or high-precision reference value.
+
+The slow quadrature oracles that only tests need live here too:
+``cell_masses`` for 2-D cell masses, and ``density_normalization`` over a
+``normalization_support`` for the total mass of a limit density.
 """
 
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from polartail import (
     AngularLaw,
+    LimitLawOneSided,
+    LimitLawTwoSided,
     NonConvergence,
+    ParameterError,
     PolarModel,
+    QuadratureResult,
     ShapeU,
     adaptive_quadrature,
     build_builtin_model,
@@ -117,6 +127,112 @@ def cell_masses(density, binning, *, rel_tol: float = 1e-6) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PlanarSupport:
+    """Integration region {(r, t): t in [t_lo, t_hi], r > r_lower(t)}.
+
+    ``r_lower`` must accept an ndarray of t values. ``t_breakpoints``
+    marks kinks of the t cross-section (typically t = 0 where a power
+    t^tau is singular or the per-sign exponent switches).
+    """
+
+    t_lo: float
+    t_hi: float
+    r_lower: Callable[[np.ndarray], np.ndarray]
+    t_breakpoints: tuple[float, ...] = ()
+
+
+def density_normalization(
+    density: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    support: PlanarSupport,
+    *,
+    rel_tol: float = 1e-8,
+) -> QuadratureResult:
+    """Integrate density(r, t) over the region described by ``support``.
+
+    The inner r integral runs over (r_lower(t), infinity) through the
+    substitution r = r_lower(t) - log(1 - w), w in (0, 1), which turns any
+    e^{-r} factor into a constant in w and makes a single Kronrod panel
+    nearly exact. The outer t integral is adaptive with the declared
+    breakpoints.
+
+    ``density`` must be vectorized in both arguments.
+    """
+    if not (support.t_hi > support.t_lo):
+        raise ParameterError("density_normalization: empty t interval")
+
+    inner_rel = min(rel_tol, 1e-9)
+    inner_evals = 0
+    worst_inner_rel = 0.0
+
+    def outer_integrand(ts):
+        nonlocal inner_evals, worst_inner_rel
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        out = np.empty_like(ts)
+        for i, t in enumerate(ts):
+            r0 = float(np.asarray(support.r_lower(np.array([t])))[0])
+
+            def inner(w, t=t, r0=r0):
+                w = np.asarray(w, dtype=float)
+                r = r0 - np.log1p(-w)
+                return np.asarray(density(r, np.full_like(r, t)), dtype=float) / (1.0 - w)
+
+            res = adaptive_quadrature(inner, 0.0, 1.0, rel_tol=inner_rel, abs_tol=1e-300, max_panels=200)
+            inner_evals += res.evaluations
+            if res.value != 0.0:
+                worst_inner_rel = max(worst_inner_rel, res.abs_error_estimate / abs(res.value))
+            out[i] = res.value
+        return out
+
+    res = adaptive_quadrature(
+        outer_integrand,
+        support.t_lo,
+        support.t_hi,
+        rel_tol=rel_tol,
+        abs_tol=0.0,
+        max_panels=2000,
+        breakpoints=support.t_breakpoints,
+    )
+    # The outer pass integrates inner values carrying relative error at
+    # most worst_inner_rel each, so their contribution scales with the
+    # integral itself, not with the width of the t interval.
+    total_err = res.abs_error_estimate + worst_inner_rel * abs(res.value)
+    converged = res.converged and total_err <= max(rel_tol * abs(res.value), 1e-10)
+    if not converged:
+        raise NonConvergence(
+            f"density_normalization: error estimate {total_err:.3e} stalled above tolerance"
+        )
+    return QuadratureResult(res.value, total_err, inner_evals, converged)
+
+
+def normalization_support(law) -> PlanarSupport:
+    """Integration region for checking that a limit density has mass 1.
+
+    The r direction is handled by the quadrature's own substitution; this
+    picks the t interval wide enough that the truncated tail mass is below
+    1e-15 (the t marginal decays like e^{-t^kappa}).
+    """
+    reach = -math.log(1e-16)
+    if isinstance(law, LimitLawOneSided):
+        t_hi = reach ** (1.0 / law.kappa)
+        return PlanarSupport(
+            t_lo=0.0, t_hi=t_hi,
+            r_lower=lambda t: np.abs(t) ** law.kappa,
+        )
+    if isinstance(law, LimitLawTwoSided):
+        t_hi = reach ** (1.0 / law.kappa_plus)
+        t_lo = -(reach ** (1.0 / law.kappa_minus))
+        kappa_m, kappa_p = law.kappa_minus, law.kappa_plus
+
+        def r_lower(t):
+            t = np.asarray(t, dtype=float)
+            k = np.where(t >= 0, kappa_p, kappa_m)
+            return np.abs(t) ** k
+
+        return PlanarSupport(
+            t_lo=t_lo, t_hi=t_hi, r_lower=r_lower, t_breakpoints=(0.0,),
+        )
+    raise ParameterError(f"unsupported law type {type(law).__name__}")
 
 
 @pytest.fixture(scope="session")

@@ -30,12 +30,10 @@ from polartail import (
     LimitLawTwoSided,
     bivariate_normalized,
     convergence_report,
-    density_normalization,
     density_one_sided,
     density_two_sided,
     empirical_sign_freq,
     ks_two_sample,
-    normalization_support,
     pushforward_corollary,
     sample_conditional,
     sample_one_sided,
@@ -43,6 +41,9 @@ from polartail import (
     tail_probability_quadrature,
 )
 from polartail.cli import main as cli_main
+
+from conftest import density_normalization, normalization_support
+
 
 def _report(capfd, num, ok, detail):
     # fd-level capture would swallow a plain print even for the real

@@ -204,7 +204,7 @@ def test_phi_minus_side_of_one_sided_model_rejected():
             "shape_u.kappa": 2.0,
         }
     )
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="no minus side"):
         compute_phi(mdl, 50.0, side="-")
 
 

@@ -130,6 +130,14 @@ def test_tailprob_mc_requires_seed(f1_cfg, capsys):
     assert "--seed" in out.err
 
 
+def test_tailprob_mc_refuses_nan_x(f1_cfg, capsys):
+    code = main(["tailprob", "--config", f1_cfg, "--x", "nan", "--method", "mc", "--seed", "1",
+                 "--n", "1000"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "x must be >= 0" in out.err
+
+
 def test_x_and_x_grid_are_mutually_exclusive(f1_cfg, capsys):
     code = main(
         ["tailprob", "--config", f1_cfg, "--x", "10", "--x-grid", "10,20"]

@@ -27,14 +27,14 @@ from polartail import (
     ParameterError,
     cdf_one_sided,
     cdf_two_sided,
-    density_normalization,
     density_one_sided,
     density_two_sided,
-    normalization_support,
     pushforward_corollary,
     sample_one_sided,
     sample_two_sided,
 )
+
+from conftest import density_normalization, normalization_support
 
 SAMPLER_CASES = ((2.0, 0.0), (1.0, 1.0), (0.5, -0.5))
 CDF_CASES = ((2.0, 0.0), (1.0, 0.5), (3.0, -0.5), (0.5, 1.0))

@@ -338,11 +338,17 @@ def test_side_mass_inverse_round_trip(case):
 def test_side_mass_keeps_full_precision_next_to_t0(case):
     # a CDF difference F(t0 + s) - F(t0) would keep no digit of these masses
     ang = _angular(case, 0.25)
+    # at t0 = 0 the point t0 + sigma s is formed exactly, so the density
+    # there must match g_coeff s^tau to rounding
+    at_zero = _angular(case, 0.0)
     s = 1e-6
     for side, coeff, tau in ((-1, ang.g_coeff_minus, ang.tau_minus),
                              (1, ang.g_coeff_plus, ang.tau_plus)):
         mass = float(ang.side_mass(side, np.array([s]))[0])
         assert mass == pytest.approx(coeff * s ** (1.0 + tau) / (1.0 + tau), rel=1e-15, abs=0.0)
+        for d in (1e-6, 1e-3, 0.1, 0.5):
+            g = float(at_zero.density(np.array([side * d]))[0])
+            assert g == pytest.approx(coeff * d ** tau, rel=1e-15, abs=0.0), (side, d)
 
 
 

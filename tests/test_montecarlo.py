@@ -182,6 +182,12 @@ def test_negative_seeds_are_parameter_errors(f1_model):
         estimate_tail_probability(f1_model, 10.0, 100, seed=-3)
 
 
+def test_tail_estimate_refuses_nan_and_negative_x(f1_model):
+    for x in (math.nan, -1.0):
+        with pytest.raises(ParameterError, match="x must be >= 0"):
+            estimate_tail_probability(f1_model, x, 100, seed=1)
+
+
 def test_batch_size_is_part_of_the_stream(f1_model):
     a = sample_conditional(
         f1_model, 25.0, 2000, Condition.RIGHT_SIDED, seed=9, batch_size=512

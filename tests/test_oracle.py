@@ -15,15 +15,12 @@ from scipy import integrate
 from polartail import (
     AngularLaw,
     Condition,
-    ParameterError,
-    PlanarSupport,
     adaptive_quadrature,
-    build_builtin_model,
-    density_normalization,
     scaled_tail_quadrature,
-    small_t_mass_check,
     tail_probability_quadrature,
 )
+
+from conftest import PlanarSupport, density_normalization
 
 # (1/2) * integral_0^1 exp(-x / (1 - t^2)) dt
 F1_TAIL = {
@@ -290,29 +287,3 @@ def test_density_normalization_separable_product():
     res = density_normalization(lambda r, t: 0.5 * np.exp(-r), support)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-7)
-
-
-def test_small_t_mass_check_exact_for_uniform_angle(f1_model):
-    for theta, x in ((1.0, 100.0), (0.5, 50.0)):
-        lhs, rhs, ratio = small_t_mass_check(f1_model, theta, x)
-        assert lhs > 0.0 and rhs > 0.0
-        assert ratio == pytest.approx(1.0, rel=1e-10)
-
-
-def test_small_t_mass_check_exact_for_power_angle():
-    mdl = build_builtin_model(
-        {
-            "radial.family": "exponential",
-            "angular.family": "symmetric_power",
-            "angular.halfwidth": 1.0,
-            "angular.tau": 1.0,
-            "shape_u.kappa": 2.0,
-        }
-    )
-    lhs, rhs, ratio = small_t_mass_check(mdl, 1.0, 100.0)
-    assert ratio == pytest.approx(1.0, rel=1e-10)
-
-
-def test_small_t_mass_check_rejects_nonpositive_theta(f1_model):
-    with pytest.raises(ParameterError):
-        small_t_mass_check(f1_model, 0.0, 100.0)
