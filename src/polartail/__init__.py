@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .asymptotics import (
     Normalizers,
@@ -49,7 +49,6 @@ from .model import (
     RadialLaw,
     ShapeU,
     ShapeV,
-    ValidationGrid,
     ValidationReport,
     build_builtin_model,
     load_config,
@@ -108,7 +107,6 @@ __all__ = [
     "ShapeU",
     "ShapeV",
     "UnknownFamilyError",
-    "ValidationGrid",
     "ValidationReport",
     "adaptive_quadrature",
     "bivariate_normalized",

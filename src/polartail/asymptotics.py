@@ -72,13 +72,13 @@ class PhiRoot:
 
     ``residual`` is |u_tilde(sigma phi) x / psi(x) - 1| at the returned
     root and is guaranteed <= 1e-10; ``s_max`` is the bracket ceiling the
-    root had to lie below.
+    root had to lie below; ``side`` is sigma, +1 or -1.
     """
 
     phi: float
     residual: float
     s_max: float
-    side: str
+    side: int
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,12 @@ class Normalizers:
     residual_minus: float | None
 
 
-def _side_sign(side: str) -> int:
-    if side == "+":
-        return 1
-    if side == "-":
-        return -1
-    raise ParameterError(f"side must be '+' or '-', got {side!r}")
-
-
-def _side_reach(mdl: _model.PolarModel, sgn: int) -> float:
-    """Half the distance from t0 to the support edge on side ``sgn``."""
+def _side_reach(mdl: _model.PolarModel, side: int) -> float:
+    """Half the distance from t0 to the support edge on side +1 or -1."""
     widths = dict(mdl.sides(_model.Condition.UNRESTRICTED))
-    if sgn not in widths:
-        raise ParameterError("side '-' is not available: the angular support has no minus side")
-    return widths[sgn] / 2.0
+    if side not in widths:
+        raise ParameterError("side -1 is not available: the angular support has no minus side")
+    return widths[side] / 2.0
 
 
 def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -152,29 +144,29 @@ def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return best_y
 
 
-def _too_small(x: float, side: str, target: float, reached: float) -> BracketError:
+def _too_small(x: float, side: int, target: float, reached: float) -> BracketError:
     return BracketError(
-        f"x = {x:g} is too small on side {side!r}: needs deficit {target:.3g} "
+        f"x = {x:g} is too small on side {side:+d}: needs deficit {target:.3g} "
         f"but it reaches only {reached:.3g} within the bracket"
     )
 
 
-def _below_floor(x: float, side: str) -> BracketError:
-    return BracketError(f"x = {x:g} puts the root below the bracket floor on side {side!r}")
+def _below_floor(x: float, side: int) -> BracketError:
+    return BracketError(f"x = {x:g} puts the root below the bracket floor on side {side:+d}")
 
 
-def _grid_root(deficit, s_max: float, target: float, x: float, side: str) -> float:
+def _grid_root(deficit, s_max: float, target: float, x: float, side: int) -> float:
     """The window root by grid bracketing and a log-space secant (see ``compute_phi``)."""
     s_grid = np.maximum(s_max * _UNIT_GRID, _BRACKET_FLOOR)
     vals = deficit(s_grid)
     if not np.all(np.isfinite(vals)):
-        raise MonotonicityError(f"the deficit is not finite on the side {side!r} bracket")
+        raise MonotonicityError(f"the deficit is not finite on the side {side:+d} bracket")
     tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     drops = np.diff(vals) < -tol
     if np.any(drops):
         where = float(s_grid[1:][drops][0])
         raise MonotonicityError(
-            f"the deficit decreases near s = {where:.6g} on side {side!r}; "
+            f"the deficit decreases near s = {where:.6g} on side {side:+d}; "
             "the window equation needs an increasing deficit"
         )
 
@@ -205,12 +197,12 @@ def _grid_root(deficit, s_max: float, target: float, x: float, side: str) -> flo
     return math.exp(_log_secant(f, math.log(lo_s), math.log(hi_s), f_lo, f_hi))
 
 
-def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
-    """Solve deficit(sigma phi) x / psi(x) = 1.
+def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
+    """Solve deficit(sigma phi) x / psi(x) = 1 on side sigma = ``side``.
 
-    The bracket is (1e-14, s_max] with s_max half the distance from t0 to
-    the support edge on the requested side, keeping the search away from
-    boundary effects.
+    ``side`` is +1 or -1, as ``PolarModel.sides`` yields it. The bracket
+    is (1e-14, s_max] with s_max half the distance from t0 to the support
+    edge on that side, keeping the search away from boundary effects.
 
     When the shape has a closed-form ``ShapeU.deficit_inverse`` and
     declares u monotone over the whole bracket (``monotone_reach >=
@@ -229,12 +221,14 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
     root. Raises MonotonicityError if the grid finds the deficit not
     increasing on the bracket, BracketError if the target lies outside
     the reachable range (x too small for this model, or the root below
-    the floor), ParameterError for a bad x or psi(x) or the minus side
-    of a one-sided model, and NonConvergence if the residual at the root
-    exceeds 1e-10.
+    the floor), ParameterError for a side other than +1 or -1, the minus
+    side of a one-sided model or a bad x or psi(x), and NonConvergence if
+    the residual at the root exceeds 1e-10.
     """
-    sgn = _side_sign(side)
-    s_max = _side_reach(mdl, sgn)
+    if side not in (1, -1):
+        raise ParameterError(f"side must be +1 or -1, got {side!r}")
+    side = int(side)
+    s_max = _side_reach(mdl, side)
     if not (np.isfinite(x) and x > 0):
         raise ParameterError(f"x must be a positive finite number, got {x}")
 
@@ -245,19 +239,19 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
 
     if s_max <= _BRACKET_FLOOR:
         raise BracketError(
-            f"no room on side {side!r}: bracket ceiling {s_max:g} at or below the floor"
+            f"no room on side {side:+d}: bracket ceiling {s_max:g} at or below the floor"
         )
 
     su = mdl.shape_u
 
     def deficit(s):
-        return np.asarray(su.deficit(sgn, s), dtype=float)
+        return np.asarray(su.deficit(side, s), dtype=float)
 
     if su.deficit_inverse is not None and su.monotone_reach >= s_max:
         reached = float(deficit(np.array([s_max]))[0])
         if target > reached:
             raise _too_small(x, side, target, reached)
-        phi = float(np.asarray(su.deficit_inverse(sgn, np.array([target])), dtype=float)[0])
+        phi = float(np.asarray(su.deficit_inverse(side, np.array([target])), dtype=float)[0])
         if not (math.isfinite(phi) and phi >= _BRACKET_FLOOR):
             raise _below_floor(x, side)
     else:
@@ -266,7 +260,7 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: str = "+") -> PhiRoot:
     if not residual <= _RESIDUAL_TOL:
         raise NonConvergence(
             f"window root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g} "
-            f"on side {side!r} at x = {x:g}"
+            f"on side {side:+d} at x = {x:g}"
         )
     return PhiRoot(phi=phi, residual=residual, s_max=s_max, side=side)
 
@@ -299,8 +293,7 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
     ``residual_minus`` are None, so an unreachable minus window cannot
     fail an event that never uses it. Errors of ``compute_phi`` propagate.
     """
-    roots = {sgn: compute_phi(mdl, x, "+" if sgn > 0 else "-")
-             for sgn, _ in mdl.sides(condition)}
+    roots = {sgn: compute_phi(mdl, x, sgn) for sgn, _ in mdl.sides(condition)}
     root_p, root_m = roots[1], roots.get(-1)
     return Normalizers(
         x=x, psi_x=float(mdl.radial.aux_psi(x)),
@@ -312,7 +305,7 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
 
 def _window_mass(mdl: _model.PolarModel, x: float, sign: int) -> float:
     """phi_sigma g_tilde(sigma phi_sigma), the angular mass of one window at x."""
-    phi = compute_phi(mdl, x, "+" if sign > 0 else "-").phi
+    phi = compute_phi(mdl, x, sign).phi
     return phi * float(mdl.angular.g_tilde(sign * phi))
 
 

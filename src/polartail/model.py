@@ -44,7 +44,6 @@ __all__ = [
     "ShapeU",
     "ShapeV",
     "PolarModel",
-    "ValidationGrid",
     "CheckEntry",
     "ValidationReport",
     "build_builtin_model",
@@ -123,7 +122,6 @@ class AngularLaw:
     tau_plus: float
     support: tuple[float, float]
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    family_tag: str = "custom"
     g_coeff_minus: float | None = None
     g_coeff_plus: float | None = None
     side_mass: Callable[[int, np.ndarray], np.ndarray] | None = None
@@ -165,7 +163,6 @@ class ShapeU:
     t0: float
     kappa_minus: float
     kappa_plus: float
-    family_tag: str = "custom"
     u_coeff_minus: float | None = None
     u_coeff_plus: float | None = None
     monotone_reach: float = 0.0
@@ -214,7 +211,6 @@ class ShapeV:
     rho: float
     delta: float
     v_sign: str
-    family_tag: str = "custom"
     theta_n: int | None = None
     theta_n_deriv_at_t0: float | None = None
     ratio_c: float | None = None
@@ -444,7 +440,6 @@ def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
         tau_plus=0.0,
         support=(lo, hi),
         sample=lambda rng, n: rng.uniform(lo, hi, n),
-        family_tag="uniform",
         g_coeff_minus=g0 if w_minus > 0 else None,
         g_coeff_plus=g0,
         side_mass=side_mass,
@@ -476,7 +471,6 @@ def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
         tau_plus=tau,
         support=(t0 - width, t0 + width),
         sample=sample,
-        family_tag="symmetric_power",
         g_coeff_minus=coeff,
         g_coeff_plus=coeff,
         side_mass=side_mass,
@@ -523,7 +517,6 @@ def _angular_asymmetric_power(
         tau_plus=tau_plus,
         support=(t0 - w_minus, t0 + w_plus),
         sample=sample,
-        family_tag="asymmetric_power",
         g_coeff_minus=c_minus,
         g_coeff_plus=c_plus,
         side_mass=side_mass,
@@ -563,7 +556,6 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         t0=t0,
         kappa_minus=kappa_minus,
         kappa_plus=kappa_plus,
-        family_tag="power",
         u_coeff_minus=scale,
         u_coeff_plus=scale,
         monotone_reach=math.inf,
@@ -588,7 +580,6 @@ def _shape_u_cosine(t0: float) -> ShapeU:
         t0=t0,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="cosine",
         u_coeff_minus=0.5,
         u_coeff_plus=0.5,
         monotone_reach=math.pi,
@@ -597,22 +588,49 @@ def _shape_u_cosine(t0: float) -> ShapeU:
     )
 
 
+def _shape_v(v, t0: float, rho: float, delta: float, lead: float, shape_u: ShapeU,
+             **theta) -> ShapeV:
+    """The second shape v whose deficit v_tilde(s) ~ lead s^delta as s -> 0+.
+
+    This is the one rule for the corollary regime: with u_tilde(s) ~ a
+    s^kappa_plus, the ratio u_tilde / v_tilde tends to 0 when kappa_plus >
+    delta and to a / lead on a tie; otherwise it has no finite limit.
+    """
+    kp = shape_u.kappa_plus
+    if kp > delta:
+        ratio_c = 0.0
+    elif kp == delta:
+        ratio_c = shape_u.u_coeff_plus / lead
+    else:
+        ratio_c = None
+    return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_sign="-" if lead < 0 else "+",
+                  ratio_c=ratio_c, **theta)
+
+
 def _shape_v_sine(t0: float, shape_u: ShapeU) -> ShapeV:
     def v(t):
         return np.sin(np.asarray(t, dtype=float) - t0)
 
+    # v_tilde(s) = -sin(s) ~ -s
+    return _shape_v(v, t0, 0.0, 1.0, -1.0, shape_u)
+
+
+def _theta_u_lead(rho: float, n: int, c: float, shape_u: ShapeU, degenerate: str):
+    """(delta, lead) of v = theta u with theta(t0 + s) = rho + c s^n.
+
+    v_tilde(s) = rho u_tilde(s) - c s^n (1 - u_tilde(s)) for s > 0, so the
+    leading term is rho a s^kappa below kappa = n, -c s^n above it, and
+    their sum on a tie, where ``degenerate`` names a sum of zero.
+    """
     kp = shape_u.kappa_plus
-    a = shape_u.u_coeff_plus
-    if kp > 1:
-        ratio_c = 0.0
-    elif kp == 1 and a is not None:
-        ratio_c = -a
-    else:
-        ratio_c = None
-    return ShapeV(
-        v=v, t0=t0, rho=0.0, delta=1.0, v_sign="-",
-        family_tag="sine", ratio_c=ratio_c,
-    )
+    if rho != 0.0 and kp < n:
+        return kp, rho * shape_u.u_coeff_plus
+    if rho == 0.0 or kp > n:
+        return float(n), -c
+    lead = rho * shape_u.u_coeff_plus - c
+    if lead == 0.0:
+        raise ParameterError(f"{degenerate}; this degenerate combination is not supported")
+    return float(n), lead
 
 
 def _shape_v_seifert(t0: float, rho: float, shape_u: ShapeU) -> ShapeV:
@@ -622,40 +640,10 @@ def _shape_v_seifert(t0: float, rho: float, shape_u: ShapeU) -> ShapeV:
         t = np.asarray(t, dtype=float)
         return (t - t0 + rho) * u(t)
 
-    kp = shape_u.kappa_plus
-    a = shape_u.u_coeff_plus
-    # v_tilde(s) = (rho + s) u_tilde(s) - s; leading term decides delta and sign
-    if rho == 0.0:
-        # v_tilde(s) = s (u_tilde(s) - 1) ~ -s
-        delta, sign = 1.0, "-"
-        if kp > 1:
-            ratio_c = 0.0
-        elif kp == 1 and a is not None:
-            ratio_c = -a
-        else:
-            ratio_c = None
-    elif kp < 1:
-        delta = kp
-        sign = "+" if rho > 0 else "-"
-        ratio_c = 1.0 / rho
-    elif kp > 1:
-        delta, sign, ratio_c = 1.0, "-", 0.0
-    else:  # kp == 1
-        if a is None:
-            raise ParameterError("shape_v seifert_linear with kappa=1 needs a power shape_u")
-        coeff = rho * a - 1.0
-        if coeff == 0.0:
-            raise ParameterError(
-                "shape_v.rho: rho * scale = 1 makes the linear term of v vanish; "
-                "this degenerate combination is not supported"
-            )
-        delta = 1.0
-        sign = "+" if coeff > 0 else "-"
-        ratio_c = a / coeff
-    return ShapeV(
-        v=v, t0=t0, rho=rho, delta=delta, v_sign=sign,
-        family_tag="seifert_linear", ratio_c=ratio_c,
-    )
+    # theta = rho + s
+    delta, lead = _theta_u_lead(
+        rho, 1, 1.0, shape_u, "shape_v.rho: rho * scale = 1 makes the linear term of v vanish")
+    return _shape_v(v, t0, rho, delta, lead, shape_u)
 
 
 def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: ShapeU) -> ShapeV:
@@ -670,19 +658,8 @@ def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: S
         s = np.abs(np.asarray(t, dtype=float) - t0)
         return rho - coeff * s ** delta
 
-    kp = shape_u.kappa_plus
-    a = shape_u.u_coeff_plus
-    if kp > delta:
-        ratio_c = 0.0
-    elif kp == delta and a is not None:
-        ratio_c = a / coeff
-    else:
-        ratio_c = None
-    return ShapeV(
-        v=v, t0=t0, rho=rho, delta=delta,
-        v_sign="+" if coeff > 0 else "-",
-        family_tag="power_v", ratio_c=ratio_c,
-    )
+    # v_tilde(s) = coeff s^delta
+    return _shape_v(v, t0, rho, delta, coeff, shape_u)
 
 
 def _shape_v_theta_polynomial(
@@ -701,34 +678,9 @@ def _shape_v_theta_polynomial(
     def v(t):
         return theta(t) * u(t)
 
-    kp = shape_u.kappa_plus
-    a = shape_u.u_coeff_plus if shape_u.u_coeff_plus is not None else 1.0
-    # v_tilde(s) = rho u_tilde(s) - c s^n + c s^n u_tilde(s) for s > 0
-    if rho != 0.0 and kp < n:
-        delta, lead = kp, rho * a
-    elif rho == 0.0 or kp > n:
-        delta, lead = float(n), -c
-    else:  # kp == n with rho nonzero
-        lead = rho * a - c
-        if lead == 0.0:
-            raise ParameterError(
-                "shape_v.deriv: rho * scale * n! = deriv cancels the leading term; "
-                "this degenerate combination is not supported"
-            )
-        delta = float(n)
-    if kp > delta:
-        ratio_c = 0.0
-    elif kp == delta:
-        ratio_c = a / lead
-    else:
-        ratio_c = None
-    return ShapeV(
-        v=v, t0=t0, rho=rho, delta=delta,
-        v_sign="+" if lead > 0 else "-",
-        family_tag="theta_polynomial",
-        theta_n=n, theta_n_deriv_at_t0=deriv,
-        ratio_c=ratio_c,
-    )
+    delta, lead = _theta_u_lead(
+        rho, n, c, shape_u, "shape_v.deriv: rho * scale * n! = deriv cancels the leading term")
+    return _shape_v(v, t0, rho, delta, lead, shape_u, theta_n=n, theta_n_deriv_at_t0=deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +737,19 @@ class _ConfigReader:
         if val is None:
             return None
         try:
-            return float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r}: expected a number, got {val!r}") from None
-
-    def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        val = self.raw(key, default, required)
-        if val is None:
-            return None
-        try:
             fval = float(val)
         except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r}: expected an integer, got {val!r}") from None
+            fval = math.nan
+        if not math.isfinite(fval):
+            raise ConfigError(f"key {key!r}: expected a finite number, got {val!r}")
+        return fval
+
+    def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
+        fval = self.number(key, default, required)
+        if fval is None:
+            return None
         if fval != int(fval):
-            raise ConfigError(f"key {key!r}: expected an integer, got {val!r}")
+            raise ConfigError(f"key {key!r}: expected an integer, got {self.raw(key, default)!r}")
         return int(fval)
 
     def finish(self):
@@ -925,31 +876,19 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationGrid:
-    """Resolution and thresholds for the assumption checks.
-
-    The checks certify "not falsified at this resolution"; the underlying
-    assumptions are asymptotic statements no finite grid can prove.
-    """
-
-    points_per_decade: int = 64
-    s_lo: float = 1e-4
-    s_hi: float = 1e-2
-    gamma_x: tuple[float, ...] = (1e2, 1e4, 1e6)
-    gamma_lambdas: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0)
-    eps_values: tuple[float, ...] = (0.05, 0.1, 0.5)
-    support_points: int = 2001
-    density_tol: float = 1e-8
-    slope_tol: float = 0.05
-    gamma_tol: float = 0.05
-    exact_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.points_per_decade < 64:
-            raise ParameterError(
-                f"validation grid needs >= 64 points per decade, got {self.points_per_decade}"
-            )
+# Resolution and thresholds of the assumption checks. The checks certify
+# "not falsified at this resolution"; the underlying assumptions are
+# asymptotic statements no finite grid can prove.
+_POINTS_PER_DECADE = 64
+_S_LO, _S_HI = 1e-4, 1e-2          # the small-s slope and sign grid
+_GAMMA_X = (1e2, 1e4, 1e6)
+_GAMMA_LAMBDAS = (-1.0, 0.0, 1.0, 2.0)
+_EPS_VALUES = (0.05, 0.1, 0.5)
+_SUPPORT_POINTS = 2001
+_DENSITY_TOL = 1e-8
+_SLOPE_TOL = 0.05
+_GAMMA_TOL = 0.05
+_EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -965,7 +904,6 @@ class CheckEntry:
 @dataclass(frozen=True)
 class ValidationReport:
     entries: tuple[CheckEntry, ...]
-    grid: ValidationGrid
 
     @property
     def passed(self) -> bool:
@@ -986,26 +924,26 @@ def _slope_fit(s: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(s), np.log(y), 1)[0])
 
 
-def _s_grid(grid: ValidationGrid, s_max_allowed: float) -> np.ndarray | None:
-    hi = min(grid.s_hi, s_max_allowed)
-    if hi <= grid.s_lo:
+def _s_grid(s_max_allowed: float) -> np.ndarray | None:
+    hi = min(_S_HI, s_max_allowed)
+    if hi <= _S_LO:
         return None
-    decades = math.log10(hi / grid.s_lo)
-    n = max(int(round(grid.points_per_decade * decades)), 8)
-    return np.geomspace(grid.s_lo, hi, n)
+    decades = math.log10(hi / _S_LO)
+    n = max(int(round(_POINTS_PER_DECADE * decades)), 8)
+    return np.geomspace(_S_LO, hi, n)
 
 
-def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> ValidationReport:
+def validate_model(mdl: PolarModel) -> ValidationReport:
     """Run every numerical assumption check and collect a report.
 
     Failures are report entries, never exceptions; exceptions and
     non-finite values raised by user callables are themselves recorded as
-    failed entries. The report is a deterministic function of (model,
-    grid).
+    failed entries, and a NaN anywhere in a check's measurements makes
+    its measured value NaN. The report is a deterministic function of
+    the model.
     """
     from . import oracle
 
-    grid = grid or ValidationGrid()
     entries: list[CheckEntry] = []
 
     def run(name: str, expected: str, fn):
@@ -1043,20 +981,20 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
         # Hbar(x + psi lam) / Hbar(x) from the gap, never as a difference of
         # log_survival values; a lam < 0 step is the gap from x + psi lam up to x
         per_x = []
-        for x in grid.gamma_x:
+        for x in _GAMMA_X:
             psi = float(mdl.radial.aux_psi(x))
             errs = []
-            for lam in grid.gamma_lambdas:
+            for lam in _GAMMA_LAMBDAS:
                 d = psi * abs(lam)
                 lo = x + psi * min(lam, 0.0)
                 gap = float(np.asarray(mdl.radial.log_survival_gap(lo, d)))
                 errs.append(abs(math.exp(gap if lam >= 0 else -gap) - math.exp(-lam)))
-            per_x.append(max(errs))
+            per_x.append(float(np.max(errs)))
         worst_last = per_x[-1]
         detail = "max ratio errors per x: " + ", ".join(f"{e:.3g}" for e in per_x)
-        return worst_last <= grid.gamma_tol, worst_last, grid.gamma_tol - worst_last, detail
+        return worst_last <= _GAMMA_TOL, worst_last, _GAMMA_TOL - worst_last, detail
 
-    run("radial.gamma_psi_ratio", f"ratio error <= {grid.gamma_tol} at x={grid.gamma_x[-1]:g}", gamma_psi)
+    run("radial.gamma_psi_ratio", f"ratio error <= {_GAMMA_TOL} at x={_GAMMA_X[-1]:g}", gamma_psi)
 
     def psi_sublinear():
         xs = np.geomspace(1.0, 200.0, 200)
@@ -1075,7 +1013,7 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
         diff = ls_far - np.asarray(mdl.radial.log_survival(x), dtype=float)
         gap = np.asarray(mdl.radial.log_survival_gap(x, d), dtype=float)
         worst = float(np.max(np.abs(gap - diff) / np.maximum(1.0, np.abs(ls_far))))
-        return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+        return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
             "max |gap - difference| / max(1, |log_survival(x + d)|), x in [0.5, 20], d in [0.01, 5]"
 
     run("radial.log_survival_gap", "log_survival_gap(x, d) = log_survival(x + d) - log_survival(x)",
@@ -1088,14 +1026,14 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
             lo, hi, rel_tol=1e-12, abs_tol=1e-14, breakpoints=(t0,),
         )
         err = abs(res.value - 1.0)
-        return err <= grid.density_tol, res.value, grid.density_tol - err, ""
+        return err <= _DENSITY_TOL, res.value, _DENSITY_TOL - err, ""
 
-    run("angular.normalization", f"|integral - 1| <= {grid.density_tol}", normalization)
+    run("angular.normalization", f"|integral - 1| <= {_DENSITY_TOL}", normalization)
 
     def slope_check(local, side: int, width: float, declared: float, not_positive: str):
         """Log-log slope of local(side * s) on the small-s grid against ``declared``."""
         def check():
-            s = _s_grid(grid, width)
+            s = _s_grid(width)
             if s is None:
                 return False, math.nan, None, "support too narrow for the slope grid"
             y = np.asarray(local(side * s), dtype=float)
@@ -1103,7 +1041,7 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
                 return False, math.nan, None, not_positive
             slope = _slope_fit(s, y)
             err = abs(slope - declared)
-            return err <= grid.slope_tol, slope, grid.slope_tol - err, f"declared {declared}"
+            return err <= _SLOPE_TOL, slope, _SLOPE_TOL - err, f"declared {declared}"
         return check
 
     for side, width in sides:
@@ -1112,12 +1050,12 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
             slope_check(mdl.angular.g_tilde, side, width, tau, "g_tilde not positive on the slope grid"))
 
     # --- shape u ---
-    support_ts = np.linspace(lo, hi, grid.support_points)
+    support_ts = np.linspace(lo, hi, _SUPPORT_POINTS)
 
     def center_value():
         v = float(np.asarray(mdl.shape_u.u(np.array([t0])))[0])
         err = abs(v - 1.0)
-        return err <= grid.exact_tol, v, grid.exact_tol - err, ""
+        return err <= _EXACT_TOL, v, _EXACT_TOL - err, ""
 
     run("shape_u.center_value", "u(t0) = 1 within 1e-12", center_value)
 
@@ -1129,7 +1067,7 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
     run("shape_u.bounded_by_one", "|u| <= 1 on the support", bounded)
 
     u_vals = np.asarray(mdl.shape_u.u(support_ts), dtype=float)
-    for eps in grid.eps_values:
+    for eps in _EPS_VALUES:
         def sup_outside(eps=eps):
             outside = np.abs(support_ts - t0) > eps
             if not np.any(outside):
@@ -1145,13 +1083,14 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
             slope_check(mdl.shape_u.u_tilde, side, width, kappa, "u_tilde not positive on the slope grid"))
 
     def deficit_matches_difference():
-        worst = 0.0
+        errs = []
         for side, width in sides:
             s = width * np.geomspace(1e-3, 1.0, 64)
             dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
             diff = np.asarray(mdl.shape_u.u_tilde(side * s), dtype=float)
-            worst = max(worst, float(np.max(np.abs(dlt - diff) / np.maximum(1.0, np.abs(diff)))))
-        return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+            errs.append(np.max(np.abs(dlt - diff) / np.maximum(1.0, np.abs(diff))))
+        worst = float(np.max(errs))
+        return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
             "max |deficit - u_tilde| / max(1, |u_tilde|) for s from 1e-3 to 1 side widths"
 
     run("shape_u.deficit", "deficit(side, s) = u(t0) - u(t0 + side*s)", deficit_matches_difference)
@@ -1160,14 +1099,15 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
     # compute_phi inverts the deficit only within monotone_reach
     if mdl.shape_u.deficit_inverse is not None and reach > 0:
         def inverse_round_trip():
-            worst = 0.0
+            errs = []
             for side, width in sides:
                 ceiling = float(np.asarray(mdl.shape_u.deficit(side, min(reach, width) / 2.0)))
                 d = ceiling * np.geomspace(1e-12, 1.0, 64)
                 s = np.asarray(mdl.shape_u.deficit_inverse(side, d), dtype=float)
                 back = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
-                worst = max(worst, float(np.max(np.abs(back / d - 1.0))))
-            return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+                errs.append(np.max(np.abs(back / d - 1.0)))
+            worst = float(np.max(errs))
+            return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                 "max |deficit(deficit_inverse(d)) / d - 1| for d up to the deficit at " \
                 "half of min(monotone_reach, side width)"
 
@@ -1176,11 +1116,12 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
     if reach > 0:
         def monotone_within_reach():
-            worst = -math.inf
+            rises = []
             for side, width in sides:
-                s = np.linspace(0.0, min(reach, width), grid.support_points)
-                worst = max(worst, float(np.max(np.diff(np.asarray(mdl.shape_u.u(t0 + side * s))))))
-            return worst <= grid.exact_tol, worst, grid.exact_tol - worst, \
+                s = np.linspace(0.0, min(reach, width), _SUPPORT_POINTS)
+                rises.append(np.max(np.diff(np.asarray(mdl.shape_u.u(t0 + side * s)))))
+            worst = float(np.max(rises))
+            return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                 f"max increase of u moving away from t0 within min(monotone_reach = {reach:g}, side width)"
 
         run("shape_u.monotone_reach", "u nonincreasing in |t - t0| within monotone_reach",
@@ -1193,12 +1134,12 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
         def rho_value():
             v = float(np.asarray(sv.v(np.array([t0])))[0])
             err = abs(v - sv.rho)
-            return err <= grid.exact_tol, v, grid.exact_tol - err, f"declared rho {sv.rho}"
+            return err <= _EXACT_TOL, v, _EXACT_TOL - err, f"declared rho {sv.rho}"
 
         run("shape_v.center_value", "v(t0) = rho within 1e-12", rho_value)
 
         def v_sign_check():
-            s = _s_grid(grid, width_plus)
+            s = _s_grid(width_plus)
             if s is None:
                 return False, math.nan, None, "support too narrow for the sign grid"
             y = np.asarray(sv.v_tilde(s), dtype=float)
@@ -1224,4 +1165,4 @@ def validate_model(mdl: PolarModel, grid: ValidationGrid | None = None) -> Valid
 
     run("callables.finite", "g, u, v finite on the support", finite_callables)
 
-    return ValidationReport(entries=tuple(entries), grid=grid)
+    return ValidationReport(entries=tuple(entries))

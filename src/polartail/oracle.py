@@ -232,7 +232,7 @@ def _peak_breakpoints(mdl, x: float, side: int, width: float) -> list[float]:
     if x == 0:
         return []
     try:
-        phi = asymptotics.compute_phi(mdl, x, "+" if side > 0 else "-").phi
+        phi = asymptotics.compute_phi(mdl, x, side).phi
     except (BracketError, MonotonicityError):
         return []
     return [k * phi for k in _PEAK_MULTS if k * phi < width]

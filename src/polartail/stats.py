@@ -39,6 +39,9 @@ __all__ = [
     "convergence_report",
 ]
 
+# chi-square cells expecting fewer counts than this are pooled into the tail bin
+_MIN_EXPECTED = 5.0
+
 
 def _ks_pvalue(d: float, effective_n: float) -> float:
     # scipy.special costs more to import than the rest of the package, so
@@ -118,15 +121,14 @@ def _check_edges(name: str, edges) -> np.ndarray:
     return e
 
 
-def chi_square_2d(pairs, binning, masses, *,
-                  min_expected: float = 5.0) -> tuple[float, float, float]:
+def chi_square_2d(pairs, binning, masses) -> tuple[float, float, float]:
     """Pearson fit of binned pairs against expected cell probabilities.
 
     ``masses`` has one probability per cell of ``binning``, such as the
     differences of a closed-form CDF (``convergence_report`` uses the
     limit law's).
 
-    Cells whose expected count falls below ``min_expected`` are pooled,
+    Cells whose expected count falls below 5 are pooled,
     together with the off-grid mass, into a single tail bin. Returns
     (statistic, degrees of freedom, p-value). A tail bin that expects
     nothing but observes something yields (inf, dof, 0).
@@ -148,7 +150,7 @@ def chi_square_2d(pairs, binning, masses, *,
     observed, _, _ = np.histogram2d(a, b, bins=(edges_a, edges_b))
     expected = n * masses
 
-    keep = expected >= min_expected
+    keep = expected >= _MIN_EXPECTED
     obs_kept = observed[keep]
     exp_kept = expected[keep]
     tail_expected = float(expected[~keep].sum()) + n * max(1.0 - total_mass, 0.0)
@@ -159,7 +161,7 @@ def chi_square_2d(pairs, binning, masses, *,
         raise ParameterError(
             "degenerate binning: no cell reaches the minimum expected count"
         )
-    if tail_observed == 0.0 and 0.0 < tail_expected < min(1.0, min_expected):
+    if tail_observed == 0.0 and 0.0 < tail_expected < 1.0:
         # quadrature residue, not a real bin: folding it into the largest
         # kept cell avoids spending a degree of freedom on ~zero mass; a
         # nonempty tail is never folded, points where the model puts no

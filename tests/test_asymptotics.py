@@ -47,7 +47,6 @@ def _cosine_u_model(half):
         t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="custom",
     )
     return PolarModel(
         radial=_radial_exponential(1.0), angular=_uniform_angular(half), shape_u=su
@@ -59,7 +58,7 @@ def test_phi_closed_form_square_root(f1_model):
     root = compute_phi(f1_model, 100.0)
     assert root.phi == pytest.approx(0.1, rel=1e-10)
     assert abs(root.residual) <= 1e-10
-    minus = compute_phi(f1_model, 100.0, side="-")
+    minus = compute_phi(f1_model, 100.0, side=-1)
     assert minus.phi == pytest.approx(root.phi, rel=1e-12)
 
 
@@ -110,7 +109,7 @@ def test_closed_form_window_matches_the_grid_solver_over_the_sweep():
         mdl = build_builtin_model(config)
         grid = dataclasses.replace(mdl, shape_u=dataclasses.replace(mdl.shape_u, deficit_inverse=None))
         for x in ladder:
-            for side in ("+", "-"):
+            for side in (1, -1):
                 closed, searched = _solve(mdl, x, side), _solve(grid, x, side)
                 where = (name, x, side)
                 if isinstance(searched, type):
@@ -205,7 +204,7 @@ def test_phi_minus_side_of_one_sided_model_rejected():
         }
     )
     with pytest.raises(ParameterError, match="no minus side"):
-        compute_phi(mdl, 50.0, side="-")
+        compute_phi(mdl, 50.0, side=-1)
 
 
 def _p(mdl):
@@ -281,7 +280,6 @@ def test_limit_law_grid_p_matches_closed_form():
         t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="custom",
     )
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
     p_m, p_p = _p(mdl)
@@ -302,7 +300,7 @@ def test_limit_law_grid_p_oscillating_shape_never_settles():
         return 1.0 - np.minimum(s * s * w, 2.0)
 
     su = ShapeU(
-        u=osc, t0=0.0, kappa_minus=2.0, kappa_plus=2.0, family_tag="custom"
+        u=osc, t0=0.0, kappa_minus=2.0, kappa_plus=2.0
     )
     mdl = PolarModel(
         radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su
@@ -349,7 +347,7 @@ def test_compute_normalizers_solves_only_the_windows(slow_p_model, monkeypatch):
 
     monkeypatch.setattr(asymptotics, "compute_phi", counted)
     compute_normalizers(slow_p_model, 50.0)
-    assert sorted(calls) == [(50.0, "+"), (50.0, "-")]
+    assert sorted(calls) == [(50.0, -1), (50.0, 1)]
 
 
 def test_limit_law_estimates_p_from_x_for_custom_models(slow_p_model):

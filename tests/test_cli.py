@@ -329,6 +329,28 @@ def test_second_shape_order_must_be_an_integer():
             "shape_v.family": "theta_polynomial", "shape_v.n": "1.5", "shape_v.deriv": 1.0}))
 
 
+# a nan or inf config number is a usage error naming its key, whatever
+# command reads the model; none may print a row or raise a traceback
+@pytest.mark.parametrize("key, extra, argv", [
+    ("shape_u.scale", "shape_u.scale = nan\n", ["tailprob", "--method", "quad", "--x", "100"]),
+    ("shape_v.rho", "shape_v.family = power_v\nshape_v.delta = 3\nshape_v.rho = nan\n",
+     ["limit-sample", "--seed", "3", "--n", "10", "--case", "delta_gt_kappa"]),
+    ("shape_v.n", "shape_v.family = theta_polynomial\nshape_v.n = nan\nshape_v.deriv = 1\n",
+     ["validate"]),
+    ("shape_v.n", "shape_v.family = theta_polynomial\nshape_v.n = inf\nshape_v.deriv = 1\n",
+     ["validate"]),
+    ("angular.halfwidth_plus", "angular.halfwidth_plus = inf\n", ["phi", "--x", "100"]),
+], ids=["scale-nan", "rho-nan", "n-nan", "n-inf", "halfwidth-inf"])
+def test_non_finite_config_number_is_usage_error(tmp_path, capsys, key, extra, argv):
+    p = tmp_path / "nonfinite.cfg"
+    p.write_text(F1_TEXT + extra)
+    code = main(argv + ["--config", str(p)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert f"key {key!r}: expected a finite number" in out.err
+
+
 def test_limit_sample_case_refuses_unrestricted_condition(f1_cfg, tmp_path, capsys):
     # the case maps push forward the right-sided limit only
     p = tmp_path / "seif.cfg"

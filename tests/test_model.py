@@ -15,7 +15,6 @@ from polartail import (
     PolarModel,
     ShapeU,
     UnknownFamilyError,
-    ValidationGrid,
     build_builtin_model,
     load_config,
     limit_law,
@@ -45,7 +44,6 @@ def _parabola_model(half):
         t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="custom",
     )
     return PolarModel(
         radial=_radial_exponential(1.0), angular=_uniform_angular(half), shape_u=su
@@ -181,15 +179,9 @@ def test_shape_center_mismatch_rejected():
         t0=0.25,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="custom",
     )
     with pytest.raises(ParameterError):
         PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
-
-
-def test_validation_grid_rejects_coarse_resolution():
-    with pytest.raises(ParameterError, match="64"):
-        ValidationGrid(points_per_decade=32)
 
 
 def test_validate_benchmark_model_passes(f1_model):
@@ -225,7 +217,6 @@ def test_validate_flags_second_maximum_of_u():
         t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="custom",
     )
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
     report = validate_model(mdl)
@@ -240,7 +231,7 @@ def test_validate_reports_nonfinite_callable_as_failure():
         return np.where(np.abs(t) > 0.9, np.nan, 1.0 - t**2)
 
     su = ShapeU(
-        u=bad_u, t0=0.0, kappa_minus=2.0, kappa_plus=2.0, family_tag="custom"
+        u=bad_u, t0=0.0, kappa_minus=2.0, kappa_plus=2.0
     )
     mdl = PolarModel(
         radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su
@@ -443,10 +434,30 @@ def test_validate_flags_wrong_closed_form_gap(f1_model):
     assert {e.name for e in report.failures()} == {"radial.log_survival_gap"}
 
 
+def _nan_like(a):
+    return np.full_like(np.asarray(a, dtype=float), np.nan)
+
+
+# a NaN from a closed form fails the check that compares it, whatever its
+# place among the values that check takes the maximum of
+@pytest.mark.parametrize("component, field, fn, check", [
+    ("shape_u", "exact_deficit", lambda side, s: _nan_like(s), "shape_u.deficit"),
+    ("shape_u", "deficit_inverse", lambda side, d: _nan_like(d), "shape_u.deficit_inverse"),
+    # NaN only at lambda = 0, the second of the four ratios at each x
+    ("radial", "exact_gap", lambda x, d: np.where(np.asarray(d) == 0.0, np.nan, -np.asarray(d)),
+     "radial.gamma_psi_ratio"),
+], ids=["deficit", "deficit-inverse", "gap"])
+def test_validate_fails_a_nan_closed_form(f1_model, component, field, fn, check):
+    part = dataclasses.replace(getattr(f1_model, component), **{field: fn})
+    entry = validate_model(dataclasses.replace(f1_model, **{component: part})).entry(check)
+    assert not entry.passed
+    assert math.isnan(entry.measured)
+
+
 def test_validate_flags_shape_rising_within_declared_reach():
     # cos t rises again beyond pi, inside the support [-4, 4]
     su = ShapeU(u=lambda t: np.cos(np.asarray(t, dtype=float)), t0=0.0,
-                kappa_minus=2.0, kappa_plus=2.0, family_tag="custom",
+                kappa_minus=2.0, kappa_plus=2.0,
                 monotone_reach=math.inf)
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=_uniform_angular(4.0), shape_u=su)
     report = validate_model(mdl)
@@ -474,3 +485,47 @@ def test_power_shape_is_one_minus_scaled_power_per_side(kappas):
     # round differently from libm's, so the unit is one ulp of 1
     assert np.all(np.abs(u - libm) <= np.spacing(1.0))
     assert np.all(u[s == 1.0] == 1.0 - scale) and np.all(u[s == -1.0] == 1.0 - scale)
+
+
+# Second shapes on u_tilde(s) = a s^kappa with a = 1.5, for kappa below, at
+# and above delta: (shape_v keys, kappa, closed-form (delta, v_sign, ratio_c)).
+# v_tilde(s) ~ lead s^delta; ratio_c = lim u_tilde / v_tilde is 0 above
+# delta, a / lead on a tie and None below.
+SINE = {"shape_v.family": "sine"}                   # v_tilde = -sin s ~ -s
+SEIFERT_0 = {"shape_v.family": "seifert_linear"}    # -s (1 - u_tilde) ~ -s
+SEIFERT_RHO = dict(SEIFERT_0, **{"shape_v.rho": 0.4})   # + 0.4 u_tilde
+POWER = {"shape_v.family": "power_v", "shape_v.rho": 0.3, "shape_v.delta": 2.0,
+         "shape_v.coeff": -0.5}                     # -0.5 s^2
+THETA_0 = {"shape_v.family": "theta_polynomial", "shape_v.n": 2, "shape_v.deriv": 1.0}
+THETA_RHO = dict(THETA_0, **{"shape_v.rho": 0.4})   # 0.4 u_tilde - s^2 (1 - u_tilde) / 2
+SECOND_SHAPE_REGIMES = [
+    (SINE, 0.5, (1.0, "-", None)),
+    (SINE, 1.0, (1.0, "-", -1.5)),
+    (SINE, 2.0, (1.0, "-", 0.0)),
+    (SEIFERT_0, 0.5, (1.0, "-", None)),
+    (SEIFERT_0, 1.0, (1.0, "-", -1.5)),
+    (SEIFERT_0, 2.0, (1.0, "-", 0.0)),
+    (SEIFERT_RHO, 0.5, (0.5, "+", 2.5)),            # lead 0.6: 1 / rho
+    (SEIFERT_RHO, 1.0, (1.0, "-", -3.75)),          # lead 0.6 - 1
+    (SEIFERT_RHO, 2.0, (1.0, "-", 0.0)),
+    (POWER, 1.0, (2.0, "-", None)),
+    (POWER, 2.0, (2.0, "-", -3.0)),
+    (POWER, 3.0, (2.0, "-", 0.0)),
+    (THETA_0, 1.0, (2.0, "-", None)),
+    (THETA_RHO, 1.0, (1.0, "+", 2.5)),              # lead 0.6
+    (THETA_RHO, 2.0, (2.0, "+", 15.0)),             # lead 0.6 - 0.5
+    (THETA_RHO, 3.0, (2.0, "-", 0.0)),
+]
+
+
+@pytest.mark.parametrize("extra, kappa, expected", SECOND_SHAPE_REGIMES,
+                         ids=lambda v: v.get("shape_v.family") if isinstance(v, dict) else None)
+def test_second_shape_regime_follows_kappa_against_delta(extra, kappa, expected):
+    sv = build_builtin_model(dict(F1_CONFIG, **extra, **{
+        "shape_u.kappa": kappa, "shape_u.scale": 1.5})).shape_v
+    delta, v_sign, ratio_c = expected
+    assert (sv.delta, sv.v_sign) == (delta, v_sign)
+    if ratio_c is None:
+        assert sv.ratio_c is None
+    else:
+        assert sv.ratio_c == pytest.approx(ratio_c, rel=1e-14, abs=0.0)

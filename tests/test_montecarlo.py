@@ -232,9 +232,9 @@ def test_right_sided_draw_needs_no_minus_window():
     assert s.n == 1000 and np.all(s.t > mdl.t0)
     assert s.normalizers.phi_plus == pytest.approx(0.1, rel=1e-10)
     assert s.normalizers.phi_minus is None
-    with pytest.raises(BracketError, match="side '-'"):
+    with pytest.raises(BracketError, match="side -1"):
         sample_conditional(mdl, 100.0, 1000, Condition.UNRESTRICTED, seed=1)
-    with pytest.raises(BracketError, match="side '-'"):
+    with pytest.raises(BracketError, match="side -1"):
         compute_normalizers(mdl, 100.0)
 
 
@@ -366,8 +366,8 @@ STRATIFIED_CASES = {
 
 
 def _whole_support_copy(mdl):
-    """The model with its shape tagged custom, declaring no monotone reach."""
-    shape = dataclasses.replace(mdl.shape_u, family_tag="custom", monotone_reach=0.0)
+    """The model with its shape declaring no monotone reach."""
+    shape = dataclasses.replace(mdl.shape_u, monotone_reach=0.0)
     return dataclasses.replace(mdl, shape_u=shape)
 
 

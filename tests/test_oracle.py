@@ -197,7 +197,6 @@ def test_tail_quadrature_ignores_negative_u_region():
         t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
-        family_tag="custom",
     )
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
     res = tail_probability_quadrature(mdl, 10.0, Condition.UNRESTRICTED)
@@ -263,7 +262,7 @@ def test_custom_shape_without_a_window_still_integrates():
         sample=lambda rng, n: rng.uniform(-half, half, n),
     )
     su = ShapeU(u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2, t0=0.0,
-                kappa_minus=2.0, kappa_plus=2.0, family_tag="custom")
+                kappa_minus=2.0, kappa_plus=2.0)
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
     with pytest.raises(BracketError):
         compute_phi(mdl, 2.0)

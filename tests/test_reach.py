@@ -32,13 +32,13 @@ def _halfnormal_cos_window(x):
 # (config, side, closed-form phi(x)); every model has scale 1
 WINDOWS = {
     # psi = 1/(2x): s^2 = 1/(2 x^2)
-    "weibull-b2": (WEIBULL_B2, "+", lambda x: 1.0 / (math.sqrt(2.0) * x)),
+    "weibull-b2": (WEIBULL_B2, 1, lambda x: 1.0 / (math.sqrt(2.0) * x)),
     # 2 sin^2(phi/2) = psi(x)/x
-    "halfnormal-cos": (HALFNORMAL_COS, "+", _halfnormal_cos_window),
+    "halfnormal-cos": (HALFNORMAL_COS, 1, _halfnormal_cos_window),
     # psi = 1: s^kappa = 1/x
-    "exp-k2": (F1_CONFIG, "+", lambda x: x ** -0.5),
-    "exp-k1-k2-plus": (ASYM_CONFIG, "+", lambda x: x ** -0.5),
-    "exp-k1-k2-minus": (ASYM_CONFIG, "-", lambda x: 1.0 / x),
+    "exp-k2": (F1_CONFIG, 1, lambda x: x ** -0.5),
+    "exp-k1-k2-plus": (ASYM_CONFIG, 1, lambda x: x ** -0.5),
+    "exp-k1-k2-minus": (ASYM_CONFIG, -1, lambda x: 1.0 / x),
 }
 
 
