@@ -128,12 +128,24 @@ def _case_from_model(mdl: _model.PolarModel, kind_name: str) -> _limitlaw.Coroll
     sv = mdl.shape_v
     if sv is None:
         raise ParameterError("--case needs a model with a shape_v section")
+    kappa = mdl.shape_u.kappa_plus
+    # the regime of the delta-based cases: fs needs delta < kappa,
+    # delta_gt_kappa delta > kappa, ratio_c a finite deficit ratio
+    regime_ok = {
+        _limitlaw.CorollaryKind.FS: sv.delta < kappa,
+        _limitlaw.CorollaryKind.DELTA_GT_KAPPA: sv.delta > kappa,
+        _limitlaw.CorollaryKind.RATIO_C: sv.ratio_c is not None,
+    }.get(kind, True)
+    if not regime_ok:
+        raise CaseMismatch(
+            f"--case {kind.value}: the model has shape_v delta = {sv.delta:g} and "
+            f"kappa_plus = {kappa:g}, so its deficit ratio u_tilde/v_tilde tends to "
+            f"{'no finite limit' if sv.ratio_c is None else format(sv.ratio_c, 'g')}"
+        )
     kw = {}
     if kind in (_limitlaw.CorollaryKind.FS, _limitlaw.CorollaryKind.RATIO_C):
         kw["delta"] = sv.delta
     if kind == _limitlaw.CorollaryKind.RATIO_C:
-        if sv.ratio_c is None:
-            raise ParameterError("--case ratio_c: the model has no finite deficit ratio")
         kw["ratio_c"] = sv.ratio_c
     if kind == _limitlaw.CorollaryKind.THETA_N:
         if sv.theta_n is None or sv.theta_n_deriv_at_t0 is None:

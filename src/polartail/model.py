@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, UnknownFamilyError
+from .errors import ConfigError, NonConvergence, ParameterError, UnknownFamilyError
 
 __all__ = [
     "Condition",
@@ -75,7 +75,9 @@ class RadialLaw:
     finite-precision accurate far beyond the point where ``survival``
     underflows; ratio computations rely on it. ``exact_gap(x, d)``, when
     given, is log Hbar(x + d) - log Hbar(x) formed without either term
-    (see ``log_survival_gap``).
+    (see ``log_survival_gap``). ``exact_overshoot(x, e)``, when given,
+    inverts the gap in closed form or by a checked iteration (see
+    ``overshoot``).
     """
 
     family_tag: str
@@ -84,6 +86,7 @@ class RadialLaw:
     aux_psi: Callable[[float], float]
     tail_quantile: Callable[[np.ndarray, float], np.ndarray]
     exact_gap: Callable[[float, np.ndarray], np.ndarray] | None = None
+    exact_overshoot: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def log_survival_gap(self, x, d):
         """log Hbar(x + d) - log Hbar(x) for x >= 0 and d >= 0.
@@ -96,6 +99,23 @@ class RadialLaw:
             return self.exact_gap(x, d)
         x = np.asarray(x, dtype=float)
         return self.log_survival(x + np.asarray(d, dtype=float)) - self.log_survival(x)
+
+    def overshoot(self, x: float, e):
+        """The overshoot a >= 0 with -log_survival_gap(x, a) = e, for e >= 0.
+
+        With e an Exp(1) variate, a is distributed as R - x given R > x,
+        so R = x + a never needs to be formed. Builtin families keep the
+        relative precision of a however far it lies below the resolution
+        of x: closed forms for the exponential and Weibull laws, a Newton
+        iteration on the gap for the half-normal law (good to about 1e-10
+        relative; it raises NonConvergence if the iteration stalls). Without
+        ``exact_overshoot`` it is tail_quantile(1 - e^-e, x) - x, which
+        keeps only the digits of a that x + a can hold.
+        """
+        if self.exact_overshoot is not None:
+            return self.exact_overshoot(x, e)
+        p = -np.expm1(-np.asarray(e, dtype=float))
+        return np.asarray(self.tail_quantile(p, x), dtype=float) - x
 
 
 @dataclass(frozen=True)
@@ -295,6 +315,9 @@ def _radial_exponential(rate: float) -> RadialLaw:
     def exact_gap(x, d):
         return -rate * np.asarray(d, dtype=float)
 
+    def exact_overshoot(x, e):
+        return np.asarray(e, dtype=float) / rate
+
     return RadialLaw(
         family_tag="exponential",
         survival=survival,
@@ -302,6 +325,7 @@ def _radial_exponential(rate: float) -> RadialLaw:
         aux_psi=lambda x: 1.0 / rate,
         tail_quantile=tail_quantile,
         exact_gap=exact_gap,
+        exact_overshoot=exact_overshoot,
     )
 
 
@@ -332,6 +356,13 @@ def _radial_weibull(beta: float) -> RadialLaw:
             gap = -(x ** beta) * np.expm1(beta * np.log1p(d / x))
             return np.where(x > 0, gap, -(d ** beta))
 
+    def exact_overshoot(x, e):
+        # (x + a)^beta - x^beta = e, solved as x ((1 + e x^-beta)^(1/beta) - 1)
+        e = np.asarray(e, dtype=float)
+        if x <= 0:
+            return e ** (1.0 / beta)
+        return x * np.expm1(np.log1p(e * x ** -beta) / beta)
+
     return RadialLaw(
         family_tag="weibull",
         survival=survival,
@@ -339,7 +370,16 @@ def _radial_weibull(beta: float) -> RadialLaw:
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
         exact_gap=exact_gap,
+        exact_overshoot=exact_overshoot,
     )
+
+
+# Newton steps of the half-normal overshoot, the step, relative to
+# a + psi(x), below which it has converged, and the e below which a series
+# replaces it
+_OVERSHOOT_STEPS = 50
+_OVERSHOOT_TOL = 64.0 * float(np.finfo(float).eps)
+_OVERSHOOT_SERIES = 1e-5
 
 
 def _radial_half_normal() -> RadialLaw:
@@ -372,6 +412,33 @@ def _radial_half_normal() -> RadialLaw:
         ratio = sp_special.erfcx((x + d) * inv_sqrt2) / sp_special.erfcx(x * inv_sqrt2)
         return np.log(ratio) - 0.5 * d * (2.0 * x + d)
 
+    def exact_overshoot(x, e):
+        # Newton on -exact_gap(x, a) = e from a = e psi(x). The gap is
+        # concave in a with slope minus the hazard h = 1 / (mills_scale
+        # erfcx((x + a)/sqrt 2)), so the iterates fall onto the root from
+        # above. The gap is formed to a few eps, which bounds how far the
+        # steps can shrink and leaves too few digits for e below
+        # _OVERSHOOT_SERIES; there the second-order inverse
+        # a = e psi (1 - e (1 - x psi) / 2), from h' = h (h - x), is exact
+        # to O(e^2)
+        x = max(x, 0.0)
+        e = np.asarray(e, dtype=float)
+        erfcx_x = float(sp_special.erfcx(x * inv_sqrt2))
+        psi = mills_scale * erfcx_x
+        target = np.maximum(e, _OVERSHOOT_SERIES)
+        a = target * psi
+        for _ in range(_OVERSHOOT_STEPS):
+            erfcx_y = sp_special.erfcx((x + a) * inv_sqrt2)
+            step = (0.5 * a * (2.0 * x + a) - np.log(erfcx_y / erfcx_x) - target) * (mills_scale * erfcx_y)
+            a = a - step
+            if np.all(np.abs(step) <= _OVERSHOOT_TOL * (a + psi)):
+                return np.where(e < _OVERSHOOT_SERIES, e * psi * (1.0 - 0.5 * e * (1.0 - x * psi)), a)
+        raise NonConvergence(
+            f"half-normal overshoot at x = {x:g}: Newton steps still reach "
+            f"{float(np.max(np.abs(step) / (a + psi))):.3g} of a + psi(x) after "
+            f"{_OVERSHOOT_STEPS} steps"
+        )
+
     return RadialLaw(
         family_tag="half_normal",
         survival=survival,
@@ -379,12 +446,21 @@ def _radial_half_normal() -> RadialLaw:
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
         exact_gap=exact_gap,
+        exact_overshoot=exact_overshoot,
     )
 
 
 # ---------------------------------------------------------------------------
 # Builtin angular families
 # ---------------------------------------------------------------------------
+
+
+def _power(s: np.ndarray, k: float) -> np.ndarray:
+    """s ** k; the exponents 1 and 2 skip NumPy's general power, which
+    gives the same values at several times the cost."""
+    if k == 1.0:
+        return s
+    return np.square(s) if k == 2.0 else s ** k
 
 
 def _power_density_one_side(s, coeff, tau, width):
@@ -415,7 +491,7 @@ def _power_side_masses(minus, plus):
 
     def side_mass_inverse(side, m):
         coeff, tau, _ = params[side]
-        return (np.asarray(m, dtype=float) * (1.0 + tau) / coeff) ** (1.0 / (1.0 + tau))
+        return _power(np.asarray(m, dtype=float) * ((1.0 + tau) / coeff), 1.0 / (1.0 + tau))
 
     return side_mass, side_mass_inverse
 
@@ -546,7 +622,7 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         return 1.0 - scale * np.where(s >= 0, a ** kappa_plus, a ** kappa_minus)
 
     def exact_deficit(side, s):
-        return scale * np.asarray(s, dtype=float) ** (kappa_plus if side > 0 else kappa_minus)
+        return scale * _power(np.asarray(s, dtype=float), kappa_plus if side > 0 else kappa_minus)
 
     def deficit_inverse(side, d):
         return (np.asarray(d, dtype=float) / scale) ** (1.0 / (kappa_plus if side > 0 else kappa_minus))
@@ -662,11 +738,20 @@ def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: S
     return _shape_v(v, t0, rho, delta, coeff, shape_u)
 
 
+# 170! is about 7.3e306 and 171! overflows a double
+_MAX_THETA_N = 170
+
+
 def _shape_v_theta_polynomial(
     t0: float, rho: float, n: int, deriv: float, shape_u: ShapeU,
 ) -> ShapeV:
     if n < 1:
         raise ParameterError(f"shape_v.n must be an integer >= 1, got {n}")
+    if n > _MAX_THETA_N:
+        raise ParameterError(
+            f"shape_v.n must be at most {_MAX_THETA_N}, whose factorial is the "
+            f"largest that fits a double; got {n}"
+        )
     if deriv == 0:
         raise ParameterError("shape_v.deriv must be nonzero")
     c = deriv / math.factorial(n)

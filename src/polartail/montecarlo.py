@@ -3,37 +3,51 @@
 The event {X > x} with X = R u(T) is rare but sits inside {R > x}: since
 |u| <= 1 and R >= 0, an exceedance of X forces one of R. The base
 proposal law is therefore the exact radial tail law given R > x (by
-quantile inversion, no approximation) times the angular law g, and a
-proposal is kept iff R u(T) > x (and T > t0 under right-sided
-conditioning). Restricting the base law to any region that holds every
-acceptable pair and applying the same test still gives exactly the
-conditional law (rejection from a restricted proposal; Devroye 1986,
-Non-Uniform Random Variate Generation, ch. II).
+inversion, no approximation) times the angular law g, and a proposal is
+kept iff R u(T) > x (and T > t0 under right-sided conditioning).
+Restricting the base law to any region that holds every acceptable pair
+and applying the same test still gives exactly the conditional law
+(rejection from a restricted proposal; Devroye 1986, Non-Uniform Random
+Variate Generation, ch. II).
 
-Given the event, T - t0 lives on the angular window phi(x) and R - x on
-the radial scale psi(x), so the sampler splits the base law into
+Given the event, R - x lives on the radial scale psi(x) and T - t0 on the
+angular window phi(x), so builtin models are sampled in those
+coordinates: the overshoot a = R - x, the side sigma of t0 and the
+distance s = |T - t0|, whose deficit delta = ``shape_u.deficit(sigma, s)``
+is u(t0) - u(T). The event R u(T) > x then reads a (1 - delta) > x delta
+(and s > 0 when right-sided), and R = x + a and T = t0 + sigma s are
+formed only for output, so a and s keep their digits however far below
+the resolution of x and t0 they lie.
+The sampler splits the base law into
 
-    A:  R <= r_c and T in W = [t0 - b_minus, t0 + b_plus],
-    B:  R > r_c and T anywhere on the allowed sides,
-    C:  the rest, R <= r_c and T outside W,
+    A:  a <= a_c and s <= b_sigma (T in the window W),
+    B:  a > a_c and T anywhere on the allowed sides,
+    C:  the rest, a <= a_c and T outside W,
 
 with b_sigma = min(phi_sigma L^(1/kappa_sigma), support width of the
-side), L = 20, u_out the largest u(t0 + sigma b_sigma) over the sides
-whose window stops short of the support edge, and
-r_c = (x / u_out)(1 - 4 eps). Since u does not increase away from t0,
-every pair in C has r u(t) <= r_c u_out <= x and is never accepted; the
-factor 1 - 4 eps keeps fl(r_c u_out) <= x under rounding. Proposals are
-drawn from the base law restricted to A and B: B has conditional radial
-mass w_edge = Hbar(r_c) / Hbar(x), about e^-L, and A the angular mass of
+side); L = 20, unless the windows hold so little of the angular law that
+B would take more than about 0.1% of the proposals, and then L grows
+until B does not. delta_out is the smallest deficit at b_sigma over the
+sides whose window stops short of the support edge, and
+a_c = x delta_out / (1 - delta_out), lowered until
+fl(a_c fl(1 - delta_out)) <= fl(x delta_out). Since u does not increase
+away from t0, every pair in C has a (1 - delta) <= a_c (1 - delta_out)
+<= x delta_out <= x delta, in doubles too, and is never accepted.
+Proposals are drawn from the base law restricted to A and B, in one cell
+per region and side: B has conditional radial mass
+w_edge = Hbar(x + a_c) / Hbar(x), about e^-L, and A the angular mass of
 the window, so the acceptance rate is O(1) at every x (about 0.19 for
-kappa = 2, tau = 0) instead of falling like phi(x). Within A and B, T
-comes from the exact per-side angular masses measured from t0 and their
-inverses. This stratified plan needs ``angular.side_mass`` and its
-inverse and a ``shape_u.monotone_reach`` covering every allowed side of
-the support (``validate_model`` checks the declared reach on a grid).
-Otherwise, and always in ``estimate_tail_probability`` (the
-independent Monte Carlo check of the quadrature), the whole-support plan
-draws T from ``angular.sample``: r_c = inf and C is empty.
+kappa = 2, tau = 0) instead of falling like phi(x). A cell draws an
+Exp(1) level e of the radial tail, e = -log(1 - p (1 - w_edge)) in A and
+e = e_c - log(1 - p) in B with e_c = -log w_edge, and turns it into a by
+``RadialLaw.overshoot``; s comes from the exact angular mass of the side
+measured from t0 and its inverse. This stratified plan needs
+``angular.side_mass`` and its inverse and a ``shape_u.monotone_reach``
+covering every allowed side of the support (``validate_model`` checks
+the declared reach on a grid). Otherwise, and always in
+``estimate_tail_probability`` (the independent Monte Carlo check of the
+quadrature), the whole-support plan draws R by ``tail_quantile`` and T
+from ``angular.sample`` and tests R u(T) > x: a_c = inf and C is empty.
 
 ``AcceptanceStats.acceptance_rate`` is proposal_mass * accepted /
 proposals, where proposal_mass is the base-law probability of A and B
@@ -41,23 +55,28 @@ together (1 for the whole-support plan), so under either plan it
 estimates P{X > x (and T > t0) | R > x}.
 
 The normalized coordinates are those of ``asymptotics.limit_law`` under
-the same condition: R - x is divided by psi(x), and T - t0 by the window
-of the side T falls on when the event covers both sides of t0
-(``PolarModel.sides``), else by phi_plus.
+the same condition: a = R - x is divided by psi(x), and sigma s = T - t0
+by the window of the side T falls on when the event covers both sides of
+t0 (``PolarModel.sides``), else by phi_plus.
 
 Determinism contract: the plan is a pure function of (model, x,
 condition). Draws are generated in batches, and batch i of a run with
-seed s uses the stream SeedSequence(key(s) + (i,)). Each batch draws its
-uniforms in full before anything is transformed: the whole-support plan
-draws m uniforms for R, then ``angular.sample(rng, m)``; the stratified
-plan draws m uniforms each for the region and side, for R and for T, in
-that order. The transforms and the acceptance test then run over fixed
-chunks of the batch; chunking draws nothing, so it never changes the
-stream. The output is a pure function of (model, x, n_target,
-condition, seed, batch_size): batches run one after another in index
-order until enough pairs accumulate, and no batch is drawn that is not
-consumed. The batch size takes part in the stream assignment, so
-changing it changes the draws (but not their law).
+seed s uses the stream SeedSequence(key(s) + (i,)). The whole-support
+plan draws m uniforms for R, then ``angular.sample(rng, m)``. The
+stratified plan draws one multinomial split of the batch's m proposals
+over the cells (A minus, A plus, B minus, B plus), then, cell by cell in
+that order, the cell's uniforms for e and then those for s. The
+transforms and the acceptance test run over fixed chunks of each draw;
+chunking draws nothing, so it never changes the stream. Batches run one
+after another in index order until enough pairs accumulate, and no batch
+is drawn that is not consumed. The whole-support plan returns the first
+n accepted pairs. The stratified plan's accepted pairs come grouped by
+cell, where a prefix would favour the first cells, so the generator of
+the last batch then draws n of them without replacement
+(``Generator.choice``), which picks the returned pairs and their order
+uniformly. The output is a pure function of (model, x, n_target,
+condition, seed, batch_size); the batch size takes part in the stream
+assignment, so changing it changes the draws (but not their law).
 """
 
 from __future__ import annotations
@@ -91,7 +110,10 @@ _DEFAULT_BUDGET = 10 ** 9
 # window edge b = phi L^(1/kappa): a power shape has u_tilde(b) = L psi(x)/x
 # there, so beyond it an exceedance needs R - x > ~L psi(x), mass ~ e^-L
 _WINDOW_L = 20.0
-_EPS = float(np.finfo(float).eps)
+# region B draws T from the whole side, so once the windows hold less than
+# e^-L / _EDGE_SHARE of it, L grows to log(side mass / window mass /
+# _EDGE_SHARE) and B keeps about _EDGE_SHARE of the proposals
+_EDGE_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,7 +145,10 @@ class ConditionalSample:
 
     ``r``/``t`` hold exactly n raw pairs, each satisfying the conditioning
     predicate; ``r_norm`` = (r - x)/psi(x) is strictly positive because
-    R > x on the event. ``t_norm`` = (t - t0)/scale: when the event covers
+    R > x on the event. Under the stratified plan both normalized
+    coordinates come from the overshoot and the distance from t0 before
+    r and t are formed, so they keep digits that r and t cannot hold.
+    ``t_norm`` = (t - t0)/scale: when the event covers
     both sides of t0 (``PolarModel.sides``) each pair is scaled by the
     window of its own side, ``scale_kind`` is "phi_sign" and
     ``scale_value`` is (phi_minus, phi_plus); otherwise ``scale_kind`` is
@@ -153,119 +178,126 @@ class ConditionalSample:
 class _Plan:
     """The proposal law of one run (see the module docstring).
 
-    The whole-support plan has ``cum`` None and r_c = inf. Otherwise the
-    cells are (A minus, A plus, B minus, B plus): ``cum`` holds the
-    upper ends of the first three cumulative cell probabilities, ``caps``
-    the angular mass each cell draws from, and ``a_share`` is
-    1 - w_edge = P{R <= r_c | R > x}.
+    The whole-support plan has no ``cells`` and a_c = inf. Otherwise
+    ``cells`` holds (side, cap, edge) of A minus, A plus, B minus and B
+    plus over the sides the event covers, where cap is the angular mass
+    the cell draws s from and edge marks region B, and ``probs`` their
+    probabilities given a proposal. ``a_share`` is 1 - w_edge =
+    P{a <= a_c | R > x} and e_c = -log w_edge.
     """
 
     x: float
-    r_c: float = math.inf
-    u_out: float | None = None
+    a_c: float = math.inf
+    delta_out: float = math.inf
     a_share: float = 1.0
-    cum: np.ndarray | None = None
-    caps: np.ndarray | None = None
+    e_c: float = math.inf
+    cells: tuple = ()
+    probs: np.ndarray | None = None
     proposal_mass: float = 1.0
 
 
 def _build_plan(mdl, x, condition, norm) -> _Plan:
     """The stratified plan when the model supports it, else the whole-support plan."""
     ang, su = mdl.angular, mdl.shape_u
-    t0 = mdl.t0
     sides = mdl.sides(condition)
     if (ang.side_mass is None or ang.side_mass_inverse is None
             or any(su.monotone_reach < width for _, width in sides)):
         return _Plan(x)
 
-    caps = np.zeros(4)
-    u_out = -math.inf
-    for side, width in sides:
-        phi, kappa = (norm.phi_plus, su.kappa_plus) if side > 0 else (norm.phi_minus, su.kappa_minus)
-        b = min(phi * _WINDOW_L ** (1.0 / kappa), width)
-        if b < width:
-            u_out = max(u_out, float(np.asarray(su.u(np.array([t0 + side * b])))[0]))
-        cell = (side + 1) // 2
-        caps[[cell, cell + 2]] = ang.side_mass(side, np.array([b, width]))
+    def cut(level):
+        """(side, b_side, side width, [window mass, side mass]) of each side for L = level."""
+        out = []
+        for side, width in sides:
+            phi, kappa = (norm.phi_plus, su.kappa_plus) if side > 0 else (norm.phi_minus, su.kappa_minus)
+            b = min(phi * level ** (1.0 / kappa), width)
+            out.append((side, b, width, [float(c) for c in ang.side_mass(side, np.array([b, width]))]))
+        return out
 
-    r_c = x / u_out * (1.0 - 4.0 * _EPS) if u_out > 0.0 else math.inf
-    if not r_c > x:
+    wins = cut(_WINDOW_L)
+    window = sum(w[3][0] for w in wins)
+    whole = sum(w[3][1] for w in wins)
+    if whole * math.exp(-_WINDOW_L) > _EDGE_SHARE * window:
+        wins = cut(math.log(whole / (_EDGE_SHARE * window)) if window > 0.0 else math.inf)
+    delta_out = min((float(np.asarray(su.deficit(side, np.array([b])))[0])
+                     for side, b, width, _ in wins if b < width), default=math.inf)
+
+    a_c = math.inf
+    if delta_out < 1.0:
+        inside, edge = 1.0 - delta_out, x * delta_out
+        a_c = edge / inside
+        while a_c * inside > edge:
+            a_c = math.nextafter(a_c, 0.0)
+    if not a_c > 0.0:
         return _Plan(x)
-    if math.isinf(r_c):
-        w_edge, a_share = 0.0, 1.0
-    else:
-        gap = float(np.asarray(mdl.radial.log_survival_gap(x, np.array([r_c - x])))[0])
-        w_edge, a_share = math.exp(gap), -math.expm1(gap)
-    probs = caps * np.array([a_share, a_share, w_edge, w_edge])
+    gap = -math.inf if math.isinf(a_c) else float(
+        np.asarray(mdl.radial.log_survival_gap(x, np.array([a_c])))[0])
+    w_edge, a_share = math.exp(gap), -math.expm1(gap)
+    caps = {side: masses for side, _, _, masses in wins}
+    cells = tuple((side, caps[side][edge], edge)
+                  for edge in (False, True) for side in (-1, 1) if side in caps)
+    probs = np.array([cap * (w_edge if edge else a_share) for _, cap, edge in cells])
     mass = float(probs.sum())
-    return _Plan(
-        x=x, r_c=r_c, u_out=u_out, a_share=a_share,
-        cum=np.cumsum(probs)[:3] / mass, caps=caps, proposal_mass=mass,
-    )
+    return _Plan(x=x, a_c=a_c, delta_out=delta_out, a_share=a_share, e_c=-gap,
+                 cells=cells, probs=probs / mass, proposal_mass=mass)
 
 
-def _stratified_chunk(mdl, plan, p_cell, p_r, p_t):
-    """Proposals from regions A and B, given one chunk of a batch's uniforms.
+def _stratified_batch(mdl, plan, condition, rng, m):
+    """The proposals (a, sigma s, accept mask) of one batch, cell by cell, _CHUNK at a time."""
+    x = plan.x
+    overshoot = mdl.radial.overshoot
+    inverse = mdl.angular.side_mass_inverse
+    deficit = mdl.shape_u.deficit
+    right = condition == _model.Condition.RIGHT_SIDED
+    for (side, cap, edge), count in zip(plan.cells, rng.multinomial(m, plan.probs).tolist()):
+        if not count:
+            continue
+        p_e, p_t = rng.random(count), rng.random(count)
+        for lo in range(0, count, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            if edge:
+                e = plan.e_c - np.log1p(-p_e[part])
+            else:
+                e = -np.log1p(-plan.a_share * p_e[part])
+            a = np.asarray(overshoot(x, e), dtype=float)
+            s = np.asarray(inverse(side, cap * p_t[part]), dtype=float)
+            d = np.asarray(deficit(side, s), dtype=float)
+            keep = a * (1.0 - d) > x * d
+            if right:
+                keep &= s > 0.0
+            yield a, (s if side > 0 else -s), keep
 
-    The cell index counts the cumulative cell probabilities at or below
-    p_cell, as a right-sided search of ``plan.cum`` would.
-    """
-    cum = plan.cum
-    cell = (p_cell >= cum[0]).view(np.int8)
-    cell += p_cell >= cum[1]
-    cell += p_cell >= cum[2]
-    mass = p_t * plan.caps[cell]
-    r = np.asarray(mdl.radial.tail_quantile(p_r * plan.a_share, plan.x), dtype=float)
-    edge = cell >= 2
-    if np.any(edge):
-        r[edge] = mdl.radial.tail_quantile(p_r[edge], plan.r_c)
-    t = np.asarray(mdl.angular.side_mass_inverse(1, mass), dtype=float)
-    minus = cell % 2 == 0
-    if np.any(minus):
-        t[minus] = -np.asarray(mdl.angular.side_mass_inverse(-1, mass[minus]), dtype=float)
-    t += mdl.t0
-    return r, t
 
-
-def _batch_chunks(mdl, plan, key, batch_index, m):
-    """The proposals (r, t) of one batch, _CHUNK at a time.
+def _whole_support_batch(mdl, plan, condition, rng, m):
+    """The proposals (r, t, accept mask) of one batch, _CHUNK at a time.
 
     The uniforms are drawn for the whole batch first, so the stream does
     not depend on the chunking.
     """
-    rng = batch_generator(key, batch_index)
-    if plan.cum is None:
-        p_r = rng.random(m)
-        t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
-        for lo in range(0, m, _CHUNK):
-            s = slice(lo, lo + _CHUNK)
-            yield np.asarray(mdl.radial.tail_quantile(p_r[s], plan.x), dtype=float), t[s]
-    else:
-        p_cell, p_r, p_t = rng.random(m), rng.random(m), rng.random(m)
-        for lo in range(0, m, _CHUNK):
-            s = slice(lo, lo + _CHUNK)
-            yield _stratified_chunk(mdl, plan, p_cell[s], p_r[s], p_t[s])
-
-
-def _accept(mdl, condition, x, r, t):
-    """Mask of the proposals in the event: r u(t) > x, and t > t0 when right-sided."""
-    keep = r * np.asarray(mdl.shape_u.u(t), dtype=float) > x
-    if condition == _model.Condition.RIGHT_SIDED:
-        keep &= t > mdl.t0
-    return keep
+    x = plan.x
+    p_r = rng.random(m)
+    t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
+    for lo in range(0, m, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        r = np.asarray(mdl.radial.tail_quantile(p_r[part], x), dtype=float)
+        keep = r * np.asarray(mdl.shape_u.u(t[part]), dtype=float) > x
+        if condition == _model.Condition.RIGHT_SIDED:
+            keep &= t[part] > mdl.t0
+        yield r, t[part], keep
 
 
 def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budget=None,
                      gather=True):
-    """Run batches in index order; returns (r_parts, t_parts, proposals, accepted).
+    """Run batches in index order; returns (first, second, proposals, accepted).
 
     ``batch_sizes`` is an iterable of per-batch proposal counts (possibly
     unbounded). Consumption stops after the batch that reaches ``stop_at``
     accepted pairs, or when ``batch_sizes`` is exhausted; no batch is
-    drawn that is not consumed. With ``gather`` False the accepted pairs
-    are only counted and the part lists stay empty.
+    drawn that is not consumed. The accepted pairs are (r, t) under the
+    whole-support plan and (a, sigma s) under the stratified one, cut to
+    ``stop_at`` as the module docstring says. With ``gather`` False they
+    are only counted and None is returned for them.
     """
-    r_parts, t_parts = [], []
+    firsts, seconds = [], []
     proposals = 0
     accepted = 0
     for i, m in enumerate(batch_sizes):
@@ -274,16 +306,25 @@ def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budge
                 f"proposal budget {budget} would be exceeded at x = {plan.x:g}: "
                 f"{accepted} accepted of target {stop_at} after {proposals} proposals"
             )
-        for r, t in _batch_chunks(mdl, plan, key, i, m):
-            keep = _accept(mdl, condition, plan.x, r, t)
-            accepted += int(np.count_nonzero(keep))
+        rng = batch_generator(key, i)
+        kernel = _stratified_batch if plan.cells else _whole_support_batch
+        for first, second, keep in kernel(mdl, plan, condition, rng, m):
             if gather:
-                r_parts.append(r[keep])
-                t_parts.append(t[keep])
+                # an index gather costs half as much as a mask gather twice
+                index = np.flatnonzero(keep)
+                accepted += index.size
+                firsts.append(first[index])
+                seconds.append(second[index])
+            else:
+                accepted += int(np.count_nonzero(keep))
         proposals += m
         if stop_at is not None and accepted >= stop_at:
             break
-    return r_parts, t_parts, proposals, accepted
+    if not gather:
+        return None, None, proposals, accepted
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    pick = rng.choice(first.size, stop_at, replace=False) if plan.cells else slice(stop_at)
+    return first[pick], second[pick], proposals, accepted
 
 
 def sample_conditional(
@@ -317,21 +358,25 @@ def sample_conditional(
     norm = _asymptotics.compute_normalizers(mdl, x, condition)
     plan = _build_plan(mdl, x, condition, norm)
 
-    r_parts, t_parts, proposals, accepted = _consume_batches(
+    first, second, proposals, accepted = _consume_batches(
         mdl, plan, condition, key, itertools.repeat(batch_size),
         stop_at=n_target, budget=max_proposals,
     )
-    r = np.concatenate(r_parts)[:n_target]
-    t = np.concatenate(t_parts)[:n_target]
-
     t0 = mdl.t0
+    if plan.cells:
+        a, offset = first, second
+        r, t = x + a, t0 + offset
+    else:
+        r, t = first, second
+        a, offset = r - x, t - t0
+
     if len(mdl.sides(condition)) == 2:
         scale_kind = "phi_sign"
         scale_value: float | tuple[float, float] = (norm.phi_minus, norm.phi_plus)
-        t_norm = (t - t0) / np.where(t >= t0, norm.phi_plus, norm.phi_minus)
+        t_norm = offset / np.where(offset >= 0, norm.phi_plus, norm.phi_minus)
     else:
         scale_kind, scale_value = "phi_plus", norm.phi_plus
-        t_norm = (t - t0) / norm.phi_plus
+        t_norm = offset / norm.phi_plus
 
     stats = AcceptanceStats(
         proposals=proposals,
@@ -341,7 +386,7 @@ def sample_conditional(
     )
     return ConditionalSample(
         x=x, condition=condition, scale_kind=scale_kind, scale_value=scale_value,
-        r=r, t=t, r_norm=(r - x) / norm.psi_x, t_norm=t_norm,
+        r=r, t=t, r_norm=a / norm.psi_x, t_norm=t_norm,
         normalizers=norm, acceptance=stats, seed=key, batch_size=batch_size,
     )
 

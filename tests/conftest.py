@@ -284,13 +284,15 @@ def slow_p_model():
 
 @pytest.fixture(autouse=True)
 def _plans_round_conservatively(monkeypatch):
-    """Every stratified proposal plan a test builds keeps fl(r_c * u_out) <= x."""
+    """Every stratified proposal plan a test builds keeps
+    fl(a_c fl(1 - delta_out)) <= fl(x delta_out), so no pair outside the
+    window with overshoot at most a_c passes the acceptance test."""
     build = montecarlo._build_plan
 
     def checked(*args):
         plan = build(*args)
-        if math.isfinite(plan.r_c):
-            assert plan.r_c * plan.u_out <= plan.x, plan
+        if math.isfinite(plan.a_c):
+            assert plan.a_c * (1.0 - plan.delta_out) <= plan.x * plan.delta_out, plan
         return plan
 
     monkeypatch.setattr(montecarlo, "_build_plan", checked)

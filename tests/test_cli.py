@@ -323,6 +323,40 @@ def test_second_shape_validates_and_fits_its_case(extra, kind):
     assert np.all(first > 0.0) and np.all(np.isfinite(second))
 
 
+# a --case whose regime contradicts the model's delta and kappa_plus is a
+# usage error: exit 2 and no rows
+@pytest.mark.parametrize("text, kind", [
+    ("radial.family = half_normal\nangular.halfwidth = 1.0\nshape_u.family = cosine\n"
+     "shape_v.family = sine\n", "delta_gt_kappa"),
+    (F1_TEXT + "shape_v.family = power_v\nshape_v.delta = 2\nshape_v.rho = 0.5\n", "fs"),
+    (F1_TEXT + "shape_v.family = power_v\nshape_v.delta = 2\nshape_v.rho = 0.5\n",
+     "delta_gt_kappa"),
+    (F1_TEXT + "shape_v.family = power_v\nshape_v.delta = 3\nshape_v.rho = 0.5\n", "fs"),
+    (F1_TEXT + "shape_v.family = power_v\nshape_v.delta = 3\nshape_v.rho = 0.5\n", "ratio_c"),
+], ids=["delta-lt-kappa-as-delta_gt_kappa", "tie-as-fs", "tie-as-delta_gt_kappa",
+        "delta-gt-kappa-as-fs", "delta-gt-kappa-as-ratio_c"])
+def test_limit_sample_case_must_match_the_regime(tmp_path, capsys, text, kind):
+    p = tmp_path / "second.cfg"
+    p.write_text(text)
+    code = main(["limit-sample", "--config", str(p), "--seed", "1", "--n", "10", "--case", kind])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert f"--case {kind}" in out.err and "delta" in out.err
+
+
+def test_theta_order_whose_factorial_overflows_is_usage_error(tmp_path, capsys):
+    theta = {"shape_v.family": "theta_polynomial", "shape_v.deriv": 1.0}
+    build_builtin_model(dict(F1_CONFIG, **theta, **{"shape_v.n": 170}))
+    p = tmp_path / "theta.cfg"
+    p.write_text(F1_TEXT + "shape_v.family = theta_polynomial\nshape_v.n = 200\nshape_v.deriv = 1\n")
+    code = main(["validate", "--config", str(p)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "shape_v.n must be at most 170" in out.err
+
+
 def test_second_shape_order_must_be_an_integer():
     with pytest.raises(ConfigError, match="shape_v.n"):
         build_builtin_model(dict(F1_CONFIG, **{

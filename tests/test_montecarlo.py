@@ -452,26 +452,34 @@ KERNEL_BATCH_SIZES = (1, 8191, 8192, 8193, 10000, 65536)
 
 
 def _whole_batch(mdl, plan, cond, key, i, m):
-    """Batch i drawn, transformed and tested at once; returns the accepted (r, t)."""
+    """Batch i drawn, transformed and tested at once.
+
+    Returns the accepted pairs, (r, t) under the whole-support plan and
+    (a, T - t0) cell after cell under the stratified one, and the batch's
+    generator.
+    """
     rng = batch_generator(key, i)
-    if plan.cum is None:
-        r = np.asarray(mdl.radial.tail_quantile(rng.random(m), plan.x), dtype=float)
+    x = plan.x
+    if not plan.cells:
+        r = np.asarray(mdl.radial.tail_quantile(rng.random(m), x), dtype=float)
         t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
-    else:
-        cell = np.searchsorted(plan.cum, rng.random(m), side="right")
-        p_r = rng.random(m)
-        mass = rng.random(m) * plan.caps[cell]
-        edge = cell >= 2
-        r = np.asarray(mdl.radial.tail_quantile(p_r * plan.a_share, plan.x), dtype=float)
-        r[edge] = mdl.radial.tail_quantile(p_r[edge], plan.r_c)
-        minus = cell % 2 == 0
-        t = np.asarray(mdl.angular.side_mass_inverse(1, mass), dtype=float)
-        t[minus] = -np.asarray(mdl.angular.side_mass_inverse(-1, mass[minus]), dtype=float)
-        t += mdl.t0
-    keep = r * mdl.shape_u.u(t) > plan.x
-    if cond == Condition.RIGHT_SIDED:
-        keep &= t > mdl.t0
-    return r[keep], t[keep]
+        keep = r * mdl.shape_u.u(t) > x
+        if cond == Condition.RIGHT_SIDED:
+            keep &= t > mdl.t0
+        return r[keep], t[keep], rng
+    a_parts, offset_parts = [], []
+    for (side, cap, edge), count in zip(plan.cells, rng.multinomial(m, plan.probs)):
+        p_e, p_t = rng.random(count), rng.random(count)
+        e = plan.e_c - np.log1p(-p_e) if edge else -np.log1p(-p_e * plan.a_share)
+        a = mdl.radial.overshoot(x, e)
+        dist = mdl.angular.side_mass_inverse(side, p_t * cap)
+        d = mdl.shape_u.deficit(side, dist)
+        keep = a * (1.0 - d) > x * d
+        if cond == Condition.RIGHT_SIDED:
+            keep &= dist > 0.0
+        a_parts.append(a[keep])
+        offset_parts.append(side * dist[keep])
+    return np.concatenate(a_parts), np.concatenate(offset_parts), rng
 
 
 @pytest.mark.parametrize("m", KERNEL_BATCH_SIZES)
@@ -485,16 +493,25 @@ def test_chunked_kernel_matches_whole_batch_evaluation(case, cond, m):
     for mdl in (stratified, _whole_support_copy(stratified)):
         s = sample_conditional(mdl, x, n, cond, seed=key, batch_size=m)
         plan = montecarlo._build_plan(mdl, x, cond, s.normalizers)
-        assert (plan.cum is None) == (mdl is not stratified)
-        r_parts, t_parts = [], []
-        while sum(p.size for p in r_parts) < n:
-            r, t = _whole_batch(mdl, plan, cond, key, len(r_parts), m)
-            r_parts.append(r)
-            t_parts.append(t)
-        assert s.r.tobytes() == np.concatenate(r_parts)[:n].tobytes()
-        assert s.t.tobytes() == np.concatenate(t_parts)[:n].tobytes()
-        assert s.acceptance.proposals == len(r_parts) * m
-        assert s.acceptance.accepted == sum(p.size for p in r_parts)
+        assert bool(plan.cells) == (mdl is stratified)
+        firsts, seconds = [], []
+        while sum(p.size for p in firsts) < n:
+            first, second, rng = _whole_batch(mdl, plan, cond, key, len(firsts), m)
+            firsts.append(first)
+            seconds.append(second)
+        first, second = np.concatenate(firsts), np.concatenate(seconds)
+        if plan.cells:
+            # the last batch's generator picks n of the pairs, in random order
+            pick = rng.choice(first.size, n, replace=False)
+            a, offset = first[pick], second[pick]
+            assert s.r.tobytes() == (x + a).tobytes()
+            assert s.t.tobytes() == (mdl.t0 + offset).tobytes()
+            assert s.r_norm.tobytes() == (a / s.normalizers.psi_x).tobytes()
+        else:
+            assert s.r.tobytes() == first[:n].tobytes()
+            assert s.t.tobytes() == second[:n].tobytes()
+        assert s.acceptance.proposals == len(firsts) * m
+        assert s.acceptance.accepted == first.size
 
     # the estimator counts the whole-support stream of the model itself
     n_proposals = 3 * m + 1234

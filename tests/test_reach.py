@@ -1,18 +1,25 @@
-"""Numerical reach: windows and tails right up to x = 1e12.
+"""Numerical reach: windows, tails and conditional draws right up to x = 1e12.
 
 Each reference is an independent closed form written here from the
-model's definition: the window phi solves deficit(phi) = psi(x)/x, and
-the scaled tail is a scipy integral over the distance s from t0 of
-exp(log Hbar(x + d) - log Hbar(x)) g with d = x delta / (1 - delta).
+model's definition: the window phi solves deficit(phi) = psi(x)/x, the
+scaled tail is a scipy integral over the distance s from t0 of
+exp(log Hbar(x + d) - log Hbar(x)) g with d = x delta / (1 - delta), and
+the limit marginals of kappa = 2, tau = 0 are Gamma laws.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
-from polartail import Condition, build_builtin_model, compute_phi, scaled_tail_quadrature
+from polartail import (
+    Condition,
+    build_builtin_model,
+    compute_phi,
+    sample_conditional,
+    scaled_tail_quadrature,
+)
 
 from conftest import ASYM_CONFIG, F1_CONFIG
 
@@ -99,3 +106,28 @@ def test_both_sides_of_asymmetric_model_at_1e4():
     both = scaled_tail_quadrature(mdl, x, Condition.UNRESTRICTED)
     assert right.value == pytest.approx(plus, rel=1e-8, abs=0.0)
     assert both.value - right.value == pytest.approx(minus, rel=1e-8, abs=0.0)
+
+
+# kappa = 2, tau = 0: t_norm^2 ~ Gamma(1/2) and r_norm = t_norm^2 + Exp(1) ~ Gamma(3/2)
+LIMIT_CDFS = {
+    "r_norm": lambda r: special.gammainc(1.5, r),
+    "t_norm": lambda t: special.gammainc(0.5, t * t),
+}
+
+
+@pytest.mark.parametrize("config", [HALFNORMAL_COS, WEIBULL_B2], ids=["halfnormal-cos", "weibull-b2"])
+def test_conditional_draws_follow_the_limit_up_to_1e12(config):
+    # from x = 1e4 on, psi(x)/x <= 1e-8, so the finite-x law equals its limit
+    # far below the noise of n = 2e4 draws. The rungs draw independent
+    # streams, so the 1% level is family-wise: Bonferroni over the rungs
+    # and both coordinates
+    mdl = build_builtin_model(config)
+    n = 20_000
+    rungs = [x for x in LADDER if x >= 1e4]
+    critical = stats.kstwo.ppf(1.0 - 0.01 / (2 * len(rungs)), n)
+    for x in rungs:
+        s = sample_conditional(mdl, x, n, Condition.RIGHT_SIDED, seed=5, max_proposals=10 * n)
+        assert s.acceptance.proposals <= 10 * n
+        for coord, cdf in LIMIT_CDFS.items():
+            d = stats.kstest(getattr(s, coord), cdf).statistic
+            assert d < critical, (x, coord, d, critical)
