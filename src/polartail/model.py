@@ -487,7 +487,7 @@ def _power_side_masses(minus, plus):
     def side_mass(side, s):
         coeff, tau, width = params[side]
         s = np.clip(np.asarray(s, dtype=float), 0.0, width)
-        return coeff * s ** (1.0 + tau) / (1.0 + tau)
+        return coeff * _power(s, 1.0 + tau) / (1.0 + tau)
 
     def side_mass_inverse(side, m):
         coeff, tau, _ = params[side]
@@ -618,8 +618,8 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
         s = np.asarray(t, dtype=float) - t0
         a = np.abs(s)
         if kappa_minus == kappa_plus:
-            return 1.0 - scale * a ** kappa_plus
-        return 1.0 - scale * np.where(s >= 0, a ** kappa_plus, a ** kappa_minus)
+            return 1.0 - scale * _power(a, kappa_plus)
+        return 1.0 - scale * np.where(s >= 0, _power(a, kappa_plus), _power(a, kappa_minus))
 
     def exact_deficit(side, s):
         return scale * _power(np.asarray(s, dtype=float), kappa_plus if side > 0 else kappa_minus)

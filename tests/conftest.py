@@ -4,9 +4,10 @@ The benchmark model used throughout: Exp(1) radial, uniform angle on
 [-1, 1], u(t) = 1 - t^2, so phi(x) = x^(-1/2) and every tail quantity
 has a closed or high-precision reference value.
 
-The slow quadrature oracles that only tests need live here too:
-``cell_masses`` for 2-D cell masses, and ``density_normalization`` over a
-``normalization_support`` for the total mass of a limit density.
+The slow oracles that only tests need live here too: ``cell_masses``
+for 2-D cell masses, ``density_normalization`` over a
+``normalization_support`` for the total mass of a limit density, and
+``ks_one_sample_full`` for the one-sample KS statistic.
 """
 
 import math
@@ -125,6 +126,20 @@ def cell_masses(density, binning, *, rel_tol: float = 1e-6) -> np.ndarray:
             _require_converged(res, a_lo, a_hi, b_lo, b_hi)
             out[i, j] = max(res.value, 0.0)
     return out
+
+
+def ks_one_sample_full(sample, cdf) -> float:
+    """The one-sample KS statistic with ``cdf`` evaluated at every sample point.
+
+    max_i max(i/n - F(x_i), F(x_i) - (i-1)/n) over the sorted sample, the
+    oracle for ``ks_one_sample``, which evaluates F only where the max can
+    still change.
+    """
+    xs = np.sort(np.asarray(sample, dtype=float).ravel())
+    n = xs.size
+    f = np.asarray(cdf(xs), dtype=float)
+    i = np.arange(1, n + 1)
+    return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
 @dataclass(frozen=True)

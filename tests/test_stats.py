@@ -11,6 +11,7 @@ from scipy import special, stats
 
 from polartail import (
     Condition,
+    cdf_two_sided,
     LimitLawOneSided,
     LimitLawTwoSided,
     NonConvergence,
@@ -24,8 +25,10 @@ from polartail import (
     ks_two_sample,
     sample_two_sided,
 )
+from polartail import limitlaw, stats as stats_module
+from polartail.stats import _cell_counts, _limit_edges
 
-from conftest import cell_masses
+from conftest import cell_masses, ks_one_sample_full
 
 # Kolmogorov survival function at the size-corrected statistic
 # (en + 0.12 + 0.11/en) * d with d = 0.5, en = 1
@@ -163,6 +166,45 @@ def test_ks_one_sample_null_rejection_rate():
     assert rejects <= 5
 
 
+def _step_cdf(x):
+    # the law of a uniform draw from {1, 2, 3, 4}
+    return np.floor(np.clip(np.asarray(x, dtype=float), 0.0, 4.0)) / 4.0
+
+
+@given(
+    st.integers(1, 50_000), st.sampled_from(["ndtr", "gammainc", "step"]),
+    st.floats(-0.05, 0.05), st.booleans(), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_ks_one_sample_equals_full_evaluation(n, law, shift, tied, seed):
+    # samples close to the CDF's own law keep the statistic small, so most
+    # blocks have to be bisected before their bound falls below it
+    rng = np.random.default_rng(seed)
+    if law == "ndtr":
+        cdf, sample = special.ndtr, rng.standard_normal(n) + shift
+    elif law == "gammainc":
+        shape = float(rng.uniform(0.2, 4.0))
+        cdf = lambda x: special.gammainc(shape, x)
+        sample = rng.gamma(shape, 1.0 + shift, n)
+    else:
+        cdf, sample = _step_cdf, rng.integers(0, 6, n).astype(float)
+    if tied:
+        sample = np.round(sample, 2)
+    assert ks_one_sample(sample, cdf)[0] == ks_one_sample_full(sample, cdf)
+
+
+def test_ks_one_sample_evaluates_few_points():
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return special.ndtr(x)
+
+    z = np.random.default_rng(5).standard_normal(50_000)
+    assert ks_one_sample(z, counted)[0] == ks_one_sample_full(z, special.ndtr)
+    assert sum(calls) < 2_500
+
+
 def test_chi_square_balanced_cells():
     rng = np.random.default_rng(0)
     parts = []
@@ -232,6 +274,30 @@ def test_cell_masses_raise_when_a_quadrature_does_not_converge(coord):
     wiggly = lambda a, b: 1.0 + np.sin(1e5 * np.asarray((a, b)[coord], dtype=float))
     with pytest.raises(NonConvergence):
         cell_masses(wiggly, UNIT_EDGES)
+
+
+# a chi-square grid's dozen edges, or enough that the padded grid's cell
+# indices no longer fit a uint8
+BIN_COUNTS = st.integers(2, 12) | st.integers(33, 100)
+
+
+@given(BIN_COUNTS, BIN_COUNTS, st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cell_counts_equal_histogram2d(na, nb, seed):
+    rng = np.random.default_rng(seed)
+    edges_a = np.sort(rng.choice(np.linspace(-3.0, 3.0, 201), na + 1, replace=False))
+    edges_b = np.sort(rng.choice(np.linspace(0.0, 2.0, 201), nb + 1, replace=False))
+    # points on every edge and off the grid in both coordinates, paired
+    # with points on and off the other coordinate's edges
+    a = np.concatenate([rng.uniform(-4.0, 4.0, 300), edges_a, edges_a, [-np.inf, np.inf]])
+    b = np.concatenate([rng.uniform(-0.5, 2.5, 300), rng.choice(edges_b, na + 1),
+                        rng.uniform(-0.5, 2.5, na + 1), edges_b[[0, -1]]])
+    a = np.concatenate([a, rng.choice(edges_a, nb + 1)])
+    b = np.concatenate([b, edges_b])
+    expected, _, _ = np.histogram2d(a, b, bins=(edges_a, edges_b))
+    counts = _cell_counts(a, b, edges_a, edges_b)
+    assert counts.shape == expected.shape
+    assert np.array_equal(counts, expected)
 
 
 def test_chi_square_rejects_zero_mass_and_bad_edges():
@@ -313,6 +379,68 @@ def test_convergence_report_two_sided_joint(f1_model):
     row = report.rows[0]
     assert 0.0 <= row.ks_t <= 1.0
     assert row.chi2_p > 1e-4
+
+
+LEVELS = np.linspace(0.0005, 0.9995, 13)
+
+
+@pytest.mark.parametrize("law", [
+    LimitLawOneSided(kappa=2.0, tau=0.0),
+    LimitLawOneSided(kappa=2.0, tau=0.5),
+    # the tied sides of the kappa = (1, 2), tau = (-0.5, 0) model
+    LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=-0.5, tau_plus=0.0,
+                     p_minus=0.5, p_plus=0.5),
+    # e- = 1 and e+ = 1/2, both signs with mass: r is a proper Gamma mixture
+    LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.0, tau_plus=0.0,
+                     p_minus=0.3, p_plus=0.7),
+    # the minus side carries no mass, as in the limit of the kappa = (1, 2) model
+    LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.0, tau_plus=0.0,
+                     p_minus=0.0, p_plus=1.0),
+], ids=["one-sided", "one-sided-tau", "two-sided-tied", "two-sided-mixture",
+        "two-sided-plus-only"])
+def test_limit_edges_are_exact_marginal_quantiles(law):
+    edges_r, edges_t = _limit_edges(law, 12)
+    cdf = cdf_one_sided if isinstance(law, LimitLawOneSided) else cdf_two_sided
+    np.testing.assert_allclose(cdf(law, edges_r, np.inf), LEVELS, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cdf(law, np.inf, edges_t), LEVELS, rtol=0, atol=1e-12)
+
+
+def test_limit_edges_of_mixture_lie_between_component_quantiles():
+    law = LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.0, tau_plus=0.0,
+                           p_minus=0.3, p_plus=0.7)
+    edges_r, _ = _limit_edges(law, 12)
+    # e+ + 1 < e- + 1, so the plus component's quantiles are the lower ones
+    assert np.all(special.gammaincinv(1.5, LEVELS) < edges_r)
+    assert np.all(edges_r < special.gammaincinv(2.0, LEVELS))
+
+
+@pytest.mark.parametrize("condition", [Condition.RIGHT_SIDED, Condition.UNRESTRICTED])
+def test_convergence_report_makes_no_limit_draws(f1_model, monkeypatch, condition):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence_report drew from the limit law")
+
+    monkeypatch.setattr(limitlaw, "sample_one_sided", refuse)
+    monkeypatch.setattr(limitlaw, "sample_two_sided", refuse)
+    report = convergence_report(f1_model, (25.0,), 2000, seed=3, condition=condition, bins=8)
+    assert 0.0 <= report.rows[0].chi2_p <= 1.0
+
+
+def test_convergence_report_edges_do_not_depend_on_seed(f1_model, monkeypatch):
+    binnings = []
+    chi_square = stats_module.chi_square_2d
+
+    def recording(pairs, binning, masses):
+        binnings.append(binning)
+        return chi_square(pairs, binning, masses)
+
+    monkeypatch.setattr(stats_module, "chi_square_2d", recording)
+    for seed in (1, 2):
+        convergence_report(f1_model, (25.0,), 2000, seed=seed, bins=8)
+    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    for edges_r, edges_t in binnings:
+        expected_r, expected_t = _limit_edges(law, 8)
+        assert edges_r.tobytes() == expected_r.tobytes()
+        assert edges_t.tobytes() == expected_t.tobytes()
 
 
 def test_convergence_report_rejects_bad_grid(f1_model):
