@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .asymptotics import (
     Normalizers,
@@ -31,15 +31,12 @@ from .errors import (
 from .limitlaw import (
     CorollaryCase,
     CorollaryKind,
-    LimitLawOneSided,
-    LimitLawTwoSided,
-    cdf_one_sided,
-    cdf_two_sided,
-    density_one_sided,
-    density_two_sided,
+    LimitLaw,
+    LimitSide,
+    cdf,
+    density,
     pushforward_corollary,
-    sample_one_sided,
-    sample_two_sided,
+    sample,
 )
 from .model import (
     AngularLaw,
@@ -92,8 +89,8 @@ __all__ = [
     "ConvergenceReport",
     "CorollaryCase",
     "CorollaryKind",
-    "LimitLawOneSided",
-    "LimitLawTwoSided",
+    "LimitLaw",
+    "LimitSide",
     "MonotonicityError",
     "NonConvergence",
     "Normalizers",
@@ -111,14 +108,12 @@ __all__ = [
     "adaptive_quadrature",
     "bivariate_normalized",
     "build_builtin_model",
-    "cdf_one_sided",
-    "cdf_two_sided",
+    "cdf",
     "chi_square_2d",
     "compute_normalizers",
     "compute_phi",
     "convergence_report",
-    "density_one_sided",
-    "density_two_sided",
+    "density",
     "empirical_sign_freq",
     "estimate_tail_probability",
     "ks_one_sample",
@@ -127,9 +122,8 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "pushforward_corollary",
+    "sample",
     "sample_conditional",
-    "sample_one_sided",
-    "sample_two_sided",
     "scaled_tail_quadrature",
     "tail_asymptotic",
     "tail_probability_quadrature",

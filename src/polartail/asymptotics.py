@@ -20,8 +20,8 @@ space; shapes whose deficit is not monotone near the peak (for example a
 cosine over several periods) are rejected rather than silently giving
 one of several roots.
 
-When the event covers both sides of t0, the two-sided limit law mixes
-them with the weights
+When the event covers both sides of t0, the limit law mixes them with
+the weights
 
     p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum over sides.
 
@@ -332,11 +332,16 @@ def _grid_p(mdl: _model.PolarModel, x_grid) -> float:
     return values[-1]
 
 
+def _limit_side(mdl: _model.PolarModel, sgn: int) -> _limitlaw.LimitSide:
+    """The limit law's side sgn, with that side's kappa and tau."""
+    if sgn > 0:
+        return _limitlaw.LimitSide(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
+    return _limitlaw.LimitSide(mdl.shape_u.kappa_minus, mdl.angular.tau_minus)
+
+
 def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
     """phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma."""
-    kappa = mdl.shape_u.kappa_plus if sgn > 0 else mdl.shape_u.kappa_minus
-    tau = mdl.angular.tau_plus if sgn > 0 else mdl.angular.tau_minus
-    return _window_mass(mdl, x, sgn) / _limitlaw.LimitLawOneSided(kappa, tau).norm_const
+    return _window_mass(mdl, x, sgn) / _limit_side(mdl, sgn).norm_const
 
 
 def tail_asymptotic(mdl: _model.PolarModel, x: float,
@@ -360,19 +365,19 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
 
 
 def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
-              x: float | None = None):
+              x: float | None = None) -> _limitlaw.LimitLaw:
     """The limit law of the normalized pair under ``condition``.
 
-    When the event covers both sides of t0 (``PolarModel.sides``), this is
-    the two-sided law with mixture weights p, the one place p is formed;
-    otherwise it is the one-sided law of the plus side. Builtin models get
-    p in closed form. Custom models read p_plus off the window masses on
-    9 thresholds from x to 100x when ``x`` is given, and on 13 thresholds
-    from 10 to 1e4 otherwise, and raise NonConvergence when p still
-    drifts there by more than 0.1 per step.
+    The law has the sides of ``PolarModel.sides``: the plus side, and the
+    minus side with mixture weights p when the event covers both sides of
+    t0, the one place p is formed. Builtin models get p in closed form.
+    Custom models read p_plus off the window masses on 9 thresholds from x
+    to 100x when ``x`` is given, and on 13 thresholds from 10 to 1e4
+    otherwise, and raise NonConvergence when p still drifts there by more
+    than 0.1 per step.
     """
     if len(mdl.sides(condition)) == 1:
-        return _limitlaw.LimitLawOneSided(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
+        return _limitlaw.LimitLaw(_limit_side(mdl, 1))
     if x is None:
         grid = np.geomspace(10.0, 1e4, 13)
     elif math.isfinite(x) and x > 0:
@@ -383,8 +388,4 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
     if p is None:
         p_p = _grid_p(mdl, grid)
         p = (1.0 - p_p, p_p)
-    return _limitlaw.LimitLawTwoSided(
-        kappa_minus=mdl.shape_u.kappa_minus, kappa_plus=mdl.shape_u.kappa_plus,
-        tau_minus=mdl.angular.tau_minus, tau_plus=mdl.angular.tau_plus,
-        p_minus=p[0], p_plus=p[1],
-    )
+    return _limitlaw.LimitLaw(_limit_side(mdl, 1), _limit_side(mdl, -1), p_minus=p[0], p_plus=p[1])

@@ -128,6 +128,13 @@ def _case_from_model(mdl: _model.PolarModel, kind_name: str) -> _limitlaw.Coroll
     sv = mdl.shape_v
     if sv is None:
         raise ParameterError("--case needs a model with a shape_v section")
+    # v = (t - t0 + rho) u is v = theta u with theta = rho + s: order 1, slope 1
+    if kind == _limitlaw.CorollaryKind.SEIFERT and not (
+            sv.theta_n == 1 and sv.theta_n_deriv_at_t0 == 1.0):
+        raise CaseMismatch(
+            "--case seifert: the model's v does not factor as (t - t0 + rho) u, "
+            "so Y/X is not linear in T"
+        )
     kappa = mdl.shape_u.kappa_plus
     # the regime of the delta-based cases: fs needs delta < kappa,
     # delta_gt_kappa delta > kappa, ratio_c a finite deficit ratio
@@ -253,18 +260,13 @@ def _cmd_limit_sample(args) -> int:
         if cond != _model.Condition.RIGHT_SIDED:
             raise ConfigError("--case applies to right-sided limit draws; drop --condition unrestricted")
         case = _case_from_model(mdl, args.case)
-        law = _asymptotics.limit_law(mdl, cond)
-        r, t = _limitlaw.sample_one_sided(law, n, seed)
-        x1, x2 = _limitlaw.pushforward_corollary(case, r, t)
-        meta["case"] = case.kind.value
-        _emit(args, "limit-sample", config, meta, ("x1", "x2"), zip(x1, x2))
+    r, t = _limitlaw.sample(_asymptotics.limit_law(mdl, cond), n, seed)
+    if not args.case:
+        _emit(args, "limit-sample", config, meta, ("r", "t"), zip(r, t))
         return 0
-    law = _asymptotics.limit_law(mdl, cond)
-    if isinstance(law, _limitlaw.LimitLawTwoSided):
-        r, t = _limitlaw.sample_two_sided(law, n, seed)
-    else:
-        r, t = _limitlaw.sample_one_sided(law, n, seed)
-    _emit(args, "limit-sample", config, meta, ("r", "t"), zip(r, t))
+    x1, x2 = _limitlaw.pushforward_corollary(case, r, t)
+    meta["case"] = case.kind.value
+    _emit(args, "limit-sample", config, meta, ("x1", "x2"), zip(x1, x2))
     return 0
 
 
@@ -279,17 +281,12 @@ def _cmd_density(args) -> int:
     rs = np.linspace(0.0, r_hi, points)
     meta = {"condition": args.condition}
     law = _asymptotics.limit_law(mdl, cond)
-    if isinstance(law, _limitlaw.LimitLawTwoSided):
-        t_lo = -(r_hi ** (1.0 / law.kappa_minus))
-        t_hi = r_hi ** (1.0 / law.kappa_plus)
-        ts = np.linspace(t_lo, t_hi, points)
-        dens = lambda r, t: _limitlaw.density_two_sided(law, r, t)
-    else:
-        ts = np.linspace(0.0, r_hi ** (1.0 / law.kappa), points)
-        dens = lambda r, t: _limitlaw.density_one_sided(law, r, t)
+    # t spans the reach r_hi^(1/kappa) of each side, mirrored on the minus side
+    reach = [sign * r_hi ** (1.0 / side.kappa) for sign, _, side in law.sides]
+    ts = np.linspace(min(0.0, *reach), max(reach), points)
     rows = []
     for r in rs:
-        vals = np.asarray(dens(np.full_like(ts, r), ts), dtype=float)
+        vals = np.asarray(_limitlaw.density(law, np.full_like(ts, r), ts), dtype=float)
         rows.extend((float(r), float(t), float(v)) for t, v in zip(ts, vals))
     _emit(args, "density", config, meta, ("r", "t", "density"), rows)
     return 0

@@ -1,19 +1,19 @@
-"""Limit laws of the normalized conditional pair, with exact samplers.
+"""The limit law of the normalized conditional pair, with an exact sampler.
 
 Under the conditioning {X > x} the normalized pair ((R - x)/psi(x),
-(T - t0)/phi(x)) settles into a two-parameter family: the one-sided limit
-has joint density
+(T - t0)/phi(x)) settles into one law. Each side of t0 that the event
+covers contributes a ``LimitSide`` with joint density
 
     f(r, t) = kappa / Gamma((1 + tau)/kappa) * t^tau * e^{-r}
               on  0 < t < r^{1/kappa},
 
 where kappa is the index of the shape deficit u_tilde and tau the index of
 the angular density near the center. Writing e = (1 + tau)/kappa, the t
-marginal satisfies T^kappa ~ Gamma(e) and, given T, the first coordinate
+magnitude satisfies T^kappa ~ Gamma(e) and, given T, the first coordinate
 is T^kappa plus an independent unit exponential. That decomposition is
 used here as the exact sampler, which makes it the reference every Monte
 Carlo comparison is measured against: no rejection step, no approximation.
-It also gives the joint CDF in closed form,
+It also gives the joint CDF of a side in closed form,
 
     F(r, t) = P(e, m^kappa) - kappa / Gamma(e) * e^{-r} m^{1+tau} / (1 + tau),
               m = min(t, r^{1/kappa}),
@@ -21,13 +21,15 @@ It also gives the joint CDF in closed form,
 with P the regularized lower incomplete gamma function, so cell masses
 of the limit law are exact differences of F rather than quadratures.
 
-The two-sided law mixes a positive and a negative side. A sign S is drawn
-with Gamma-weighted probabilities built from the per-side (p, kappa, tau),
-then the pair follows the one-sided law of that side, with the t
-coordinate negated on the minus side.
+A ``LimitLaw`` has the sides of ``PolarModel.sides``: the plus side
+always, the minus side when the event covers it. A sign S is drawn with
+Gamma-weighted probabilities built from the per-side (p, kappa, tau), then
+the pair follows that side, with the t coordinate negated on the minus
+side. A law with no minus side has sign +1 with probability 1. ``density``,
+``cdf`` and ``sample`` are the same functions for either.
 
 Bivariate limits for (X, Y) = (R u(T), R v(T)) are pushforwards of the
-one-sided pair (r, t); ``CorollaryCase`` names the map and carries its
+plus-side pair (r, t); ``CorollaryCase`` names the map and carries its
 parameters, ``pushforward_corollary`` applies it.
 """
 
@@ -43,16 +45,13 @@ from ._seeding import make_generator
 from .errors import ParameterError
 
 __all__ = [
-    "LimitLawOneSided",
-    "LimitLawTwoSided",
+    "LimitSide",
+    "LimitLaw",
     "CorollaryKind",
     "CorollaryCase",
-    "density_one_sided",
-    "density_two_sided",
-    "cdf_one_sided",
-    "cdf_two_sided",
-    "sample_one_sided",
-    "sample_two_sided",
+    "density",
+    "cdf",
+    "sample",
     "pushforward_corollary",
 ]
 
@@ -61,32 +60,25 @@ __all__ = [
 _MAX_GAMMA_SHAPE = 171.0
 
 
-def _check_side(name: str, kappa: float, tau: float):
-    if not (np.isfinite(kappa) and kappa > 0):
-        raise ParameterError(f"{name}: kappa must be > 0, got {kappa}")
-    if not (np.isfinite(tau) and tau > -1):
-        raise ParameterError(f"{name}: tau must exceed -1, got {tau}")
-    e = (1.0 + tau) / kappa
-    if e > _MAX_GAMMA_SHAPE:
-        raise ParameterError(
-            f"{name}: (1 + tau)/kappa = {e:g} exceeds {_MAX_GAMMA_SHAPE:g}, "
-            "where Gamma((1 + tau)/kappa) overflows"
-        )
-
-
 @dataclass(frozen=True)
-class LimitLawOneSided:
-    """One-sided limit pair; ``norm_const`` is kappa / Gamma((1+tau)/kappa)."""
+class LimitSide:
+    """One side of the limit pair; ``norm_const`` is kappa / Gamma((1+tau)/kappa)."""
 
     kappa: float
     tau: float
     norm_const: float = field(init=False)
 
     def __post_init__(self):
-        _check_side("LimitLawOneSided", self.kappa, self.tau)
-        object.__setattr__(
-            self, "norm_const", self.kappa / math.gamma(self.gamma_shape)
-        )
+        if not (np.isfinite(self.kappa) and self.kappa > 0):
+            raise ParameterError(f"LimitSide: kappa must be > 0, got {self.kappa}")
+        if not (np.isfinite(self.tau) and self.tau > -1):
+            raise ParameterError(f"LimitSide: tau must exceed -1, got {self.tau}")
+        if self.gamma_shape > _MAX_GAMMA_SHAPE:
+            raise ParameterError(
+                f"LimitSide: (1 + tau)/kappa = {self.gamma_shape:g} exceeds "
+                f"{_MAX_GAMMA_SHAPE:g}, where Gamma((1 + tau)/kappa) overflows"
+            )
+        object.__setattr__(self, "norm_const", self.kappa / math.gamma(self.gamma_shape))
 
     @property
     def gamma_shape(self) -> float:
@@ -95,96 +87,76 @@ class LimitLawOneSided:
 
 
 @dataclass(frozen=True)
-class LimitLawTwoSided:
-    """Signed mixture of two one-sided laws.
+class LimitLaw:
+    """The signed limit pair: a plus side and, if the event covers it, a minus side.
 
     ``p_minus``/``p_plus`` are the mixture weights of the window-mass
-    limits. The sign law P{S = sigma}, proportional to (p_sigma /
-    kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma), reweights them and
-    is computed at construction as ``prob_minus``/``prob_plus``. The t
-    coordinate of each side is T - t0 over that side's own window.
+    limits; a law without a minus side has p_minus = 0. The sign law
+    P{S = sigma}, proportional to (p_sigma / kappa_sigma) Gamma((1 +
+    tau_sigma) / kappa_sigma), reweights them and is computed at
+    construction as ``prob_minus``/``prob_plus``. The t coordinate of each
+    side is T - t0 over that side's own window.
     """
 
-    kappa_minus: float
-    kappa_plus: float
-    tau_minus: float
-    tau_plus: float
-    p_minus: float
-    p_plus: float
+    plus: LimitSide
+    minus: LimitSide | None = None
+    p_minus: float = 0.0
+    p_plus: float = 1.0
     prob_minus: float = field(init=False)
     prob_plus: float = field(init=False)
 
     def __post_init__(self):
-        _check_side("LimitLawTwoSided minus side", self.kappa_minus, self.tau_minus)
-        _check_side("LimitLawTwoSided plus side", self.kappa_plus, self.tau_plus)
         for name, p in (("p_minus", self.p_minus), ("p_plus", self.p_plus)):
             if not (0.0 <= p <= 1.0):
-                raise ParameterError(f"LimitLawTwoSided.{name} must lie in [0, 1], got {p}")
+                raise ParameterError(f"LimitLaw.{name} must lie in [0, 1], got {p}")
         if abs(self.p_minus + self.p_plus - 1.0) > 1e-12:
             raise ParameterError(
                 f"mixture weights must sum to 1, got {self.p_minus + self.p_plus}"
             )
+        if self.minus is None and self.p_minus != 0.0:
+            raise ParameterError(f"a law without a minus side needs p_minus = 0, got {self.p_minus}")
         # log weights, since (p / kappa) Gamma(e) overflows for small kappa
         # even where the ratio of the sides is 1; a side with p = 0 weighs 0
+        pairs = ((self.p_plus, self.plus), (self.p_minus, self.minus))
         log_w = [
-            math.log(p / kappa) + math.lgamma((1.0 + tau) / kappa) if p > 0 else -math.inf
-            for p, kappa, tau in ((self.p_minus, self.kappa_minus, self.tau_minus),
-                                  (self.p_plus, self.kappa_plus, self.tau_plus))
+            math.log(p / side.kappa) + math.lgamma(side.gamma_shape) if p > 0 else -math.inf
+            for p, side in pairs if side is not None
         ]
         # normalized by the larger weight, finite because p_minus + p_plus = 1
         top = max(log_w)
-        w_m, w_p = (math.exp(w - top) for w in log_w)
-        total = w_m + w_p
-        object.__setattr__(self, "prob_minus", w_m / total)
-        object.__setattr__(self, "prob_plus", w_p / total)
+        w = [math.exp(v - top) for v in log_w]
+        total = sum(w)
+        object.__setattr__(self, "prob_plus", w[0] / total)
+        object.__setattr__(self, "prob_minus", w[1] / total if len(w) == 2 else 0.0)
 
-    def side(self, sign: int) -> LimitLawOneSided:
-        """The one-sided law of the requested side (+1 or -1)."""
-        if sign > 0:
-            return LimitLawOneSided(self.kappa_plus, self.tau_plus)
-        return LimitLawOneSided(self.kappa_minus, self.tau_minus)
+    @property
+    def sides(self) -> tuple[tuple[int, float, LimitSide], ...]:
+        """(sign, probability, side) of each side: plus first, then minus if present."""
+        if self.minus is None:
+            return ((1, self.prob_plus, self.plus),)
+        return ((1, self.prob_plus, self.plus), (-1, self.prob_minus, self.minus))
 
 
 # ---------------------------------------------------------------------------
-# Densities
+# Density and CDF
 # ---------------------------------------------------------------------------
 
 
-def density_one_sided(law: LimitLawOneSided, r, t):
-    """Joint density of the one-sided pair at (r, t); zero off-support.
+def _side_density(side: LimitSide, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Density of one side at (r, t), t its own magnitude; zero off-support.
 
     The support is {0 < t < r^{1/kappa}}, open at t = 0, so t = 0 returns
     0 even when tau < 0 would make the power infinite.
     """
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r, t = np.broadcast_arrays(r, t)
     safe_t = np.where(t > 0, t, 1.0)
-    inside = (t > 0) & (safe_t ** law.kappa < r)
-    out = np.zeros(np.shape(t), dtype=float)
-    if np.any(inside):
-        vals = law.norm_const * safe_t ** law.tau * np.exp(-r)
-        out = np.where(inside, vals, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    inside = (t > 0) & (safe_t ** side.kappa < r)
+    if not np.any(inside):
+        return np.zeros(np.shape(t), dtype=float)
+    return np.where(inside, side.norm_const * safe_t ** side.tau * np.exp(-r), 0.0)
 
 
-def density_two_sided(law: LimitLawTwoSided, r, t):
-    """Joint density of the signed pair.
-
-    The sign-law mixture P_- f_-(r, -t) + P_+ f_+(r, t) of the one-sided
-    densities, as in ``cdf_two_sided``; equivalently p_sigma
-    |t|^{tau_sigma} e^{-r} on {|t|^{kappa_sigma} < r, sigma t > 0} over
-    sum_sigma (p_sigma / kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma).
-    """
-    t = np.asarray(t, dtype=float)
-    return (law.prob_minus * density_one_sided(law.side(-1), r, -t)
-            + law.prob_plus * density_one_sided(law.side(1), r, t))
-
-
-def cdf_one_sided(law: LimitLawOneSided, r, t):
-    """Joint CDF P{r' <= r, t' <= t} of the one-sided pair; 0 for r <= 0 or t <= 0.
+def _side_cdf(side: LimitSide, r: np.ndarray, t) -> np.ndarray:
+    """P{r' <= r, t' <= t} of one side, t its own magnitude; 0 for r <= 0 or t <= 0.
 
     With g = min(t^kappa, r) = m^kappa, the correction term of the closed
     form equals e^{g - r} (P(e, g) - P(e + 1, g)) by the incomplete gamma
@@ -195,81 +167,77 @@ def cdf_one_sided(law: LimitLawOneSided, r, t):
     # it is imported where a special function is evaluated, not at the top
     from scipy import special as sp_special
 
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r, t = np.broadcast_arrays(r, t)
     inside = (r > 0) & (t > 0)
-    g = np.minimum(np.where(inside, t, 0.0) ** law.kappa, np.where(inside, r, 0.0))
-    e = law.gamma_shape
+    g = np.minimum(np.where(inside, t, 0.0) ** side.kappa, np.where(inside, r, 0.0))
+    e = side.gamma_shape
     p_e = sp_special.gammainc(e, g)
     with np.errstate(invalid="ignore"):
         decay = np.where(g < r, np.exp(g - r), 1.0)
-    out = np.where(inside, p_e - decay * (p_e - sp_special.gammainc(e + 1.0, g)), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(inside, p_e - decay * (p_e - sp_special.gammainc(e + 1.0, g)), 0.0)
 
 
-def cdf_two_sided(law: LimitLawTwoSided, r, t):
-    """Joint CDF of the signed pair; 0 for r <= 0.
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
-    The sign-law mixture of the one-sided CDFs: for t < 0 only the minus
-    side, mirrored, contributes P_- (F_-(r, inf) - F_-(r, -t)); for t >= 0
-    the whole minus side plus the plus side up to t, P_- F_-(r, inf) +
-    P_+ F_+(r, t).
+
+def density(law: LimitLaw, r, t):
+    """Joint density of the signed pair at (r, t); zero off-support.
+
+    The sign-law mixture sum_sigma P_sigma f_sigma(r, sigma t) of the side
+    densities; equivalently p_sigma |t|^{tau_sigma} e^{-r} on
+    {|t|^{kappa_sigma} < r, sigma t > 0} over sum_sigma (p_sigma /
+    kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma).
     """
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r, t = np.broadcast_arrays(r, t)
-    minus, plus = law.side(-1), law.side(1)
-    minus_all = cdf_one_sided(minus, r, np.inf)
-    out = np.where(
-        t < 0,
-        law.prob_minus * (minus_all - cdf_one_sided(minus, r, -t)),
-        law.prob_minus * minus_all + law.prob_plus * cdf_one_sided(plus, r, t),
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    out = sum(prob * _side_density(side, r, sign * t) for sign, prob, side in law.sides)
+    return _scalar_or_array(out)
+
+
+def cdf(law: LimitLaw, r, t):
+    """Joint CDF P{r' <= r, t' <= t} of the signed pair; 0 for r <= 0.
+
+    The sign-law mixture of the side CDFs: the plus side contributes
+    P_+ F_+(r, t), which is 0 for t <= 0; the mirrored minus side
+    contributes P_- (F_-(r, inf) - F_-(r, -t)), all of its mass for
+    t >= 0. Both r and t may be infinite.
+    """
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    out = sum(
+        prob * (_side_cdf(side, r, t) if sign > 0
+                else _side_cdf(side, r, np.inf) - _side_cdf(side, r, -t))
+        for sign, prob, side in law.sides
     )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 # ---------------------------------------------------------------------------
-# Exact samplers
+# Exact sampler
 # ---------------------------------------------------------------------------
 
 
-def sample_one_sided(law: LimitLawOneSided, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Exact draws of the one-sided pair: n arrays (r, t).
+def sample(law: LimitLaw, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Exact draws of the signed pair: n arrays (r, t).
 
     T^kappa is Gamma((1+tau)/kappa) distributed and r is t^kappa plus an
     independent unit exponential; both facts follow from factorizing the
-    joint density, so the draws are exact, not approximate.
+    joint density, so the draws are exact, not approximate. A law with a
+    minus side first draws the sign of each pair from its sign law; a law
+    without one draws no sign, so its stream is Gamma then exponential.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rng = make_generator(seed)
-    g = rng.gamma(law.gamma_shape, 1.0, n)
-    t = g ** (1.0 / law.kappa)
+    plus, minus = law.plus, law.minus
+    if minus is None:
+        g = rng.gamma(plus.gamma_shape, 1.0, n)
+        t = g ** (1.0 / plus.kappa)
+    else:
+        is_plus = rng.random(n) < law.prob_plus
+        g = rng.gamma(np.where(is_plus, plus.gamma_shape, minus.gamma_shape), 1.0)
+        t_mag = g ** np.where(is_plus, 1.0 / plus.kappa, 1.0 / minus.kappa)
+        t = np.where(is_plus, t_mag, -t_mag)
     r = g + rng.exponential(1.0, n)
     return r, t
-
-
-def sample_two_sided(law: LimitLawTwoSided, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Exact draws of the signed pair: n arrays (r, t_signed).
-
-    Draws the sign from the law's Gamma-weighted sign distribution, then
-    the one-sided pair of that side.
-    """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    rng = make_generator(seed)
-    plus = rng.random(n) < law.prob_plus
-    shape = np.where(plus, (1.0 + law.tau_plus) / law.kappa_plus,
-                     (1.0 + law.tau_minus) / law.kappa_minus)
-    g = rng.gamma(shape, 1.0)
-    t_mag = g ** np.where(plus, 1.0 / law.kappa_plus, 1.0 / law.kappa_minus)
-    r = g + rng.exponential(1.0, n)
-    return r, np.where(plus, t_mag, -t_mag)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +310,10 @@ class CorollaryCase:
 
 
 def pushforward_corollary(case: CorollaryCase, r, t) -> tuple[np.ndarray, np.ndarray]:
-    """Map one-sided limit pairs (r, t) to the bivariate limit of the case.
+    """Map plus-side limit pairs (r, t) to the bivariate limit of the case.
 
     The first coordinate is always r - t^kappa, strictly positive on the
-    support of the one-sided law.
+    support of the plus side.
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)

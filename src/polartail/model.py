@@ -719,7 +719,7 @@ def _shape_v_seifert(t0: float, rho: float, shape_u: ShapeU) -> ShapeV:
     # theta = rho + s
     delta, lead = _theta_u_lead(
         rho, 1, 1.0, shape_u, "shape_v.rho: rho * scale = 1 makes the linear term of v vanish")
-    return _shape_v(v, t0, rho, delta, lead, shape_u)
+    return _shape_v(v, t0, rho, delta, lead, shape_u, theta_n=1, theta_n_deriv_at_t0=1.0)
 
 
 def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: ShapeU) -> ShapeV:

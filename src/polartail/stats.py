@@ -10,9 +10,9 @@ shrink as x grows, which is what convergence to the limit law means in
 practice.
 
 The limit law factorizes: T^kappa ~ Gamma(e) and r = T^kappa + Exp(1),
-so its marginals are P(e + 1, r) and P(e, t^kappa), with P the
-regularized lower incomplete gamma function (the two-sided law mixes
-them over the sign). The KS distances are measured against those CDFs
+so the marginals of each side are P(e + 1, r) and P(e, t^kappa), with P
+the regularized lower incomplete gamma function, mixed over the sign when
+the law has a minus side. The KS distances are measured against those CDFs
 and the chi-square bins sit at their exact quantiles, with cell masses
 from differences of the closed-form joint CDF, so no row draws from the
 limit law.
@@ -297,42 +297,35 @@ def _bisect_quantile(cdf, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.n
         hi = np.where(live & ~below, mid, hi)
 
 
-def _limit_edges(law, bins: int) -> tuple[np.ndarray, np.ndarray]:
+def _limit_edges(law: _limitlaw.LimitLaw, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Chi-square edges of r and t: exact quantiles of the limit marginals.
 
-    The levels are ``linspace(0.0005, 0.9995, bins + 1)``. One side has
-    r ~ Gamma(e + 1) and t^kappa ~ Gamma(e). Two-sided t splits at
-    ``prob_minus``: the mirrored minus side below, the plus side above.
-    Two-sided r is one Gamma when the sides share e or one sign has
-    probability 0; otherwise the mixture CDF is bisected between the two
-    component quantiles, which bracket the mixture's.
+    The levels are ``linspace(0.0005, 0.9995, bins + 1)``. Each side has
+    r ~ Gamma(e + 1) and t^kappa ~ Gamma(e). The t levels below
+    ``prob_minus`` fall on the mirrored minus side, the rest on the plus
+    side. r is one Gamma when every side of positive probability shares e;
+    otherwise the mixture CDF is bisected between the component quantiles,
+    which bracket the mixture's.
     """
     from scipy import special as sp_special
 
     q = np.linspace(0.0005, 0.9995, bins + 1)
-    if isinstance(law, _limitlaw.LimitLawOneSided):
-        e = law.gamma_shape
-        r = sp_special.gammaincinv(e + 1.0, q)
-        t = sp_special.gammaincinv(e, q) ** (1.0 / law.kappa)
-    else:
-        minus, plus = law.side(-1), law.side(1)
-        p_minus, p_plus = law.prob_minus, law.prob_plus
-        lower = q < p_minus
-        t = np.empty_like(q)
-        t[lower] = -sp_special.gammainccinv(
-            minus.gamma_shape, q[lower] / p_minus) ** (1.0 / minus.kappa)
-        t[~lower] = sp_special.gammaincinv(
-            plus.gamma_shape, (q[~lower] - p_minus) / p_plus) ** (1.0 / plus.kappa)
-        e_minus, e_plus = minus.gamma_shape, plus.gamma_shape
-        if p_plus == 0.0 or p_minus == 0.0 or e_minus == e_plus:
-            r = sp_special.gammaincinv((e_plus if p_plus > 0.0 else e_minus) + 1.0, q)
+    lower = q < law.prob_minus
+    t = np.empty_like(q)
+    for sign, prob, side in law.sides:
+        if sign > 0:
+            t[~lower] = sp_special.gammaincinv(
+                side.gamma_shape, (q[~lower] - law.prob_minus) / prob) ** (1.0 / side.kappa)
         else:
-            r_minus = sp_special.gammaincinv(e_minus + 1.0, q)
-            r_plus = sp_special.gammaincinv(e_plus + 1.0, q)
-            r = _bisect_quantile(
-                lambda v: _limitlaw.cdf_two_sided(law, v, np.inf), q,
-                np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus),
-            )
+            t[lower] = -sp_special.gammainccinv(
+                side.gamma_shape, q[lower] / prob) ** (1.0 / side.kappa)
+    shapes = sorted({side.gamma_shape for _, prob, side in law.sides if prob > 0.0})
+    r_parts = [sp_special.gammaincinv(e + 1.0, q) for e in shapes]
+    if len(r_parts) == 1:
+        r = r_parts[0]
+    else:
+        r = _bisect_quantile(lambda v: _limitlaw.cdf(law, v, np.inf), q,
+                             np.min(r_parts, axis=0), np.max(r_parts, axis=0))
     edges_r, edges_t = np.unique(r), np.unique(t)
     if min(edges_r.size, edges_t.size) < 3:
         raise ParameterError("degenerate binning: limit marginal quantiles are too concentrated")
@@ -369,8 +362,6 @@ def convergence_report(
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     key = seed_key(seed)
-    cdf = (_limitlaw.cdf_two_sided if len(mdl.sides(condition)) == 2
-           else _limitlaw.cdf_one_sided)
 
     rows = []
     for i, x in enumerate(xs):
@@ -378,11 +369,11 @@ def convergence_report(
         law = _asymptotics.limit_law(mdl, condition, x)
         mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0))
 
-        ks_r = ks_one_sample(mc.r_norm, lambda r: cdf(law, r, np.inf))[0]
-        ks_t = ks_one_sample(mc.t_norm, lambda t: cdf(law, np.inf, t))[0]
+        ks_r = ks_one_sample(mc.r_norm, lambda r: _limitlaw.cdf(law, r, np.inf))[0]
+        ks_t = ks_one_sample(mc.t_norm, lambda t: _limitlaw.cdf(law, np.inf, t))[0]
         edges_r, edges_t = _limit_edges(law, bins)
         # inclusion-exclusion; rounding can leave a cell a few ulps below 0
-        f = cdf(law, edges_r[:, None], edges_t)
+        f = _limitlaw.cdf(law, edges_r[:, None], edges_t)
         masses = np.maximum(np.diff(np.diff(f, axis=0), axis=1), 0.0)
         _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), (edges_r, edges_t), masses)
         quad = _oracle.scaled_tail_quadrature(mdl, x, condition).value

@@ -21,8 +21,6 @@ import pytest
 
 from polartail import (
     AngularLaw,
-    LimitLawOneSided,
-    LimitLawTwoSided,
     NonConvergence,
     ParameterError,
     PolarModel,
@@ -228,26 +226,19 @@ def normalization_support(law) -> PlanarSupport:
     1e-15 (the t marginal decays like e^{-t^kappa}).
     """
     reach = -math.log(1e-16)
-    if isinstance(law, LimitLawOneSided):
-        t_hi = reach ** (1.0 / law.kappa)
-        return PlanarSupport(
-            t_lo=0.0, t_hi=t_hi,
-            r_lower=lambda t: np.abs(t) ** law.kappa,
-        )
-    if isinstance(law, LimitLawTwoSided):
-        t_hi = reach ** (1.0 / law.kappa_plus)
-        t_lo = -(reach ** (1.0 / law.kappa_minus))
-        kappa_m, kappa_p = law.kappa_minus, law.kappa_plus
+    ends = [sign * reach ** (1.0 / side.kappa) for sign, _, side in law.sides]
 
-        def r_lower(t):
-            t = np.asarray(t, dtype=float)
-            k = np.where(t >= 0, kappa_p, kappa_m)
-            return np.abs(t) ** k
+    def r_lower(t):
+        # |t|^kappa of the side t lies on; t = 0 gives 0 on either side
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for sign, _, side in law.sides:
+            out = np.where(sign * t >= 0, np.abs(t) ** side.kappa, out)
+        return out
 
-        return PlanarSupport(
-            t_lo=t_lo, t_hi=t_hi, r_lower=r_lower, t_breakpoints=(0.0,),
-        )
-    raise ParameterError(f"unsupported law type {type(law).__name__}")
+    return PlanarSupport(
+        t_lo=min(0.0, *ends), t_hi=max(ends), r_lower=r_lower, t_breakpoints=(0.0,),
+    )
 
 
 @pytest.fixture(scope="session")

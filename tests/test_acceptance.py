@@ -26,17 +26,16 @@ from polartail import (
     Condition,
     CorollaryCase,
     CorollaryKind,
-    LimitLawOneSided,
-    LimitLawTwoSided,
+    LimitLaw,
+    LimitSide,
     bivariate_normalized,
     convergence_report,
-    density_one_sided,
-    density_two_sided,
+    density,
     empirical_sign_freq,
     ks_two_sample,
     pushforward_corollary,
+    sample,
     sample_conditional,
-    sample_one_sided,
     tail_asymptotic,
     tail_probability_quadrature,
 )
@@ -80,22 +79,21 @@ def test_criterion_2_limit_density_normalizations(capfd):
     cases = 0
     for kappa in (0.5, 1.0, 2.0):
         for tau in (-0.5, 0.0, 1.0):
-            law = LimitLawOneSided(kappa=kappa, tau=tau)
+            law = LimitLaw(LimitSide(kappa=kappa, tau=tau))
             res = density_normalization(
-                lambda r, t: density_one_sided(law, r, t),
+                lambda r, t: density(law, r, t),
                 normalization_support(law),
             )
             worst = max(worst, abs(res.value - 1.0))
             cases += 1
     two_sided = (
-        dict(kappa_minus=2.0, kappa_plus=2.0, p_minus=0.5, p_plus=0.5),
-        dict(kappa_minus=1.0, kappa_plus=2.0, p_minus=0.0, p_plus=1.0),
-        dict(kappa_minus=1.0, kappa_plus=2.0, p_minus=0.5, p_plus=0.5),
+        LimitLaw(LimitSide(2.0, 0.0), LimitSide(2.0, 0.0), p_minus=0.5, p_plus=0.5),
+        LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.0, p_plus=1.0),
+        LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.5, p_plus=0.5),
     )
-    for kw in two_sided:
-        law = LimitLawTwoSided(tau_minus=0.0, tau_plus=0.0, **kw)
+    for law in two_sided:
         res = density_normalization(
-            lambda r, t: density_two_sided(law, r, t),
+            lambda r, t: density(law, r, t),
             normalization_support(law),
         )
         worst = max(worst, abs(res.value - 1.0))
@@ -121,8 +119,8 @@ def test_criterion_3_exact_sampler_against_classical_laws(capfd):
     worst_ks = 0.0
     worst_corr = 0.0
     for seed, (kappa, tau) in enumerate(((2.0, 0.0), (1.0, 1.0), (0.5, -0.5))):
-        law = LimitLawOneSided(kappa=kappa, tau=tau)
-        r, t = sample_one_sided(law, n, seed=100 + seed)
+        law = LimitLaw(LimitSide(kappa=kappa, tau=tau))
+        r, t = sample(law, n, seed=100 + seed)
         g = np.sort(t**kappa)
         shape = (1.0 + tau) / kappa
         grid = np.arange(1, n + 1) / n
@@ -229,8 +227,8 @@ def test_criterion_7_fs_pushforward_matches_monte_carlo(sine_model, capfd):
     s = sample_conditional(sine_model, x, n, Condition.RIGHT_SIDED, seed=707)
     case = CorollaryCase(kind=CorollaryKind.FS, kappa=2.0, rho=0.0, delta=1.0)
     _, mc_second = bivariate_normalized(sine_model, case, s)
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
-    r, t = sample_one_sided(law, n, seed=708)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
+    r, t = sample(law, n, seed=708)
     _, limit_second = pushforward_corollary(case, r, t)
     stat, _ = ks_two_sample(mc_second, limit_second)
     elapsed = time.monotonic() - start

@@ -10,8 +10,8 @@ from polartail import (
     AngularLaw,
     BracketError,
     Condition,
-    LimitLawOneSided,
-    LimitLawTwoSided,
+    LimitLaw,
+    LimitSide,
     MonotonicityError,
     NonConvergence,
     ParameterError,
@@ -249,14 +249,11 @@ def test_limit_law_picks_the_law_and_its_weights(asym_model):
         }
     )
     for cond in (Condition.RIGHT_SIDED, Condition.UNRESTRICTED):
-        law = limit_law(one_sided, cond)
-        assert type(law) is LimitLawOneSided and (law.kappa, law.tau) == (2.0, 0.0)
+        assert limit_law(one_sided, cond) == LimitLaw(LimitSide(2.0, 0.0))
     # asym_model: kappa = (1, 2), uniform angle
-    right = limit_law(asym_model, Condition.RIGHT_SIDED)
-    assert type(right) is LimitLawOneSided and (right.kappa, right.tau) == (2.0, 0.0)
+    assert limit_law(asym_model, Condition.RIGHT_SIDED) == LimitLaw(LimitSide(2.0, 0.0))
     both = limit_law(asym_model, Condition.UNRESTRICTED)
-    assert type(both) is LimitLawTwoSided
-    assert (both.kappa_minus, both.kappa_plus, both.tau_minus, both.tau_plus) == (1.0, 2.0, 0.0, 0.0)
+    assert (both.plus, both.minus) == (LimitSide(2.0, 0.0), LimitSide(1.0, 0.0))
     assert (both.p_minus, both.p_plus) == (0.0, 1.0)
 
 

@@ -13,7 +13,7 @@ from polartail import (
     ConfigError,
     bivariate_normalized,
     build_builtin_model,
-    density_two_sided,
+    density,
     limit_law,
     sample_conditional,
     validate_model,
@@ -345,6 +345,37 @@ def test_limit_sample_case_must_match_the_regime(tmp_path, capsys, text, kind):
     assert f"--case {kind}" in out.err and "delta" in out.err
 
 
+# seifert needs v = (t - t0 + rho) u, i.e. theta = rho + s of order 1 and slope 1
+@pytest.mark.parametrize("text", [
+    "radial.family = half_normal\nangular.halfwidth = 1.0\nshape_u.family = cosine\n"
+    "shape_v.family = sine\n",
+    F1_TEXT + "shape_v.family = theta_polynomial\nshape_v.n = 2\nshape_v.rho = 0.5\n"
+    "shape_v.deriv = 2\n",
+], ids=["sine", "theta-n2"])
+def test_limit_sample_seifert_needs_the_linear_factorization(tmp_path, capsys, text):
+    p = tmp_path / "second.cfg"
+    p.write_text(text)
+    code = main(["limit-sample", "--config", str(p), "--seed", "1", "--n", "10",
+                 "--case", "seifert"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "does not factor as (t - t0 + rho) u" in out.err
+
+
+def test_seifert_model_is_the_theta_case_of_order_one(tmp_path, capsys):
+    p = tmp_path / "seif.cfg"
+    p.write_text(F1_TEXT + "shape_v.family = seifert_linear\nshape_v.rho = 0.4\n")
+    rows = {}
+    for kind in ("seifert", "theta_n"):
+        code = main(["limit-sample", "--config", str(p), "--seed", "5", "--n", "50",
+                     "--case", kind])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows[kind] = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows["seifert"] == rows["theta_n"]
+
+
 def test_theta_order_whose_factorial_overflows_is_usage_error(tmp_path, capsys):
     theta = {"shape_v.family": "theta_polynomial", "shape_v.deriv": 1.0}
     build_builtin_model(dict(F1_CONFIG, **theta, **{"shape_v.n": 170}))
@@ -445,7 +476,7 @@ def test_density_unrestricted_is_the_two_sided_limit(tmp_path, capsys):
     r, t, dens = np.array([[float(v) for v in row.split(",")] for row in rows[1:]]).T
     assert np.any(t < 0.0) and np.any(dens[t < 0.0] > 0.0)
     law = limit_law(build_builtin_model(TIED_CONFIG), Condition.UNRESTRICTED)
-    assert dens.tolist() == density_two_sided(law, r, t).tolist()
+    assert dens.tolist() == density(law, r, t).tolist()
 
 
 def test_verify_small_grid_passes_with_loose_tolerances(f1_cfg, tmp_path, capsys):

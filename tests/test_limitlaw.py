@@ -1,6 +1,6 @@
 """Limit densities, exact samplers, sign law, and pushforward maps.
 
-The one-sided limit density is
+Each side of the limit law has density
 
     kappa / Gamma((1+tau)/kappa) * t^tau * e^(-r)   on 0 < t < r^(1/kappa),
 
@@ -22,16 +22,13 @@ from scipy import integrate, special
 from polartail import (
     CorollaryCase,
     CorollaryKind,
-    LimitLawOneSided,
-    LimitLawTwoSided,
+    LimitLaw,
+    LimitSide,
     ParameterError,
-    cdf_one_sided,
-    cdf_two_sided,
-    density_one_sided,
-    density_two_sided,
+    cdf,
+    density,
     pushforward_corollary,
-    sample_one_sided,
-    sample_two_sided,
+    sample,
 )
 
 from conftest import density_normalization, normalization_support
@@ -41,43 +38,36 @@ CDF_CASES = ((2.0, 0.0), (1.0, 0.5), (3.0, -0.5), (0.5, 1.0))
 
 
 def _sym_two_sided():
-    return LimitLawTwoSided(
-        kappa_minus=2.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.5,
-        p_plus=0.5,
-    )
+    return LimitLaw(LimitSide(2.0, 0.0), LimitSide(2.0, 0.0), p_minus=0.5, p_plus=0.5)
 
 
 def test_one_sided_norm_const_is_kappa_over_gamma():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
-    assert law.gamma_shape == pytest.approx(0.5)
-    assert law.norm_const == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-13)
+    side = LimitSide(kappa=2.0, tau=0.0)
+    assert side.gamma_shape == pytest.approx(0.5)
+    assert side.norm_const == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-13)
 
 
 def test_one_sided_density_reference_value():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     # 2 / (sqrt(pi) e) at (r, t) = (1, 0.5)
-    assert density_one_sided(law, 1.0, 0.5) == pytest.approx(
+    assert density(law, 1.0, 0.5) == pytest.approx(
         0.41510749742059470334, rel=1e-13
     )
 
 
 def test_one_sided_density_vanishes_off_support():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
-    assert density_one_sided(law, 1.0, 1.5) == 0.0  # t^kappa > r
-    assert density_one_sided(law, 1.0, -0.3) == 0.0  # wrong sign
-    assert density_one_sided(law, -0.5, 0.1) == 0.0  # negative r
-    assert density_one_sided(law, 0.2, 0.6) == 0.0  # 0.36 > 0.2
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
+    assert density(law, 1.0, 1.5) == 0.0  # t^kappa > r
+    assert density(law, 1.0, -0.3) == 0.0  # wrong sign
+    assert density(law, -0.5, 0.1) == 0.0  # negative r
+    assert density(law, 0.2, 0.6) == 0.0  # 0.36 > 0.2
 
 
 def test_one_sided_density_broadcasts():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     r = np.array([1.0, 1.0, -1.0])
     t = np.array([0.5, 1.5, 0.5])
-    out = density_one_sided(law, r, t)
+    out = density(law, r, t)
     assert out.shape == (3,)
     assert out[0] > 0.0 and out[1] == 0.0 and out[2] == 0.0
 
@@ -85,27 +75,20 @@ def test_one_sided_density_broadcasts():
 def test_two_sided_density_symmetric_reference():
     law = _sym_two_sided()
     for t in (0.5, -0.5):
-        assert density_two_sided(law, 1.0, t) == pytest.approx(
+        assert density(law, 1.0, t) == pytest.approx(
             0.20755374871029735167, rel=1e-13
         )
-    assert density_two_sided(law, 0.2, 0.6) == 0.0
+    assert density(law, 0.2, 0.6) == 0.0
 
 
 def test_two_sided_density_collapse_matches_one_sided():
-    law = LimitLawTwoSided(
-        kappa_minus=1.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.0,
-        p_plus=1.0,
-    )
-    one = LimitLawOneSided(kappa=2.0, tau=0.0)
+    law = LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.0, p_plus=1.0)
+    one = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     for r, t in ((1.0, 0.5), (2.0, 1.2), (0.7, 0.3)):
-        assert density_two_sided(law, r, t) == pytest.approx(
-            density_one_sided(one, r, t), rel=1e-12
+        assert density(law, r, t) == pytest.approx(
+            density(one, r, t), rel=1e-12
         )
-    assert density_two_sided(law, 1.0, -0.5) == 0.0
+    assert density(law, 1.0, -0.5) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -115,10 +98,8 @@ def test_two_sided_density_collapse_matches_one_sided():
 def test_two_sided_density_matches_closed_form(kappas, taus, p_minus):
     # p_sigma |t|^tau_sigma e^-r on {|t|^kappa_sigma < r, sigma t > 0}
     # over sum_sigma (p_sigma / kappa_sigma) Gamma((1 + tau_sigma) / kappa_sigma)
-    law = LimitLawTwoSided(
-        kappa_minus=kappas[0], kappa_plus=kappas[1], tau_minus=taus[0], tau_plus=taus[1],
-        p_minus=p_minus, p_plus=1.0 - p_minus,
-    )
+    law = LimitLaw(LimitSide(kappas[1], taus[1]), LimitSide(kappas[0], taus[0]),
+                   p_minus=p_minus, p_plus=1.0 - p_minus)
     sides = ((-1.0, p_minus, kappas[0], taus[0]), (1.0, 1.0 - p_minus, kappas[1], taus[1]))
     norm = sum((p / k) * math.gamma((1.0 + tau) / k) for _, p, k, tau in sides if p > 0)
     rng = np.random.default_rng(11)
@@ -130,30 +111,29 @@ def test_two_sided_density_matches_closed_form(kappas, taus, p_minus):
         expected = np.where(inside, p * np.abs(t) ** tau * np.exp(-r) / norm, expected)
     assert np.count_nonzero(expected[t > 0]) > 100
     assert np.count_nonzero(expected[t < 0]) > (100 if p_minus > 0 else -1)
-    np.testing.assert_allclose(density_two_sided(law, r, t), expected, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(density(law, r, t), expected, rtol=1e-13, atol=0)
 
 
 def test_gamma_overflow_is_a_parameter_error():
     # e = (1 + tau) / kappa = 200 lies past Gamma's double range (171.6)
     with pytest.raises(ParameterError, match="overflows"):
-        LimitLawOneSided(kappa=0.005, tau=0.0)
+        LimitLaw(LimitSide(kappa=0.005, tau=0.0))
     with pytest.raises(ParameterError, match="overflows"):
-        LimitLawTwoSided(kappa_minus=0.005, kappa_plus=2.0, tau_minus=0.0,
-                         tau_plus=0.0, p_minus=0.5, p_plus=0.5)
-    assert math.isfinite(LimitLawOneSided(kappa=1.0, tau=170.0).norm_const)
+        LimitLaw(LimitSide(2.0, 0.0), LimitSide(0.005, 0.0), p_minus=0.5, p_plus=0.5)
+    assert math.isfinite(LimitSide(kappa=1.0, tau=170.0).norm_const)
     # e = 171 is in range, and the sign law is formed from log weights,
     # although each weight Gamma(e) / kappa overflows a double
-    assert LimitLawTwoSided(kappa_minus=0.01, kappa_plus=0.01, tau_minus=0.71,
-                            tau_plus=0.71, p_minus=0.5, p_plus=0.5).prob_plus == 0.5
+    assert LimitLaw(LimitSide(0.01, 0.71), LimitSide(0.01, 0.71),
+                    p_minus=0.5, p_plus=0.5).prob_plus == 0.5
     # Gamma(171) / Gamma(170) = 170
-    assert LimitLawTwoSided(kappa_minus=0.01, kappa_plus=0.01, tau_minus=0.70,
-                            tau_plus=0.71, p_minus=0.5, p_plus=0.5).prob_plus == pytest.approx(
+    assert LimitLaw(LimitSide(0.01, 0.71), LimitSide(0.01, 0.70),
+                    p_minus=0.5, p_plus=0.5).prob_plus == pytest.approx(
         170.0 / 171.0, rel=1e-13)
 
 
 def _sign_plus(kappa, p):
-    return LimitLawTwoSided(kappa_minus=kappa[0], kappa_plus=kappa[1], tau_minus=0.0,
-                            tau_plus=0.0, p_minus=p[0], p_plus=p[1]).prob_plus
+    return LimitLaw(LimitSide(kappa[1], 0.0), LimitSide(kappa[0], 0.0),
+                    p_minus=p[0], p_plus=p[1]).prob_plus
 
 
 def test_sign_law_reference_value():
@@ -167,24 +147,17 @@ def test_sign_law_reference_value():
 
 def test_normalization_one_sided_spot_checks():
     for kappa, tau in SAMPLER_CASES:
-        law = LimitLawOneSided(kappa=kappa, tau=tau)
+        law = LimitLaw(LimitSide(kappa=kappa, tau=tau))
         res = density_normalization(
-            lambda r, t: density_one_sided(law, r, t), normalization_support(law)
+            lambda r, t: density(law, r, t), normalization_support(law)
         )
         assert abs(res.value - 1.0) <= 1e-6, (kappa, tau, res.value)
 
 
 def test_normalization_two_sided_asymmetric():
-    law = LimitLawTwoSided(
-        kappa_minus=1.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.5,
-        p_plus=0.5,
-    )
+    law = LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.5, p_plus=0.5)
     res = density_normalization(
-        lambda r, t: density_two_sided(law, r, t), normalization_support(law)
+        lambda r, t: density(law, r, t), normalization_support(law)
     )
     assert abs(res.value - 1.0) <= 1e-6
 
@@ -224,10 +197,10 @@ def _side_cell_quad(weight, kappa, r0, r1, s0, s1):
 
 @pytest.mark.parametrize("kappa, tau", CDF_CASES)
 def test_one_sided_cdf_cell_masses_match_quadrature(kappa, tau):
-    law = LimitLawOneSided(kappa=kappa, tau=tau)
-    r, t = sample_one_sided(law, 20000, seed=11)
+    law = LimitLaw(LimitSide(kappa=kappa, tau=tau))
+    r, t = sample(law, 20000, seed=11)
     edges_r, edges_t = _quantile_grid(r), _quantile_grid(t)
-    got = _cells_from_cdf(lambda a, b: cdf_one_sided(law, a, b), edges_r, edges_t)
+    got = _cells_from_cdf(lambda a, b: cdf(law, a, b), edges_r, edges_t)
     c = kappa / math.gamma((1.0 + tau) / kappa)
     cut = 0
     for i in range(edges_r.size - 1):
@@ -240,12 +213,11 @@ def test_one_sided_cdf_cell_masses_match_quadrature(kappa, tau):
 
 
 def test_two_sided_cdf_cell_masses_match_quadrature():
-    law = LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.3,
-                           tau_plus=-0.2, p_minus=0.4, p_plus=0.6)
-    r, t = sample_two_sided(law, 20000, seed=12)
+    law = LimitLaw(LimitSide(2.0, -0.2), LimitSide(1.0, 0.3), p_minus=0.4, p_plus=0.6)
+    r, t = sample(law, 20000, seed=12)
     edges_r, edges_t = _quantile_grid(r), _quantile_grid(t)
     assert edges_t[0] < 0.0 < edges_t[-1]
-    got = _cells_from_cdf(lambda a, b: cdf_two_sided(law, a, b), edges_r, edges_t)
+    got = _cells_from_cdf(lambda a, b: cdf(law, a, b), edges_r, edges_t)
     denom = sum((p / k) * math.gamma((1.0 + tau) / k)
                 for p, k, tau in ((0.4, 1.0, 0.3), (0.6, 2.0, -0.2)))
     for i in range(edges_r.size - 1):
@@ -260,39 +232,39 @@ def test_two_sided_cdf_cell_masses_match_quadrature():
 
 @pytest.mark.parametrize("kappa, tau", CDF_CASES)
 def test_one_sided_cdf_limits_are_gamma_marginals(kappa, tau):
-    law = LimitLawOneSided(kappa=kappa, tau=tau)
-    e = law.gamma_shape
+    law = LimitLaw(LimitSide(kappa=kappa, tau=tau))
+    e = law.plus.gamma_shape
     rs = np.array([1.0, 5.0, 20.0, 60.0, 200.0])
-    f_r = cdf_one_sided(law, rs, np.inf)
+    f_r = cdf(law, rs, np.inf)
     assert np.all(np.diff(f_r) >= 0.0)
     np.testing.assert_allclose(f_r, special.gammainc(e + 1.0, rs), rtol=0, atol=1e-14)
     assert abs(f_r[-1] - 1.0) <= 1e-14
     ts = np.array([0.05, 0.4, 1.0, 2.5])
-    np.testing.assert_allclose(cdf_one_sided(law, np.inf, ts),
+    np.testing.assert_allclose(cdf(law, np.inf, ts),
                                special.gammainc(e, ts ** kappa), rtol=0, atol=1e-15)
-    assert cdf_one_sided(law, np.inf, np.inf) == 1.0
+    assert cdf(law, np.inf, np.inf) == 1.0
 
 
 def test_cdf_zero_off_support_and_broadcasts():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
-    assert cdf_one_sided(law, 0.0, 1.0) == 0.0
-    assert cdf_one_sided(law, -1.0, 1.0) == 0.0
-    assert cdf_one_sided(law, 1.0, 0.0) == 0.0
-    assert cdf_one_sided(law, 1.0, -2.0) == 0.0
-    out = cdf_one_sided(law, np.array([[0.5], [2.0]]), np.array([0.1, 0.5, 3.0]))
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
+    assert cdf(law, 0.0, 1.0) == 0.0
+    assert cdf(law, -1.0, 1.0) == 0.0
+    assert cdf(law, 1.0, 0.0) == 0.0
+    assert cdf(law, 1.0, -2.0) == 0.0
+    out = cdf(law, np.array([[0.5], [2.0]]), np.array([0.1, 0.5, 3.0]))
     assert out.shape == (2, 3)
     two = _sym_two_sided()
-    assert cdf_two_sided(two, 0.0, 1.0) == 0.0
-    assert cdf_two_sided(two, np.inf, -np.inf) == 0.0
-    assert cdf_two_sided(two, np.inf, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert cdf_two_sided(two, np.inf, np.inf) == pytest.approx(1.0, abs=1e-15)
+    assert cdf(two, 0.0, 1.0) == 0.0
+    assert cdf(two, np.inf, -np.inf) == 0.0
+    assert cdf(two, np.inf, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert cdf(two, np.inf, np.inf) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sampler_moments_and_support():
     for kappa, tau in SAMPLER_CASES:
-        law = LimitLawOneSided(kappa=kappa, tau=tau)
-        r, t = sample_one_sided(law, 50_000, seed=11)
-        shape = law.gamma_shape
+        law = LimitLaw(LimitSide(kappa=kappa, tau=tau))
+        r, t = sample(law, 50_000, seed=11)
+        shape = law.plus.gamma_shape
         g = t**kappa
         assert np.all(t > 0.0)
         assert np.all(r > g)
@@ -302,8 +274,8 @@ def test_sampler_moments_and_support():
 
 
 def test_sampler_residual_is_unit_exponential():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
-    r, t = sample_one_sided(law, 50_000, seed=7)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
+    r, t = sample(law, 50_000, seed=7)
     e = r - t**2
     # one-sample KS against 1 - exp(-x), alpha = 0.01 critical value
     s = np.sort(e)
@@ -316,33 +288,64 @@ def test_sampler_residual_is_unit_exponential():
 
 
 def test_sampler_deterministic_per_seed():
-    law = LimitLawOneSided(kappa=1.0, tau=1.0)
-    r1, t1 = sample_one_sided(law, 1000, seed=42)
-    r2, t2 = sample_one_sided(law, 1000, seed=42)
+    law = LimitLaw(LimitSide(kappa=1.0, tau=1.0))
+    r1, t1 = sample(law, 1000, seed=42)
+    r2, t2 = sample(law, 1000, seed=42)
     np.testing.assert_array_equal(r1, r2)
     np.testing.assert_array_equal(t1, t2)
-    r3, _ = sample_one_sided(law, 1000, seed=43)
+    r3, _ = sample(law, 1000, seed=43)
     assert not np.array_equal(r1, r3)
 
 
 def test_sampler_rejects_negative_seeds():
-    law = LimitLawOneSided(kappa=1.0, tau=1.0)
+    law = LimitLaw(LimitSide(kappa=1.0, tau=1.0))
     for seed in (-3, (1, -2)):
         with pytest.raises(ParameterError, match="nonnegative"):
-            sample_one_sided(law, 5, seed)
+            sample(law, 5, seed)
+
+
+def _reference_draws(law, n, rng):
+    """The sampler's stream written out draw by draw."""
+    if law.minus is None:
+        g = rng.gamma(law.plus.gamma_shape, 1.0, n)
+        return g + rng.exponential(1.0, n), g ** (1.0 / law.plus.kappa)
+    plus = rng.random(n) < law.prob_plus
+    g = rng.gamma(np.where(plus, law.plus.gamma_shape, law.minus.gamma_shape), 1.0)
+    t = np.where(plus, 1.0, -1.0) * g ** np.where(plus, 1.0 / law.plus.kappa,
+                                                  1.0 / law.minus.kappa)
+    return g + rng.exponential(1.0, n), t
+
+
+@pytest.mark.parametrize("law", [
+    LimitLaw(LimitSide(2.0, 0.0)),
+    # the tied sides of the kappa = (1, 2), tau = (-0.5, 0) model
+    LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, -0.5), p_minus=0.5, p_plus=0.5),
+    # a minus side without mass still draws the sign uniforms
+    LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.0, p_plus=1.0),
+], ids=["one-sided", "two-sided-tied", "two-sided-plus-only"])
+def test_sampler_stream_is_pinned(law):
+    r, t = sample(law, 5000, np.random.default_rng(17))
+    ref_r, ref_t = _reference_draws(law, 5000, np.random.default_rng(17))
+    assert r.tobytes() == ref_r.tobytes()
+    assert t.tobytes() == ref_t.tobytes()
+    assert np.all(t > 0.0) or law.prob_minus > 0.0
+
+
+def test_sides_follow_the_model_rule():
+    plus, minus = LimitSide(2.0, 0.0), LimitSide(1.0, 0.0)
+    one = LimitLaw(plus)
+    assert one.sides == ((1, 1.0, plus),)
+    assert (one.prob_minus, one.prob_plus) == (0.0, 1.0)
+    both = LimitLaw(plus, minus, p_minus=0.5, p_plus=0.5)
+    assert both.sides == ((1, both.prob_plus, plus), (-1, both.prob_minus, minus))
+    with pytest.raises(ParameterError, match="p_minus"):
+        LimitLaw(plus, p_minus=0.5, p_plus=0.5)
 
 
 def test_two_sided_sampler_sign_frequency():
-    law = LimitLawTwoSided(
-        kappa_minus=1.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.5,
-        p_plus=0.5,
-    )
+    law = LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.5, p_plus=0.5)
     n = 40_000
-    r, t = sample_two_sided(law, n, seed=5)
+    r, t = sample(law, n, seed=5)
     assert np.all(r > 0.0)
     freq = np.mean(t > 0.0)
     p = law.prob_plus
@@ -354,7 +357,7 @@ def test_two_sided_sampler_sign_frequency():
 
 def test_two_sided_sampler_marginal_against_gamma():
     law = _sym_two_sided()
-    _, t = sample_two_sided(law, 50_000, seed=9)
+    _, t = sample(law, 50_000, seed=9)
     g = np.abs(t) ** 2
     cdf = special.gammainc(0.5, np.sort(g))
     grid = np.arange(1, g.size + 1) / g.size
@@ -448,8 +451,8 @@ def test_case_parameter_validation_names_missing_field():
 
 
 def test_sampler_rejects_bad_sizes():
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     with pytest.raises(ParameterError):
-        sample_one_sided(law, 0, seed=1)
+        sample(law, 0, seed=1)
     with pytest.raises(ParameterError):
-        sample_one_sided(law, -5, seed=1)
+        sample(law, -5, seed=1)

@@ -20,8 +20,8 @@ from polartail import (
     estimate_tail_probability,
     ks_two_sample,
     limit_law,
+    sample,
     sample_conditional,
-    sample_two_sided,
     scaled_tail_quadrature,
     tail_probability_quadrature,
 )
@@ -68,7 +68,7 @@ def test_unrestricted_default_scales_each_side_by_its_own_window():
     s = sample_conditional(mdl, x, n, cond, seed=13)
     assert s.scale_kind == "phi_sign"
     assert s.scale_value == (norm.phi_minus, norm.phi_plus)
-    _, lim_t = sample_two_sided(limit_law(mdl, cond), n, seed=14)
+    _, lim_t = sample(limit_law(mdl, cond), n, seed=14)
     _, p = ks_two_sample(s.t_norm, lim_t)
     assert p > 1e-3, p
 

@@ -11,19 +11,17 @@ from scipy import special, stats
 
 from polartail import (
     Condition,
-    cdf_two_sided,
-    LimitLawOneSided,
-    LimitLawTwoSided,
+    LimitLaw,
+    LimitSide,
     NonConvergence,
     ParameterError,
-    cdf_one_sided,
+    cdf,
     chi_square_2d,
     convergence_report,
-    density_one_sided,
-    density_two_sided,
+    density,
     ks_one_sample,
     ks_two_sample,
-    sample_two_sided,
+    sample,
 )
 from polartail import limitlaw, stats as stats_module
 from polartail.stats import _cell_counts, _limit_edges
@@ -259,10 +257,10 @@ def test_chi_square_precomputed_masses_match_inline():
 
 def test_cell_masses_match_exact_where_density_is_smooth_in_each_cell():
     # every cell lies inside the support t^2 < r, so no jump is inside a cell
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     binning = (np.array([1.5, 2.0, 3.0]), np.array([0.1, 0.5, 1.0]))
-    quad = cell_masses(lambda r, t: density_one_sided(law, r, t), binning)
-    f = cdf_one_sided(law, binning[0][:, None], binning[1])
+    quad = cell_masses(lambda r, t: density(law, r, t), binning)
+    f = cdf(law, binning[0][:, None], binning[1])
     exact = np.diff(np.diff(f, axis=0), axis=1)
     np.testing.assert_allclose(quad, exact, rtol=0, atol=1e-9)
 
@@ -322,22 +320,15 @@ def test_chi_square_accepts_pair_tuple_and_matrix():
 def test_chi_square_calibration_against_exact_law():
     # draws from the two-sided limit law tested against its own density:
     # the p-value should essentially never be tiny
-    law = LimitLawTwoSided(
-        kappa_minus=2.0,
-        kappa_plus=2.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        p_minus=0.5,
-        p_plus=0.5,
-    )
+    law = LimitLaw(LimitSide(2.0, 0.0), LimitSide(2.0, 0.0), p_minus=0.5, p_plus=0.5)
     edges_r = np.array([0.0, 0.35, 0.75, 1.3, 2.1, 3.5, 30.0])
     edges_t = np.array([-3.0, -0.8, -0.35, 0.0, 0.35, 0.8, 3.0])
     masses = cell_masses(
-        lambda r, t: density_two_sided(law, r, t), (edges_r, edges_t)
+        lambda r, t: density(law, r, t), (edges_r, edges_t)
     )
     low = 0
     for seed in range(200):
-        r, t = sample_two_sided(law, 4000, seed=seed)
+        r, t = sample(law, 4000, seed=seed)
         _, _, p = chi_square_2d((r, t), (edges_r, edges_t), masses)
         if p < 0.001:
             low += 1
@@ -385,29 +376,24 @@ LEVELS = np.linspace(0.0005, 0.9995, 13)
 
 
 @pytest.mark.parametrize("law", [
-    LimitLawOneSided(kappa=2.0, tau=0.0),
-    LimitLawOneSided(kappa=2.0, tau=0.5),
+    LimitLaw(LimitSide(kappa=2.0, tau=0.0)),
+    LimitLaw(LimitSide(kappa=2.0, tau=0.5)),
     # the tied sides of the kappa = (1, 2), tau = (-0.5, 0) model
-    LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=-0.5, tau_plus=0.0,
-                     p_minus=0.5, p_plus=0.5),
+    LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, -0.5), p_minus=0.5, p_plus=0.5),
     # e- = 1 and e+ = 1/2, both signs with mass: r is a proper Gamma mixture
-    LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.0, tau_plus=0.0,
-                     p_minus=0.3, p_plus=0.7),
+    LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.3, p_plus=0.7),
     # the minus side carries no mass, as in the limit of the kappa = (1, 2) model
-    LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.0, tau_plus=0.0,
-                     p_minus=0.0, p_plus=1.0),
+    LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.0, p_plus=1.0),
 ], ids=["one-sided", "one-sided-tau", "two-sided-tied", "two-sided-mixture",
         "two-sided-plus-only"])
 def test_limit_edges_are_exact_marginal_quantiles(law):
     edges_r, edges_t = _limit_edges(law, 12)
-    cdf = cdf_one_sided if isinstance(law, LimitLawOneSided) else cdf_two_sided
     np.testing.assert_allclose(cdf(law, edges_r, np.inf), LEVELS, rtol=0, atol=1e-12)
     np.testing.assert_allclose(cdf(law, np.inf, edges_t), LEVELS, rtol=0, atol=1e-12)
 
 
 def test_limit_edges_of_mixture_lie_between_component_quantiles():
-    law = LimitLawTwoSided(kappa_minus=1.0, kappa_plus=2.0, tau_minus=0.0, tau_plus=0.0,
-                           p_minus=0.3, p_plus=0.7)
+    law = LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.3, p_plus=0.7)
     edges_r, _ = _limit_edges(law, 12)
     # e+ + 1 < e- + 1, so the plus component's quantiles are the lower ones
     assert np.all(special.gammaincinv(1.5, LEVELS) < edges_r)
@@ -419,8 +405,7 @@ def test_convergence_report_makes_no_limit_draws(f1_model, monkeypatch, conditio
     def refuse(*args, **kwargs):
         raise AssertionError("convergence_report drew from the limit law")
 
-    monkeypatch.setattr(limitlaw, "sample_one_sided", refuse)
-    monkeypatch.setattr(limitlaw, "sample_two_sided", refuse)
+    monkeypatch.setattr(limitlaw, "sample", refuse)
     report = convergence_report(f1_model, (25.0,), 2000, seed=3, condition=condition, bins=8)
     assert 0.0 <= report.rows[0].chi2_p <= 1.0
 
@@ -436,7 +421,7 @@ def test_convergence_report_edges_do_not_depend_on_seed(f1_model, monkeypatch):
     monkeypatch.setattr(stats_module, "chi_square_2d", recording)
     for seed in (1, 2):
         convergence_report(f1_model, (25.0,), 2000, seed=seed, bins=8)
-    law = LimitLawOneSided(kappa=2.0, tau=0.0)
+    law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     for edges_r, edges_t in binnings:
         expected_r, expected_t = _limit_edges(law, 8)
         assert edges_r.tobytes() == expected_r.tobytes()
