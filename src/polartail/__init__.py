@@ -7,13 +7,14 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .asymptotics import (
     Normalizers,
     PhiRoot,
     compute_normalizers,
     compute_phi,
+    corollary_case,
     limit_law,
     tail_asymptotic,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "compute_normalizers",
     "compute_phi",
     "convergence_report",
+    "corollary_case",
     "density",
     "empirical_sign_freq",
     "estimate_tail_probability",

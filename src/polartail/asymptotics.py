@@ -33,6 +33,9 @@ coefficients. For custom models ``limit_law`` reads the limit off a
 finite grid of x values and raises NonConvergence when it still drifts.
 ``limit_law`` is the only place p is formed; the windows at one
 threshold (``compute_normalizers``) do not need it.
+
+``corollary_case``, the other map from a model to a limit object, reads
+the corollary for (X, Y) = (R u(T), R v(T)) off ``shape_v``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import limitlaw as _limitlaw
 from . import model as _model
-from .errors import BracketError, MonotonicityError, NonConvergence, ParameterError
+from .errors import BracketError, CaseMismatch, MonotonicityError, NonConvergence, ParameterError
 
 __all__ = [
     "PhiRoot",
@@ -53,6 +56,7 @@ __all__ = [
     "compute_normalizers",
     "tail_asymptotic",
     "limit_law",
+    "corollary_case",
 ]
 
 _BRACKET_FLOOR = 1e-14
@@ -389,3 +393,45 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
         p_p = _grid_p(mdl, grid)
         p = (1.0 - p_p, p_p)
     return _limitlaw.LimitLaw(_limit_side(mdl, 1), _limit_side(mdl, -1), p_minus=p[0], p_plus=p[1])
+
+
+def corollary_case(mdl: _model.PolarModel,
+                   kind: _limitlaw.CorollaryKind | str) -> _limitlaw.CorollaryCase:
+    """The corollary case ``kind`` (a CorollaryKind or its value) of the model.
+
+    The case is read off the ``shape_v`` declarations, which
+    ``validate_model`` checks: fs needs delta < kappa_plus, delta_gt_kappa
+    delta > kappa_plus, ratio_c a finite ratio C, theta_n a factorization
+    v = theta u, and seifert one with theta = rho + s. A kind outside the
+    model's regime raises CaseMismatch; an unknown kind, or a model
+    without shape_v, ParameterError.
+    """
+    K = _limitlaw.CorollaryKind
+    if kind not in {k.value for k in K}:
+        raise ParameterError(
+            f"unknown corollary case {kind!r}; expected one of {[k.value for k in K]}")
+    kind = K(kind)
+    sv = mdl.shape_v
+    if sv is None:
+        raise ParameterError("a corollary case needs a model with shape_v")
+    kappa = mdl.shape_u.kappa_plus
+    regime = (f"the model has shape_v delta = {sv.delta:g} and kappa_plus = {kappa:g}, so its "
+              f"deficit ratio u_tilde/v_tilde tends to "
+              f"{'no finite limit' if sv.ratio_c is None else format(sv.ratio_c, 'g')}")
+    fits, why = {
+        K.FS: (sv.delta < kappa, f"{regime}; fs needs delta < kappa_plus"),
+        K.DELTA_GT_KAPPA: (sv.delta > kappa, f"{regime}; delta_gt_kappa needs delta > kappa_plus"),
+        K.RATIO_C: (sv.ratio_c is not None, f"{regime}; ratio_c needs a finite ratio C"),
+        # v = (t - t0 + rho) u is v = theta u with theta = rho + s: order 1, slope 1
+        K.SEIFERT: (sv.theta_n == 1 and sv.theta_n_deriv_at_t0 == 1.0,
+                    "the model's v does not factor as (t - t0 + rho) u, so Y/X is not linear in T"),
+        K.THETA_N: (sv.theta_n is not None, "the model declares no factorization v = theta u"),
+    }[kind]
+    if not fits:
+        raise CaseMismatch(why)
+    kw = {"delta": sv.delta} if kind in (K.FS, K.RATIO_C) else {}
+    if kind == K.RATIO_C:
+        kw["ratio_c"] = sv.ratio_c
+    if kind == K.THETA_N:
+        kw.update(n=sv.theta_n, theta_deriv=sv.theta_n_deriv_at_t0)
+    return _limitlaw.CorollaryCase(kind=kind, kappa=kappa, rho=sv.rho, **kw)

@@ -117,51 +117,6 @@ def _condition(args) -> _model.Condition:
     return _model.Condition.RIGHT_SIDED if args.condition == "right" else _model.Condition.UNRESTRICTED
 
 
-def _case_from_model(mdl: _model.PolarModel, kind_name: str) -> _limitlaw.CorollaryCase:
-    try:
-        kind = _limitlaw.CorollaryKind(kind_name)
-    except ValueError:
-        raise ConfigError(
-            f"--case: unknown case {kind_name!r}; expected one of "
-            f"{[k.value for k in _limitlaw.CorollaryKind]}"
-        ) from None
-    sv = mdl.shape_v
-    if sv is None:
-        raise ParameterError("--case needs a model with a shape_v section")
-    # v = (t - t0 + rho) u is v = theta u with theta = rho + s: order 1, slope 1
-    if kind == _limitlaw.CorollaryKind.SEIFERT and not (
-            sv.theta_n == 1 and sv.theta_n_deriv_at_t0 == 1.0):
-        raise CaseMismatch(
-            "--case seifert: the model's v does not factor as (t - t0 + rho) u, "
-            "so Y/X is not linear in T"
-        )
-    kappa = mdl.shape_u.kappa_plus
-    # the regime of the delta-based cases: fs needs delta < kappa,
-    # delta_gt_kappa delta > kappa, ratio_c a finite deficit ratio
-    regime_ok = {
-        _limitlaw.CorollaryKind.FS: sv.delta < kappa,
-        _limitlaw.CorollaryKind.DELTA_GT_KAPPA: sv.delta > kappa,
-        _limitlaw.CorollaryKind.RATIO_C: sv.ratio_c is not None,
-    }.get(kind, True)
-    if not regime_ok:
-        raise CaseMismatch(
-            f"--case {kind.value}: the model has shape_v delta = {sv.delta:g} and "
-            f"kappa_plus = {kappa:g}, so its deficit ratio u_tilde/v_tilde tends to "
-            f"{'no finite limit' if sv.ratio_c is None else format(sv.ratio_c, 'g')}"
-        )
-    kw = {}
-    if kind in (_limitlaw.CorollaryKind.FS, _limitlaw.CorollaryKind.RATIO_C):
-        kw["delta"] = sv.delta
-    if kind == _limitlaw.CorollaryKind.RATIO_C:
-        kw["ratio_c"] = sv.ratio_c
-    if kind == _limitlaw.CorollaryKind.THETA_N:
-        if sv.theta_n is None or sv.theta_n_deriv_at_t0 is None:
-            raise ParameterError("--case theta_n: the model has no theta factorization data")
-        kw["n"] = sv.theta_n
-        kw["theta_deriv"] = sv.theta_n_deriv_at_t0
-    return _limitlaw.CorollaryCase(kind=kind, kappa=mdl.shape_u.kappa_plus, rho=sv.rho, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -259,7 +214,10 @@ def _cmd_limit_sample(args) -> int:
     if args.case:
         if cond != _model.Condition.RIGHT_SIDED:
             raise ConfigError("--case applies to right-sided limit draws; drop --condition unrestricted")
-        case = _case_from_model(mdl, args.case)
+        try:
+            case = _asymptotics.corollary_case(mdl, args.case)
+        except (CaseMismatch, ParameterError) as exc:
+            raise type(exc)(f"--case {args.case}: {exc}") from None
     r, t = _limitlaw.sample(_asymptotics.limit_law(mdl, cond), n, seed)
     if not args.case:
         _emit(args, "limit-sample", config, meta, ("r", "t"), zip(r, t))

@@ -41,4 +41,4 @@ class BudgetExceeded(PolarTailError):
 
 
 class CaseMismatch(PolarTailError):
-    """A requested corollary case contradicts the model's measured behavior."""
+    """A requested corollary case contradicts the model's declared regime."""

@@ -271,7 +271,9 @@ class CorollaryCase:
 
     Missing or out-of-range parameters raise ParameterError naming the
     field; which fields are required depends on the kind (see
-    ``CorollaryKind``).
+    ``CorollaryKind``). ``asymptotics.corollary_case`` builds the case of
+    a model from its trusted ``shape_v`` declarations, which
+    ``validate_model`` checks.
     """
 
     kind: CorollaryKind

@@ -223,7 +223,9 @@ class ShapeV:
     increase or decrease through t0. ``ratio_c`` stores the limit of
     u_tilde/v_tilde at 0+ when it is finite and known in closed form.
     ``theta_n``/``theta_n_deriv_at_t0`` describe the v = theta*u
-    factorization when available.
+    factorization when available, and are declared together. These
+    declarations pick the corollary case (``asymptotics.corollary_case``);
+    ``validate_model`` checks each of them against v and u.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
@@ -242,6 +244,8 @@ class ShapeV:
             raise ParameterError(f"shape_v delta must be >= 0, got {self.delta}")
         if self.theta_n is not None and self.theta_n < 1:
             raise ParameterError(f"shape_v theta_n must be >= 1, got {self.theta_n}")
+        if (self.theta_n is None) != (self.theta_n_deriv_at_t0 is None):
+            raise ParameterError("shape_v theta_n and theta_n_deriv_at_t0 are declared together")
 
     def v_tilde(self, s):
         """v(t0) - v(t0 + s), derived pointwise from v."""
@@ -1238,6 +1242,32 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         run("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta",
             slope_check(lambda s: np.abs(sv.v_tilde(s)), +1, width_plus, sv.delta,
                         "v_tilde vanishes on the slope grid"))
+
+        def at_s_lo(f) -> float:
+            """f at the smallest s of the slope grid."""
+            return float(np.asarray(f(np.array([_S_LO])), dtype=float)[0])
+
+        def declared(name: str, expected: str, measure, want: float, tol: float):
+            def check():
+                got = measure()
+                err = abs(got - want)
+                return err <= tol, got, tol - err, f"at s = {_S_LO:g}, declared {want:g}"
+            run(name, expected, check)
+
+        if sv.ratio_c is not None:
+            c = sv.ratio_c
+            declared("shape_v.ratio_c", "u_tilde/v_tilde within 10% of ratio_c (0.05 when it is 0)",
+                     lambda: at_s_lo(mdl.shape_u.u_tilde) / at_s_lo(sv.v_tilde),
+                     c, 0.05 if c == 0.0 else 0.10 * abs(c))
+        if sv.theta_n is not None:
+            n, d = sv.theta_n, sv.theta_n_deriv_at_t0
+
+            def theta_coeff():
+                theta = at_s_lo(lambda s: sv.v(t0 + s)) / at_s_lo(lambda s: mdl.shape_u.u(t0 + s))
+                return (theta - sv.rho) / _S_LO ** n * math.factorial(n)
+
+            declared("shape_v.theta", "(v/u - rho) n!/s^n within 10% of theta_n_deriv_at_t0",
+                     theta_coeff, d, 0.10 * abs(d))
 
     # --- joint finiteness of the callables ---
     def finite_callables():

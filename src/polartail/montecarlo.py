@@ -91,7 +91,7 @@ from . import asymptotics as _asymptotics
 from . import model as _model
 from ._seeding import batch_generator, seed_key
 from .errors import BudgetExceeded, CaseMismatch, ParameterError
-from .limitlaw import CorollaryCase, CorollaryKind
+from .limitlaw import CorollaryKind
 
 __all__ = [
     "AcceptanceStats",
@@ -456,113 +456,24 @@ def empirical_sign_freq(
 # Bivariate (X, Y) normalization
 # ---------------------------------------------------------------------------
 
-_CASE_GRID = (1e-4, 1e-2, 128)
-
-
-def _case_grid() -> np.ndarray:
-    lo, hi, n = _CASE_GRID
-    return np.geomspace(lo, hi, n)
-
-
-def _match_exact(name: str, case_value, model_value):
-    if model_value is None:
-        return
-    if case_value is None or abs(case_value - model_value) > 1e-12:
-        raise CaseMismatch(
-            f"case {name} = {case_value} disagrees with the model's {name} = {model_value}"
-        )
-
-
-def _check_case_condition(mdl: _model.PolarModel, case: CorollaryCase):
-    """Numerically test that the model sits in the case's regime."""
-    sv = mdl.shape_v
-    su = mdl.shape_u
-    _match_exact("kappa", case.kappa, su.kappa_plus)
-    _match_exact("rho", case.rho, sv.rho)
-
-    s = _case_grid()
-    ut = np.asarray(su.u_tilde(s), dtype=float)
-    vt = np.asarray(sv.v_tilde(s), dtype=float)
-    if np.any(vt == 0):
-        raise CaseMismatch("v_tilde vanishes on the case-check grid")
-    kind = case.kind
-
-    if kind == CorollaryKind.FS:
-        _match_exact("delta", case.delta, sv.delta)
-        if case.rho != 0.0:
-            vals = np.abs(case.rho * ut / vt)
-            if vals[0] > 0.05 or vals[0] > vals[-1] + 1e-12:
-                raise CaseMismatch(
-                    f"rho*u_tilde/v_tilde is {vals[0]:.3g} at s=1e-4 and not vanishing; "
-                    "the v-deficit regime needs it to tend to 0"
-                )
-    elif kind == CorollaryKind.DELTA_GT_KAPPA:
-        vals = np.abs(ut / vt)
-        if vals[0] < 20.0 or vals[0] + 1e-12 < vals[-1]:
-            raise CaseMismatch(
-                f"|u_tilde/v_tilde| is {vals[0]:.3g} at s=1e-4 and not diverging; "
-                "the radial-dominant regime needs it to blow up"
-            )
-    elif kind == CorollaryKind.RATIO_C:
-        _match_exact("delta", case.delta, sv.delta)
-        vals = ut / vt
-        c = case.ratio_c
-        if c == 0.0:
-            if abs(vals[0]) > 0.05:
-                raise CaseMismatch(
-                    f"u_tilde/v_tilde is {vals[0]:.3g} at s=1e-4, not near C = 0"
-                )
-        elif abs(vals[0] - c) > 0.10 * abs(c):
-            raise CaseMismatch(
-                f"u_tilde/v_tilde is {vals[0]:.3g} at s=1e-4, "
-                f"more than 10% away from C = {c:g}"
-            )
-    elif kind == CorollaryKind.SEIFERT:
-        lo, hi = mdl.angular.support
-        ts = np.linspace(lo, hi, 512)
-        lhs = np.asarray(sv.v(ts), dtype=float)
-        rhs = (ts - mdl.t0 + case.rho) * np.asarray(su.u(ts), dtype=float)
-        worst = float(np.max(np.abs(lhs - rhs)))
-        if worst > 1e-10:
-            raise CaseMismatch(
-                f"v differs from (t - t0 + rho) u by up to {worst:.3g}; "
-                "the linear-ratio case needs the exact factorization"
-            )
-    else:  # THETA_N
-        if sv.theta_n is not None and case.n != sv.theta_n:
-            raise CaseMismatch(
-                f"case n = {case.n} disagrees with the model's theta_n = {sv.theta_n}"
-            )
-        theta_est = np.asarray(sv.v(mdl.t0 + s), dtype=float) / np.asarray(
-            su.u(mdl.t0 + s), dtype=float
-        )
-        deriv_est = (theta_est[0] - case.rho) / s[0] ** case.n * math.factorial(case.n)
-        if abs(deriv_est - case.theta_deriv) > 0.10 * abs(case.theta_deriv):
-            raise CaseMismatch(
-                f"estimated order-{case.n} coefficient {deriv_est:.6g} is more than "
-                f"10% away from theta_deriv = {case.theta_deriv:g}"
-            )
-
-
 def bivariate_normalized(
     mdl: _model.PolarModel,
-    case: CorollaryCase,
+    kind: CorollaryKind | str,
     sample: ConditionalSample,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Case-normalized ((X - x)/psi, second coordinate) from raw pairs.
 
-    The second coordinate and its scale depend on the case: the v-deficit
-    and balanced regimes use (Y - rho x)/(x v_tilde(phi)), the
-    radial-dominant regime (Y - rho x)/psi(x), and the ratio regimes
-    ((Y/X) - rho)/phi^n. The sample must be right-sided; the model's
-    membership in the case regime is checked numerically first and a
-    contradiction raises CaseMismatch.
+    The case is ``asymptotics.corollary_case(mdl, kind)``, read off the
+    model's declarations, which ``validate_model`` checks; a kind outside
+    the model's regime raises CaseMismatch. The second coordinate and its
+    scale depend on the case: the v-deficit and balanced regimes use
+    (Y - rho x)/(x v_tilde(phi)), the radial-dominant regime
+    (Y - rho x)/psi(x), and the ratio regimes ((Y/X) - rho)/phi^n. The
+    sample must be right-sided.
     """
-    if mdl.shape_v is None:
-        raise ParameterError("bivariate_normalized needs a model with shape_v")
     if sample.condition != _model.Condition.RIGHT_SIDED:
         raise ParameterError("bivariate normalization applies to right-sided samples")
-    _check_case_condition(mdl, case)
+    case = _asymptotics.corollary_case(mdl, kind)
 
     x = sample.x
     psi = sample.normalizers.psi_x

@@ -24,12 +24,11 @@ from scipy import special
 
 from polartail import (
     Condition,
-    CorollaryCase,
-    CorollaryKind,
     LimitLaw,
     LimitSide,
     bivariate_normalized,
     convergence_report,
+    corollary_case,
     density,
     empirical_sign_freq,
     ks_two_sample,
@@ -203,8 +202,7 @@ def test_criterion_6_seifert_identity_exact(seifert_model, capfd):
     s = sample_conditional(
         seifert_model, 50.0, 20_000, Condition.RIGHT_SIDED, seed=606
     )
-    case = CorollaryCase(kind=CorollaryKind.SEIFERT, kappa=2.0, rho=0.3)
-    _, second = bivariate_normalized(seifert_model, case, s)
+    _, second = bivariate_normalized(seifert_model, "seifert", s)
     expected = (s.t - seifert_model.t0) / s.normalizers.phi_plus
     gap = float(np.max(np.abs(second - expected)))
     elapsed = time.monotonic() - start
@@ -225,8 +223,8 @@ def test_criterion_7_fs_pushforward_matches_monte_carlo(sine_model, capfd):
     n = 50_000
     x = 100.0
     s = sample_conditional(sine_model, x, n, Condition.RIGHT_SIDED, seed=707)
-    case = CorollaryCase(kind=CorollaryKind.FS, kappa=2.0, rho=0.0, delta=1.0)
-    _, mc_second = bivariate_normalized(sine_model, case, s)
+    case = corollary_case(sine_model, "fs")
+    _, mc_second = bivariate_normalized(sine_model, "fs", s)
     law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     r, t = sample(law, n, seed=708)
     _, limit_second = pushforward_corollary(case, r, t)

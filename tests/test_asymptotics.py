@@ -9,7 +9,10 @@ import pytest
 from polartail import (
     AngularLaw,
     BracketError,
+    CaseMismatch,
     Condition,
+    CorollaryCase,
+    CorollaryKind,
     LimitLaw,
     LimitSide,
     MonotonicityError,
@@ -20,6 +23,7 @@ from polartail import (
     build_builtin_model,
     compute_normalizers,
     compute_phi,
+    corollary_case,
     limit_law,
     tail_asymptotic,
     tail_probability_quadrature,
@@ -394,3 +398,17 @@ def test_tail_asymptotic_tracks_quadrature(f1_model):
     ]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.02
+
+
+def test_corollary_case_reads_the_model_declarations(f1_model, seifert_model):
+    # seifert_linear with rho = 0.3 on kappa = 2: delta = 1, C = 0, theta = rho + s
+    assert corollary_case(seifert_model, "ratio_c") == CorollaryCase(
+        kind=CorollaryKind.RATIO_C, kappa=2.0, rho=0.3, delta=1.0, ratio_c=0.0)
+    assert corollary_case(seifert_model, CorollaryKind.THETA_N) == CorollaryCase(
+        kind=CorollaryKind.THETA_N, kappa=2.0, rho=0.3, n=1, theta_deriv=1.0)
+    with pytest.raises(CaseMismatch, match="delta > kappa_plus"):
+        corollary_case(seifert_model, "delta_gt_kappa")
+    with pytest.raises(ParameterError, match="unknown corollary case"):
+        corollary_case(seifert_model, "seifert_linear")
+    with pytest.raises(ParameterError, match="shape_v"):
+        corollary_case(f1_model, "fs")

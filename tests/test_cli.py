@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from polartail import (
+    CaseMismatch,
     Condition,
     ConfigError,
+    CorollaryKind,
     bivariate_normalized,
     build_builtin_model,
+    corollary_case,
     density,
     limit_law,
     sample_conditional,
     validate_model,
 )
-from polartail.cli import _case_from_model, main
+from polartail.cli import main
 
 from conftest import F1_CONFIG, TIED_CONFIG
 
@@ -297,30 +300,49 @@ def test_limit_sample_case_pushforward(f1_cfg, tmp_path, capsys):
     assert all(float(r.split(",")[0]) > 0.0 for r in rows[1:])
 
 
-# every builtin second shape on u = 1 - t^2 (kappa = 2), with the case of
-# the regime its delta, rho and factorization put it in
-@pytest.mark.parametrize("extra, kind", [
-    ({"shape_v.family": "sine"}, "fs"),
-    ({"shape_v.family": "seifert_linear", "shape_v.rho": 0.0}, "seifert"),
-    ({"shape_v.family": "seifert_linear", "shape_v.rho": 0.3}, "seifert"),
-    ({"shape_v.family": "power_v", "shape_v.delta": 1.0}, "fs"),
-    ({"shape_v.family": "power_v", "shape_v.delta": 2.0, "shape_v.rho": 0.5}, "ratio_c"),
-    ({"shape_v.family": "power_v", "shape_v.delta": 3.0, "shape_v.rho": 0.5},
-     "delta_gt_kappa"),
-    ({"shape_v.family": "theta_polynomial", "shape_v.n": 1, "shape_v.deriv": 1.0},
-     "theta_n"),
-    ({"shape_v.family": "theta_polynomial", "shape_v.n": 2, "shape_v.rho": 0.5,
-      "shape_v.deriv": 2.0}, "theta_n"),
-    ({"shape_v.family": "theta_polynomial", "shape_v.n": 3, "shape_v.deriv": 1.0},
-     "theta_n"),
-], ids=lambda v: v.get("shape_v.family") if isinstance(v, dict) else v)
-def test_second_shape_validates_and_fits_its_case(extra, kind):
-    mdl = build_builtin_model(dict(F1_CONFIG, **extra))
-    assert validate_model(mdl).passed
-    case = _case_from_model(mdl, kind)
+HALF_NORMAL_COSINE = {"radial.family": "half_normal", "angular.halfwidth": 1.0,
+                      "shape_u.family": "cosine"}
+
+
+# every builtin second shape on u = 1 - t^2 (kappa = 2) or on the cosine,
+# with every case its delta, rho and factorization grant
+@pytest.mark.parametrize("config, kinds", [
+    (dict(F1_CONFIG, **{"shape_v.family": "sine"}), {"fs", "ratio_c"}),
+    (dict(HALF_NORMAL_COSINE, **{"shape_v.family": "sine"}), {"fs", "ratio_c"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "seifert_linear", "shape_v.rho": 0.0}),
+     {"fs", "ratio_c", "seifert", "theta_n"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "seifert_linear", "shape_v.rho": 0.3}),
+     {"fs", "ratio_c", "seifert", "theta_n"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "power_v", "shape_v.delta": 1.0}), {"fs", "ratio_c"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "power_v", "shape_v.delta": 2.0,
+                        "shape_v.rho": 0.5}), {"ratio_c"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "power_v", "shape_v.delta": 3.0,
+                        "shape_v.rho": 0.5}), {"delta_gt_kappa"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "theta_polynomial", "shape_v.n": 1,
+                        "shape_v.deriv": 1.0}), {"fs", "ratio_c", "seifert", "theta_n"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "theta_polynomial", "shape_v.n": 2,
+                        "shape_v.rho": 0.5, "shape_v.deriv": 2.0}), {"ratio_c", "theta_n"}),
+    (dict(F1_CONFIG, **{"shape_v.family": "theta_polynomial", "shape_v.n": 3,
+                        "shape_v.deriv": 1.0}), {"delta_gt_kappa", "theta_n"}),
+], ids=["sine", "cosine-sine", "seifert-rho0", "seifert-rho0.3", "power-delta1", "power-delta2",
+        "power-delta3", "theta-n1", "theta-n2", "theta-n3"])
+def test_second_shape_validates_and_fits_its_case(config, kinds):
+    mdl = build_builtin_model(config)
+    report = validate_model(mdl)
+    assert report.passed, report.failures()
+    # the declared ratio C and theta data are checked exactly when declared
+    names = {e.name for e in report.entries}
+    assert ("shape_v.ratio_c" in names) == ("ratio_c" in kinds)
+    assert ("shape_v.theta" in names) == ("theta_n" in kinds)
     sample = sample_conditional(mdl, 50.0, 200, Condition.RIGHT_SIDED, seed=1)
-    first, second = bivariate_normalized(mdl, case, sample)
-    assert np.all(first > 0.0) and np.all(np.isfinite(second))
+    for kind in CorollaryKind:
+        if kind.value in kinds:
+            assert corollary_case(mdl, kind.value).kind == kind
+            first, second = bivariate_normalized(mdl, kind.value, sample)
+            assert np.all(first > 0.0) and np.all(np.isfinite(second)), kind
+        else:
+            with pytest.raises(CaseMismatch):
+                bivariate_normalized(mdl, kind, sample)
 
 
 # a --case whose regime contradicts the model's delta and kappa_plus is a

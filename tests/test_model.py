@@ -13,6 +13,7 @@ from polartail import (
     ParameterError,
     PolarModel,
     ShapeU,
+    ShapeV,
     UnknownFamilyError,
     build_builtin_model,
     load_config,
@@ -528,3 +529,48 @@ def test_second_shape_regime_follows_kappa_against_delta(extra, kappa, expected)
         assert sv.ratio_c is None
     else:
         assert sv.ratio_c == pytest.approx(ratio_c, rel=1e-14, abs=0.0)
+
+
+# Custom second shapes on u = 1 - t^2 (kappa = 2, t0 = 0) that copy a
+# builtin, with right and wrong declarations of C and of theta
+def _custom_v(v, rho, delta, v_sign, ratio_c, theta=(None, None)):
+    return ShapeV(v=v, t0=0.0, rho=rho, delta=delta, v_sign=v_sign, ratio_c=ratio_c,
+                  theta_n=theta[0], theta_n_deriv_at_t0=theta[1])
+
+
+def _seifert(rho):
+    # (t + rho) u: theta = rho + s, v_tilde ~ -s, C = 0
+    return lambda t: (np.asarray(t, dtype=float) + rho) * (1.0 - np.asarray(t, dtype=float) ** 2)
+
+
+def _shape_v_report(f1_model, sv):
+    report = validate_model(dataclasses.replace(f1_model, shape_v=sv))
+    return report, {e.name for e in report.entries if e.name.startswith("shape_v.")}
+
+
+def test_validate_passes_a_custom_copy_of_the_seifert_shape(f1_model):
+    report, names = _shape_v_report(
+        f1_model, _custom_v(_seifert(0.3), 0.3, 1.0, "-", 0.0, theta=(1, 1.0)))
+    assert {"shape_v.ratio_c", "shape_v.theta"} <= names
+    assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("sv, entry", [
+    # power_v delta = 2: v_tilde = s^2 = u_tilde, so C = 1, not 2
+    (_custom_v(lambda t: 0.5 - np.asarray(t, dtype=float) ** 2, 0.5, 2.0, "+", 2.0),
+     "shape_v.ratio_c"),
+    # seifert_linear: theta'(t0) = 1, not 2
+    (_custom_v(_seifert(0.3), 0.3, 1.0, "-", 0.0, theta=(1, 2.0)), "shape_v.theta"),
+    # v = (rho + 2s) u: theta'(t0) = 2, not 1
+    (_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
+               * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, "-", 0.0, theta=(1, 1.0)),
+     "shape_v.theta"),
+], ids=["ratio-c", "seifert-slope", "double-slope"])
+def test_validate_flags_a_wrong_second_shape_declaration(f1_model, sv, entry):
+    report, _ = _shape_v_report(f1_model, sv)
+    assert {e.name for e in report.failures()} == {entry}
+
+
+def test_shape_v_declares_theta_order_and_coefficient_together():
+    with pytest.raises(ParameterError, match="declared together"):
+        _custom_v(_seifert(0.3), 0.3, 1.0, "-", 0.0, theta=(1, None))

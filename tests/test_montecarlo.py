@@ -10,7 +10,6 @@ from polartail import (
     BudgetExceeded,
     CaseMismatch,
     Condition,
-    CorollaryCase,
     CorollaryKind,
     ParameterError,
     bivariate_normalized,
@@ -275,8 +274,7 @@ def test_empirical_sign_freq_rejects_one_sided_model():
 
 def test_bivariate_seifert_identity(seifert_model):
     s = sample_conditional(seifert_model, 50.0, 5000, Condition.RIGHT_SIDED, seed=5)
-    case = CorollaryCase(kind=CorollaryKind.SEIFERT, kappa=2.0, rho=0.3)
-    first, second = bivariate_normalized(seifert_model, case, s)
+    first, second = bivariate_normalized(seifert_model, "seifert", s)
     expected = (s.t - seifert_model.t0) / s.normalizers.phi_plus
     np.testing.assert_allclose(second, expected, atol=1e-12)
     assert np.all(first > 0.0)
@@ -285,8 +283,7 @@ def test_bivariate_seifert_identity(seifert_model):
 def test_bivariate_fs_second_coordinate_formula(sine_model):
     x = 100.0
     s = sample_conditional(sine_model, x, 5000, Condition.RIGHT_SIDED, seed=6)
-    case = CorollaryCase(kind=CorollaryKind.FS, kappa=2.0, rho=0.0, delta=1.0)
-    _, second = bivariate_normalized(sine_model, case, s)
+    _, second = bivariate_normalized(sine_model, "fs", s)
     phi = s.normalizers.phi_plus
     vt_phi = float(sine_model.shape_v.v_tilde(np.array([phi]))[0])
     big_y = s.r * np.asarray(sine_model.shape_v.v(s.t), dtype=float)
@@ -296,32 +293,21 @@ def test_bivariate_fs_second_coordinate_formula(sine_model):
 
 def test_bivariate_requires_shape_v(f1_model):
     s = sample_conditional(f1_model, 50.0, 200, Condition.RIGHT_SIDED, seed=7)
-    case = CorollaryCase(kind=CorollaryKind.FS, kappa=2.0, rho=0.0, delta=1.0)
     with pytest.raises(ParameterError):
-        bivariate_normalized(f1_model, case, s)
+        bivariate_normalized(f1_model, "fs", s)
 
 
 def test_bivariate_rejects_unrestricted_sample(seifert_model):
     s = sample_conditional(seifert_model, 50.0, 200, Condition.UNRESTRICTED, seed=7)
-    case = CorollaryCase(kind=CorollaryKind.SEIFERT, kappa=2.0, rho=0.3)
     with pytest.raises(ParameterError):
-        bivariate_normalized(seifert_model, case, s)
+        bivariate_normalized(seifert_model, CorollaryKind.SEIFERT, s)
 
 
-def test_bivariate_rejects_contradictory_case(seifert_model):
-    s = sample_conditional(seifert_model, 50.0, 200, Condition.RIGHT_SIDED, seed=7)
-    with pytest.raises(CaseMismatch):
-        bivariate_normalized(
-            seifert_model,
-            CorollaryCase(kind=CorollaryKind.SEIFERT, kappa=3.0, rho=0.3),
-            s,
-        )
-    with pytest.raises(CaseMismatch):
-        bivariate_normalized(
-            seifert_model,
-            CorollaryCase(kind=CorollaryKind.SEIFERT, kappa=2.0, rho=0.9),
-            s,
-        )
+def test_bivariate_rejects_contradictory_case(sine_model):
+    # sin(t - t0) is not (t - t0 + rho) u for u = 1 - t^2
+    s = sample_conditional(sine_model, 50.0, 200, Condition.RIGHT_SIDED, seed=7)
+    with pytest.raises(CaseMismatch, match=r"does not factor as \(t - t0 \+ rho\) u"):
+        bivariate_normalized(sine_model, "seifert", s)
 
 
 def test_quadrature_consistency_of_estimator_inputs(f1_model):
