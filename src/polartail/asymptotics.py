@@ -402,8 +402,9 @@ def corollary_case(mdl: _model.PolarModel,
     The case is read off the ``shape_v`` declarations, which
     ``validate_model`` checks: fs needs delta < kappa_plus, delta_gt_kappa
     delta > kappa_plus, ratio_c a finite ratio C, theta_n a factorization
-    v = theta u, and seifert one with theta = rho + s. A kind outside the
-    model's regime raises CaseMismatch; an unknown kind, or a model
+    v = theta u, and seifert one with theta = rho + s to leading order,
+    which is all theta_n = 1 and theta'(t0) = 1 declare. A kind outside
+    the model's regime raises CaseMismatch; an unknown kind, or a model
     without shape_v, ParameterError.
     """
     K = _limitlaw.CorollaryKind
@@ -432,6 +433,6 @@ def corollary_case(mdl: _model.PolarModel,
     kw = {"delta": sv.delta} if kind in (K.FS, K.RATIO_C) else {}
     if kind == K.RATIO_C:
         kw["ratio_c"] = sv.ratio_c
-    if kind == K.THETA_N:
+    if kind in (K.SEIFERT, K.THETA_N):
         kw.update(n=sv.theta_n, theta_deriv=sv.theta_n_deriv_at_t0)
     return _limitlaw.CorollaryCase(kind=kind, kappa=kappa, rho=sv.rho, **kw)

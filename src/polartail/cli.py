@@ -76,14 +76,12 @@ def _emit(args, command: str, config: dict, meta: dict, columns, rows):
         sys.stdout.write(text)
 
 
-def _load_config(args) -> dict:
+def _load_model(args) -> tuple[dict, _model.PolarModel]:
+    """The config of --config and the builtin model it describes."""
     if not args.config:
         raise ConfigError("--config is required for this command")
-    return _model.load_config(args.config)
-
-
-def _build_model(config) -> _model.PolarModel:
-    return _model.build_builtin_model(config)
+    config = _model.load_config(args.config)
+    return config, _model.build_builtin_model(config)
 
 
 def _require_seed(args) -> int:
@@ -123,8 +121,7 @@ def _condition(args) -> _model.Condition:
 
 
 def _cmd_validate(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     report = _model.validate_model(mdl)
     rows = [
         (e.name, "pass" if e.passed else "fail", e.measured, e.expected,
@@ -138,8 +135,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     rows = []
     for x in _x_values(args):
         psi = float(mdl.radial.aux_psi(x))
@@ -152,8 +148,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_tailprob(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     cond = _condition(args)
     xs = _x_values(args)
     meta = {"condition": args.condition, "method": args.method}
@@ -177,8 +172,7 @@ def _cmd_tailprob(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     cond = _condition(args)
     seed = _require_seed(args)
     if args.x is None:
@@ -205,8 +199,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limit_sample(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     cond = _condition(args)
     seed = _require_seed(args)
     n = _n_or(args, 10 ** 4)
@@ -229,8 +222,7 @@ def _cmd_limit_sample(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     cond = _condition(args)
     points = _n_or(args, 64)
     if points < 2:
@@ -251,8 +243,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args)
-    mdl = _build_model(config)
+    config, mdl = _load_model(args)
     cond = _condition(args)
     seed = _require_seed(args)
     n = _n_or(args, 5 * 10 ** 4)

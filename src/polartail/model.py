@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -695,37 +696,6 @@ def _shape_v_sine(t0: float, shape_u: ShapeU) -> ShapeV:
     return _shape_v(v, t0, 0.0, 1.0, -1.0, shape_u)
 
 
-def _theta_u_lead(rho: float, n: int, c: float, shape_u: ShapeU, degenerate: str):
-    """(delta, lead) of v = theta u with theta(t0 + s) = rho + c s^n.
-
-    v_tilde(s) = rho u_tilde(s) - c s^n (1 - u_tilde(s)) for s > 0, so the
-    leading term is rho a s^kappa below kappa = n, -c s^n above it, and
-    their sum on a tie, where ``degenerate`` names a sum of zero.
-    """
-    kp = shape_u.kappa_plus
-    if rho != 0.0 and kp < n:
-        return kp, rho * shape_u.u_coeff_plus
-    if rho == 0.0 or kp > n:
-        return float(n), -c
-    lead = rho * shape_u.u_coeff_plus - c
-    if lead == 0.0:
-        raise ParameterError(f"{degenerate}; this degenerate combination is not supported")
-    return float(n), lead
-
-
-def _shape_v_seifert(t0: float, rho: float, shape_u: ShapeU) -> ShapeV:
-    u = shape_u.u
-
-    def v(t):
-        t = np.asarray(t, dtype=float)
-        return (t - t0 + rho) * u(t)
-
-    # theta = rho + s
-    delta, lead = _theta_u_lead(
-        rho, 1, 1.0, shape_u, "shape_v.rho: rho * scale = 1 makes the linear term of v vanish")
-    return _shape_v(v, t0, rho, delta, lead, shape_u, theta_n=1, theta_n_deriv_at_t0=1.0)
-
-
 def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: ShapeU) -> ShapeV:
     if not delta > 0:
         raise ParameterError(
@@ -748,7 +718,15 @@ _MAX_THETA_N = 170
 
 def _shape_v_theta_polynomial(
     t0: float, rho: float, n: int, deriv: float, shape_u: ShapeU,
+    degenerate: str = "shape_v.deriv: rho * scale * n! = deriv cancels the leading term",
 ) -> ShapeV:
+    """v = theta u with theta(t0 + s) = rho + c s^n, c = deriv/n!.
+
+    seifert_linear is n = 1, deriv = 1. v_tilde(s) = rho u_tilde(s) - c s^n
+    (1 - u_tilde(s)) for s > 0, so the leading term is rho a s^kappa below
+    kappa = n, -c s^n above it, and their sum on a tie, where
+    ``degenerate`` names a sum of zero.
+    """
     if n < 1:
         raise ParameterError(f"shape_v.n must be an integer >= 1, got {n}")
     if n > _MAX_THETA_N:
@@ -761,14 +739,18 @@ def _shape_v_theta_polynomial(
     c = deriv / math.factorial(n)
     u = shape_u.u
 
-    def theta(t):
-        return rho + c * (np.asarray(t, dtype=float) - t0) ** n
-
     def v(t):
-        return theta(t) * u(t)
+        return (rho + c * (np.asarray(t, dtype=float) - t0) ** n) * u(t)
 
-    delta, lead = _theta_u_lead(
-        rho, n, c, shape_u, "shape_v.deriv: rho * scale * n! = deriv cancels the leading term")
+    kp = shape_u.kappa_plus
+    if rho != 0.0 and kp < n:
+        delta, lead = kp, rho * shape_u.u_coeff_plus
+    elif rho == 0.0 or kp > n:
+        delta, lead = float(n), -c
+    else:
+        delta, lead = float(n), rho * shape_u.u_coeff_plus - c
+        if lead == 0.0:
+            raise ParameterError(f"{degenerate}; this degenerate combination is not supported")
     return _shape_v(v, t0, rho, delta, lead, shape_u, theta_n=n, theta_n_deriv_at_t0=deriv)
 
 
@@ -936,7 +918,9 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
     elif vfam == "sine":
         shape_v = _shape_v_sine(t0, shape_u)
     elif vfam == "seifert_linear":
-        shape_v = _shape_v_seifert(t0, cfg.number("shape_v.rho", 0.0), shape_u)
+        shape_v = _shape_v_theta_polynomial(
+            t0, cfg.number("shape_v.rho", 0.0), 1, 1.0, shape_u,
+            "shape_v.rho: rho * scale = 1 makes the linear term of v vanish")
     elif vfam == "power_v":
         shape_v = _shape_v_power(
             t0,
@@ -978,6 +962,7 @@ _DENSITY_TOL = 1e-8
 _SLOPE_TOL = 0.05
 _GAMMA_TOL = 0.05
 _EXACT_TOL = 1e-12
+_RESOLVED = 1e-8                   # smallest declared term read against rounding
 
 
 @dataclass(frozen=True)
@@ -1243,31 +1228,54 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             slope_check(lambda s: np.abs(sv.v_tilde(s)), +1, width_plus, sv.delta,
                         "v_tilde vanishes on the slope grid"))
 
-        def at_s_lo(f) -> float:
-            """f at the smallest s of the slope grid."""
-            return float(np.asarray(f(np.array([_S_LO])), dtype=float)[0])
+        def at(s: float, f) -> float:
+            return float(np.asarray(f(np.array([s])), dtype=float)[0])
 
-        def declared(name: str, expected: str, measure, want: float, tol: float):
-            def check():
-                got = measure()
-                err = abs(got - want)
-                return err <= tol, got, tol - err, f"at s = {_S_LO:g}, declared {want:g}"
-            run(name, expected, check)
+        def resolved_s(log_coeff: float, power: float, level: float) -> float | None:
+            """The smallest s >= _S_LO at which e^log_coeff s^power reaches
+            level, or None when no s on the plus side does."""
+            log_s = max(math.log(_S_LO), (math.log(level) - log_coeff) / power)
+            return math.exp(log_s) if log_s < math.log(width_plus) else None
 
         if sv.ratio_c is not None:
-            c = sv.ratio_c
-            declared("shape_v.ratio_c", "u_tilde/v_tilde within 10% of ratio_c (0.05 when it is 0)",
-                     lambda: at_s_lo(mdl.shape_u.u_tilde) / at_s_lo(sv.v_tilde),
-                     c, 0.05 if c == 0.0 else 0.10 * abs(c))
+            c, kp = sv.ratio_c, mdl.shape_u.kappa_plus
+
+            def ratio_check():
+                if c == 0.0 or sv.delta != kp:
+                    # u_tilde/v_tilde -> 0 exactly when delta < kappa_plus
+                    return c == 0.0 and sv.delta < kp, sv.delta - kp, None, \
+                        f"declared C = {c:g}, delta = {sv.delta:g}"
+                # a tie: s^kappa read where it clears the rounding of u(t0) = 1 and rho
+                s = resolved_s(0.0, kp, _RESOLVED * max(1.0, abs(sv.rho)))
+                if s is None:
+                    return False, math.nan, None, "s^kappa_plus is not resolved on the plus side"
+                got = at(s, mdl.shape_u.u_tilde) / at(s, sv.v_tilde)
+                err, tol = abs(got - c), 0.10 * abs(c)
+                return err <= tol, got, tol - err, f"at s = {s:.3g}, declared {c:g}"
+
+            run("shape_v.ratio_c", "C = 0 needs delta < kappa_plus; a nonzero C needs delta = "
+                "kappa_plus and u_tilde/v_tilde within 10% of it", ratio_check)
         if sv.theta_n is not None:
             n, d = sv.theta_n, sv.theta_n_deriv_at_t0
+            # theta - rho = d s^n/n! is read where it clears the rounding of rho,
+            # in logs, where n! and s^n stay in range
+            level, log_fact = max(_RESOLVED * abs(sv.rho), sys.float_info.min), math.lgamma(n + 1)
 
-            def theta_coeff():
-                theta = at_s_lo(lambda s: sv.v(t0 + s)) / at_s_lo(lambda s: mdl.shape_u.u(t0 + s))
-                return (theta - sv.rho) / _S_LO ** n * math.factorial(n)
+            def theta_check():
+                s = resolved_s(math.log(abs(d)) - log_fact, n, level)
+                resolved, s = s is not None, s or width_plus / 2.0
+                gap = at(s, lambda s: sv.v(t0 + s)) / at(s, lambda s: mdl.shape_u.u(t0 + s)) - sv.rho
+                if not resolved:
+                    # d s^n/n! is below level on the whole plus side, so v/u - rho must be too
+                    return abs(gap) <= level, gap, level - abs(gap), \
+                        f"d s^n/n! is below {level:g} on the plus side; v/u - rho at s = {s:.3g}"
+                got = 0.0 if gap == 0.0 else math.copysign(
+                    math.exp(math.log(abs(gap)) + log_fact - n * math.log(s)), gap)
+                err, tol = abs(got - d), 0.10 * abs(d)
+                return err <= tol, got, tol - err, f"at s = {s:.3g}, declared {d:g}"
 
-            declared("shape_v.theta", "(v/u - rho) n!/s^n within 10% of theta_n_deriv_at_t0",
-                     theta_coeff, d, 0.10 * abs(d))
+            run("shape_v.theta", "(v/u - rho) n!/s^n within 10% of theta_n_deriv_at_t0 where "
+                "d s^n/n! is resolved", theta_check)
 
     # --- joint finiteness of the callables ---
     def finite_callables():

@@ -492,8 +492,6 @@ def bivariate_normalized(
         second = (big_y - case.rho * x) / (x * vt_phi)
     elif kind == CorollaryKind.DELTA_GT_KAPPA:
         second = (big_y - case.rho * x) / psi
-    elif kind == CorollaryKind.SEIFERT:
-        second = (big_y / big_x - case.rho) / phi
-    else:  # THETA_N
+    else:  # SEIFERT and THETA_N; seifert's case has n = 1
         second = (big_y / big_x - case.rho) / phi ** case.n
     return first, second

@@ -324,8 +324,13 @@ HALF_NORMAL_COSINE = {"radial.family": "half_normal", "angular.halfwidth": 1.0,
                         "shape_v.rho": 0.5, "shape_v.deriv": 2.0}), {"ratio_c", "theta_n"}),
     (dict(F1_CONFIG, **{"shape_v.family": "theta_polynomial", "shape_v.n": 3,
                         "shape_v.deriv": 1.0}), {"delta_gt_kappa", "theta_n"}),
+    # delta just below kappa: C = 0, though u_tilde/v_tilde = s^0.1 is far from 0
+    (dict(F1_CONFIG, **{"shape_v.family": "power_v", "shape_v.delta": 1.9}), {"fs", "ratio_c"}),
+    # d s^4/4! only clears the rounding of rho = 0.5 well above s = 1e-4
+    (dict(F1_CONFIG, **{"shape_v.family": "theta_polynomial", "shape_v.n": 4,
+                        "shape_v.rho": 0.5, "shape_v.deriv": 1.0}), {"ratio_c", "theta_n"}),
 ], ids=["sine", "cosine-sine", "seifert-rho0", "seifert-rho0.3", "power-delta1", "power-delta2",
-        "power-delta3", "theta-n1", "theta-n2", "theta-n3"])
+        "power-delta3", "theta-n1", "theta-n2", "theta-n3", "power-delta1.9", "theta-n4-rho0.5"])
 def test_second_shape_validates_and_fits_its_case(config, kinds):
     mdl = build_builtin_model(config)
     report = validate_model(mdl)

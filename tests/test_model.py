@@ -565,10 +565,30 @@ def test_validate_passes_a_custom_copy_of_the_seifert_shape(f1_model):
     (_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
                * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, "-", 0.0, theta=(1, 1.0)),
      "shape_v.theta"),
-], ids=["ratio-c", "seifert-slope", "double-slope"])
+    # power_v delta = 2 on kappa = 2 is a tie, so C cannot be 0
+    (_custom_v(lambda t: 0.5 - np.asarray(t, dtype=float) ** 2, 0.5, 2.0, "+", 0.0),
+     "shape_v.ratio_c"),
+    # v = (rho + 2s) u has theta of order 1, not 30; d s^30/30! is below
+    # resolution on the whole support, so v/u - rho must be too
+    (_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
+               * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, "-", 0.0, theta=(30, 1.0)),
+     "shape_v.theta"),
+], ids=["ratio-c", "seifert-slope", "double-slope", "zero-c-on-a-tie", "order-30-of-a-slope"])
 def test_validate_flags_a_wrong_second_shape_declaration(f1_model, sv, entry):
     report, _ = _shape_v_report(f1_model, sv)
     assert {e.name for e in report.failures()} == {entry}
+
+
+# theta - rho = d s^n/n! is read where it stands clear of the rounding of
+# rho: near the support's edge at n = 170 (1/170! is about 1.4e-307), and
+# as v/u - rho below resolution where no s on the support resolves it
+@pytest.mark.parametrize("n, rho", [(4, 0.5), (6, 0.5), (30, 0.5), (170, 0.0)])
+def test_validate_reads_high_theta_orders_where_they_are_resolved(n, rho):
+    mdl = build_builtin_model(dict(F1_CONFIG, **{
+        "shape_v.family": "theta_polynomial", "shape_v.n": n, "shape_v.rho": rho,
+        "shape_v.deriv": 1.0}))
+    entry = validate_model(mdl).entry("shape_v.theta")
+    assert entry.passed, entry
 
 
 def test_shape_v_declares_theta_order_and_coefficient_together():
