@@ -399,9 +399,9 @@ def corollary_case(mdl: _model.PolarModel,
                    kind: _limitlaw.CorollaryKind | str) -> _limitlaw.CorollaryCase:
     """The corollary case ``kind`` (a CorollaryKind or its value) of the model.
 
-    The case is read off the ``shape_v`` declarations, which
+    The case is read off the ``shape_u`` and ``shape_v`` declarations, which
     ``validate_model`` checks: fs needs delta < kappa_plus, delta_gt_kappa
-    delta > kappa_plus, ratio_c a finite ratio C, theta_n a factorization
+    delta > kappa_plus, ratio_c a finite C, theta_n a factorization
     v = theta u, and seifert one with theta = rho + s to leading order,
     which is all theta_n = 1 and theta'(t0) = 1 declare. A kind outside
     the model's regime raises CaseMismatch; an unknown kind, or a model
@@ -415,14 +415,16 @@ def corollary_case(mdl: _model.PolarModel,
     sv = mdl.shape_v
     if sv is None:
         raise ParameterError("a corollary case needs a model with shape_v")
-    kappa = mdl.shape_u.kappa_plus
+    kappa, a = mdl.shape_u.kappa_plus, mdl.shape_u.u_coeff_plus
+    # C = lim u_tilde / v_tilde of the leading terms a s^kappa and v_coeff s^delta
+    c = 0.0 if sv.delta < kappa else a / sv.v_coeff if sv.delta == kappa and a is not None else None
+    limit = "no finite limit" if sv.delta > kappa else "a limit without a declared u_coeff_plus"
     regime = (f"the model has shape_v delta = {sv.delta:g} and kappa_plus = {kappa:g}, so its "
-              f"deficit ratio u_tilde/v_tilde tends to "
-              f"{'no finite limit' if sv.ratio_c is None else format(sv.ratio_c, 'g')}")
+              f"deficit ratio u_tilde/v_tilde tends to {limit if c is None else format(c, 'g')}")
     fits, why = {
         K.FS: (sv.delta < kappa, f"{regime}; fs needs delta < kappa_plus"),
         K.DELTA_GT_KAPPA: (sv.delta > kappa, f"{regime}; delta_gt_kappa needs delta > kappa_plus"),
-        K.RATIO_C: (sv.ratio_c is not None, f"{regime}; ratio_c needs a finite ratio C"),
+        K.RATIO_C: (c is not None, f"{regime}; ratio_c needs a finite ratio C"),
         # v = (t - t0 + rho) u is v = theta u with theta = rho + s: order 1, slope 1
         K.SEIFERT: (sv.theta_n == 1 and sv.theta_n_deriv_at_t0 == 1.0,
                     "the model's v does not factor as (t - t0 + rho) u, so Y/X is not linear in T"),
@@ -432,7 +434,7 @@ def corollary_case(mdl: _model.PolarModel,
         raise CaseMismatch(why)
     kw = {"delta": sv.delta} if kind in (K.FS, K.RATIO_C) else {}
     if kind == K.RATIO_C:
-        kw["ratio_c"] = sv.ratio_c
+        kw["ratio_c"] = c
     if kind in (K.SEIFERT, K.THETA_N):
         kw.update(n=sv.theta_n, theta_deriv=sv.theta_n_deriv_at_t0)
     return _limitlaw.CorollaryCase(kind=kind, kappa=kappa, rho=sv.rho, **kw)

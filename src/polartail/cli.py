@@ -260,8 +260,9 @@ def _cmd_verify(args) -> int:
           ("x", "n", "ks_r", "ks_t", "chi2_p", "acceptance_rate", "tail_ratio"), rows)
 
     last = report.rows[-1]
+    failed = ", ".join(e.name for e in validation.failures())
     checks = [
-        ("model validation", validation.passed),
+        (f"model validation: {failed}" if failed else "model validation", validation.passed),
         (f"final ks_r {last.ks_r:.4f} <= {args.ks_tol}", last.ks_r <= args.ks_tol),
         (f"final ks_t {last.ks_t:.4f} <= {args.ks_tol}", last.ks_t <= args.ks_tol),
         (f"final |tail_ratio - 1| {abs(last.tail_ratio - 1):.4f} <= {args.ratio_tol}",

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,7 +302,7 @@ class CorollaryCase:
             raise ParameterError(f"CorollaryCase.delta must be > 0, got {self.delta}")
         if self.ratio_c is not None and not np.isfinite(self.ratio_c):
             raise ParameterError(f"CorollaryCase.ratio_c must be finite, got {self.ratio_c}")
-        if self.n is not None and self.n < 1:
+        if self.n is not None and not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise ParameterError(f"CorollaryCase.n must be an integer >= 1, got {self.n}")
         if self.theta_deriv is not None and (
             not np.isfinite(self.theta_deriv) or self.theta_deriv == 0.0

@@ -29,7 +29,9 @@ sampling takes an explicit numpy Generator.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -218,35 +220,36 @@ class ShapeU:
 class ShapeV:
     """Second shape function v with center value rho = v(t0).
 
-    ``delta`` is the regular variation index of |v_tilde| at 0+ and
-    ``v_sign`` the eventual sign of v_tilde(s) for small s > 0 ("+" or
-    "-"); regular variation is applied to the absolute value since v may
-    increase or decrease through t0. ``ratio_c`` stores the limit of
-    u_tilde/v_tilde at 0+ when it is finite and known in closed form.
-    ``theta_n``/``theta_n_deriv_at_t0`` describe the v = theta*u
-    factorization when available, and are declared together. These
-    declarations pick the corollary case (``asymptotics.corollary_case``);
-    ``validate_model`` checks each of them against v and u.
+    ``delta`` and ``v_coeff`` declare the leading term v_tilde(s) ~ v_coeff
+    s^delta as s -> 0+, as ``ShapeU`` and ``AngularLaw`` declare theirs;
+    v_coeff is nonzero and of either sign, since v may increase or decrease
+    through t0. ``theta_n``/``theta_n_deriv_at_t0`` describe the v =
+    theta*u factorization when available, and are declared together. These
+    declarations pick the corollary case (``asymptotics.corollary_case``,
+    which reads the ratio C off them and ``ShapeU``'s); ``validate_model``
+    checks each of them against v and u.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
     t0: float
     rho: float
     delta: float
-    v_sign: str
+    v_coeff: float
     theta_n: int | None = None
     theta_n_deriv_at_t0: float | None = None
-    ratio_c: float | None = None
 
     def __post_init__(self):
-        if self.v_sign not in ("+", "-"):
-            raise ParameterError(f"shape_v v_sign must be '+' or '-', got {self.v_sign!r}")
-        if self.delta < 0:
-            raise ParameterError(f"shape_v delta must be >= 0, got {self.delta}")
-        if self.theta_n is not None and self.theta_n < 1:
-            raise ParameterError(f"shape_v theta_n must be >= 1, got {self.theta_n}")
-        if (self.theta_n is None) != (self.theta_n_deriv_at_t0 is None):
+        n, d = self.theta_n, self.theta_n_deriv_at_t0
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ParameterError(f"shape_v delta must be finite and >= 0, got {self.delta}")
+        if not (math.isfinite(self.v_coeff) and self.v_coeff != 0):
+            raise ParameterError(f"shape_v v_coeff must be finite and nonzero, got {self.v_coeff}")
+        if (n is None) != (d is None):
             raise ParameterError("shape_v theta_n and theta_n_deriv_at_t0 are declared together")
+        if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ParameterError(f"shape_v theta_n must be an integer >= 1, got {n}")
+        if d is not None and not (math.isfinite(d) and d != 0):
+            raise ParameterError(f"shape_v theta_n_deriv_at_t0 must be finite and nonzero, got {d}")
 
     def v_tilde(self, s):
         """v(t0) - v(t0 + s), derived pointwise from v."""
@@ -669,34 +672,15 @@ def _shape_u_cosine(t0: float) -> ShapeU:
     )
 
 
-def _shape_v(v, t0: float, rho: float, delta: float, lead: float, shape_u: ShapeU,
-             **theta) -> ShapeV:
-    """The second shape v whose deficit v_tilde(s) ~ lead s^delta as s -> 0+.
-
-    This is the one rule for the corollary regime: with u_tilde(s) ~ a
-    s^kappa_plus, the ratio u_tilde / v_tilde tends to 0 when kappa_plus >
-    delta and to a / lead on a tie; otherwise it has no finite limit.
-    """
-    kp = shape_u.kappa_plus
-    if kp > delta:
-        ratio_c = 0.0
-    elif kp == delta:
-        ratio_c = shape_u.u_coeff_plus / lead
-    else:
-        ratio_c = None
-    return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_sign="-" if lead < 0 else "+",
-                  ratio_c=ratio_c, **theta)
-
-
-def _shape_v_sine(t0: float, shape_u: ShapeU) -> ShapeV:
+def _shape_v_sine(t0: float) -> ShapeV:
     def v(t):
         return np.sin(np.asarray(t, dtype=float) - t0)
 
     # v_tilde(s) = -sin(s) ~ -s
-    return _shape_v(v, t0, 0.0, 1.0, -1.0, shape_u)
+    return ShapeV(v=v, t0=t0, rho=0.0, delta=1.0, v_coeff=-1.0)
 
 
-def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: ShapeU) -> ShapeV:
+def _shape_v_power(t0: float, rho: float, delta: float, coeff: float) -> ShapeV:
     if not delta > 0:
         raise ParameterError(
             f"shape_v.delta must be > 0 for the power family, got {delta}"
@@ -709,7 +693,7 @@ def _shape_v_power(t0: float, rho: float, delta: float, coeff: float, shape_u: S
         return rho - coeff * s ** delta
 
     # v_tilde(s) = coeff s^delta
-    return _shape_v(v, t0, rho, delta, coeff, shape_u)
+    return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_coeff=coeff)
 
 
 # 170! is about 7.3e306 and 171! overflows a double
@@ -751,7 +735,8 @@ def _shape_v_theta_polynomial(
         delta, lead = float(n), rho * shape_u.u_coeff_plus - c
         if lead == 0.0:
             raise ParameterError(f"{degenerate}; this degenerate combination is not supported")
-    return _shape_v(v, t0, rho, delta, lead, shape_u, theta_n=n, theta_n_deriv_at_t0=deriv)
+    return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_coeff=lead, theta_n=n,
+                  theta_n_deriv_at_t0=deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +901,7 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
     if vfam is None:
         shape_v = None
     elif vfam == "sine":
-        shape_v = _shape_v_sine(t0, shape_u)
+        shape_v = _shape_v_sine(t0)
     elif vfam == "seifert_linear":
         shape_v = _shape_v_theta_polynomial(
             t0, cfg.number("shape_v.rho", 0.0), 1, 1.0, shape_u,
@@ -927,7 +912,6 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
             cfg.number("shape_v.rho", 0.0),
             cfg.number("shape_v.delta", required=True),
             cfg.number("shape_v.coeff", 1.0),
-            shape_u,
         )
     elif vfam == "theta_polynomial":
         shape_v = _shape_v_theta_polynomial(
@@ -993,15 +977,10 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _slope_fit(s: np.ndarray, y: np.ndarray) -> float:
-    """Least squares slope of log y against log s; y must be positive."""
-    return float(np.polyfit(np.log(s), np.log(y), 1)[0])
-
-
-def _s_grid(s_max_allowed: float) -> np.ndarray | None:
+def _s_grid(s_max_allowed: float) -> np.ndarray:
     hi = min(_S_HI, s_max_allowed)
     if hi <= _S_LO:
-        return None
+        raise ValueError("support too narrow for the slope grid")
     decades = math.log10(hi / _S_LO)
     n = max(int(round(_POINTS_PER_DECADE * decades)), 8)
     return np.geomspace(_S_LO, hi, n)
@@ -1013,8 +992,8 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     Failures are report entries, never exceptions; exceptions and
     non-finite values raised by user callables are themselves recorded as
     failed entries, and a NaN anywhere in a check's measurements makes
-    its measured value NaN. The report is a deterministic function of
-    the model.
+    its measured value NaN; an entry with nothing to read passes with a
+    NaN. The report is a deterministic function of the model.
     """
     from . import oracle
 
@@ -1023,7 +1002,9 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     def run(name: str, expected: str, fn):
         try:
             passed, measured, margin, detail = fn()
-            if not np.isfinite(measured) and passed:
+            if measured is None:  # the entry reads nothing; its detail says why
+                measured = math.nan
+            elif not np.isfinite(measured) and passed:
                 passed, detail = False, detail + " [non-finite measurement]"
             entries.append(CheckEntry(name, bool(passed), float(measured), expected, margin, detail))
         except Exception as exc:  # noqa: BLE001 - report, never raise
@@ -1104,24 +1085,68 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
     run("angular.normalization", f"|integral - 1| <= {_DENSITY_TOL}", normalization)
 
-    def slope_check(local, side: int, width: float, declared: float, not_positive: str):
-        """Log-log slope of local(side * s) on the small-s grid against ``declared``."""
-        def check():
-            s = _s_grid(width)
-            if s is None:
-                return False, math.nan, None, "support too narrow for the slope grid"
-            y = np.asarray(local(side * s), dtype=float)
-            if np.any(y <= 0) or not np.all(np.isfinite(y)):
-                return False, math.nan, None, not_positive
-            slope = _slope_fit(s, y)
-            err = abs(slope - declared)
-            return err <= _SLOPE_TOL, slope, _SLOPE_TOL - err, f"declared {declared}"
-        return check
+    def leading_term(local, what: str, width: float, index: float, coeff: float | None,
+                     against: float, slope: tuple[str, str], coeff_name: str):
+        """The slope entry, and with a declared ``coeff`` the coefficient
+        entry, of the term local(s) ~ coeff s^index as s -> 0+.
 
+        The term is resolved where it reaches _RESOLVED times ``against``, the
+        value it cancels against in local (a normal double when that is 0).
+        On three or more resolved grid points the slope is fit beside a term
+        linear in s, and local(s)/s^index is extrapolated to s = 0 along its
+        secant from the first resolved point to the last, so a next-order
+        term linear in s drops out of both. Otherwise local must stay within
+        the resolution of the term, and no coefficient is read.
+        """
+        level = max(_RESOLVED * against, sys.float_info.min)
+
+        @functools.cache  # both entries read the same measurement
+        def measure():
+            s = _s_grid(width)
+            y = np.asarray(local(s), dtype=float)
+            if coeff is None:  # the whole grid, where local must be positive
+                return s, y, None, np.arange(len(s))
+            log_term = math.log(abs(coeff)) + index * np.log(s)
+            return s, y, log_term, np.flatnonzero(log_term >= math.log(level))
+
+        def slope_check():
+            s, y, log_term, resolved = measure()
+            if len(resolved) < 3:
+                worst = float(np.max(np.abs(y - math.copysign(1.0, coeff) * np.exp(log_term))))
+                return worst <= level, worst, level - worst, \
+                    f"{coeff:g} s^{index:g} stays below {level:g} on the grid; max |{what} - it|"
+            s, y = s[resolved], y[resolved]
+            # a declared coefficient carries the sign, which its own entry reads
+            sign = 1.0 if coeff is None else np.sign(y[0])
+            if not np.all(np.isfinite(y) & (sign * y > 0)):
+                return False, math.nan, None, \
+                    f"{what} not {'positive' if coeff is None else 'of one sign'} on the slope grid"
+            basis = np.column_stack((np.ones_like(s), np.log(s), s))
+            fitted = float(np.linalg.lstsq(basis, np.log(sign * y), rcond=None)[0][1])
+            err = abs(fitted - index)
+            return err <= _SLOPE_TOL, fitted, _SLOPE_TOL - err, f"declared {index}"
+
+        def coeff_check():
+            s, y, log_term, resolved = measure()
+            if len(resolved) < 3:
+                return True, None, None, f"not read: {slope[0]} bounds {what}"
+            ends = resolved[[0, -1]]
+            (s1, s2), (r1, r2) = s[ends], abs(coeff) * y[ends] / np.exp(log_term[ends])
+            got = float((s2 * r1 - s1 * r2) / (s2 - s1))
+            err, tol = abs(got - coeff), 0.10 * abs(coeff)
+            return err <= tol, got, tol - err, f"from s = {s1:.3g} to {s2:.3g}, declared {coeff:g}"
+
+        run(*slope, slope_check)
+        if coeff is not None:
+            run(coeff_name, f"{what}/s^{index:g} at s -> 0 within 10% of the declared value", coeff_check)
+
+    ang = mdl.angular
     for side, width in sides:
-        name, tau = ("plus", mdl.angular.tau_plus) if side > 0 else ("minus", mdl.angular.tau_minus)
-        run(f"angular.tau_slope_{name}", f"log-log slope matches tau_{name}",
-            slope_check(mdl.angular.g_tilde, side, width, tau, "g_tilde not positive on the slope grid"))
+        name, tau, c = ("plus", ang.tau_plus, ang.g_coeff_plus) if side > 0 \
+            else ("minus", ang.tau_minus, ang.g_coeff_minus)
+        leading_term(lambda s, side=side: ang.g_tilde(side * s), "g_tilde", width, tau, c, 0.0,
+                     (f"angular.tau_slope_{name}", f"log-log slope matches tau_{name}"),
+                     f"angular.g_coeff_{name}")
 
     # --- shape u ---
     support_ts = np.linspace(lo, hi, _SUPPORT_POINTS)
@@ -1151,10 +1176,15 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
         run(f"shape_u.sup_outside_eps_{eps:g}", "sup u < 1 strictly", sup_outside)
 
+    su = mdl.shape_u
     for side, width in sides:
-        name, kappa = ("plus", mdl.shape_u.kappa_plus) if side > 0 else ("minus", mdl.shape_u.kappa_minus)
-        run(f"shape_u.kappa_slope_{name}", f"u_tilde > 0 and slope matches kappa_{name}",
-            slope_check(mdl.shape_u.u_tilde, side, width, kappa, "u_tilde not positive on the slope grid"))
+        name, kappa, c = ("plus", su.kappa_plus, su.u_coeff_plus) if side > 0 \
+            else ("minus", su.kappa_minus, su.u_coeff_minus)
+        # the deficit cancels against u(t0) = 1 unless it is in closed form
+        leading_term(lambda s, side=side: su.deficit(side, s), "u_tilde", width, kappa, c,
+                     1.0 if su.exact_deficit is None else 0.0,
+                     (f"shape_u.kappa_slope_{name}", f"u_tilde > 0 and slope matches kappa_{name}"),
+                     f"shape_u.u_coeff_{name}")
 
     def deficit_matches_difference():
         errs = []
@@ -1212,59 +1242,24 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
         run("shape_v.center_value", "v(t0) = rho within 1e-12", rho_value)
 
-        def v_sign_check():
-            s = _s_grid(width_plus)
-            if s is None:
-                return False, math.nan, None, "support too narrow for the sign grid"
-            y = np.asarray(sv.v_tilde(s), dtype=float)
-            want = 1.0 if sv.v_sign == "+" else -1.0
-            ok = bool(np.all(np.sign(y) == want))
-            frac = float(np.mean(np.sign(y) == want))
-            return ok, frac, None, f"fraction of grid with sign {sv.v_sign}"
+        # v_tilde = v(t0) - v(t0 + s) cancels against v(t0) = rho
+        leading_term(sv.v_tilde, "v_tilde", width_plus, sv.delta, sv.v_coeff, abs(sv.rho),
+                     ("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta"),
+                     "shape_v.v_coeff")
 
-        run("shape_v.sign", "sign of v_tilde equals v_sign on (0, 1e-2]", v_sign_check)
-
-        run("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta",
-            slope_check(lambda s: np.abs(sv.v_tilde(s)), +1, width_plus, sv.delta,
-                        "v_tilde vanishes on the slope grid"))
-
-        def at(s: float, f) -> float:
-            return float(np.asarray(f(np.array([s])), dtype=float)[0])
-
-        def resolved_s(log_coeff: float, power: float, level: float) -> float | None:
-            """The smallest s >= _S_LO at which e^log_coeff s^power reaches
-            level, or None when no s on the plus side does."""
-            log_s = max(math.log(_S_LO), (math.log(level) - log_coeff) / power)
-            return math.exp(log_s) if log_s < math.log(width_plus) else None
-
-        if sv.ratio_c is not None:
-            c, kp = sv.ratio_c, mdl.shape_u.kappa_plus
-
-            def ratio_check():
-                if c == 0.0 or sv.delta != kp:
-                    # u_tilde/v_tilde -> 0 exactly when delta < kappa_plus
-                    return c == 0.0 and sv.delta < kp, sv.delta - kp, None, \
-                        f"declared C = {c:g}, delta = {sv.delta:g}"
-                # a tie: s^kappa read where it clears the rounding of u(t0) = 1 and rho
-                s = resolved_s(0.0, kp, _RESOLVED * max(1.0, abs(sv.rho)))
-                if s is None:
-                    return False, math.nan, None, "s^kappa_plus is not resolved on the plus side"
-                got = at(s, mdl.shape_u.u_tilde) / at(s, sv.v_tilde)
-                err, tol = abs(got - c), 0.10 * abs(c)
-                return err <= tol, got, tol - err, f"at s = {s:.3g}, declared {c:g}"
-
-            run("shape_v.ratio_c", "C = 0 needs delta < kappa_plus; a nonzero C needs delta = "
-                "kappa_plus and u_tilde/v_tilde within 10% of it", ratio_check)
         if sv.theta_n is not None:
             n, d = sv.theta_n, sv.theta_n_deriv_at_t0
             # theta - rho = d s^n/n! is read where it clears the rounding of rho,
-            # in logs, where n! and s^n stay in range
+            # in logs, where n! and s^n stay in range, up to the plus side's width
             level, log_fact = max(_RESOLVED * abs(sv.rho), sys.float_info.min), math.lgamma(n + 1)
 
             def theta_check():
-                s = resolved_s(math.log(abs(d)) - log_fact, n, level)
-                resolved, s = s is not None, s or width_plus / 2.0
-                gap = at(s, lambda s: sv.v(t0 + s)) / at(s, lambda s: mdl.shape_u.u(t0 + s)) - sv.rho
+                log_s = max(math.log(_S_LO), (math.log(level) - (math.log(abs(d)) - log_fact)) / n)
+                resolved = log_s < math.log(width_plus)
+                s = math.exp(log_s) if resolved else width_plus / 2.0
+                v_s, u_s = (float(np.asarray(f(np.array([t0 + s])), dtype=float)[0])
+                            for f in (sv.v, mdl.shape_u.u))
+                gap = v_s / u_s - sv.rho
                 if not resolved:
                     # d s^n/n! is below level on the whole plus side, so v/u - rho must be too
                     return abs(gap) <= level, gap, level - abs(gap), \

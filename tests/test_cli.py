@@ -21,7 +21,9 @@ from polartail import (
     sample_conditional,
     validate_model,
 )
+from polartail import cli
 from polartail.cli import main
+from polartail.model import CheckEntry, ValidationReport
 
 from conftest import F1_CONFIG, TIED_CONFIG
 
@@ -335,9 +337,9 @@ def test_second_shape_validates_and_fits_its_case(config, kinds):
     mdl = build_builtin_model(config)
     report = validate_model(mdl)
     assert report.passed, report.failures()
-    # the declared ratio C and theta data are checked exactly when declared
+    # the declared leading term of v is always checked, theta data exactly when declared
     names = {e.name for e in report.entries}
-    assert ("shape_v.ratio_c" in names) == ("ratio_c" in kinds)
+    assert "shape_v.v_coeff" in names
     assert ("shape_v.theta" in names) == ("theta_n" in kinds)
     sample = sample_conditional(mdl, 50.0, 200, Condition.RIGHT_SIDED, seed=1)
     for kind in CorollaryKind:
@@ -518,6 +520,19 @@ def test_verify_small_grid_passes_with_loose_tolerances(f1_cfg, tmp_path, capsys
     assert "PASS model validation" in err
     text = out_csv.read_text()
     assert "x,n,ks_r,ks_t,chi2_p,acceptance_rate,tail_ratio" in text
+
+
+def test_verify_names_the_failing_validation_entries(f1_cfg, capsys, monkeypatch):
+    entries = tuple(CheckEntry(name, passed, 1.0, "") for name, passed in [
+        ("shape_u.kappa_slope_plus", False), ("shape_u.u_coeff_plus", True),
+        ("shape_u.kappa_slope_minus", False)])
+    monkeypatch.setattr(cli._model, "validate_model", lambda mdl: ValidationReport(entries))
+    code = main(["verify", "--config", f1_cfg, "--x-grid", "10,25", "--n", "3000",
+                 "--seed", "13", "--ks-tol", "0.2", "--ratio-tol", "0.2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("FAIL model validation: shape_u.kappa_slope_plus, shape_u.kappa_slope_minus\n"
+            in err)
 
 
 def test_verify_unattainable_tolerance_fails(f1_cfg, capsys):

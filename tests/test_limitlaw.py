@@ -450,6 +450,19 @@ def test_case_parameter_validation_names_missing_field():
         CorollaryCase(kind=CorollaryKind.FS, kappa=2.0, rho=0.0, delta=-1.0)
 
 
+@pytest.mark.parametrize("kind, fields, match", [
+    (CorollaryKind.FS, {"delta": math.nan}, "delta"),
+    (CorollaryKind.FS, {"delta": math.inf}, "delta"),
+    (CorollaryKind.THETA_N, {"n": 1.5, "theta_deriv": 1.0}, r"\.n must be an integer"),
+    (CorollaryKind.THETA_N, {"n": 2, "theta_deriv": math.nan}, "theta_deriv"),
+    (CorollaryKind.THETA_N, {"n": 2, "theta_deriv": math.inf}, "theta_deriv"),
+], ids=["nan-delta", "inf-delta", "fractional-n", "nan-theta-deriv", "inf-theta-deriv"])
+def test_case_rejects_a_malformed_parameter(kind, fields, match):
+    # a fractional n would otherwise reach math.factorial in pushforward_corollary
+    with pytest.raises(ParameterError, match=match):
+        CorollaryCase(kind=kind, kappa=2.0, rho=0.0, **fields)
+
+
 def test_sampler_rejects_bad_sizes():
     law = LimitLaw(LimitSide(kappa=2.0, tau=0.0))
     with pytest.raises(ParameterError):

@@ -8,6 +8,7 @@ import pytest
 
 from polartail import (
     AngularLaw,
+    CaseMismatch,
     Condition,
     ConfigError,
     ParameterError,
@@ -16,6 +17,7 @@ from polartail import (
     ShapeV,
     UnknownFamilyError,
     build_builtin_model,
+    corollary_case,
     load_config,
     limit_law,
     scaled_tail_quadrature,
@@ -488,9 +490,9 @@ def test_power_shape_is_one_minus_scaled_power_per_side(kappas):
 
 
 # Second shapes on u_tilde(s) = a s^kappa with a = 1.5, for kappa below, at
-# and above delta: (shape_v keys, kappa, closed-form (delta, v_sign, ratio_c)).
-# v_tilde(s) ~ lead s^delta; ratio_c = lim u_tilde / v_tilde is 0 above
-# delta, a / lead on a tie and None below.
+# and above delta: (shape_v keys, kappa, closed-form (delta, v_coeff, C)).
+# v_tilde(s) ~ v_coeff s^delta; C = lim u_tilde / v_tilde is 0 above delta,
+# a / v_coeff on a tie and None below.
 SINE = {"shape_v.family": "sine"}                   # v_tilde = -sin s ~ -s
 SEIFERT_0 = {"shape_v.family": "seifert_linear"}    # -s (1 - u_tilde) ~ -s
 SEIFERT_RHO = dict(SEIFERT_0, **{"shape_v.rho": 0.4})   # + 0.4 u_tilde
@@ -499,42 +501,45 @@ POWER = {"shape_v.family": "power_v", "shape_v.rho": 0.3, "shape_v.delta": 2.0,
 THETA_0 = {"shape_v.family": "theta_polynomial", "shape_v.n": 2, "shape_v.deriv": 1.0}
 THETA_RHO = dict(THETA_0, **{"shape_v.rho": 0.4})   # 0.4 u_tilde - s^2 (1 - u_tilde) / 2
 SECOND_SHAPE_REGIMES = [
-    (SINE, 0.5, (1.0, "-", None)),
-    (SINE, 1.0, (1.0, "-", -1.5)),
-    (SINE, 2.0, (1.0, "-", 0.0)),
-    (SEIFERT_0, 0.5, (1.0, "-", None)),
-    (SEIFERT_0, 1.0, (1.0, "-", -1.5)),
-    (SEIFERT_0, 2.0, (1.0, "-", 0.0)),
-    (SEIFERT_RHO, 0.5, (0.5, "+", 2.5)),            # lead 0.6: 1 / rho
-    (SEIFERT_RHO, 1.0, (1.0, "-", -3.75)),          # lead 0.6 - 1
-    (SEIFERT_RHO, 2.0, (1.0, "-", 0.0)),
-    (POWER, 1.0, (2.0, "-", None)),
-    (POWER, 2.0, (2.0, "-", -3.0)),
-    (POWER, 3.0, (2.0, "-", 0.0)),
-    (THETA_0, 1.0, (2.0, "-", None)),
-    (THETA_RHO, 1.0, (1.0, "+", 2.5)),              # lead 0.6
-    (THETA_RHO, 2.0, (2.0, "+", 15.0)),             # lead 0.6 - 0.5
-    (THETA_RHO, 3.0, (2.0, "-", 0.0)),
+    (SINE, 0.5, (1.0, -1.0, None)),
+    (SINE, 1.0, (1.0, -1.0, -1.5)),
+    (SINE, 2.0, (1.0, -1.0, 0.0)),
+    (SEIFERT_0, 0.5, (1.0, -1.0, None)),
+    (SEIFERT_0, 1.0, (1.0, -1.0, -1.5)),
+    (SEIFERT_0, 2.0, (1.0, -1.0, 0.0)),
+    (SEIFERT_RHO, 0.5, (0.5, 0.6, 2.5)),            # 1 / rho
+    (SEIFERT_RHO, 1.0, (1.0, -0.4, -3.75)),         # 0.6 - 1
+    (SEIFERT_RHO, 2.0, (1.0, -1.0, 0.0)),
+    (POWER, 1.0, (2.0, -0.5, None)),
+    (POWER, 2.0, (2.0, -0.5, -3.0)),
+    (POWER, 3.0, (2.0, -0.5, 0.0)),
+    (THETA_0, 1.0, (2.0, -0.5, None)),
+    (THETA_RHO, 1.0, (1.0, 0.6, 2.5)),
+    (THETA_RHO, 2.0, (2.0, 0.1, 15.0)),             # 0.6 - 0.5
+    (THETA_RHO, 3.0, (2.0, -0.5, 0.0)),
 ]
 
 
 @pytest.mark.parametrize("extra, kappa, expected", SECOND_SHAPE_REGIMES,
                          ids=lambda v: v.get("shape_v.family") if isinstance(v, dict) else None)
 def test_second_shape_regime_follows_kappa_against_delta(extra, kappa, expected):
-    sv = build_builtin_model(dict(F1_CONFIG, **extra, **{
-        "shape_u.kappa": kappa, "shape_u.scale": 1.5})).shape_v
-    delta, v_sign, ratio_c = expected
-    assert (sv.delta, sv.v_sign) == (delta, v_sign)
+    mdl = build_builtin_model(dict(F1_CONFIG, **extra, **{
+        "shape_u.kappa": kappa, "shape_u.scale": 1.5}))
+    delta, v_coeff, ratio_c = expected
+    assert mdl.shape_v.delta == delta
+    assert mdl.shape_v.v_coeff == pytest.approx(v_coeff, rel=1e-14, abs=0.0)
     if ratio_c is None:
-        assert sv.ratio_c is None
+        with pytest.raises(CaseMismatch):
+            corollary_case(mdl, "ratio_c")
     else:
-        assert sv.ratio_c == pytest.approx(ratio_c, rel=1e-14, abs=0.0)
+        c = corollary_case(mdl, "ratio_c").ratio_c
+        assert c == pytest.approx(ratio_c, rel=1e-14, abs=0.0)
 
 
 # Custom second shapes on u = 1 - t^2 (kappa = 2, t0 = 0) that copy a
-# builtin, with right and wrong declarations of C and of theta
-def _custom_v(v, rho, delta, v_sign, ratio_c, theta=(None, None)):
-    return ShapeV(v=v, t0=0.0, rho=rho, delta=delta, v_sign=v_sign, ratio_c=ratio_c,
+# builtin, with right and wrong declarations of the leading term and of theta
+def _custom_v(v, rho, delta, v_coeff, theta=(None, None)):
+    return ShapeV(v=v, t0=0.0, rho=rho, delta=delta, v_coeff=v_coeff,
                   theta_n=theta[0], theta_n_deriv_at_t0=theta[1])
 
 
@@ -550,47 +555,116 @@ def _shape_v_report(f1_model, sv):
 
 def test_validate_passes_a_custom_copy_of_the_seifert_shape(f1_model):
     report, names = _shape_v_report(
-        f1_model, _custom_v(_seifert(0.3), 0.3, 1.0, "-", 0.0, theta=(1, 1.0)))
-    assert {"shape_v.ratio_c", "shape_v.theta"} <= names
+        f1_model, _custom_v(_seifert(0.3), 0.3, 1.0, -1.0, theta=(1, 1.0)))
+    assert {"shape_v.v_coeff", "shape_v.theta"} <= names
     assert report.passed, report.failures()
 
 
-@pytest.mark.parametrize("sv, entry", [
-    # power_v delta = 2: v_tilde = s^2 = u_tilde, so C = 1, not 2
-    (_custom_v(lambda t: 0.5 - np.asarray(t, dtype=float) ** 2, 0.5, 2.0, "+", 2.0),
-     "shape_v.ratio_c"),
+def _power_v(rho, coeff):
+    # rho - coeff t^2 on both sides: v_tilde = coeff s^2
+    return lambda t: rho - coeff * np.asarray(t, dtype=float) ** 2
+
+
+def _with_v(sv):
+    return lambda mdl: dataclasses.replace(mdl, shape_v=sv)
+
+
+def _kappa_plus_8(mdl):
+    # u = 1 - t^2 without its closed-form deficit, declared as u_tilde ~ s^8 on
+    # the plus side: s^8 stays below 1e-8 on the slope grid, where u_tilde =
+    # s^2 does not
+    return dataclasses.replace(mdl, shape_u=dataclasses.replace(
+        mdl.shape_u, kappa_plus=8.0, exact_deficit=None, deficit_inverse=None))
+
+
+@pytest.mark.parametrize("change, entry", [
     # seifert_linear: theta'(t0) = 1, not 2
-    (_custom_v(_seifert(0.3), 0.3, 1.0, "-", 0.0, theta=(1, 2.0)), "shape_v.theta"),
+    (_with_v(_custom_v(_seifert(0.3), 0.3, 1.0, -1.0, theta=(1, 2.0))), "shape_v.theta"),
     # v = (rho + 2s) u: theta'(t0) = 2, not 1
-    (_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
-               * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, "-", 0.0, theta=(1, 1.0)),
-     "shape_v.theta"),
-    # power_v delta = 2 on kappa = 2 is a tie, so C cannot be 0
-    (_custom_v(lambda t: 0.5 - np.asarray(t, dtype=float) ** 2, 0.5, 2.0, "+", 0.0),
-     "shape_v.ratio_c"),
+    (_with_v(_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
+                       * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, -2.0,
+                       theta=(1, 1.0))), "shape_v.theta"),
     # v = (rho + 2s) u has theta of order 1, not 30; d s^30/30! is below
     # resolution on the whole support, so v/u - rho must be too
-    (_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
-               * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, "-", 0.0, theta=(30, 1.0)),
-     "shape_v.theta"),
-], ids=["ratio-c", "seifert-slope", "double-slope", "zero-c-on-a-tie", "order-30-of-a-slope"])
-def test_validate_flags_a_wrong_second_shape_declaration(f1_model, sv, entry):
-    report, _ = _shape_v_report(f1_model, sv)
+    (_with_v(_custom_v(lambda t: (0.3 + 2.0 * np.asarray(t, dtype=float))
+                       * (1.0 - np.asarray(t, dtype=float) ** 2), 0.3, 1.0, -2.0,
+                       theta=(30, 1.0))), "shape_v.theta"),
+    # power_v with coeff 0.5: v_tilde = 0.5 s^2, declared with the other sign
+    (_with_v(_custom_v(_power_v(0.5, 0.5), 0.5, 2.0, -0.5)), "shape_v.v_coeff"),
+    # the same v declared with a coefficient 2x off
+    (_with_v(_custom_v(_power_v(0.5, 0.5), 0.5, 2.0, 1.0)), "shape_v.v_coeff"),
+    # the unresolved branch: the slope entry bounds u_tilde by 1e-8, and the
+    # coefficient entry has no resolved point to read
+    (_kappa_plus_8, "shape_u.kappa_slope_plus"),
+], ids=["seifert-slope", "double-slope", "order-30-of-a-slope", "wrong-sign-v-coeff",
+        "v-coeff-2x-off", "kappa-8-on-a-parabola"])
+def test_validate_flags_a_wrong_second_shape_declaration(f1_model, change, entry):
+    report = validate_model(change(f1_model))
     assert {e.name for e in report.failures()} == {entry}
 
 
-# theta - rho = d s^n/n! is read where it stands clear of the rounding of
-# rho: near the support's edge at n = 170 (1/170! is about 1.4e-307), and
-# as v/u - rho below resolution where no s on the support resolves it
-@pytest.mark.parametrize("n, rho", [(4, 0.5), (6, 0.5), (30, 0.5), (170, 0.0)])
-def test_validate_reads_high_theta_orders_where_they_are_resolved(n, rho):
-    mdl = build_builtin_model(dict(F1_CONFIG, **{
-        "shape_v.family": "theta_polynomial", "shape_v.n": n, "shape_v.rho": rho,
-        "shape_v.deriv": 1.0}))
-    entry = validate_model(mdl).entry("shape_v.theta")
-    assert entry.passed, entry
+# a declared term is read where it stands clear of the rounding of the value
+# it cancels against, and bounded where it does not: theta - rho = d s^n/n!
+# near the support's edge at n = 170 (1/170! is about 1.4e-307), and v's
+# s^5 against rho = 0.3, which stays below 1e-8 rho on the whole slope grid
+# 1e-4..1e-2; 4 s^4.5 against rho = 0.3 clears it only near 1e-2 and rounds
+# to 0 at 1e-4. u's closed-form deficits s^5 and s^8 are read however small.
+# On kappa = 4 with n = 3, v_tilde = -(d/6) s^3 (1 - 6 rho s/d) + ... is
+# resolved only near 1e-2, where the next-order term is 10-30% of it; both
+# readings let a next-order term linear in s drop out
+@pytest.mark.parametrize("extra", [
+    {"shape_v.family": "theta_polynomial", "shape_v.n": 4, "shape_v.rho": 0.5, "shape_v.deriv": 1.0},
+    {"shape_v.family": "theta_polynomial", "shape_v.n": 6, "shape_v.rho": 0.5, "shape_v.deriv": 1.0},
+    {"shape_v.family": "theta_polynomial", "shape_v.n": 30, "shape_v.rho": 0.5, "shape_v.deriv": 1.0},
+    {"shape_v.family": "theta_polynomial", "shape_v.n": 170, "shape_v.rho": 0.0, "shape_v.deriv": 1.0},
+    {"shape_u.kappa": 5.0},
+    {"shape_u.kappa_minus": 8.0, "shape_u.kappa_plus": 2.0},
+    {"shape_v.family": "power_v", "shape_v.delta": 5.0, "shape_v.rho": 0.3},
+    {"shape_v.family": "power_v", "shape_v.delta": 4.5, "shape_v.coeff": 4.0, "shape_v.rho": 0.3},
+    {"shape_u.kappa": 4.0, "shape_v.family": "theta_polynomial", "shape_v.n": 3, "shape_v.rho": -5.0,
+     "shape_v.deriv": 1.0},
+    {"shape_u.kappa": 4.0, "shape_v.family": "theta_polynomial", "shape_v.n": 3, "shape_v.rho": 3.0,
+     "shape_v.deriv": 1.0},
+], ids=["theta-n4", "theta-n6", "theta-n30", "theta-n170-rho0", "kappa-5", "kappa-minus-8",
+        "power-v-delta5", "power-v-delta4.5", "kappa-4-n3-rho-5", "kappa-4-n3-rho3"])
+def test_validate_reads_high_theta_orders_where_they_are_resolved(extra):
+    report = validate_model(build_builtin_model(dict(F1_CONFIG, **extra)))
+    assert report.passed, [(e.name, e.detail) for e in report.failures()]
+
+
+def test_validate_reads_a_closed_form_deficit_however_small():
+    # builtin u = 1 - s^5 declared with kappa 12: s^12 stays below 1e-8 on the
+    # whole grid, but the closed-form deficit is read there, not bounded
+    mdl = build_builtin_model(dict(F1_CONFIG, **{"shape_u.kappa": 5.0}))
+    wrong = dataclasses.replace(mdl, shape_u=dataclasses.replace(mdl.shape_u, kappa_plus=12.0))
+    report = validate_model(wrong)
+    assert {e.name for e in report.failures()} == {"shape_u.kappa_slope_plus", "shape_u.u_coeff_plus"}
+    assert report.entry("shape_u.kappa_slope_plus").measured == pytest.approx(5.0)
+
+
+def test_validate_reads_no_coefficient_where_the_term_is_not_resolved(f1_model):
+    report = validate_model(_kappa_plus_8(f1_model))
+    e = report.entry("shape_u.u_coeff_plus")
+    assert e.passed and math.isnan(e.measured) and e.detail.startswith("not read")
 
 
 def test_shape_v_declares_theta_order_and_coefficient_together():
     with pytest.raises(ParameterError, match="declared together"):
-        _custom_v(_seifert(0.3), 0.3, 1.0, "-", 0.0, theta=(1, None))
+        _custom_v(_seifert(0.3), 0.3, 1.0, -1.0, theta=(1, None))
+
+
+@pytest.mark.parametrize("delta, v_coeff, theta, match", [
+    (math.nan, -1.0, (None, None), "delta"),
+    (math.inf, -1.0, (None, None), "delta"),
+    (1.0, math.nan, (None, None), "v_coeff"),
+    (1.0, math.inf, (None, None), "v_coeff"),
+    (1.0, 0.0, (None, None), "v_coeff"),
+    (1.0, -1.0, (1.5, 1.0), "theta_n"),
+    (1.0, -1.0, (1, math.nan), "theta_n_deriv_at_t0"),
+    (1.0, -1.0, (1, math.inf), "theta_n_deriv_at_t0"),
+    (1.0, -1.0, (1, 0.0), "theta_n_deriv_at_t0"),
+], ids=["nan-delta", "inf-delta", "nan-v-coeff", "inf-v-coeff", "zero-v-coeff",
+        "fractional-theta-n", "nan-theta-deriv", "inf-theta-deriv", "zero-theta-deriv"])
+def test_shape_v_rejects_a_malformed_declaration(delta, v_coeff, theta, match):
+    with pytest.raises(ParameterError, match=match):
+        _custom_v(_seifert(0.3), 0.3, delta, v_coeff, theta=theta)
