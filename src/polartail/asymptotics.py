@@ -23,16 +23,16 @@ one of several roots.
 When the event covers both sides of t0, the limit law mixes them with
 the weights
 
-    p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum over sides.
+    p_sigma = lim phi_sigma g_tilde(sigma phi_sigma) / sum over sides,
 
-For builtin families p is available in closed form from the leading
-power exponents: with u_tilde(sigma s) ~ a_sigma s^kappa_sigma and
-g_tilde(sigma s) ~ c_sigma s^tau_sigma, the side with the smaller
-(1 + tau_sigma) / kappa_sigma carries all of p; ties split by the
-coefficients. For custom models ``limit_law`` reads the limit off a
-finite grid of x values and raises NonConvergence when it still drifts.
-``limit_law`` is the only place p is formed; the windows at one
-threshold (``compute_normalizers``) do not need it.
+which the declared leading terms give exactly: with u_tilde(sigma s) ~
+a_sigma s^kappa_sigma and g_tilde(sigma s) ~ c_sigma s^tau_sigma, the side
+with the smaller e_sigma = (1 + tau_sigma) / kappa_sigma carries all of p,
+and only a tie splits it, in proportion to c_sigma a_sigma^(-e). A tie
+therefore needs the four declared coefficients, builtin or custom; the
+exponents alone settle every other model. ``limit_law`` is the only place
+p is formed; the windows at one threshold (``compute_normalizers``) do
+not need it.
 
 ``corollary_case``, the other map from a model to a limit object, reads
 the corollary for (X, Y) = (R u(T), R v(T)) off ``shape_v``.
@@ -66,8 +66,6 @@ _UNIT_GRID = np.geomspace(1e-9, 1.0, 512)
 # the log-space secant stops at this |log(deficit x / psi)| or step count
 _SOLVE_TOL = 4.0 * float(np.finfo(float).eps)
 _SOLVE_STEPS = 100
-# the grid estimate of p fails when p moves by more than this per grid step
-_P_CHANGE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -269,24 +267,6 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     return PhiRoot(phi=phi, residual=residual, s_max=s_max, side=side)
 
 
-def _closed_form_p(mdl: _model.PolarModel) -> tuple[float, float] | None:
-    """Exact (p_minus, p_plus) from leading coefficients."""
-    ang, su = mdl.angular, mdl.shape_u
-    coeffs = (ang.g_coeff_minus, ang.g_coeff_plus, su.u_coeff_minus, su.u_coeff_plus)
-    if any(c is None for c in coeffs):
-        return None
-    c_m, c_p, a_m, a_p = coeffs
-    e_m = (1.0 + ang.tau_minus) / su.kappa_minus
-    e_p = (1.0 + ang.tau_plus) / su.kappa_plus
-    if e_p < e_m:
-        return 0.0, 1.0
-    if e_p > e_m:
-        return 1.0, 0.0
-    w_m = c_m * a_m ** (-e_m)
-    w_p = c_p * a_p ** (-e_p)
-    return w_m / (w_m + w_p), w_p / (w_m + w_p)
-
-
 def compute_normalizers(mdl: _model.PolarModel, x: float,
                         condition: _model.Condition = _model.Condition.UNRESTRICTED
                         ) -> Normalizers:
@@ -307,35 +287,6 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
     )
 
 
-def _window_mass(mdl: _model.PolarModel, x: float, sign: int) -> float:
-    """phi_sigma g_tilde(sigma phi_sigma), the angular mass of one window at x."""
-    phi = compute_phi(mdl, x, sign).phi
-    return phi * float(mdl.angular.g_tilde(sign * phi))
-
-
-def _grid_p(mdl: _model.PolarModel, x_grid) -> float:
-    """p_plus read off an increasing grid of thresholds.
-
-    Forms the window-mass ratio p_plus at every grid x and returns it at
-    the largest. Raises NonConvergence when both window masses vanish, or
-    when the ratio still moves by more than 0.1 per grid step. This is a
-    numerical read of an asymptotic limit, not a proof.
-    """
-    values = []
-    for x in x_grid:
-        v_m, v_p = _window_mass(mdl, x, -1), _window_mass(mdl, x, 1)
-        if v_m + v_p <= 0:
-            raise NonConvergence("p is undefined: g_tilde vanishes at both windows")
-        values.append(v_p / (v_m + v_p))
-    change = float(np.max(np.abs(np.diff(values))))
-    if change > _P_CHANGE_TOL:
-        raise NonConvergence(
-            f"p still moves by {change:.3g} per grid step (tolerance "
-            f"{_P_CHANGE_TOL:g}) on x = {x_grid[0]:g} .. {x_grid[-1]:g}"
-        )
-    return values[-1]
-
-
 def _limit_side(mdl: _model.PolarModel, sgn: int) -> _limitlaw.LimitSide:
     """The limit law's side sgn, with that side's kappa and tau."""
     if sgn > 0:
@@ -345,7 +296,8 @@ def _limit_side(mdl: _model.PolarModel, sgn: int) -> _limitlaw.LimitSide:
 
 def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
     """phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma."""
-    return _window_mass(mdl, x, sgn) / _limit_side(mdl, sgn).norm_const
+    phi = compute_phi(mdl, x, sgn).phi
+    return phi * float(mdl.angular.g_tilde(sgn * phi)) / _limit_side(mdl, sgn).norm_const
 
 
 def tail_asymptotic(mdl: _model.PolarModel, x: float,
@@ -368,31 +320,36 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
     return total * float(np.asarray(mdl.radial.survival(np.array([x])))[0])
 
 
-def limit_law(mdl: _model.PolarModel, condition: _model.Condition,
-              x: float | None = None) -> _limitlaw.LimitLaw:
+def limit_law(mdl: _model.PolarModel, condition: _model.Condition) -> _limitlaw.LimitLaw:
     """The limit law of the normalized pair under ``condition``.
 
     The law has the sides of ``PolarModel.sides``: the plus side, and the
     minus side with mixture weights p when the event covers both sides of
-    t0, the one place p is formed. Builtin models get p in closed form.
-    Custom models read p_plus off the window masses on 9 thresholds from x
-    to 100x when ``x`` is given, and on 13 thresholds from 10 to 1e4
-    otherwise, and raise NonConvergence when p still drifts there by more
-    than 0.1 per step.
+    t0, the one place p is formed. p is read off the declarations, for
+    builtin and custom models alike: the side with the smaller e = (1 +
+    tau) / kappa takes all of it, and on a tie the sides split it in
+    proportion to g_coeff u_coeff^(-e). A tie on a model that leaves one of
+    the four coefficients None raises ParameterError naming the missing ones.
     """
+    plus = _limit_side(mdl, 1)
     if len(mdl.sides(condition)) == 1:
-        return _limitlaw.LimitLaw(_limit_side(mdl, 1))
-    if x is None:
-        grid = np.geomspace(10.0, 1e4, 13)
-    elif math.isfinite(x) and x > 0:
-        grid = np.geomspace(x, 100.0 * x, 9)
-    else:
-        raise ParameterError(f"x must be a positive finite number, got {x}")
-    p = _closed_form_p(mdl)
-    if p is None:
-        p_p = _grid_p(mdl, grid)
-        p = (1.0 - p_p, p_p)
-    return _limitlaw.LimitLaw(_limit_side(mdl, 1), _limit_side(mdl, -1), p_minus=p[0], p_plus=p[1])
+        return _limitlaw.LimitLaw(plus)
+    minus = _limit_side(mdl, -1)
+    e = plus.gamma_shape
+    if e != minus.gamma_shape:
+        p_plus = 1.0 if e < minus.gamma_shape else 0.0
+        return _limitlaw.LimitLaw(plus, minus, p_minus=1.0 - p_plus, p_plus=p_plus)
+    ang, su = mdl.angular, mdl.shape_u
+    coeffs = {"angular.g_coeff_minus": ang.g_coeff_minus, "angular.g_coeff_plus": ang.g_coeff_plus,
+              "shape_u.u_coeff_minus": su.u_coeff_minus, "shape_u.u_coeff_plus": su.u_coeff_plus}
+    missing = [name for name, c in coeffs.items() if c is None]
+    if missing:
+        raise ParameterError(
+            f"both sides have e = (1 + tau)/kappa = {e:g}, so p splits by the leading "
+            f"coefficients, but the model declares no {', '.join(missing)}")
+    w_m = ang.g_coeff_minus * su.u_coeff_minus ** (-e)
+    w_p = ang.g_coeff_plus * su.u_coeff_plus ** (-e)
+    return _limitlaw.LimitLaw(plus, minus, p_minus=w_m / (w_m + w_p), p_plus=w_p / (w_m + w_p))
 
 
 def corollary_case(mdl: _model.PolarModel,

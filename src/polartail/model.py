@@ -1151,6 +1151,10 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     # --- shape u ---
     support_ts = np.linspace(lo, hi, _SUPPORT_POINTS)
 
+    @functools.cache  # evaluated once, inside the entries, so a u that raises fails each of them
+    def u_on_support():
+        return np.asarray(mdl.shape_u.u(support_ts), dtype=float)
+
     def center_value():
         v = float(np.asarray(mdl.shape_u.u(np.array([t0])))[0])
         err = abs(v - 1.0)
@@ -1159,19 +1163,18 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     run("shape_u.center_value", "u(t0) = 1 within 1e-12", center_value)
 
     def bounded():
-        vals = np.abs(np.asarray(mdl.shape_u.u(support_ts), dtype=float))
+        vals = np.abs(u_on_support())
         worst = float(np.max(vals))
         return worst <= 1.0 + 1e-12, worst, 1.0 - worst, "max |u| on the support grid"
 
     run("shape_u.bounded_by_one", "|u| <= 1 on the support", bounded)
 
-    u_vals = np.asarray(mdl.shape_u.u(support_ts), dtype=float)
     for eps in _EPS_VALUES:
         def sup_outside(eps=eps):
             outside = np.abs(support_ts - t0) > eps
             if not np.any(outside):
-                return True, -math.inf, None, f"no support points with |t - t0| > {eps}"
-            sup = float(np.max(u_vals[outside]))
+                return True, None, None, f"not read: no support points with |t - t0| > {eps}"
+            sup = float(np.max(u_on_support()[outside]))
             return sup < 1.0, sup, 1.0 - sup, f"sup of u outside eps={eps}"
 
         run(f"shape_u.sup_outside_eps_{eps:g}", "sup u < 1 strictly", sup_outside)
@@ -1274,8 +1277,7 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
     # --- joint finiteness of the callables ---
     def finite_callables():
-        vals = [np.asarray(mdl.angular.density(support_ts), dtype=float),
-                np.asarray(mdl.shape_u.u(support_ts), dtype=float)]
+        vals = [np.asarray(mdl.angular.density(support_ts), dtype=float), u_on_support()]
         if mdl.shape_v is not None:
             vals.append(np.asarray(mdl.shape_v.v(support_ts), dtype=float))
         bad = sum(int(np.sum(~np.isfinite(v))) for v in vals)

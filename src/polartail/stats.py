@@ -285,30 +285,23 @@ class ConvergenceReport:
     ratio_approaches_one: bool
 
 
-def _bisect_quantile(cdf, q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisect each bracket [lo, hi] of cdf(v) = q down to adjacent doubles; returns hi."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not live.any():
-            return hi
-        below = cdf(mid) < q
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
-
-
 def _limit_edges(law: _limitlaw.LimitLaw, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Chi-square edges of r and t: exact quantiles of the limit marginals.
 
     The levels are ``linspace(0.0005, 0.9995, bins + 1)``. Each side has
     r ~ Gamma(e + 1) and t^kappa ~ Gamma(e). The t levels below
     ``prob_minus`` fall on the mirrored minus side, the rest on the plus
-    side. r is one Gamma when every side of positive probability shares e;
-    otherwise the mixture CDF is bisected between the component quantiles,
-    which bracket the mixture's.
+    side. r is one Gamma, since every side of positive probability of a law
+    that ``limit_law`` forms shares e; a law whose sides of positive
+    probability differ in e raises ParameterError.
     """
     from scipy import special as sp_special
 
+    shapes = {side.gamma_shape for _, prob, side in law.sides if prob > 0.0}
+    if len(shapes) != 1:
+        raise ParameterError(
+            f"the sides of positive probability differ in e = (1 + tau)/kappa: {sorted(shapes)}; "
+            "a limit law mixes sides of one Gamma shape")
     q = np.linspace(0.0005, 0.9995, bins + 1)
     lower = q < law.prob_minus
     t = np.empty_like(q)
@@ -319,13 +312,7 @@ def _limit_edges(law: _limitlaw.LimitLaw, bins: int) -> tuple[np.ndarray, np.nda
         else:
             t[lower] = -sp_special.gammainccinv(
                 side.gamma_shape, q[lower] / prob) ** (1.0 / side.kappa)
-    shapes = sorted({side.gamma_shape for _, prob, side in law.sides if prob > 0.0})
-    r_parts = [sp_special.gammaincinv(e + 1.0, q) for e in shapes]
-    if len(r_parts) == 1:
-        r = r_parts[0]
-    else:
-        r = _bisect_quantile(lambda v: _limitlaw.cdf(law, v, np.inf), q,
-                             np.min(r_parts, axis=0), np.max(r_parts, axis=0))
+    r = sp_special.gammaincinv(shapes.pop() + 1.0, q)
     edges_r, edges_t = np.unique(r), np.unique(t)
     if min(edges_r.size, edges_t.size) < 3:
         raise ParameterError("degenerate binning: limit marginal quantiles are too concentrated")
@@ -363,18 +350,17 @@ def convergence_report(
         raise ParameterError(f"n must be >= 2, got {n}")
     key = seed_key(seed)
 
+    law = _asymptotics.limit_law(mdl, condition)
+    edges_r, edges_t = _limit_edges(law, bins)
+    # inclusion-exclusion; rounding can leave a cell a few ulps below 0
+    f = _limitlaw.cdf(law, edges_r[:, None], edges_t)
+    masses = np.maximum(np.diff(np.diff(f, axis=0), axis=1), 0.0)
     rows = []
     for i, x in enumerate(xs):
-        # a custom model's p that has not settled at x fails before any sampling
-        law = _asymptotics.limit_law(mdl, condition, x)
         mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0))
 
         ks_r = ks_one_sample(mc.r_norm, lambda r: _limitlaw.cdf(law, r, np.inf))[0]
         ks_t = ks_one_sample(mc.t_norm, lambda t: _limitlaw.cdf(law, np.inf, t))[0]
-        edges_r, edges_t = _limit_edges(law, bins)
-        # inclusion-exclusion; rounding can leave a cell a few ulps below 0
-        f = _limitlaw.cdf(law, edges_r[:, None], edges_t)
-        masses = np.maximum(np.diff(np.diff(f, axis=0), axis=1), 0.0)
         _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), (edges_r, edges_t), masses)
         quad = _oracle.scaled_tail_quadrature(mdl, x, condition).value
         asym = _asymptotics.tail_asymptotic(mdl, x, condition, scaled=True)

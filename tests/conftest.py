@@ -265,12 +265,13 @@ def sine_model():
 
 @pytest.fixture(scope="session")
 def slow_p_model():
-    """Custom two-sided model whose mixture weight p settles only for large x.
+    """Custom two-sided model whose window masses approach p only for large x.
 
     Exp(1) radius, flat angle on [-1, 1], u = 1 - 0.106|t| on the minus
-    side and 1 - t^4 on the plus side. The plus side carries all of p in
-    the limit, but at x = 20 both windows are about 0.47, so p_plus still
-    climbs from 1/2 towards 1 along x = 20 .. 2000.
+    side and 1 - t^4 on the plus side. It declares no leading coefficient.
+    Its exponents e- = 1 and e+ = 1/4 give the plus side all of p in the
+    limit, but at x = 20 both windows are about 0.47, and the plus share of
+    the window masses is only 0.85 at x = 200 and 0.994 at x = 2e4.
     """
     def u(t):
         t = np.asarray(t, dtype=float)

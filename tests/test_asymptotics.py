@@ -261,53 +261,42 @@ def test_limit_law_picks_the_law_and_its_weights(asym_model):
     assert (both.p_minus, both.p_plus) == (0.0, 1.0)
 
 
-def test_limit_law_grid_p_matches_closed_form():
-    # same density as the tied-weight builtin, fed in as raw callables so
-    # the closed form is unavailable and the grid estimate must be used
+def test_limit_law_custom_tie_splits_by_declared_coefficients():
+    # same density as the tied-weight builtin, fed in as raw callables: the
+    # tie e- = e+ = 1/2 splits p by the declared leading coefficients
     def density(t):
         t = np.asarray(t, dtype=float)
         return np.where(np.abs(t) <= 1.0, np.where(t >= 0.0, 0.75, 0.25), 0.0)
 
-    ang = AngularLaw(
-        density=density,
-        t0=0.0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        support=(-1.0, 1.0),
-        sample=lambda rng, n: rng.uniform(-1.0, 1.0, n),
-    )
-    su = ShapeU(
-        u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
-        t0=0.0,
-        kappa_minus=2.0,
-        kappa_plus=2.0,
-    )
-    mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
-    p_m, p_p = _p(mdl)
-    assert p_p == pytest.approx(0.75, abs=1e-3)
-    assert p_m == pytest.approx(1.0 - p_p, abs=1e-15)
+    def tied(g_coeffs=(None, None), u_coeffs=(None, None)):
+        ang = AngularLaw(
+            density=density,
+            t0=0.0,
+            tau_minus=0.0,
+            tau_plus=0.0,
+            support=(-1.0, 1.0),
+            sample=lambda rng, n: rng.uniform(-1.0, 1.0, n),
+            g_coeff_minus=g_coeffs[0],
+            g_coeff_plus=g_coeffs[1],
+        )
+        su = ShapeU(
+            u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
+            t0=0.0,
+            kappa_minus=2.0,
+            kappa_plus=2.0,
+            u_coeff_minus=u_coeffs[0],
+            u_coeff_plus=u_coeffs[1],
+        )
+        return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
 
-
-def test_limit_law_grid_p_oscillating_shape_never_settles():
-    def osc(t):
-        t = np.asarray(t, dtype=float)
-        s = np.abs(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(
-                (s > 0.0) & (t > 0.0),
-                1.0 + 0.8 * np.sin(np.log(np.maximum(s, 1e-300))),
-                1.0,
-            )
-        return 1.0 - np.minimum(s * s * w, 2.0)
-
-    su = ShapeU(
-        u=osc, t0=0.0, kappa_minus=2.0, kappa_plus=2.0
-    )
-    mdl = PolarModel(
-        radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su
-    )
-    with pytest.raises(NonConvergence, match="p still moves"):
-        limit_law(mdl, Condition.UNRESTRICTED, 10.0)
+    p_m, p_p = _p(tied((0.25, 0.75), (1.0, 1.0)))
+    assert p_p == pytest.approx(0.75, rel=0, abs=1e-12)
+    assert p_m == pytest.approx(0.25, rel=0, abs=1e-12)
+    with pytest.raises(ParameterError, match=r"angular\.g_coeff_minus, angular\.g_coeff_plus, "
+                       r"shape_u\.u_coeff_minus, shape_u\.u_coeff_plus"):
+        _p(tied())
+    with pytest.raises(ParameterError, match=r"declares no shape_u\.u_coeff_plus$"):
+        _p(tied((0.25, 0.75), (1.0, None)))
 
 
 def test_compute_normalizers_benchmark(f1_model):
@@ -319,17 +308,6 @@ def test_compute_normalizers_benchmark(f1_model):
     assert abs(norms.residual_plus) <= 1e-10
     assert [f.name for f in dataclasses.fields(norms)] == [
         "x", "psi_x", "phi_plus", "phi_minus", "residual_plus", "residual_minus"]
-
-
-def test_limit_law_closed_form_skips_the_grid_estimate(f1_model, monkeypatch):
-    from polartail import asymptotics
-
-    def grid_estimate(*args, **kwargs):
-        raise AssertionError("closed-form p needs no anchor grid")
-
-    monkeypatch.setattr(asymptotics, "_grid_p", grid_estimate)
-    law = limit_law(f1_model, Condition.UNRESTRICTED, 100.0)
-    assert (law.p_minus, law.p_plus) == (0.5, 0.5)
 
 
 def test_slow_p_model_passes_validation(slow_p_model):
@@ -351,16 +329,12 @@ def test_compute_normalizers_solves_only_the_windows(slow_p_model, monkeypatch):
     assert sorted(calls) == [(50.0, -1), (50.0, 1)]
 
 
-def test_limit_law_estimates_p_from_x_for_custom_models(slow_p_model):
-    # the windows are about equal at x = 20, so p_plus still climbs
-    # from 1/2 towards 1 along x = 20 .. 2000; from x = 200 on it has settled
-    with pytest.raises(NonConvergence, match="p still moves"):
-        limit_law(slow_p_model, Condition.UNRESTRICTED, 20.0)
-    law = limit_law(slow_p_model, Condition.UNRESTRICTED, 200.0)
-    assert law.p_plus > 0.99
-    assert law.p_minus == pytest.approx(1.0 - law.p_plus, abs=1e-15)
-    with pytest.raises(ParameterError):
-        limit_law(slow_p_model, Condition.UNRESTRICTED, 0.0)
+def test_limit_law_reads_p_off_custom_exponents(slow_p_model):
+    # e+ = 1/4 < e- = 1: the plus side takes all of p, with no coefficient
+    # declared and no threshold, though the windows are about equal at x = 20
+    law = limit_law(slow_p_model, Condition.UNRESTRICTED)
+    assert (law.p_minus, law.p_plus) == (0.0, 1.0)
+    assert (law.plus, law.minus) == (LimitSide(4.0, 0.0), LimitSide(1.0, 0.0))
 
 
 def test_tail_asymptotic_closed_form(f1_model):

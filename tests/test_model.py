@@ -20,6 +20,7 @@ from polartail import (
     corollary_case,
     load_config,
     limit_law,
+    sample_conditional,
     scaled_tail_quadrature,
     tail_asymptotic,
     validate_model,
@@ -97,7 +98,11 @@ def test_build_builtin_model_one_sided_when_support_starts_at_center():
 
 
 def _parabola_on(lo, hi):
-    """Exp(1) radius, uniform angle on (lo, hi) around t0 = 0, custom u = 1 - t^2."""
+    """Exp(1) radius, uniform angle on (lo, hi) around t0 = 0, custom u = 1 - t^2.
+
+    It declares its leading coefficients g = 1/(hi - lo) and u = 1, which
+    the tied exponents of its two sides need for the mixture weight.
+    """
     ang = AngularLaw(
         density=lambda t: np.where((t >= lo) & (t <= hi), 1.0 / (hi - lo), 0.0),
         t0=0.0,
@@ -105,12 +110,16 @@ def _parabola_on(lo, hi):
         tau_plus=0.0,
         support=(lo, hi),
         sample=lambda rng, n: rng.uniform(lo, hi, n),
+        g_coeff_minus=1.0 / (hi - lo),
+        g_coeff_plus=1.0 / (hi - lo),
     )
     su = ShapeU(
         u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
         t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
+        u_coeff_minus=1.0,
+        u_coeff_plus=1.0,
     )
     return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
 
@@ -241,6 +250,53 @@ def test_validate_reports_nonfinite_callable_as_failure():
     report = validate_model(mdl)
     assert not report.passed
     assert "callables.finite" in {e.name for e in report.failures()}
+
+
+@pytest.mark.parametrize("halfwidth", [0.3, 0.04])
+def test_validate_passes_a_support_narrower_than_an_eps(halfwidth):
+    # no support point lies farther than eps from t0 for eps >= halfwidth:
+    # those entries have nothing to read and pass with a NaN
+    report = validate_model(build_builtin_model(dict(F1_CONFIG, **{"angular.halfwidth": halfwidth})))
+    assert report.passed, [(e.name, e.detail) for e in report.failures()]
+    for eps in (0.05, 0.1, 0.5):
+        entry = report.entry(f"shape_u.sup_outside_eps_{eps:g}")
+        assert math.isnan(entry.measured) == (eps >= halfwidth), entry
+        assert entry.detail.startswith("not read") == (eps >= halfwidth), entry
+
+
+def test_validate_records_a_raising_u_as_failed_entries():
+    def u(t):
+        t = np.asarray(t, dtype=float)
+        if np.any(np.abs(t) > 0.9):
+            raise ValueError("u is undefined beyond |t| = 0.9")
+        return 1.0 - t ** 2
+
+    su = ShapeU(u=u, t0=0.0, kappa_minus=2.0, kappa_plus=2.0)
+    mdl = PolarModel(radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su)
+    failed = {e.name: e.detail for e in validate_model(mdl).failures()}
+    for name in ("shape_u.bounded_by_one", "shape_u.sup_outside_eps_0.05",
+                 "shape_u.sup_outside_eps_0.1", "shape_u.sup_outside_eps_0.5",
+                 "callables.finite"):
+        assert "u is undefined" in failed[name], (name, failed)
+
+
+def test_radial_fallbacks_without_closed_forms(f1_model):
+    # the Exp(1) law with neither exact_gap nor exact_overshoot: its gap is a
+    # difference of log_survival values, its overshoot a tail quantile less x
+    plain = dataclasses.replace(f1_model.radial, exact_gap=None, exact_overshoot=None)
+    eps = np.finfo(float).eps
+    for x in (1.0, 50.0, 1e4):
+        d = x * np.geomspace(1e-6, 1.0, 13)
+        gap = np.asarray(plain.log_survival_gap(x, d), dtype=float)
+        assert np.all(np.abs(gap + d) <= eps * x), x
+    mdl = dataclasses.replace(f1_model, radial=plain)
+    for x in (10.0, 100.0):
+        got = scaled_tail_quadrature(mdl, x, Condition.RIGHT_SIDED).value
+        want = scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED).value
+        assert got == pytest.approx(want, rel=1e-9), x
+    s = sample_conditional(mdl, 50.0, 2000, Condition.RIGHT_SIDED, seed=2)
+    assert s.n == 2000
+    assert np.all(s.r * mdl.shape_u.u(s.t) > 50.0)
 
 
 def test_validate_all_builtin_radials_satisfy_gamma_property():

@@ -79,8 +79,8 @@ def test_unrestricted_default_scales_each_side_by_its_own_window():
 
 @pytest.mark.parametrize("cond", list(Condition))
 def test_sampling_needs_no_mixture_weight(slow_p_model, cond):
-    # p of this custom model has not settled by x = 20 (limit_law raises
-    # there), yet the draws need only psi and the windows
+    # the window masses of this custom model are about equal at x = 20, far
+    # from its limit p = (0, 1), yet the draws need only psi and the windows
     s = sample_conditional(slow_p_model, 20.0, 2000, cond, seed=1)
     assert s.n == 2000
     assert np.all(s.r * slow_p_model.shape_u.u(s.t) > 20.0)

@@ -380,24 +380,21 @@ LEVELS = np.linspace(0.0005, 0.9995, 13)
     LimitLaw(LimitSide(kappa=2.0, tau=0.5)),
     # the tied sides of the kappa = (1, 2), tau = (-0.5, 0) model
     LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, -0.5), p_minus=0.5, p_plus=0.5),
-    # e- = 1 and e+ = 1/2, both signs with mass: r is a proper Gamma mixture
-    LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.3, p_plus=0.7),
     # the minus side carries no mass, as in the limit of the kappa = (1, 2) model
     LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.0, p_plus=1.0),
-], ids=["one-sided", "one-sided-tau", "two-sided-tied", "two-sided-mixture",
-        "two-sided-plus-only"])
+], ids=["one-sided", "one-sided-tau", "two-sided-tied", "two-sided-plus-only"])
 def test_limit_edges_are_exact_marginal_quantiles(law):
     edges_r, edges_t = _limit_edges(law, 12)
     np.testing.assert_allclose(cdf(law, edges_r, np.inf), LEVELS, rtol=0, atol=1e-12)
     np.testing.assert_allclose(cdf(law, np.inf, edges_t), LEVELS, rtol=0, atol=1e-12)
 
 
-def test_limit_edges_of_mixture_lie_between_component_quantiles():
+def test_limit_edges_reject_sides_of_two_gamma_shapes():
+    # e- = 1 and e+ = 1/2 with both signs of positive probability: no law
+    # that limit_law forms mixes two shapes, so there are no edges to give
     law = LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.3, p_plus=0.7)
-    edges_r, _ = _limit_edges(law, 12)
-    # e+ + 1 < e- + 1, so the plus component's quantiles are the lower ones
-    assert np.all(special.gammaincinv(1.5, LEVELS) < edges_r)
-    assert np.all(edges_r < special.gammaincinv(2.0, LEVELS))
+    with pytest.raises(ParameterError, match="differ in e"):
+        _limit_edges(law, 12)
 
 
 @pytest.mark.parametrize("condition", [Condition.RIGHT_SIDED, Condition.UNRESTRICTED])
