@@ -328,15 +328,17 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition) -> _limitlaw.
     t0, the one place p is formed. p is read off the declarations, for
     builtin and custom models alike: the side with the smaller e = (1 +
     tau) / kappa takes all of it, and on a tie the sides split it in
-    proportion to g_coeff u_coeff^(-e). A tie on a model that leaves one of
-    the four coefficients None raises ParameterError naming the missing ones.
+    proportion to g_coeff u_coeff^(-e). A tie is decided within a few ulps
+    (``LimitSide.ties``), since e is a quotient of declared exponents. A tie
+    on a model that leaves one of the four coefficients None raises
+    ParameterError naming the missing ones.
     """
     plus = _limit_side(mdl, 1)
     if len(mdl.sides(condition)) == 1:
         return _limitlaw.LimitLaw(plus)
     minus = _limit_side(mdl, -1)
     e = plus.gamma_shape
-    if e != minus.gamma_shape:
+    if not plus.ties(minus):
         p_plus = 1.0 if e < minus.gamma_shape else 0.0
         return _limitlaw.LimitLaw(plus, minus, p_minus=1.0 - p_plus, p_plus=p_plus)
     ang, su = mdl.angular, mdl.shape_u

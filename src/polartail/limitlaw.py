@@ -59,6 +59,8 @@ __all__ = [
 
 # Gamma(e) overflows a double beyond e = 171.62
 _MAX_GAMMA_SHAPE = 171.0
+# ulps within which two Gamma shapes are one (see LimitSide.ties)
+_TIE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,16 @@ class LimitSide:
     def gamma_shape(self) -> float:
         """(1 + tau) / kappa, the Gamma shape of T^kappa."""
         return (1.0 + self.tau) / self.kappa
+
+    def ties(self, other: "LimitSide") -> bool:
+        """Whether the two sides have one Gamma shape e.
+
+        The shapes are quotients of declared exponents, so a tie can come
+        out of the division a few ulps apart (1.1/3.3 against 1/3); they
+        tie when they agree within _TIE_ULPS ulps of the larger.
+        """
+        a, b = self.gamma_shape, other.gamma_shape
+        return abs(a - b) <= _TIE_ULPS * math.ulp(max(a, b))
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,32 @@ class PolarModel:
             return ((1, hi - t0), (-1, t0 - lo))
         return ((1, hi - t0),)
 
+    def level_mass(self, x: float, side: int, y):
+        """Angular mass of side ``side`` that passes X > x at radial level y.
+
+        Given R > x, the level y = -log_survival_gap(x, R - x) is Exp(1)
+        and independent of T. At level y the overshoot is a =
+        ``radial.overshoot(x, y)``, and a pair passes X > x exactly when its
+        deficit is below a / (x + a). Where the deficit increases over the
+        whole side (``shape_u.monotone_reach`` at least the side's width),
+        those pairs fill the distances below s = deficit_inverse(a / (x +
+        a)), so the mass is ``angular.side_mass(side, min(s, width))``: the
+        map the stratified sampler runs forward. The deficit handed to the
+        inverse is capped at the deficit at the side's edge, where the mass
+        saturates. Needs ``angular.side_mass`` and ``shape_u.deficit_inverse``.
+        """
+        lo, hi = self.angular.support
+        width = hi - self.t0 if side > 0 else self.t0 - lo
+        su = self.shape_u
+        # a = inf, where a tail quantile without exact_overshoot reaches
+        # the top of its range, passes every deficit below 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.asarray(self.radial.overshoot(x, y), dtype=float)
+            d = np.where(np.isinf(a), 1.0, a / (x + a))
+        d_edge = np.asarray(su.deficit(side, np.array([width])), dtype=float)
+        s = np.asarray(su.deficit_inverse(side, np.minimum(d, d_edge)), dtype=float)
+        return self.angular.side_mass(side, np.minimum(s, width))
+
 
 # ---------------------------------------------------------------------------
 # Builtin radial families

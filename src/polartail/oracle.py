@@ -1,27 +1,57 @@
-"""Independent numerical ground truth.
+"""Tail probabilities of the polar model, and the adaptive quadrature that checks them.
 
-This module deliberately avoids the closed forms implemented elsewhere in
-the package. It provides
+This module provides
 
 * ``adaptive_quadrature`` -- globally adaptive Gauss-Kronrod 15 integration
   that bisects, in each sweep, the fewest worst panels whose errors exceed
   what the tolerance allows, and evaluates all their halves with one
-  integrand call;
+  integrand call. It uses none of the closed forms implemented elsewhere
+  in the package, so it is the independent oracle of the tests;
 * ``scaled_tail_quadrature`` -- P{X > x (and T > t0)} / Hbar(x) for a
-  polar model X = R u(T), computed side by side as one dimensional
-  integrals over the distance s from t0,
-
-      integral over {delta(s) < 1} of
-          exp(gap(x, x delta(s) / (1 - delta(s)))) g(t0 + sigma s) ds,
-
-  where delta = 1 - u is ``ShapeU.deficit`` and gap(x, d) = log Hbar(x + d)
-  - log Hbar(x) is ``RadialLaw.log_survival_gap``. This is exact because R
-  and T are independent and R >= 0, so X > x means R > x / u. Nothing in
-  it is formed as Hbar(x) or as 1 - u(t), so for builtin families it
-  keeps its digits where Hbar(x) underflows and where 1 - u at the window
-  is far below double resolution (x up to 1e12 and beyond);
+  polar model X = R u(T), one term per side of t0 the event covers;
 * ``tail_probability_quadrature`` -- the same probability unscaled,
-  Hbar(x) times the scaled integral.
+  Hbar(x) times the scaled one.
+
+Given R > x, the level E = -log Hbar(R) / Hbar(x) is Exp(1) and
+independent of T, so the scaled tail is an expectation over the level,
+
+    q(x) = integral_0^inf e^{-y} M_x(y) dy,
+
+with M_x(y) the sum over the sides of ``PolarModel.level_mass``: the
+angular mass that passes X > x at level y, side_mass(min(s_x(y), width))
+with s_x(y) = deficit_inverse(a / (x + a)) and a = overshoot(x, y). A side
+takes this level rule when the model has ``angular.side_mass``,
+``shape_u.deficit_inverse`` and a ``shape_u.monotone_reach`` of at least
+the side's width, as every builtin model has. With e = (1 + tau) / kappa
+of the side, M_x(y) ~ c y^e near y = 0, and it saturates at the side mass
+from y_sat = -gap(x, x delta_w / (1 - delta_w)) on, where delta_w is the
+deficit at the side's edge (y_sat = inf when delta_w >= 1). The rule is
+
+* y_sat > 40: generalized Gauss-Laguerre with weight y^e e^{-y}, summing
+  M_x / y^e; e^{-y_sat} is below double resolution, so the kink at y_sat
+  is not seen;
+* otherwise: Gauss-Jacobi with weight y^e on [0, y_sat], summing e^{-y}
+  M_x / y^e, plus e^{-y_sat} times the side mass.
+
+Nodes and weights are built once per (nodes, e) by Golub-Welsch, from the
+eigenvalues and eigenvectors of the symmetric tridiagonal Jacobi matrix.
+The rule runs at 32 nodes; its error estimate is its distance from the
+same rule at 24 nodes, ``evaluations`` counts the nodes of both, and the
+side counts as converged only when that estimate is within 1e-9 of its
+value. A side whose estimate misses, which happens for x of order 1 and
+below where M_x is far from c y^e over the weight's range, falls back to
+the adaptive integral over the distance s from t0,
+
+    integral over {delta(s) < 1} of
+        exp(gap(x, x delta(s) / (1 - delta(s)))) g(t0 + sigma s) ds,
+
+where delta = 1 - u is ``ShapeU.deficit`` and gap(x, d) = log Hbar(x + d)
+- log Hbar(x) is ``RadialLaw.log_survival_gap``; so does every side of a
+model the level rule does not cover. Both are exact because R and T are
+independent and R >= 0, so X > x means R > x / u. Neither forms Hbar(x)
+or 1 - u(t), so for builtin families they keep their digits where Hbar(x)
+underflows and where 1 - u at the window is far below double resolution
+(x up to 1e12 and beyond).
 
 All integrands handed to the quadrature routines must accept numpy arrays.
 Endpoint singularities of the form t^tau with tau in (-1, 0) are integrable
@@ -31,6 +61,7 @@ the integrand is never evaluated at a singular endpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -255,49 +286,158 @@ def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
                             res.evaluations, res.converged)
 
 
+# The level rule: its nodes, the smaller rule its error estimate compares
+# with, the relative tolerance of both integrals, and the saturation level
+# from which e^{-y_sat} is negligible and the Laguerre rule takes over
+_LEVEL_NODES = (32, 24)
+_REL_TOL = 1e-9
+_LAGUERRE_FROM = 40.0
+
+
+def _golub_welsch(diag, off, log_mu0: float, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y_i and weights w_i / y_i^e of the Gauss rule of a Jacobi matrix.
+
+    ``diag`` and ``off`` are the recurrence coefficients of the
+    orthonormal polynomials p_k (off holding the square roots) and mu0 =
+    exp(log_mu0) the weight's total mass. The nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix (Golub-Welsch); the weights are
+    the Christoffel numbers w_i = mu0 / sum_k p_k(y_i)^2, with p_0 = 1, from
+    the three-term recurrence. They equal mu0 v_i[0]^2 for the normalized
+    eigenvectors v_i, which ``np.linalg.eigh`` would give at the cost of
+    waking the BLAS thread pool (14 ms in a fresh process on a 2-CPU
+    x86_64 host with OpenBLAS). The arrays are read-only, since the
+    caches below hand them to every caller.
+    """
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    prev, p, total = np.zeros_like(nodes), np.ones_like(nodes), np.ones_like(nodes)
+    for k in range(len(off)):
+        prev, p = p, ((nodes - diag[k]) * p - (off[k - 1] * prev if k else 0.0)) / off[k]
+        total += p * p
+    weights = np.exp(log_mu0 - np.log(total) - e * np.log(nodes))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_laguerre(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule for the weight y^e e^{-y} on (0, inf), weights divided by y^e.
+
+    sum w_i f(y_i) approximates the integral of e^{-y} f(y) for f ~ y^e.
+    """
+    k = np.arange(1, n)
+    return _golub_welsch(2.0 * np.arange(n) + 1.0 + e, np.sqrt(k * (k + e)), math.lgamma(1.0 + e), e)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule for the weight t^e on (0, 1), weights divided by t^e.
+
+    The Jacobi polynomials P^(0, e) moved from [-1, 1] to [0, 1].
+    """
+    j = 2.0 * np.arange(n) + e
+    k, jk = np.arange(1, n), j[1:]
+    return _golub_welsch(0.5 + 0.5 * e * e / (j * (j + 2.0)),
+                         k * (k + e) / (jk * np.sqrt(jk * jk - 1.0)), -math.log1p(e), e)
+
+
+def _level_rule(mdl, x: float, side: int, width: float) -> QuadratureResult:
+    """The level integral of one side by the cached Gauss rules (see the module docstring).
+
+    Unconverged with no evaluations on a side the rule does not cover.
+    """
+    ang, su = mdl.angular, mdl.shape_u
+    if ang.side_mass is None or su.deficit_inverse is None or su.monotone_reach < width:
+        return QuadratureResult(math.nan, math.inf, 0, False)
+    tau, kappa = (ang.tau_plus, su.kappa_plus) if side > 0 else (ang.tau_minus, su.kappa_minus)
+    e = (1.0 + tau) / kappa
+    d_w = float(np.asarray(su.deficit(side, np.array([width])))[0])
+    y_sat = math.inf
+    if d_w < 1.0:
+        y_sat = -float(np.asarray(mdl.radial.log_survival_gap(x, np.array([x * d_w / (1.0 - d_w)])))[0])
+    if y_sat > _LAGUERRE_FROM:
+        rules = [_gauss_laguerre(n, e) for n in _LEVEL_NODES]
+        tail = 0.0
+    else:
+        full = float(np.asarray(ang.side_mass(side, np.array([width])))[0])
+        if y_sat <= 0.0:
+            # saturated from level 0 on (x = 0 with u > 0 over the side): every pair passes
+            return QuadratureResult(full, 0.0, 0, True)
+        rules = [(y_sat * t, y_sat * np.exp(-y_sat * t) * w)
+                 for t, w in (_gauss_jacobi(n, e) for n in _LEVEL_NODES)]
+        tail = math.exp(-y_sat) * full
+    mass = np.asarray(mdl.level_mass(x, side, np.concatenate([y for y, _ in rules])), dtype=float)
+    n = _LEVEL_NODES[0]
+    value = float(rules[0][1] @ mass[:n]) + tail
+    error = abs(value - (float(rules[1][1] @ mass[n:]) + tail))
+    return QuadratureResult(value, error, mass.size, error <= _REL_TOL * abs(value))
+
+
+def _side_integral(mdl, x: float, side: int, width: float) -> QuadratureResult:
+    """The adaptive integral of one side over the distance from t0; raises NonConvergence."""
+    t0 = mdl.angular.t0
+
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
+        inside = dlt < 1.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = x * dlt / np.where(inside, 1.0 - dlt, 1.0)
+            gap = np.asarray(mdl.radial.log_survival_gap(x, np.where(inside, d, 0.0)), dtype=float)
+            vals = np.exp(gap) * np.asarray(mdl.angular.density(t0 + side * s), dtype=float)
+        return np.where(inside, vals, 0.0)
+
+    res = adaptive_quadrature(
+        integrand, 0.0, width, rel_tol=_REL_TOL, abs_tol=0.0,
+        breakpoints=_peak_breakpoints(mdl, x, side, width),
+    )
+    if not res.converged:
+        raise NonConvergence(
+            f"scaled_tail_quadrature: error estimate {res.abs_error_estimate:.3e} "
+            f"stalled above tolerance at x={x} on side {side:+d}"
+        )
+    return res
+
+
 def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     """P{X > x (and T > t0)} / Hbar(x), computed without forming Hbar(x).
 
-    Sums one integral per conditioning side over the distance s from t0:
+    Sums one term per conditioning side. A side the level rule covers
+    (``angular.side_mass``, ``shape_u.deficit_inverse`` and a
+    ``shape_u.monotone_reach`` of at least its width) takes the
+    expectation over the Exp(1) level,
+
+        integral_0^inf e^{-y} level_mass(x, sigma, y) dy,
+
+    by the cached Gauss-Laguerre or Gauss-Jacobi rule of weight y^e, e =
+    (1 + tau) / kappa (see the module docstring). Its error estimate is
+    the distance of the 32-node rule from the 24-node one, and
+    ``evaluations`` counts both. When that estimate misses the relative
+    tolerance 1e-9, as near x of order 1 and below, the side falls back
+    to the adaptive integral over the distance s from t0,
 
         integral of exp(gap(x, x delta / (1 - delta))) g(t0 + sigma s) ds,
 
     with delta = ``shape_u.deficit(sigma, s)`` and gap =
     ``radial.log_survival_gap``: X > x means R > x / u = x + x delta /
     (1 - delta). The integrand is zero where delta >= 1, since u <= 0
-    there and R >= 0 makes X > x > 0 impossible. Neither factor cancels
-    for builtin families, so the integral keeps its digits wherever the
-    window phi(x) is representable. This is also the exact acceptance
-    probability of the rejection sampler that proposes from the radial
-    tail law given R > x. Panels are seeded at multiples of the window
-    (see ``_peak_breakpoints``). Relative tolerance 1e-9 per side; raises
-    NonConvergence if the panel budget runs out first.
+    there and R >= 0 makes X > x > 0 impossible. Every side of a model the
+    level rule does not cover takes that integral too, with panels seeded
+    at multiples of the window (see ``_peak_breakpoints``), and so
+    ``evaluations`` adds the integrand evaluations of the fallback. The
+    value is also the exact acceptance probability of the rejection
+    sampler that proposes from the radial tail law given R > x. Raises
+    NonConvergence if the adaptive integral of a side runs out of panels
+    before it meets the tolerance.
     """
     if x < 0:
         raise ParameterError(f"scaled_tail_quadrature: x must be >= 0, got {x}")
-    t0 = mdl.angular.t0
     value = error = 0.0
     evaluations = 0
     for side, width in mdl.sides(condition):
-        def integrand(s, side=side):
-            s = np.asarray(s, dtype=float)
-            dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
-            inside = dlt < 1.0
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                d = x * dlt / np.where(inside, 1.0 - dlt, 1.0)
-                gap = np.asarray(mdl.radial.log_survival_gap(x, np.where(inside, d, 0.0)), dtype=float)
-                vals = np.exp(gap) * np.asarray(mdl.angular.density(t0 + side * s), dtype=float)
-            return np.where(inside, vals, 0.0)
-
-        res = adaptive_quadrature(
-            integrand, 0.0, width, rel_tol=1e-9, abs_tol=0.0,
-            breakpoints=_peak_breakpoints(mdl, x, side, width),
-        )
+        res = _level_rule(mdl, x, side, width)
         if not res.converged:
-            raise NonConvergence(
-                f"scaled_tail_quadrature: error estimate {res.abs_error_estimate:.3e} "
-                f"stalled above tolerance at x={x} on side {side:+d}"
-            )
+            evaluations += res.evaluations
+            res = _side_integral(mdl, x, side, width)
         value += res.value
         error += res.abs_error_estimate
         evaluations += res.evaluations

@@ -292,16 +292,17 @@ def _limit_edges(law: _limitlaw.LimitLaw, bins: int) -> tuple[np.ndarray, np.nda
     r ~ Gamma(e + 1) and t^kappa ~ Gamma(e). The t levels below
     ``prob_minus`` fall on the mirrored minus side, the rest on the plus
     side. r is one Gamma, since every side of positive probability of a law
-    that ``limit_law`` forms shares e; a law whose sides of positive
-    probability differ in e raises ParameterError.
+    that ``limit_law`` forms shares e (within the ulps of
+    ``LimitSide.ties``); a law whose sides of positive probability differ
+    in e raises ParameterError.
     """
     from scipy import special as sp_special
 
-    shapes = {side.gamma_shape for _, prob, side in law.sides if prob > 0.0}
-    if len(shapes) != 1:
+    weighted = [side for _, prob, side in law.sides if prob > 0.0]
+    if not all(weighted[0].ties(side) for side in weighted[1:]):
         raise ParameterError(
-            f"the sides of positive probability differ in e = (1 + tau)/kappa: {sorted(shapes)}; "
-            "a limit law mixes sides of one Gamma shape")
+            "the sides of positive probability differ in e = (1 + tau)/kappa: "
+            f"{sorted(side.gamma_shape for side in weighted)}; a limit law mixes sides of one Gamma shape")
     q = np.linspace(0.0005, 0.9995, bins + 1)
     lower = q < law.prob_minus
     t = np.empty_like(q)
@@ -312,7 +313,7 @@ def _limit_edges(law: _limitlaw.LimitLaw, bins: int) -> tuple[np.ndarray, np.nda
         else:
             t[lower] = -sp_special.gammainccinv(
                 side.gamma_shape, q[lower] / prob) ** (1.0 / side.kappa)
-    r = sp_special.gammaincinv(shapes.pop() + 1.0, q)
+    r = sp_special.gammaincinv(weighted[0].gamma_shape + 1.0, q)
     edges_r, edges_t = np.unique(r), np.unique(t)
     if min(edges_r.size, edges_t.size) < 3:
         raise ParameterError("degenerate binning: limit marginal quantiles are too concentrated")

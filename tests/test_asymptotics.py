@@ -243,6 +243,30 @@ def test_limit_law_p_tied_exponent_splits_by_weight():
     assert p_m == pytest.approx(0.25, rel=1e-12)
 
 
+def test_limit_law_tie_broken_by_rounding_still_splits_p():
+    # e_- = 1.1/3.3 rounds one ulp above e_+ = 1/3; the exponents tie, so p
+    # is the limit of the plus share of the window masses, not (0, 1)
+    mdl = build_builtin_model(
+        {
+            "radial.family": "exponential",
+            "angular.family": "asymmetric_power",
+            "angular.halfwidth": 1.0,
+            "angular.weight_plus": 0.5,
+            "angular.tau_minus": 0.1,
+            "angular.tau_plus": 0.0,
+            "shape_u.kappa_minus": 3.3,
+            "shape_u.kappa_plus": 3.0,
+        }
+    )
+    assert 1.1 / 3.3 != 1.0 / 3.0
+    norm = compute_normalizers(mdl, 1e4)
+    plus = norm.phi_plus * float(mdl.angular.g_tilde(norm.phi_plus))
+    minus = norm.phi_minus * float(mdl.angular.g_tilde(-norm.phi_minus))
+    p_m, p_p = _p(mdl)
+    assert p_p == pytest.approx(plus / (plus + minus), abs=1e-6)
+    assert p_m + p_p == pytest.approx(1.0, rel=1e-15)
+
+
 def test_limit_law_picks_the_law_and_its_weights(asym_model):
     one_sided = build_builtin_model(
         {

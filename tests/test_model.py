@@ -280,6 +280,29 @@ def test_validate_records_a_raising_u_as_failed_entries():
         assert "u is undefined" in failed[name], (name, failed)
 
 
+def test_level_mass_is_the_side_mass_below_the_passing_deficit(f1_model):
+    # Exp(1) radius: a = y; u = 1 - s^2 on a flat side of mass 1/2, so the
+    # pairs at level y with s^2 < a / (x + a) pass, a mass of sqrt(...) / 2
+    y = np.array([1e-300, 1e-8, 0.5, 3.0, 200.0])
+    for x in (0.0, 1.0, 100.0, 1e12):
+        for side in (1, -1):
+            got = np.asarray(f1_model.level_mass(x, side, y))
+            np.testing.assert_allclose(got, 0.5 * np.sqrt(y / (x + y)), rtol=1e-15)
+    # the sampler's acceptance test agrees on either side of the cut
+    x, a = 100.0, 3.0
+    s = np.sqrt(a / (x + a)) * np.array([1 - 1e-12, 1 + 1e-12])
+    d = f1_model.shape_u.deficit(1, s)
+    assert (a * (1.0 - d) > x * d).tolist() == [True, False]
+    # a cosine side saturates: every pair of the side passes once a / (x +
+    # a) reaches the deficit 1 - cos(1) at its edge
+    cos = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 1.0,
+                               "shape_u.family": "cosine"})
+    edge = 1.0 - math.cos(1.0)
+    a_sat = 10.0 * edge / (1.0 - edge)
+    got = np.asarray(cos.level_mass(10.0, 1, np.array([0.999 * a_sat, a_sat * 1.001, 1e3])))
+    assert got[0] < 0.5 and got[1:].tolist() == [0.5, 0.5]
+
+
 def test_radial_fallbacks_without_closed_forms(f1_model):
     # the Exp(1) law with neither exact_gap nor exact_overshoot: its gap is a
     # difference of log_survival values, its overshoot a tail quantile less x

@@ -4,6 +4,7 @@ Reference values were computed with mpmath at 40 digits and are quoted
 to full double precision.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,13 @@ from polartail import (
     AngularLaw,
     Condition,
     adaptive_quadrature,
+    build_builtin_model,
+    oracle,
     scaled_tail_quadrature,
     tail_probability_quadrature,
 )
 
-from conftest import PlanarSupport, density_normalization
+from conftest import PlanarSupport, density_normalization, tail_sweep
 
 # (1/2) * integral_0^1 exp(-x / (1 - t^2)) dt
 F1_TAIL = {
@@ -286,3 +289,100 @@ def test_density_normalization_separable_product():
     res = density_normalization(lambda r, t: 0.5 * np.exp(-r), support)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# The level rule against the adaptive integral
+# ---------------------------------------------------------------------------
+
+
+def _without_side_mass(mdl):
+    """The same model without angular.side_mass, which the level rule needs."""
+    return dataclasses.replace(mdl, angular=dataclasses.replace(mdl.angular, side_mass=None))
+
+
+def _sweep_cases(xs):
+    models, _ = tail_sweep()
+    for name, config in models.items():
+        mdl = build_builtin_model(config)
+        # both conditions where the model has two sides, as the sweep does
+        conds = (Condition.RIGHT_SIDED, Condition.UNRESTRICTED)
+        for cond in conds[:len(mdl.sides(Condition.UNRESTRICTED))]:
+            for x in xs:
+                yield name, mdl, cond, x
+
+
+def _counting_adaptive(monkeypatch):
+    calls = []
+    adaptive = oracle.adaptive_quadrature
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "adaptive_quadrature", counting)
+    return calls
+
+
+def test_level_rule_matches_adaptive_integral_on_the_sweep_ladder(monkeypatch):
+    _, ladder = tail_sweep()
+    calls = _counting_adaptive(monkeypatch)
+    for name, mdl, cond, x in _sweep_cases(ladder):
+        rule = scaled_tail_quadrature(mdl, x, cond)
+        assert not calls, (name, x, cond)
+        ref = scaled_tail_quadrature(_without_side_mass(mdl), x, cond)
+        assert calls
+        calls.clear()
+        diff = abs(rule.value - ref.value)
+        assert rule.converged and rule.evaluations == 56 * len(mdl.sides(cond))
+        assert diff <= 1e-10 * ref.value, (name, x, cond)
+        # the oracle at its 1e-9 tolerance is the less accurate of the two
+        # (3e-11 relative on sympower-t0.5), so its own estimate is counted
+        assert diff <= rule.abs_error_estimate + ref.abs_error_estimate or diff <= 1e-15 * ref.value
+
+
+def test_level_rule_below_one_matches_adaptive_integral():
+    for name, mdl, cond, x in _sweep_cases((0.0, 0.1, 0.5)):
+        rule = scaled_tail_quadrature(mdl, x, cond)
+        ref = scaled_tail_quadrature(_without_side_mass(mdl), x, cond)
+        assert rule.value == pytest.approx(ref.value, rel=1e-9), (name, x, cond)
+
+
+def test_level_rule_falls_back_where_its_estimate_misses(f1_model, monkeypatch):
+    # at x = 0.5 the 32- and 24-node rules differ by 4e-7 relative; the
+    # side takes the adaptive integral, and its evaluations count too
+    rule = oracle._level_rule(f1_model, 0.5, 1, 1.0)
+    assert not rule.converged and rule.abs_error_estimate > 1e-9 * rule.value
+    calls = _counting_adaptive(monkeypatch)
+    res = scaled_tail_quadrature(f1_model, 0.5, Condition.RIGHT_SIDED)
+    assert calls == [(0.0, 1.0)]
+    assert res.converged and res.evaluations > rule.evaluations == 56
+    # mpmath: (1/2) integral_0^1 exp(-t^2 / (2 (1 - t^2))) dt
+    assert res.value == pytest.approx(0.35399284244655708116, rel=1e-9)
+
+
+def test_custom_model_takes_the_adaptive_integral(f1_model, monkeypatch):
+    calls = _counting_adaptive(monkeypatch)
+    custom = _without_side_mass(f1_model)
+    res = scaled_tail_quadrature(custom, 10.0, Condition.UNRESTRICTED)
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]
+    assert res.value == pytest.approx(
+        scaled_tail_quadrature(f1_model, 10.0, Condition.UNRESTRICTED).value, rel=1e-10)
+
+
+@pytest.mark.parametrize("e", [0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [24, 32])
+def test_golub_welsch_rules_match_scipy(e, n):
+    from scipy import special
+
+    # the cached weights are divided by node^e; scipy's are not
+    y, w = oracle._gauss_laguerre(n, e)
+    y_ref, w_ref = special.roots_genlaguerre(n, e)
+    t, v = oracle._gauss_jacobi(n, e)
+    s_ref, v_ref = special.roots_jacobi(n, 0.0, e)
+    t_ref = 0.5 * (1.0 + s_ref)
+    v_ref = v_ref / 2.0 ** (1.0 + e)
+    for f in (lambda z: np.exp(-z), np.cos, lambda z: 1.0 / (1.0 + z)):
+        assert (w * y ** e) @ f(y / 8) == pytest.approx(w_ref @ f(y_ref / 8), rel=1e-13)
+        assert (v * t ** e) @ f(t) == pytest.approx(v_ref @ f(t_ref), rel=1e-13)
+    assert oracle._gauss_laguerre(n, e) is oracle._gauss_laguerre(n, e)

@@ -382,7 +382,10 @@ LEVELS = np.linspace(0.0005, 0.9995, 13)
     LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, -0.5), p_minus=0.5, p_plus=0.5),
     # the minus side carries no mass, as in the limit of the kappa = (1, 2) model
     LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0), p_minus=0.0, p_plus=1.0),
-], ids=["one-sided", "one-sided-tau", "two-sided-tied", "two-sided-plus-only"])
+    # a tie that rounding breaks by one ulp: e = 1/3 against 1.1/3.3
+    LimitLaw(LimitSide(3.0, 0.0), LimitSide(3.3, 0.1), p_minus=11 / 21, p_plus=10 / 21),
+], ids=["one-sided", "one-sided-tau", "two-sided-tied", "two-sided-plus-only",
+        "two-sided-rounded-tie"])
 def test_limit_edges_are_exact_marginal_quantiles(law):
     edges_r, edges_t = _limit_edges(law, 12)
     np.testing.assert_allclose(cdf(law, edges_r, np.inf), LEVELS, rtol=0, atol=1e-12)
