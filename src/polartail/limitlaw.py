@@ -63,6 +63,15 @@ _MAX_GAMMA_SHAPE = 171.0
 _TIE_ULPS = 4
 
 
+def gamma_shape(kappa: float, tau: float) -> float:
+    """e = (1 + tau) / kappa of a side with deficit index kappa and angular index tau.
+
+    T^kappa of the limit side is Gamma(e), and the mass of the side that
+    passes X > x at a small radial level y grows like y^e.
+    """
+    return (1.0 + tau) / kappa
+
+
 @dataclass(frozen=True)
 class LimitSide:
     """One side of the limit pair; ``norm_const`` is kappa / Gamma((1+tau)/kappa)."""
@@ -86,7 +95,7 @@ class LimitSide:
     @property
     def gamma_shape(self) -> float:
         """(1 + tau) / kappa, the Gamma shape of T^kappa."""
-        return (1.0 + self.tau) / self.kappa
+        return gamma_shape(self.kappa, self.tau)
 
     def ties(self, other: "LimitSide") -> bool:
         """Whether the two sides have one Gamma shape e.

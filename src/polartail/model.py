@@ -295,11 +295,22 @@ class PolarModel:
         support edge on that side. The plus side comes first; the minus
         side follows under UNRESTRICTED conditioning of a two-sided model.
         """
+        two_sided = condition == Condition.UNRESTRICTED and self.angular.support[0] < self.t0
+        return tuple((sign, self.side_width(sign)) for sign in ((1, -1) if two_sided else (1,)))
+
+    def side_width(self, side: int) -> float:
+        """The distance from t0 to the support edge on side ``side`` (+1 or -1)."""
         lo, hi = self.angular.support
-        t0 = self.angular.t0
-        if condition == Condition.UNRESTRICTED and lo < t0:
-            return ((1, hi - t0), (-1, t0 - lo))
-        return ((1, hi - t0),)
+        return hi - self.t0 if side > 0 else self.t0 - lo
+
+    def edge_deficit(self, side: int) -> float:
+        """``shape_u.deficit`` at the support edge of side ``side``.
+
+        A pair passes X > x at every level whose passing deficit (see
+        ``level_mass``) reaches it, so from there on the level mass is the
+        whole side mass.
+        """
+        return float(np.asarray(self.shape_u.deficit(side, np.array([self.side_width(side)])))[0])
 
     def level_mass(self, x: float, side: int, y):
         """Angular mass of side ``side`` that passes X > x at radial level y.
@@ -315,17 +326,14 @@ class PolarModel:
         inverse is capped at the deficit at the side's edge, where the mass
         saturates. Needs ``angular.side_mass`` and ``shape_u.deficit_inverse``.
         """
-        lo, hi = self.angular.support
-        width = hi - self.t0 if side > 0 else self.t0 - lo
-        su = self.shape_u
         # a = inf, where a tail quantile without exact_overshoot reaches
         # the top of its range, passes every deficit below 1
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.asarray(self.radial.overshoot(x, y), dtype=float)
             d = np.where(np.isinf(a), 1.0, a / (x + a))
-        d_edge = np.asarray(su.deficit(side, np.array([width])), dtype=float)
-        s = np.asarray(su.deficit_inverse(side, np.minimum(d, d_edge)), dtype=float)
-        return self.angular.side_mass(side, np.minimum(s, width))
+        d = np.minimum(d, self.edge_deficit(side))
+        s = np.asarray(self.shape_u.deficit_inverse(side, d), dtype=float)
+        return self.angular.side_mass(side, np.minimum(s, self.side_width(side)))
 
 
 # ---------------------------------------------------------------------------

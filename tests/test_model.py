@@ -298,6 +298,8 @@ def test_level_mass_is_the_side_mass_below_the_passing_deficit(f1_model):
     cos = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 1.0,
                                "shape_u.family": "cosine"})
     edge = 1.0 - math.cos(1.0)
+    assert (cos.side_width(1), cos.side_width(-1)) == (1.0, 1.0)
+    assert cos.edge_deficit(-1) == pytest.approx(edge, rel=1e-15)
     a_sat = 10.0 * edge / (1.0 - edge)
     got = np.asarray(cos.level_mass(10.0, 1, np.array([0.999 * a_sat, a_sat * 1.001, 1e3])))
     assert got[0] < 0.5 and got[1:].tolist() == [0.5, 0.5]
