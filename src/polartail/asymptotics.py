@@ -101,10 +101,10 @@ class Normalizers:
 
 def _side_reach(mdl: _model.PolarModel, side: int) -> float:
     """Half the distance from t0 to the support edge on side +1 or -1."""
-    widths = dict(mdl.sides(_model.Condition.UNRESTRICTED))
-    if side not in widths:
+    width = mdl.side_width(side)
+    if not width > 0:
         raise ParameterError("side -1 is not available: the angular support has no minus side")
-    return widths[side] / 2.0
+    return width / 2.0
 
 
 def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

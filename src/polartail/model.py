@@ -981,6 +981,11 @@ _SLOPE_TOL = 0.05
 _GAMMA_TOL = 0.05
 _EXACT_TOL = 1e-12
 _RESOLVED = 1e-8                   # smallest declared term read against rounding
+_ROUND_TRIP = np.geomspace(1e-12, 1.0, 64)       # fractions of an inverse's range
+_MASS_GRID = np.geomspace(1e-6, 1.0, 13)         # side widths where side_mass is read
+_OVERSHOOT_X = (0.0, 1.0) + _GAMMA_X
+_OVERSHOOT_LEVELS = np.geomspace(1e-3, 50.0, 32)
+_OVERSHOOT_PRECISION = 1e-10       # RadialLaw.overshoot's documented precision
 
 
 @dataclass(frozen=True)
@@ -1018,6 +1023,12 @@ def _s_grid(s_max_allowed: float) -> np.ndarray:
     decades = math.log10(hi / _S_LO)
     n = max(int(round(_POINTS_PER_DECADE * decades)), 8)
     return np.geomspace(_S_LO, hi, n)
+
+
+def _round_trip_error(forward, inverse, values) -> float:
+    """max |forward(inverse(v)) / v - 1| over ``values``."""
+    back = np.asarray(forward(np.asarray(inverse(values), dtype=float)), dtype=float)
+    return float(np.max(np.abs(back / values - 1.0)))
 
 
 def validate_model(mdl: PolarModel) -> ValidationReport:
@@ -1108,6 +1119,18 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     run("radial.log_survival_gap", "log_survival_gap(x, d) = log_survival(x + d) - log_survival(x)",
         gap_matches_difference)
 
+    # the sampler and the level rule draw the overshoot from the level
+    if mdl.radial.exact_overshoot is not None:
+        def overshoot_round_trip():
+            worst = float(np.max([_round_trip_error(
+                lambda a, x=x: -np.asarray(mdl.radial.log_survival_gap(x, a)),
+                lambda e, x=x: mdl.radial.overshoot(x, e), _OVERSHOOT_LEVELS) for x in _OVERSHOOT_X]))
+            return worst <= _OVERSHOOT_PRECISION, worst, _OVERSHOOT_PRECISION - worst, \
+                "max |-log_survival_gap(x, overshoot(x, e)) / e - 1| for e in [1e-3, 50], " \
+                f"x in {', '.join(f'{x:g}' for x in _OVERSHOOT_X)}"
+
+        run("radial.overshoot", "-log_survival_gap(x, overshoot(x, e)) = e", overshoot_round_trip)
+
     # --- angular ---
     def normalization():
         res = oracle.adaptive_quadrature(
@@ -1182,6 +1205,41 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
                      (f"angular.tau_slope_{name}", f"log-log slope matches tau_{name}"),
                      f"angular.g_coeff_{name}")
 
+    # the stratified sampler and the level rule read these over the whole side
+    if ang.side_mass is not None:
+        def side_mass_matches_density():
+            # increments between distances 1e-6 .. 1 side widths by one Kronrod
+            # panel each, where g is smooth; below the first, the declared
+            # leading term, and nothing without one
+            errs = []
+            for side, width in sides:
+                tau, c = (ang.tau_plus, ang.g_coeff_plus) if side > 0 \
+                    else (ang.tau_minus, ang.g_coeff_minus)
+                s = width * _MASS_GRID
+                mass = np.asarray(ang.side_mass(side, s), dtype=float)
+                pieces, _ = oracle._gk15_panels(lambda v: ang.g_tilde(side * v), s[:-1], s[1:])
+                first = mass[0] if c is None else c * s[0] ** (1.0 + tau) / (1.0 + tau)
+                errs.append(np.max(np.abs(mass - first - np.concatenate(([0.0], np.cumsum(pieces))))))
+            worst = float(np.max(errs))
+            return worst <= _DENSITY_TOL, worst, _DENSITY_TOL - worst, \
+                "max |side_mass - integral of g from t0| at 1e-6 .. 1 side widths"
+
+        run("angular.side_mass", f"side_mass(side, s) = integral of g within {_DENSITY_TOL}",
+            side_mass_matches_density)
+
+        if ang.side_mass_inverse is not None:
+            def side_mass_round_trip():
+                worst = float(np.max([_round_trip_error(
+                    lambda s, side=side: ang.side_mass(side, s),
+                    lambda m, side=side: ang.side_mass_inverse(side, m),
+                    float(np.asarray(ang.side_mass(side, np.array([width])))[0]) * _ROUND_TRIP)
+                    for side, width in sides]))
+                return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
+                    "max |side_mass(side_mass_inverse(m)) / m - 1| for m up to the side's mass"
+
+            run("angular.side_mass_inverse", "side_mass(side, side_mass_inverse(side, m)) = m",
+                side_mass_round_trip)
+
     # --- shape u ---
     support_ts = np.linspace(lo, hi, _SUPPORT_POINTS)
 
@@ -1236,21 +1294,21 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
     run("shape_u.deficit", "deficit(side, s) = u(t0) - u(t0 + side*s)", deficit_matches_difference)
 
-    reach = mdl.shape_u.monotone_reach
-    # compute_phi inverts the deficit only within monotone_reach
-    if mdl.shape_u.deficit_inverse is not None and reach > 0:
+    reach = su.monotone_reach
+    # the inverse is used only within monotone_reach: by compute_phi up to
+    # half the side's width, by the level rule up to its edge
+    if su.deficit_inverse is not None and reach > 0:
         def inverse_round_trip():
-            errs = []
-            for side, width in sides:
-                ceiling = float(np.asarray(mdl.shape_u.deficit(side, min(reach, width) / 2.0)))
-                d = ceiling * np.geomspace(1e-12, 1.0, 64)
-                s = np.asarray(mdl.shape_u.deficit_inverse(side, d), dtype=float)
-                back = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
-                errs.append(np.max(np.abs(back / d - 1.0)))
-            worst = float(np.max(errs))
+            worst = float(np.max([_round_trip_error(
+                lambda s, side=side: su.deficit(side, s),
+                lambda d, side=side: su.deficit_inverse(side, d),
+                (mdl.edge_deficit(side) if reach >= width
+                 else float(np.asarray(su.deficit(side, min(reach, width) / 2.0)))) * _ROUND_TRIP)
+                for side, width in sides]))
             return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
-                "max |deficit(deficit_inverse(d)) / d - 1| for d up to the deficit at " \
-                "half of min(monotone_reach, side width)"
+                "max |deficit(deficit_inverse(d)) / d - 1| for d up to the deficit at the " \
+                "side's edge, or at half of min(monotone_reach, side width) where the reach " \
+                "ends inside the side"
 
         run("shape_u.deficit_inverse", "deficit(side, deficit_inverse(side, d)) = d",
             inverse_round_trip)

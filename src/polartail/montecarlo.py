@@ -44,7 +44,8 @@ e = e_c - log(1 - p) in B with e_c = -log w_edge, and turns it into a by
 measured from t0 and its inverse. This stratified plan needs
 ``angular.side_mass`` and its inverse and a ``shape_u.monotone_reach``
 covering every allowed side of the support (``validate_model`` checks
-the declared reach on a grid). Otherwise, and always in
+the declared reach on a grid, and the side masses and their inverse
+against the density). Otherwise, and always in
 ``estimate_tail_probability`` (the independent Monte Carlo check of the
 quadrature), the whole-support plan draws R by ``tail_quantile`` and T
 from ``angular.sample`` and tests R u(T) > x: a_c = inf and C is empty.
@@ -403,9 +404,10 @@ def estimate_tail_probability(
 ) -> tuple[float, float]:
     """Unbiased estimate of P{X > x (and T > t0)} with a standard error.
 
-    Runs exactly n_proposals proposals of the whole-support plan, whose
-    streams stay those of earlier versions, counts the accepted ones
-    without keeping them, and returns
+    Runs exactly n_proposals proposals of the whole-support plan, which
+    rests on none of the stratified plan's closed forms (the tests and the
+    benchmark's mc-deep workload compare it with the quadrature), counts
+    the accepted ones without keeping them, and returns
     (survival(x) * acceptance_rate, survival(x) * binomial standard
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
     ``workers`` is accepted and ignored, as in ``sample_conditional``.

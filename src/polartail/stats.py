@@ -230,10 +230,11 @@ def chi_square_2d(pairs, binning, masses) -> tuple[float, float, float]:
             "degenerate binning: no cell reaches the minimum expected count"
         )
     if tail_observed == 0.0 and 0.0 < tail_expected < 1.0:
-        # quadrature residue, not a real bin: folding it into the largest
-        # kept cell avoids spending a degree of freedom on ~zero mass; a
-        # nonempty tail is never folded, points where the model puts no
-        # mass must register as misfit
+        # a pooled tail bin that expects less than one count and observes
+        # none carries no evidence: folding it into the largest kept cell
+        # avoids spending a degree of freedom on it; a nonempty tail is
+        # never folded, points where the model puts no mass must register
+        # as misfit
         i = int(np.argmax(exp_kept))
         exp_kept = exp_kept.copy()
         exp_kept[i] += tail_expected

@@ -11,7 +11,7 @@ import math
 import pytest
 from scipy import special
 
-from polartail import Condition, build_builtin_model, oracle, scaled_tail_quadrature
+from polartail import Condition, build_builtin_model, oracle, scaled_tail_quadrature, validate_model
 
 GAUSSIAN_PAIR = {
     "radial.family": "weibull",
@@ -51,3 +51,9 @@ def test_gaussian_pair_at_one_falls_back_and_matches(gaussian_pair, monkeypatch)
     res = scaled_tail_quadrature(gaussian_pair, 1.0, Condition.UNRESTRICTED)
     assert len(calls) == 2  # one fallback per side
     assert res.value == pytest.approx(0.5 * special.erfcx(1.0), rel=1e-9)
+
+
+def test_gaussian_pair_validates(gaussian_pair):
+    # the cosine's reach is pi, so every closed form is read up to the support edge
+    report = validate_model(gaussian_pair)
+    assert report.passed, [(e.name, e.detail) for e in report.failures()]

@@ -27,7 +27,7 @@ from polartail import (
 )
 from polartail.model import _radial_exponential, parse_config_text
 
-from conftest import F1_CONFIG, tail_sweep
+from conftest import F1_CONFIG, TIED_CONFIG, tail_sweep
 
 
 def _uniform_angular(half):
@@ -461,11 +461,55 @@ def test_builtin_log_survival_gap_keeps_full_precision_at_large_x():
     F1_CONFIG,
     {"radial.family": "weibull", "radial.beta": 2.0, "shape_u.kappa_minus": 1.0},
     {"radial.family": "half_normal", "shape_u.family": "cosine"},
-], ids=["exponential-power", "weibull-asymmetric-power", "half-normal-cosine"])
+    TIED_CONFIG,
+], ids=["exponential-power", "weibull-asymmetric-power", "half-normal-cosine", "tied"])
 def test_validate_checks_builtin_closed_forms_and_reach(config):
     report = validate_model(build_builtin_model(config))
-    for name in ("radial.log_survival_gap", "shape_u.deficit", "shape_u.monotone_reach"):
+    assert report.passed, [(e.name, e.detail) for e in report.failures()]
+    for name in ("radial.log_survival_gap", "radial.overshoot", "angular.side_mass",
+                 "angular.side_mass_inverse", "shape_u.deficit", "shape_u.deficit_inverse",
+                 "shape_u.monotone_reach"):
         assert report.entry(name).passed, (name, report.entry(name).detail)
+
+
+def _side_mass_off_the_density(mdl):
+    # 10% too much mass, with an inverse that round-trips through it
+    ang = mdl.angular
+    return dataclasses.replace(mdl, angular=dataclasses.replace(
+        ang, side_mass=lambda side, s: 1.1 * ang.side_mass(side, s),
+        side_mass_inverse=lambda side, m: ang.side_mass_inverse(side, np.asarray(m) / 1.1)))
+
+
+def _side_mass_inverse_too_short(mdl):
+    ang = mdl.angular
+    return dataclasses.replace(mdl, angular=dataclasses.replace(
+        ang, side_mass_inverse=lambda side, m: 0.9 * ang.side_mass_inverse(side, m)))
+
+
+def _deficit_inverse_off_beyond_half_the_width(mdl):
+    # u = 1 - t^2 on +-1: the deficit at half the width is 0.25
+    su = mdl.shape_u
+    return dataclasses.replace(mdl, shape_u=dataclasses.replace(
+        su, deficit_inverse=lambda side, d: np.where(np.asarray(d) > 0.25, 1.001, 1.0)
+        * su.deficit_inverse(side, d)))
+
+
+def _overshoot_too_long(mdl):
+    radial = mdl.radial
+    return dataclasses.replace(mdl, radial=dataclasses.replace(
+        radial, exact_overshoot=lambda x, e: (1.0 + 1e-8) * radial.exact_overshoot(x, e)))
+
+
+# each closed form the sampler or the level rule reads, wrong where only
+# its own entry reads it
+@pytest.mark.parametrize("wrong, check", [
+    (_side_mass_off_the_density, "angular.side_mass"),
+    (_side_mass_inverse_too_short, "angular.side_mass_inverse"),
+    (_deficit_inverse_off_beyond_half_the_width, "shape_u.deficit_inverse"),
+    (_overshoot_too_long, "radial.overshoot"),
+], ids=["side-mass", "side-mass-inverse", "deficit-inverse", "overshoot"])
+def test_validate_flags_a_wrong_fast_path_closed_form(f1_model, wrong, check):
+    assert {e.name for e in validate_model(wrong(f1_model)).failures()} == {check}
 
 
 def test_validate_flags_wrong_closed_form_deficit(f1_model):
@@ -514,7 +558,8 @@ def test_validate_flags_wrong_psi(config):
 def test_validate_flags_wrong_closed_form_gap(f1_model):
     radial = dataclasses.replace(f1_model.radial, exact_gap=lambda x, d: -1.001 * np.asarray(d))
     report = validate_model(dataclasses.replace(f1_model, radial=radial))
-    assert {e.name for e in report.failures()} == {"radial.log_survival_gap"}
+    # the true overshoot no longer round-trips through the wrong gap either
+    assert {e.name for e in report.failures()} == {"radial.log_survival_gap", "radial.overshoot"}
 
 
 def _nan_like(a):
@@ -526,10 +571,12 @@ def _nan_like(a):
 @pytest.mark.parametrize("component, field, fn, check", [
     ("shape_u", "exact_deficit", lambda side, s: _nan_like(s), "shape_u.deficit"),
     ("shape_u", "deficit_inverse", lambda side, d: _nan_like(d), "shape_u.deficit_inverse"),
+    ("angular", "side_mass_inverse", lambda side, m: _nan_like(m), "angular.side_mass_inverse"),
+    ("radial", "exact_overshoot", lambda x, e: _nan_like(e), "radial.overshoot"),
     # NaN only at lambda = 0, the second of the four ratios at each x
     ("radial", "exact_gap", lambda x, d: np.where(np.asarray(d) == 0.0, np.nan, -np.asarray(d)),
      "radial.gamma_psi_ratio"),
-], ids=["deficit", "deficit-inverse", "gap"])
+], ids=["deficit", "deficit-inverse", "side-mass-inverse", "overshoot", "gap"])
 def test_validate_fails_a_nan_closed_form(f1_model, component, field, fn, check):
     part = dataclasses.replace(getattr(f1_model, component), **{field: fn})
     entry = validate_model(dataclasses.replace(f1_model, **{component: part})).entry(check)
