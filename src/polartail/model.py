@@ -462,19 +462,23 @@ def _radial_half_normal() -> RadialLaw:
         # steps can shrink and leaves too few digits for e below
         # _OVERSHOOT_SERIES; there the second-order inverse
         # a = e psi (1 - e (1 - x psi) / 2), from h' = h (h - x), is exact
-        # to O(e^2)
+        # to O(e^2). The level e = inf is the top of the range, a = inf,
+        # which the iteration, run there from e = 1, never forms
         x = max(x, 0.0)
         e = np.asarray(e, dtype=float)
         erfcx_x = float(sp_special.erfcx(x * inv_sqrt2))
         psi = mills_scale * erfcx_x
-        target = np.maximum(e, _OVERSHOOT_SERIES)
+        top = np.isinf(e)
+        target = np.where(top, 1.0, np.maximum(e, _OVERSHOOT_SERIES))
         a = target * psi
         for _ in range(_OVERSHOOT_STEPS):
             erfcx_y = sp_special.erfcx((x + a) * inv_sqrt2)
             step = (0.5 * a * (2.0 * x + a) - np.log(erfcx_y / erfcx_x) - target) * (mills_scale * erfcx_y)
             a = a - step
             if np.all(np.abs(step) <= _OVERSHOOT_TOL * (a + psi)):
-                return np.where(e < _OVERSHOOT_SERIES, e * psi * (1.0 - 0.5 * e * (1.0 - x * psi)), a)
+                small = np.minimum(e, _OVERSHOOT_SERIES)
+                series = small * psi * (1.0 - 0.5 * small * (1.0 - x * psi))
+                return np.where(e < _OVERSHOOT_SERIES, series, np.where(top, math.inf, a))
         raise NonConvergence(
             f"half-normal overshoot at x = {x:g}: Newton steps still reach "
             f"{float(np.max(np.abs(step) / (a + psi))):.3g} of a + psi(x) after "
@@ -986,6 +990,10 @@ _MASS_GRID = np.geomspace(1e-6, 1.0, 13)         # side widths where side_mass i
 _OVERSHOOT_X = (0.0, 1.0) + _GAMMA_X
 _OVERSHOOT_LEVELS = np.geomspace(1e-3, 50.0, 32)
 _OVERSHOOT_PRECISION = 1e-10       # RadialLaw.overshoot's documented precision
+_QUANTILE_P = np.array([0.5, 0.99])            # quantiles of R where tail_quantile is read
+# p = 1 - e^-e keeps the digits of e only up to about e = 10
+_QUANTILE_LEVELS = np.geomspace(1e-3, 10.0, 32)
+_QUANTILE_PRECISION = 1e-8
 
 
 @dataclass(frozen=True)
@@ -1130,6 +1138,22 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
                 f"x in {', '.join(f'{x:g}' for x in _OVERSHOOT_X)}"
 
         run("radial.overshoot", "-log_survival_gap(x, overshoot(x, e)) = e", overshoot_round_trip)
+
+    # the whole-support plan draws R by tail_quantile, and overshoot falls
+    # back on it; read at x = 0 and at quantiles of R itself, where the
+    # overshoot a is not far below the resolution of x + a at any scale
+    def tail_quantile_round_trip():
+        xs = [0.0] + [float(q) for q in np.asarray(mdl.radial.tail_quantile(_QUANTILE_P, 0.0))]
+        worst = float(np.max([_round_trip_error(
+            lambda r, x=x: mdl.radial.log_survival(np.array([x])) - mdl.radial.log_survival(r),
+            lambda e, x=x: mdl.radial.tail_quantile(-np.expm1(-e), x), _QUANTILE_LEVELS)
+            for x in xs]))
+        return worst <= _QUANTILE_PRECISION, worst, _QUANTILE_PRECISION - worst, \
+            "max |log(survival(x) / survival(tail_quantile(1 - e^-e, x))) / e - 1| for e in " \
+            f"[1e-3, 10], x in {', '.join(f'{x:.3g}' for x in xs)}"
+
+    run("radial.tail_quantile", "survival(tail_quantile(p, x)) = (1 - p) survival(x)",
+        tail_quantile_round_trip)
 
     # --- angular ---
     def normalization():

@@ -33,19 +33,43 @@ a_c = x delta_out / (1 - delta_out), lowered until
 fl(a_c fl(1 - delta_out)) <= fl(x delta_out). Since u does not increase
 away from t0, every pair in C has a (1 - delta) <= a_c (1 - delta_out)
 <= x delta_out <= x delta, in doubles too, and is never accepted.
-Proposals are drawn from the base law restricted to A and B, in one cell
-per region and side: B has conditional radial mass
-w_edge = Hbar(x + a_c) / Hbar(x), about e^-L, and A the angular mass of
-the window, so the acceptance rate is O(1) at every x (about 0.19 for
-kappa = 2, tau = 0) instead of falling like phi(x). A cell draws an
-Exp(1) level e of the radial tail, e = -log(1 - p (1 - w_edge)) in A and
-e = e_c - log(1 - p) in B with e_c = -log w_edge, and turns it into a by
-``RadialLaw.overshoot``; s comes from the exact angular mass of the side
-measured from t0 and its inverse. This stratified plan needs
-``angular.side_mass`` and its inverse and a ``shape_u.monotone_reach``
-covering every allowed side of the support (``validate_model`` checks
-the declared reach on a grid, and the side masses and their inverse
-against the density). Otherwise, and always in
+Proposals are drawn from the base law restricted to A and B. Given
+R > x, the level y = -log_survival_gap(x, a) is Exp(1) and independent
+of T, and at level y a pair passes exactly when its angular mass from t0
+is below the level map ``PolarModel.level_mass(x, sigma, y)``, which
+does not decrease in y. So A is cut along the level axis into K strips
+[y_k, y_k+1] of equal Exp(1) mass, with y_0 = 0, y_K = e_c = -log w_edge
+and w_edge = Hbar(x + a_c) / Hbar(x), about e^-L, the conditional radial
+mass of B. On side sigma, strip k draws s up to the cap min(window mass,
+level map at y_k+1); the top strip takes the window mass, which the
+level map reaches at e_c, so a strip never reads the map at an infinite
+level. B takes the whole side. Each cell, a strip or B on one side, is
+(side, cap, y_lo, h): it draws the level e = y_lo - log(1 - p (1 -
+e^-h)), Exp(1) restricted to [y_lo, y_lo + h] (B has y_lo = e_c and
+h = inf), turns it into a by ``RadialLaw.overshoot``, and draws s
+uniform in angular mass up to the cap, through the exact angular mass of
+the side measured from t0 and its inverse. With K = 32 about 0.9 of
+the proposals are accepted for kappa = 2, tau = 0, where the one window
+box (K = 1) accepts about 0.19, and at least 0.78 on every builtin sweep
+model for x = 1e2..1e8 (0.74 at x = 1e12). A shape without
+``deficit_inverse`` has no level map and gets that box.
+
+The cap at the strip top holds every pair the strip can accept in exact
+arithmetic. In doubles the level the kernel draws can exceed y_k+1 by a
+few ulps of 1 + y_k+1; the half-normal overshoot is good to 1e-10
+relative (``validate_model`` checks it), a level error of about 2e-10 y;
+and the deficit, the angular masses and their inverses each round by a
+few ulps. So the cap reads the level map at y_k+1 + 1e-7 (1 + y_k+1),
+hundreds of times those level errors, and scales the mass it reads by
+1 + 1e-9, far above the rounding of the masses. Each margin alone closes
+the gap that the tests find without them: on the half-normal/cosine
+model at x = 3, a pair at the highest level of the first strip whose
+mass lies one ulp above the unmargined cap passes the acceptance test.
+
+This stratified plan needs ``angular.side_mass`` and its inverse and a
+``shape_u.monotone_reach`` covering every allowed side of the support
+(``validate_model`` checks the declared reach on a grid, and the side
+masses and their inverse against the density). Otherwise, and always in
 ``estimate_tail_probability`` (the independent Monte Carlo check of the
 quadrature), the whole-support plan draws R by ``tail_quantile`` and T
 from ``angular.sample`` and tests R u(T) > x: a_c = inf and C is empty.
@@ -65,9 +89,10 @@ condition). Draws are generated in batches, and batch i of a run with
 seed s uses the stream SeedSequence(key(s) + (i,)). The whole-support
 plan draws m uniforms for R, then ``angular.sample(rng, m)``. The
 stratified plan draws one multinomial split of the batch's m proposals
-over the cells (A minus, A plus, B minus, B plus), then, cell by cell in
-that order, the cell's uniforms for e and then those for s. The
-transforms and the acceptance test run over fixed chunks of each draw;
+over the cells (the strips of the minus side from the lowest level up,
+then those of the plus side, then B minus, B plus), then, cell by cell
+in that order, the cell's uniforms for e and then those for s. The transforms and the
+acceptance test run over fixed chunks of each draw;
 chunking draws nothing, so it never changes the stream. Batches run one
 after another in index order until enough pairs accumulate, and no batch
 is drawn that is not consumed. The whole-support plan returns the first
@@ -115,6 +140,13 @@ _WINDOW_L = 20.0
 # e^-L / _EDGE_SHARE of it, L grows to log(side mass / window mass /
 # _EDGE_SHARE) and B keeps about _EDGE_SHARE of the proposals
 _EDGE_SHARE = 1e-3
+# region A splits into this many strips of equal Exp(1) level mass
+_STRIPS = 32
+# a strip's cap reads the level map this far above the strip top,
+# relative to 1 + top, and scales the mass it reads up by 1 + _CAP_MASS,
+# so that rounding cannot accept a pair above the cap (module docstring)
+_CAP_LEVEL = 1e-7
+_CAP_MASS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,18 +212,16 @@ class _Plan:
     """The proposal law of one run (see the module docstring).
 
     The whole-support plan has no ``cells`` and a_c = inf. Otherwise
-    ``cells`` holds (side, cap, edge) of A minus, A plus, B minus and B
-    plus over the sides the event covers, where cap is the angular mass
-    the cell draws s from and edge marks region B, and ``probs`` their
-    probabilities given a proposal. ``a_share`` is 1 - w_edge =
-    P{a <= a_c | R > x} and e_c = -log w_edge.
+    ``cells`` holds (side, cap, y_lo, h) of the strips of A on each side
+    the event covers, minus side first, and then of B on each side: the
+    cell draws its level from Exp(1) restricted to [y_lo, y_lo + h] and s
+    up to the angular mass cap. ``probs`` are their probabilities given a
+    proposal, cap e^-y_lo (1 - e^-h) over their sum ``proposal_mass``.
     """
 
     x: float
     a_c: float = math.inf
     delta_out: float = math.inf
-    a_share: float = 1.0
-    e_c: float = math.inf
     cells: tuple = ()
     probs: np.ndarray | None = None
     proposal_mass: float = 1.0
@@ -232,14 +262,25 @@ def _build_plan(mdl, x, condition, norm) -> _Plan:
         return _Plan(x)
     gap = -math.inf if math.isinf(a_c) else float(
         np.asarray(mdl.radial.log_survival_gap(x, np.array([a_c])))[0])
-    w_edge, a_share = math.exp(gap), -math.expm1(gap)
-    caps = {side: masses for side, _, _, masses in wins}
-    cells = tuple((side, caps[side][edge], edge)
-                  for edge in (False, True) for side in (-1, 1) if side in caps)
-    probs = np.array([cap * (w_edge if edge else a_share) for _, cap, edge in cells])
+    e_c = -gap
+    # strip k spans the levels [y_k, y_k+1] of Exp(1) mass (1 - e^-e_c) / K,
+    # with y_0 = 0 and y_K = e_c; every strip but the top one is capped by
+    # the level map just above its top
+    strips = _STRIPS if su.deficit_inverse is not None else 1
+    levels = [0.0] + [-math.log1p(math.expm1(gap) * k / strips) for k in range(1, strips)] + [e_c]
+    tops = np.array(levels[1:-1])
+    tops += _CAP_LEVEL * (1.0 + tops)
+    cells, edges = [], []
+    for side, _, _, (window, whole) in sorted(wins):  # minus side first
+        read = mdl.level_mass(x, side, tops) if strips > 1 else ()
+        caps = [min(window, (1.0 + _CAP_MASS) * float(m)) for m in read] + [window]
+        cells += [(side, cap, y_lo, y_hi - y_lo) for cap, y_lo, y_hi in zip(caps, levels, levels[1:])]
+        edges.append((side, whole, e_c, math.inf))
+    cells += edges
+    probs = np.array([cap * math.exp(-y_lo) * -math.expm1(-h) for _, cap, y_lo, h in cells])
     mass = float(probs.sum())
-    return _Plan(x=x, a_c=a_c, delta_out=delta_out, a_share=a_share, e_c=-gap,
-                 cells=cells, probs=probs / mass, proposal_mass=mass)
+    return _Plan(x=x, a_c=a_c, delta_out=delta_out, cells=tuple(cells),
+                 probs=probs / mass, proposal_mass=mass)
 
 
 def _stratified_batch(mdl, plan, condition, rng, m):
@@ -249,16 +290,14 @@ def _stratified_batch(mdl, plan, condition, rng, m):
     inverse = mdl.angular.side_mass_inverse
     deficit = mdl.shape_u.deficit
     right = condition == _model.Condition.RIGHT_SIDED
-    for (side, cap, edge), count in zip(plan.cells, rng.multinomial(m, plan.probs).tolist()):
+    for (side, cap, y_lo, h), count in zip(plan.cells, rng.multinomial(m, plan.probs).tolist()):
         if not count:
             continue
+        share = -math.expm1(-h)
         p_e, p_t = rng.random(count), rng.random(count)
         for lo in range(0, count, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            if edge:
-                e = plan.e_c - np.log1p(-p_e[part])
-            else:
-                e = -np.log1p(-plan.a_share * p_e[part])
+            e = y_lo - np.log1p(-share * p_e[part])
             a = np.asarray(overshoot(x, e), dtype=float)
             s = np.asarray(inverse(side, cap * p_t[part]), dtype=float)
             d = np.asarray(deficit(side, s), dtype=float)

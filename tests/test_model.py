@@ -466,9 +466,9 @@ def test_builtin_log_survival_gap_keeps_full_precision_at_large_x():
 def test_validate_checks_builtin_closed_forms_and_reach(config):
     report = validate_model(build_builtin_model(config))
     assert report.passed, [(e.name, e.detail) for e in report.failures()]
-    for name in ("radial.log_survival_gap", "radial.overshoot", "angular.side_mass",
-                 "angular.side_mass_inverse", "shape_u.deficit", "shape_u.deficit_inverse",
-                 "shape_u.monotone_reach"):
+    for name in ("radial.log_survival_gap", "radial.overshoot", "radial.tail_quantile",
+                 "angular.side_mass", "angular.side_mass_inverse", "shape_u.deficit",
+                 "shape_u.deficit_inverse", "shape_u.monotone_reach"):
         assert report.entry(name).passed, (name, report.entry(name).detail)
 
 
@@ -500,6 +500,14 @@ def _overshoot_too_long(mdl):
         radial, exact_overshoot=lambda x, e: (1.0 + 1e-8) * radial.exact_overshoot(x, e)))
 
 
+def _tail_quantile_too_long(mdl):
+    # the overshoot then falls back on the tail quantile
+    radial = mdl.radial
+    return dataclasses.replace(mdl, radial=dataclasses.replace(
+        radial, exact_overshoot=None,
+        tail_quantile=lambda p, x: x + 1.1 * (radial.tail_quantile(p, x) - x)))
+
+
 # each closed form the sampler or the level rule reads, wrong where only
 # its own entry reads it
 @pytest.mark.parametrize("wrong, check", [
@@ -507,7 +515,8 @@ def _overshoot_too_long(mdl):
     (_side_mass_inverse_too_short, "angular.side_mass_inverse"),
     (_deficit_inverse_off_beyond_half_the_width, "shape_u.deficit_inverse"),
     (_overshoot_too_long, "radial.overshoot"),
-], ids=["side-mass", "side-mass-inverse", "deficit-inverse", "overshoot"])
+    (_tail_quantile_too_long, "radial.tail_quantile"),
+], ids=["side-mass", "side-mass-inverse", "deficit-inverse", "overshoot", "tail-quantile"])
 def test_validate_flags_a_wrong_fast_path_closed_form(f1_model, wrong, check):
     assert {e.name for e in validate_model(wrong(f1_model)).failures()} == {check}
 
@@ -530,6 +539,19 @@ def test_validate_flags_wrong_deficit_inverse(asym_model):
     assert {e.name for e in report.failures()} == {"shape_u.deficit_inverse"}
     assert validate_model(dataclasses.replace(
         asym_model, shape_u=dataclasses.replace(swapped, deficit_inverse=su.deficit_inverse))).passed
+
+
+def test_an_infinite_level_passes_the_whole_side():
+    # e = inf is the top of the overshoot's range: a = inf passes every
+    # deficit, so the level map reads the whole side there
+    models, _ = tail_sweep()
+    for name, config in models.items():
+        mdl = build_builtin_model(config)
+        for x in (0.0, 3.0, 100.0):
+            assert mdl.radial.overshoot(x, np.array([1.0, math.inf]))[1] == math.inf, (name, x)
+            for side, width in mdl.sides(Condition.UNRESTRICTED):
+                whole = mdl.angular.side_mass(side, np.array([width]))[0]
+                assert mdl.level_mass(x, side, np.array([math.inf]))[0] == whole, (name, x, side)
 
 
 @pytest.mark.filterwarnings("error")

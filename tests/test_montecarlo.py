@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polartail import (
+    BracketError,
     BudgetExceeded,
     CaseMismatch,
     Condition,
@@ -27,7 +28,7 @@ from polartail import (
 
 from polartail import montecarlo
 from polartail._seeding import batch_generator
-from conftest import ASYM_CONFIG, F1_CONFIG, TIED_CONFIG
+from conftest import ASYM_CONFIG, F1_CONFIG, TIED_CONFIG, tail_sweep
 
 F1_TAIL_X5 = 1.1844109244600762683e-3
 F1_TAIL_X10 = 5.9549152101336907609e-6
@@ -211,15 +212,11 @@ def test_proposal_budget_enforced(f1_model):
 
 
 def test_infeasible_threshold_fails_before_sampling(f1_model):
-    from polartail import BracketError
-
     with pytest.raises(BracketError):
         sample_conditional(f1_model, 2.0, 100, Condition.RIGHT_SIDED, seed=1)
 
 
 def test_right_sided_draw_needs_no_minus_window():
-    from polartail import BracketError
-
     # the minus side is too narrow for a window at x = 100; the plus side is not
     mdl = build_builtin_model({
         "radial.family": "exponential",
@@ -454,9 +451,9 @@ def _whole_batch(mdl, plan, cond, key, i, m):
             keep &= t > mdl.t0
         return r[keep], t[keep], rng
     a_parts, offset_parts = [], []
-    for (side, cap, edge), count in zip(plan.cells, rng.multinomial(m, plan.probs)):
+    for (side, cap, y_lo, h), count in zip(plan.cells, rng.multinomial(m, plan.probs)):
         p_e, p_t = rng.random(count), rng.random(count)
-        e = plan.e_c - np.log1p(-p_e) if edge else -np.log1p(-p_e * plan.a_share)
+        e = y_lo - np.log1p(-p_e * -math.expm1(-h))
         a = mdl.radial.overshoot(x, e)
         dist = mdl.angular.side_mass_inverse(side, p_t * cap)
         d = mdl.shape_u.deficit(side, dist)
@@ -510,3 +507,88 @@ def test_chunked_kernel_matches_whole_batch_evaluation(case, cond, m):
     est, _ = estimate_tail_probability(stratified, x, n_proposals, cond, key, batch_size=m)
     hbar = float(stratified.radial.survival(np.array([x]))[0])
     assert est == hbar * (accepted / n_proposals)
+
+
+# ---------------------------------------------------------------------------
+# Level strips: the proposal envelope follows the level map
+# ---------------------------------------------------------------------------
+
+# x = 3 gives the half-normal and Weibull-2 models windows that reach the
+# support edge, so their top strip is infinite; below it no sweep model
+# has a window
+CONTAINMENT_X = (3.0, 10.0, 1e4, 1e12)
+
+
+def _sweep_plans(xs):
+    """(name, model, x, condition, plan) of every sweep model and x that has windows."""
+    models, _ = tail_sweep()
+    for name, config in models.items():
+        mdl = build_builtin_model(config)
+        for x in xs:
+            for cond in Condition:
+                try:
+                    norm = compute_normalizers(mdl, x, cond)
+                except BracketError:
+                    continue
+                yield name, mdl, x, cond, montecarlo._build_plan(mdl, x, cond, norm)
+
+
+def test_strip_caps_hold_every_accepted_pair():
+    # proposals from a box four times as wide as each cap, at the kernel's
+    # levels plus the highest level it can draw in each strip: whatever the
+    # kernel's test accepts lies under the cap, so no pair the law can hold
+    # is cut off
+    count, top = 4096, 1.0 - 2.0 ** -53
+    rng = np.random.default_rng(71)
+    seen = set()
+    for name, mdl, x, cond, plan in _sweep_plans(CONTAINMENT_X):
+        seen.add(x)
+        assert len(plan.cells) == (montecarlo._STRIPS + 1) * len(mdl.sides(cond))
+        for (side, cap, y_lo, h), prob in zip(plan.cells, plan.probs):
+            if prob == 0.0:  # B, when the windows reach the support edges
+                continue
+            whole = float(mdl.angular.side_mass(side, np.array([mdl.side_width(side)]))[0])
+            wide = min(4.0 * cap, whole)
+            p_e = np.append(rng.random(count), top)
+            e = y_lo - np.log1p(-p_e * -math.expm1(-h))
+            mass = np.append(wide * rng.random(count), min(np.nextafter(cap, math.inf), wide))
+            a = mdl.radial.overshoot(x, e)
+            s = mdl.angular.side_mass_inverse(side, mass)
+            d = mdl.shape_u.deficit(side, s)
+            keep = a * (1.0 - d) > x * d
+            if cond == Condition.RIGHT_SIDED:
+                keep &= s > 0.0
+            assert np.all(mass[keep] <= cap), (name, x, cond, side, y_lo, float(np.max(mass[keep]) / cap))
+    assert seen == set(CONTAINMENT_X)
+
+
+@pytest.mark.parametrize("x", [1e2, 1e4, 1e8])
+def test_strips_accept_most_proposals(x):
+    # with 32 strips the lowest rate in exact arithmetic is 0.79, on the
+    # symmetric power law with tau = 0.5
+    models, _ = tail_sweep()
+    for name, config in models.items():
+        mdl = build_builtin_model(config)
+        for cond in Condition:
+            acc = sample_conditional(mdl, x, 20_000, cond, seed=73).acceptance
+            assert acc.accepted / acc.proposals >= 0.7, (name, cond, acc)
+
+
+def test_strips_draw_the_law_of_one_strip():
+    # a shape without deficit_inverse has no level map, so the same code
+    # draws from the one window box; both plans draw the same law. The
+    # cases draw independent streams, so the 1% level is family-wise:
+    # Bonferroni over the cases and both coordinates
+    models, _ = tail_sweep()
+    cases = [(name, x, cond) for name in sorted(models) for x in (1e2, 1e6) for cond in Condition]
+    level = 0.01 / (2 * len(cases))
+    n = 20_000
+    for name, x, cond in cases:
+        mdl = build_builtin_model(models[name])
+        box = dataclasses.replace(mdl, shape_u=dataclasses.replace(mdl.shape_u, deficit_inverse=None))
+        strips = sample_conditional(mdl, x, n, cond, seed=75)
+        one = sample_conditional(box, x, n, cond, seed=76)
+        assert one.acceptance.proposal_mass > 2.0 * strips.acceptance.proposal_mass
+        for coord in ("r_norm", "t_norm"):
+            _, p = ks_two_sample(getattr(strips, coord), getattr(one, coord))
+            assert p > level, (name, x, cond, coord, p)
