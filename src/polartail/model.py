@@ -312,19 +312,29 @@ class PolarModel:
         """
         return float(np.asarray(self.shape_u.deficit(side, np.array([self.side_width(side)])))[0])
 
+    def has_level_map(self, side: int) -> bool:
+        """Whether ``level_mass`` holds on side ``side``: the level rule and the
+        stratified sampler read it only there.
+
+        It needs ``angular.side_mass`` and ``shape_u.deficit_inverse``, and a
+        deficit that increases over the whole side (``shape_u.monotone_reach``
+        at least the side's width).
+        """
+        return (self.angular.side_mass is not None and self.shape_u.deficit_inverse is not None
+                and self.shape_u.monotone_reach >= self.side_width(side))
+
     def level_mass(self, x: float, side: int, y):
         """Angular mass of side ``side`` that passes X > x at radial level y.
 
         Given R > x, the level y = -log_survival_gap(x, R - x) is Exp(1)
         and independent of T. At level y the overshoot is a =
         ``radial.overshoot(x, y)``, and a pair passes X > x exactly when its
-        deficit is below a / (x + a). Where the deficit increases over the
-        whole side (``shape_u.monotone_reach`` at least the side's width),
-        those pairs fill the distances below s = deficit_inverse(a / (x +
-        a)), so the mass is ``angular.side_mass(side, min(s, width))``: the
-        map the stratified sampler runs forward. The deficit handed to the
-        inverse is capped at the deficit at the side's edge, where the mass
-        saturates. Needs ``angular.side_mass`` and ``shape_u.deficit_inverse``.
+        deficit is below a / (x + a). On a side where ``has_level_map``
+        holds, those pairs fill the distances below s = deficit_inverse(a /
+        (x + a)), so the mass is ``angular.side_mass(side, min(s, width))``:
+        the map the stratified sampler's cells are capped by. The deficit
+        handed to the inverse is capped at the deficit at the side's edge,
+        where the mass saturates, so at y = inf it is the side mass.
         """
         # a = inf, where a tail quantile without exact_overshoot reaches
         # the top of its range, passes every deficit below 1

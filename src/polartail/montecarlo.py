@@ -18,64 +18,53 @@ is u(t0) - u(T). The event R u(T) > x then reads a (1 - delta) > x delta
 (and s > 0 when right-sided), and R = x + a and T = t0 + sigma s are
 formed only for output, so a and s keep their digits however far below
 the resolution of x and t0 they lie.
-The sampler splits the base law into
 
-    A:  a <= a_c and s <= b_sigma (T in the window W),
-    B:  a > a_c and T anywhere on the allowed sides,
-    C:  the rest, a <= a_c and T outside W,
+The sampler cuts the base law along the radial level. Given R > x, the
+level y = -log_survival_gap(x, a) is Exp(1) and independent of T, and at
+level y a pair passes exactly when its angular mass from t0 is below the
+level map ``PolarModel.level_mass(x, sigma, y)``, which does not decrease
+in y and is the side mass at y = inf. The levels are 0 = y_0 < ... <
+y_K = e_c < y_K+1 = inf, the first K intervals of equal Exp(1) mass.
+Cell k on side sigma is (sigma, cap_k, y_k, y_k+1 - y_k): it draws the
+level e = y_k - log(1 - p (1 - e^-h)), Exp(1) restricted to [y_k,
+y_k+1], turns it into a by ``RadialLaw.overshoot``, and draws s uniform
+in angular mass up to cap_k = min(side mass, level map at y_k+1), through
+the exact angular mass of the side measured from t0 and its inverse.
+Since the map does not decrease, the cap holds every pair the cell can
+accept, and the last cell, [e_c, inf), draws from the whole side.
+e_c = 20, unless the sides hold so much more than the level map M at 20
+(summed over the sides) that the last cell would take more than about
+0.1% of the proposals; then e_c = log(side mass / (1e-3 M(20))). With
+K = 32 about 0.9 of the proposals are accepted for kappa = 2, tau = 0,
+where one strip (K = 1) accepts about 0.2, and at least 0.78 on every
+builtin sweep model for x = 1e2..1e8 (0.74 at x = 1e12).
 
-with b_sigma = min(phi_sigma L^(1/kappa_sigma), support width of the
-side); L = 20, unless the windows hold so little of the angular law that
-B would take more than about 0.1% of the proposals, and then L grows
-until B does not. delta_out is the smallest deficit at b_sigma over the
-sides whose window stops short of the support edge, and
-a_c = x delta_out / (1 - delta_out), lowered until
-fl(a_c fl(1 - delta_out)) <= fl(x delta_out). Since u does not increase
-away from t0, every pair in C has a (1 - delta) <= a_c (1 - delta_out)
-<= x delta_out <= x delta, in doubles too, and is never accepted.
-Proposals are drawn from the base law restricted to A and B. Given
-R > x, the level y = -log_survival_gap(x, a) is Exp(1) and independent
-of T, and at level y a pair passes exactly when its angular mass from t0
-is below the level map ``PolarModel.level_mass(x, sigma, y)``, which
-does not decrease in y. So A is cut along the level axis into K strips
-[y_k, y_k+1] of equal Exp(1) mass, with y_0 = 0, y_K = e_c = -log w_edge
-and w_edge = Hbar(x + a_c) / Hbar(x), about e^-L, the conditional radial
-mass of B. On side sigma, strip k draws s up to the cap min(window mass,
-level map at y_k+1); the top strip takes the window mass, which the
-level map reaches at e_c, so a strip never reads the map at an infinite
-level. B takes the whole side. Each cell, a strip or B on one side, is
-(side, cap, y_lo, h): it draws the level e = y_lo - log(1 - p (1 -
-e^-h)), Exp(1) restricted to [y_lo, y_lo + h] (B has y_lo = e_c and
-h = inf), turns it into a by ``RadialLaw.overshoot``, and draws s
-uniform in angular mass up to the cap, through the exact angular mass of
-the side measured from t0 and its inverse. With K = 32 about 0.9 of
-the proposals are accepted for kappa = 2, tau = 0, where the one window
-box (K = 1) accepts about 0.19, and at least 0.78 on every builtin sweep
-model for x = 1e2..1e8 (0.74 at x = 1e12). A shape without
-``deficit_inverse`` has no level map and gets that box.
-
-The cap at the strip top holds every pair the strip can accept in exact
-arithmetic. In doubles the level the kernel draws can exceed y_k+1 by a
-few ulps of 1 + y_k+1; the half-normal overshoot is good to 1e-10
+The caps hold every pair a cell can accept in exact arithmetic. In
+doubles the level the kernel draws can exceed y_k+1 by a few ulps of
+1 + y_k+1; the half-normal overshoot is good to 1e-10
 relative (``validate_model`` checks it), a level error of about 2e-10 y;
 and the deficit, the angular masses and their inverses each round by a
-few ulps. So the cap reads the level map at y_k+1 + 1e-7 (1 + y_k+1),
-hundreds of times those level errors, and scales the mass it reads by
-1 + 1e-9, far above the rounding of the masses. Each margin alone closes
-the gap that the tests find without them: on the half-normal/cosine
-model at x = 3, a pair at the highest level of the first strip whose
-mass lies one ulp above the unmargined cap passes the acceptance test.
+few ulps. So every cap, the top strip's included, reads the level map at
+y_k+1 + 1e-7 (1 + y_k+1), hundreds of times those level errors, and
+scales the mass it reads by 1 + 1e-9, far above the rounding of the
+masses. Each margin alone closes the gap that the tests find without
+them: on the half-normal/cosine model at x = 3, a pair at the highest
+level of the first strip whose mass lies one ulp above the unmargined cap
+passes the acceptance test.
 
-This stratified plan needs ``angular.side_mass`` and its inverse and a
-``shape_u.monotone_reach`` covering every allowed side of the support
-(``validate_model`` checks the declared reach on a grid, and the side
-masses and their inverse against the density). Otherwise, and always in
-``estimate_tail_probability`` (the independent Monte Carlo check of the
-quadrature), the whole-support plan draws R by ``tail_quantile`` and T
-from ``angular.sample`` and tests R u(T) > x: a_c = inf and C is empty.
+This stratified plan needs ``angular.side_mass_inverse`` and a level map
+on every side the event covers (``PolarModel.has_level_map``;
+``validate_model`` checks the declared reach on a grid, the side masses
+against the density, and the inverses by round trips). Otherwise, and
+always in ``estimate_tail_probability`` (the independent Monte Carlo
+check of the quadrature), the whole-support plan draws R by
+``tail_quantile`` and T from ``angular.sample`` and tests R u(T) > x. So
+does a level map that holds no mass at level 20 (an angular law with no
+mass near t0, say), where the cells would have nothing to follow; on
+builtin models the windows fail first at such an x.
 
 ``AcceptanceStats.acceptance_rate`` is proposal_mass * accepted /
-proposals, where proposal_mass is the base-law probability of A and B
+proposals, where proposal_mass is the base-law probability of the cells
 together (1 for the whole-support plan), so under either plan it
 estimates P{X > x (and T > t0) | R > x}.
 
@@ -89,10 +78,10 @@ condition). Draws are generated in batches, and batch i of a run with
 seed s uses the stream SeedSequence(key(s) + (i,)). The whole-support
 plan draws m uniforms for R, then ``angular.sample(rng, m)``. The
 stratified plan draws one multinomial split of the batch's m proposals
-over the cells (the strips of the minus side from the lowest level up,
-then those of the plus side, then B minus, B plus), then, cell by cell
-in that order, the cell's uniforms for e and then those for s. The transforms and the
-acceptance test run over fixed chunks of each draw;
+over the cells (side by side, minus side first, each side's strips from
+the lowest level up and then its [e_c, inf) cell), then, cell by cell in
+that order, the cell's uniforms for e and then those for s. The
+transforms and the acceptance test run over fixed chunks of each draw;
 chunking draws nothing, so it never changes the stream. Batches run one
 after another in index order until enough pairs accumulate, and no batch
 is drawn that is not consumed. The whole-support plan returns the first
@@ -133,16 +122,14 @@ _DEFAULT_BATCH = 65536
 # the allocator reuses from batch to batch instead of mapping them afresh
 _CHUNK = 8192
 _DEFAULT_BUDGET = 10 ** 9
-# window edge b = phi L^(1/kappa): a power shape has u_tilde(b) = L psi(x)/x
-# there, so beyond it an exceedance needs R - x > ~L psi(x), mass ~ e^-L
-_WINDOW_L = 20.0
-# region B draws T from the whole side, so once the windows hold less than
-# e^-L / _EDGE_SHARE of it, L grows to log(side mass / window mass /
-# _EDGE_SHARE) and B keeps about _EDGE_SHARE of the proposals
+# the last cell [e_c, inf) draws T from the whole side: e_c is this level,
+# or log(side mass / (_EDGE_SHARE M(_TOP_LEVEL))) where that is higher, so
+# that the last cell keeps about _EDGE_SHARE of the proposals
+_TOP_LEVEL = 20.0
 _EDGE_SHARE = 1e-3
-# region A splits into this many strips of equal Exp(1) level mass
+# the levels below e_c split into this many strips of equal Exp(1) mass
 _STRIPS = 32
-# a strip's cap reads the level map this far above the strip top,
+# a cell's cap reads the level map this far above the cell top,
 # relative to 1 + top, and scales the mass it reads up by 1 + _CAP_MASS,
 # so that rounding cannot accept a pair above the cap (module docstring)
 _CAP_LEVEL = 1e-7
@@ -211,76 +198,41 @@ class ConditionalSample:
 class _Plan:
     """The proposal law of one run (see the module docstring).
 
-    The whole-support plan has no ``cells`` and a_c = inf. Otherwise
-    ``cells`` holds (side, cap, y_lo, h) of the strips of A on each side
-    the event covers, minus side first, and then of B on each side: the
-    cell draws its level from Exp(1) restricted to [y_lo, y_lo + h] and s
-    up to the angular mass cap. ``probs`` are their probabilities given a
+    The whole-support plan has no ``cells``. Otherwise ``cells`` holds
+    (side, cap, y_lo, h) of each side the event covers, minus side first:
+    its strips from the lowest level up, then its [e_c, inf) cell. A cell
+    draws its level from Exp(1) restricted to [y_lo, y_lo + h] and s up
+    to the angular mass cap. ``probs`` are their probabilities given a
     proposal, cap e^-y_lo (1 - e^-h) over their sum ``proposal_mass``.
     """
 
     x: float
-    a_c: float = math.inf
-    delta_out: float = math.inf
     cells: tuple = ()
     probs: np.ndarray | None = None
     proposal_mass: float = 1.0
 
 
-def _build_plan(mdl, x, condition, norm) -> _Plan:
-    """The stratified plan when the model supports it, else the whole-support plan."""
-    ang, su = mdl.angular, mdl.shape_u
-    sides = mdl.sides(condition)
-    if (ang.side_mass is None or ang.side_mass_inverse is None
-            or any(su.monotone_reach < width for _, width in sides)):
+def _build_plan(mdl, x, condition) -> _Plan:
+    """The level cells when every side has a level map, else the whole-support plan."""
+    sides = [side for side, _ in sorted(mdl.sides(condition))]  # minus side first
+    if mdl.angular.side_mass_inverse is None or not all(map(mdl.has_level_map, sides)):
         return _Plan(x)
-
-    def cut(level):
-        """(side, b_side, side width, [window mass, side mass]) of each side for L = level."""
-        out = []
-        for side, width in sides:
-            phi, kappa = (norm.phi_plus, su.kappa_plus) if side > 0 else (norm.phi_minus, su.kappa_minus)
-            b = min(phi * level ** (1.0 / kappa), width)
-            out.append((side, b, width, [float(c) for c in ang.side_mass(side, np.array([b, width]))]))
-        return out
-
-    wins = cut(_WINDOW_L)
-    window = sum(w[3][0] for w in wins)
-    whole = sum(w[3][1] for w in wins)
-    if whole * math.exp(-_WINDOW_L) > _EDGE_SHARE * window:
-        wins = cut(math.log(whole / (_EDGE_SHARE * window)) if window > 0.0 else math.inf)
-    delta_out = min((float(np.asarray(su.deficit(side, np.array([b])))[0])
-                     for side, b, width, _ in wins if b < width), default=math.inf)
-
-    a_c = math.inf
-    if delta_out < 1.0:
-        inside, edge = 1.0 - delta_out, x * delta_out
-        a_c = edge / inside
-        while a_c * inside > edge:
-            a_c = math.nextafter(a_c, 0.0)
-    if not a_c > 0.0:
+    whole = [float(mdl.angular.side_mass(side, np.array([mdl.side_width(side)]))[0]) for side in sides]
+    top = sum(float(mdl.level_mass(x, side, np.array([_TOP_LEVEL]))[0]) for side in sides)
+    if not top > 0.0:
         return _Plan(x)
-    gap = -math.inf if math.isinf(a_c) else float(
-        np.asarray(mdl.radial.log_survival_gap(x, np.array([a_c])))[0])
-    e_c = -gap
-    # strip k spans the levels [y_k, y_k+1] of Exp(1) mass (1 - e^-e_c) / K,
-    # with y_0 = 0 and y_K = e_c; every strip but the top one is capped by
-    # the level map just above its top
-    strips = _STRIPS if su.deficit_inverse is not None else 1
-    levels = [0.0] + [-math.log1p(math.expm1(gap) * k / strips) for k in range(1, strips)] + [e_c]
-    tops = np.array(levels[1:-1])
-    tops += _CAP_LEVEL * (1.0 + tops)
-    cells, edges = [], []
-    for side, _, _, (window, whole) in sorted(wins):  # minus side first
-        read = mdl.level_mass(x, side, tops) if strips > 1 else ()
-        caps = [min(window, (1.0 + _CAP_MASS) * float(m)) for m in read] + [window]
-        cells += [(side, cap, y_lo, y_hi - y_lo) for cap, y_lo, y_hi in zip(caps, levels, levels[1:])]
-        edges.append((side, whole, e_c, math.inf))
-    cells += edges
+    e_c = max(_TOP_LEVEL, math.log(sum(whole) / (_EDGE_SHARE * top)))
+    levels = np.array([-math.log1p(math.expm1(-e_c) * k / _STRIPS) for k in range(_STRIPS)]
+                      + [e_c, math.inf])
+    spans = list(zip(levels[:-1].tolist(), np.diff(levels).tolist()))
+    reads = levels[1:] + _CAP_LEVEL * (1.0 + levels[1:])
+    cells = []
+    for side, mass in zip(sides, whole):
+        caps = np.minimum(mass, (1.0 + _CAP_MASS) * np.asarray(mdl.level_mass(x, side, reads), dtype=float))
+        cells += [(side, cap, y_lo, h) for cap, (y_lo, h) in zip(caps.tolist(), spans)]
     probs = np.array([cap * math.exp(-y_lo) * -math.expm1(-h) for _, cap, y_lo, h in cells])
     mass = float(probs.sum())
-    return _Plan(x=x, a_c=a_c, delta_out=delta_out, cells=tuple(cells),
-                 probs=probs / mass, proposal_mass=mass)
+    return _Plan(x=x, cells=tuple(cells), probs=probs / mass, proposal_mass=mass)
 
 
 def _stratified_batch(mdl, plan, condition, rng, m):
@@ -385,8 +337,9 @@ def sample_conditional(
     rather than a tight budget: the default cap is 1e9. The windows come
     from ``compute_normalizers`` under the same condition, which solves
     nothing else, so only errors of the windows the event uses propagate
-    from it, before any sampling happens.
-    ``ConditionalSample`` gives the scale of ``t_norm``.
+    from it, before any sampling happens. The windows only scale
+    ``t_norm`` (``ConditionalSample`` gives that scale); the proposal plan
+    reads the level map, not them.
     ``workers`` is accepted and ignored (batches run sequentially) until
     the benchmark stops passing it.
     """
@@ -396,7 +349,7 @@ def sample_conditional(
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     key = seed_key(seed)
     norm = _asymptotics.compute_normalizers(mdl, x, condition)
-    plan = _build_plan(mdl, x, condition, norm)
+    plan = _build_plan(mdl, x, condition)
 
     first, second, proposals, accepted = _consume_batches(
         mdl, plan, condition, key, itertools.repeat(batch_size),

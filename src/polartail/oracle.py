@@ -20,11 +20,10 @@ independent of T, so the scaled tail is an expectation over the level,
 with M_x(y) the sum over the sides of ``PolarModel.level_mass``: the
 angular mass that passes X > x at level y, side_mass(min(s_x(y), width))
 with s_x(y) = deficit_inverse(a / (x + a)) and a = overshoot(x, y). A side
-takes this level rule when the model has ``angular.side_mass``,
-``shape_u.deficit_inverse`` and a ``shape_u.monotone_reach`` of at least
-the side's width, as every builtin model has. With e = (1 + tau) / kappa
-of the side, M_x(y) ~ c y^e near y = 0, and it saturates at the side mass
-from y_sat = -gap(x, x delta_w / (1 - delta_w)) on, where delta_w is the
+takes this level rule when ``PolarModel.has_level_map`` holds on it, as it
+does on every builtin model. With e = (1 + tau) / kappa of the side,
+M_x(y) ~ c y^e near y = 0, and it saturates at the side mass from
+y_sat = -gap(x, x delta_w / (1 - delta_w)) on, where delta_w is the
 deficit at the side's edge (y_sat = inf when delta_w >= 1). The rule is
 
 * y_sat > 40: generalized Gauss-Laguerre with weight y^e e^{-y}, summing
@@ -353,9 +352,9 @@ def _level_rule(mdl, x: float, side: int, width: float) -> QuadratureResult:
 
     Unconverged with no evaluations on a side the rule does not cover.
     """
-    ang, su = mdl.angular, mdl.shape_u
-    if ang.side_mass is None or su.deficit_inverse is None or su.monotone_reach < width:
+    if not mdl.has_level_map(side):
         return QuadratureResult(math.nan, math.inf, 0, False)
+    ang, su = mdl.angular, mdl.shape_u
     kappa, tau = (su.kappa_plus, ang.tau_plus) if side > 0 else (su.kappa_minus, ang.tau_minus)
     e = _limitlaw.gamma_shape(kappa, tau)
     d_w = mdl.edge_deficit(side)
@@ -409,10 +408,9 @@ def _side_integral(mdl, x: float, side: int, width: float) -> QuadratureResult:
 def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     """P{X > x (and T > t0)} / Hbar(x), computed without forming Hbar(x).
 
-    Sums one term per conditioning side. A side the level rule covers
-    (``angular.side_mass``, ``shape_u.deficit_inverse`` and a
-    ``shape_u.monotone_reach`` of at least its width) takes the
-    expectation over the Exp(1) level,
+    Sums one term per conditioning side. A side with a level map
+    (``PolarModel.has_level_map``) takes the expectation over the Exp(1)
+    level,
 
         integral_0^inf e^{-y} level_mass(x, sigma, y) dy,
 

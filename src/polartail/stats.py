@@ -51,6 +51,9 @@ __all__ = [
 _MIN_EXPECTED = 5.0
 # ks_one_sample first evaluates the CDF at the ends of blocks of this many points
 _KS_BLOCK = 256
+# scipy.special.kolmogi(0.001): sqrt(n) times a KS distance exceeds it
+# with probability 0.1%, so a trend step may rise by this over sqrt(n)
+_KS_POINT = 1.95
 
 
 def _ks_pvalue(d: float, effective_n: float) -> float:
@@ -274,9 +277,11 @@ class ReportRow:
 class ConvergenceReport:
     """Per-x distances to the limit plus trend flags.
 
-    ``ks_r_decreasing``/``ks_t_decreasing`` allow an additive noise
-    margin per step; ``ratio_approaches_one`` is strict. Flags are
-    vacuously true for single-row reports.
+    ``ks_r_decreasing``/``ks_t_decreasing`` allow each step to rise by
+    ``noise``, the margin that was applied: the ``noise`` argument or the
+    0.1% point of the KS distance at n, 1.95/sqrt(n), whichever is larger.
+    ``ratio_approaches_one`` is strict. Flags are vacuously true for
+    single-row reports.
     """
 
     rows: tuple[ReportRow, ...]
@@ -340,7 +345,9 @@ def convergence_report(
     at exact marginal quantiles, with cell masses from differences of the
     closed-form joint CDF. It adds the acceptance rate and the
     quadrature/asymptotic tail ratio, formed from the forms scaled by
-    1/Hbar(x) so that it stays finite where Hbar(x) underflows.
+    1/Hbar(x) so that it stays finite where Hbar(x) underflows. The KS
+    trend flags allow a rise of max(noise, 1.95/sqrt(n)) per step, so
+    distances at the noise level of n draws do not fail them.
     Deterministic given (model, x_grid, n, seed, condition).
     """
     xs = [float(v) for v in x_grid]
@@ -372,6 +379,7 @@ def convergence_report(
             tail_ratio=quad / asym,
         ))
 
+    noise = max(noise, _KS_POINT / math.sqrt(n))
     ks_r_ok = all(b.ks_r <= a.ks_r + noise for a, b in zip(rows, rows[1:]))
     ks_t_ok = all(b.ks_t <= a.ks_t + noise for a, b in zip(rows, rows[1:]))
     ratio_ok = all(

@@ -28,7 +28,6 @@ from polartail import (
     ShapeU,
     adaptive_quadrature,
     build_builtin_model,
-    montecarlo,
 )
 from polartail.model import _radial_exponential
 from polartail.stats import _check_edges
@@ -288,18 +287,3 @@ def slow_p_model():
     su = ShapeU(u=u, t0=0.0, kappa_minus=1.0, kappa_plus=4.0)
     return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
 
-
-@pytest.fixture(autouse=True)
-def _plans_round_conservatively(monkeypatch):
-    """Every stratified proposal plan a test builds keeps
-    fl(a_c fl(1 - delta_out)) <= fl(x delta_out), so no pair outside the
-    window with overshoot at most a_c passes the acceptance test."""
-    build = montecarlo._build_plan
-
-    def checked(*args):
-        plan = build(*args)
-        if math.isfinite(plan.a_c):
-            assert plan.a_c * (1.0 - plan.delta_out) <= plan.x * plan.delta_out, plan
-        return plan
-
-    monkeypatch.setattr(montecarlo, "_build_plan", checked)

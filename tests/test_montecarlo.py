@@ -385,12 +385,26 @@ def test_stratified_acceptance_does_not_shrink_with_x(f1_model):
 
 
 def test_shape_without_reach_over_the_support_keeps_the_whole_support_plan():
-    # cos(t - t0) turns back up beyond pi, so a support wider than pi
-    # leaves region C without its guarantee
+    # cos(t - t0) turns back up beyond pi, so on a support wider than pi
+    # the level map does not cover the side
     mdl = build_builtin_model({"radial.family": "half_normal", "angular.halfwidth": 3.5,
                                "shape_u.family": "cosine"})
     s = sample_conditional(mdl, 10.0, 500, Condition.RIGHT_SIDED, seed=4)
     assert s.acceptance.proposal_mass == 1.0
+
+
+def test_shape_without_deficit_inverse_takes_the_whole_support_plan(f1_model):
+    # without deficit_inverse the level map is not there, so the copy
+    # proposes over the whole support, and draws the same law
+    x, n = 100.0, 20_000
+    copy = dataclasses.replace(f1_model, shape_u=dataclasses.replace(f1_model.shape_u, deficit_inverse=None))
+    whole = sample_conditional(copy, x, n, Condition.RIGHT_SIDED, seed=53)
+    strips = sample_conditional(f1_model, x, n, Condition.RIGHT_SIDED, seed=54)
+    assert whole.acceptance.proposal_mass == 1.0
+    assert strips.acceptance.proposal_mass < 1.0
+    for coord in ("r_norm", "t_norm"):
+        _, p = ks_two_sample(getattr(whole, coord), getattr(strips, coord))
+        assert p > 1e-3, (coord, p)
 
 
 def test_whole_support_stream_is_the_plain_rejection_loop(f1_model):
@@ -475,7 +489,7 @@ def test_chunked_kernel_matches_whole_batch_evaluation(case, cond, m):
     key = (61,)
     for mdl in (stratified, _whole_support_copy(stratified)):
         s = sample_conditional(mdl, x, n, cond, seed=key, batch_size=m)
-        plan = montecarlo._build_plan(mdl, x, cond, s.normalizers)
+        plan = montecarlo._build_plan(mdl, x, cond)
         assert bool(plan.cells) == (mdl is stratified)
         firsts, seconds = [], []
         while sum(p.size for p in firsts) < n:
@@ -527,26 +541,26 @@ def _sweep_plans(xs):
         for x in xs:
             for cond in Condition:
                 try:
-                    norm = compute_normalizers(mdl, x, cond)
+                    compute_normalizers(mdl, x, cond)
                 except BracketError:
                     continue
-                yield name, mdl, x, cond, montecarlo._build_plan(mdl, x, cond, norm)
+                yield name, mdl, x, cond, montecarlo._build_plan(mdl, x, cond)
 
 
 def test_strip_caps_hold_every_accepted_pair():
     # proposals from a box four times as wide as each cap, at the kernel's
-    # levels plus the highest level it can draw in each strip: whatever the
+    # levels plus the highest level it can draw in each cell: whatever the
     # kernel's test accepts lies under the cap, so no pair the law can hold
-    # is cut off
+    # is cut off. Every cell is checked, the [e_c, inf) one included, and
+    # at x = 1e12 some plans raise e_c above the top level
     count, top = 4096, 1.0 - 2.0 ** -53
     rng = np.random.default_rng(71)
-    seen = set()
+    seen, raised = set(), 0
     for name, mdl, x, cond, plan in _sweep_plans(CONTAINMENT_X):
         seen.add(x)
         assert len(plan.cells) == (montecarlo._STRIPS + 1) * len(mdl.sides(cond))
-        for (side, cap, y_lo, h), prob in zip(plan.cells, plan.probs):
-            if prob == 0.0:  # B, when the windows reach the support edges
-                continue
+        raised += plan.cells[-1][2] > montecarlo._TOP_LEVEL
+        for side, cap, y_lo, h in plan.cells:
             whole = float(mdl.angular.side_mass(side, np.array([mdl.side_width(side)]))[0])
             wide = min(4.0 * cap, whole)
             p_e = np.append(rng.random(count), top)
@@ -560,6 +574,15 @@ def test_strip_caps_hold_every_accepted_pair():
                 keep &= s > 0.0
             assert np.all(mass[keep] <= cap), (name, x, cond, side, y_lo, float(np.max(mass[keep]) / cap))
     assert seen == set(CONTAINMENT_X)
+    assert raised > 0
+
+
+def test_last_cell_takes_few_proposals():
+    # the [e_c, inf) cell draws from the whole side; the e_c rule keeps
+    # its share of the proposal probability near 0.1%
+    for name, mdl, x, cond, plan in _sweep_plans(CONTAINMENT_X):
+        last = sum(prob for (_, _, _, h), prob in zip(plan.cells, plan.probs) if math.isinf(h))
+        assert last <= 0.01, (name, x, cond, last)
 
 
 @pytest.mark.parametrize("x", [1e2, 1e4, 1e8])
@@ -574,9 +597,8 @@ def test_strips_accept_most_proposals(x):
             assert acc.accepted / acc.proposals >= 0.7, (name, cond, acc)
 
 
-def test_strips_draw_the_law_of_one_strip():
-    # a shape without deficit_inverse has no level map, so the same code
-    # draws from the one window box; both plans draw the same law. The
+def test_strips_draw_the_law_of_one_strip(monkeypatch):
+    # the same code with one strip below e_c draws the same law. The
     # cases draw independent streams, so the 1% level is family-wise:
     # Bonferroni over the cases and both coordinates
     models, _ = tail_sweep()
@@ -585,9 +607,10 @@ def test_strips_draw_the_law_of_one_strip():
     n = 20_000
     for name, x, cond in cases:
         mdl = build_builtin_model(models[name])
-        box = dataclasses.replace(mdl, shape_u=dataclasses.replace(mdl.shape_u, deficit_inverse=None))
         strips = sample_conditional(mdl, x, n, cond, seed=75)
-        one = sample_conditional(box, x, n, cond, seed=76)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_STRIPS", 1)
+            one = sample_conditional(mdl, x, n, cond, seed=76)
         assert one.acceptance.proposal_mass > 2.0 * strips.acceptance.proposal_mass
         for coord in ("r_norm", "t_norm"):
             _, p = ks_two_sample(getattr(strips, coord), getattr(one, coord))

@@ -11,6 +11,7 @@ from scipy import special, stats
 
 from polartail import (
     Condition,
+    build_builtin_model,
     LimitLaw,
     LimitSide,
     NonConvergence,
@@ -355,6 +356,46 @@ def test_convergence_report_single_row_flags_vacuous(f1_model):
     assert report.ks_r_decreasing
     assert report.ks_t_decreasing
     assert report.ratio_approaches_one
+
+
+def test_ks_point_is_the_kolmogorov_tenth_percent_point():
+    assert stats_module._KS_POINT == round(float(special.kolmogi(0.001)), 2)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_ks_trend_flags_pass_a_correct_model_at_small_n(seed):
+    # KS distances of n = 5000 draws sit near 1/sqrt(n); a margin of 0.01
+    # failed three of these seeds on a correct model
+    mdl = build_builtin_model({"radial.family": "half_normal", "angular.halfwidth": 1.0,
+                               "shape_u.family": "cosine"})
+    n = 5000
+    report = convergence_report(mdl, (10.0, 25.0, 50.0, 100.0), n, seed, Condition.UNRESTRICTED)
+    assert report.noise == 1.95 / math.sqrt(n)
+    assert report.ks_r_decreasing and report.ks_t_decreasing, report.rows
+
+
+def test_ks_trend_flags_fail_a_rise_beyond_the_margin(f1_model, monkeypatch):
+    # at n = 2000 the margin is 1.95/sqrt(2000) = 0.044; a KS distance
+    # that rises by 0.05 from one x to the next fails the flag
+    distances = iter([0.01, 0.01, 0.06, 0.01])
+
+    def rising(sample, cdf):
+        return next(distances), 0.5
+
+    monkeypatch.setattr(stats_module, "ks_one_sample", rising)
+    report = convergence_report(f1_model, (10.0, 25.0), 2000, seed=1, bins=6)
+    assert report.noise == 1.95 / math.sqrt(2000)
+    assert [(row.ks_r, row.ks_t) for row in report.rows] == [(0.01, 0.01), (0.06, 0.01)]
+    assert not report.ks_r_decreasing
+    assert report.ks_t_decreasing
+
+
+def test_ks_trend_margin_keeps_the_noise_argument_at_large_n(f1_model, monkeypatch):
+    # 1.95/sqrt(n) falls below the default 0.01 from n = 38,025 on, so
+    # default verdicts at n = 5e4 keep the fixed margin
+    monkeypatch.setattr(stats_module, "ks_one_sample", lambda sample, cdf: (0.0, 1.0))
+    report = convergence_report(f1_model, (10.0,), 50_000, seed=1, bins=6)
+    assert report.noise == 0.01
 
 
 def test_convergence_report_deterministic(f1_model):
