@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.19.1"
 
 from .asymptotics import (
     Normalizers,
@@ -47,6 +47,7 @@ from .model import (
     RadialLaw,
     ShapeU,
     ShapeV,
+    SideFacts,
     ValidationReport,
     build_builtin_model,
     load_config,
@@ -104,6 +105,7 @@ __all__ = [
     "ReportRow",
     "ShapeU",
     "ShapeV",
+    "SideFacts",
     "UnknownFamilyError",
     "ValidationReport",
     "adaptive_quadrature",

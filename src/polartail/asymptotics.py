@@ -99,14 +99,6 @@ class Normalizers:
     residual_minus: float | None
 
 
-def _side_reach(mdl: _model.PolarModel, side: int) -> float:
-    """Half the distance from t0 to the support edge on side +1 or -1."""
-    width = mdl.side_width(side)
-    if not width > 0:
-        raise ParameterError("side -1 is not available: the angular support has no minus side")
-    return width / 2.0
-
-
 def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """Root of f(y) on [lo, hi] with f(lo) < 0 < f(hi).
 
@@ -204,13 +196,15 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
 
     ``side`` is +1 or -1, as ``PolarModel.sides`` yields it. The bracket
     is (1e-14, s_max] with s_max half the distance from t0 to the support
-    edge on that side, keeping the search away from boundary effects.
+    edge on that side (``SideFacts.s_max``), keeping the search away from
+    boundary effects.
 
     When the shape has a closed-form ``ShapeU.deficit_inverse`` and
     declares u monotone over the whole bracket (``monotone_reach >=
-    s_max``), phi is that inverse at psi(x)/x and no search is made.
-    Builtin shapes take this path, except a cosine whose bracket reaches
-    past pi.
+    s_max``), phi is that inverse at psi(x)/x and no search is made; the
+    deficit at s_max, which psi(x)/x must not exceed, is the side's
+    ``SideFacts.bracket_deficit``. Builtin shapes take this path, except a
+    cosine whose bracket reaches past pi.
 
     Otherwise ``ShapeU.deficit`` is evaluated once on a geometric grid of
     512 points from 1e-9 s_max to s_max; the grid checks that the deficit
@@ -230,7 +224,10 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     if side not in (1, -1):
         raise ParameterError(f"side must be +1 or -1, got {side!r}")
     side = int(side)
-    s_max = _side_reach(mdl, side)
+    facts = mdl.side(side)
+    if not facts.width > 0:
+        raise ParameterError("side -1 is not available: the angular support has no minus side")
+    s_max = facts.s_max
     if not (np.isfinite(x) and x > 0):
         raise ParameterError(f"x must be a positive finite number, got {x}")
 
@@ -250,7 +247,7 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
         return np.asarray(su.deficit(side, s), dtype=float)
 
     if su.deficit_inverse is not None and su.monotone_reach >= s_max:
-        reached = float(deficit(np.array([s_max]))[0])
+        reached = facts.bracket_deficit
         if target > reached:
             raise _too_small(x, side, target, reached)
         phi = float(np.asarray(su.deficit_inverse(side, np.array([target])), dtype=float)[0])
@@ -287,17 +284,10 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
     )
 
 
-def _limit_side(mdl: _model.PolarModel, sgn: int) -> _limitlaw.LimitSide:
-    """The limit law's side sgn, with that side's kappa and tau."""
-    if sgn > 0:
-        return _limitlaw.LimitSide(mdl.shape_u.kappa_plus, mdl.angular.tau_plus)
-    return _limitlaw.LimitSide(mdl.shape_u.kappa_minus, mdl.angular.tau_minus)
-
-
 def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
     """phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma."""
     phi = compute_phi(mdl, x, sgn).phi
-    return phi * float(mdl.angular.g_tilde(sgn * phi)) / _limit_side(mdl, sgn).norm_const
+    return phi * float(mdl.angular.g_tilde(sgn * phi)) / mdl.side(sgn).limit.norm_const
 
 
 def tail_asymptotic(mdl: _model.PolarModel, x: float,
@@ -309,7 +299,8 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
 
         sum_sigma phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma
 
-    over the conditioning sides, with e_sigma = (1 + tau_sigma) / kappa_sigma.
+    over the conditioning sides, with e_sigma = (1 + tau_sigma) / kappa_sigma
+    and Gamma(e_sigma) / kappa_sigma from the side's ``SideFacts.limit``.
     With ``scaled=True`` the survival factor is dropped, which gives the
     asymptotic conditional probability P{X > x | R > x}; this form stays
     representable when the tail itself underflows.
@@ -333,10 +324,10 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition) -> _limitlaw.
     on a model that leaves one of the four coefficients None raises
     ParameterError naming the missing ones.
     """
-    plus = _limit_side(mdl, 1)
+    plus = mdl.side(1).limit
     if len(mdl.sides(condition)) == 1:
         return _limitlaw.LimitLaw(plus)
-    minus = _limit_side(mdl, -1)
+    minus = mdl.side(-1).limit
     e = plus.gamma_shape
     if not plus.ties(minus):
         p_plus = 1.0 if e < minus.gamma_shape else 0.0

@@ -10,6 +10,10 @@ from the primitives, never stored separately:
     v_tilde(s) = v(t0) - v(t0 + s)      (index delta)
     g_tilde(s) = g(t0 + s)              (index tau per side)
 
+Their values at the few points that are constants of a side (its edge,
+the window bracket's ceiling, the whole side's mass) are kept in the
+side's record, ``PolarModel.side``, built once per model.
+
 Two quantities lose every digit to cancellation as the threshold grows:
 the deficit 1 - u near t0 and the radial log-survival difference
 log Hbar(x + d) - log Hbar(x). ``ShapeU.deficit`` and
@@ -39,6 +43,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, NonConvergence, ParameterError, UnknownFamilyError
+from .limitlaw import LimitSide, gamma_shape
 
 __all__ = [
     "Condition",
@@ -47,6 +52,7 @@ __all__ = [
     "ShapeU",
     "ShapeV",
     "PolarModel",
+    "SideFacts",
     "CheckEntry",
     "ValidationReport",
     "build_builtin_model",
@@ -258,6 +264,68 @@ class ShapeV:
         return v0 - self.v(self.t0 + s)
 
 
+class SideFacts:
+    """The constants of side ``side`` (+1 or -1) of t0, from ``PolarModel.side``.
+
+    ``width`` is the distance from t0 to the support edge on the side,
+    ``s_max`` = width / 2 the ceiling of the window bracket
+    (``asymptotics.compute_phi``), and ``e`` = (1 + tau) / kappa the
+    side's Gamma shape. ``has_level_map`` says whether
+    ``PolarModel.level_mass`` holds on the side: it needs
+    ``angular.side_mass`` and ``shape_u.deficit_inverse``, and a deficit
+    that increases over the whole side (``shape_u.monotone_reach`` at least
+    the width); the level rule and the stratified sampler read the map
+    only there.
+
+    The facts that evaluate a callable of the model are evaluated on their
+    first read and kept: ``edge_deficit`` and ``bracket_deficit``, the
+    deficit at the edge and at s_max; ``mass``, the whole side's angular
+    mass, None without ``angular.side_mass``; and ``limit``, the side's
+    ``LimitSide``. A callable that fails there fails only the callers
+    that read that fact, and a later read tries again.
+    """
+
+    def __init__(self, angular: AngularLaw, shape_u: ShapeU, side: int):
+        self._angular, self._shape_u = angular, shape_u
+        self.side = side
+        lo, hi = angular.support
+        self.width = hi - angular.t0 if side > 0 else angular.t0 - lo
+        self.s_max = self.width / 2.0
+        self.kappa, self.tau = (shape_u.kappa_plus, angular.tau_plus) if side > 0 \
+            else (shape_u.kappa_minus, angular.tau_minus)
+        self.e = gamma_shape(self.kappa, self.tau)
+        self.has_level_map = (angular.side_mass is not None and shape_u.deficit_inverse is not None
+                              and shape_u.monotone_reach >= self.width)
+
+    def _deficit(self, s: float) -> float:
+        return float(np.asarray(self._shape_u.deficit(self.side, np.array([s])), dtype=float)[0])
+
+    @functools.cached_property
+    def edge_deficit(self) -> float:
+        """``shape_u.deficit`` at the support edge.
+
+        A pair passes X > x at every level whose passing deficit (see
+        ``PolarModel.level_mass``) reaches it, so from there on the level
+        mass is the whole side mass.
+        """
+        return self._deficit(self.width)
+
+    @functools.cached_property
+    def bracket_deficit(self) -> float:
+        """``shape_u.deficit`` at s_max, the most the window equation can reach."""
+        return self._deficit(self.s_max)
+
+    @functools.cached_property
+    def mass(self) -> float | None:
+        if self._angular.side_mass is None:
+            return None
+        return float(np.asarray(self._angular.side_mass(self.side, np.array([self.width])))[0])
+
+    @functools.cached_property
+    def limit(self) -> LimitSide:
+        return LimitSide(self.kappa, self.tau)
+
+
 @dataclass(frozen=True)
 class PolarModel:
     """Immutable bundle of the polar components.
@@ -267,6 +335,14 @@ class PolarModel:
     exactly when the support extends below t0, and ``sides`` lists the
     sides an event covers. Every one- versus two-sided choice in the
     package (windows, limit law, sampler scale) goes through it.
+
+    ``side(sign)`` is the one home of a side's facts (``SideFacts``): its
+    width, the deficit at its edge and at the window bracket's ceiling,
+    its mass, whether it has a level map and its limit side. They are
+    constants of the model, so the record of both sides and the ``sides``
+    tuple of each condition are built once per model, on first use
+    (``functools.cached_property``); ``dataclasses.replace`` builds a new
+    model and so a new record.
     """
 
     radial: RadialLaw
@@ -288,6 +364,18 @@ class PolarModel:
     def t0(self) -> float:
         return self.angular.t0
 
+    @functools.cached_property
+    def _record(self) -> tuple[dict[int, SideFacts], tuple, tuple]:
+        """The facts of each side, and the sides covered under RIGHT_SIDED and UNRESTRICTED."""
+        facts = {sign: SideFacts(self.angular, self.shape_u, sign) for sign in (1, -1)}
+        plus = ((1, facts[1].width),)
+        both = plus + ((-1, facts[-1].width),) if self.angular.support[0] < self.t0 else plus
+        return facts, plus, both
+
+    def side(self, side: int) -> SideFacts:
+        """The facts of side ``side`` (+1 or -1) of t0; see ``SideFacts``."""
+        return self._record[0][1 if side > 0 else -1]
+
     def sides(self, condition: Condition) -> tuple[tuple[int, float], ...]:
         """(sign, width) of each side of t0 the event under ``condition`` covers.
 
@@ -295,33 +383,8 @@ class PolarModel:
         support edge on that side. The plus side comes first; the minus
         side follows under UNRESTRICTED conditioning of a two-sided model.
         """
-        two_sided = condition == Condition.UNRESTRICTED and self.angular.support[0] < self.t0
-        return tuple((sign, self.side_width(sign)) for sign in ((1, -1) if two_sided else (1,)))
-
-    def side_width(self, side: int) -> float:
-        """The distance from t0 to the support edge on side ``side`` (+1 or -1)."""
-        lo, hi = self.angular.support
-        return hi - self.t0 if side > 0 else self.t0 - lo
-
-    def edge_deficit(self, side: int) -> float:
-        """``shape_u.deficit`` at the support edge of side ``side``.
-
-        A pair passes X > x at every level whose passing deficit (see
-        ``level_mass``) reaches it, so from there on the level mass is the
-        whole side mass.
-        """
-        return float(np.asarray(self.shape_u.deficit(side, np.array([self.side_width(side)])))[0])
-
-    def has_level_map(self, side: int) -> bool:
-        """Whether ``level_mass`` holds on side ``side``: the level rule and the
-        stratified sampler read it only there.
-
-        It needs ``angular.side_mass`` and ``shape_u.deficit_inverse``, and a
-        deficit that increases over the whole side (``shape_u.monotone_reach``
-        at least the side's width).
-        """
-        return (self.angular.side_mass is not None and self.shape_u.deficit_inverse is not None
-                and self.shape_u.monotone_reach >= self.side_width(side))
+        _, plus, both = self._record
+        return both if condition == Condition.UNRESTRICTED else plus
 
     def level_mass(self, x: float, side: int, y):
         """Angular mass of side ``side`` that passes X > x at radial level y.
@@ -329,21 +392,23 @@ class PolarModel:
         Given R > x, the level y = -log_survival_gap(x, R - x) is Exp(1)
         and independent of T. At level y the overshoot is a =
         ``radial.overshoot(x, y)``, and a pair passes X > x exactly when its
-        deficit is below a / (x + a). On a side where ``has_level_map``
-        holds, those pairs fill the distances below s = deficit_inverse(a /
-        (x + a)), so the mass is ``angular.side_mass(side, min(s, width))``:
-        the map the stratified sampler's cells are capped by. The deficit
-        handed to the inverse is capped at the deficit at the side's edge,
-        where the mass saturates, so at y = inf it is the side mass.
+        deficit is below a / (x + a). On a side with a level map
+        (``SideFacts.has_level_map``), those pairs fill the distances below
+        s = deficit_inverse(a / (x + a)), so the mass is
+        ``angular.side_mass(side, min(s, width))``: the map the stratified
+        sampler's cells are capped by. The deficit handed to the inverse is
+        capped at the deficit at the side's edge, where the mass saturates,
+        so at y = inf it is the side mass.
         """
+        facts = self.side(side)
         # a = inf, where a tail quantile without exact_overshoot reaches
         # the top of its range, passes every deficit below 1
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.asarray(self.radial.overshoot(x, y), dtype=float)
             d = np.where(np.isinf(a), 1.0, a / (x + a))
-        d = np.minimum(d, self.edge_deficit(side))
+        d = np.minimum(d, facts.edge_deficit)
         s = np.asarray(self.shape_u.deficit_inverse(side, d), dtype=float)
-        return self.angular.side_mass(side, np.minimum(s, self.side_width(side)))
+        return self.angular.side_mass(side, np.minimum(s, facts.width))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +421,10 @@ def _radial_exponential(rate: float) -> RadialLaw:
         raise ParameterError(f"radial.rate must be > 0, got {rate}")
 
     def survival(x):
-        return np.exp(-rate * np.clip(np.asarray(x, dtype=float), 0.0, None))
+        return np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def log_survival(x):
-        return -rate * np.clip(np.asarray(x, dtype=float), 0.0, None)
+        return -rate * np.maximum(np.asarray(x, dtype=float), 0.0)
 
     def tail_quantile(p, x_floor):
         return x_floor - np.log1p(-np.asarray(p, dtype=float)) / rate
@@ -386,10 +451,10 @@ def _radial_weibull(beta: float) -> RadialLaw:
         raise ParameterError(f"radial.beta must be > 0, got {beta}")
 
     def survival(x):
-        return np.exp(-np.clip(np.asarray(x, dtype=float), 0.0, None) ** beta)
+        return np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0) ** beta)
 
     def log_survival(x):
-        return -(np.clip(np.asarray(x, dtype=float), 0.0, None) ** beta)
+        return -(np.maximum(np.asarray(x, dtype=float), 0.0) ** beta)
 
     def aux_psi(x):
         if x <= 0:
@@ -402,7 +467,7 @@ def _radial_weibull(beta: float) -> RadialLaw:
 
     def exact_gap(x, d):
         # x^beta - (x + d)^beta = -x^beta ((1 + d/x)^beta - 1)
-        x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
         d = np.asarray(d, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = -(x ** beta) * np.expm1(beta * np.log1p(d / x))
@@ -432,6 +497,8 @@ def _radial_weibull(beta: float) -> RadialLaw:
 _OVERSHOOT_STEPS = 50
 _OVERSHOOT_TOL = 64.0 * float(np.finfo(float).eps)
 _OVERSHOOT_SERIES = 1e-5
+# the d / psi(x) below which the half-normal gap is its cubic Taylor series
+_GAP_SERIES = 1e-4
 
 
 def _radial_half_normal() -> RadialLaw:
@@ -444,10 +511,10 @@ def _radial_half_normal() -> RadialLaw:
     mills_scale = math.sqrt(math.pi / 2.0)
 
     def survival(x):
-        return sp_special.erfc(np.clip(np.asarray(x, dtype=float), 0.0, None) * inv_sqrt2)
+        return sp_special.erfc(np.maximum(np.asarray(x, dtype=float), 0.0) * inv_sqrt2)
 
     def log_survival(x):
-        return log2 + sp_special.log_ndtr(-np.clip(np.asarray(x, dtype=float), 0.0, None))
+        return log2 + sp_special.log_ndtr(-np.maximum(np.asarray(x, dtype=float), 0.0))
 
     def aux_psi(x):
         return mills_scale * float(sp_special.erfcx(max(x, 0.0) * inv_sqrt2))
@@ -458,11 +525,21 @@ def _radial_half_normal() -> RadialLaw:
         return -sp_special.ndtri_exp(np.log1p(-p) + log_phi)
 
     def exact_gap(x, d):
-        # erfc(z) = erfcx(z) e^{-z^2} and (x + d)^2 - x^2 = d (2x + d)
-        x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+        # erfc(z) = erfcx(z) e^{-z^2} and (x + d)^2 - x^2 = d (2x + d). The
+        # log of the erfcx ratio is good to a few eps absolute, so a gap far
+        # below 1 loses digits like eps psi / d; below _GAP_SERIES psi(x) it
+        # is the Taylor series -d h - d^2 h'/2 - d^3 h''/6 of log Hbar, with
+        # the hazard h = 1/psi(x), h' = h (h - x), h'' = h' (h - x) + h (h' - 1)
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
         d = np.asarray(d, dtype=float)
-        ratio = sp_special.erfcx((x + d) * inv_sqrt2) / sp_special.erfcx(x * inv_sqrt2)
-        return np.log(ratio) - 0.5 * d * (2.0 * x + d)
+        erfcx_x = sp_special.erfcx(x * inv_sqrt2)
+        ratio = sp_special.erfcx((x + d) * inv_sqrt2) / erfcx_x
+        gap = np.log(ratio) - 0.5 * d * (2.0 * x + d)
+        h = 1.0 / (mills_scale * erfcx_x)
+        h1 = h * (h - x)
+        h2 = h1 * (h - x) + h * (h1 - 1.0)
+        series = -d * (h + d * (0.5 * h1 + d * h2 / 6.0))
+        return np.where(d * h < _GAP_SERIES, series, gap)
 
     def exact_overshoot(x, e):
         # Newton on -exact_gap(x, a) = e from a = e psi(x). The gap is
@@ -542,7 +619,8 @@ def _power_side_masses(minus, plus):
 
     def side_mass(side, s):
         coeff, tau, width = params[side]
-        s = np.clip(np.asarray(s, dtype=float), 0.0, width)
+        # in this argument order s = -0.0 comes back as -0.0
+        s = np.minimum(width, np.maximum(0.0, np.asarray(s, dtype=float)))
         return coeff * _power(s, 1.0 + tau) / (1.0 + tau)
 
     def side_mass_inverse(side, m):
@@ -1166,7 +1244,34 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         tail_quantile_round_trip)
 
     # --- angular ---
+    ang = mdl.angular
+
+    def declared(side: int) -> tuple[float, float | None]:
+        """(tau, g_coeff) of side ``side``."""
+        return (ang.tau_plus, ang.g_coeff_plus) if side > 0 else (ang.tau_minus, ang.g_coeff_minus)
+
+    @functools.cache  # the normalization and side_mass entries read the same panels
+    def density_panels(side: int):
+        """Distances 1e-6 .. 1 side widths from t0, and the integral of g
+        between each two and its error estimate, by one Kronrod panel each."""
+        s = mdl.side(side).width * _MASS_GRID
+        return (s,) + oracle._gk15_panels(lambda v: ang.g_tilde(side * v), s[:-1], s[1:])
+
     def normalization():
+        # where every side declares g_coeff, its Kronrod panels plus the
+        # declared leading term below the first, unless their error estimate
+        # misses the tolerance; otherwise the adaptive integral
+        if all(declared(side)[1] is not None for side, _ in sides):
+            parts, err = [], 0.0
+            for side, _ in sides:
+                (tau, c), (s, pieces, errs) = declared(side), density_panels(side)
+                parts += [c * s[0] ** (1.0 + tau) / (1.0 + tau)] + pieces
+                err += math.fsum(errs)
+            if err <= _DENSITY_TOL:
+                value = math.fsum(parts)
+                err = abs(value - 1.0)
+                return err <= _DENSITY_TOL, value, _DENSITY_TOL - err, \
+                    "Kronrod panels at 1e-6 .. 1 side widths, declared leading term below"
         res = oracle.adaptive_quadrature(
             lambda t: np.asarray(mdl.angular.density(np.asarray(t)), dtype=float),
             lo, hi, rel_tol=1e-12, abs_tol=1e-14, breakpoints=(t0,),
@@ -1231,10 +1336,8 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         if coeff is not None:
             run(coeff_name, f"{what}/s^{index:g} at s -> 0 within 10% of the declared value", coeff_check)
 
-    ang = mdl.angular
     for side, width in sides:
-        name, tau, c = ("plus", ang.tau_plus, ang.g_coeff_plus) if side > 0 \
-            else ("minus", ang.tau_minus, ang.g_coeff_minus)
+        name, (tau, c) = ("plus" if side > 0 else "minus"), declared(side)
         leading_term(lambda s, side=side: ang.g_tilde(side * s), "g_tilde", width, tau, c, 0.0,
                      (f"angular.tau_slope_{name}", f"log-log slope matches tau_{name}"),
                      f"angular.g_coeff_{name}")
@@ -1246,12 +1349,9 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             # panel each, where g is smooth; below the first, the declared
             # leading term, and nothing without one
             errs = []
-            for side, width in sides:
-                tau, c = (ang.tau_plus, ang.g_coeff_plus) if side > 0 \
-                    else (ang.tau_minus, ang.g_coeff_minus)
-                s = width * _MASS_GRID
+            for side, _ in sides:
+                (tau, c), (s, pieces, _) = declared(side), density_panels(side)
                 mass = np.asarray(ang.side_mass(side, s), dtype=float)
-                pieces, _ = oracle._gk15_panels(lambda v: ang.g_tilde(side * v), s[:-1], s[1:])
                 first = mass[0] if c is None else c * s[0] ** (1.0 + tau) / (1.0 + tau)
                 errs.append(np.max(np.abs(mass - first - np.concatenate(([0.0], np.cumsum(pieces))))))
             worst = float(np.max(errs))
@@ -1266,8 +1366,7 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
                 worst = float(np.max([_round_trip_error(
                     lambda s, side=side: ang.side_mass(side, s),
                     lambda m, side=side: ang.side_mass_inverse(side, m),
-                    float(np.asarray(ang.side_mass(side, np.array([width])))[0]) * _ROUND_TRIP)
-                    for side, width in sides]))
+                    mdl.side(side).mass * _ROUND_TRIP) for side, _ in sides]))
                 return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                     "max |side_mass(side_mass_inverse(m)) / m - 1| for m up to the side's mass"
 
@@ -1336,7 +1435,7 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             worst = float(np.max([_round_trip_error(
                 lambda s, side=side: su.deficit(side, s),
                 lambda d, side=side: su.deficit_inverse(side, d),
-                (mdl.edge_deficit(side) if reach >= width
+                (mdl.side(side).edge_deficit if reach >= width
                  else float(np.asarray(su.deficit(side, min(reach, width) / 2.0)))) * _ROUND_TRIP)
                 for side, width in sides]))
             return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \

@@ -53,7 +53,7 @@ level of the first strip whose mass lies one ulp above the unmargined cap
 passes the acceptance test.
 
 This stratified plan needs ``angular.side_mass_inverse`` and a level map
-on every side the event covers (``PolarModel.has_level_map``;
+on every side the event covers (``SideFacts.has_level_map``;
 ``validate_model`` checks the declared reach on a grid, the side masses
 against the density, and the inverses by round trips). Otherwise, and
 always in ``estimate_tail_probability`` (the independent Monte Carlo
@@ -215,9 +215,9 @@ class _Plan:
 def _build_plan(mdl, x, condition) -> _Plan:
     """The level cells when every side has a level map, else the whole-support plan."""
     sides = [side for side, _ in sorted(mdl.sides(condition))]  # minus side first
-    if mdl.angular.side_mass_inverse is None or not all(map(mdl.has_level_map, sides)):
+    if mdl.angular.side_mass_inverse is None or not all(mdl.side(side).has_level_map for side in sides):
         return _Plan(x)
-    whole = [float(mdl.angular.side_mass(side, np.array([mdl.side_width(side)]))[0]) for side in sides]
+    whole = [mdl.side(side).mass for side in sides]
     top = sum(float(mdl.level_mass(x, side, np.array([_TOP_LEVEL]))[0]) for side in sides)
     if not top > 0.0:
         return _Plan(x)

@@ -20,11 +20,13 @@ independent of T, so the scaled tail is an expectation over the level,
 with M_x(y) the sum over the sides of ``PolarModel.level_mass``: the
 angular mass that passes X > x at level y, side_mass(min(s_x(y), width))
 with s_x(y) = deficit_inverse(a / (x + a)) and a = overshoot(x, y). A side
-takes this level rule when ``PolarModel.has_level_map`` holds on it, as it
+takes this level rule when ``SideFacts.has_level_map`` holds on it, as it
 does on every builtin model. With e = (1 + tau) / kappa of the side,
 M_x(y) ~ c y^e near y = 0, and it saturates at the side mass from
 y_sat = -gap(x, x delta_w / (1 - delta_w)) on, where delta_w is the
-deficit at the side's edge (y_sat = inf when delta_w >= 1). The rule is
+deficit at the side's edge (y_sat = inf when delta_w >= 1). delta_w, e and
+the side mass are constants of the model, read from ``PolarModel.side``;
+only the levels and the masses at them depend on x. The rule is
 
 * y_sat > 40: generalized Gauss-Laguerre with weight y^e e^{-y}, summing
   M_x / y^e; e^{-y_sat} is below double resolution, so the kink at y_sat
@@ -69,7 +71,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import limitlaw as _limitlaw
 from .errors import BracketError, MonotonicityError, NonConvergence, ParameterError
 
 __all__ = [
@@ -347,17 +348,15 @@ def _gauss_jacobi(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
                          k * (k + e) / (jk * np.sqrt(jk * jk - 1.0)), -math.log1p(e), e)
 
 
-def _level_rule(mdl, x: float, side: int, width: float) -> QuadratureResult:
+def _level_rule(mdl, x: float, side: int) -> QuadratureResult:
     """The level integral of one side by the cached Gauss rules (see the module docstring).
 
     Unconverged with no evaluations on a side the rule does not cover.
     """
-    if not mdl.has_level_map(side):
+    facts = mdl.side(side)
+    if not facts.has_level_map:
         return QuadratureResult(math.nan, math.inf, 0, False)
-    ang, su = mdl.angular, mdl.shape_u
-    kappa, tau = (su.kappa_plus, ang.tau_plus) if side > 0 else (su.kappa_minus, ang.tau_minus)
-    e = _limitlaw.gamma_shape(kappa, tau)
-    d_w = mdl.edge_deficit(side)
+    e, d_w = facts.e, facts.edge_deficit
     y_sat = math.inf
     if d_w < 1.0:
         y_sat = -float(np.asarray(mdl.radial.log_survival_gap(x, np.array([x * d_w / (1.0 - d_w)])))[0])
@@ -365,7 +364,7 @@ def _level_rule(mdl, x: float, side: int, width: float) -> QuadratureResult:
         rules = [_gauss_laguerre(n, e) for n in _LEVEL_NODES]
         tail = 0.0
     else:
-        full = float(np.asarray(ang.side_mass(side, np.array([width])))[0])
+        full = facts.mass
         if y_sat <= 0.0:
             # saturated from level 0 on (x = 0 with u > 0 over the side): every pair passes
             return QuadratureResult(full, 0.0, 0, True)
@@ -409,7 +408,7 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     """P{X > x (and T > t0)} / Hbar(x), computed without forming Hbar(x).
 
     Sums one term per conditioning side. A side with a level map
-    (``PolarModel.has_level_map``) takes the expectation over the Exp(1)
+    (``SideFacts.has_level_map``) takes the expectation over the Exp(1)
     level,
 
         integral_0^inf e^{-y} level_mass(x, sigma, y) dy,
@@ -440,7 +439,7 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     value = error = 0.0
     evaluations = 0
     for side, width in mdl.sides(condition):
-        res = _level_rule(mdl, x, side, width)
+        res = _level_rule(mdl, x, side)
         if not res.converged:
             evaluations += res.evaluations
             res = _side_integral(mdl, x, side, width)

@@ -20,6 +20,7 @@ from polartail import (
     corollary_case,
     load_config,
     limit_law,
+    oracle,
     sample_conditional,
     scaled_tail_quadrature,
     tail_asymptotic,
@@ -298,8 +299,8 @@ def test_level_mass_is_the_side_mass_below_the_passing_deficit(f1_model):
     cos = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 1.0,
                                "shape_u.family": "cosine"})
     edge = 1.0 - math.cos(1.0)
-    assert (cos.side_width(1), cos.side_width(-1)) == (1.0, 1.0)
-    assert cos.edge_deficit(-1) == pytest.approx(edge, rel=1e-15)
+    assert (cos.side(1).width, cos.side(-1).width) == (1.0, 1.0)
+    assert cos.side(-1).edge_deficit == pytest.approx(edge, rel=1e-15)
     a_sat = 10.0 * edge / (1.0 - edge)
     got = np.asarray(cos.level_mass(10.0, 1, np.array([0.999 * a_sat, a_sat * 1.001, 1e3])))
     assert got[0] < 0.5 and got[1:].tolist() == [0.5, 0.5]
@@ -457,6 +458,81 @@ def test_builtin_log_survival_gap_keeps_full_precision_at_large_x():
     assert half_normal.log_survival_gap(x, d) == pytest.approx(want, rel=1e-14)
 
 
+# (x, d, log(erfc((x + d)/sqrt 2) / erfc(x/sqrt 2))) by mpmath at 450 digits,
+# at d = 1e-200, 1e-12, 1e-8 and 9e-5 times psi(x)
+_HALF_NORMAL_SMALL_GAPS = (
+    (0.0, 1.2533141373155e-200, -9.9999999999999985116e-201),
+    (0.0, 1.2533141373155002e-12, -1.0000000000004999231e-12),
+    (0.0, 1.2533141373155002e-08, -1.0000000049999999831e-8),
+    (0.0, 0.00011279827235839502, -0.000090004050052147469474),
+    (1.0, 6.556795424187984e-201, -9.9999999999999987041e-201),
+    (1.0, 6.556795424187984e-13, -1.0000000000001721082e-12),
+    (1.0, 6.556795424187984e-09, -1.0000000017216022137e-8),
+    (1.0, 5.901115881769186e-05, -0.000090001394501857969485),
+    (10.0, 9.902859647173191e-202, -9.9999999999999991427e-201),
+    (10.0, 9.902859647173191e-14, -1.0000000000000047734e-12),
+    (10.0, 9.902859647173191e-10, -1.0000000000485700683e-8),
+    (10.0, 8.912573682455873e-06, -0.000090000039341843108223),
+    (1000.0, 9.999990000030001e-204, -1.0000000000000001458e-200),
+    (1000.0, 9.99999000003e-16, -1.0000000000000001141e-12),
+    (1000.0, 9.999990000030002e-12, -1.0000000000000051688e-8),
+    (1000.0, 8.999991000027002e-08, -0.000090000000004050010394),
+)
+
+
+def test_half_normal_gap_keeps_its_digits_far_below_psi():
+    # the log of the erfcx ratio is good to a few eps absolute, which was
+    # 1e-6 relative at d = 1e-12 psi and every digit at d = 1e-200 psi
+    radial = build_builtin_model({"radial.family": "half_normal"}).radial
+    for x, d, want in _HALF_NORMAL_SMALL_GAPS:
+        got = float(radial.log_survival_gap(x, np.array([d]))[0])
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), (x, d)
+
+
+def _clip_model_laws():
+    """The builtin radial laws and a two-sided power angular law with both taus."""
+    radials = [build_builtin_model(dict(F1_CONFIG, **extra)).radial for extra in (
+        {"radial.family": "exponential", "radial.rate": 2.0},
+        {"radial.family": "weibull", "radial.beta": 0.5},
+        {"radial.family": "weibull", "radial.beta": 2.0},
+        {"radial.family": "half_normal"})]
+    return radials, build_builtin_model(TIED_CONFIG).angular
+
+
+_CLIP_INPUTS = np.array([-np.inf, -2.0, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0, 3.0, np.inf, np.nan])
+
+
+# The laws floor x at 0 with np.maximum and the side masses clamp s to
+# [0, width] with np.minimum/np.maximum. On inputs already clamped by
+# np.clip those are the identity, so f(clip(v)) is the value np.clip gave.
+
+
+def test_radial_laws_floor_at_zero_as_clip_did():
+    radials, _ = _clip_model_laws()
+    floored = np.clip(_CLIP_INPUTS, 0.0, None)
+    for radial in radials:
+        for fn in (radial.survival, radial.log_survival):
+            with np.errstate(all="ignore"):
+                got, want = fn(_CLIP_INPUTS), fn(floored)
+            assert np.array_equal(got, want, equal_nan=True), (radial.family_tag, fn)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (radial.family_tag, fn)
+        d = np.array([0.0, 1e-3, 0.5, 2.0])
+        for x in _CLIP_INPUTS:
+            with np.errstate(all="ignore"):
+                got, want = radial.exact_gap(x, d), radial.exact_gap(np.clip(x, 0.0, None), d)
+            assert np.array_equal(got, want, equal_nan=True), (radial.family_tag, x)
+
+
+def test_power_side_mass_clamps_to_the_side_as_clip_did():
+    _, angular = _clip_model_laws()
+    for side, width in ((1, 1.0), (-1, 1.0)):
+        got = angular.side_mass(side, _CLIP_INPUTS)
+        want = angular.side_mass(side, np.clip(_CLIP_INPUTS, 0.0, width))
+        assert np.array_equal(got, want, equal_nan=True), side
+        # the argument order keeps the sign of a zero too, so the arrays are bit for bit
+        assert np.array_equal(np.signbit(got), np.signbit(want)), side
+
+
 @pytest.mark.parametrize("config", [
     F1_CONFIG,
     {"radial.family": "weibull", "radial.beta": 2.0, "shape_u.kappa_minus": 1.0},
@@ -552,6 +628,25 @@ def test_an_infinite_level_passes_the_whole_side():
             for side, width in mdl.sides(Condition.UNRESTRICTED):
                 whole = mdl.angular.side_mass(side, np.array([width]))[0]
                 assert mdl.level_mass(x, side, np.array([math.inf]))[0] == whole, (name, x, side)
+
+
+@pytest.mark.parametrize("config", [F1_CONFIG, TIED_CONFIG], ids=["readme", "tied"])
+def test_normalization_reads_the_declared_term_and_still_flags_a_scaled_density(config):
+    mdl = build_builtin_model(config)
+    entry = validate_model(mdl).entry("angular.normalization")
+    assert entry.passed and entry.detail.startswith("Kronrod panels")
+    adaptive = oracle.adaptive_quadrature(mdl.angular.density, *mdl.angular.support,
+                                          rel_tol=1e-12, abs_tol=1e-14, breakpoints=(0.0,))
+    assert entry.measured == pytest.approx(adaptive.value, rel=1e-13)
+    density = mdl.angular.density
+    scaled = dataclasses.replace(mdl, angular=dataclasses.replace(
+        mdl.angular, density=lambda t: 1.001 * density(t)))
+    assert not validate_model(scaled).entry("angular.normalization").passed
+
+
+def test_normalization_without_declared_coefficients_is_the_adaptive_integral():
+    entry = validate_model(_parabola_model(1.0)).entry("angular.normalization")
+    assert entry.passed and entry.detail == ""
 
 
 @pytest.mark.filterwarnings("error")

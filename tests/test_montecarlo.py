@@ -561,7 +561,7 @@ def test_strip_caps_hold_every_accepted_pair():
         assert len(plan.cells) == (montecarlo._STRIPS + 1) * len(mdl.sides(cond))
         raised += plan.cells[-1][2] > montecarlo._TOP_LEVEL
         for side, cap, y_lo, h in plan.cells:
-            whole = float(mdl.angular.side_mass(side, np.array([mdl.side_width(side)]))[0])
+            whole = float(mdl.angular.side_mass(side, np.array([mdl.side(side).width]))[0])
             wide = min(4.0 * cap, whole)
             p_e = np.append(rng.random(count), top)
             e = y_lo - np.log1p(-p_e * -math.expm1(-h))

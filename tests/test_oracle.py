@@ -351,7 +351,7 @@ def test_level_rule_below_one_matches_adaptive_integral():
 def test_level_rule_falls_back_where_its_estimate_misses(f1_model, monkeypatch):
     # at x = 0.5 the 32- and 24-node rules differ by 4e-7 relative; the
     # side takes the adaptive integral, and its evaluations count too
-    rule = oracle._level_rule(f1_model, 0.5, 1, 1.0)
+    rule = oracle._level_rule(f1_model, 0.5, 1)
     assert not rule.converged and rule.abs_error_estimate > 1e-9 * rule.value
     calls = _counting_adaptive(monkeypatch)
     res = scaled_tail_quadrature(f1_model, 0.5, Condition.RIGHT_SIDED)

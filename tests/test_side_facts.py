@@ -1,0 +1,127 @@
+"""The per-side record of a model: ``PolarModel.side`` and ``SideFacts``."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from polartail import (
+    Condition,
+    LimitSide,
+    asymptotics,
+    build_builtin_model,
+    compute_phi,
+    scaled_tail_quadrature,
+    tail_asymptotic,
+    validate_model,
+)
+from polartail.limitlaw import gamma_shape
+from polartail.model import _angular_uniform
+
+from conftest import F1_CONFIG, TIED_CONFIG, tail_sweep
+
+GAUSSIAN_PAIR = {
+    "radial.family": "weibull",
+    "radial.beta": 2.0,
+    "angular.halfwidth": math.pi,
+    "shape_u.family": "cosine",
+}
+
+
+def _record_models():
+    models, _ = tail_sweep()
+    return dict(models, tied=TIED_CONFIG, gaussian_pair=GAUSSIAN_PAIR)
+
+
+@pytest.mark.parametrize("name, config", list(_record_models().items()))
+def test_record_equals_the_per_call_values(name, config):
+    mdl = build_builtin_model(config)
+    ang, su = mdl.angular, mdl.shape_u
+    lo, hi = ang.support
+    for side in (1, -1):
+        facts = mdl.side(side)
+        width = hi - mdl.t0 if side > 0 else mdl.t0 - lo
+        kappa, tau = (su.kappa_plus, ang.tau_plus) if side > 0 else (su.kappa_minus, ang.tau_minus)
+        assert (facts.side, facts.width, facts.s_max) == (side, width, width / 2.0)
+        assert facts.edge_deficit == float(su.deficit(side, np.array([width]))[0])
+        assert facts.bracket_deficit == float(su.deficit(side, np.array([width / 2.0]))[0])
+        assert facts.mass == float(ang.side_mass(side, np.array([width]))[0])
+        assert facts.has_level_map == (su.monotone_reach >= width)
+        assert facts.e == gamma_shape(kappa, tau)
+        assert facts.limit == LimitSide(kappa, tau)
+        assert facts.limit.norm_const == kappa / math.gamma(facts.e)
+        # built once: every read returns the same objects
+        assert mdl.side(side) is facts and facts.limit is mdl.side(side).limit
+    two_sided = lo < mdl.t0
+    plus = ((1, hi - mdl.t0),)
+    assert mdl.sides(Condition.RIGHT_SIDED) == plus
+    assert mdl.sides(Condition.UNRESTRICTED) == (plus + ((-1, mdl.t0 - lo),) if two_sided else plus)
+
+
+def test_a_fact_the_model_lacks_is_none(f1_model):
+    mdl = dataclasses.replace(f1_model, angular=dataclasses.replace(f1_model.angular, side_mass=None))
+    assert mdl.side(1).mass is None and not mdl.side(1).has_level_map
+    assert f1_model.side(1).mass == 0.5
+
+
+def _counting_readme_model():
+    """The README model with a closed-form deficit that logs every distance it is read at."""
+    mdl = build_builtin_model(F1_CONFIG)
+    deficit, reads = mdl.shape_u.exact_deficit, []
+
+    def counting(side, s):
+        reads.extend(np.atleast_1d(np.asarray(s, dtype=float)).tolist())
+        return deficit(side, s)
+
+    return dataclasses.replace(
+        mdl, shape_u=dataclasses.replace(mdl.shape_u, exact_deficit=counting)), reads
+
+
+def test_a_second_threshold_reads_no_edge_or_bracket_deficit():
+    mdl, reads = _counting_readme_model()
+    cond = Condition.UNRESTRICTED
+    edge_and_bracket = {mdl.side(side).width for side in (1, -1)} | \
+        {mdl.side(side).s_max for side in (1, -1)}
+
+    def run(x):
+        scaled_tail_quadrature(mdl, x, cond)
+        for side, _ in mdl.sides(cond):
+            compute_phi(mdl, x, side)
+        tail_asymptotic(mdl, x, cond)
+
+    run(10.0)
+    assert edge_and_bracket <= set(reads)
+    reads.clear()
+    run(1e3)
+    assert reads  # the residual of each window is still read at its root
+    assert not edge_and_bracket & set(reads), sorted(edge_and_bracket & set(reads))
+
+
+def test_replace_builds_a_fresh_record(f1_model):
+    assert f1_model.side(1).width == 1.0 and f1_model.sides(Condition.UNRESTRICTED)[0] == (1, 1.0)
+    wide = dataclasses.replace(f1_model, angular=_angular_uniform(0.0, 2.0, 2.0))
+    assert wide.side(1).width == wide.side(-1).width == 2.0
+    assert wide.sides(Condition.UNRESTRICTED) == ((1, 2.0), (-1, 2.0))
+    assert wide.side(1).mass == 0.5 and wide.side(1).edge_deficit == 4.0
+    assert f1_model.side(1).width == 1.0
+
+
+def test_a_deficit_that_fails_at_the_edge_fails_only_the_edge_readers(f1_model):
+    def deficit(side, s):
+        s = np.asarray(s, dtype=float)
+        if np.any(s >= 1.0):
+            raise FloatingPointError("no deficit at the edge")
+        return s ** 2
+
+    mdl = dataclasses.replace(f1_model, shape_u=dataclasses.replace(f1_model.shape_u,
+                                                                   exact_deficit=deficit))
+    assert compute_phi(mdl, 10.0).phi == pytest.approx(math.sqrt(0.1), rel=1e-15)
+    assert asymptotics.tail_asymptotic(mdl, 10.0) > 0.0
+    for _ in range(2):  # a failed read is not kept
+        with pytest.raises(FloatingPointError):
+            mdl.side(1).edge_deficit
+    with pytest.raises(FloatingPointError):
+        scaled_tail_quadrature(mdl, 10.0, Condition.RIGHT_SIDED)
+    report = validate_model(mdl)
+    assert "shape_u.deficit_inverse" in {e.name for e in report.failures()}
