@@ -194,7 +194,7 @@ def _grid_root(deficit, s_max: float, target: float, x: float, side: int) -> flo
 def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     """Solve deficit(sigma phi) x / psi(x) = 1 on side sigma = ``side``.
 
-    ``side`` is +1 or -1, as ``PolarModel.sides`` yields it. The bracket
+    ``side`` is +1 or -1, the ``SideFacts.side`` of a record. The bracket
     is (1e-14, s_max] with s_max half the distance from t0 to the support
     edge on that side (``SideFacts.s_max``), keeping the search away from
     boundary effects.
@@ -274,7 +274,7 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
     ``residual_minus`` are None, so an unreachable minus window cannot
     fail an event that never uses it. Errors of ``compute_phi`` propagate.
     """
-    roots = {sgn: compute_phi(mdl, x, sgn) for sgn, _ in mdl.sides(condition)}
+    roots = {facts.side: compute_phi(mdl, x, facts.side) for facts in mdl.sides(condition)}
     root_p, root_m = roots[1], roots.get(-1)
     return Normalizers(
         x=x, psi_x=float(mdl.radial.aux_psi(x)),
@@ -282,12 +282,6 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
         residual_plus=root_p.residual,
         residual_minus=None if root_m is None else root_m.residual,
     )
-
-
-def _side_term(mdl: _model.PolarModel, x: float, sgn: int) -> float:
-    """phi_sigma g_tilde(sigma phi_sigma) Gamma(e_sigma) / kappa_sigma."""
-    phi = compute_phi(mdl, x, sgn).phi
-    return phi * float(mdl.angular.g_tilde(sgn * phi)) / mdl.side(sgn).limit.norm_const
 
 
 def tail_asymptotic(mdl: _model.PolarModel, x: float,
@@ -305,7 +299,10 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
     asymptotic conditional probability P{X > x | R > x}; this form stays
     representable when the tail itself underflows.
     """
-    total = sum(_side_term(mdl, x, sgn) for sgn, _ in mdl.sides(condition))
+    total = 0.0
+    for facts in mdl.sides(condition):
+        phi = compute_phi(mdl, x, facts.side).phi
+        total += phi * float(mdl.angular.g_tilde(facts.side * phi)) / facts.limit.norm_const
     if scaled:
         return total
     return total * float(np.asarray(mdl.radial.survival(np.array([x])))[0])
@@ -324,24 +321,23 @@ def limit_law(mdl: _model.PolarModel, condition: _model.Condition) -> _limitlaw.
     on a model that leaves one of the four coefficients None raises
     ParameterError naming the missing ones.
     """
-    plus = mdl.side(1).limit
-    if len(mdl.sides(condition)) == 1:
+    sides = mdl.sides(condition)
+    plus = sides[0].limit
+    if len(sides) == 1:
         return _limitlaw.LimitLaw(plus)
-    minus = mdl.side(-1).limit
+    minus = sides[1].limit
     e = plus.gamma_shape
     if not plus.ties(minus):
         p_plus = 1.0 if e < minus.gamma_shape else 0.0
         return _limitlaw.LimitLaw(plus, minus, p_minus=1.0 - p_plus, p_plus=p_plus)
-    ang, su = mdl.angular, mdl.shape_u
-    coeffs = {"angular.g_coeff_minus": ang.g_coeff_minus, "angular.g_coeff_plus": ang.g_coeff_plus,
-              "shape_u.u_coeff_minus": su.u_coeff_minus, "shape_u.u_coeff_plus": su.u_coeff_plus}
-    missing = [name for name, c in coeffs.items() if c is None]
+    by_name = sides[::-1]  # the message names the minus side first
+    missing = ([f"angular.g_coeff_{f.name}" for f in by_name if f.g_coeff is None]
+               + [f"shape_u.u_coeff_{f.name}" for f in by_name if f.u_coeff is None])
     if missing:
         raise ParameterError(
             f"both sides have e = (1 + tau)/kappa = {e:g}, so p splits by the leading "
             f"coefficients, but the model declares no {', '.join(missing)}")
-    w_m = ang.g_coeff_minus * su.u_coeff_minus ** (-e)
-    w_p = ang.g_coeff_plus * su.u_coeff_plus ** (-e)
+    w_p, w_m = (f.g_coeff * f.u_coeff ** (-e) for f in sides)
     return _limitlaw.LimitLaw(plus, minus, p_minus=w_m / (w_m + w_p), p_plus=w_p / (w_m + w_p))
 
 
@@ -365,7 +361,8 @@ def corollary_case(mdl: _model.PolarModel,
     sv = mdl.shape_v
     if sv is None:
         raise ParameterError("a corollary case needs a model with shape_v")
-    kappa, a = mdl.shape_u.kappa_plus, mdl.shape_u.u_coeff_plus
+    plus = mdl.side(1)
+    kappa, a = plus.kappa, plus.u_coeff
     # C = lim u_tilde / v_tilde of the leading terms a s^kappa and v_coeff s^delta
     c = 0.0 if sv.delta < kappa else a / sv.v_coeff if sv.delta == kappa and a is not None else None
     limit = "no finite limit" if sv.delta > kappa else "a limit without a declared u_coeff_plus"

@@ -265,12 +265,15 @@ class ShapeV:
 
 
 class SideFacts:
-    """The constants of side ``side`` (+1 or -1) of t0, from ``PolarModel.side``.
+    """The record of side ``side`` (+1 or -1) of t0, from ``PolarModel.side`` and ``sides``.
 
-    ``width`` is the distance from t0 to the support edge on the side,
-    ``s_max`` = width / 2 the ceiling of the window bracket
-    (``asymptotics.compute_phi``), and ``e`` = (1 + tau) / kappa the
-    side's Gamma shape. ``has_level_map`` says whether
+    It is the one place the components' ``*_plus``/``*_minus`` fields are
+    picked for a side: ``name`` is "plus" or "minus", and ``kappa``,
+    ``tau``, ``g_coeff`` and ``u_coeff`` are the side's declarations (a
+    coefficient None where undeclared). ``width`` is the distance from t0
+    to the support edge on the side, ``s_max`` = width / 2 the ceiling of
+    the window bracket (``asymptotics.compute_phi``), and ``e`` = (1 +
+    tau) / kappa the side's Gamma shape. ``has_level_map`` says whether
     ``PolarModel.level_mass`` holds on the side: it needs
     ``angular.side_mass`` and ``shape_u.deficit_inverse``, and a deficit
     that increases over the whole side (``shape_u.monotone_reach`` at least
@@ -289,10 +292,11 @@ class SideFacts:
         self._angular, self._shape_u = angular, shape_u
         self.side = side
         lo, hi = angular.support
-        self.width = hi - angular.t0 if side > 0 else angular.t0 - lo
+        self.name, self.width = ("plus", hi - angular.t0) if side > 0 else ("minus", angular.t0 - lo)
+        self.kappa, self.tau, self.g_coeff, self.u_coeff = (
+            (shape_u.kappa_plus, angular.tau_plus, angular.g_coeff_plus, shape_u.u_coeff_plus) if side > 0
+            else (shape_u.kappa_minus, angular.tau_minus, angular.g_coeff_minus, shape_u.u_coeff_minus))
         self.s_max = self.width / 2.0
-        self.kappa, self.tau = (shape_u.kappa_plus, angular.tau_plus) if side > 0 \
-            else (shape_u.kappa_minus, angular.tau_minus)
         self.e = gamma_shape(self.kappa, self.tau)
         self.has_level_map = (angular.side_mass is not None and shape_u.deficit_inverse is not None
                               and shape_u.monotone_reach >= self.width)
@@ -332,17 +336,15 @@ class PolarModel:
 
     The angular support alone fixes which sides of t0 the model has, and
     ``sides`` is the one rule that reads it: the model is two-sided
-    exactly when the support extends below t0, and ``sides`` lists the
-    sides an event covers. Every one- versus two-sided choice in the
-    package (windows, limit law, sampler scale) goes through it.
-
-    ``side(sign)`` is the one home of a side's facts (``SideFacts``): its
-    width, the deficit at its edge and at the window bracket's ceiling,
-    its mass, whether it has a level map and its limit side. They are
-    constants of the model, so the record of both sides and the ``sides``
+    exactly when the support extends below t0, and ``sides`` hands out
+    the record (``SideFacts``) of each side an event covers. Every one-
+    versus two-sided choice in the package (windows, limit law, sampler
+    scale) goes through it, and every reader takes a side's declarations
+    from its record; ``side(sign)`` gives the record of either side. The
+    records are constants of the model, so both of them and the ``sides``
     tuple of each condition are built once per model, on first use
     (``functools.cached_property``); ``dataclasses.replace`` builds a new
-    model and so a new record.
+    model and so new records.
     """
 
     radial: RadialLaw
@@ -365,23 +367,21 @@ class PolarModel:
         return self.angular.t0
 
     @functools.cached_property
-    def _record(self) -> tuple[dict[int, SideFacts], tuple, tuple]:
-        """The facts of each side, and the sides covered under RIGHT_SIDED and UNRESTRICTED."""
-        facts = {sign: SideFacts(self.angular, self.shape_u, sign) for sign in (1, -1)}
-        plus = ((1, facts[1].width),)
-        both = plus + ((-1, facts[-1].width),) if self.angular.support[0] < self.t0 else plus
-        return facts, plus, both
+    def _record(self) -> tuple[tuple[SideFacts, ...], ...]:
+        """The plus and minus records, and the sides covered under RIGHT_SIDED and UNRESTRICTED."""
+        facts = (SideFacts(self.angular, self.shape_u, 1), SideFacts(self.angular, self.shape_u, -1))
+        plus = facts[:1]
+        return facts, plus, facts if self.angular.support[0] < self.t0 else plus
 
     def side(self, side: int) -> SideFacts:
-        """The facts of side ``side`` (+1 or -1) of t0; see ``SideFacts``."""
-        return self._record[0][1 if side > 0 else -1]
+        """The record of side ``side`` (+1 or -1) of t0; see ``SideFacts``."""
+        return self._record[0][0 if side > 0 else 1]
 
-    def sides(self, condition: Condition) -> tuple[tuple[int, float], ...]:
-        """(sign, width) of each side of t0 the event under ``condition`` covers.
+    def sides(self, condition: Condition) -> tuple[SideFacts, ...]:
+        """The record (``SideFacts``) of each side of t0 the event under ``condition`` covers.
 
-        The sign is +1 or -1 and the width is the distance from t0 to the
-        support edge on that side. The plus side comes first; the minus
-        side follows under UNRESTRICTED conditioning of a two-sided model.
+        The plus side comes first; the minus side follows under
+        UNRESTRICTED conditioning of a two-sided model.
         """
         _, plus, both = self._record
         return both if condition == Condition.UNRESTRICTED else plus
@@ -497,8 +497,8 @@ def _radial_weibull(beta: float) -> RadialLaw:
 _OVERSHOOT_STEPS = 50
 _OVERSHOOT_TOL = 64.0 * float(np.finfo(float).eps)
 _OVERSHOOT_SERIES = 1e-5
-# the d / psi(x) below which the half-normal gap is its cubic Taylor series
-_GAP_SERIES = 1e-4
+# the d / psi(x) below which the half-normal gap is its quartic Taylor series
+_GAP_SERIES = 2e-3
 
 
 def _radial_half_normal() -> RadialLaw:
@@ -528,8 +528,9 @@ def _radial_half_normal() -> RadialLaw:
         # erfc(z) = erfcx(z) e^{-z^2} and (x + d)^2 - x^2 = d (2x + d). The
         # log of the erfcx ratio is good to a few eps absolute, so a gap far
         # below 1 loses digits like eps psi / d; below _GAP_SERIES psi(x) it
-        # is the Taylor series -d h - d^2 h'/2 - d^3 h''/6 of log Hbar, with
-        # the hazard h = 1/psi(x), h' = h (h - x), h'' = h' (h - x) + h (h' - 1)
+        # is the Taylor series -d (h + d (h'/2 + d (h''/6 + d h'''/24))) of
+        # log Hbar, with the hazard h = 1/psi(x), h' = h (h - x), h'' = h' (h - x)
+        # + h (h' - 1) and h''' = h'' (h - x) + 2 h' (h' - 1) + h h''
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
         d = np.asarray(d, dtype=float)
         erfcx_x = sp_special.erfcx(x * inv_sqrt2)
@@ -538,7 +539,8 @@ def _radial_half_normal() -> RadialLaw:
         h = 1.0 / (mills_scale * erfcx_x)
         h1 = h * (h - x)
         h2 = h1 * (h - x) + h * (h1 - 1.0)
-        series = -d * (h + d * (0.5 * h1 + d * h2 / 6.0))
+        h3 = h2 * (h - x) + 2.0 * h1 * (h1 - 1.0) + h * h2
+        series = -d * (h + d * (0.5 * h1 + d * (h2 / 6.0 + d * h3 / 24.0)))
         return np.where(d * h < _GAP_SERIES, series, gap)
 
     def exact_overshoot(x, e):
@@ -1153,9 +1155,8 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
     lo, hi = mdl.angular.support
     t0 = mdl.angular.t0
-    # (sign, distance from t0 to the support edge) of each side the model has
+    # the record of each side the model has
     sides = mdl.sides(Condition.UNRESTRICTED)
-    width_plus = sides[0][1]
 
     # --- radial ---
     def survival_monotone():
@@ -1246,26 +1247,24 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     # --- angular ---
     ang = mdl.angular
 
-    def declared(side: int) -> tuple[float, float | None]:
-        """(tau, g_coeff) of side ``side``."""
-        return (ang.tau_plus, ang.g_coeff_plus) if side > 0 else (ang.tau_minus, ang.g_coeff_minus)
-
     @functools.cache  # the normalization and side_mass entries read the same panels
-    def density_panels(side: int):
-        """Distances 1e-6 .. 1 side widths from t0, and the integral of g
-        between each two and its error estimate, by one Kronrod panel each."""
-        s = mdl.side(side).width * _MASS_GRID
-        return (s,) + oracle._gk15_panels(lambda v: ang.g_tilde(side * v), s[:-1], s[1:])
+    def density_panels(facts: SideFacts):
+        """Distances 1e-6 .. 1 side widths from t0; the mass of the declared
+        leading term below the first (None without g_coeff); and the integral
+        of g between each two and its error estimate, by one Kronrod panel each."""
+        s, tau = facts.width * _MASS_GRID, facts.tau
+        head = None if facts.g_coeff is None else facts.g_coeff * s[0] ** (1.0 + tau) / (1.0 + tau)
+        return (s, head) + oracle._gk15_panels(lambda v: ang.g_tilde(facts.side * v), s[:-1], s[1:])
 
     def normalization():
         # where every side declares g_coeff, its Kronrod panels plus the
         # declared leading term below the first, unless their error estimate
         # misses the tolerance; otherwise the adaptive integral
-        if all(declared(side)[1] is not None for side, _ in sides):
+        if all(facts.g_coeff is not None for facts in sides):
             parts, err = [], 0.0
-            for side, _ in sides:
-                (tau, c), (s, pieces, errs) = declared(side), density_panels(side)
-                parts += [c * s[0] ** (1.0 + tau) / (1.0 + tau)] + pieces
+            for facts in sides:
+                _, head, pieces, errs = density_panels(facts)
+                parts += [head] + pieces
                 err += math.fsum(errs)
             if err <= _DENSITY_TOL:
                 value = math.fsum(parts)
@@ -1336,11 +1335,11 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         if coeff is not None:
             run(coeff_name, f"{what}/s^{index:g} at s -> 0 within 10% of the declared value", coeff_check)
 
-    for side, width in sides:
-        name, (tau, c) = ("plus" if side > 0 else "minus"), declared(side)
-        leading_term(lambda s, side=side: ang.g_tilde(side * s), "g_tilde", width, tau, c, 0.0,
-                     (f"angular.tau_slope_{name}", f"log-log slope matches tau_{name}"),
-                     f"angular.g_coeff_{name}")
+    for facts in sides:
+        leading_term(lambda s, side=facts.side: ang.g_tilde(side * s), "g_tilde", facts.width,
+                     facts.tau, facts.g_coeff, 0.0,
+                     (f"angular.tau_slope_{facts.name}", f"log-log slope matches tau_{facts.name}"),
+                     f"angular.g_coeff_{facts.name}")
 
     # the stratified sampler and the level rule read these over the whole side
     if ang.side_mass is not None:
@@ -1349,10 +1348,10 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             # panel each, where g is smooth; below the first, the declared
             # leading term, and nothing without one
             errs = []
-            for side, _ in sides:
-                (tau, c), (s, pieces, _) = declared(side), density_panels(side)
-                mass = np.asarray(ang.side_mass(side, s), dtype=float)
-                first = mass[0] if c is None else c * s[0] ** (1.0 + tau) / (1.0 + tau)
+            for facts in sides:
+                s, head, pieces, _ = density_panels(facts)
+                mass = np.asarray(ang.side_mass(facts.side, s), dtype=float)
+                first = mass[0] if head is None else head
                 errs.append(np.max(np.abs(mass - first - np.concatenate(([0.0], np.cumsum(pieces))))))
             worst = float(np.max(errs))
             return worst <= _DENSITY_TOL, worst, _DENSITY_TOL - worst, \
@@ -1364,9 +1363,9 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         if ang.side_mass_inverse is not None:
             def side_mass_round_trip():
                 worst = float(np.max([_round_trip_error(
-                    lambda s, side=side: ang.side_mass(side, s),
-                    lambda m, side=side: ang.side_mass_inverse(side, m),
-                    mdl.side(side).mass * _ROUND_TRIP) for side, _ in sides]))
+                    lambda s, side=facts.side: ang.side_mass(side, s),
+                    lambda m, side=facts.side: ang.side_mass_inverse(side, m),
+                    facts.mass * _ROUND_TRIP) for facts in sides]))
                 return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                     "max |side_mass(side_mass_inverse(m)) / m - 1| for m up to the side's mass"
 
@@ -1405,21 +1404,20 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         run(f"shape_u.sup_outside_eps_{eps:g}", "sup u < 1 strictly", sup_outside)
 
     su = mdl.shape_u
-    for side, width in sides:
-        name, kappa, c = ("plus", su.kappa_plus, su.u_coeff_plus) if side > 0 \
-            else ("minus", su.kappa_minus, su.u_coeff_minus)
+    for facts in sides:
         # the deficit cancels against u(t0) = 1 unless it is in closed form
-        leading_term(lambda s, side=side: su.deficit(side, s), "u_tilde", width, kappa, c,
-                     1.0 if su.exact_deficit is None else 0.0,
-                     (f"shape_u.kappa_slope_{name}", f"u_tilde > 0 and slope matches kappa_{name}"),
-                     f"shape_u.u_coeff_{name}")
+        leading_term(lambda s, side=facts.side: su.deficit(side, s), "u_tilde", facts.width,
+                     facts.kappa, facts.u_coeff, 1.0 if su.exact_deficit is None else 0.0,
+                     (f"shape_u.kappa_slope_{facts.name}",
+                      f"u_tilde > 0 and slope matches kappa_{facts.name}"),
+                     f"shape_u.u_coeff_{facts.name}")
 
     def deficit_matches_difference():
         errs = []
-        for side, width in sides:
-            s = width * np.geomspace(1e-3, 1.0, 64)
-            dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
-            diff = np.asarray(mdl.shape_u.u_tilde(side * s), dtype=float)
+        for facts in sides:
+            s = facts.width * np.geomspace(1e-3, 1.0, 64)
+            dlt = np.asarray(mdl.shape_u.deficit(facts.side, s), dtype=float)
+            diff = np.asarray(mdl.shape_u.u_tilde(facts.side * s), dtype=float)
             errs.append(np.max(np.abs(dlt - diff) / np.maximum(1.0, np.abs(diff))))
         worst = float(np.max(errs))
         return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
@@ -1433,11 +1431,11 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     if su.deficit_inverse is not None and reach > 0:
         def inverse_round_trip():
             worst = float(np.max([_round_trip_error(
-                lambda s, side=side: su.deficit(side, s),
-                lambda d, side=side: su.deficit_inverse(side, d),
-                (mdl.side(side).edge_deficit if reach >= width
-                 else float(np.asarray(su.deficit(side, min(reach, width) / 2.0)))) * _ROUND_TRIP)
-                for side, width in sides]))
+                lambda s, side=facts.side: su.deficit(side, s),
+                lambda d, side=facts.side: su.deficit_inverse(side, d),
+                (facts.edge_deficit if reach >= facts.width
+                 else float(np.asarray(su.deficit(facts.side, min(reach, facts.width) / 2.0)))) * _ROUND_TRIP)
+                for facts in sides]))
             return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                 "max |deficit(deficit_inverse(d)) / d - 1| for d up to the deficit at the " \
                 "side's edge, or at half of min(monotone_reach, side width) where the reach " \
@@ -1449,9 +1447,9 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     if reach > 0:
         def monotone_within_reach():
             rises = []
-            for side, width in sides:
-                s = np.linspace(0.0, min(reach, width), _SUPPORT_POINTS)
-                rises.append(np.max(np.diff(np.asarray(mdl.shape_u.u(t0 + side * s)))))
+            for facts in sides:
+                s = np.linspace(0.0, min(reach, facts.width), _SUPPORT_POINTS)
+                rises.append(np.max(np.diff(np.asarray(mdl.shape_u.u(t0 + facts.side * s)))))
             worst = float(np.max(rises))
             return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                 f"max increase of u moving away from t0 within min(monotone_reach = {reach:g}, side width)"
@@ -1471,7 +1469,7 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         run("shape_v.center_value", "v(t0) = rho within 1e-12", rho_value)
 
         # v_tilde = v(t0) - v(t0 + s) cancels against v(t0) = rho
-        leading_term(sv.v_tilde, "v_tilde", width_plus, sv.delta, sv.v_coeff, abs(sv.rho),
+        leading_term(sv.v_tilde, "v_tilde", mdl.side(1).width, sv.delta, sv.v_coeff, abs(sv.rho),
                      ("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta"),
                      "shape_v.v_coeff")
 
@@ -1480,11 +1478,12 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             # theta - rho = d s^n/n! is read where it clears the rounding of rho,
             # in logs, where n! and s^n stay in range, up to the plus side's width
             level, log_fact = max(_RESOLVED * abs(sv.rho), sys.float_info.min), math.lgamma(n + 1)
+            width = mdl.side(1).width
 
             def theta_check():
                 log_s = max(math.log(_S_LO), (math.log(level) - (math.log(abs(d)) - log_fact)) / n)
-                resolved = log_s < math.log(width_plus)
-                s = math.exp(log_s) if resolved else width_plus / 2.0
+                resolved = log_s < math.log(width)
+                s = math.exp(log_s) if resolved else width / 2.0
                 v_s, u_s = (float(np.asarray(f(np.array([t0 + s])), dtype=float)[0])
                             for f in (sv.v, mdl.shape_u.u))
                 gap = v_s / u_s - sv.rho

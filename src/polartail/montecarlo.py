@@ -172,14 +172,13 @@ class ConditionalSample:
     both sides of t0 (``PolarModel.sides``) each pair is scaled by the
     window of its own side, ``scale_kind`` is "phi_sign" and
     ``scale_value`` is (phi_minus, phi_plus); otherwise ``scale_kind`` is
-    "phi_plus" and ``scale_value`` is phi_plus. ``acceptance`` counts whole
-    consumed batches, including the tail of the last batch beyond n.
+    "phi_plus" and ``scale_value`` is phi_plus, both read off
+    ``normalizers``. ``acceptance`` counts whole consumed batches,
+    including the tail of the last batch beyond n.
     """
 
     x: float
     condition: _model.Condition
-    scale_kind: str
-    scale_value: float | tuple[float, float]
     r: np.ndarray
     t: np.ndarray
     r_norm: np.ndarray
@@ -192,6 +191,15 @@ class ConditionalSample:
     @property
     def n(self) -> int:
         return self.r.size
+
+    @property
+    def scale_kind(self) -> str:
+        return "phi_plus" if self.normalizers.phi_minus is None else "phi_sign"
+
+    @property
+    def scale_value(self) -> float | tuple[float, float]:
+        norm = self.normalizers
+        return norm.phi_plus if norm.phi_minus is None else (norm.phi_minus, norm.phi_plus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,22 +222,22 @@ class _Plan:
 
 def _build_plan(mdl, x, condition) -> _Plan:
     """The level cells when every side has a level map, else the whole-support plan."""
-    sides = [side for side, _ in sorted(mdl.sides(condition))]  # minus side first
-    if mdl.angular.side_mass_inverse is None or not all(mdl.side(side).has_level_map for side in sides):
+    sides = mdl.sides(condition)[::-1]  # the records (SideFacts), minus side first
+    if mdl.angular.side_mass_inverse is None or not all(facts.has_level_map for facts in sides):
         return _Plan(x)
-    whole = [mdl.side(side).mass for side in sides]
-    top = sum(float(mdl.level_mass(x, side, np.array([_TOP_LEVEL]))[0]) for side in sides)
+    top = sum(float(mdl.level_mass(x, facts.side, np.array([_TOP_LEVEL]))[0]) for facts in sides)
     if not top > 0.0:
         return _Plan(x)
-    e_c = max(_TOP_LEVEL, math.log(sum(whole) / (_EDGE_SHARE * top)))
+    e_c = max(_TOP_LEVEL, math.log(sum(facts.mass for facts in sides) / (_EDGE_SHARE * top)))
     levels = np.array([-math.log1p(math.expm1(-e_c) * k / _STRIPS) for k in range(_STRIPS)]
                       + [e_c, math.inf])
     spans = list(zip(levels[:-1].tolist(), np.diff(levels).tolist()))
     reads = levels[1:] + _CAP_LEVEL * (1.0 + levels[1:])
     cells = []
-    for side, mass in zip(sides, whole):
-        caps = np.minimum(mass, (1.0 + _CAP_MASS) * np.asarray(mdl.level_mass(x, side, reads), dtype=float))
-        cells += [(side, cap, y_lo, h) for cap, (y_lo, h) in zip(caps.tolist(), spans)]
+    for facts in sides:
+        caps = np.minimum(facts.mass,
+                          (1.0 + _CAP_MASS) * np.asarray(mdl.level_mass(x, facts.side, reads), dtype=float))
+        cells += [(facts.side, cap, y_lo, h) for cap, (y_lo, h) in zip(caps.tolist(), spans)]
     probs = np.array([cap * math.exp(-y_lo) * -math.expm1(-h) for _, cap, y_lo, h in cells])
     mass = float(probs.sum())
     return _Plan(x=x, cells=tuple(cells), probs=probs / mass, proposal_mass=mass)
@@ -363,13 +371,9 @@ def sample_conditional(
         r, t = first, second
         a, offset = r - x, t - t0
 
-    if len(mdl.sides(condition)) == 2:
-        scale_kind = "phi_sign"
-        scale_value: float | tuple[float, float] = (norm.phi_minus, norm.phi_plus)
-        t_norm = offset / np.where(offset >= 0, norm.phi_plus, norm.phi_minus)
-    else:
-        scale_kind, scale_value = "phi_plus", norm.phi_plus
-        t_norm = offset / norm.phi_plus
+    # each pair by the window of its side; an event on one side has only phi_plus
+    phi_minus = norm.phi_plus if norm.phi_minus is None else norm.phi_minus
+    t_norm = offset / np.where(offset >= 0, norm.phi_plus, phi_minus)
 
     stats = AcceptanceStats(
         proposals=proposals,
@@ -378,8 +382,7 @@ def sample_conditional(
         proposal_mass=plan.proposal_mass,
     )
     return ConditionalSample(
-        x=x, condition=condition, scale_kind=scale_kind, scale_value=scale_value,
-        r=r, t=t, r_norm=a / norm.psi_x, t_norm=t_norm,
+        x=x, condition=condition, r=r, t=t, r_norm=a / norm.psi_x, t_norm=t_norm,
         normalizers=norm, acceptance=stats, seed=key, batch_size=batch_size,
     )
 

@@ -253,10 +253,10 @@ def adaptive_quadrature(
 _PEAK_MULTS = (1.0, 4.0, 16.0, 64.0)
 
 
-def _peak_breakpoints(mdl, x: float, side: int, width: float) -> list[float]:
+def _peak_breakpoints(mdl, x: float, facts) -> list[float]:
     """Distances k phi_sigma(x) from t0 inside (0, width), k in _PEAK_MULTS.
 
-    ``side`` is one of the sides of ``PolarModel.sides``. Empty at x = 0
+    ``facts`` is the ``SideFacts`` record of a side of the event. Empty at x = 0
     and where the window cannot be bracketed or its deficit is not
     monotone; any other failure of the window solve propagates.
     """
@@ -265,10 +265,10 @@ def _peak_breakpoints(mdl, x: float, side: int, width: float) -> list[float]:
     if x == 0:
         return []
     try:
-        phi = asymptotics.compute_phi(mdl, x, side).phi
+        phi = asymptotics.compute_phi(mdl, x, facts.side).phi
     except (BracketError, MonotonicityError):
         return []
-    return [k * phi for k in _PEAK_MULTS if k * phi < width]
+    return [k * phi for k in _PEAK_MULTS if k * phi < facts.width]
 
 
 def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
@@ -378,9 +378,9 @@ def _level_rule(mdl, x: float, side: int) -> QuadratureResult:
     return QuadratureResult(value, error, mass.size, error <= _REL_TOL * abs(value))
 
 
-def _side_integral(mdl, x: float, side: int, width: float) -> QuadratureResult:
-    """The adaptive integral of one side over the distance from t0; raises NonConvergence."""
-    t0 = mdl.angular.t0
+def _side_integral(mdl, x: float, facts) -> QuadratureResult:
+    """The adaptive integral of side ``facts`` over the distance from t0; raises NonConvergence."""
+    t0, side = mdl.angular.t0, facts.side
 
     def integrand(s):
         s = np.asarray(s, dtype=float)
@@ -393,8 +393,8 @@ def _side_integral(mdl, x: float, side: int, width: float) -> QuadratureResult:
         return np.where(inside, vals, 0.0)
 
     res = adaptive_quadrature(
-        integrand, 0.0, width, rel_tol=_REL_TOL, abs_tol=0.0,
-        breakpoints=_peak_breakpoints(mdl, x, side, width),
+        integrand, 0.0, facts.width, rel_tol=_REL_TOL, abs_tol=0.0,
+        breakpoints=_peak_breakpoints(mdl, x, facts),
     )
     if not res.converged:
         raise NonConvergence(
@@ -438,11 +438,11 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
         raise ParameterError(f"scaled_tail_quadrature: x must be >= 0, got {x}")
     value = error = 0.0
     evaluations = 0
-    for side, width in mdl.sides(condition):
-        res = _level_rule(mdl, x, side)
+    for facts in mdl.sides(condition):
+        res = _level_rule(mdl, x, facts.side)
         if not res.converged:
             evaluations += res.evaluations
-            res = _side_integral(mdl, x, side, width)
+            res = _side_integral(mdl, x, facts)
         value += res.value
         error += res.abs_error_estimate
         evaluations += res.evaluations

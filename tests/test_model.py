@@ -95,7 +95,7 @@ def test_build_builtin_model_one_sided_when_support_starts_at_center():
             "shape_u.kappa": 2.0,
         }
     )
-    assert mdl.sides(Condition.UNRESTRICTED) == ((1, 1.0),)
+    assert [(f.side, f.width) for f in mdl.sides(Condition.UNRESTRICTED)] == [(1, 1.0)]
 
 
 def _parabola_on(lo, hi):
@@ -130,9 +130,9 @@ def test_sides_follow_the_angular_support():
     assert not hasattr(PolarModel, "sidedness")
     one, two = _parabola_on(0.0, 1.0), _parabola_on(-1.0, 1.0)
     for cond in Condition:
-        assert one.sides(cond) == ((1, 1.0),)
-    assert two.sides(Condition.RIGHT_SIDED) == ((1, 1.0),)
-    assert two.sides(Condition.UNRESTRICTED) == ((1, 1.0), (-1, 1.0))
+        assert [(f.side, f.width) for f in one.sides(cond)] == [(1, 1.0)]
+    assert [(f.side, f.width) for f in two.sides(Condition.RIGHT_SIDED)] == [(1, 1.0)]
+    assert [(f.side, f.width) for f in two.sides(Condition.UNRESTRICTED)] == [(1, 1.0), (-1, 1.0)]
 
 
 def test_two_sided_custom_model_unrestricted_tail_and_limit_law():
@@ -480,6 +480,48 @@ _HALF_NORMAL_SMALL_GAPS = (
 )
 
 
+# the same at d = 1e-4, 1.01e-4, 2e-4, 1e-3, 2e-3 and 1e-2 times psi(x), on
+# both sides of the switch from the Taylor series to the erfcx ratio
+_HALF_NORMAL_SWITCH_GAPS = (
+    (0.0, 0.00012533141373155, -1.0000500007153275062e-4),
+    (0.0, 0.00012658472786886553, -1.0100510057370026995e-4),
+    (0.0, 0.0002506628274631, -2.0002000057225265527e-4),
+    (0.0, 0.0012533141373155, -1.000500071522145883e-3),
+    (0.0, 0.002506628274631, -2.0020005720827701617e-3),
+    (0.0, 0.012533141373155001, -1.0050071415941038234e-2),
+    (0.3, 0.00010018374009921562, -1.0000349727473129562e-4),
+    (0.3, 0.00010118557750020778, -1.0100356757026792024e-4),
+    (0.3, 0.00020036748019843124, -2.0001398922225232593e-4),
+    (0.3, 0.0010018374009921564, -1.0003497552184186797e-3),
+    (0.3, 0.0020036748019843127, -2.0013991441508841096e-3),
+    (0.3, 0.010018374009921562, -1.0035003225881279983e-2),
+    (1.0, 6.556795424187985e-05, -1.0000172160778141735e-4),
+    (1.0, 6.622363378429865e-05, -1.0100175621215385714e-4),
+    (1.0, 0.0001311359084837597, -2.0000688645309916584e-4),
+    (1.0, 0.0006556795424187985, -1.0001721657217430965e-3),
+    (1.0, 0.001311359084837597, -2.0006886848539052837e-3),
+    (1.0, 0.006556795424187985, -1.0017221510348729331e-2),
+    (3.0, 3.045902987101033e-05, -1.0000043114566756549e-4),
+    (3.0, 3.076362016972043e-05, -1.0100043981169699198e-4),
+    (3.0, 6.091805974202066e-05, -2.0000172458326313054e-4),
+    (3.0, 0.0003045902987101033, -1.0000431147001467391e-3),
+    (3.0, 0.0006091805974202066, -2.0001724593933802845e-3),
+    (3.0, 0.003045902987101033, -1.0004311603344315031e-2),
+    (10.0, 9.902859647173191e-06, -1.0000004857017669591e-4),
+    (10.0, 1.0001888243644923e-05, -1.0100004954643724624e-4),
+    (10.0, 1.9805719294346383e-05, -2.0000019428070795347e-4),
+    (10.0, 9.902859647173191e-05, -1.0000048570179303787e-3),
+    (10.0, 0.00019805719294346382, -2.0000194280728782552e-3),
+    (10.0, 0.000990285964717319, -1.0000485702053253644e-2),
+    (1000.0, 9.999990000030001e-08, -1.0000000000499999828e-4),
+    (1000.0, 1.0099989900030301e-07, -1.0100000000510049441e-4),
+    (1000.0, 1.9999980000060002e-07, -2.0000000001999996657e-4),
+    (1000.0, 9.999990000030001e-07, -1.0000000004999986329e-3),
+    (1000.0, 1.9999980000060002e-06, -2.0000000019999942657e-3),
+    (1000.0, 9.999990000030002e-06, -1.0000000049999852176e-2),
+)
+
+
 def test_half_normal_gap_keeps_its_digits_far_below_psi():
     # the log of the erfcx ratio is good to a few eps absolute, which was
     # 1e-6 relative at d = 1e-12 psi and every digit at d = 1e-200 psi
@@ -487,6 +529,10 @@ def test_half_normal_gap_keeps_its_digits_far_below_psi():
     for x, d, want in _HALF_NORMAL_SMALL_GAPS:
         got = float(radial.log_survival_gap(x, np.array([d]))[0])
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), (x, d)
+    # a cubic series up to 1e-4 psi left the ratio 4e-12 off just above it
+    for x, d, want in _HALF_NORMAL_SWITCH_GAPS:
+        got = float(radial.log_survival_gap(x, np.array([d]))[0])
+        assert got == pytest.approx(want, rel=3e-13, abs=0.0), (x, d)
 
 
 def _clip_model_laws():
@@ -625,8 +671,9 @@ def test_an_infinite_level_passes_the_whole_side():
         mdl = build_builtin_model(config)
         for x in (0.0, 3.0, 100.0):
             assert mdl.radial.overshoot(x, np.array([1.0, math.inf]))[1] == math.inf, (name, x)
-            for side, width in mdl.sides(Condition.UNRESTRICTED):
-                whole = mdl.angular.side_mass(side, np.array([width]))[0]
+            for facts in mdl.sides(Condition.UNRESTRICTED):
+                side = facts.side
+                whole = mdl.angular.side_mass(side, np.array([facts.width]))[0]
                 assert mdl.level_mass(x, side, np.array([math.inf]))[0] == whole, (name, x, side)
 
 

@@ -243,11 +243,12 @@ def test_peak_breakpoints_sit_at_window_multiples(asym_model):
 
     # at x = 100 the windows are 100^(-1/2) on the kappa = 2 side and
     # 1/100 on the kappa = 1 side; multiples beyond the width are dropped
-    plus = _peak_breakpoints(asym_model, 100.0, 1, 1.0)
-    minus = _peak_breakpoints(asym_model, 100.0, -1, 1.0)
+    assert asym_model.side(1).width == asym_model.side(-1).width == 1.0
+    plus = _peak_breakpoints(asym_model, 100.0, asym_model.side(1))
+    minus = _peak_breakpoints(asym_model, 100.0, asym_model.side(-1))
     assert plus == pytest.approx([0.1, 0.4], rel=1e-12)
     assert minus == pytest.approx([0.01, 0.04, 0.16, 0.64], rel=1e-12)
-    assert _peak_breakpoints(asym_model, 0.0, 1, 1.0) == []
+    assert _peak_breakpoints(asym_model, 0.0, asym_model.side(1)) == []
 
 
 def test_custom_shape_without_a_window_still_integrates():
