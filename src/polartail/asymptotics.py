@@ -228,11 +228,11 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     if not facts.width > 0:
         raise ParameterError("side -1 is not available: the angular support has no minus side")
     s_max = facts.s_max
-    if not (np.isfinite(x) and x > 0):
+    if not (math.isfinite(x) and x > 0):
         raise ParameterError(f"x must be a positive finite number, got {x}")
 
     psi = float(mdl.radial.aux_psi(x))
-    if not (np.isfinite(psi) and psi > 0):
+    if not (math.isfinite(psi) and psi > 0):
         raise ParameterError(f"aux_psi({x}) = {psi} is not a positive number")
     target = psi / x
 

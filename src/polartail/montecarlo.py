@@ -82,22 +82,29 @@ over the cells (side by side, minus side first, each side's strips from
 the lowest level up and then its [e_c, inf) cell), then, cell by cell in
 that order, the cell's uniforms for e and then those for s. The
 transforms and the acceptance test run over fixed chunks of each draw;
-chunking draws nothing, so it never changes the stream. Batches run one
-after another in index order until enough pairs accumulate, and no batch
-is drawn that is not consumed. The whole-support plan returns the first
-n accepted pairs. The stratified plan's accepted pairs come grouped by
-cell, where a prefix would favour the first cells, so the generator of
-the last batch then draws n of them without replacement
-(``Generator.choice``), which picks the returned pairs and their order
-uniformly. The output is a pure function of (model, x, n_target,
+chunking draws nothing, so it never changes the stream.
+``sample_conditional`` runs its batches one after another in index order
+until enough pairs accumulate, and draws no batch that it does not
+consume. The whole-support plan returns the first n accepted pairs. The
+stratified plan's accepted pairs come grouped by cell, where a prefix
+would favour the first cells, so the generator of the last batch then
+draws n of them without replacement (``Generator.choice``), which picks
+the returned pairs and their order uniformly. The output is a pure function of (model, x, n_target,
 condition, seed, batch_size); the batch size takes part in the stream
 assignment, so changing it changes the draws (but not their law).
+``estimate_tail_probability`` counts its fixed list of batches on as
+many threads as the process may use CPUs (at most one per batch) and
+sums the integer counts, so its estimate is a pure function of (model,
+x, n_proposals, condition, seed, batch_size) whatever the thread count.
+Those threads call the model's callables, so a custom model's callables
+must not keep mutable state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,63 +275,96 @@ def _stratified_batch(mdl, plan, condition, rng, m):
 
 
 def _whole_support_batch(mdl, plan, condition, rng, m):
-    """The proposals (r, t, accept mask) of one batch, _CHUNK at a time.
+    """The proposals (r, t, accept mask) of one batch, 2 _CHUNK at a time.
 
     The uniforms are drawn for the whole batch first, so the stream does
-    not depend on the chunking.
+    not depend on the chunking. Under right-sided conditioning a piece
+    first drops its proposals with T <= t0, so R and u(T) are formed for
+    about _CHUNK of them; the accepted pairs and their order are those of
+    testing every proposal.
     """
     x = plan.x
     p_r = rng.random(m)
     t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
-    for lo in range(0, m, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        r = np.asarray(mdl.radial.tail_quantile(p_r[part], x), dtype=float)
-        keep = r * np.asarray(mdl.shape_u.u(t[part]), dtype=float) > x
-        if condition == _model.Condition.RIGHT_SIDED:
-            keep &= t[part] > mdl.t0
-        yield r, t[part], keep
+    right = condition == _model.Condition.RIGHT_SIDED
+    for lo in range(0, m, 2 * _CHUNK):
+        p, t_part = p_r[lo:lo + 2 * _CHUNK], t[lo:lo + 2 * _CHUNK]
+        if right:
+            on_side = np.flatnonzero(t_part > mdl.t0)
+            p, t_part = p[on_side], t_part[on_side]
+        r = np.asarray(mdl.radial.tail_quantile(p, x), dtype=float)
+        yield r, t_part, r * np.asarray(mdl.shape_u.u(t_part), dtype=float) > x
 
 
-def _consume_batches(mdl, plan, condition, key, batch_sizes, stop_at=None, budget=None,
-                     gather=True):
+def _consume_batches(mdl, plan, condition, key, batch_size, n_target, budget):
     """Run batches in index order; returns (first, second, proposals, accepted).
 
-    ``batch_sizes`` is an iterable of per-batch proposal counts (possibly
-    unbounded). Consumption stops after the batch that reaches ``stop_at``
-    accepted pairs, or when ``batch_sizes`` is exhausted; no batch is
-    drawn that is not consumed. The accepted pairs are (r, t) under the
-    whole-support plan and (a, sigma s) under the stratified one, cut to
-    ``stop_at`` as the module docstring says. With ``gather`` False they
-    are only counted and None is returned for them.
+    Batch i draws ``batch_size`` proposals from ``batch_generator(key, i)``.
+    Consumption stops after the batch that brings the accepted pairs to
+    ``n_target``, so no batch is drawn that is not consumed, and raises
+    BudgetExceeded before a batch that would take the proposals past
+    ``budget``. The accepted pairs are (r, t) under the whole-support plan
+    and (a, sigma s) under the stratified one, cut to ``n_target`` as the
+    module docstring says.
     """
+    kernel = _stratified_batch if plan.cells else _whole_support_batch
     firsts, seconds = [], []
     proposals = 0
     accepted = 0
-    for i, m in enumerate(batch_sizes):
-        if budget is not None and proposals + m > budget:
+    for i in itertools.count():
+        if proposals + batch_size > budget:
             raise BudgetExceeded(
                 f"proposal budget {budget} would be exceeded at x = {plan.x:g}: "
-                f"{accepted} accepted of target {stop_at} after {proposals} proposals"
+                f"{accepted} accepted of target {n_target} after {proposals} proposals"
             )
         rng = batch_generator(key, i)
-        kernel = _stratified_batch if plan.cells else _whole_support_batch
-        for first, second, keep in kernel(mdl, plan, condition, rng, m):
-            if gather:
-                # an index gather costs half as much as a mask gather twice
-                index = np.flatnonzero(keep)
-                accepted += index.size
-                firsts.append(first[index])
-                seconds.append(second[index])
-            else:
-                accepted += int(np.count_nonzero(keep))
-        proposals += m
-        if stop_at is not None and accepted >= stop_at:
+        for first, second, keep in kernel(mdl, plan, condition, rng, batch_size):
+            # an index gather costs half as much as a mask gather twice
+            index = np.flatnonzero(keep)
+            accepted += index.size
+            firsts.append(first[index])
+            seconds.append(second[index])
+        proposals += batch_size
+        if accepted >= n_target:
             break
-    if not gather:
-        return None, None, proposals, accepted
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    pick = rng.choice(first.size, stop_at, replace=False) if plan.cells else slice(stop_at)
+    pick = rng.choice(first.size, n_target, replace=False) if plan.cells else slice(n_target)
     return first[pick], second[pick], proposals, accepted
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_batches(mdl, plan, condition, key, sizes):
+    """The accepted proposals of whole-support batches 0, 1, ... of ``sizes`` proposals.
+
+    Batch i draws from ``batch_generator(key, i)`` whichever thread counts
+    it, and the counts are integers summed by the caller, so the total is
+    the same for every thread count. The batches run on min(len(sizes),
+    ``_usable_cpus()``) threads of a pool made for this call, inline when
+    that is 1. The threads call only this module's private helpers and
+    the model's callables. An exception raised in a batch cancels the
+    batches not yet started, waits for the running ones and propagates.
+    """
+    def count(i):
+        rng = batch_generator(key, i)
+        return sum(int(np.count_nonzero(keep))
+                   for _, _, keep in _whole_support_batch(mdl, plan, condition, rng, sizes[i]))
+
+    workers = min(len(sizes), _usable_cpus())
+    if workers == 1:
+        return sum(map(count, range(len(sizes))))
+    # imported here, not with the package: it loads logging, about 14 ms
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return sum(pool.map(count, range(len(sizes))))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_conditional(
@@ -360,8 +400,7 @@ def sample_conditional(
     plan = _build_plan(mdl, x, condition)
 
     first, second, proposals, accepted = _consume_batches(
-        mdl, plan, condition, key, itertools.repeat(batch_size),
-        stop_at=n_target, budget=max_proposals,
+        mdl, plan, condition, key, batch_size, n_target, max_proposals
     )
     t0 = mdl.t0
     if plan.cells:
@@ -405,6 +444,10 @@ def estimate_tail_probability(
     the accepted ones without keeping them, and returns
     (survival(x) * acceptance_rate, survival(x) * binomial standard
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
+    The batches are counted concurrently (``_count_batches``): the
+    model's callables are called from worker threads, so a custom model's
+    callables must not keep mutable state. The estimate does not depend
+    on the thread count, which follows the process's CPU affinity.
     ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
     if not x >= 0:
@@ -416,12 +459,10 @@ def estimate_tail_probability(
     key = seed_key(seed)
     full, rem = divmod(n_proposals, batch_size)
     sizes = [batch_size] * full + ([rem] if rem else [])
-    _, _, proposals, accepted = _consume_batches(
-        mdl, _Plan(x), condition, key, sizes, gather=False
-    )
-    rate = accepted / proposals
+    accepted = _count_batches(mdl, _Plan(x), condition, key, sizes)
+    rate = accepted / n_proposals
     hbar = float(np.asarray(mdl.radial.survival(np.array([x])))[0])
-    se = hbar * float(np.sqrt(rate * (1.0 - rate) / proposals))
+    se = hbar * float(np.sqrt(rate * (1.0 - rate) / n_proposals))
     return hbar * rate, se
 
 

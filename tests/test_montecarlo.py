@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from polartail import (
     tail_probability_quadrature,
 )
 
-from polartail import montecarlo
+from polartail import asymptotics, cli, limitlaw, model, montecarlo, oracle, stats
 from polartail._seeding import batch_generator
 from conftest import ASYM_CONFIG, F1_CONFIG, TIED_CONFIG, tail_sweep
 
@@ -445,7 +446,9 @@ KERNEL_CASES = {
          "shape_u.family": "cosine"},
         10.0),
 }
-KERNEL_BATCH_SIZES = (1, 8191, 8192, 8193, 10000, 65536)
+# the stratified kernel walks a batch _CHUNK = 8192 proposals at a time,
+# the whole-support one 2 _CHUNK at a time
+KERNEL_BATCH_SIZES = (1, 8191, 8192, 8193, 10000, 16383, 16384, 16385, 65536)
 
 
 def _whole_batch(mdl, plan, cond, key, i, m):
@@ -521,6 +524,94 @@ def test_chunked_kernel_matches_whole_batch_evaluation(case, cond, m):
     est, _ = estimate_tail_probability(stratified, x, n_proposals, cond, key, batch_size=m)
     hbar = float(stratified.radial.survival(np.array([x]))[0])
     assert est == hbar * (accepted / n_proposals)
+
+
+# ---------------------------------------------------------------------------
+# The estimate's batches on a thread pool
+# ---------------------------------------------------------------------------
+
+POOL_CASES = {
+    "readme": F1_CONFIG,
+    "halfnormal-cosine": KERNEL_CASES["halfnormal-cosine"][0],
+    "tied": TIED_CONFIG,
+}
+
+
+def _custom_copy(mdl):
+    """The model with its shape and angular sampler behind plain Python callables."""
+    shape_u, angular = mdl.shape_u, mdl.angular
+    return dataclasses.replace(
+        mdl,
+        shape_u=dataclasses.replace(shape_u, u=lambda t: shape_u.u(t), monotone_reach=0.0),
+        angular=dataclasses.replace(angular, sample=lambda rng, m: angular.sample(rng, m),
+                                    side_mass=None),
+    )
+
+
+@pytest.mark.parametrize("cond", list(Condition))
+@pytest.mark.parametrize("case", sorted(POOL_CASES) + ["custom"])
+def test_estimate_is_the_same_on_any_number_of_threads(monkeypatch, case, cond):
+    mdl = build_builtin_model(POOL_CASES.get(case, F1_CONFIG))
+    if case == "custom":
+        mdl = _custom_copy(mdl)
+    # five full batches and a remainder batch
+    n_proposals, batch_size = 5 * 4096 + 123, 4096
+    estimates = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        estimates.append(estimate_tail_probability(mdl, 10.0, n_proposals, cond, seed=(29, 3),
+                                                   batch_size=batch_size))
+    assert estimates[0] == estimates[1]
+    assert estimates[0][1] > 0.0
+
+
+def test_an_error_in_a_batch_propagates_and_leaves_no_thread(monkeypatch, f1_model):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    error = RuntimeError("batch 5 fails")
+    ang = f1_model.angular
+
+    def failing_sample(rng, m):
+        if rng.bit_generator.seed_seq.entropy == (13, 5):
+            raise error
+        return ang.sample(rng, m)
+
+    mdl = dataclasses.replace(f1_model, angular=dataclasses.replace(ang, sample=failing_sample))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        estimate_tail_probability(mdl, 10.0, 8 * 1024, seed=13, batch_size=1024)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_worker_threads_call_no_traced_function(monkeypatch, f1_model):
+    # the benchmark's tracer wraps every function in these modules' __all__
+    # (main for cli) and assumes they are all called from one thread
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    main = threading.main_thread()
+    off_main, worker_calls = [], []
+
+    def watch(name, fn):
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not main:
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (model, asymptotics, oracle, montecarlo, limitlaw, stats, cli):
+        for attr in getattr(mod, "__all__", ["main"]):
+            fn = getattr(mod, attr)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(mod, attr, watch(f"{mod.__name__}.{attr}", fn))
+    radial = f1_model.radial
+
+    def tail_quantile(p, x):
+        worker_calls.append(threading.current_thread() is not main)
+        return radial.tail_quantile(p, x)
+
+    mdl = dataclasses.replace(f1_model, radial=dataclasses.replace(radial, tail_quantile=tail_quantile))
+    montecarlo.estimate_tail_probability(mdl, 10.0, 16 * 1024, seed=3, batch_size=1024)
+    assert any(worker_calls)
+    assert off_main == []
 
 
 # ---------------------------------------------------------------------------
