@@ -9,8 +9,11 @@ all thresholds pass), 1 threshold failure, 2 usage or config error,
 
 Seeds are mandatory for every stochastic command; there is no ambient
 entropy anywhere, so rerunning a command line reproduces its output byte
-for byte. --workers is accepted and ignored (proposal batches run
-sequentially) until the benchmark stops passing it.
+for byte. `tailprob --method mc` counts its proposal batches
+concurrently, on as many threads as the process's CPU affinity allows
+(at most two), and its output does not depend on that count; the other
+commands run their batches one after another. --workers is accepted and
+ignored until the benchmark stops passing it.
 """
 
 from __future__ import annotations
@@ -305,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, help="sample size / proposal count / grid points")
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="accepted and ignored (batches run sequentially)")
+                           help="accepted and ignored (the thread count of "
+                                "tailprob --method mc follows the CPU affinity)")
         if condition:
             p.add_argument("--condition", choices=("right", "unrestricted"), default="right")
         if method:

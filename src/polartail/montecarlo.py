@@ -89,13 +89,14 @@ consume. The whole-support plan returns the first n accepted pairs. The
 stratified plan's accepted pairs come grouped by cell, where a prefix
 would favour the first cells, so the generator of the last batch then
 draws n of them without replacement (``Generator.choice``), which picks
-the returned pairs and their order uniformly. The output is a pure function of (model, x, n_target,
-condition, seed, batch_size); the batch size takes part in the stream
-assignment, so changing it changes the draws (but not their law).
-``estimate_tail_probability`` counts its fixed list of batches on as
-many threads as the process may use CPUs (at most one per batch) and
-sums the integer counts, so its estimate is a pure function of (model,
-x, n_proposals, condition, seed, batch_size) whatever the thread count.
+the returned pairs and their order uniformly. The output is a pure
+function of (model, x, n_target, condition, seed, batch_size); the batch
+size takes part in the stream assignment, so changing it changes the
+draws (but not their law). ``estimate_tail_probability`` counts its
+fixed list of batches on as many threads as the process may use CPUs
+(at most one per batch, and at most ``_MAX_THREADS``) and sums the
+integer counts, so its estimate is a pure function of (model, x,
+n_proposals, condition, seed, batch_size) whatever the thread count.
 Those threads call the model's callables, so a custom model's callables
 must not keep mutable state.
 """
@@ -129,6 +130,10 @@ _DEFAULT_BATCH = 65536
 # the allocator reuses from batch to batch instead of mapping them afresh
 _CHUNK = 8192
 _DEFAULT_BUDGET = 10 ** 9
+# the most threads that count the estimate's batches: the largest count
+# measured on as many CPUs. Past the CPU count threads slow each other
+# down, and each adds about 2 MB of peak memory (BENCH_30.json)
+_MAX_THREADS = 2
 # the last cell [e_c, inf) draws T from the whole side: e_c is this level,
 # or log(side mass / (_EDGE_SHARE M(_TOP_LEVEL))) where that is higher, so
 # that the last cell keeps about _EDGE_SHARE of the proposals
@@ -280,8 +285,9 @@ def _whole_support_batch(mdl, plan, condition, rng, m):
     The uniforms are drawn for the whole batch first, so the stream does
     not depend on the chunking. Under right-sided conditioning a piece
     first drops its proposals with T <= t0, so R and u(T) are formed for
-    about _CHUNK of them; the accepted pairs and their order are those of
-    testing every proposal.
+    about _CHUNK of them, and a piece with none left is skipped, so the
+    model's callables never see an empty array; the accepted pairs and
+    their order are those of testing every proposal.
     """
     x = plan.x
     p_r = rng.random(m)
@@ -291,6 +297,8 @@ def _whole_support_batch(mdl, plan, condition, rng, m):
         p, t_part = p_r[lo:lo + 2 * _CHUNK], t[lo:lo + 2 * _CHUNK]
         if right:
             on_side = np.flatnonzero(t_part > mdl.t0)
+            if not on_side.size:
+                continue
             p, t_part = p[on_side], t_part[on_side]
         r = np.asarray(mdl.radial.tail_quantile(p, x), dtype=float)
         yield r, t_part, r * np.asarray(mdl.shape_u.u(t_part), dtype=float) > x
@@ -345,22 +353,19 @@ def _count_batches(mdl, plan, condition, key, sizes):
     Batch i draws from ``batch_generator(key, i)`` whichever thread counts
     it, and the counts are integers summed by the caller, so the total is
     the same for every thread count. The batches run on min(len(sizes),
-    ``_usable_cpus()``) threads of a pool made for this call, inline when
-    that is 1. The threads call only this module's private helpers and
-    the model's callables. An exception raised in a batch cancels the
-    batches not yet started, waits for the running ones and propagates.
+    _MAX_THREADS, ``_usable_cpus()``) threads of a pool made for this
+    call. The threads call only this module's private helpers and the
+    model's callables. An exception raised in a batch cancels the batches
+    not yet started, waits for the running ones and propagates.
     """
     def count(i):
         rng = batch_generator(key, i)
         return sum(int(np.count_nonzero(keep))
                    for _, _, keep in _whole_support_batch(mdl, plan, condition, rng, sizes[i]))
 
-    workers = min(len(sizes), _usable_cpus())
-    if workers == 1:
-        return sum(map(count, range(len(sizes))))
     # imported here, not with the package: it loads logging, about 14 ms
     from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(min(len(sizes), _MAX_THREADS, _usable_cpus()))
     try:
         return sum(pool.map(count, range(len(sizes))))
     finally:
@@ -447,7 +452,8 @@ def estimate_tail_probability(
     The batches are counted concurrently (``_count_batches``): the
     model's callables are called from worker threads, so a custom model's
     callables must not keep mutable state. The estimate does not depend
-    on the thread count, which follows the process's CPU affinity.
+    on the thread count, which follows the process's CPU affinity (at
+    most ``_MAX_THREADS``).
     ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
     if not x >= 0:

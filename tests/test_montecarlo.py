@@ -548,6 +548,12 @@ def _custom_copy(mdl):
     )
 
 
+def _threads(monkeypatch, n):
+    """Let the estimate count its batches on n threads (while it has n batches)."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(montecarlo, "_MAX_THREADS", n)
+
+
 @pytest.mark.parametrize("cond", list(Condition))
 @pytest.mark.parametrize("case", sorted(POOL_CASES) + ["custom"])
 def test_estimate_is_the_same_on_any_number_of_threads(monkeypatch, case, cond):
@@ -558,15 +564,52 @@ def test_estimate_is_the_same_on_any_number_of_threads(monkeypatch, case, cond):
     n_proposals, batch_size = 5 * 4096 + 123, 4096
     estimates = []
     for cpus in (1, 4):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        _threads(monkeypatch, cpus)
         estimates.append(estimate_tail_probability(mdl, 10.0, n_proposals, cond, seed=(29, 3),
                                                    batch_size=batch_size))
     assert estimates[0] == estimates[1]
     assert estimates[0][1] > 0.0
 
 
+def test_pool_is_capped_by_the_measured_thread_count(monkeypatch, f1_model):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+    threads = set()
+    radial = f1_model.radial
+
+    def tail_quantile(p, x):
+        threads.add(threading.get_ident())
+        return radial.tail_quantile(p, x)
+
+    mdl = dataclasses.replace(f1_model, radial=dataclasses.replace(radial, tail_quantile=tail_quantile))
+    estimate_tail_probability(mdl, 10.0, 32 * 1024, seed=7, batch_size=1024)
+    assert 1 <= len(threads) <= montecarlo._MAX_THREADS
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_model_callables_never_see_an_empty_array(f1_model, batch_size):
+    # a callable that reduces its input fails on an empty array
+    radial, shape_u = f1_model.radial, f1_model.shape_u
+
+    def tail_quantile(p, x):
+        assert p.size and np.max(p) < 1.0
+        return radial.tail_quantile(p, x)
+
+    def u(t):
+        assert t.size and np.max(np.abs(t)) <= np.pi
+        return shape_u.u(t)
+
+    mdl = dataclasses.replace(f1_model, radial=dataclasses.replace(radial, tail_quantile=tail_quantile),
+                              shape_u=dataclasses.replace(shape_u, u=u))
+    for cond in Condition:
+        est, _ = estimate_tail_probability(mdl, 10.0, 200, cond, seed=11, batch_size=batch_size)
+        assert est == estimate_tail_probability(f1_model, 10.0, 200, cond, seed=11,
+                                                batch_size=batch_size)[0]
+    s = sample_conditional(_whole_support_copy(mdl), 10.0, 20, seed=11, batch_size=batch_size)
+    assert s.n == 20
+
+
 def test_an_error_in_a_batch_propagates_and_leaves_no_thread(monkeypatch, f1_model):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    _threads(monkeypatch, 4)
     error = RuntimeError("batch 5 fails")
     ang = f1_model.angular
 
@@ -586,7 +629,7 @@ def test_an_error_in_a_batch_propagates_and_leaves_no_thread(monkeypatch, f1_mod
 def test_worker_threads_call_no_traced_function(monkeypatch, f1_model):
     # the benchmark's tracer wraps every function in these modules' __all__
     # (main for cli) and assumes they are all called from one thread
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    _threads(monkeypatch, 4)
     main = threading.main_thread()
     off_main, worker_calls = [], []
 
