@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.20.1"
+__version__ = "0.20.2"
 
 from .asymptotics import (
     Normalizers,

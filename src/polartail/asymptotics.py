@@ -74,13 +74,15 @@ class PhiRoot:
 
     ``residual`` is |u_tilde(sigma phi) x / psi(x) - 1| at the returned
     root and is guaranteed <= 1e-10; ``s_max`` is the bracket ceiling the
-    root had to lie below; ``side`` is sigma, +1 or -1.
+    root had to lie below; ``side`` is sigma, +1 or -1; ``psi`` is the
+    psi(x) the root was solved against.
     """
 
     phi: float
     residual: float
     s_max: float
     side: int
+    psi: float
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,8 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
             f"window root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g} "
             f"on side {side:+d} at x = {x:g}"
         )
-    return PhiRoot(phi=phi, residual=residual, s_max=s_max, side=side)
+    # positional: the keyword call costs more, and the tail-sweep makes ~1000 per pass
+    return PhiRoot(phi, residual, s_max, side, psi)
 
 
 def compute_normalizers(mdl: _model.PolarModel, x: float,
@@ -272,12 +275,13 @@ def compute_normalizers(mdl: _model.PolarModel, x: float,
     The default covers every side of the support. Under right-sided
     conditioning only the plus window is solved, and ``phi_minus`` and
     ``residual_minus`` are None, so an unreachable minus window cannot
-    fail an event that never uses it. Errors of ``compute_phi`` propagate.
+    fail an event that never uses it. psi(x) is the one the plus window
+    was solved against. Errors of ``compute_phi`` propagate.
     """
     roots = {facts.side: compute_phi(mdl, x, facts.side) for facts in mdl.sides(condition)}
     root_p, root_m = roots[1], roots.get(-1)
     return Normalizers(
-        x=x, psi_x=float(mdl.radial.aux_psi(x)),
+        x=x, psi_x=root_p.psi,
         phi_plus=root_p.phi, phi_minus=None if root_m is None else root_m.phi,
         residual_plus=root_p.residual,
         residual_minus=None if root_m is None else root_m.residual,

@@ -198,6 +198,37 @@ def _side_cdf(side: LimitSide, r: np.ndarray, t) -> np.ndarray:
     return np.where(inside, p_e - decay * (p_e - sp_special.gammainc(e + 1.0, g)), 0.0)
 
 
+def _side_r_cdf(side: LimitSide, r: np.ndarray) -> np.ndarray:
+    """F(r, inf) of one side: ``_side_cdf`` at t = inf, where g = r and the decay is 1.
+
+    The operations are those of the joint form on that branch, P(e, r) -
+    (P(e, r) - P(e + 1, r)), so the value equals it bit for bit; the
+    equal P(e + 1, r) rounds differently at about a fifth of the points.
+    """
+    from scipy import special as sp_special
+
+    inside = r > 0
+    g = np.where(inside, r, 0.0)
+    p_e = sp_special.gammainc(side.gamma_shape, g)
+    return np.where(inside, p_e - (p_e - sp_special.gammainc(side.gamma_shape + 1.0, g)), 0.0)
+
+
+def _side_t_cdf(side: LimitSide, t) -> np.ndarray:
+    """F(inf, t) of one side: ``_side_cdf`` at r = inf, where the decay is 0.
+
+    That leaves P(e, t^kappa), the joint form's value bit for bit.
+    """
+    from scipy import special as sp_special
+
+    inside = t > 0
+    p_e = sp_special.gammainc(side.gamma_shape, np.where(inside, t, 0.0) ** side.kappa)
+    return np.where(inside, p_e, 0.0)
+
+
+def _is_pos_inf(v) -> bool:
+    return np.ndim(v) == 0 and float(v) == math.inf
+
+
 def _scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
@@ -222,13 +253,31 @@ def cdf(law: LimitLaw, r, t):
     P_+ F_+(r, t), which is 0 for t <= 0; the mirrored minus side
     contributes P_- (F_-(r, inf) - F_-(r, -t)), all of its mass for
     t >= 0. Both r and t may be infinite.
+
+    A scalar +inf for t gives the r marginal and a scalar +inf for r the t
+    marginal, each mixed over the sides from the one-side forms F(r, inf) =
+    P(e, r) - (P(e, r) - P(e + 1, r)) and F(inf, t) = P(e, t^kappa),
+    without the joint form's broadcasting and branches. They are the joint
+    form's own operations on those branches, so they equal it bit for bit;
+    every other input takes the joint form.
     """
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    out = sum(
-        prob * (_side_cdf(side, r, t) if sign > 0
-                else _side_cdf(side, r, np.inf) - _side_cdf(side, r, -t))
-        for sign, prob, side in law.sides
-    )
+    if _is_pos_inf(t):
+        r = np.asarray(r, dtype=float)
+        out = sum(prob * _side_r_cdf(side, r) for _, prob, side in law.sides)
+    elif _is_pos_inf(r):
+        t = np.asarray(t, dtype=float)
+        out = sum(
+            prob * (_side_t_cdf(side, t) if sign > 0
+                    else _side_t_cdf(side, np.inf) - _side_t_cdf(side, -t))
+            for sign, prob, side in law.sides
+        )
+    else:
+        r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        out = sum(
+            prob * (_side_cdf(side, r, t) if sign > 0
+                    else _side_cdf(side, r, np.inf) - _side_cdf(side, r, -t))
+            for sign, prob, side in law.sides
+        )
     return _scalar_or_array(out)
 
 

@@ -334,6 +334,22 @@ def test_compute_normalizers_benchmark(f1_model):
         "x", "psi_x", "phi_plus", "phi_minus", "residual_plus", "residual_minus"]
 
 
+def test_compute_normalizers_reads_psi_off_the_window_solve(f1_model):
+    radial = f1_model.radial
+    calls = []
+
+    def aux_psi(x):
+        calls.append(x)
+        return radial.aux_psi(x)
+
+    mdl = dataclasses.replace(f1_model, radial=dataclasses.replace(radial, aux_psi=aux_psi))
+    for condition, windows in ((Condition.RIGHT_SIDED, 1), (Condition.UNRESTRICTED, 2)):
+        calls.clear()
+        norms = compute_normalizers(mdl, 100.0, condition)
+        assert calls == [100.0] * windows
+        assert norms.psi_x == compute_phi(f1_model, 100.0).psi == float(radial.aux_psi(100.0))
+
+
 def test_slow_p_model_passes_validation(slow_p_model):
     assert validate_model(slow_p_model).passed
 

@@ -469,3 +469,64 @@ def test_sampler_rejects_bad_sizes():
         sample(law, 0, seed=1)
     with pytest.raises(ParameterError):
         sample(law, -5, seed=1)
+
+
+MARGINAL_LAWS = {
+    "one-sided": LimitLaw(LimitSide(kappa=2.0, tau=0.0)),
+    "two-sided-tied": LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, -0.5),
+                               p_minus=0.5, p_plus=0.5),
+    # the kappa = (1, 2) model's limit: the minus side carries no mass
+    "two-sided-plus-only": LimitLaw(LimitSide(2.0, 0.0), LimitSide(1.0, 0.0),
+                                    p_minus=0.0, p_plus=1.0),
+    "e-three-quarters": LimitLaw(LimitSide(kappa=2.0, tau=0.5)),
+}
+MARGINAL_POINTS = np.concatenate((
+    [-np.inf, -50.0, -3.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1e-8, np.inf],
+    np.random.default_rng(4).gamma(0.75, 2.0, 400),
+    -np.random.default_rng(5).gamma(0.75, 2.0, 400),
+    np.linspace(-12.0, 12.0, 241),
+))
+
+
+def _joint_cdf(law, r, t):
+    # the broadcasting joint form, reached with the infinite argument as an array
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    return cdf(law, r.copy(), t.copy())
+
+
+@pytest.mark.parametrize("name", list(MARGINAL_LAWS))
+def test_infinite_argument_marginals_equal_the_joint_form_bit_for_bit(name):
+    law = MARGINAL_LAWS[name]
+    v = MARGINAL_POINTS
+    assert cdf(law, v, np.inf).tobytes() == _joint_cdf(law, v, np.inf).tobytes()
+    assert cdf(law, np.inf, v).tobytes() == _joint_cdf(law, np.inf, v).tobytes()
+    for s in (-1.0, 0.0, 0.7, 3.0, np.inf, -np.inf):
+        assert cdf(law, s, np.inf) == float(_joint_cdf(law, [s], np.inf)[0])
+        assert cdf(law, np.inf, s) == float(_joint_cdf(law, np.inf, [s])[0])
+    grid = v[:20].reshape(4, 5)
+    assert cdf(law, grid, float("inf")).tobytes() == _joint_cdf(law, grid, np.inf).tobytes()
+    assert cdf(law, np.float64(np.inf), grid).tobytes() == _joint_cdf(law, np.inf, grid).tobytes()
+
+
+def test_only_a_scalar_infinite_argument_leaves_the_joint_form(monkeypatch):
+    from polartail import limitlaw
+
+    law = MARGINAL_LAWS["two-sided-tied"]
+    side_cdf = limitlaw._side_cdf
+    joint_calls = []
+
+    def counted(*args):
+        joint_calls.append(1)
+        return side_cdf(*args)
+
+    monkeypatch.setattr(limitlaw, "_side_cdf", counted)
+    r, t = np.array([[0.5], [2.0]]), np.array([-0.4, 0.1, 0.5, 3.0])
+    for args in ((2.0, 0.5), (r, t), (r, np.full(4, np.inf)), (np.full((2, 1), np.inf), t),
+                 (np.array([1.0, 4.0]), np.array([0.3, -0.2]))):
+        joint_calls.clear()
+        cdf(law, *args)
+        assert joint_calls, args
+    for args in ((r, np.inf), (np.inf, t), (3.0, np.inf), (np.inf, np.inf)):
+        joint_calls.clear()
+        cdf(law, *args)
+        assert not joint_calls, args

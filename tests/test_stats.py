@@ -22,7 +22,9 @@ from polartail import (
     density,
     ks_one_sample,
     ks_two_sample,
+    limit_law,
     sample,
+    sample_conditional,
 )
 from polartail import limitlaw, stats as stats_module
 from polartail.stats import _cell_counts, _limit_edges
@@ -202,6 +204,35 @@ def test_ks_one_sample_evaluates_few_points():
     z = np.random.default_rng(5).standard_normal(50_000)
     assert ks_one_sample(z, counted)[0] == ks_one_sample_full(z, special.ndtr)
     assert sum(calls) < 2_500
+    # one call for the block ends, then one per bisection round
+    assert len(calls) <= math.log2(stats_module._KS_BLOCK) + 2
+
+
+@pytest.mark.parametrize("condition", [Condition.RIGHT_SIDED, Condition.UNRESTRICTED])
+@pytest.mark.parametrize("fixture", ["f1_model", "asym_model"])
+def test_ks_one_sample_equals_full_evaluation_on_conditional_draws(fixture, condition, request):
+    mdl = request.getfixturevalue(fixture)
+    law = limit_law(mdl, condition)
+    mc = sample_conditional(mdl, 25.0, 20_000, condition, seed=3)
+    for values, marginal in ((mc.r_norm, lambda r: cdf(law, r, np.inf)),
+                             (mc.t_norm, lambda t: cdf(law, np.inf, t))):
+        assert ks_one_sample(values, marginal)[0] == ks_one_sample_full(values, marginal)
+
+
+def test_ks_one_sample_rejects_a_decrease_inside_a_refined_block():
+    # evenly spaced points against the identity keep every block open down
+    # to width 8, so index 300, inside the block [256, 512], is evaluated;
+    # F drops there by 5/n, below F at the evaluated index 296
+    n = 1024
+    xs = (np.arange(n) + 0.5) / n
+
+    def dipped(x):
+        return np.where(x == xs[300], x - 5.0 / n, x)
+
+    assert 300 % stats_module._KS_BLOCK != 0
+    assert ks_one_sample(xs, lambda x: np.asarray(x, dtype=float))[0] == 0.5 / n
+    with pytest.raises(ParameterError, match="nondecreasing"):
+        ks_one_sample(xs, dipped)
 
 
 def test_chi_square_balanced_cells():
