@@ -57,11 +57,12 @@ on every side the event covers (``SideFacts.has_level_map``;
 ``validate_model`` checks the declared reach on a grid, the side masses
 against the density, and the inverses by round trips). Otherwise, and
 always in ``estimate_tail_probability`` (the independent Monte Carlo
-check of the quadrature), the whole-support plan draws R by
-``tail_quantile`` and T from ``angular.sample`` and tests R u(T) > x. So
-does a level map that holds no mass at level 20 (an angular law with no
-mass near t0, say), where the cells would have nothing to follow; on
-builtin models the windows fail first at such an x.
+check of the quadrature), the whole-support plan draws T from
+``angular.sample``, R by ``tail_quantile`` only for a T the event can use
+(T > t0 when right-sided: the base law restricted to that side), and
+tests R u(T) > x. So does a level map that holds no mass at level 20 (an
+angular law with no mass near t0, say), where the cells would have
+nothing to follow; on builtin models the windows fail first at such an x.
 
 ``AcceptanceStats.acceptance_rate`` is proposal_mass * accepted /
 proposals, where proposal_mass is the base-law probability of the cells
@@ -76,11 +77,14 @@ t0 (``PolarModel.sides``), else by phi_plus.
 Determinism contract: the plan is a pure function of (model, x,
 condition). Draws are generated in batches, and batch i of a run with
 seed s uses the stream SeedSequence(key(s) + (i,)). The whole-support
-plan draws m uniforms for R, then ``angular.sample(rng, m)``. The
-stratified plan draws one multinomial split of the batch's m proposals
-over the cells (side by side, minus side first, each side's strips from
-the lowest level up and then its [e_c, inf) cell), then, cell by cell in
-that order, the cell's uniforms for e and then those for s. The
+plan draws ``angular.sample(rng, m)`` first, keeps the k angles the event
+can use (T > t0 under right-sided conditioning, where any other pair is
+rejected whatever its radius; all m otherwise), and then draws k uniforms
+for R, one per kept angle in order. The stratified plan draws one
+multinomial split of the batch's m proposals over the cells (side by
+side, minus side first, each side's strips from the lowest level up and
+then its [e_c, inf) cell), then, cell by cell in that order, the cell's
+uniforms for e and then those for s. The
 transforms and the acceptance test run over fixed chunks of each draw;
 chunking draws nothing, so it never changes the stream.
 ``sample_conditional`` runs its batches one after another in index order
@@ -126,8 +130,9 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 65536
-# proposals transformed and tested at once: 64 KB float temporaries, which
-# the allocator reuses from batch to batch instead of mapping them afresh
+# proposals (the kept angles, on the whole-support plan) transformed and
+# tested at once: 64 KB float temporaries, which the allocator reuses from
+# batch to batch instead of mapping them afresh
 _CHUNK = 8192
 _DEFAULT_BUDGET = 10 ** 9
 # the most threads that count the estimate's batches: the largest count
@@ -280,27 +285,24 @@ def _stratified_batch(mdl, plan, condition, rng, m):
 
 
 def _whole_support_batch(mdl, plan, condition, rng, m):
-    """The proposals (r, t, accept mask) of one batch, 2 _CHUNK at a time.
+    """The proposals (r, t, accept mask) of one batch's usable angles, _CHUNK at a time.
 
-    The uniforms are drawn for the whole batch first, so the stream does
-    not depend on the chunking. Under right-sided conditioning a piece
-    first drops its proposals with T <= t0, so R and u(T) are formed for
-    about _CHUNK of them, and a piece with none left is skipped, so the
-    model's callables never see an empty array; the accepted pairs and
-    their order are those of testing every proposal.
+    The batch draws its m angles first. Under right-sided conditioning a
+    proposal with T <= t0 is rejected whatever its radius, so only the k
+    angles with T > t0 are kept (all m otherwise), and one radial uniform
+    is drawn per kept angle, for the whole batch before any chunk, so the
+    stream does not depend on the chunking. With k = 0 there is no chunk,
+    so the model's callables never see an empty array.
     """
     x = plan.x
-    p_r = rng.random(m)
     t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
-    right = condition == _model.Condition.RIGHT_SIDED
-    for lo in range(0, m, 2 * _CHUNK):
-        p, t_part = p_r[lo:lo + 2 * _CHUNK], t[lo:lo + 2 * _CHUNK]
-        if right:
-            on_side = np.flatnonzero(t_part > mdl.t0)
-            if not on_side.size:
-                continue
-            p, t_part = p[on_side], t_part[on_side]
-        r = np.asarray(mdl.radial.tail_quantile(p, x), dtype=float)
+    if condition == _model.Condition.RIGHT_SIDED:
+        # an index gather: a boolean-mask gather of a random half costs 4x more
+        t = t[np.flatnonzero(t > mdl.t0)]
+    p_r = rng.random(t.size)
+    for lo in range(0, t.size, _CHUNK):
+        t_part = t[lo:lo + _CHUNK]
+        r = np.asarray(mdl.radial.tail_quantile(p_r[lo:lo + _CHUNK], x), dtype=float)
         yield r, t_part, r * np.asarray(mdl.shape_u.u(t_part), dtype=float) > x
 
 
@@ -449,6 +451,9 @@ def estimate_tail_probability(
     the accepted ones without keeping them, and returns
     (survival(x) * acceptance_rate, survival(x) * binomial standard
     error). Unbiasedness rests on {X > x} being a subset of {R > x}.
+    Every proposal draws its angle, but only those the event can use
+    (T > t0 when right-sided) draw a radius; the others count as
+    proposals that are rejected.
     The batches are counted concurrently (``_count_batches``): the
     model's callables are called from worker threads, so a custom model's
     callables must not keep mutable state. The estimate does not depend

@@ -416,9 +416,10 @@ def test_whole_support_stream_is_the_plain_rejection_loop(f1_model):
     r_parts, t_parts, batches = [], [], 0
     while sum(p.size for p in r_parts) < n:
         rng = batch_generator((seed,), batches)
-        r = mdl.radial.tail_quantile(rng.random(m), x)
         t = mdl.angular.sample(rng, m)
-        keep = (r * mdl.shape_u.u(t) > x) & (t > mdl.t0)
+        t = t[t > mdl.t0]
+        r = mdl.radial.tail_quantile(rng.random(t.size), x)
+        keep = r * mdl.shape_u.u(t) > x
         r_parts.append(r[keep])
         t_parts.append(t[keep])
         batches += 1
@@ -434,6 +435,22 @@ def test_whole_support_stream_is_the_plain_rejection_loop(f1_model):
     assert est == hbar * (accepted / (2 * m))
 
 
+@pytest.mark.parametrize("cond", list(Condition))
+def test_an_off_side_angle_draws_no_radial_uniform(f1_model, cond):
+    # one batch of the whole-support kernel leaves its generator where
+    # m angles and then one uniform per angle the event can use leave it
+    x, m, key = 25.0, 10_000, (71,)
+    rng = batch_generator(key, 0)
+    for _ in montecarlo._whole_support_batch(f1_model, montecarlo._Plan(x), cond, rng, m):
+        pass
+    reference = batch_generator(key, 0)
+    t = f1_model.angular.sample(reference, m)
+    k = int(np.count_nonzero(t > f1_model.t0)) if cond == Condition.RIGHT_SIDED else m
+    assert 0 < k <= m and (k < m) == (cond == Condition.RIGHT_SIDED)
+    reference.random(k)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # The chunked kernel against whole-batch evaluation
 # ---------------------------------------------------------------------------
@@ -446,8 +463,9 @@ KERNEL_CASES = {
          "shape_u.family": "cosine"},
         10.0),
 }
-# the stratified kernel walks a batch _CHUNK = 8192 proposals at a time,
-# the whole-support one 2 _CHUNK at a time
+# both kernels walk a batch _CHUNK = 8192 proposals at a time: the
+# stratified one each cell's draws, the whole-support one the kept angles,
+# all m of them under UNRESTRICTED and about half under RIGHT_SIDED
 KERNEL_BATCH_SIZES = (1, 8191, 8192, 8193, 10000, 16383, 16384, 16385, 65536)
 
 
@@ -461,11 +479,11 @@ def _whole_batch(mdl, plan, cond, key, i, m):
     rng = batch_generator(key, i)
     x = plan.x
     if not plan.cells:
-        r = np.asarray(mdl.radial.tail_quantile(rng.random(m), x), dtype=float)
         t = np.asarray(mdl.angular.sample(rng, m), dtype=float)
-        keep = r * mdl.shape_u.u(t) > x
         if cond == Condition.RIGHT_SIDED:
-            keep &= t > mdl.t0
+            t = t[t > mdl.t0]
+        r = np.asarray(mdl.radial.tail_quantile(rng.random(t.size), x), dtype=float)
+        keep = r * mdl.shape_u.u(t) > x
         return r[keep], t[keep], rng
     a_parts, offset_parts = [], []
     for (side, cap, y_lo, h), count in zip(plan.cells, rng.multinomial(m, plan.probs)):
