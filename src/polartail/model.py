@@ -76,26 +76,29 @@ class Condition(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RadialLaw:
-    """Nonnegative radial variable with survival function and tail tools.
+    """Nonnegative radial variable, declared by its log-survival and tail tools.
 
-    ``aux_psi`` is the auxiliary scale of the tail: survival(x + psi(x) * lam)
-    / survival(x) tends to e^{-lam}. ``tail_quantile(p, x_floor)`` inverts
-    the conditional law of R given R > x_floor. ``log_survival`` must stay
-    finite-precision accurate far beyond the point where ``survival``
-    underflows; ratio computations rely on it. ``exact_gap(x, d)``, when
+    ``log_survival(x)`` is log Hbar(x), the one declaration of the tail: it
+    must stay accurate far beyond the point where Hbar(x) underflows, and
+    ``survival``, ``log_survival_gap`` and ``overshoot`` are derived from
+    it. ``aux_psi`` is the auxiliary scale of the tail: Hbar(x + psi(x) *
+    lam) / Hbar(x) tends to e^{-lam}. ``tail_quantile(p, x_floor)`` inverts
+    the conditional law of R given R > x_floor. ``exact_gap(x, d)``, when
     given, is log Hbar(x + d) - log Hbar(x) formed without either term
     (see ``log_survival_gap``). ``exact_overshoot(x, e)``, when given,
     inverts the gap in closed form or by a checked iteration (see
     ``overshoot``).
     """
 
-    family_tag: str
-    survival: Callable[[np.ndarray], np.ndarray]
     log_survival: Callable[[np.ndarray], np.ndarray]
     aux_psi: Callable[[float], float]
     tail_quantile: Callable[[np.ndarray, float], np.ndarray]
     exact_gap: Callable[[float, np.ndarray], np.ndarray] | None = None
     exact_overshoot: Callable[[float, np.ndarray], np.ndarray] | None = None
+
+    def survival(self, x):
+        """Hbar(x) = exp(log_survival(x)); 0.0 where it underflows."""
+        return np.exp(self.log_survival(x))
 
     def log_survival_gap(self, x, d):
         """log Hbar(x + d) - log Hbar(x) for x >= 0 and d >= 0.
@@ -420,9 +423,6 @@ def _radial_exponential(rate: float) -> RadialLaw:
     if not rate > 0:
         raise ParameterError(f"radial.rate must be > 0, got {rate}")
 
-    def survival(x):
-        return np.exp(-rate * np.maximum(np.asarray(x, dtype=float), 0.0))
-
     def log_survival(x):
         return -rate * np.maximum(np.asarray(x, dtype=float), 0.0)
 
@@ -436,8 +436,6 @@ def _radial_exponential(rate: float) -> RadialLaw:
         return np.asarray(e, dtype=float) / rate
 
     return RadialLaw(
-        family_tag="exponential",
-        survival=survival,
         log_survival=log_survival,
         aux_psi=lambda x: 1.0 / rate,
         tail_quantile=tail_quantile,
@@ -449,9 +447,6 @@ def _radial_exponential(rate: float) -> RadialLaw:
 def _radial_weibull(beta: float) -> RadialLaw:
     if not beta > 0:
         raise ParameterError(f"radial.beta must be > 0, got {beta}")
-
-    def survival(x):
-        return np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0) ** beta)
 
     def log_survival(x):
         return -(np.maximum(np.asarray(x, dtype=float), 0.0) ** beta)
@@ -481,8 +476,6 @@ def _radial_weibull(beta: float) -> RadialLaw:
         return x * np.expm1(np.log1p(e * x ** -beta) / beta)
 
     return RadialLaw(
-        family_tag="weibull",
-        survival=survival,
         log_survival=log_survival,
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
@@ -509,9 +502,6 @@ def _radial_half_normal() -> RadialLaw:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     log2 = math.log(2.0)
     mills_scale = math.sqrt(math.pi / 2.0)
-
-    def survival(x):
-        return sp_special.erfc(np.maximum(np.asarray(x, dtype=float), 0.0) * inv_sqrt2)
 
     def log_survival(x):
         return log2 + sp_special.log_ndtr(-np.maximum(np.asarray(x, dtype=float), 0.0))
@@ -575,8 +565,6 @@ def _radial_half_normal() -> RadialLaw:
         )
 
     return RadialLaw(
-        family_tag="half_normal",
-        survival=survival,
         log_survival=log_survival,
         aux_psi=aux_psi,
         tail_quantile=tail_quantile,
@@ -1077,6 +1065,10 @@ _EXACT_TOL = 1e-12
 _RESOLVED = 1e-8                   # smallest declared term read against rounding
 _ROUND_TRIP = np.geomspace(1e-12, 1.0, 64)       # fractions of an inverse's range
 _MASS_GRID = np.geomspace(1e-6, 1.0, 13)         # side widths where side_mass is read
+_SAMPLE_DRAWS = 4096               # angles angular.sample draws for its KS row
+# scipy.special.kolmogi(1e-6): sqrt(n) times the KS distance of a right
+# sampler exceeds it with probability 1e-6
+_SAMPLE_KS = 2.69
 _OVERSHOOT_X = (0.0, 1.0) + _GAMMA_X
 _OVERSHOOT_LEVELS = np.geomspace(1e-3, 50.0, 32)
 _OVERSHOOT_PRECISION = 1e-10       # RadialLaw.overshoot's documented precision
@@ -1167,12 +1159,11 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
     run("radial.survival_monotone", "nonincreasing on [0, 200]", survival_monotone)
 
-    if mdl.radial.family_tag != "custom":
-        def survival_at_zero():
-            v = float(np.asarray(mdl.radial.survival(np.array([0.0])))[0])
-            return abs(v - 1.0) <= 1e-12, v, None, ""
+    def survival_at_zero():
+        v = float(np.asarray(mdl.radial.survival(np.array([0.0])))[0])
+        return abs(v - 1.0) <= 1e-12, v, None, ""
 
-        run("radial.survival_at_zero", "survival(0) = 1", survival_at_zero)
+    run("radial.survival_at_zero", "survival(0) = 1", survival_at_zero)
 
     def gamma_psi():
         # Hbar(x + psi lam) / Hbar(x) from the gap, never as a difference of
@@ -1371,6 +1362,25 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
 
             run("angular.side_mass_inverse", "side_mass(side, side_mass_inverse(side, m)) = m",
                 side_mass_round_trip)
+
+    # the whole-support plan and the fixed-budget estimate draw T from sample
+    def sample_matches_side_masses():
+        if ang.side_mass is None:
+            return True, None, None, "not read: no angular.side_mass to form the CDF from"
+        # the CDF of T: the minus mass, less the mass between t and t0 below
+        # t0, plus the mass between t0 and t above it
+        t = np.sort(np.asarray(ang.sample(np.random.default_rng(0), _SAMPLE_DRAWS), dtype=float))
+        minus = math.fsum(facts.mass for facts in sides if facts.side < 0)
+        cdf = np.where(t < t0, minus - np.asarray(ang.side_mass(-1, np.maximum(t0 - t, 0.0)), dtype=float),
+                       minus + np.asarray(ang.side_mass(1, np.maximum(t - t0, 0.0)), dtype=float))
+        steps = np.arange(_SAMPLE_DRAWS + 1) / _SAMPLE_DRAWS
+        stat = math.sqrt(_SAMPLE_DRAWS) * float(np.max(np.maximum(steps[1:] - cdf, cdf - steps[:-1])))
+        return stat <= _SAMPLE_KS, stat, _SAMPLE_KS - stat, \
+            f"sqrt(n) times the KS distance of n = {_SAMPLE_DRAWS} draws (SeedSequence(0)) " \
+            "from the CDF of the side masses"
+
+    run("angular.sample", f"sqrt(n) KS distance from the side masses <= {_SAMPLE_KS}",
+        sample_matches_side_masses)
 
     # --- shape u ---
     support_ts = np.linspace(lo, hi, _SUPPORT_POINTS)

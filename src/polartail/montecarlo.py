@@ -482,9 +482,6 @@ def empirical_sign_freq(
     x: float,
     n: int,
     seed=None,
-    *,
-    batch_size: int = _DEFAULT_BATCH,
-    max_proposals: int = _DEFAULT_BUDGET,
 ) -> tuple[float, float]:
     """Sign frequencies (freq_minus, freq_plus) of T - t0 given {X > x}.
 
@@ -494,9 +491,7 @@ def empirical_sign_freq(
     cond = _model.Condition.UNRESTRICTED
     if len(mdl.sides(cond)) != 2:
         raise ParameterError("empirical_sign_freq needs a two-sided model")
-    sample = sample_conditional(
-        mdl, x, n, cond, seed, batch_size=batch_size, max_proposals=max_proposals,
-    )
+    sample = sample_conditional(mdl, x, n, cond, seed)
     freq_plus = float(np.mean(sample.t >= mdl.t0))
     return 1.0 - freq_plus, freq_plus
 

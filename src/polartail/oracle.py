@@ -434,7 +434,7 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     NonConvergence if the adaptive integral of a side runs out of panels
     before it meets the tolerance.
     """
-    if x < 0:
+    if not x >= 0:
         raise ParameterError(f"scaled_tail_quadrature: x must be >= 0, got {x}")
     value = error = 0.0
     evaluations = 0

@@ -13,6 +13,7 @@ from polartail import (
     ConfigError,
     ParameterError,
     PolarModel,
+    RadialLaw,
     ShapeU,
     ShapeV,
     UnknownFamilyError,
@@ -155,9 +156,9 @@ def test_sidedness_config_key_rejected():
 
 
 def test_build_builtin_model_weibull_and_half_normal_radials():
-    for extra in (
-        {"radial.family": "weibull", "radial.beta": 2.0},
-        {"radial.family": "half_normal"},
+    for extra, hbar in (
+        ({"radial.family": "weibull", "radial.beta": 2.0}, lambda x: math.exp(-x * x)),
+        ({"radial.family": "half_normal"}, lambda x: math.erfc(x / math.sqrt(2.0))),
     ):
         mdl = build_builtin_model(
             dict(extra, **{"angular.halfwidth": 1.0, "shape_u.kappa": 2.0})
@@ -165,8 +166,43 @@ def test_build_builtin_model_weibull_and_half_normal_radials():
         s = mdl.radial.survival(np.array([0.0, 1.0, 3.0]))
         assert s[0] == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diff(s) < 0.0)
-        logs = mdl.radial.log_survival(np.array([1.0, 3.0]))
-        np.testing.assert_allclose(np.exp(logs), s[1:], rtol=1e-12)
+        np.testing.assert_allclose(s, [hbar(x) for x in (0.0, 1.0, 3.0)], rtol=1e-12)
+
+
+def test_radial_law_declares_its_tail_once(f1_model):
+    assert [f.name for f in dataclasses.fields(RadialLaw)] == [
+        "log_survival", "aux_psi", "tail_quantile", "exact_gap", "exact_overshoot"]
+    # a second tail that disagrees with log_survival cannot be built
+    with pytest.raises(TypeError):
+        dataclasses.replace(f1_model.radial, survival=lambda x: np.exp(-1.5 * np.asarray(x)))
+
+
+# erfc(x / sqrt 2) by mpmath at 50 digits
+HALF_NORMAL_SURVIVAL = {
+    0.0: 1.0,
+    0.5: 0.61707507745197379272,
+    3.0: 0.0026997960632601890533,
+    10.0: 1.5239706048321052132e-23,
+    20.0: 5.5072482372124673902e-89,
+    30.0: 9.8134278542963741191e-198,
+    37.0: 1.1451142445049153645e-299,
+}
+
+
+def test_half_normal_survival_matches_mpmath():
+    radial = build_builtin_model({"radial.family": "half_normal", "angular.halfwidth": 1.0}).radial
+    xs = np.array(list(HALF_NORMAL_SURVIVAL))
+    np.testing.assert_allclose(radial.survival(xs), list(HALF_NORMAL_SURVIVAL.values()), rtol=5e-13)
+
+
+def test_exponential_and_weibull_survival_keep_their_closed_forms():
+    xs = np.array([0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 50.0, 700.0, 800.0])
+    rate = build_builtin_model(dict(F1_CONFIG, **{"radial.rate": 2.0})).radial
+    assert rate.survival(xs).tobytes() == np.exp(-2.0 * xs).tobytes()
+    for beta in (0.5, 2.0):
+        radial = build_builtin_model(dict(F1_CONFIG, **{"radial.family": "weibull",
+                                                        "radial.beta": beta})).radial
+        assert radial.survival(xs).tobytes() == np.exp(-(xs ** beta)).tobytes(), beta
 
 
 def test_unknown_family_names_the_offender():
@@ -560,13 +596,13 @@ def test_radial_laws_floor_at_zero_as_clip_did():
         for fn in (radial.survival, radial.log_survival):
             with np.errstate(all="ignore"):
                 got, want = fn(_CLIP_INPUTS), fn(floored)
-            assert np.array_equal(got, want, equal_nan=True), (radial.family_tag, fn)
-            assert np.array_equal(np.signbit(got), np.signbit(want)), (radial.family_tag, fn)
+            assert np.array_equal(got, want, equal_nan=True), fn
+            assert np.array_equal(np.signbit(got), np.signbit(want)), fn
         d = np.array([0.0, 1e-3, 0.5, 2.0])
         for x in _CLIP_INPUTS:
             with np.errstate(all="ignore"):
                 got, want = radial.exact_gap(x, d), radial.exact_gap(np.clip(x, 0.0, None), d)
-            assert np.array_equal(got, want, equal_nan=True), (radial.family_tag, x)
+            assert np.array_equal(got, want, equal_nan=True), x
 
 
 def test_power_side_mass_clamps_to_the_side_as_clip_did():
@@ -631,16 +667,33 @@ def _tail_quantile_too_long(mdl):
 
 
 # each closed form the sampler or the level rule reads, wrong where only
-# its own entry reads it
-@pytest.mark.parametrize("wrong, check", [
-    (_side_mass_off_the_density, "angular.side_mass"),
-    (_side_mass_inverse_too_short, "angular.side_mass_inverse"),
-    (_deficit_inverse_off_beyond_half_the_width, "shape_u.deficit_inverse"),
-    (_overshoot_too_long, "radial.overshoot"),
-    (_tail_quantile_too_long, "radial.tail_quantile"),
+# the entries that read it read it; the side masses also give the CDF
+# that angular.sample is read against
+@pytest.mark.parametrize("wrong, checks", [
+    (_side_mass_off_the_density, {"angular.side_mass", "angular.sample"}),
+    (_side_mass_inverse_too_short, {"angular.side_mass_inverse"}),
+    (_deficit_inverse_off_beyond_half_the_width, {"shape_u.deficit_inverse"}),
+    (_overshoot_too_long, {"radial.overshoot"}),
+    (_tail_quantile_too_long, {"radial.tail_quantile"}),
 ], ids=["side-mass", "side-mass-inverse", "deficit-inverse", "overshoot", "tail-quantile"])
-def test_validate_flags_a_wrong_fast_path_closed_form(f1_model, wrong, check):
-    assert {e.name for e in validate_model(wrong(f1_model)).failures()} == {check}
+def test_validate_flags_a_wrong_fast_path_closed_form(f1_model, wrong, checks):
+    assert {e.name for e in validate_model(wrong(f1_model)).failures()} == checks
+
+
+def test_validate_flags_a_sampler_off_the_side_masses():
+    # the tied model's density with the sampler of weight_plus = 0.3
+    mdl = build_builtin_model(TIED_CONFIG)
+    wrong = build_builtin_model(dict(TIED_CONFIG, **{"angular.weight_plus": 0.3})).angular.sample
+    assert validate_model(mdl).entry("angular.sample").passed
+    report = validate_model(dataclasses.replace(mdl, angular=dataclasses.replace(mdl.angular, sample=wrong)))
+    assert {e.name for e in report.failures()} == {"angular.sample"}
+    assert report.entry("angular.sample").measured > 10.0
+
+
+def test_angular_sample_is_not_read_without_side_mass():
+    entry = validate_model(_parabola_model(1.0)).entry("angular.sample")
+    assert entry.passed and math.isnan(entry.measured)
+    assert entry.detail.startswith("not read")
 
 
 def test_validate_flags_wrong_closed_form_deficit(f1_model):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polartail import (
+    AngularLaw,
     BracketError,
     BudgetExceeded,
     CaseMismatch,
@@ -498,6 +499,23 @@ def _whole_batch(mdl, plan, cond, key, i, m):
         a_parts.append(a[keep])
         offset_parts.append(side * dist[keep])
     return np.concatenate(a_parts), np.concatenate(offset_parts), rng
+
+
+def test_plan_without_mass_at_the_top_level_is_the_whole_support_plan(f1_model):
+    # uniform on 0.2 < |t| <= 1, with closed-form side masses: no mass within
+    # 0.2 of t0, where u = 1 - t^2 passes X > 1e3 only above level 20
+    ang = AngularLaw(
+        density=lambda t: np.where((np.abs(t) > 0.2) & (np.abs(t) <= 1.0), 1.0 / 1.6, 0.0),
+        t0=0.0, tau_minus=0.0, tau_plus=0.0, support=(-1.0, 1.0),
+        sample=lambda rng, n: rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 1.0, n),
+        side_mass=lambda side, s: (np.clip(s, 0.2, 1.0) - 0.2) / 1.6,
+        side_mass_inverse=lambda side, m: 0.2 + 1.6 * np.asarray(m, dtype=float),
+    )
+    mdl = dataclasses.replace(f1_model, angular=ang)
+    assert all(facts.has_level_map for facts in mdl.sides(Condition.UNRESTRICTED))
+    for cond in Condition:
+        assert montecarlo._build_plan(mdl, 1e3, cond).cells == ()
+        assert len(montecarlo._build_plan(mdl, 100.0, cond).cells) == 33 * len(mdl.sides(cond))
 
 
 @pytest.mark.parametrize("m", KERNEL_BATCH_SIZES)

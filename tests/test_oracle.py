@@ -16,6 +16,8 @@ from scipy import integrate
 from polartail import (
     AngularLaw,
     Condition,
+    ParameterError,
+    RadialLaw,
     adaptive_quadrature,
     build_builtin_model,
     oracle,
@@ -226,6 +228,27 @@ def test_scaled_tail_quadrature_is_tail_over_survival(f1_model):
                 hbar * scaled.abs_error_estimate, rel=1e-15)
             assert plain.evaluations == scaled.evaluations > 0
             assert plain.converged and scaled.converged
+
+
+def test_custom_radial_law_scales_by_its_log_survival(f1_model):
+    # an Exp(1) radius declared by its log-survival alone, with no closed forms
+    radial = RadialLaw(
+        log_survival=lambda x: -np.maximum(np.asarray(x, dtype=float), 0.0),
+        aux_psi=lambda x: 1.0,
+        tail_quantile=lambda p, x: x - np.log1p(-np.asarray(p, dtype=float)),
+    )
+    mdl = dataclasses.replace(f1_model, radial=radial)
+    for x in (2.0, 10.0, 50.0):
+        for cond in Condition:
+            scaled = scaled_tail_quadrature(mdl, x, cond)
+            plain = tail_probability_quadrature(mdl, x, cond)
+            assert plain.value == pytest.approx(math.exp(-x) * scaled.value, rel=1e-15), (x, cond)
+
+
+@pytest.mark.parametrize("x", [-1.0, math.nan])
+def test_scaled_tail_quadrature_rejects_x_outside_its_domain(f1_model, x):
+    with pytest.raises(ParameterError, match="x must be >= 0"):
+        scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED)
 
 
 def test_tail_quadrature_is_exact_zero_where_survival_underflows(f1_model):

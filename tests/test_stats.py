@@ -278,6 +278,14 @@ def test_chi_square_point_outside_model_support_is_fatal():
     assert p == 0.0
 
 
+def test_chi_square_point_off_a_full_grid_is_infinite():
+    # the grid holds all the mass, so the off-grid point has an empty tail bin
+    rng = np.random.default_rng(4)
+    inside = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
+    pairs = np.vstack([inside, [[2.0, 0.5]]])
+    assert chi_square_2d(pairs, UNIT_EDGES, np.full((2, 2), 0.25)) == (math.inf, 3.0, 0.0)
+
+
 def test_chi_square_precomputed_masses_match_inline():
     rng = np.random.default_rng(3)
     pairs = np.column_stack([rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)])
