@@ -258,7 +258,9 @@ def _cmd_verify(args) -> int:
         (row.x, row.n, row.ks_r, row.ks_t, row.chi2_p, row.acceptance_rate, row.tail_ratio)
         for row in report.rows
     ]
-    meta = {"condition": args.condition, "seed": seed, "n": n}
+    meta = {"condition": args.condition, "seed": seed, "n": n,
+            # one value per row, in row order (ReportRow.acceptance_z)
+            "diag.acceptance_z": ",".join(_fmt(row.acceptance_z) for row in report.rows)}
     _emit(args, "verify", config, meta,
           ("x", "n", "ks_r", "ks_t", "chi2_p", "acceptance_rate", "tail_ratio"), rows)
 

@@ -120,7 +120,10 @@ class RadialLaw:
         relative precision of a however far it lies below the resolution
         of x: closed forms for the exponential and Weibull laws, a Newton
         iteration on the gap for the half-normal law (good to about 1e-10
-        relative; it raises NonConvergence if the iteration stalls). Without
+        relative; it raises NonConvergence if the iteration stalls). Each
+        is elementwise, the Newton iteration included: an element's value
+        does not depend on the other elements of the call, so the sampler
+        may split its levels into chunks at will. Without
         ``exact_overshoot`` it is tail_quantile(1 - e^-e, x) - x, which
         keeps only the digits of a that x + a can hold.
         """
@@ -542,7 +545,9 @@ def _radial_half_normal() -> RadialLaw:
         # _OVERSHOOT_SERIES; there the second-order inverse
         # a = e psi (1 - e (1 - x psi) / 2), from h' = h (h - x), is exact
         # to O(e^2). The level e = inf is the top of the range, a = inf,
-        # which the iteration, run there from e = 1, never forms
+        # which the iteration, run there from e = 1, never forms. Each
+        # element stops stepping once its own step has converged, so its
+        # value does not depend on the other elements of the call
         x = max(x, 0.0)
         e = np.asarray(e, dtype=float)
         erfcx_x = float(sp_special.erfcx(x * inv_sqrt2))
@@ -550,11 +555,14 @@ def _radial_half_normal() -> RadialLaw:
         top = np.isinf(e)
         target = np.where(top, 1.0, np.maximum(e, _OVERSHOOT_SERIES))
         a = target * psi
+        done = np.zeros(np.shape(a), dtype=bool)
         for _ in range(_OVERSHOOT_STEPS):
             erfcx_y = sp_special.erfcx((x + a) * inv_sqrt2)
             step = (0.5 * a * (2.0 * x + a) - np.log(erfcx_y / erfcx_x) - target) * (mills_scale * erfcx_y)
+            step = np.where(done, 0.0, step)
             a = a - step
-            if np.all(np.abs(step) <= _OVERSHOOT_TOL * (a + psi)):
+            done = done | (np.abs(step) <= _OVERSHOOT_TOL * (a + psi))
+            if np.all(done):
                 small = np.minimum(e, _OVERSHOOT_SERIES)
                 series = small * psi * (1.0 - 0.5 * small * (1.0 - x * psi))
                 return np.where(e < _OVERSHOOT_SERIES, series, np.where(top, math.inf, a))

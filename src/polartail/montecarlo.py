@@ -84,9 +84,12 @@ for R, one per kept angle in order. The stratified plan draws one
 multinomial split of the batch's m proposals over the cells (side by
 side, minus side first, each side's strips from the lowest level up and
 then its [e_c, inf) cell), then, cell by cell in that order, the cell's
-uniforms for e and then those for s. The
-transforms and the acceptance test run over fixed chunks of each draw;
-chunking draws nothing, so it never changes the stream.
+uniforms for e and then those for s, into two batch-long arrays. Its
+transforms and acceptance test then run side by side, each over the one
+range of those arrays that its side's cells fill, and the whole-support
+plan's over its kept angles, both in fixed chunks. Chunking draws
+nothing, and every transform is elementwise (the half-normal overshoot's
+Newton iteration included), so it changes no value.
 ``sample_conditional`` runs its batches one after another in index order
 until enough pairs accumulate, and draws no batch that it does not
 consume. The whole-support plan returns the first n accepted pairs. The
@@ -130,9 +133,10 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 65536
-# proposals (the kept angles, on the whole-support plan) transformed and
-# tested at once: 64 KB float temporaries, which the allocator reuses from
-# batch to batch instead of mapping them afresh
+# proposals transformed and tested at once, from one side's range of the
+# batch on the stratified plan and from the kept angles on the
+# whole-support plan: 64 KB float temporaries, which the allocator reuses
+# from batch to batch instead of mapping them afresh
 _CHUNK = 8192
 _DEFAULT_BUDGET = 10 ** 9
 # the most threads that count the estimate's batches: the largest count
@@ -261,22 +265,41 @@ def _build_plan(mdl, x, condition) -> _Plan:
 
 
 def _stratified_batch(mdl, plan, condition, rng, m):
-    """The proposals (a, sigma s, accept mask) of one batch, cell by cell, _CHUNK at a time."""
+    """The proposals (a, sigma s, accept mask) of one batch, side by side, _CHUNK at a time.
+
+    The batch draws its uniforms cell by cell into two m-long arrays, p_e
+    and p_t, and turns them into every cell's levels and capped masses at
+    once. The cells of a side are adjacent in ``plan.cells``, so each side
+    is one range of those arrays, and the transforms and the acceptance
+    test run over it a chunk at a time; a side without proposals makes no
+    call. Every transform is elementwise, so the values are those of each
+    cell evaluated alone.
+    """
     x = plan.x
     overshoot = mdl.radial.overshoot
     inverse = mdl.angular.side_mass_inverse
     deficit = mdl.shape_u.deficit
     right = condition == _model.Condition.RIGHT_SIDED
-    for (side, cap, y_lo, h), count in zip(plan.cells, rng.multinomial(m, plan.probs).tolist()):
-        if not count:
-            continue
-        share = -math.expm1(-h)
-        p_e, p_t = rng.random(count), rng.random(count)
-        for lo in range(0, count, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            e = y_lo - np.log1p(-share * p_e[part])
-            a = np.asarray(overshoot(x, e), dtype=float)
-            s = np.asarray(inverse(side, cap * p_t[part]), dtype=float)
+    counts = rng.multinomial(m, plan.probs)
+    p_e, p_t = np.empty(m), np.empty(m)
+    lo = 0
+    for count in counts.tolist():
+        if count:
+            rng.random(out=p_e[lo:lo + count])
+            rng.random(out=p_t[lo:lo + count])
+            lo += count
+    sides, caps, y_lo, spans = zip(*plan.cells)
+    # the level y_lo - log(1 - p (1 - e^-h)) and the mass cap p, in place
+    p_e *= np.repeat([math.expm1(-h) for h in spans], counts)
+    np.log1p(p_e, out=p_e)
+    np.subtract(np.repeat(y_lo, counts), p_e, out=p_e)
+    p_t *= np.repeat(caps, counts)
+    split = int(counts[np.array(sides) < 0].sum())
+    for side, start, stop in ((-1, 0, split), (1, split, m)):
+        for lo in range(start, stop, _CHUNK):
+            part = slice(lo, min(lo + _CHUNK, stop))
+            a = np.asarray(overshoot(x, p_e[part]), dtype=float)
+            s = np.asarray(inverse(side, p_t[part]), dtype=float)
             d = np.asarray(deficit(side, s), dtype=float)
             keep = a * (1.0 - d) > x * d
             if right:
@@ -417,9 +440,14 @@ def sample_conditional(
         r, t = first, second
         a, offset = r - x, t - t0
 
-    # each pair by the window of its side; an event on one side has only phi_plus
-    phi_minus = norm.phi_plus if norm.phi_minus is None else norm.phi_minus
-    t_norm = offset / np.where(offset >= 0, norm.phi_plus, phi_minus)
+    # each pair by the window of its side; an event on one side has only
+    # phi_plus. a and offset are this call's own arrays, which the
+    # normalized coordinates overwrite
+    if norm.phi_minus is None:
+        t_norm = np.divide(offset, norm.phi_plus, out=offset)
+    else:
+        t_norm = np.divide(offset, np.where(offset >= 0, norm.phi_plus, norm.phi_minus), out=offset)
+    r_norm = np.divide(a, norm.psi_x, out=a)
 
     stats = AcceptanceStats(
         proposals=proposals,
@@ -428,7 +456,7 @@ def sample_conditional(
         proposal_mass=plan.proposal_mass,
     )
     return ConditionalSample(
-        x=x, condition=condition, r=r, t=t, r_norm=a / norm.psi_x, t_norm=t_norm,
+        x=x, condition=condition, r=r, t=t, r_norm=r_norm, t_norm=t_norm,
         normalizers=norm, acceptance=stats, seed=key, batch_size=batch_size,
     )
 

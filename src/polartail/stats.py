@@ -279,6 +279,15 @@ def chi_square_2d(pairs, binning, masses) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One threshold of a ``convergence_report``.
+
+    ``acceptance_z`` is (acceptance_rate - q) / SE, with q the scaled tail
+    quadrature P{event | R > x}, which the acceptance rate estimates, and
+    SE = proposal_mass sqrt(f (1 - f) / proposals), f = accepted /
+    proposals: a self-check of the sampler that costs no extra draw. It is
+    NaN when every proposal was accepted, where the binomial SE is 0.
+    """
+
     x: float
     n: int
     ks_r: float
@@ -286,6 +295,7 @@ class ReportRow:
     chi2_p: float
     acceptance_rate: float
     tail_ratio: float
+    acceptance_z: float
 
 
 @dataclass(frozen=True)
@@ -358,9 +368,11 @@ def convergence_report(
     samples: one-sample KS distances of r and t against the closed-form
     limit marginals, and the joint chi-square p-value on a bins x bins grid
     at exact marginal quantiles, with cell masses from differences of the
-    closed-form joint CDF. It adds the acceptance rate and the
-    quadrature/asymptotic tail ratio, formed from the forms scaled by
-    1/Hbar(x) so that it stays finite where Hbar(x) underflows. The KS
+    closed-form joint CDF. It adds the acceptance rate, its distance from
+    the scaled tail quadrature in binomial standard errors
+    (``ReportRow.acceptance_z``), and the quadrature/asymptotic tail
+    ratio, formed from the forms scaled by 1/Hbar(x) so that it stays
+    finite where Hbar(x) underflows. The KS
     trend flags allow a rise of max(noise, 1.95/sqrt(n)) per step, so
     distances at the noise level of n draws do not fail them.
     Deterministic given (model, x_grid, n, seed, condition).
@@ -388,10 +400,14 @@ def convergence_report(
         _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), (edges_r, edges_t), masses)
         quad = _oracle.scaled_tail_quadrature(mdl, x, condition).value
         asym = _asymptotics.tail_asymptotic(mdl, x, condition, scaled=True)
+        acc = mc.acceptance
+        f = acc.accepted / acc.proposals
+        se = acc.proposal_mass * math.sqrt(f * (1.0 - f) / acc.proposals)
         rows.append(ReportRow(
             x=x, n=n, ks_r=ks_r, ks_t=ks_t, chi2_p=chi2_p,
-            acceptance_rate=mc.acceptance.acceptance_rate,
+            acceptance_rate=acc.acceptance_rate,
             tail_ratio=quad / asym,
+            acceptance_z=(acc.acceptance_rate - quad) / se if se > 0.0 else math.nan,
         ))
 
     noise = max(noise, _KS_POINT / math.sqrt(n))

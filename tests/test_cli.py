@@ -1,5 +1,6 @@
 """Command line interface: exit codes, CSV shape, determinism, and cold start."""
 
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from polartail import (
     density,
     limit_law,
     sample_conditional,
+    scaled_tail_quadrature,
     validate_model,
 )
 from polartail import cli
@@ -520,6 +522,29 @@ def test_verify_small_grid_passes_with_loose_tolerances(f1_cfg, tmp_path, capsys
     assert "PASS model validation" in err
     text = out_csv.read_text()
     assert "x,n,ks_r,ks_t,chi2_p,acceptance_rate,tail_ratio" in text
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_verify_writes_the_acceptance_z_of_each_row(f1_cfg, tmp_path, seed):
+    # the README default grid: the acceptance rate lies within 5 binomial
+    # standard errors of the scaled tail quadrature, its exact value
+    out_csv = tmp_path / "verify.csv"
+    assert main(["verify", "--config", f1_cfg, "--seed", str(seed), "--out", str(out_csv)]) == 0
+    lines = out_csv.read_text().splitlines()
+    (diag,) = [line for line in lines if line.startswith("# diag.acceptance_z = ")]
+    z = [float(v) for v in diag.split(" = ", 1)[1].split(",")]
+    mdl = build_builtin_model(F1_CONFIG)
+    expected = []
+    for j, x in enumerate([10.0, 25.0, 50.0, 100.0]):
+        acc = sample_conditional(mdl, x, 5 * 10 ** 4, seed=(seed, j, 0)).acceptance
+        f = acc.accepted / acc.proposals
+        se = acc.proposal_mass * math.sqrt(f * (1.0 - f) / acc.proposals)
+        quad = scaled_tail_quadrature(mdl, x, Condition.RIGHT_SIDED).value
+        expected.append((acc.acceptance_rate - quad) / se)
+    assert z == expected
+    assert max(abs(v) for v in z) < 5.0
+    # the CSV body keeps its columns
+    assert "x,n,ks_r,ks_t,chi2_p,acceptance_rate,tail_ratio" in lines
 
 
 def test_verify_names_the_failing_validation_entries(f1_cfg, capsys, monkeypatch):

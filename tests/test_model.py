@@ -27,7 +27,13 @@ from polartail import (
     tail_asymptotic,
     validate_model,
 )
-from polartail.model import _radial_exponential, parse_config_text
+from polartail.model import (
+    _OVERSHOOT_SERIES,
+    _radial_exponential,
+    _radial_half_normal,
+    _radial_weibull,
+    parse_config_text,
+)
 
 from conftest import F1_CONFIG, TIED_CONFIG, tail_sweep
 
@@ -728,6 +734,29 @@ def test_an_infinite_level_passes_the_whole_side():
                 side = facts.side
                 whole = mdl.angular.side_mass(side, np.array([facts.width]))[0]
                 assert mdl.level_mass(x, side, np.array([math.inf]))[0] == whole, (name, x, side)
+
+
+RADIAL_LAWS = {
+    "exponential": lambda: _radial_exponential(1.0),
+    "weibull-0.5": lambda: _radial_weibull(0.5),
+    "weibull-2": lambda: _radial_weibull(2.0),
+    "half-normal": _radial_half_normal,
+}
+
+
+@pytest.mark.parametrize("x", [0.0, 3.0, 1e2, 1e4])
+@pytest.mark.parametrize("law", sorted(RADIAL_LAWS))
+def test_overshoot_is_elementwise(law, x):
+    # the sampler splits its levels into chunks at will: no value may
+    # depend on the other elements of its call, Newton iterations included
+    radial = RADIAL_LAWS[law]()
+    e = np.concatenate([np.geomspace(1e-8, 50.0, 120), [math.inf, 0.5 * _OVERSHOOT_SERIES]])
+    np.random.default_rng(7).shuffle(e)
+    whole = radial.overshoot(x, e)
+    assert np.concatenate([radial.overshoot(x, part) for part in np.split(e, [1, 40, 41])]).tobytes() \
+        == whole.tobytes()
+    assert np.concatenate([radial.overshoot(x, e[i:i + 1]) for i in range(e.size)]).tobytes() \
+        == whole.tobytes()
 
 
 @pytest.mark.parametrize("config", [F1_CONFIG, TIED_CONFIG], ids=["readme", "tied"])

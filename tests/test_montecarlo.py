@@ -621,8 +621,16 @@ def test_pool_is_capped_by_the_measured_thread_count(monkeypatch, f1_model):
     assert 1 <= len(threads) <= montecarlo._MAX_THREADS
 
 
+def _nonempty(fn):
+    """fn, asserting that its last argument is a nonempty array."""
+    def wrapper(*args):
+        assert np.asarray(args[-1]).size
+        return fn(*args)
+    return wrapper
+
+
 @pytest.mark.parametrize("batch_size", [1, 3])
-def test_model_callables_never_see_an_empty_array(f1_model, batch_size):
+def test_model_callables_never_see_an_empty_array(f1_model, asym_model, batch_size):
     # a callable that reduces its input fails on an empty array
     radial, shape_u = f1_model.radial, f1_model.shape_u
 
@@ -642,6 +650,23 @@ def test_model_callables_never_see_an_empty_array(f1_model, batch_size):
                                                 batch_size=batch_size)[0]
     s = sample_conditional(_whole_support_copy(mdl), 10.0, 20, seed=11, batch_size=batch_size)
     assert s.n == 20
+
+    # the stratified plan on both sides of t0: a batch this small often
+    # leaves one side without proposals, and that side makes no call
+    wrapped = dataclasses.replace(
+        asym_model,
+        radial=dataclasses.replace(asym_model.radial,
+                                   exact_overshoot=_nonempty(asym_model.radial.exact_overshoot)),
+        angular=dataclasses.replace(asym_model.angular,
+                                    side_mass_inverse=_nonempty(asym_model.angular.side_mass_inverse)),
+        shape_u=dataclasses.replace(asym_model.shape_u,
+                                    exact_deficit=_nonempty(asym_model.shape_u.exact_deficit)),
+    )
+    cond = Condition.UNRESTRICTED
+    s = sample_conditional(wrapped, 10.0, 20, cond, seed=11, batch_size=batch_size)
+    reference = sample_conditional(asym_model, 10.0, 20, cond, seed=11, batch_size=batch_size)
+    assert montecarlo._build_plan(wrapped, 10.0, cond).cells
+    assert s.r.tobytes() == reference.r.tobytes() and s.t.tobytes() == reference.t.tobytes()
 
 
 def test_an_error_in_a_batch_propagates_and_leaves_no_thread(monkeypatch, f1_model):
