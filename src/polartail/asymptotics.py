@@ -303,10 +303,12 @@ def tail_asymptotic(mdl: _model.PolarModel, x: float,
     asymptotic conditional probability P{X > x | R > x}; this form stays
     representable when the tail itself underflows.
     """
+    sides = mdl.sides(condition)
+    phis = [compute_phi(mdl, x, facts.side).phi for facts in sides]
+    g = np.asarray(mdl.angular.g_tilde(np.array([f.side * phi for f, phi in zip(sides, phis)])), dtype=float)
     total = 0.0
-    for facts in mdl.sides(condition):
-        phi = compute_phi(mdl, x, facts.side).phi
-        total += phi * float(mdl.angular.g_tilde(facts.side * phi)) / facts.limit.norm_const
+    for facts, phi, g_phi in zip(sides, phis, g.tolist()):
+        total += phi * g_phi / facts.limit.norm_const
     if scaled:
         return total
     return total * float(np.asarray(mdl.radial.survival(np.array([x])))[0])

@@ -125,12 +125,15 @@ class RadialLaw:
         does not depend on the other elements of the call, so the sampler
         may split its levels into chunks at will. Without
         ``exact_overshoot`` it is tail_quantile(1 - e^-e, x) - x, which
-        keeps only the digits of a that x + a can hold.
+        keeps only the digits of a that x + a can hold; where 1 - e^-e
+        rounds to 1 (e above about 37) the quantile reaches the top of its
+        range, and a = inf comes without a floating-point warning.
         """
         if self.exact_overshoot is not None:
             return self.exact_overshoot(x, e)
         p = -np.expm1(-np.asarray(e, dtype=float))
-        return np.asarray(self.tail_quantile(p, x), dtype=float) - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(self.tail_quantile(p, x), dtype=float) - x
 
 
 @dataclass(frozen=True)
@@ -397,21 +400,33 @@ class PolarModel:
 
         Given R > x, the level y = -log_survival_gap(x, R - x) is Exp(1)
         and independent of T. At level y the overshoot is a =
-        ``radial.overshoot(x, y)``, and a pair passes X > x exactly when its
-        deficit is below a / (x + a). On a side with a level map
-        (``SideFacts.has_level_map``), those pairs fill the distances below
-        s = deficit_inverse(a / (x + a)), so the mass is
-        ``angular.side_mass(side, min(s, width))``: the map the stratified
-        sampler's cells are capped by. The deficit handed to the inverse is
-        capped at the deficit at the side's edge, where the mass saturates,
-        so at y = inf it is the side mass.
+        ``radial.overshoot(x, y)``, and the mass is ``passing_mass(x, side,
+        a)``: the map the stratified sampler's cells are capped by, and the
+        one the level rule integrates. The overshoot does not depend on the
+        side, so the level rule (``oracle``) and the sampler's plan form it
+        once per set of levels at x and hand it to ``passing_mass`` of every
+        side the event covers; this is the same map for one side.
+        """
+        return self.passing_mass(x, side, self.radial.overshoot(x, y))
+
+    def passing_mass(self, x: float, side: int, a):
+        """Angular mass of side ``side`` that passes X > x at overshoot a = R - x.
+
+        A pair passes exactly when its deficit is below a / (x + a). On a
+        side with a level map (``SideFacts.has_level_map``), those pairs
+        fill the distances below s = deficit_inverse(a / (x + a)), so the
+        mass is ``angular.side_mass(side, min(s, width))``. The deficit
+        handed to the inverse is capped at the deficit at the side's edge,
+        where the mass saturates, so at a = inf (the overshoot at y = inf,
+        or where a tail quantile without ``exact_overshoot`` reaches the
+        top of its range) it is the side mass.
         """
         facts = self.side(side)
-        # a = inf, where a tail quantile without exact_overshoot reaches
-        # the top of its range, passes every deficit below 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.asarray(self.radial.overshoot(x, y), dtype=float)
-            d = np.where(np.isinf(a), 1.0, a / (x + a))
+        a = np.asarray(a, dtype=float)
+        if a.max(initial=-math.inf) < math.inf:
+            d = a / (x + a)
+        else:
+            d = np.divide(a, x + a, out=np.ones(a.shape), where=a != math.inf)
         d = np.minimum(d, facts.edge_deficit)
         s = np.asarray(self.shape_u.deficit_inverse(side, d), dtype=float)
         return self.angular.side_mass(side, np.minimum(s, facts.width))
@@ -523,18 +538,33 @@ def _radial_half_normal() -> RadialLaw:
         # below 1 loses digits like eps psi / d; below _GAP_SERIES psi(x) it
         # is the Taylor series -d (h + d (h'/2 + d (h''/6 + d h'''/24))) of
         # log Hbar, with the hazard h = 1/psi(x), h' = h (h - x), h'' = h' (h - x)
-        # + h (h' - 1) and h''' = h'' (h - x) + 2 h' (h' - 1) + h h''
+        # + h (h' - 1) and h''' = h'' (h - x) + 2 h' (h' - 1) + h h''. A gap
+        # below the most negative double is -inf, which the overflow of
+        # d (2x + d) or of x + d gives, and an overflowing d h selects the
+        # erfcx form. The series is formed only where it is selected; where
+        # its coefficients overflow (at some x from about 1e81 on, where
+        # h - x holds only the rounding of h) it raises NonConvergence
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
         d = np.asarray(d, dtype=float)
         erfcx_x = sp_special.erfcx(x * inv_sqrt2)
-        ratio = sp_special.erfcx((x + d) * inv_sqrt2) / erfcx_x
-        gap = np.log(ratio) - 0.5 * d * (2.0 * x + d)
         h = 1.0 / (mills_scale * erfcx_x)
-        h1 = h * (h - x)
-        h2 = h1 * (h - x) + h * (h1 - 1.0)
-        h3 = h2 * (h - x) + 2.0 * h1 * (h1 - 1.0) + h * h2
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = sp_special.erfcx((x + d) * inv_sqrt2) / erfcx_x
+            gap = np.log(ratio) - 0.5 * d * (2.0 * x + d)
+            near = d * h < _GAP_SERIES
+        if not np.any(near):
+            return gap
+        with np.errstate(over="ignore", invalid="ignore"):
+            h1 = h * (h - x)
+            h2 = h1 * (h - x) + h * (h1 - 1.0)
+            h3 = h2 * (h - x) + 2.0 * h1 * (h1 - 1.0) + h * h2
+        if not np.all(np.isfinite(h1) & np.isfinite(h2) & np.isfinite(h3)):
+            raise NonConvergence(
+                f"half-normal log_survival_gap: at x = {np.max(x):g} the coefficients of "
+                f"its series for d below {_GAP_SERIES:g} psi(x) overflow")
+        d = np.where(near, d, 0.0)
         series = -d * (h + d * (0.5 * h1 + d * (h2 / 6.0 + d * h3 / 24.0)))
-        return np.where(d * h < _GAP_SERIES, series, gap)
+        return np.where(near, series, gap)
 
     def exact_overshoot(x, e):
         # Newton on -exact_gap(x, a) = e from a = e psi(x). The gap is

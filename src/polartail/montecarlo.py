@@ -246,7 +246,11 @@ def _build_plan(mdl, x, condition) -> _Plan:
     sides = mdl.sides(condition)[::-1]  # the records (SideFacts), minus side first
     if mdl.angular.side_mass_inverse is None or not all(facts.has_level_map for facts in sides):
         return _Plan(x)
-    top = sum(float(mdl.level_mass(x, facts.side, np.array([_TOP_LEVEL]))[0]) for facts in sides)
+    # the level map: the overshoot does not depend on the side, so each set
+    # of levels takes one overshoot call, shared by the sides' passing masses
+    overshoot, passing_mass = mdl.radial.overshoot, mdl.passing_mass
+    a_top = overshoot(x, np.array([_TOP_LEVEL]))
+    top = sum(float(passing_mass(x, facts.side, a_top)[0]) for facts in sides)
     if not top > 0.0:
         return _Plan(x)
     e_c = max(_TOP_LEVEL, math.log(sum(facts.mass for facts in sides) / (_EDGE_SHARE * top)))
@@ -254,10 +258,11 @@ def _build_plan(mdl, x, condition) -> _Plan:
                       + [e_c, math.inf])
     spans = list(zip(levels[:-1].tolist(), np.diff(levels).tolist()))
     reads = levels[1:] + _CAP_LEVEL * (1.0 + levels[1:])
+    a_reads = overshoot(x, reads)
     cells = []
     for facts in sides:
         caps = np.minimum(facts.mass,
-                          (1.0 + _CAP_MASS) * np.asarray(mdl.level_mass(x, facts.side, reads), dtype=float))
+                          (1.0 + _CAP_MASS) * np.asarray(passing_mass(x, facts.side, a_reads), dtype=float))
         cells += [(facts.side, cap, y_lo, h) for cap, (y_lo, h) in zip(caps.tolist(), spans)]
     probs = np.array([cap * math.exp(-y_lo) * -math.expm1(-h) for _, cap, y_lo, h in cells])
     mass = float(probs.sum())
@@ -489,8 +494,8 @@ def estimate_tail_probability(
     most ``_MAX_THREADS``).
     ``workers`` is accepted and ignored, as in ``sample_conditional``.
     """
-    if not x >= 0:
-        raise ParameterError(f"estimate_tail_probability: x must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ParameterError(f"estimate_tail_probability: x must be >= 0 and finite, got {x}")
     if n_proposals < 1:
         raise ParameterError(f"n_proposals must be >= 1, got {n_proposals}")
     if batch_size < 1:

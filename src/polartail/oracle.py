@@ -37,12 +37,25 @@ only the levels and the masses at them depend on x. The rule is
 Nodes and weights are built once per (nodes, e) by Golub-Welsch: the
 nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
 (``np.linalg.eigvalsh``), the weights the Christoffel numbers from the
-three-term recurrence. The rule runs at 32 nodes; its error estimate is its distance from the
-same rule at 24 nodes, ``evaluations`` counts the nodes of both, and the
-side counts as converged only when that estimate is within 1e-9 of its
-value. A side whose estimate misses, which happens for x of order 1 and
-below where M_x is far from c y^e over the weight's range, falls back to
-the adaptive integral over the distance s from t0,
+three-term recurrence. The rule runs at 32 nodes; its error estimate is
+its distance from the same rule at 24 nodes, and both are cached as one
+stacked grid of 56 nodes per (Laguerre or Jacobi, e).
+
+The rule makes one pass per threshold over the sides the event covers.
+Neither y_sat nor the overshoot at a level depends on the side, so y_sat
+is formed once per distinct edge deficit and a = overshoot(x, y) once per
+distinct level grid (e, y_sat), which the two sides of a symmetric model
+share. Each side turns those overshoots into its masses
+(``PolarModel.passing_mass``) and gets the result it would get alone.
+``evaluations`` counts the 56 nodes of each side, and a side counts as
+converged only when the estimate is within 1e-9 of its value. Where the
+passing deficit a / (x + a) at the lowest node is subnormal (from x of
+about 1e153 on for a half-normal or Weibull beta = 2 radius), the masses
+would lose digits, and the rule raises NonConvergence rather than fall
+back: the fallback below loses the same digits. A side whose estimate
+misses, which happens for x of order 1 and below where M_x is far from
+c y^e over the weight's range, falls back to the adaptive integral over
+the distance s from t0,
 
     integral over {delta(s) < 1} of
         exp(gap(x, x delta(s) / (1 - delta(s)))) g(t0 + sigma s) ds,
@@ -271,6 +284,12 @@ def _peak_breakpoints(mdl, x: float, facts) -> list[float]:
     return [k * phi for k in _PEAK_MULTS if k * phi < facts.width]
 
 
+def _check_x(caller: str, x: float) -> None:
+    """Raise ParameterError naming x unless it is finite and >= 0."""
+    if not 0.0 <= x < math.inf:
+        raise ParameterError(f"{caller}: x must be >= 0 and finite, got {x}")
+
+
 def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
     """P{X > x} (optionally joint with T > t0) by quadrature.
 
@@ -278,8 +297,10 @@ def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
     scaled, evaluations and the convergence flag are kept. Where Hbar(x)
     underflows to 0.0 the result is exactly 0.0, converged, with no
     integrand evaluations; use scaled_tail_quadrature for ratio work at
-    such thresholds. Raises NonConvergence as scaled_tail_quadrature does.
+    such thresholds. Raises ParameterError and NonConvergence as
+    scaled_tail_quadrature does.
     """
+    _check_x("tail_probability_quadrature", x)
     hbar = float(np.asarray(mdl.radial.survival(np.array([x])))[0])
     if hbar == 0.0:
         return QuadratureResult(0.0, 0.0, 0, True)
@@ -300,6 +321,8 @@ def tail_probability_quadrature(mdl, x: float, condition) -> QuadratureResult:
 _LEVEL_NODES = (32, 24)
 _REL_TOL = 1e-9
 _LAGUERRE_FROM = 40.0
+# below this passing deficit a / (x + a) doubles are subnormal and lose digits
+_NORMAL_FLOOR = float(np.finfo(float).tiny)
 
 
 def _golub_welsch(diag, off, log_mu0: float, e: float) -> tuple[np.ndarray, np.ndarray]:
@@ -348,34 +371,63 @@ def _gauss_jacobi(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
                          k * (k + e) / (jk * np.sqrt(jk * jk - 1.0)), -math.log1p(e), e)
 
 
-def _level_rule(mdl, x: float, side: int) -> QuadratureResult:
-    """The level integral of one side by the cached Gauss rules (see the module docstring).
+@functools.lru_cache(maxsize=64)
+def _level_grid(laguerre: bool, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of _LEVEL_NODES nodes for weight y^e, stacked into one (nodes, weights) pair.
 
-    Unconverged with no evaluations on a side the rule does not cover.
+    Gauss-Laguerre when ``laguerre``, else Gauss-Jacobi on (0, 1); the
+    32-node rule comes first. Read-only, like the rules it stacks.
     """
-    facts = mdl.side(side)
-    if not facts.has_level_map:
-        return QuadratureResult(math.nan, math.inf, 0, False)
-    e, d_w = facts.e, facts.edge_deficit
-    y_sat = math.inf
-    if d_w < 1.0:
-        y_sat = -float(np.asarray(mdl.radial.log_survival_gap(x, np.array([x * d_w / (1.0 - d_w)])))[0])
-    if y_sat > _LAGUERRE_FROM:
-        rules = [_gauss_laguerre(n, e) for n in _LEVEL_NODES]
-        tail = 0.0
-    else:
+    rule = _gauss_laguerre if laguerre else _gauss_jacobi
+    nodes, weights = (np.concatenate(part) for part in zip(*(rule(n, e) for n in _LEVEL_NODES)))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _level_rules(mdl, x: float, sides) -> list[QuadratureResult]:
+    """The level rule of each side in ``sides`` at x, in one pass (see the module docstring).
+
+    A side the rule does not cover gets an unconverged result with no
+    evaluations. Raises NonConvergence where the passing deficit of a
+    level grid is subnormal.
+    """
+    n = _LEVEL_NODES[0]
+    y_sats, grids, results = {}, {}, []
+    for facts in sides:
+        if not facts.has_level_map:
+            results.append(QuadratureResult(math.nan, math.inf, 0, False))
+            continue
+        e, d_w = facts.e, facts.edge_deficit
+        if d_w not in y_sats:
+            y_sats[d_w] = math.inf if d_w >= 1.0 else -float(np.asarray(
+                mdl.radial.log_survival_gap(x, np.array([x * d_w / (1.0 - d_w)])))[0])
+        y_sat = y_sats[d_w]
         full = facts.mass
         if y_sat <= 0.0:
             # saturated from level 0 on (x = 0 with u > 0 over the side): every pair passes
-            return QuadratureResult(full, 0.0, 0, True)
-        rules = [(y_sat * t, y_sat * np.exp(-y_sat * t) * w)
-                 for t, w in (_gauss_jacobi(n, e) for n in _LEVEL_NODES)]
-        tail = math.exp(-y_sat) * full
-    mass = np.asarray(mdl.level_mass(x, side, np.concatenate([y for y, _ in rules])), dtype=float)
-    n = _LEVEL_NODES[0]
-    value = float(rules[0][1] @ mass[:n]) + tail
-    error = abs(value - (float(rules[1][1] @ mass[n:]) + tail))
-    return QuadratureResult(value, error, mass.size, error <= _REL_TOL * abs(value))
+            results.append(QuadratureResult(full, 0.0, 0, True))
+            continue
+        laguerre = y_sat > _LAGUERRE_FROM
+        key = (e, math.inf if laguerre else y_sat)
+        if key not in grids:
+            nodes, weights = _level_grid(laguerre, e)
+            if not laguerre:
+                nodes, weights = y_sat * nodes, y_sat * np.exp(-y_sat * nodes) * weights
+            a = np.asarray(mdl.radial.overshoot(x, nodes), dtype=float)
+            a_min = float(a.min())
+            if a_min < _NORMAL_FLOOR * x:
+                raise NonConvergence(
+                    f"scaled_tail_quadrature: x = {x:g} is beyond the level rule's reach: the "
+                    f"passing deficit a / (x + a) falls to {a_min / x:.3g}, below the "
+                    f"smallest normal double")
+            grids[key] = weights, a
+        weights, a = grids[key]
+        tail = 0.0 if laguerre else math.exp(-y_sat) * full
+        mass = np.asarray(mdl.passing_mass(x, facts.side, a), dtype=float)
+        value = float(weights[:n] @ mass[:n]) + tail
+        error = abs(value - (float(weights[n:] @ mass[n:]) + tail))
+        results.append(QuadratureResult(value, error, mass.size, error <= _REL_TOL * abs(value)))
+    return results
 
 
 def _side_integral(mdl, x: float, facts) -> QuadratureResult:
@@ -414,11 +466,13 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
         integral_0^inf e^{-y} level_mass(x, sigma, y) dy,
 
     by the cached Gauss-Laguerre or Gauss-Jacobi rule of weight y^e, e =
-    (1 + tau) / kappa (see the module docstring). Its error estimate is
-    the distance of the 32-node rule from the 24-node one, and
-    ``evaluations`` counts both. When that estimate misses the relative
-    tolerance 1e-9, as near x of order 1 and below, the side falls back
-    to the adaptive integral over the distance s from t0,
+    (1 + tau) / kappa, in one pass over the sides per threshold: sides
+    with the same level grid share its overshoots (see the module
+    docstring). Its error estimate is the distance of the 32-node rule
+    from the 24-node one, and ``evaluations`` counts both, 56 per side.
+    When that estimate misses the relative tolerance 1e-9, as near x of
+    order 1 and below, the side falls back to the adaptive integral over
+    the distance s from t0,
 
         integral of exp(gap(x, x delta / (1 - delta))) g(t0 + sigma s) ds,
 
@@ -431,15 +485,16 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     ``evaluations`` adds the integrand evaluations of the fallback. The
     value is also the exact acceptance probability of the rejection
     sampler that proposes from the radial tail law given R > x. Raises
-    NonConvergence if the adaptive integral of a side runs out of panels
-    before it meets the tolerance.
+    ParameterError unless x is finite and >= 0, and NonConvergence if the
+    adaptive integral of a side runs out of panels before it meets the
+    tolerance, or where the level rule's passing deficit leaves the normal
+    doubles.
     """
-    if not x >= 0:
-        raise ParameterError(f"scaled_tail_quadrature: x must be >= 0, got {x}")
+    _check_x("scaled_tail_quadrature", x)
     value = error = 0.0
     evaluations = 0
-    for facts in mdl.sides(condition):
-        res = _level_rule(mdl, x, facts.side)
+    sides = mdl.sides(condition)
+    for facts, res in zip(sides, _level_rules(mdl, x, sides)):
         if not res.converged:
             evaluations += res.evaluations
             res = _side_integral(mdl, x, facts)

@@ -392,6 +392,22 @@ def test_tail_asymptotic_unrestricted_doubles_symmetric(f1_model):
     assert both == pytest.approx(2.0 * one, rel=1e-12)
 
 
+def test_tail_asymptotic_reads_every_window_with_one_density_call(asym_model):
+    calls = []
+    density = asym_model.angular.density
+
+    def counting(t):
+        calls.append(np.asarray(t).shape)
+        return density(t)
+
+    mdl = dataclasses.replace(asym_model, angular=dataclasses.replace(asym_model.angular, density=counting))
+    for cond, sides in ((Condition.RIGHT_SIDED, 1), (Condition.UNRESTRICTED, 2)):
+        got = tail_asymptotic(mdl, 100.0, cond, scaled=True)
+        assert calls == [(sides,)]
+        assert got == tail_asymptotic(asym_model, 100.0, cond, scaled=True)
+        calls.clear()
+
+
 def test_tail_asymptotic_scaled_drops_survival_factor(f1_model):
     x = 25.0
     scaled = tail_asymptotic(f1_model, x, scaled=True)

@@ -145,6 +145,18 @@ def test_tailprob_mc_refuses_nan_x(f1_cfg, capsys):
     assert "x must be >= 0" in out.err
 
 
+@pytest.mark.parametrize("method", ["quad", "asym", "mc"])
+def test_tailprob_refuses_infinite_x(f1_cfg, capsys, method):
+    # quad printed inf,0 and mc inf,0,0 with exit 0; now every method is a
+    # usage error naming x, as asym already was
+    code = main(["tailprob", "--config", f1_cfg, "--x", "inf", "--method", method, "--seed", "1",
+                 "--n", "1000"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "x must be" in out.err and "got inf" in out.err
+
+
 def test_x_and_x_grid_are_mutually_exclusive(f1_cfg, capsys):
     code = main(
         ["tailprob", "--config", f1_cfg, "--x", "10", "--x-grid", "10,20"]

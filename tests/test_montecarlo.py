@@ -190,6 +190,13 @@ def test_tail_estimate_refuses_nan_and_negative_x(f1_model):
             estimate_tail_probability(f1_model, x, 100, seed=1)
 
 
+def test_tail_estimate_refuses_infinite_x(f1_model):
+    # a proposal at R > inf is never accepted, and the estimate was 0 with
+    # a standard error of exactly 0
+    with pytest.raises(ParameterError, match="x must be >= 0 and finite, got inf"):
+        estimate_tail_probability(f1_model, math.inf, 100, seed=1)
+
+
 def test_batch_size_is_part_of_the_stream(f1_model):
     a = sample_conditional(
         f1_model, 25.0, 2000, Condition.RIGHT_SIDED, seed=9, batch_size=512

@@ -16,6 +16,7 @@ from scipy import integrate
 from polartail import (
     AngularLaw,
     Condition,
+    NonConvergence,
     ParameterError,
     RadialLaw,
     adaptive_quadrature,
@@ -245,10 +246,24 @@ def test_custom_radial_law_scales_by_its_log_survival(f1_model):
             assert plain.value == pytest.approx(math.exp(-x) * scaled.value, rel=1e-15), (x, cond)
 
 
-@pytest.mark.parametrize("x", [-1.0, math.nan])
+@pytest.mark.parametrize("x", [-1.0, math.nan, math.inf])
 def test_scaled_tail_quadrature_rejects_x_outside_its_domain(f1_model, x):
     with pytest.raises(ParameterError, match="x must be >= 0"):
         scaled_tail_quadrature(f1_model, x, Condition.RIGHT_SIDED)
+
+
+@pytest.mark.parametrize("config", [
+    {"radial.family": "exponential", "angular.halfwidth": 1.0, "shape_u.kappa": 2.0},
+    {"radial.family": "half_normal", "angular.halfwidth": 1.0, "shape_u.family": "cosine"},
+    {"radial.family": "weibull", "radial.beta": 0.5, "angular.halfwidth": 1.0, "shape_u.kappa": 2.0},
+])
+def test_tail_quadratures_refuse_infinite_x_on_every_model(config):
+    # the scaled tail at x = inf was 0.0 on one model and an error of a
+    # different type on each of the others; every model now names x
+    mdl = build_builtin_model(config)
+    for quadrature in (scaled_tail_quadrature, tail_probability_quadrature):
+        with pytest.raises(ParameterError, match="x must be >= 0 and finite, got inf"):
+            quadrature(mdl, math.inf, Condition.UNRESTRICTED)
 
 
 def test_tail_quadrature_is_exact_zero_where_survival_underflows(f1_model):
@@ -375,7 +390,7 @@ def test_level_rule_below_one_matches_adaptive_integral():
 def test_level_rule_falls_back_where_its_estimate_misses(f1_model, monkeypatch):
     # at x = 0.5 the 32- and 24-node rules differ by 4e-7 relative; the
     # side takes the adaptive integral, and its evaluations count too
-    rule = oracle._level_rule(f1_model, 0.5, 1)
+    rule, = oracle._level_rules(f1_model, 0.5, f1_model.sides(Condition.RIGHT_SIDED))
     assert not rule.converged and rule.abs_error_estimate > 1e-9 * rule.value
     calls = _counting_adaptive(monkeypatch)
     res = scaled_tail_quadrature(f1_model, 0.5, Condition.RIGHT_SIDED)
@@ -410,3 +425,67 @@ def test_golub_welsch_rules_match_scipy(e, n):
         assert (w * y ** e) @ f(y / 8) == pytest.approx(w_ref @ f(y_ref / 8), rel=1e-13)
         assert (v * t ** e) @ f(t) == pytest.approx(v_ref @ f(t_ref), rel=1e-13)
     assert oracle._gauss_laguerre(n, e) is oracle._gauss_laguerre(n, e)
+
+
+@pytest.mark.parametrize("config, grids", [
+    ({"radial.family": "exponential", "angular.halfwidth": 1.0, "shape_u.kappa": 2.0}, 1),
+    ({"radial.family": "exponential", "angular.halfwidth": 1.0,
+      "shape_u.kappa_minus": 1.0, "shape_u.kappa_plus": 2.0}, 2),
+])
+def test_level_rule_forms_one_overshoot_per_level_grid(config, grids):
+    # the symmetric sides share their level grid (e, y_sat); kappa = (1, 2)
+    # gives e = 1 and 1/2, two grids
+    mdl = build_builtin_model(config)
+    calls, overshoot = [], mdl.radial.exact_overshoot
+
+    def counting(x, e):
+        calls.append(e)
+        return overshoot(x, e)
+
+    mdl = dataclasses.replace(mdl, radial=dataclasses.replace(mdl.radial, exact_overshoot=counting))
+    for x in (10.0, 1e3, 1e6):
+        res = scaled_tail_quadrature(mdl, x, Condition.UNRESTRICTED)
+        assert res.converged and res.evaluations == 56 * 2
+        assert len(calls) == grids, x
+        assert all(e.size == 56 for e in calls)
+        calls.clear()
+
+
+def test_level_rule_sides_match_each_side_alone():
+    _, ladder = tail_sweep()
+    for name, mdl, cond, x in _sweep_cases(ladder[::4] + (0.5, 1.0)):
+        sides = mdl.sides(cond)
+        together = oracle._level_rules(mdl, x, sides)
+        assert together == [oracle._level_rules(mdl, x, (facts,))[0] for facts in sides], (name, x, cond)
+
+
+def test_level_rule_raises_where_the_passing_deficit_is_subnormal():
+    # half-normal radius, cosine shape: x q(x) -> sqrt(pi / 2) / 2 with a
+    # correction of order 1 / x^2; past x of about 1e153 the passing
+    # deficit a / (x + a) ~ y / x^2 leaves the normal doubles
+    mdl = build_builtin_model(
+        {"radial.family": "half_normal", "angular.halfwidth": 1.0, "shape_u.family": "cosine"})
+    for x in (1e60, 1e100, 1e150):
+        res = scaled_tail_quadrature(mdl, x, Condition.RIGHT_SIDED)
+        assert res.converged and res.evaluations == 56
+        assert abs(x * res.value - 0.6266570686577501) <= 1e-12, x
+    for x in (1e158, 1e200, 1e300):
+        for cond in Condition:
+            with pytest.raises(NonConvergence, match="beyond the level rule's reach"):
+                scaled_tail_quadrature(mdl, x, cond)
+
+
+def test_half_normal_gap_forms_its_series_only_where_selected():
+    mdl = build_builtin_model(
+        {"radial.family": "half_normal", "angular.halfwidth": 1.0, "shape_u.family": "cosine"})
+    gap = mdl.radial.log_survival_gap
+    # far from the series: the erfcx form, -inf once d (2x + d) overflows
+    for x in (1e54, 1e158, 1e300):
+        got = np.asarray(gap(x, np.array([1e-3 * x, x, 1e300])), dtype=float)
+        assert np.all(got < 0.0) and got[-1] == -math.inf
+    # near it: the same values as one element at a time, and where the
+    # series' coefficients overflow a typed error, never a warning or a nan
+    d = np.array([1e-12, 1e-9, 1e-3, 1.0])
+    assert np.array_equal(gap(10.0, d), [float(gap(10.0, np.array([v]))[0]) for v in d])
+    with pytest.raises(NonConvergence, match="x = 1e\\+300 the coefficients"):
+        gap(1e300, np.array([1e-310]))
