@@ -15,8 +15,8 @@ form (``ShapeU.deficit_inverse``), so their window is phi =
 u_tilde^{-1}(psi(x)/x) with no search. Other shapes, and a builtin
 cosine whose bracket reaches past its monotone half-period, have the
 window bracketed on a grid strictly inside the angular support, which
-also checks that the deficit increases there, and then solved in log
-space; shapes whose deficit is not monotone near the peak (for example a
+also checks that the deficit increases there, and then solved by Brent's
+method; shapes whose deficit is not monotone near the peak (for example a
 cosine over several periods) are rejected rather than silently giving
 one of several roots.
 
@@ -60,12 +60,10 @@ __all__ = [
 ]
 
 _BRACKET_FLOOR = 1e-14
+_EPS = float(np.finfo(float).eps)
 _RESIDUAL_TOL = 1e-10
 # the monotonicity and bracketing grid, in units of the bracket ceiling
 _UNIT_GRID = np.geomspace(1e-9, 1.0, 512)
-# the log-space secant stops at this |log(deficit x / psi)| or step count
-_SOLVE_TOL = 4.0 * float(np.finfo(float).eps)
-_SOLVE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -101,45 +99,6 @@ class Normalizers:
     residual_minus: float | None
 
 
-def _log_secant(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of f(y) on [lo, hi] with f(lo) < 0 < f(hi).
-
-    Regula falsi with the Illinois weight halving, stepping from the end
-    with the smaller |f| and falling back to the midpoint where f is not
-    finite. Stops once |f| <= 4 eps or the secant correction vanishes
-    against y; a function linear in y is solved by its first step.
-    """
-    best_y, best_f = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
-    side = 0
-    for _ in range(_SOLVE_STEPS):
-        y = math.nan
-        if math.isfinite(f_lo) and math.isfinite(f_hi):
-            step = (hi - lo) / (f_hi - f_lo)
-            y = lo - f_lo * step if -f_lo < f_hi else hi - f_hi * step
-            if y == lo or y == hi:
-                break
-        if not lo < y < hi:
-            y = 0.5 * (lo + hi)
-            if not lo < y < hi:
-                break
-        fy = f(y)
-        if abs(fy) < abs(best_f):
-            best_y, best_f = y, fy
-        if not abs(fy) > _SOLVE_TOL:
-            break
-        if fy < 0:
-            lo, f_lo = y, fy
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = y, fy
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    return best_y
-
-
 def _too_small(x: float, side: int, target: float, reached: float) -> BracketError:
     return BracketError(
         f"x = {x:g} is too small on side {side:+d}: needs deficit {target:.3g} "
@@ -152,7 +111,7 @@ def _below_floor(x: float, side: int) -> BracketError:
 
 
 def _grid_root(deficit, s_max: float, target: float, x: float, side: int) -> float:
-    """The window root by grid bracketing and a log-space secant (see ``compute_phi``)."""
+    """The window root by grid bracketing and Brent's method (see ``compute_phi``)."""
     s_grid = np.maximum(s_max * _UNIT_GRID, _BRACKET_FLOOR)
     vals = deficit(s_grid)
     if not np.all(np.isfinite(vals)):
@@ -171,26 +130,27 @@ def _grid_root(deficit, s_max: float, target: float, x: float, side: int) -> flo
     # the first grid point at or above the target and the one before it
     # (or the floor) bracket the root
     k = int(np.argmax(vals >= target))
-    hi_s, hi_val = float(s_grid[k]), float(vals[k])
+    hi_s = float(s_grid[k])
     if k > 0:
-        lo_s, lo_val = float(s_grid[k - 1]), float(vals[k - 1])
+        lo_s = float(s_grid[k - 1])
     else:
         lo_s = _BRACKET_FLOOR
-        lo_val = float(deficit(np.array([lo_s]))[0])
-        if target < lo_val:
+        if target < float(deficit(np.array([lo_s]))[0]):
             raise _below_floor(x, side)
 
-    def log_ratio(d):
-        with np.errstate(divide="ignore"):
-            return float(np.log(d / target))
+    def excess(s):
+        value = float(deficit(np.array([s]))[0])
+        if math.isnan(value):  # brentq would raise a bare ValueError
+            raise NonConvergence(f"the deficit is nan at s = {s:.6g} on side {side:+d}")
+        return value - target
 
-    def f(y):
-        return log_ratio(deficit(np.array([math.exp(y)]))[0])
+    # scipy.optimize costs more to import than the package, and a closed-form
+    # window never needs it, so it is imported here. Its default xtol, 2e-12
+    # absolute, would swamp roots near the 1e-14 floor, so rtol alone stops
+    # it; a root it leaves unconverged fails the residual gate of compute_phi
+    from scipy.optimize import brentq
 
-    f_lo, f_hi = log_ratio(lo_val), log_ratio(hi_val)
-    if f_hi == 0.0 or lo_s >= hi_s:
-        return hi_s
-    return math.exp(_log_secant(f, math.log(lo_s), math.log(hi_s), f_lo, f_hi))
+    return brentq(excess, lo_s, hi_s, xtol=_BRACKET_FLOOR * _EPS, rtol=4.0 * _EPS, disp=False)
 
 
 def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
@@ -211,9 +171,10 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     Otherwise ``ShapeU.deficit`` is evaluated once on a geometric grid of
     512 points from 1e-9 s_max to s_max; the grid checks that the deficit
     increases and brackets the root between two adjacent points (or
-    between 1e-14 and the first point). On that bracket the root of
-    log(deficit(e^y) x / psi(x)) = 0 is found by a safeguarded secant in
-    y = log s.
+    between 1e-14 and the first point). On that bracket
+    ``scipy.optimize.brentq`` solves deficit(s) = psi(x)/x in s to a
+    relative 4 eps; scipy.optimize is imported only there, once the grid
+    checks have passed.
 
     Either way the residual is formed with ``deficit`` at the returned
     root. Raises MonotonicityError if the grid finds the deficit not

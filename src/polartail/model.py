@@ -149,9 +149,9 @@ class AngularLaw:
     within distance s >= 0 of t0 on side sigma (+1 or -1), measured from t0
     so that it keeps full relative precision for small s;
     ``side_mass_inverse(sigma, m)`` inverts it for m up to the side's total
-    mass. Builtin families supply both in closed form; when they are None
-    the Monte Carlo sampler proposes T from ``sample`` over the whole
-    support.
+    mass. The two are declared together. Builtin families supply both in
+    closed form; when they are None the Monte Carlo sampler proposes T
+    from ``sample`` over the whole support.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -175,6 +175,8 @@ class AngularLaw:
         for name, tau in (("tau_minus", self.tau_minus), ("tau_plus", self.tau_plus)):
             if not tau > -1:
                 raise ParameterError(f"angular {name} must exceed -1, got {tau}")
+        if (self.side_mass is None) != (self.side_mass_inverse is None):
+            raise ParameterError("angular side_mass and side_mass_inverse are declared together")
 
     def g_tilde(self, s):
         """g(t0 + s), derived pointwise from the density."""
@@ -284,7 +286,8 @@ class SideFacts:
     the window bracket (``asymptotics.compute_phi``), and ``e`` = (1 +
     tau) / kappa the side's Gamma shape. ``has_level_map`` says whether
     ``PolarModel.level_mass`` holds on the side: it needs
-    ``angular.side_mass`` and ``shape_u.deficit_inverse``, and a deficit
+    ``angular.side_mass`` (declared with its inverse) and
+    ``shape_u.deficit_inverse``, and a deficit
     that increases over the whole side (``shape_u.monotone_reach`` at least
     the width); the level rule and the stratified sampler read the map
     only there.
@@ -508,18 +511,24 @@ def _radial_weibull(beta: float) -> RadialLaw:
 _OVERSHOOT_STEPS = 50
 _OVERSHOOT_TOL = 64.0 * float(np.finfo(float).eps)
 _OVERSHOOT_SERIES = 1e-5
-# the d / psi(x) below which the half-normal gap is its quartic Taylor series
+# the d / psi(x) below which the half-normal gap is a 3-node Gauss-Legendre
+# integral of the hazard
 _GAP_SERIES = 2e-3
 
 
 def _radial_half_normal() -> RadialLaw:
-    # scipy.special costs more to import than the rest of the package, so
-    # it is imported where a special function is evaluated, not at the top
+    # scipy.special costs more to import than the rest of the package, and
+    # numpy.polynomial a few ms, so they are imported where they are used,
+    # not at the top
+    from numpy.polynomial.legendre import leggauss
     from scipy import special as sp_special
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     log2 = math.log(2.0)
     mills_scale = math.sqrt(math.pi / 2.0)
+    # the 3-node Gauss-Legendre rule on [0, 1], its weights summing to 1
+    nodes, weights = leggauss(3)
+    nodes, weights = 0.5 * (1.0 + nodes), 0.5 * weights
 
     def log_survival(x):
         return log2 + sp_special.log_ndtr(-np.maximum(np.asarray(x, dtype=float), 0.0))
@@ -532,18 +541,18 @@ def _radial_half_normal() -> RadialLaw:
         log_phi = sp_special.log_ndtr(-max(x_floor, 0.0))
         return -sp_special.ndtri_exp(np.log1p(-p) + log_phi)
 
+    def hazard(t):
+        return 1.0 / (mills_scale * sp_special.erfcx(t * inv_sqrt2))
+
     def exact_gap(x, d):
         # erfc(z) = erfcx(z) e^{-z^2} and (x + d)^2 - x^2 = d (2x + d). The
         # log of the erfcx ratio is good to a few eps absolute, so a gap far
         # below 1 loses digits like eps psi / d; below _GAP_SERIES psi(x) it
-        # is the Taylor series -d (h + d (h'/2 + d (h''/6 + d h'''/24))) of
-        # log Hbar, with the hazard h = 1/psi(x), h' = h (h - x), h'' = h' (h - x)
-        # + h (h' - 1) and h''' = h'' (h - x) + 2 h' (h' - 1) + h h''. A gap
-        # below the most negative double is -inf, which the overflow of
+        # is -integral of the hazard h over [x, x + d] by the 3-node
+        # Gauss-Legendre rule, whose error is of order (d h)^6 relative. A
+        # gap below the most negative double is -inf, which the overflow of
         # d (2x + d) or of x + d gives, and an overflowing d h selects the
-        # erfcx form. The series is formed only where it is selected; where
-        # its coefficients overflow (at some x from about 1e81 on, where
-        # h - x holds only the rounding of h) it raises NonConvergence
+        # erfcx form. The rule is formed only where it is selected
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
         d = np.asarray(d, dtype=float)
         erfcx_x = sp_special.erfcx(x * inv_sqrt2)
@@ -554,17 +563,11 @@ def _radial_half_normal() -> RadialLaw:
             near = d * h < _GAP_SERIES
         if not np.any(near):
             return gap
-        with np.errstate(over="ignore", invalid="ignore"):
-            h1 = h * (h - x)
-            h2 = h1 * (h - x) + h * (h1 - 1.0)
-            h3 = h2 * (h - x) + 2.0 * h1 * (h1 - 1.0) + h * h2
-        if not np.all(np.isfinite(h1) & np.isfinite(h2) & np.isfinite(h3)):
-            raise NonConvergence(
-                f"half-normal log_survival_gap: at x = {np.max(x):g} the coefficients of "
-                f"its series for d below {_GAP_SERIES:g} psi(x) overflow")
         d = np.where(near, d, 0.0)
-        series = -d * (h + d * (0.5 * h1 + d * (h2 / 6.0 + d * h3 / 24.0)))
-        return np.where(near, series, gap)
+        # summed term by term, not by a matrix product, whose order of
+        # summation may depend on the shape of the call
+        terms = hazard(x[..., None] + d[..., None] * nodes) * weights
+        return np.where(near, -d * (terms[..., 0] + terms[..., 1] + terms[..., 2]), gap)
 
     def exact_overshoot(x, e):
         # Newton on -exact_gap(x, a) = e from a = e psi(x). The gap is
@@ -1386,20 +1389,18 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             return worst <= _DENSITY_TOL, worst, _DENSITY_TOL - worst, \
                 "max |side_mass - integral of g from t0| at 1e-6 .. 1 side widths"
 
+        def side_mass_round_trip():
+            worst = float(np.max([_round_trip_error(
+                lambda s, side=facts.side: ang.side_mass(side, s),
+                lambda m, side=facts.side: ang.side_mass_inverse(side, m),
+                facts.mass * _ROUND_TRIP) for facts in sides]))
+            return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
+                "max |side_mass(side_mass_inverse(m)) / m - 1| for m up to the side's mass"
+
         run("angular.side_mass", f"side_mass(side, s) = integral of g within {_DENSITY_TOL}",
             side_mass_matches_density)
-
-        if ang.side_mass_inverse is not None:
-            def side_mass_round_trip():
-                worst = float(np.max([_round_trip_error(
-                    lambda s, side=facts.side: ang.side_mass(side, s),
-                    lambda m, side=facts.side: ang.side_mass_inverse(side, m),
-                    facts.mass * _ROUND_TRIP) for facts in sides]))
-                return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
-                    "max |side_mass(side_mass_inverse(m)) / m - 1| for m up to the side's mass"
-
-            run("angular.side_mass_inverse", "side_mass(side, side_mass_inverse(side, m)) = m",
-                side_mass_round_trip)
+        run("angular.side_mass_inverse", "side_mass(side, side_mass_inverse(side, m)) = m",
+            side_mass_round_trip)
 
     # the whole-support plan and the fixed-budget estimate draw T from sample
     def sample_matches_side_masses():

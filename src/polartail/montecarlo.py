@@ -52,10 +52,11 @@ them: on the half-normal/cosine model at x = 3, a pair at the highest
 level of the first strip whose mass lies one ulp above the unmargined cap
 passes the acceptance test.
 
-This stratified plan needs ``angular.side_mass_inverse`` and a level map
-on every side the event covers (``SideFacts.has_level_map``;
-``validate_model`` checks the declared reach on a grid, the side masses
-against the density, and the inverses by round trips). Otherwise, and
+This stratified plan needs a level map on every side the event covers
+(``SideFacts.has_level_map``: ``angular.side_mass`` and its inverse,
+``shape_u.deficit_inverse`` and the declared reach; ``validate_model``
+checks the declared reach on a grid, the side masses against the
+density, and the inverses by round trips). Otherwise, and
 always in ``estimate_tail_probability`` (the independent Monte Carlo
 check of the quadrature), the whole-support plan draws T from
 ``angular.sample``, R by ``tail_quantile`` only for a T the event can use
@@ -244,7 +245,7 @@ class _Plan:
 def _build_plan(mdl, x, condition) -> _Plan:
     """The level cells when every side has a level map, else the whole-support plan."""
     sides = mdl.sides(condition)[::-1]  # the records (SideFacts), minus side first
-    if mdl.angular.side_mass_inverse is None or not all(facts.has_level_map for facts in sides):
+    if not all(facts.has_level_map for facts in sides):
         return _Plan(x)
     # the level map: the overshoot does not depend on the side, so each set
     # of levels takes one overshoot call, shared by the sides' passing masses

@@ -121,7 +121,7 @@ def test_closed_form_window_matches_the_grid_solver_over_the_sweep():
                     continue
                 assert isinstance(closed, type(searched)), where
                 assert closed.phi == pytest.approx(searched.phi, rel=1e-14, abs=0.0), where
-                assert closed.residual <= 1e-12, where
+                assert closed.residual <= 1e-12 and searched.residual <= 1e-12, where
                 assert (closed.s_max, closed.side) == (searched.s_max, searched.side)
                 solved += 1
     assert solved > 250
@@ -177,6 +177,16 @@ def test_closed_form_window_keeps_the_typed_errors(f1_model):
     wrong = dataclasses.replace(f1_model.shape_u, deficit_inverse=lambda side, d: 1.001 * np.sqrt(d))
     with pytest.raises(NonConvergence):
         compute_phi(dataclasses.replace(f1_model, shape_u=wrong), 100.0)
+    # so does a grid-solved deficit that is nan near the root, between grid points
+    exact = f1_model.shape_u.exact_deficit
+
+    def holed(side, s):
+        s = np.asarray(s, dtype=float)
+        return np.where(np.abs(s / 0.1 - 1.0) < 1e-3, math.nan, exact(side, s))
+
+    holed_su = dataclasses.replace(f1_model.shape_u, exact_deficit=holed, deficit_inverse=None)
+    with pytest.raises(NonConvergence):
+        compute_phi(dataclasses.replace(f1_model, shape_u=holed_su), 100.0)
 
 
 def test_phi_strictly_decreasing_in_x(f1_model):

@@ -589,14 +589,27 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 # fresh process: which scipy modules a CLI start and the README model's
-# checks load, then whether a half-normal model loads scipy.special
+# checks load, then whether a half-normal model loads scipy.special, whether
+# the closed-form windows of the README and half-normal/cosine models load
+# scipy.optimize, and whether a grid-solved window does
 COLD_START = f"""
-import sys
+import dataclasses, sys
 import polartail, polartail.cli
-assert polartail.validate_model(polartail.build_builtin_model({F1_CONFIG!r})).passed
+readme = polartail.build_builtin_model({F1_CONFIG!r})
+assert polartail.validate_model(readme).passed
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 polartail.build_builtin_model({{**{F1_CONFIG!r}, "radial.family": "half_normal"}})
 print("scipy.special" in sys.modules)
+cosine = polartail.build_builtin_model(
+    {{"radial.family": "half_normal", "angular.halfwidth": 1.0, "shape_u.family": "cosine"}})
+for mdl in (readme, cosine):
+    for x in (10.0, 1e4):
+        for cond in polartail.Condition:
+            polartail.compute_normalizers(mdl, x, cond)
+print("scipy.optimize" in sys.modules)
+polartail.compute_normalizers(
+    dataclasses.replace(cosine, shape_u=dataclasses.replace(cosine.shape_u, deficit_inverse=None)), 10.0)
+print("scipy.optimize" in sys.modules)
 """
 
 
@@ -605,4 +618,4 @@ def test_cold_start_loads_scipy_only_for_special_functions():
     done = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True"]
+    assert done.stdout.splitlines() == ["[]", "True", "False", "True"]

@@ -501,7 +501,8 @@ def test_builtin_log_survival_gap_keeps_full_precision_at_large_x():
 
 
 # (x, d, log(erfc((x + d)/sqrt 2) / erfc(x/sqrt 2))) by mpmath at 450 digits,
-# at d = 1e-200, 1e-12, 1e-8 and 9e-5 times psi(x)
+# at d = 1e-200, 1e-12, 1e-8 and 9e-5 times psi(x) (from x = 1e81 on, 1e-12,
+# 1e-8 and 9e-5)
 _HALF_NORMAL_SMALL_GAPS = (
     (0.0, 1.2533141373155e-200, -9.9999999999999985116e-201),
     (0.0, 1.2533141373155002e-12, -1.0000000000004999231e-12),
@@ -519,6 +520,21 @@ _HALF_NORMAL_SMALL_GAPS = (
     (1000.0, 9.99999000003e-16, -1.0000000000000001141e-12),
     (1000.0, 9.999990000030002e-12, -1.0000000000000051688e-8),
     (1000.0, 8.999991000027002e-08, -0.000090000000004050010394),
+    # at 40 + 2 log10(x) digits and more, where the quartic series' coefficients
+    # overflowed; at x = 1e300, where mpmath's erfc cannot be formed, by the
+    # asymptotic series of erfc, which agrees with erfc to 89 digits at 1e150
+    (1e+81, 1.0000000000000001e-93, -1.0000000000000000371e-12),
+    (1e+81, 1e-89, -9.9999999999999995982e-9),
+    (1e+81, 9.000000000000001e-86, -0.000090000000000000002314),
+    (1e+100, 9.999999999999998e-113, -9.9999999999999985015e-13),
+    (1e+100, 9.999999999999999e-109, -9.9999999999999986622e-9),
+    (1e+100, 9e-105, -0.00008999999999999999637),
+    (1e+150, 1e-162, -9.9999999999999993492e-13),
+    (1e+150, 1e-158, -1.0000000000000000453e-8),
+    (1e+150, 9e-155, -0.000090000000000000005773),
+    (1e+300, 1e-312, -9.9999999999846539394e-13),
+    (1e+300, 1e-308, -9.9999999999999996183e-9),
+    (1e+300, 8.999999999999999e-305, -0.000089999999999999998067),
 )
 
 

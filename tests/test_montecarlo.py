@@ -165,7 +165,7 @@ def test_every_drawn_batch_is_consumed(f1_model, workers):
 
     mdl = dataclasses.replace(
         f1_model,
-        angular=dataclasses.replace(ang, side_mass=None, sample=counting_sample),
+        angular=dataclasses.replace(ang, side_mass=None, side_mass_inverse=None, sample=counting_sample),
     )
     s = sample_conditional(
         mdl, 25.0, 3000, Condition.RIGHT_SIDED, seed=9, batch_size=512, workers=workers
@@ -587,7 +587,7 @@ def _custom_copy(mdl):
         mdl,
         shape_u=dataclasses.replace(shape_u, u=lambda t: shape_u.u(t), monotone_reach=0.0),
         angular=dataclasses.replace(angular, sample=lambda rng, m: angular.sample(rng, m),
-                                    side_mass=None),
+                                    side_mass=None, side_mass_inverse=None),
     )
 
 

@@ -10,6 +10,7 @@ from polartail import (
     BracketError,
     Condition,
     LimitSide,
+    ParameterError,
     asymptotics,
     build_builtin_model,
     compute_normalizers,
@@ -70,9 +71,14 @@ def test_record_equals_the_per_call_values(name, config):
 
 
 def test_a_fact_the_model_lacks_is_none(f1_model):
-    mdl = dataclasses.replace(f1_model, angular=dataclasses.replace(f1_model.angular, side_mass=None))
+    mdl = dataclasses.replace(
+        f1_model, angular=dataclasses.replace(f1_model.angular, side_mass=None, side_mass_inverse=None))
     assert mdl.side(1).mass is None and not mdl.side(1).has_level_map
     assert f1_model.side(1).mass == 0.5
+    # the side masses and their inverse are declared together
+    for name in ("side_mass", "side_mass_inverse"):
+        with pytest.raises(ParameterError, match="declared together"):
+            dataclasses.replace(f1_model.angular, **{name: None})
 
 
 def _counting_readme_model():
