@@ -627,26 +627,38 @@ def _power(s: np.ndarray, k: float) -> np.ndarray:
     return np.square(s) if k == 2.0 else s ** k
 
 
-def _power_density_one_side(s, coeff, tau, width):
-    """coeff * s^tau on (0, width], 0 outside; 0 at s=0 when tau < 0."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s <= width) & ((s > 0) if tau < 0 else (s >= 0))
-    if np.any(inside):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = coeff * np.where(inside, s, 1.0) ** tau
-        out = np.where(inside, vals, 0.0)
-    return out
+def _angular_power(t0: float, minus, plus, sample) -> AngularLaw:
+    """The angular law c_sigma |t - t0|^tau_sigma on (0, w_sigma] per side.
 
-
-def _power_side_masses(minus, plus):
-    """(side_mass, side_mass_inverse) for the density coeff * s^tau on (0, width] per side.
-
-    ``minus``/``plus`` are (coeff, tau, width). The mass coeff s^(1+tau)/(1+tau)
-    is formed from s itself, never as a difference of CDF values, so it
-    keeps full relative precision near t0.
+    ``minus``/``plus`` are (coeff, tau, width) and ``sample`` draws T; the
+    builtin families are parameter sets of this one density. g is read
+    against the support's own edges t0 - w_minus and t0 + w_plus, so it is
+    positive at both and 0 one ulp beyond. g(t0) follows the plus side:
+    coeff when tau = 0, else 0. A minus side of width 0 (the one-sided
+    uniform) declares no coefficient. The side mass
+    coeff s^(1+tau)/(1+tau) is formed from s itself, never as a difference
+    of CDF values, so it keeps full relative precision near t0.
     """
+    (c_minus, tau_minus, w_minus), (c_plus, tau_plus, w_plus) = minus, plus
+    lo, hi = t0 - w_minus, t0 + w_plus
     params = {-1: minus, 1: plus}
+    one_power = (c_minus, tau_minus) == (c_plus, tau_plus)
+
+    def density(t):
+        t = np.asarray(t, dtype=float)
+        s = t - t0
+        inside = (t >= lo) & (t <= hi)
+        if tau_plus != 0:
+            inside &= s != 0
+        # no power meets 0^tau with tau < 0: the base is 1 off the support,
+        # and t0, kept only at tau_plus = 0, is left out of the minus power
+        a = np.where(inside, np.abs(s), 1.0)
+        if one_power:
+            g = c_plus * a ** tau_plus
+        else:
+            g = np.where(s >= 0, c_plus * a ** tau_plus,
+                         c_minus * np.where(s < 0, a, 1.0) ** tau_minus)
+        return np.where(inside, g, 0.0)
 
     def side_mass(side, s):
         coeff, tau, width = params[side]
@@ -658,7 +670,18 @@ def _power_side_masses(minus, plus):
         coeff, tau, _ = params[side]
         return _power(np.asarray(m, dtype=float) * ((1.0 + tau) / coeff), 1.0 / (1.0 + tau))
 
-    return side_mass, side_mass_inverse
+    return AngularLaw(
+        density=density,
+        t0=t0,
+        tau_minus=tau_minus,
+        tau_plus=tau_plus,
+        support=(lo, hi),
+        sample=sample,
+        g_coeff_minus=c_minus if w_minus > 0 else None,
+        g_coeff_plus=c_plus,
+        side_mass=side_mass,
+        side_mass_inverse=side_mass_inverse,
+    )
 
 
 def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
@@ -668,24 +691,8 @@ def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
         raise ParameterError(f"angular.halfwidth_minus must be >= 0, got {w_minus}")
     lo, hi = t0 - w_minus, t0 + w_plus
     g0 = 1.0 / (hi - lo)
-
-    def density(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= lo) & (t <= hi), g0, 0.0)
-
-    side_mass, side_mass_inverse = _power_side_masses((g0, 0.0, w_minus), (g0, 0.0, w_plus))
-    return AngularLaw(
-        density=density,
-        t0=t0,
-        tau_minus=0.0,
-        tau_plus=0.0,
-        support=(lo, hi),
-        sample=lambda rng, n: rng.uniform(lo, hi, n),
-        g_coeff_minus=g0 if w_minus > 0 else None,
-        g_coeff_plus=g0,
-        side_mass=side_mass,
-        side_mass_inverse=side_mass_inverse,
-    )
+    return _angular_power(t0, (g0, 0.0, w_minus), (g0, 0.0, w_plus),
+                          lambda rng, n: rng.uniform(lo, hi, n))
 
 
 def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
@@ -693,30 +700,14 @@ def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
         raise ParameterError(f"angular.tau must exceed -1, got {tau}")
     if width <= 0:
         raise ParameterError(f"angular.halfwidth must be > 0, got {width}")
-    coeff = (1.0 + tau) / (2.0 * width ** (1.0 + tau))
-
-    def density(t):
-        s = np.abs(np.asarray(t, dtype=float) - t0)
-        return _power_density_one_side(s, coeff, tau, width)
+    side = ((1.0 + tau) / (2.0 * width ** (1.0 + tau)), tau, width)
 
     def sample(rng, n):
         mags = width * rng.random(n) ** (1.0 / (1.0 + tau))
         signs = rng.integers(0, 2, n) * 2 - 1
         return t0 + signs * mags
 
-    side_mass, side_mass_inverse = _power_side_masses((coeff, tau, width), (coeff, tau, width))
-    return AngularLaw(
-        density=density,
-        t0=t0,
-        tau_minus=tau,
-        tau_plus=tau,
-        support=(t0 - width, t0 + width),
-        sample=sample,
-        g_coeff_minus=coeff,
-        g_coeff_plus=coeff,
-        side_mass=side_mass,
-        side_mass_inverse=side_mass_inverse,
-    )
+    return _angular_power(t0, side, side, sample)
 
 
 def _angular_asymmetric_power(
@@ -728,18 +719,11 @@ def _angular_asymmetric_power(
             raise ParameterError(f"{name} must exceed -1, got {tau}")
     if not 0.0 < weight_plus < 1.0:
         raise ParameterError(f"angular.weight_plus must be in (0, 1), got {weight_plus}")
-    if w_minus <= 0 or w_plus <= 0:
-        raise ParameterError(
-            f"angular halfwidths must be > 0, got minus={w_minus} plus={w_plus}"
-        )
+    for name, w in (("angular.halfwidth_minus", w_minus), ("angular.halfwidth_plus", w_plus)):
+        if w <= 0:
+            raise ParameterError(f"{name} must be > 0, got {w}")
     c_plus = weight_plus * (1.0 + tau_plus) / w_plus ** (1.0 + tau_plus)
     c_minus = (1.0 - weight_plus) * (1.0 + tau_minus) / w_minus ** (1.0 + tau_minus)
-
-    def density(t):
-        s = np.asarray(t, dtype=float) - t0
-        plus = _power_density_one_side(np.where(s >= 0, s, np.inf), c_plus, tau_plus, w_plus)
-        minus = _power_density_one_side(np.where(s < 0, -s, np.inf), c_minus, tau_minus, w_minus)
-        return plus + minus
 
     def sample(rng, n):
         side_plus = rng.random(n) < weight_plus
@@ -748,21 +732,7 @@ def _angular_asymmetric_power(
         mag_minus = w_minus * mags_u ** (1.0 / (1.0 + tau_minus))
         return t0 + np.where(side_plus, mag_plus, -mag_minus)
 
-    side_mass, side_mass_inverse = _power_side_masses(
-        (c_minus, tau_minus, w_minus), (c_plus, tau_plus, w_plus),
-    )
-    return AngularLaw(
-        density=density,
-        t0=t0,
-        tau_minus=tau_minus,
-        tau_plus=tau_plus,
-        support=(t0 - w_minus, t0 + w_plus),
-        sample=sample,
-        g_coeff_minus=c_minus,
-        g_coeff_plus=c_plus,
-        side_mass=side_mass,
-        side_mass_inverse=side_mass_inverse,
-    )
+    return _angular_power(t0, (c_minus, tau_minus, w_minus), (c_plus, tau_plus, w_plus), sample)
 
 
 # ---------------------------------------------------------------------------
@@ -998,10 +968,14 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
         theta_polynomial: shape_v.rho (0.0), shape_v.n (required),
                      shape_v.deriv (required)
 
-    The model is two-sided exactly when the angular support extends below
-    angular.t0; no key sets it. Range violations raise ParameterError
-    naming the key; unknown family tags raise UnknownFamilyError; unknown
-    keys raise ConfigError.
+    The angular families are parameter sets of one density,
+    c_sigma |t - t0|^tau_sigma on (0, w_sigma] per side, each with its own
+    sampler: uniform ties tau = 0 and one c on both sides, symmetric_power
+    ties the sides' tau and width with mass 1/2 each, and asymmetric_power
+    ties nothing. The model is two-sided exactly when the angular support
+    extends below angular.t0; no key sets it. Range violations raise
+    ParameterError naming the key; unknown family tags raise
+    UnknownFamilyError; unknown keys raise ConfigError.
     """
     cfg = _ConfigReader(config)
 

@@ -174,6 +174,22 @@ def test_x_grid_without_numbers_is_usage_error(f1_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate"], "--config is required"),
+    (["phi", "--config", "{cfg}", "--x-grid", "10,ten"], "--x-grid: expected comma-separated numbers"),
+    (["phi", "--config", "{cfg}"], "--x or --x-grid is required"),
+    (["simulate", "--config", "{cfg}", "--n", "10", "--seed", "1"], "--x is required for simulate"),
+], ids=["no-config", "malformed-x-grid", "no-x", "simulate-no-x"])
+def test_usage_errors_write_no_csv(f1_cfg, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    code = main([a.format(cfg=f1_cfg) for a in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_simulate_rejects_x_grid(f1_cfg, tmp_path, capsys):
     # simulate draws at one threshold, so it takes no --x-grid
     out = tmp_path / "sim.csv"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from polartail import (
     tail_asymptotic,
     validate_model,
 )
+from polartail.cli import main
 from polartail.model import (
     _OVERSHOOT_SERIES,
     _radial_exponential,
@@ -214,6 +216,59 @@ def test_exponential_and_weibull_survival_keep_their_closed_forms():
 def test_unknown_family_names_the_offender():
     with pytest.raises(UnknownFamilyError, match="cauchy"):
         build_builtin_model({"radial.family": "cauchy"})
+
+
+_ASYMMETRIC = {"angular.family": "asymmetric_power", "angular.tau_minus": -0.5,
+               "angular.tau_plus": 0.0, "angular.weight_plus": 0.5}
+_SYMMETRIC = {"angular.family": "symmetric_power", "angular.tau": 0.5}
+
+
+# one out-of-range value per key a builder checks, and one unknown family per component
+@pytest.mark.parametrize("key, extra, error", [
+    ("radial.rate", {"radial.rate": 0.0}, ParameterError),
+    ("radial.beta", {"radial.family": "weibull", "radial.beta": -1.0}, ParameterError),
+    ("angular.halfwidth_plus", {"angular.halfwidth_plus": 0.0}, ParameterError),
+    ("angular.halfwidth_minus", {"angular.halfwidth_minus": -0.5}, ParameterError),
+    ("angular.tau", dict(_SYMMETRIC, **{"angular.tau": -1.0}), ParameterError),
+    ("angular.halfwidth", dict(_SYMMETRIC, **{"angular.halfwidth": 0.0}), ParameterError),
+    ("angular.tau_minus", dict(_ASYMMETRIC, **{"angular.tau_minus": -1.5}), ParameterError),
+    ("angular.tau_plus", dict(_ASYMMETRIC, **{"angular.tau_plus": -1.0}), ParameterError),
+    ("angular.weight_plus", dict(_ASYMMETRIC, **{"angular.weight_plus": 1.0}), ParameterError),
+    ("angular.halfwidth_minus", dict(_ASYMMETRIC, **{"angular.halfwidth_minus": 0.0}),
+     ParameterError),
+    ("angular.halfwidth_plus", dict(_ASYMMETRIC, **{"angular.halfwidth_plus": -1.0}),
+     ParameterError),
+    ("shape_u.scale", {"shape_u.scale": 0.0}, ParameterError),
+    ("shape_u.kappa_minus", {"shape_u.kappa_minus": 0.0}, ParameterError),
+    ("shape_u.kappa_plus", {"shape_u.kappa_plus": -2.0}, ParameterError),
+    ("shape_v.delta", {"shape_v.family": "power_v", "shape_v.delta": 0.0}, ParameterError),
+    ("shape_v.coeff", {"shape_v.family": "power_v", "shape_v.delta": 3.0, "shape_v.coeff": 0.0},
+     ParameterError),
+    ("shape_v.n", {"shape_v.family": "theta_polynomial", "shape_v.n": 0, "shape_v.deriv": 1.0},
+     ParameterError),
+    ("shape_v.deriv", {"shape_v.family": "theta_polynomial", "shape_v.n": 2,
+                       "shape_v.deriv": 0.0}, ParameterError),
+    # rho a s^kappa and -c s^n cancel: 0.5 * 1 = 1/2!
+    ("shape_v.deriv", {"shape_v.family": "theta_polynomial", "shape_v.n": 2, "shape_v.rho": 0.5,
+                       "shape_v.deriv": 1.0}, ParameterError),
+    ("shape_v.rho", {"shape_u.kappa": 1.0, "shape_v.family": "seifert_linear",
+                     "shape_v.rho": 1.0}, ParameterError),
+    ("radial.family", {"radial.family": "cauchy"}, UnknownFamilyError),
+    ("angular.family", {"angular.family": "cauchy"}, UnknownFamilyError),
+    ("shape_u.family", {"shape_u.family": "cauchy"}, UnknownFamilyError),
+    ("shape_v.family", {"shape_v.family": "cauchy"}, UnknownFamilyError),
+])
+def test_builders_reject_out_of_range_values_naming_the_key(tmp_path, capsys, key, extra, error):
+    config = dict(F1_CONFIG, **extra)
+    with pytest.raises(error) as exc:
+        build_builtin_model(config)
+    assert str(exc.value).startswith(key), str(exc.value)
+    path = tmp_path / "rejected.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    assert main(["validate", "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {key}" in out.err
 
 
 def test_unknown_config_key_rejected():
@@ -467,6 +522,37 @@ def test_side_mass_keeps_full_precision_next_to_t0(case):
             g = float(at_zero.density(np.array([side * d]))[0])
             assert g == pytest.approx(coeff * d ** tau, rel=1e-15, abs=0.0), (side, d)
 
+
+@pytest.mark.parametrize("t0", [0.0, -0.61])
+@pytest.mark.parametrize("case", sorted(SIDE_MASS_CASES) + ["one_sided_uniform"])
+def test_density_edge_rule(case, t0):
+    config = SIDE_MASS_CASES.get(case, {"angular.halfwidth_minus": 0.0,
+                                        "angular.halfwidth_plus": 1.3})
+    ang = build_builtin_model(dict(config, **{"radial.family": "exponential",
+                                              "angular.t0": t0})).angular
+    lo, hi = ang.support
+
+    def g(t):
+        return float(ang.density(np.array([t]))[0])
+
+    # the powers never meet 0^tau with tau < 0, which would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # t0 follows the plus side, whose power at 0 is 1 only for tau = 0
+        assert g(t0) == (ang.g_coeff_plus if ang.tau_plus == 0 else 0.0)
+        edges = [(1, hi, np.inf)]
+        if ang.g_coeff_minus is None:
+            assert lo == t0
+            assert g(np.nextafter(t0, -np.inf)) == g(t0 - 0.5) == 0.0
+        else:
+            edges.append((-1, lo, -np.inf))
+        for side, edge, beyond in edges:
+            coeff, tau = ((ang.g_coeff_plus, ang.tau_plus) if side > 0
+                          else (ang.g_coeff_minus, ang.tau_minus))
+            width = side * (edge - t0)
+            assert g(edge) == pytest.approx(coeff * width ** tau, rel=1e-15, abs=0.0), side
+            assert g(np.nextafter(edge, beyond)) == 0.0, side
+        assert g(math.nan) == 0.0
 
 
 def test_builtin_deficit_keeps_full_precision_next_to_t0():
