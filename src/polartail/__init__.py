@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from .asymptotics import (
     Normalizers,
@@ -48,6 +48,7 @@ from .model import (
     ShapeU,
     ShapeV,
     SideFacts,
+    ThresholdFacts,
     ValidationReport,
     build_builtin_model,
     load_config,
@@ -106,6 +107,7 @@ __all__ = [
     "ShapeU",
     "ShapeV",
     "SideFacts",
+    "ThresholdFacts",
     "UnknownFamilyError",
     "ValidationReport",
     "adaptive_quadrature",

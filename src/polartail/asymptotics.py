@@ -183,6 +183,12 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     the floor), ParameterError for a side other than +1 or -1, the minus
     side of a one-sided model or a bad x or psi(x), and NonConvergence if
     the residual at the root exceeds 1e-10.
+
+    The root is kept in the model's record of threshold x
+    (``PolarModel.threshold``), which holds the last x only: a second call
+    at the same x, from ``compute_normalizers``, ``tail_asymptotic`` or
+    the quadrature's panel seeds, returns the kept root, which is the one
+    a new solve would give. A solve that raises keeps nothing.
     """
     if side not in (1, -1):
         raise ParameterError(f"side must be +1 or -1, got {side!r}")
@@ -190,10 +196,18 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     facts = mdl.side(side)
     if not facts.width > 0:
         raise ParameterError("side -1 is not available: the angular support has no minus side")
-    s_max = facts.s_max
     if not (math.isfinite(x) and x > 0):
         raise ParameterError(f"x must be a positive finite number, got {x}")
+    windows = mdl.threshold(x).windows
+    root = windows.get(side)
+    if root is None:
+        root = windows[side] = _solve_window(mdl, x, facts)
+    return root
 
+
+def _solve_window(mdl: _model.PolarModel, x: float, facts: _model.SideFacts) -> PhiRoot:
+    """The window root of side ``facts`` at a valid x (see ``compute_phi``)."""
+    side, s_max = facts.side, facts.s_max
     psi = float(mdl.radial.aux_psi(x))
     if not (math.isfinite(psi) and psi > 0):
         raise ParameterError(f"aux_psi({x}) = {psi} is not a positive number")
@@ -224,7 +238,7 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
             f"window root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g} "
             f"on side {side:+d} at x = {x:g}"
         )
-    # positional: the keyword call costs more, and the tail-sweep makes ~1000 per pass
+    # positional: the keyword call costs more, and the tail-sweep makes hundreds per pass
     return PhiRoot(phi, residual, s_max, side, psi)
 
 

@@ -12,7 +12,10 @@ from the primitives, never stored separately:
 
 Their values at the few points that are constants of a side (its edge,
 the window bracket's ceiling, the whole side's mass) are kept in the
-side's record, ``PolarModel.side``, built once per model.
+side's record, ``PolarModel.side``, built once per model. What one
+threshold x gives each side (its window, its term of the scaled tail) is
+kept in the threshold's record, ``PolarModel.threshold``, for the last x
+only.
 
 Two quantities lose every digit to cancellation as the threshold grows:
 the deficit 1 - u near t0 and the radial log-survival difference
@@ -53,6 +56,7 @@ __all__ = [
     "ShapeV",
     "PolarModel",
     "SideFacts",
+    "ThresholdFacts",
     "CheckEntry",
     "ValidationReport",
     "build_builtin_model",
@@ -342,6 +346,26 @@ class SideFacts:
         return LimitSide(self.kappa, self.tau)
 
 
+class ThresholdFacts:
+    """The record of one threshold x of a model, from ``PolarModel.threshold``.
+
+    ``windows`` maps a side (+1 or -1) to its window root at x, an
+    ``asymptotics.PhiRoot``; ``asymptotics.compute_phi`` fills it. ``terms``
+    maps a side to its term of the scaled tail at x, an
+    ``oracle.QuadratureResult``: the level rule's result, or the adaptive
+    integral the side fell back to, counting the evaluations of both;
+    ``oracle.scaled_tail_quadrature`` fills it. Each fact is computed on its
+    first read and kept; a computation that raises stores nothing, so the
+    next read tries again. A kept fact is the value the same code gives
+    afresh: the record changes how often it runs, never what it returns.
+    """
+
+    __slots__ = ("x", "windows", "terms")
+
+    def __init__(self, x: float):
+        self.x, self.windows, self.terms = x, {}, {}
+
+
 @dataclass(frozen=True)
 class PolarModel:
     """Immutable bundle of the polar components.
@@ -357,6 +381,13 @@ class PolarModel:
     tuple of each condition are built once per model, on first use
     (``functools.cached_property``); ``dataclasses.replace`` builds a new
     model and so new records.
+
+    ``threshold(x)`` is the record (``ThresholdFacts``) of the last
+    threshold asked for, and of no other: each side's window and
+    scaled-tail term at x, computed on first read. So the readers at one x
+    (``compute_normalizers``, both quadratures and ``tail_asymptotic``,
+    under either condition) solve each window and run the level rule for
+    each side once. The record changes no value.
     """
 
     radial: RadialLaw
@@ -384,6 +415,23 @@ class PolarModel:
         facts = (SideFacts(self.angular, self.shape_u, 1), SideFacts(self.angular, self.shape_u, -1))
         plus = facts[:1]
         return facts, plus, facts if self.angular.support[0] < self.t0 else plus
+
+    def threshold(self, x: float) -> ThresholdFacts:
+        """The record (``ThresholdFacts``) of threshold x, which the caller has validated.
+
+        The model keeps one record, that of the last x asked for. Another
+        x, to the bit (0.0 and -0.0 differ), replaces it with a new, empty
+        record. A reader keeps the record it was handed for the whole of
+        its computation, so a thread that moves the slot to another x
+        cannot mix two thresholds; two threads that fill one record store
+        the same values.
+        """
+        record = self.__dict__.get("_threshold")
+        if record is None or record.x != x or (
+                x == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, record.x)):
+            # the model is frozen, so the slot is written as cached_property writes
+            record = self.__dict__["_threshold"] = ThresholdFacts(x)
+        return record
 
     def side(self, side: int) -> SideFacts:
         """The record of side ``side`` (+1 or -1) of t0; see ``SideFacts``."""
@@ -684,11 +732,15 @@ def _angular_power(t0: float, minus, plus, sample) -> AngularLaw:
     )
 
 
-def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
+_HALFWIDTH_KEYS = ("angular.halfwidth_minus", "angular.halfwidth_plus")
+
+
+def _angular_uniform(t0: float, w_minus: float, w_plus: float, keys=_HALFWIDTH_KEYS) -> AngularLaw:
+    """``keys`` are the config keys the minus and plus widths were read from."""
     if w_plus <= 0:
-        raise ParameterError(f"angular.halfwidth_plus must be > 0, got {w_plus}")
+        raise ParameterError(f"{keys[1]} must be > 0, got {w_plus}")
     if w_minus < 0:
-        raise ParameterError(f"angular.halfwidth_minus must be >= 0, got {w_minus}")
+        raise ParameterError(f"{keys[0]} must be >= 0, got {w_minus}")
     lo, hi = t0 - w_minus, t0 + w_plus
     g0 = 1.0 / (hi - lo)
     return _angular_power(t0, (g0, 0.0, w_minus), (g0, 0.0, w_plus),
@@ -712,14 +764,15 @@ def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
 
 def _angular_asymmetric_power(
     t0: float, tau_minus: float, tau_plus: float,
-    weight_plus: float, w_minus: float, w_plus: float,
+    weight_plus: float, w_minus: float, w_plus: float, keys=_HALFWIDTH_KEYS,
 ) -> AngularLaw:
+    """``keys`` are the config keys the minus and plus widths were read from."""
     for name, tau in (("angular.tau_minus", tau_minus), ("angular.tau_plus", tau_plus)):
         if not tau > -1:
             raise ParameterError(f"{name} must exceed -1, got {tau}")
     if not 0.0 < weight_plus < 1.0:
         raise ParameterError(f"angular.weight_plus must be in (0, 1), got {weight_plus}")
-    for name, w in (("angular.halfwidth_minus", w_minus), ("angular.halfwidth_plus", w_plus)):
+    for name, w in zip(keys, (w_minus, w_plus)):
         if w <= 0:
             raise ParameterError(f"{name} must be > 0, got {w}")
     c_plus = weight_plus * (1.0 + tau_plus) / w_plus ** (1.0 + tau_plus)
@@ -740,10 +793,12 @@ def _angular_asymmetric_power(
 # ---------------------------------------------------------------------------
 
 
-def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: float) -> ShapeU:
+def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: float,
+                   keys=("shape_u.kappa_minus", "shape_u.kappa_plus")) -> ShapeU:
+    """``keys`` are the config keys the minus and plus exponents were read from."""
     if scale <= 0:
         raise ParameterError(f"shape_u.scale must be > 0, got {scale}")
-    for name, k in (("shape_u.kappa_minus", kappa_minus), ("shape_u.kappa_plus", kappa_plus)):
+    for name, k in zip(keys, (kappa_minus, kappa_plus)):
         if not k > 0:
             raise ParameterError(f"{name} must be > 0, got {k}")
 
@@ -974,10 +1029,17 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
     ties the sides' tau and width with mass 1/2 each, and asymmetric_power
     ties nothing. The model is two-sided exactly when the angular support
     extends below angular.t0; no key sets it. Range violations raise
-    ParameterError naming the key; unknown family tags raise
+    ParameterError naming the key the value was read from (the shared
+    angular.halfwidth or shape_u.kappa for a side the config does not
+    set on its own); unknown family tags raise
     UnknownFamilyError; unknown keys raise ConfigError.
     """
     cfg = _ConfigReader(config)
+
+    def side_keys(shared: str) -> tuple[str, str]:
+        """The keys the minus and plus values are read from: ``shared``_minus
+        and ``shared``_plus where the config sets them, else ``shared``."""
+        return tuple(key if key in config else shared for key in (f"{shared}_minus", f"{shared}_plus"))
 
     rfam = cfg.text("radial.family", required=True)
     if rfam == "exponential":
@@ -995,7 +1057,7 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
         w = cfg.number("angular.halfwidth", 1.0)
         w_minus = cfg.number("angular.halfwidth_minus", w)
         w_plus = cfg.number("angular.halfwidth_plus", w)
-        angular = _angular_uniform(t0, w_minus, w_plus)
+        angular = _angular_uniform(t0, w_minus, w_plus, side_keys("angular.halfwidth"))
     elif afam == "symmetric_power":
         angular = _angular_symmetric_power(
             t0, cfg.number("angular.tau", required=True),
@@ -1010,6 +1072,7 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
             cfg.number("angular.weight_plus", required=True),
             cfg.number("angular.halfwidth_minus", w),
             cfg.number("angular.halfwidth_plus", w),
+            side_keys("angular.halfwidth"),
         )
     else:
         raise UnknownFamilyError(f"angular.family: unknown family {afam!r}")
@@ -1022,6 +1085,7 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
             cfg.number("shape_u.kappa_minus", kappa),
             cfg.number("shape_u.kappa_plus", kappa),
             cfg.number("shape_u.scale", 1.0),
+            side_keys("shape_u.kappa"),
         )
     elif ufam == "cosine":
         shape_u = _shape_u_cosine(t0)
@@ -1143,7 +1207,9 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     non-finite values raised by user callables are themselves recorded as
     failed entries, and a NaN anywhere in a check's measurements makes
     its measured value NaN; an entry with nothing to read passes with a
-    NaN. The report is a deterministic function of the model.
+    NaN, and ``angular.normalization`` fails with a NaN when its adaptive
+    integral does not converge. The report is a deterministic function of
+    the model.
     """
     from . import oracle
 
@@ -1281,6 +1347,10 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
             lambda t: np.asarray(mdl.angular.density(np.asarray(t)), dtype=float),
             lo, hi, rel_tol=1e-12, abs_tol=1e-14, breakpoints=(t0,),
         )
+        if not res.converged:
+            return False, None, None, (
+                f"adaptive integral did not converge: error estimate "
+                f"{res.abs_error_estimate:.3g} after {res.evaluations} evaluations")
         err = abs(res.value - 1.0)
         return err <= _DENSITY_TOL, res.value, _DENSITY_TOL - err, ""
 

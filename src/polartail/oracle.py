@@ -41,9 +41,10 @@ three-term recurrence. The rule runs at 32 nodes; its error estimate is
 its distance from the same rule at 24 nodes, and both are cached as one
 stacked grid of 56 nodes per (Laguerre or Jacobi, e).
 
-The rule makes one pass per threshold over the sides the event covers.
-Neither y_sat nor the overshoot at a level depends on the side, so y_sat
-is formed once per distinct edge deficit and a = overshoot(x, y) once per
+The rule makes one pass per threshold over the sides the event covers
+that the threshold's record (``PolarModel.threshold``) lacks. Neither
+y_sat nor the overshoot at a level depends on the side, so y_sat is
+formed once per distinct edge deficit and a = overshoot(x, y) once per
 distinct level grid (e, y_sat), which the two sides of a symmetric model
 share. Each side turns those overshoots into its masses
 (``PolarModel.passing_mass``) and gets the result it would get alone.
@@ -484,21 +485,45 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     at multiples of the window (see ``_peak_breakpoints``), and so
     ``evaluations`` adds the integrand evaluations of the fallback. The
     value is also the exact acceptance probability of the rejection
-    sampler that proposes from the radial tail law given R > x. Raises
-    ParameterError unless x is finite and >= 0, and NonConvergence if the
-    adaptive integral of a side runs out of panels before it meets the
-    tolerance, or where the level rule's passing deficit leaves the normal
-    doubles.
+    sampler that proposes from the radial tail law given R > x.
+
+    Each side's term is kept in the model's record of threshold x
+    (``PolarModel.threshold``), which holds the last x only. A second call
+    at the same x, from ``tail_probability_quadrature`` or under the other
+    condition, reads the kept terms, and the level rule runs only for the
+    sides the record lacks, still in one pass over them. The sum, its
+    error estimate and ``evaluations`` are those of a model without the
+    record.
+
+    Raises ParameterError unless x is finite and >= 0, and
+    NonConvergence if the adaptive integral of a side runs out of panels
+    before it meets the tolerance, or where the level rule's passing
+    deficit leaves the normal doubles.
     """
     _check_x("scaled_tail_quadrature", x)
     value = error = 0.0
     evaluations = 0
-    sides = mdl.sides(condition)
-    for facts, res in zip(sides, _level_rules(mdl, x, sides)):
-        if not res.converged:
-            evaluations += res.evaluations
-            res = _side_integral(mdl, x, facts)
+    for res in _side_terms(mdl, x, mdl.sides(condition)):
         value += res.value
         error += res.abs_error_estimate
         evaluations += res.evaluations
     return QuadratureResult(value, error, evaluations, True)
+
+
+def _side_terms(mdl, x: float, sides) -> list[QuadratureResult]:
+    """The scaled-tail term of each side in ``sides`` at x, kept in the record of x.
+
+    The sides the record lacks take the level rule in one pass, and a side
+    whose rule misses takes the adaptive integral; its term counts the
+    evaluations of both. A term is kept only once it is formed, so a raise
+    keeps nothing for that side.
+    """
+    terms = mdl.threshold(x).terms
+    missing = [facts for facts in sides if facts.side not in terms]
+    for facts, res in zip(missing, _level_rules(mdl, x, missing)):
+        if not res.converged:
+            fallback = _side_integral(mdl, x, facts)
+            res = QuadratureResult(fallback.value, fallback.abs_error_estimate,
+                                   res.evaluations + fallback.evaluations, True)
+        terms[facts.side] = res
+    return [terms[facts.side] for facts in sides]

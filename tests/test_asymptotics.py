@@ -352,8 +352,9 @@ def test_compute_normalizers_reads_psi_off_the_window_solve(f1_model):
         calls.append(x)
         return radial.aux_psi(x)
 
-    mdl = dataclasses.replace(f1_model, radial=dataclasses.replace(radial, aux_psi=aux_psi))
     for condition, windows in ((Condition.RIGHT_SIDED, 1), (Condition.UNRESTRICTED, 2)):
+        # a new model each time: one model keeps the plus window of x = 100 for the next call
+        mdl = dataclasses.replace(f1_model, radial=dataclasses.replace(radial, aux_psi=aux_psi))
         calls.clear()
         norms = compute_normalizers(mdl, 100.0, condition)
         assert calls == [100.0] * windows

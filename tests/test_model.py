@@ -271,6 +271,24 @@ def test_builders_reject_out_of_range_values_naming_the_key(tmp_path, capsys, ke
     assert f"error: {key}" in out.err
 
 
+# a per-side value read from the shared key: the error names the shared key
+@pytest.mark.parametrize("key, extra", [
+    ("angular.halfwidth", {"angular.halfwidth": -1.0}),
+    ("angular.halfwidth", {"angular.halfwidth": -1.0, "angular.halfwidth_plus": 1.0}),
+    ("angular.halfwidth", dict(_ASYMMETRIC, **{"angular.halfwidth": -1.0})),
+    ("angular.halfwidth", dict(_ASYMMETRIC, **{"angular.halfwidth": 0.0,
+                                               "angular.halfwidth_minus": 1.0})),
+    ("angular.halfwidth_minus", dict(_ASYMMETRIC, **{"angular.halfwidth": -1.0,
+                                                     "angular.halfwidth_minus": 0.0})),
+    ("shape_u.kappa", {"shape_u.kappa": -2.0}),
+    ("shape_u.kappa", {"shape_u.kappa": 0.0, "shape_u.kappa_minus": 1.0}),
+])
+def test_range_errors_name_the_key_the_config_set(key, extra):
+    with pytest.raises(ParameterError) as exc:
+        build_builtin_model(dict(F1_CONFIG, **extra))
+    assert str(exc.value).startswith(f"{key} must be"), str(exc.value)
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError, match="bogus.key"):
         build_builtin_model(dict(F1_CONFIG, **{"bogus.key": "1"}))
@@ -878,6 +896,18 @@ def test_normalization_reads_the_declared_term_and_still_flags_a_scaled_density(
 def test_normalization_without_declared_coefficients_is_the_adaptive_integral():
     entry = validate_model(_parabola_model(1.0)).entry("angular.normalization")
     assert entry.passed and entry.detail == ""
+
+
+def test_normalization_fails_an_unconverged_integral_without_a_measured_value():
+    # the Kronrod panels miss their tolerance on this model, and the adaptive
+    # integral runs out of panels at an error estimate of about 6e-3
+    mdl = build_builtin_model({"radial.family": "exponential", "angular.family": "symmetric_power",
+                               "angular.tau": -0.9, "angular.halfwidth": 0.8, "angular.t0": -0.61,
+                               "shape_u.family": "cosine"})
+    entry = validate_model(mdl).entry("angular.normalization")
+    assert not entry.passed and math.isnan(entry.measured) and entry.margin is None
+    assert entry.detail.startswith("adaptive integral did not converge: error estimate 0.006")
+    assert entry.detail.endswith(" evaluations")
 
 
 @pytest.mark.filterwarnings("error")
