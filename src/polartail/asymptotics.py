@@ -166,7 +166,11 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     s_max``), phi is that inverse at psi(x)/x and no search is made; the
     deficit at s_max, which psi(x)/x must not exceed, is the side's
     ``SideFacts.bracket_deficit``. Builtin shapes take this path, except a
-    cosine whose bracket reaches past pi.
+    cosine whose bracket reaches past pi. The 1e-14 floor belongs to the
+    grid search and does not bound this root: it is returned wherever it
+    passes the residual gate, which holds while psi(x)/x is a normal
+    double, and one that underflows or loses its digits in a subnormal
+    fails it.
 
     Otherwise ``ShapeU.deficit`` is evaluated once on a geometric grid of
     512 points from 1e-9 s_max to s_max; the grid checks that the deficit
@@ -179,7 +183,7 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     Either way the residual is formed with ``deficit`` at the returned
     root. Raises MonotonicityError if the grid finds the deficit not
     increasing on the bracket, BracketError if the target lies outside
-    the reachable range (x too small for this model, or the root below
+    the reachable range (x too small for this model, or a grid root below
     the floor), ParameterError for a side other than +1 or -1, the minus
     side of a one-sided model or a bad x or psi(x), and NonConvergence if
     the residual at the root exceeds 1e-10.
@@ -228,8 +232,6 @@ def _solve_window(mdl: _model.PolarModel, x: float, facts: _model.SideFacts) -> 
         if target > reached:
             raise _too_small(x, side, target, reached)
         phi = float(np.asarray(su.deficit_inverse(side, np.array([target])), dtype=float)[0])
-        if not (math.isfinite(phi) and phi >= _BRACKET_FLOOR):
-            raise _below_floor(x, side)
     else:
         phi = _grid_root(deficit, s_max, target, x, side)
     residual = abs(float(deficit(np.array([phi]))[0]) * x / psi - 1.0)

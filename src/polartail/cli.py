@@ -142,11 +142,10 @@ def _cmd_phi(args) -> int:
     config, mdl = _load_model(args)
     rows = []
     for x in _x_values(args):
-        psi = float(mdl.radial.aux_psi(x))
         # the CSV lists the minus side before the plus side
         for facts in reversed(mdl.sides(_model.Condition.UNRESTRICTED)):
             root = _asymptotics.compute_phi(mdl, x, facts.side)
-            rows.append((x, "+" if facts.side > 0 else "-", root.phi, root.residual, psi, psi / x))
+            rows.append((x, "+" if facts.side > 0 else "-", root.phi, root.residual, root.psi, root.psi / x))
     _emit(args, "phi", config, {}, ("x", "side", "phi", "residual", "psi", "psi_over_x"), rows)
     return 0
 

@@ -489,9 +489,6 @@ class PolarModel:
 
 
 def _radial_exponential(rate: float) -> RadialLaw:
-    if not rate > 0:
-        raise ParameterError(f"radial.rate must be > 0, got {rate}")
-
     def log_survival(x):
         return -rate * np.maximum(np.asarray(x, dtype=float), 0.0)
 
@@ -514,9 +511,6 @@ def _radial_exponential(rate: float) -> RadialLaw:
 
 
 def _radial_weibull(beta: float) -> RadialLaw:
-    if not beta > 0:
-        raise ParameterError(f"radial.beta must be > 0, got {beta}")
-
     def log_survival(x):
         return -(np.maximum(np.asarray(x, dtype=float), 0.0) ** beta)
 
@@ -732,15 +726,7 @@ def _angular_power(t0: float, minus, plus, sample) -> AngularLaw:
     )
 
 
-_HALFWIDTH_KEYS = ("angular.halfwidth_minus", "angular.halfwidth_plus")
-
-
-def _angular_uniform(t0: float, w_minus: float, w_plus: float, keys=_HALFWIDTH_KEYS) -> AngularLaw:
-    """``keys`` are the config keys the minus and plus widths were read from."""
-    if w_plus <= 0:
-        raise ParameterError(f"{keys[1]} must be > 0, got {w_plus}")
-    if w_minus < 0:
-        raise ParameterError(f"{keys[0]} must be >= 0, got {w_minus}")
+def _angular_uniform(t0: float, w_minus: float, w_plus: float) -> AngularLaw:
     lo, hi = t0 - w_minus, t0 + w_plus
     g0 = 1.0 / (hi - lo)
     return _angular_power(t0, (g0, 0.0, w_minus), (g0, 0.0, w_plus),
@@ -748,10 +734,6 @@ def _angular_uniform(t0: float, w_minus: float, w_plus: float, keys=_HALFWIDTH_K
 
 
 def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
-    if not tau > -1:
-        raise ParameterError(f"angular.tau must exceed -1, got {tau}")
-    if width <= 0:
-        raise ParameterError(f"angular.halfwidth must be > 0, got {width}")
     side = ((1.0 + tau) / (2.0 * width ** (1.0 + tau)), tau, width)
 
     def sample(rng, n):
@@ -764,17 +746,8 @@ def _angular_symmetric_power(t0: float, tau: float, width: float) -> AngularLaw:
 
 def _angular_asymmetric_power(
     t0: float, tau_minus: float, tau_plus: float,
-    weight_plus: float, w_minus: float, w_plus: float, keys=_HALFWIDTH_KEYS,
+    weight_plus: float, w_minus: float, w_plus: float,
 ) -> AngularLaw:
-    """``keys`` are the config keys the minus and plus widths were read from."""
-    for name, tau in (("angular.tau_minus", tau_minus), ("angular.tau_plus", tau_plus)):
-        if not tau > -1:
-            raise ParameterError(f"{name} must exceed -1, got {tau}")
-    if not 0.0 < weight_plus < 1.0:
-        raise ParameterError(f"angular.weight_plus must be in (0, 1), got {weight_plus}")
-    for name, w in zip(keys, (w_minus, w_plus)):
-        if w <= 0:
-            raise ParameterError(f"{name} must be > 0, got {w}")
     c_plus = weight_plus * (1.0 + tau_plus) / w_plus ** (1.0 + tau_plus)
     c_minus = (1.0 - weight_plus) * (1.0 + tau_minus) / w_minus ** (1.0 + tau_minus)
 
@@ -793,15 +766,7 @@ def _angular_asymmetric_power(
 # ---------------------------------------------------------------------------
 
 
-def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: float,
-                   keys=("shape_u.kappa_minus", "shape_u.kappa_plus")) -> ShapeU:
-    """``keys`` are the config keys the minus and plus exponents were read from."""
-    if scale <= 0:
-        raise ParameterError(f"shape_u.scale must be > 0, got {scale}")
-    for name, k in zip(keys, (kappa_minus, kappa_plus)):
-        if not k > 0:
-            raise ParameterError(f"{name} must be > 0, got {k}")
-
+def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: float) -> ShapeU:
     # scalar exponents only: a power with an array of exponents costs
     # several times as much, and boolean gathers more than a second power
     def u(t):
@@ -863,23 +828,12 @@ def _shape_v_sine(t0: float) -> ShapeV:
 
 
 def _shape_v_power(t0: float, rho: float, delta: float, coeff: float) -> ShapeV:
-    if not delta > 0:
-        raise ParameterError(
-            f"shape_v.delta must be > 0 for the power family, got {delta}"
-        )
-    if coeff == 0:
-        raise ParameterError("shape_v.coeff must be nonzero")
-
     def v(t):
         s = np.abs(np.asarray(t, dtype=float) - t0)
         return rho - coeff * s ** delta
 
     # v_tilde(s) = coeff s^delta
     return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_coeff=coeff)
-
-
-# 170! is about 7.3e306 and 171! overflows a double
-_MAX_THETA_N = 170
 
 
 def _shape_v_theta_polynomial(
@@ -893,15 +847,6 @@ def _shape_v_theta_polynomial(
     kappa = n, -c s^n above it, and their sum on a tie, where
     ``degenerate`` names a sum of zero.
     """
-    if n < 1:
-        raise ParameterError(f"shape_v.n must be an integer >= 1, got {n}")
-    if n > _MAX_THETA_N:
-        raise ParameterError(
-            f"shape_v.n must be at most {_MAX_THETA_N}, whose factorial is the "
-            f"largest that fits a double; got {n}"
-        )
-    if deriv == 0:
-        raise ParameterError("shape_v.deriv must be nonzero")
     c = deriv / math.factorial(n)
     u = shape_u.u
 
@@ -951,8 +896,18 @@ def load_config(path) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
+# range rules of config values, each (test, wording): a value failing the
+# test raises ParameterError "<key> <wording>", the value in the wording's {}
+_POSITIVE = (lambda v: v > 0, "must be > 0, got {}")
+_ABOVE_MINUS_ONE = (lambda v: v > -1, "must exceed -1, got {}")
+_NONZERO = (lambda v: v != 0, "must be nonzero")
+# 170! is about 7.3e306 and 171! overflows a double
+_MAX_THETA_N = 170
+
+
 class _ConfigReader:
-    """Tracks which keys a builder consumed so leftovers can be rejected."""
+    """Reads and range-checks config values, and tracks which keys a builder
+    consumed so leftovers can be rejected."""
 
     def __init__(self, config: Mapping[str, object]):
         self._cfg = dict(config)
@@ -970,7 +925,14 @@ class _ConfigReader:
         val = self.raw(key, default, required)
         return None if val is None else str(val).strip()
 
-    def number(self, key: str, default: float | None = None, required: bool = False) -> float | None:
+    def number(self, key: str, default: float | None = None, required: bool = False,
+               rules=(), shared: str | None = None) -> float | None:
+        """The finite number at ``key``, which must pass ``rules``.
+
+        A failed rule names ``key``, or ``shared`` where ``key`` is a
+        per-side key the config does not set and ``default`` is the value
+        of the shared key.
+        """
         val = self.raw(key, default, required)
         if val is None:
             return None
@@ -980,15 +942,23 @@ class _ConfigReader:
             fval = math.nan
         if not math.isfinite(fval):
             raise ConfigError(f"key {key!r}: expected a finite number, got {val!r}")
-        return fval
+        return self._checked(key if shared is None or key in self._cfg else shared, fval, rules)
 
-    def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
+    def integer(self, key: str, default: int | None = None, required: bool = False,
+                rules=()) -> int | None:
         fval = self.number(key, default, required)
         if fval is None:
             return None
         if fval != int(fval):
             raise ConfigError(f"key {key!r}: expected an integer, got {self.raw(key, default)!r}")
-        return int(fval)
+        return self._checked(key, int(fval), rules)
+
+    @staticmethod
+    def _checked(key: str, value, rules):
+        for test, wording in rules:
+            if not test(value):
+                raise ParameterError(f"{key} {wording.format(value)}")
+        return value
 
     def finish(self):
         leftover = sorted(set(self._cfg) - self._used)
@@ -1028,24 +998,19 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
     sampler: uniform ties tau = 0 and one c on both sides, symmetric_power
     ties the sides' tau and width with mass 1/2 each, and asymmetric_power
     ties nothing. The model is two-sided exactly when the angular support
-    extends below angular.t0; no key sets it. Range violations raise
-    ParameterError naming the key the value was read from (the shared
-    angular.halfwidth or shape_u.kappa for a side the config does not
-    set on its own); unknown family tags raise
+    extends below angular.t0; no key sets it. Every value is range-checked
+    where its key is read, and a violation raises ParameterError naming
+    the key the config set (the shared angular.halfwidth or shape_u.kappa
+    for a side the config does not set on its own); a config with several
+    faults reports the first one read. Unknown family tags raise
     UnknownFamilyError; unknown keys raise ConfigError.
     """
     cfg = _ConfigReader(config)
-
-    def side_keys(shared: str) -> tuple[str, str]:
-        """The keys the minus and plus values are read from: ``shared``_minus
-        and ``shared``_plus where the config sets them, else ``shared``."""
-        return tuple(key if key in config else shared for key in (f"{shared}_minus", f"{shared}_plus"))
-
     rfam = cfg.text("radial.family", required=True)
     if rfam == "exponential":
-        radial = _radial_exponential(cfg.number("radial.rate", 1.0))
+        radial = _radial_exponential(cfg.number("radial.rate", 1.0, rules=[_POSITIVE]))
     elif rfam == "weibull":
-        radial = _radial_weibull(cfg.number("radial.beta", required=True))
+        radial = _radial_weibull(cfg.number("radial.beta", required=True, rules=[_POSITIVE]))
     elif rfam == "half_normal":
         radial = _radial_half_normal()
     else:
@@ -1055,24 +1020,26 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
     afam = cfg.text("angular.family", "uniform")
     if afam == "uniform":
         w = cfg.number("angular.halfwidth", 1.0)
-        w_minus = cfg.number("angular.halfwidth_minus", w)
-        w_plus = cfg.number("angular.halfwidth_plus", w)
-        angular = _angular_uniform(t0, w_minus, w_plus, side_keys("angular.halfwidth"))
+        # the plus width first, so a shared width below 0 fails its > 0 rule
+        w_plus = cfg.number("angular.halfwidth_plus", w, rules=[_POSITIVE], shared="angular.halfwidth")
+        w_minus = cfg.number("angular.halfwidth_minus", w, shared="angular.halfwidth",
+                             rules=[(lambda v: v >= 0, "must be >= 0, got {}")])
+        angular = _angular_uniform(t0, w_minus, w_plus)
     elif afam == "symmetric_power":
         angular = _angular_symmetric_power(
-            t0, cfg.number("angular.tau", required=True),
-            cfg.number("angular.halfwidth", 1.0),
+            t0, cfg.number("angular.tau", required=True, rules=[_ABOVE_MINUS_ONE]),
+            cfg.number("angular.halfwidth", 1.0, rules=[_POSITIVE]),
         )
     elif afam == "asymmetric_power":
         w = cfg.number("angular.halfwidth", 1.0)
         angular = _angular_asymmetric_power(
             t0,
-            cfg.number("angular.tau_minus", required=True),
-            cfg.number("angular.tau_plus", required=True),
-            cfg.number("angular.weight_plus", required=True),
-            cfg.number("angular.halfwidth_minus", w),
-            cfg.number("angular.halfwidth_plus", w),
-            side_keys("angular.halfwidth"),
+            cfg.number("angular.tau_minus", required=True, rules=[_ABOVE_MINUS_ONE]),
+            cfg.number("angular.tau_plus", required=True, rules=[_ABOVE_MINUS_ONE]),
+            cfg.number("angular.weight_plus", required=True,
+                       rules=[(lambda v: 0 < v < 1, "must be in (0, 1), got {}")]),
+            cfg.number("angular.halfwidth_minus", w, rules=[_POSITIVE], shared="angular.halfwidth"),
+            cfg.number("angular.halfwidth_plus", w, rules=[_POSITIVE], shared="angular.halfwidth"),
         )
     else:
         raise UnknownFamilyError(f"angular.family: unknown family {afam!r}")
@@ -1082,10 +1049,9 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
         kappa = cfg.number("shape_u.kappa", 2.0)
         shape_u = _shape_u_power(
             t0,
-            cfg.number("shape_u.kappa_minus", kappa),
-            cfg.number("shape_u.kappa_plus", kappa),
-            cfg.number("shape_u.scale", 1.0),
-            side_keys("shape_u.kappa"),
+            cfg.number("shape_u.kappa_minus", kappa, rules=[_POSITIVE], shared="shape_u.kappa"),
+            cfg.number("shape_u.kappa_plus", kappa, rules=[_POSITIVE], shared="shape_u.kappa"),
+            cfg.number("shape_u.scale", 1.0, rules=[_POSITIVE]),
         )
     elif ufam == "cosine":
         shape_u = _shape_u_cosine(t0)
@@ -1105,15 +1071,20 @@ def build_builtin_model(config: Mapping[str, object]) -> PolarModel:
         shape_v = _shape_v_power(
             t0,
             cfg.number("shape_v.rho", 0.0),
-            cfg.number("shape_v.delta", required=True),
-            cfg.number("shape_v.coeff", 1.0),
+            cfg.number("shape_v.delta", required=True,
+                       rules=[(lambda v: v > 0, "must be > 0 for the power family, got {}")]),
+            cfg.number("shape_v.coeff", 1.0, rules=[_NONZERO]),
         )
     elif vfam == "theta_polynomial":
         shape_v = _shape_v_theta_polynomial(
             t0,
             cfg.number("shape_v.rho", 0.0),
-            cfg.integer("shape_v.n", required=True),
-            cfg.number("shape_v.deriv", required=True),
+            cfg.integer("shape_v.n", required=True, rules=[
+                (lambda n: n >= 1, "must be an integer >= 1, got {}"),
+                (lambda n: n <= _MAX_THETA_N, f"must be at most {_MAX_THETA_N}, whose factorial is "
+                                              "the largest that fits a double; got {}"),
+            ]),
+            cfg.number("shape_v.deriv", required=True, rules=[_NONZERO]),
             shape_u,
         )
     else:

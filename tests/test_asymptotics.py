@@ -165,14 +165,20 @@ def test_closed_form_window_keeps_the_typed_errors(f1_model):
     for bad_x in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             compute_phi(f1_model, bad_x)
-    # a root below the 1e-14 floor: kappa = 0.25 needs s = (psi / x)^4
+    # a root below the 1e-14 floor of the grid search: kappa = 0.25 needs
+    # s = (psi / x)^4, which the closed form gives, and the grid refuses
     deep = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 1.0,
                                 "shape_u.kappa": 0.25})
     assert compute_phi(deep, 1e3).phi == pytest.approx(1e-12, rel=1e-14)
+    assert compute_phi(deep, 1e4).phi == pytest.approx(1e-16, rel=1e-14)
+    # where it underflows (1e-400) or falls to a subnormal (1e-320), the
+    # residual gate refuses it
+    for x in (1e100, 1e80):
+        with pytest.raises(NonConvergence):
+            compute_phi(deep, x)
     grid = dataclasses.replace(deep, shape_u=dataclasses.replace(deep.shape_u, deficit_inverse=None))
-    for mdl in (deep, grid):
-        with pytest.raises(BracketError, match="floor"):
-            compute_phi(mdl, 1e4)
+    with pytest.raises(BracketError, match="floor"):
+        compute_phi(grid, 1e4)
     # an inverse that misses the deficit trips the residual gate
     wrong = dataclasses.replace(f1_model.shape_u, deficit_inverse=lambda side, d: 1.001 * np.sqrt(d))
     with pytest.raises(NonConvergence):

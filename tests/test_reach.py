@@ -1,4 +1,5 @@
-"""Numerical reach: windows, tails and conditional draws right up to x = 1e12.
+"""Numerical reach: windows, tails and conditional draws up to x = 1e12,
+and windows, asymptotic tails and draws as far as doubles hold psi(x)/x.
 
 Each reference is an independent closed form written here from the
 model's definition: the window phi solves deficit(phi) = psi(x)/x, the
@@ -8,6 +9,7 @@ the limit marginals of kappa = 2, tau = 0 are Gamma laws.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,13 +17,15 @@ from scipy import integrate, special, stats
 
 from polartail import (
     Condition,
+    PolarTailError,
     build_builtin_model,
     compute_phi,
     sample_conditional,
     scaled_tail_quadrature,
+    tail_asymptotic,
 )
 
-from conftest import ASYM_CONFIG, F1_CONFIG
+from conftest import ASYM_CONFIG, F1_CONFIG, tail_sweep
 
 WEIBULL_B2 = {"radial.family": "weibull", "radial.beta": 2.0,
               "angular.halfwidth": 1.0, "shape_u.kappa": 2.0}
@@ -131,3 +135,66 @@ def test_conditional_draws_follow_the_limit_up_to_1e12(config):
         for coord, cdf in LIMIT_CDFS.items():
             d = stats.kstest(getattr(s, coord), cdf).statistic
             assert d < critical, (x, coord, d, critical)
+
+
+def _halfnormal_cos_target(x):
+    return math.sqrt(math.pi / 2.0) * float(special.erfcx(x / math.sqrt(2.0))) / x
+
+
+# (psi(x)/x, {side: closed-form phi(x)}) of each tail-sweep config; every
+# model has scale 1 and halfwidth 1
+SWEEP_WINDOWS = {
+    "exp-k2": lambda x: (1.0 / x, {1: x ** -0.5, -1: x ** -0.5}),
+    "exp-k1-k2": lambda x: (1.0 / x, {1: x ** -0.5, -1: 1.0 / x}),
+    "weibull-b2": lambda x: (0.5 / (x * x), {1: 1.0 / (math.sqrt(2.0) * x),
+                                             -1: 1.0 / (math.sqrt(2.0) * x)}),
+    # psi = 2 sqrt(x): s^2 = 2 / sqrt(x)
+    "weibull-b0.5": lambda x: (2.0 / math.sqrt(x), {1: math.sqrt(2.0) * x ** -0.25,
+                                                   -1: math.sqrt(2.0) * x ** -0.25}),
+    "halfnormal-cos": lambda x: (_halfnormal_cos_target(x), {1: _halfnormal_cos_window(x),
+                                                             -1: _halfnormal_cos_window(x)}),
+    "sympower-t0.5": lambda x: (1.0 / x, {1: x ** -0.5, -1: x ** -0.5}),
+    "one-sided": lambda x: (1.0 / x, {1: x ** -0.5}),
+}
+# x = 1e13, 1e20, ..., 1e300
+DEEP = tuple(10.0 ** e for e in range(13, 301, 7))
+
+
+def _finite_or_typed(fn):
+    """fn()'s value, or None where it raises a PolarTailError."""
+    try:
+        return fn()
+    except PolarTailError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_WINDOWS))
+def test_windows_tails_and_draws_reach_as_far_as_doubles_hold_psi_over_x(name):
+    # Where psi(x)/x is a normal double, every window is returned and equals
+    # its closed form, the asymptotic and quadrature tails and the draws
+    # are finite, and, where the windows are below 1e-5, so that the
+    # first-order term's O(phi^2) relative error is below 1e-10, the
+    # asymptotic tail equals the quadrature to 1e-9. Beyond, each either
+    # returns a finite value or raises a typed error
+    mdl = build_builtin_model(tail_sweep()[0][name])
+    for x in DEEP:
+        target, windows = SWEEP_WINDOWS[name](x)
+        normal = target >= sys.float_info.min
+        for cond in Condition:
+            sides = [f.side for f in mdl.sides(cond)]
+            roots = [_finite_or_typed(lambda: compute_phi(mdl, x, side)) for side in sides]
+            asym = _finite_or_typed(lambda: tail_asymptotic(mdl, x, cond, scaled=True))
+            draws = _finite_or_typed(lambda: sample_conditional(mdl, x, 16, cond, seed=3))
+            if normal:
+                assert None not in roots and asym is not None and draws is not None, (x, cond)
+            for side, root in zip(sides, roots):
+                if root is not None:
+                    assert abs(root.phi / windows[side] - 1.0) <= 1e-12, (x, side, root.phi)
+            if asym is not None:
+                assert math.isfinite(asym) and asym > 0.0, (x, cond, asym)
+                quad = scaled_tail_quadrature(mdl, x, cond)
+                if max(windows[side] for side in sides) <= 1e-5:
+                    assert abs(asym / quad.value - 1.0) <= 1e-9, (x, cond, asym, quad.value)
+            if draws is not None:
+                for coord in (draws.r, draws.t, draws.r_norm, draws.t_norm):
+                    assert np.all(np.isfinite(coord)), (x, cond)
