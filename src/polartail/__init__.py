@@ -7,7 +7,7 @@ exact samplers, simulates the true conditional law by rare-event Monte
 Carlo, and measures the distance between the two.
 """
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 from .asymptotics import (
     Normalizers,

@@ -9,9 +9,9 @@ where psi is the auxiliary scale of the radial tail. phi measures how far
 T may stray from t0 before the deficit of u eats one psi-unit of radial
 tail; it is the natural scale of T - t0 given X > x.
 
-The deficit u_tilde is taken from ``ShapeU.deficit``, exact for builtin
-shapes however small phi is. Builtin shapes also invert it in closed
-form (``ShapeU.deficit_inverse``), so their window is phi =
+The deficit u_tilde is read from the side's record (``SideFacts.deficit``),
+exact for builtin shapes however small phi is. Builtin shapes also invert
+it in closed form (``ShapeU.deficit_inverse``), so their window is phi =
 u_tilde^{-1}(psi(x)/x) with no search. Other shapes, and a builtin
 cosine whose bracket reaches past its monotone half-period, have the
 window bracketed on a grid strictly inside the angular support, which
@@ -172,10 +172,10 @@ def compute_phi(mdl: _model.PolarModel, x: float, side: int = 1) -> PhiRoot:
     double, and one that underflows or loses its digits in a subnormal
     fails it.
 
-    Otherwise ``ShapeU.deficit`` is evaluated once on a geometric grid of
-    512 points from 1e-9 s_max to s_max; the grid checks that the deficit
-    increases and brackets the root between two adjacent points (or
-    between 1e-14 and the first point). On that bracket
+    Otherwise the side's ``SideFacts.deficit`` is evaluated once on a
+    geometric grid of 512 points from 1e-9 s_max to s_max; the grid
+    checks that the deficit increases and brackets the root between two
+    adjacent points (or between 1e-14 and the first point). On that bracket
     ``scipy.optimize.brentq`` solves deficit(s) = psi(x)/x in s to a
     relative 4 eps; scipy.optimize is imported only there, once the grid
     checks have passed.
@@ -225,7 +225,7 @@ def _solve_window(mdl: _model.PolarModel, x: float, facts: _model.SideFacts) -> 
     su = mdl.shape_u
 
     def deficit(s):
-        return np.asarray(su.deficit(side, s), dtype=float)
+        return np.asarray(facts.deficit(s), dtype=float)
 
     if su.deficit_inverse is not None and su.monotone_reach >= s_max:
         reached = facts.bracket_deficit

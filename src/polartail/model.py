@@ -10,16 +10,17 @@ from the primitives, never stored separately:
     v_tilde(s) = v(t0) - v(t0 + s)      (index delta)
     g_tilde(s) = g(t0 + s)              (index tau per side)
 
-Their values at the few points that are constants of a side (its edge,
-the window bracket's ceiling, the whole side's mass) are kept in the
-side's record, ``PolarModel.side``, built once per model. What one
+t0 is declared by the angular law only. A side's deficit and the mass
+that passes X > x at an overshoot are read from the side's record,
+``PolarModel.side``, built once per model, which keeps their values at
+the side's constant points (edge, bracket ceiling, whole mass). What one
 threshold x gives each side (its window, its term of the scaled tail) is
 kept in the threshold's record, ``PolarModel.threshold``, for the last x
 only.
 
 Two quantities lose every digit to cancellation as the threshold grows:
 the deficit 1 - u near t0 and the radial log-survival difference
-log Hbar(x + d) - log Hbar(x). ``ShapeU.deficit`` and
+log Hbar(x + d) - log Hbar(x). ``SideFacts.deficit`` and
 ``RadialLaw.log_survival_gap`` are the one place each is formed: in
 closed form for builtin families, as the plain difference otherwise.
 
@@ -187,24 +188,25 @@ class AngularLaw:
         return self.density(self.t0 + np.asarray(s, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ShapeU:
     """Shape function u with u(t0) = 1, |u| <= 1, a strict peak at t0.
 
+    t0 is the angular law's (``AngularLaw.t0``), declared there only.
     ``kappa_minus``/``kappa_plus`` are the regular variation indices of
     u_tilde(sigma s) = 1 - u(t0 + sigma s) as s -> 0+. ``u_coeff_*`` carry
     exact or asymptotic leading coefficients for builtins.
     ``monotone_reach`` declares the distance from t0 within which u is
     nonincreasing in |t - t0| on both sides (inf for power shapes, pi for
     the cosine); the default 0 declares nothing. ``exact_deficit(side, s)``,
-    when given, is u(t0) - u(t0 + side*s) in closed form (see ``deficit``).
-    ``deficit_inverse(side, d)``, when given, inverts ``deficit`` in closed
-    form for d up to the deficit at ``monotone_reach``; builtin shapes
-    supply it and the window solve then needs no root search.
+    when given, is u(t0) - u(t0 + side*s) in closed form (see
+    ``SideFacts.deficit``). ``deficit_inverse(side, d)``, when given,
+    inverts the deficit in closed form for d up to the deficit at
+    ``monotone_reach``; builtin shapes supply it and the window solve then
+    needs no root search. The fields are keyword-only.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
-    t0: float
     kappa_minus: float
     kappa_plus: float
     u_coeff_minus: float | None = None
@@ -218,41 +220,23 @@ class ShapeU:
             if not k > 0:
                 raise ParameterError(f"shape_u {name} must be > 0, got {k}")
 
-    def u_tilde(self, s):
-        """u(t0) - u(t0 + s), derived pointwise from u."""
-        s = np.asarray(s, dtype=float)
-        u0 = float(np.asarray(self.u(np.array([self.t0])))[0])
-        return u0 - self.u(self.t0 + s)
 
-    def deficit(self, side: int, s):
-        """u(t0) - u(t0 + side*s) for distances s >= 0 on side +1 or -1.
-
-        Builtin shapes give it in closed form, with full relative
-        precision however small s is; without ``exact_deficit`` it is
-        ``u_tilde``, which cancels once the deficit nears double
-        resolution.
-        """
-        if self.exact_deficit is not None:
-            return self.exact_deficit(side, s)
-        return self.u_tilde(side * np.asarray(s, dtype=float))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ShapeV:
     """Second shape function v with center value rho = v(t0).
 
-    ``delta`` and ``v_coeff`` declare the leading term v_tilde(s) ~ v_coeff
+    t0 is the angular law's, as for ``ShapeU``. ``delta`` and ``v_coeff``
+    declare the leading term v_tilde(s) = v(t0) - v(t0 + s) ~ v_coeff
     s^delta as s -> 0+, as ``ShapeU`` and ``AngularLaw`` declare theirs;
     v_coeff is nonzero and of either sign, since v may increase or decrease
     through t0. ``theta_n``/``theta_n_deriv_at_t0`` describe the v =
     theta*u factorization when available, and are declared together. These
     declarations pick the corollary case (``asymptotics.corollary_case``,
     which reads the ratio C off them and ``ShapeU``'s); ``validate_model``
-    checks each of them against v and u.
+    checks each of them against v and u. The fields are keyword-only.
     """
 
     v: Callable[[np.ndarray], np.ndarray]
-    t0: float
     rho: float
     delta: float
     v_coeff: float
@@ -272,11 +256,12 @@ class ShapeV:
         if d is not None and not (math.isfinite(d) and d != 0):
             raise ParameterError(f"shape_v theta_n_deriv_at_t0 must be finite and nonzero, got {d}")
 
-    def v_tilde(self, s):
-        """v(t0) - v(t0 + s), derived pointwise from v."""
-        s = np.asarray(s, dtype=float)
-        v0 = float(np.asarray(self.v(np.array([self.t0])))[0])
-        return v0 - self.v(self.t0 + s)
+
+def _center_gap(f, t0: float, s):
+    """f(t0) - f(t0 + s) for a shape f (u or v), the plain difference that closed forms avoid."""
+    s = np.asarray(s, dtype=float)
+    f0 = float(np.asarray(f(np.array([t0])))[0])
+    return f0 - f(t0 + s)
 
 
 class SideFacts:
@@ -288,13 +273,14 @@ class SideFacts:
     coefficient None where undeclared). ``width`` is the distance from t0
     to the support edge on the side, ``s_max`` = width / 2 the ceiling of
     the window bracket (``asymptotics.compute_phi``), and ``e`` = (1 +
-    tau) / kappa the side's Gamma shape. ``has_level_map`` says whether
-    ``PolarModel.level_mass`` holds on the side: it needs
-    ``angular.side_mass`` (declared with its inverse) and
-    ``shape_u.deficit_inverse``, and a deficit
-    that increases over the whole side (``shape_u.monotone_reach`` at least
-    the width); the level rule and the stratified sampler read the map
-    only there.
+    tau) / kappa the side's Gamma shape. It is also the one reader of the
+    side's local quantities: ``deficit(s)``, the deficit of u at distance
+    s from t0, and ``passing_mass(x, a)``, the angular mass that passes X
+    > x at overshoot a. ``has_level_map`` says whether ``passing_mass``
+    holds on the side: it needs ``angular.side_mass`` (declared with its
+    inverse) and ``shape_u.deficit_inverse``, and a deficit that increases
+    over the whole side (``shape_u.monotone_reach`` at least the width);
+    the level rule and the stratified sampler read the map only there.
 
     The facts that evaluate a callable of the model are evaluated on their
     first read and kept: ``edge_deficit`` and ``bracket_deficit``, the
@@ -317,22 +303,35 @@ class SideFacts:
         self.has_level_map = (angular.side_mass is not None and shape_u.deficit_inverse is not None
                               and shape_u.monotone_reach >= self.width)
 
+    def deficit(self, s):
+        """u(t0) - u(t0 + side*s) for distances s >= 0 from t0 on the side.
+
+        Builtin shapes give it in closed form (``ShapeU.exact_deficit``),
+        with full relative precision however small s is; otherwise it is
+        the plain difference, which cancels once the deficit nears double
+        resolution.
+        """
+        su = self._shape_u
+        if su.exact_deficit is not None:
+            return su.exact_deficit(self.side, s)
+        return _center_gap(su.u, self._angular.t0, self.side * np.asarray(s, dtype=float))
+
     def _deficit(self, s: float) -> float:
-        return float(np.asarray(self._shape_u.deficit(self.side, np.array([s])), dtype=float)[0])
+        return float(np.asarray(self.deficit(np.array([s])), dtype=float)[0])
 
     @functools.cached_property
     def edge_deficit(self) -> float:
-        """``shape_u.deficit`` at the support edge.
+        """``deficit`` at the support edge.
 
-        A pair passes X > x at every level whose passing deficit (see
-        ``PolarModel.level_mass``) reaches it, so from there on the level
-        mass is the whole side mass.
+        A pair passes X > x at every overshoot whose passing deficit (see
+        ``passing_mass``) reaches it, so from there on the passing mass is
+        the whole side mass.
         """
         return self._deficit(self.width)
 
     @functools.cached_property
     def bracket_deficit(self) -> float:
-        """``shape_u.deficit`` at s_max, the most the window equation can reach."""
+        """``deficit`` at s_max, the most the window equation can reach."""
         return self._deficit(self.s_max)
 
     @functools.cached_property
@@ -344,6 +343,30 @@ class SideFacts:
     @functools.cached_property
     def limit(self) -> LimitSide:
         return LimitSide(self.kappa, self.tau)
+
+    def passing_mass(self, x: float, a):
+        """Angular mass of the side that passes X > x at overshoot a = R - x.
+
+        A pair passes exactly when its deficit is below a / (x + a). With a
+        level map (``has_level_map``), those pairs fill the distances below
+        s = deficit_inverse(a / (x + a)), so the mass is
+        ``angular.side_mass(side, min(s, width))``. The deficit handed to
+        the inverse is capped at ``edge_deficit``, where the mass
+        saturates, so at a = inf (the overshoot at level inf, or where a
+        tail quantile without ``exact_overshoot`` reaches the top of its
+        range) it is the side mass. At a = ``radial.overshoot(x, y)`` it is
+        the level map at the Exp(1) level y, which caps the stratified
+        sampler's cells and which the level rule integrates; both form the
+        overshoot once per set of levels, for every side.
+        """
+        a = np.asarray(a, dtype=float)
+        if a.max(initial=-math.inf) < math.inf:
+            d = a / (x + a)
+        else:
+            d = np.divide(a, x + a, out=np.ones(a.shape), where=a != math.inf)
+        d = np.minimum(d, self.edge_deficit)
+        s = np.asarray(self._shape_u.deficit_inverse(self.side, d), dtype=float)
+        return self._angular.side_mass(self.side, np.minimum(s, self.width))
 
 
 class ThresholdFacts:
@@ -395,16 +418,6 @@ class PolarModel:
     shape_u: ShapeU
     shape_v: ShapeV | None = None
 
-    def __post_init__(self):
-        if self.angular.t0 != self.shape_u.t0:
-            raise ParameterError(
-                f"t0 mismatch: angular.t0={self.angular.t0} shape_u.t0={self.shape_u.t0}"
-            )
-        if self.shape_v is not None and self.shape_v.t0 != self.angular.t0:
-            raise ParameterError(
-                f"t0 mismatch: angular.t0={self.angular.t0} shape_v.t0={self.shape_v.t0}"
-            )
-
     @property
     def t0(self) -> float:
         return self.angular.t0
@@ -445,42 +458,6 @@ class PolarModel:
         """
         _, plus, both = self._record
         return both if condition == Condition.UNRESTRICTED else plus
-
-    def level_mass(self, x: float, side: int, y):
-        """Angular mass of side ``side`` that passes X > x at radial level y.
-
-        Given R > x, the level y = -log_survival_gap(x, R - x) is Exp(1)
-        and independent of T. At level y the overshoot is a =
-        ``radial.overshoot(x, y)``, and the mass is ``passing_mass(x, side,
-        a)``: the map the stratified sampler's cells are capped by, and the
-        one the level rule integrates. The overshoot does not depend on the
-        side, so the level rule (``oracle``) and the sampler's plan form it
-        once per set of levels at x and hand it to ``passing_mass`` of every
-        side the event covers; this is the same map for one side.
-        """
-        return self.passing_mass(x, side, self.radial.overshoot(x, y))
-
-    def passing_mass(self, x: float, side: int, a):
-        """Angular mass of side ``side`` that passes X > x at overshoot a = R - x.
-
-        A pair passes exactly when its deficit is below a / (x + a). On a
-        side with a level map (``SideFacts.has_level_map``), those pairs
-        fill the distances below s = deficit_inverse(a / (x + a)), so the
-        mass is ``angular.side_mass(side, min(s, width))``. The deficit
-        handed to the inverse is capped at the deficit at the side's edge,
-        where the mass saturates, so at a = inf (the overshoot at y = inf,
-        or where a tail quantile without ``exact_overshoot`` reaches the
-        top of its range) it is the side mass.
-        """
-        facts = self.side(side)
-        a = np.asarray(a, dtype=float)
-        if a.max(initial=-math.inf) < math.inf:
-            d = a / (x + a)
-        else:
-            d = np.divide(a, x + a, out=np.ones(a.shape), where=a != math.inf)
-        d = np.minimum(d, facts.edge_deficit)
-        s = np.asarray(self.shape_u.deficit_inverse(side, d), dtype=float)
-        return self.angular.side_mass(side, np.minimum(s, facts.width))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +761,6 @@ def _shape_u_power(t0: float, kappa_minus: float, kappa_plus: float, scale: floa
 
     return ShapeU(
         u=u,
-        t0=t0,
         kappa_minus=kappa_minus,
         kappa_plus=kappa_plus,
         u_coeff_minus=scale,
@@ -808,7 +784,6 @@ def _shape_u_cosine(t0: float) -> ShapeU:
     # 1 - cos(s) = s^2/2 (1 + O(s^2)): index 2 with asymptotic coefficient 1/2
     return ShapeU(
         u=u,
-        t0=t0,
         kappa_minus=2.0,
         kappa_plus=2.0,
         u_coeff_minus=0.5,
@@ -824,7 +799,7 @@ def _shape_v_sine(t0: float) -> ShapeV:
         return np.sin(np.asarray(t, dtype=float) - t0)
 
     # v_tilde(s) = -sin(s) ~ -s
-    return ShapeV(v=v, t0=t0, rho=0.0, delta=1.0, v_coeff=-1.0)
+    return ShapeV(v=v, rho=0.0, delta=1.0, v_coeff=-1.0)
 
 
 def _shape_v_power(t0: float, rho: float, delta: float, coeff: float) -> ShapeV:
@@ -833,7 +808,7 @@ def _shape_v_power(t0: float, rho: float, delta: float, coeff: float) -> ShapeV:
         return rho - coeff * s ** delta
 
     # v_tilde(s) = coeff s^delta
-    return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_coeff=coeff)
+    return ShapeV(v=v, rho=rho, delta=delta, v_coeff=coeff)
 
 
 def _shape_v_theta_polynomial(
@@ -862,7 +837,7 @@ def _shape_v_theta_polynomial(
         delta, lead = float(n), rho * shape_u.u_coeff_plus - c
         if lead == 0.0:
             raise ParameterError(f"{degenerate}; this degenerate combination is not supported")
-    return ShapeV(v=v, t0=t0, rho=rho, delta=delta, v_coeff=lead, theta_n=n,
+    return ShapeV(v=v, rho=rho, delta=delta, v_coeff=lead, theta_n=n,
                   theta_n_deriv_at_t0=deriv)
 
 
@@ -1470,7 +1445,7 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     su = mdl.shape_u
     for facts in sides:
         # the deficit cancels against u(t0) = 1 unless it is in closed form
-        leading_term(lambda s, side=facts.side: su.deficit(side, s), "u_tilde", facts.width,
+        leading_term(facts.deficit, "u_tilde", facts.width,
                      facts.kappa, facts.u_coeff, 1.0 if su.exact_deficit is None else 0.0,
                      (f"shape_u.kappa_slope_{facts.name}",
                       f"u_tilde > 0 and slope matches kappa_{facts.name}"),
@@ -1480,8 +1455,8 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         errs = []
         for facts in sides:
             s = facts.width * np.geomspace(1e-3, 1.0, 64)
-            dlt = np.asarray(mdl.shape_u.deficit(facts.side, s), dtype=float)
-            diff = np.asarray(mdl.shape_u.u_tilde(facts.side * s), dtype=float)
+            dlt = np.asarray(facts.deficit(s), dtype=float)
+            diff = np.asarray(_center_gap(su.u, t0, facts.side * s), dtype=float)
             errs.append(np.max(np.abs(dlt - diff) / np.maximum(1.0, np.abs(diff))))
         worst = float(np.max(errs))
         return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
@@ -1490,20 +1465,20 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
     run("shape_u.deficit", "deficit(side, s) = u(t0) - u(t0 + side*s)", deficit_matches_difference)
 
     reach = su.monotone_reach
-    # the inverse is used only within monotone_reach: by compute_phi up to
-    # half the side's width, by the level rule up to its edge
+    # the inverse is used only within monotone_reach: by the level rule up
+    # to the side's edge when the reach covers the side, by compute_phi up
+    # to the bracket's ceiling s_max when it covers the bracket
     if su.deficit_inverse is not None and reach > 0:
         def inverse_round_trip():
             worst = float(np.max([_round_trip_error(
-                lambda s, side=facts.side: su.deficit(side, s),
-                lambda d, side=facts.side: su.deficit_inverse(side, d),
-                (facts.edge_deficit if reach >= facts.width
-                 else float(np.asarray(su.deficit(facts.side, min(reach, facts.width) / 2.0)))) * _ROUND_TRIP)
+                facts.deficit, lambda d, side=facts.side: su.deficit_inverse(side, d),
+                (facts.edge_deficit if reach >= facts.width else facts.bracket_deficit
+                 if reach >= facts.s_max else facts._deficit(reach / 2.0)) * _ROUND_TRIP)
                 for facts in sides]))
             return worst <= _EXACT_TOL, worst, _EXACT_TOL - worst, \
                 "max |deficit(deficit_inverse(d)) / d - 1| for d up to the deficit at the " \
-                "side's edge, or at half of min(monotone_reach, side width) where the reach " \
-                "ends inside the side"
+                "side's edge where monotone_reach covers the side, at s_max where it covers " \
+                "the bracket, else at half of monotone_reach"
 
         run("shape_u.deficit_inverse", "deficit(side, deficit_inverse(side, d)) = d",
             inverse_round_trip)
@@ -1533,7 +1508,8 @@ def validate_model(mdl: PolarModel) -> ValidationReport:
         run("shape_v.center_value", "v(t0) = rho within 1e-12", rho_value)
 
         # v_tilde = v(t0) - v(t0 + s) cancels against v(t0) = rho
-        leading_term(sv.v_tilde, "v_tilde", mdl.side(1).width, sv.delta, sv.v_coeff, abs(sv.rho),
+        leading_term(lambda s: _center_gap(sv.v, t0, s), "v_tilde", mdl.side(1).width, sv.delta,
+                     sv.v_coeff, abs(sv.rho),
                      ("shape_v.delta_slope", "log-log slope of |v_tilde| matches delta"),
                      "shape_v.v_coeff")
 

@@ -13,7 +13,7 @@ Variate Generation, ch. II).
 Given the event, R - x lives on the radial scale psi(x) and T - t0 on the
 angular window phi(x), so builtin models are sampled in those
 coordinates: the overshoot a = R - x, the side sigma of t0 and the
-distance s = |T - t0|, whose deficit delta = ``shape_u.deficit(sigma, s)``
+distance s = |T - t0|, whose deficit delta = ``SideFacts.deficit(s)``
 is u(t0) - u(T). The event R u(T) > x then reads a (1 - delta) > x delta
 (and s > 0 when right-sided), and R = x + a and T = t0 + sigma s are
 formed only for output, so a and s keep their digits however far below
@@ -22,8 +22,9 @@ the resolution of x and t0 they lie.
 The sampler cuts the base law along the radial level. Given R > x, the
 level y = -log_survival_gap(x, a) is Exp(1) and independent of T, and at
 level y a pair passes exactly when its angular mass from t0 is below the
-level map ``PolarModel.level_mass(x, sigma, y)``, which does not decrease
-in y and is the side mass at y = inf. The levels are 0 = y_0 < ... <
+level map: the side's ``SideFacts.passing_mass`` at the overshoot
+``radial.overshoot(x, y)``, which does not decrease in y and is the side
+mass at y = inf. The levels are 0 = y_0 < ... <
 y_K = e_c < y_K+1 = inf, the first K intervals of equal Exp(1) mass.
 Cell k on side sigma is (sigma, cap_k, y_k, y_k+1 - y_k): it draws the
 level e = y_k - log(1 - p (1 - e^-h)), Exp(1) restricted to [y_k,
@@ -249,9 +250,9 @@ def _build_plan(mdl, x, condition) -> _Plan:
         return _Plan(x)
     # the level map: the overshoot does not depend on the side, so each set
     # of levels takes one overshoot call, shared by the sides' passing masses
-    overshoot, passing_mass = mdl.radial.overshoot, mdl.passing_mass
+    overshoot = mdl.radial.overshoot
     a_top = overshoot(x, np.array([_TOP_LEVEL]))
-    top = sum(float(passing_mass(x, facts.side, a_top)[0]) for facts in sides)
+    top = sum(float(facts.passing_mass(x, a_top)[0]) for facts in sides)
     if not top > 0.0:
         return _Plan(x)
     e_c = max(_TOP_LEVEL, math.log(sum(facts.mass for facts in sides) / (_EDGE_SHARE * top)))
@@ -263,7 +264,7 @@ def _build_plan(mdl, x, condition) -> _Plan:
     cells = []
     for facts in sides:
         caps = np.minimum(facts.mass,
-                          (1.0 + _CAP_MASS) * np.asarray(passing_mass(x, facts.side, a_reads), dtype=float))
+                          (1.0 + _CAP_MASS) * np.asarray(facts.passing_mass(x, a_reads), dtype=float))
         cells += [(facts.side, cap, y_lo, h) for cap, (y_lo, h) in zip(caps.tolist(), spans)]
     probs = np.array([cap * math.exp(-y_lo) * -math.expm1(-h) for _, cap, y_lo, h in cells])
     mass = float(probs.sum())
@@ -284,7 +285,6 @@ def _stratified_batch(mdl, plan, condition, rng, m):
     x = plan.x
     overshoot = mdl.radial.overshoot
     inverse = mdl.angular.side_mass_inverse
-    deficit = mdl.shape_u.deficit
     right = condition == _model.Condition.RIGHT_SIDED
     counts = rng.multinomial(m, plan.probs)
     p_e, p_t = np.empty(m), np.empty(m)
@@ -302,11 +302,12 @@ def _stratified_batch(mdl, plan, condition, rng, m):
     p_t *= np.repeat(caps, counts)
     split = int(counts[np.array(sides) < 0].sum())
     for side, start, stop in ((-1, 0, split), (1, split, m)):
+        deficit = mdl.side(side).deficit
         for lo in range(start, stop, _CHUNK):
             part = slice(lo, min(lo + _CHUNK, stop))
             a = np.asarray(overshoot(x, p_e[part]), dtype=float)
             s = np.asarray(inverse(side, p_t[part]), dtype=float)
-            d = np.asarray(deficit(side, s), dtype=float)
+            d = np.asarray(deficit(s), dtype=float)
             keep = a * (1.0 - d) > x * d
             if right:
                 keep &= s > 0.0
@@ -543,11 +544,15 @@ def bivariate_normalized(
 
     The case is ``asymptotics.corollary_case(mdl, kind)``, read off the
     model's declarations, which ``validate_model`` checks; a kind outside
-    the model's regime raises CaseMismatch. The second coordinate and its
+    the model's regime raises CaseMismatch. The first coordinate is the
+    acceptance test's (a (1 - delta) - x delta)/psi with a = psi r_norm
+    and delta the deficit at phi |t_norm|, which keeps the digits that
+    R u(T) - x loses. The second coordinate and its
     scale depend on the case: the v-deficit and balanced regimes use
     (Y - rho x)/(x v_tilde(phi)), the radial-dominant regime
-    (Y - rho x)/psi(x), and the ratio regimes ((Y/X) - rho)/phi^n. The
-    sample must be right-sided.
+    (Y - rho x)/psi(x), and the ratio regimes ((Y/X) - rho)/phi^n. Y - rho
+    x keeps the rounding of v, since ``ShapeV`` declares no exact v_tilde.
+    The sample must be right-sided.
     """
     if sample.condition != _model.Condition.RIGHT_SIDED:
         raise ParameterError("bivariate normalization applies to right-sided samples")
@@ -556,20 +561,19 @@ def bivariate_normalized(
     x = sample.x
     psi = sample.normalizers.psi_x
     phi = sample.normalizers.phi_plus
-    u_vals = np.asarray(mdl.shape_u.u(sample.t), dtype=float)
-    v_vals = np.asarray(mdl.shape_v.v(sample.t), dtype=float)
-    big_x = sample.r * u_vals
-    big_y = sample.r * v_vals
-    first = (big_x - x) / psi
+    delta = np.asarray(mdl.side(1).deficit(phi * np.abs(sample.t_norm)), dtype=float)
+    first = (psi * sample.r_norm * (1.0 - delta) - x * delta) / psi
+    big_y = sample.r * np.asarray(mdl.shape_v.v(sample.t), dtype=float)
 
     kind = case.kind
     if kind in (CorollaryKind.FS, CorollaryKind.RATIO_C):
-        vt_phi = float(np.asarray(mdl.shape_v.v_tilde(np.array([phi])))[0])
+        vt_phi = float(np.asarray(_model._center_gap(mdl.shape_v.v, mdl.t0, np.array([phi])))[0])
         if vt_phi == 0.0:
             raise CaseMismatch("v_tilde(phi) = 0; the v-deficit scale is degenerate")
         second = (big_y - case.rho * x) / (x * vt_phi)
     elif kind == CorollaryKind.DELTA_GT_KAPPA:
         second = (big_y - case.rho * x) / psi
     else:  # SEIFERT and THETA_N; seifert's case has n = 1
+        big_x = sample.r * np.asarray(mdl.shape_u.u(sample.t), dtype=float)
         second = (big_y / big_x - case.rho) / phi ** case.n
     return first, second

@@ -17,9 +17,10 @@ independent of T, so the scaled tail is an expectation over the level,
 
     q(x) = integral_0^inf e^{-y} M_x(y) dy,
 
-with M_x(y) the sum over the sides of ``PolarModel.level_mass``: the
-angular mass that passes X > x at level y, side_mass(min(s_x(y), width))
-with s_x(y) = deficit_inverse(a / (x + a)) and a = overshoot(x, y). A side
+with M_x(y) the sum over the sides of ``SideFacts.passing_mass`` at the
+overshoot a = overshoot(x, y): the angular mass that passes X > x at
+level y, side_mass(min(s_x(y), width)) with s_x(y) = deficit_inverse(a /
+(x + a)). A side
 takes this level rule when ``SideFacts.has_level_map`` holds on it, as it
 does on every builtin model. With e = (1 + tau) / kappa of the side,
 M_x(y) ~ c y^e near y = 0, and it saturates at the side mass from
@@ -47,7 +48,7 @@ y_sat nor the overshoot at a level depends on the side, so y_sat is
 formed once per distinct edge deficit and a = overshoot(x, y) once per
 distinct level grid (e, y_sat), which the two sides of a symmetric model
 share. Each side turns those overshoots into its masses
-(``PolarModel.passing_mass``) and gets the result it would get alone.
+(``SideFacts.passing_mass``) and gets the result it would get alone.
 ``evaluations`` counts the 56 nodes of each side, and a side counts as
 converged only when the estimate is within 1e-9 of its value. Where the
 passing deficit a / (x + a) at the lowest node is subnormal (from x of
@@ -61,7 +62,7 @@ the distance s from t0,
     integral over {delta(s) < 1} of
         exp(gap(x, x delta(s) / (1 - delta(s)))) g(t0 + sigma s) ds,
 
-where delta = 1 - u is ``ShapeU.deficit`` and gap(x, d) = log Hbar(x + d)
+where delta = 1 - u is ``SideFacts.deficit`` and gap(x, d) = log Hbar(x + d)
 - log Hbar(x) is ``RadialLaw.log_survival_gap``; so does every side of a
 model the level rule does not cover. Both are exact because R and T are
 independent and R >= 0, so X > x means R > x / u. Neither forms Hbar(x)
@@ -424,7 +425,7 @@ def _level_rules(mdl, x: float, sides) -> list[QuadratureResult]:
             grids[key] = weights, a
         weights, a = grids[key]
         tail = 0.0 if laguerre else math.exp(-y_sat) * full
-        mass = np.asarray(mdl.passing_mass(x, facts.side, a), dtype=float)
+        mass = np.asarray(facts.passing_mass(x, a), dtype=float)
         value = float(weights[:n] @ mass[:n]) + tail
         error = abs(value - (float(weights[n:] @ mass[n:]) + tail))
         results.append(QuadratureResult(value, error, mass.size, error <= _REL_TOL * abs(value)))
@@ -437,7 +438,7 @@ def _side_integral(mdl, x: float, facts) -> QuadratureResult:
 
     def integrand(s):
         s = np.asarray(s, dtype=float)
-        dlt = np.asarray(mdl.shape_u.deficit(side, s), dtype=float)
+        dlt = np.asarray(facts.deficit(s), dtype=float)
         inside = dlt < 1.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             d = x * dlt / np.where(inside, 1.0 - dlt, 1.0)
@@ -464,9 +465,9 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
     (``SideFacts.has_level_map``) takes the expectation over the Exp(1)
     level,
 
-        integral_0^inf e^{-y} level_mass(x, sigma, y) dy,
+        integral_0^inf e^{-y} passing_mass(x, overshoot(x, y)) dy,
 
-    by the cached Gauss-Laguerre or Gauss-Jacobi rule of weight y^e, e =
+    with ``SideFacts.passing_mass`` and ``radial.overshoot``, by the cached Gauss-Laguerre or Gauss-Jacobi rule of weight y^e, e =
     (1 + tau) / kappa, in one pass over the sides per threshold: sides
     with the same level grid share its overshoots (see the module
     docstring). Its error estimate is the distance of the 32-node rule
@@ -477,7 +478,7 @@ def scaled_tail_quadrature(mdl, x: float, condition) -> QuadratureResult:
 
         integral of exp(gap(x, x delta / (1 - delta))) g(t0 + sigma s) ds,
 
-    with delta = ``shape_u.deficit(sigma, s)`` and gap =
+    with delta = ``SideFacts.deficit(s)`` and gap =
     ``radial.log_survival_gap``: X > x means R > x / u = x + x delta /
     (1 - delta). The integrand is zero where delta >= 1, since u <= 0
     there and R >= 0 makes X > x > 0 impossible. Every side of a model the

@@ -58,6 +58,8 @@ _KS_BLOCK = 256
 # scipy.special.kolmogi(0.001): sqrt(n) times a KS distance exceeds it
 # with probability 0.1%, so a trend step may rise by this over sqrt(n)
 _KS_POINT = 1.95
+# the rounding of the asymptotic tail and of the division in the tail ratio
+_RATIO_ULPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _ks_pvalue(d: float, effective_n: float) -> float:
@@ -305,8 +307,9 @@ class ConvergenceReport:
     ``ks_r_decreasing``/``ks_t_decreasing`` allow each step to rise by
     ``noise``, the margin that was applied: the ``noise`` argument or the
     0.1% point of the KS distance at n, 1.95/sqrt(n), whichever is larger.
-    ``ratio_approaches_one`` is strict. Flags are vacuously true for
-    single-row reports.
+    ``ratio_approaches_one`` asks |tail_ratio - 1| to fall strictly at
+    each step unless it is within the ratio's resolution
+    (``_ratio_step_ok``). Flags are vacuously true for single-row reports.
     """
 
     rows: tuple[ReportRow, ...]
@@ -351,6 +354,13 @@ def _limit_edges(law: _limitlaw.LimitLaw, bins: int) -> tuple[np.ndarray, np.nda
     return edges_r, edges_t
 
 
+def _ratio_step_ok(prev: float, ratio: float, rel_err: float) -> bool:
+    """Whether |ratio - 1| falls strictly from |prev - 1|, or is within the ratio's
+    resolution: ``rel_err``, the quadrature's relative error estimate, plus a few ulps."""
+    dist = abs(ratio - 1.0)
+    return dist < abs(prev - 1.0) or dist <= rel_err + _RATIO_ULPS
+
+
 def convergence_report(
     mdl: _model.PolarModel,
     x_grid,
@@ -374,7 +384,9 @@ def convergence_report(
     ratio, formed from the forms scaled by 1/Hbar(x) so that it stays
     finite where Hbar(x) underflows. The KS
     trend flags allow a rise of max(noise, 1.95/sqrt(n)) per step, so
-    distances at the noise level of n draws do not fail them.
+    distances at the noise level of n draws do not fail them; the ratio
+    flag lets a step stand still once the ratio is within the
+    quadrature's relative error estimate of 1.
     Deterministic given (model, x_grid, n, seed, condition).
     """
     xs = [float(v) for v in x_grid]
@@ -391,14 +403,16 @@ def convergence_report(
     # inclusion-exclusion; rounding can leave a cell a few ulps below 0
     f = _limitlaw.cdf(law, edges_r[:, None], edges_t)
     masses = np.maximum(np.diff(np.diff(f, axis=0), axis=1), 0.0)
-    rows = []
+    rows, rel_errs = [], []
     for i, x in enumerate(xs):
         mc = _montecarlo.sample_conditional(mdl, x, n, condition, key + (i, 0))
 
         ks_r = ks_one_sample(mc.r_norm, lambda r: _limitlaw.cdf(law, r, np.inf))[0]
         ks_t = ks_one_sample(mc.t_norm, lambda t: _limitlaw.cdf(law, np.inf, t))[0]
         _, _, chi2_p = chi_square_2d((mc.r_norm, mc.t_norm), (edges_r, edges_t), masses)
-        quad = _oracle.scaled_tail_quadrature(mdl, x, condition).value
+        quad = _oracle.scaled_tail_quadrature(mdl, x, condition)
+        # a tail of 0 resolves no digit of the ratio
+        rel_errs.append(quad.abs_error_estimate / quad.value if quad.value > 0.0 else math.inf)
         asym = _asymptotics.tail_asymptotic(mdl, x, condition, scaled=True)
         acc = mc.acceptance
         f = acc.accepted / acc.proposals
@@ -406,16 +420,15 @@ def convergence_report(
         rows.append(ReportRow(
             x=x, n=n, ks_r=ks_r, ks_t=ks_t, chi2_p=chi2_p,
             acceptance_rate=acc.acceptance_rate,
-            tail_ratio=quad / asym,
-            acceptance_z=(acc.acceptance_rate - quad) / se if se > 0.0 else math.nan,
+            tail_ratio=quad.value / asym,
+            acceptance_z=(acc.acceptance_rate - quad.value) / se if se > 0.0 else math.nan,
         ))
 
     noise = max(noise, _KS_POINT / math.sqrt(n))
     ks_r_ok = all(b.ks_r <= a.ks_r + noise for a, b in zip(rows, rows[1:]))
     ks_t_ok = all(b.ks_t <= a.ks_t + noise for a, b in zip(rows, rows[1:]))
-    ratio_ok = all(
-        abs(b.tail_ratio - 1.0) < abs(a.tail_ratio - 1.0) for a, b in zip(rows, rows[1:])
-    )
+    ratio_ok = all(_ratio_step_ok(a.tail_ratio, b.tail_ratio, err)
+                   for a, b, err in zip(rows, rows[1:], rel_errs[1:]))
     return ConvergenceReport(
         rows=tuple(rows), noise=noise,
         ks_r_decreasing=ks_r_ok, ks_t_decreasing=ks_t_ok,

@@ -284,6 +284,6 @@ def slow_p_model():
         support=(-1.0, 1.0),
         sample=lambda rng, n: rng.uniform(-1.0, 1.0, n),
     )
-    su = ShapeU(u=u, t0=0.0, kappa_minus=1.0, kappa_plus=4.0)
+    su = ShapeU(u=u, kappa_minus=1.0, kappa_plus=4.0)
     return PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
 

@@ -48,7 +48,6 @@ def _uniform_angular(half):
 def _cosine_u_model(half):
     su = ShapeU(
         u=lambda t: np.cos(np.asarray(t, dtype=float)),
-        t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
     )
@@ -321,7 +320,6 @@ def test_limit_law_custom_tie_splits_by_declared_coefficients():
         )
         su = ShapeU(
             u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
-            t0=0.0,
             kappa_minus=2.0,
             kappa_plus=2.0,
             u_coeff_minus=u_coeffs[0],

@@ -266,6 +266,17 @@ def test_verify_beyond_survival_underflow_keeps_a_finite_tail_ratio(f1_cfg, tmp_
     assert ratios == [pytest.approx(0.99893, abs=1e-5), pytest.approx(0.99906, abs=1e-5)]
 
 
+def test_verify_passes_once_the_tail_ratio_sits_at_rounding(f1_cfg, tmp_path, capsys):
+    # |tail_ratio - 1| is 2.7e-15 on every row, within the quadrature's
+    # relative error estimate, so the ratio cannot fall further
+    out = tmp_path / "verify.csv"
+    code = main(["verify", "--config", f1_cfg, "--x-grid", "1e20,1e50,1e200,1e300",
+                 "--seed", "5", "--n", "5000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "PASS tail ratio approaches 1" in err
+
+
 def test_simulate_missing_seed_is_usage_error(f1_cfg, capsys):
     code = main(["simulate", "--config", f1_cfg, "--x", "50", "--n", "100"])
     out = capsys.readouterr()

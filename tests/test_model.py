@@ -12,6 +12,7 @@ from polartail import (
     CaseMismatch,
     Condition,
     ConfigError,
+    NonConvergence,
     ParameterError,
     PolarModel,
     RadialLaw,
@@ -19,6 +20,7 @@ from polartail import (
     ShapeV,
     UnknownFamilyError,
     build_builtin_model,
+    compute_phi,
     corollary_case,
     load_config,
     limit_law,
@@ -54,7 +56,6 @@ def _uniform_angular(half):
 def _parabola_model(half):
     su = ShapeU(
         u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
-        t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
     )
@@ -125,7 +126,6 @@ def _parabola_on(lo, hi):
     )
     su = ShapeU(
         u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
-        t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
         u_coeff_minus=1.0,
@@ -313,16 +313,19 @@ def test_missing_radial_family_rejected():
         build_builtin_model({"angular.halfwidth": 1.0})
 
 
-def test_shape_center_mismatch_rejected():
-    ang = _uniform_angular(1.0)
-    su = ShapeU(
-        u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
-        t0=0.25,
-        kappa_minus=2.0,
-        kappa_plus=2.0,
-    )
-    with pytest.raises(ParameterError):
-        PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
+def test_shapes_declare_no_t0_and_take_keywords_only():
+    # a call written for the old field order (u, t0, kappa_minus, ...) would
+    # shift t0 into kappa_minus; it fails instead, as does a t0 keyword
+    u = lambda t: 1.0 - np.asarray(t, dtype=float) ** 2
+    with pytest.raises(TypeError):
+        ShapeU(u, 0.0, 2.0, 2.0)
+    with pytest.raises(TypeError):
+        ShapeU(u=u, t0=0.0, kappa_minus=2.0, kappa_plus=2.0)
+    with pytest.raises(TypeError):
+        ShapeV(np.sin, 0.0, 0.0, 1.0, -1.0)
+    with pytest.raises(TypeError):
+        ShapeV(v=np.sin, t0=0.0, rho=0.0, delta=1.0, v_coeff=-1.0)
+    assert "t0" not in {f.name for f in dataclasses.fields(ShapeU)} | {f.name for f in dataclasses.fields(ShapeV)}
 
 
 def test_validate_benchmark_model_passes(f1_model):
@@ -355,7 +358,6 @@ def test_validate_flags_second_maximum_of_u():
     ang = _uniform_angular(2.0 * math.pi)
     su = ShapeU(
         u=lambda t: np.cos(np.asarray(t, dtype=float)),
-        t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
     )
@@ -372,7 +374,7 @@ def test_validate_reports_nonfinite_callable_as_failure():
         return np.where(np.abs(t) > 0.9, np.nan, 1.0 - t**2)
 
     su = ShapeU(
-        u=bad_u, t0=0.0, kappa_minus=2.0, kappa_plus=2.0
+        u=bad_u, kappa_minus=2.0, kappa_plus=2.0
     )
     mdl = PolarModel(
         radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su
@@ -401,7 +403,7 @@ def test_validate_records_a_raising_u_as_failed_entries():
             raise ValueError("u is undefined beyond |t| = 0.9")
         return 1.0 - t ** 2
 
-    su = ShapeU(u=u, t0=0.0, kappa_minus=2.0, kappa_plus=2.0)
+    su = ShapeU(u=u, kappa_minus=2.0, kappa_plus=2.0)
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=_uniform_angular(1.0), shape_u=su)
     failed = {e.name: e.detail for e in validate_model(mdl).failures()}
     for name in ("shape_u.bounded_by_one", "shape_u.sup_outside_eps_0.05",
@@ -416,12 +418,12 @@ def test_level_mass_is_the_side_mass_below_the_passing_deficit(f1_model):
     y = np.array([1e-300, 1e-8, 0.5, 3.0, 200.0])
     for x in (0.0, 1.0, 100.0, 1e12):
         for side in (1, -1):
-            got = np.asarray(f1_model.level_mass(x, side, y))
+            got = np.asarray(f1_model.side(side).passing_mass(x, f1_model.radial.overshoot(x, y)))
             np.testing.assert_allclose(got, 0.5 * np.sqrt(y / (x + y)), rtol=1e-15)
     # the sampler's acceptance test agrees on either side of the cut
     x, a = 100.0, 3.0
     s = np.sqrt(a / (x + a)) * np.array([1 - 1e-12, 1 + 1e-12])
-    d = f1_model.shape_u.deficit(1, s)
+    d = f1_model.side(1).deficit(s)
     assert (a * (1.0 - d) > x * d).tolist() == [True, False]
     # a cosine side saturates: every pair of the side passes once a / (x +
     # a) reaches the deficit 1 - cos(1) at its edge
@@ -431,7 +433,8 @@ def test_level_mass_is_the_side_mass_below_the_passing_deficit(f1_model):
     assert (cos.side(1).width, cos.side(-1).width) == (1.0, 1.0)
     assert cos.side(-1).edge_deficit == pytest.approx(edge, rel=1e-15)
     a_sat = 10.0 * edge / (1.0 - edge)
-    got = np.asarray(cos.level_mass(10.0, 1, np.array([0.999 * a_sat, a_sat * 1.001, 1e3])))
+    y = np.array([0.999 * a_sat, a_sat * 1.001, 1e3])
+    got = np.asarray(cos.side(1).passing_mass(10.0, cos.radial.overshoot(10.0, y)))
     assert got[0] < 0.5 and got[1:].tolist() == [0.5, 0.5]
 
 
@@ -590,16 +593,16 @@ def test_density_edge_rule(case, t0):
 def test_builtin_deficit_keeps_full_precision_next_to_t0():
     # 1 - u(t0 + s) computed as a difference is 0.0 at these distances
     power = build_builtin_model(dict(F1_CONFIG, **{"shape_u.scale": 3.0,
-                                                   "shape_u.kappa_minus": 1.0})).shape_u
+                                                   "shape_u.kappa_minus": 1.0}))
     cosine = build_builtin_model({"radial.family": "exponential",
-                                  "shape_u.family": "cosine"}).shape_u
+                                  "shape_u.family": "cosine"})
     s = np.array([1e-10])
-    assert power.deficit(1, s)[0] == pytest.approx(3e-20, rel=1e-15, abs=0.0)
-    assert power.deficit(-1, s)[0] == pytest.approx(3e-10, rel=1e-15, abs=0.0)
+    assert power.side(1).deficit(s)[0] == pytest.approx(3e-20, rel=1e-15, abs=0.0)
+    assert power.side(-1).deficit(s)[0] == pytest.approx(3e-10, rel=1e-15, abs=0.0)
     for side in (-1, 1):
         # 1 - cos s = s^2/2 - s^4/24 + ...
-        assert cosine.deficit(side, s)[0] == pytest.approx(5e-21, rel=1e-15, abs=0.0)
-    assert power.u_tilde(s)[0] == 0.0
+        assert cosine.side(side).deficit(s)[0] == pytest.approx(5e-21, rel=1e-15, abs=0.0)
+    assert power.shape_u.u(power.t0 + s)[0] == 1.0
 
 
 def test_builtin_log_survival_gap_keeps_full_precision_at_large_x():
@@ -847,13 +850,31 @@ def test_validate_flags_wrong_closed_form_deficit(f1_model):
 def test_validate_flags_wrong_deficit_inverse(asym_model):
     # kappa = (1, 2): inverting each side with the other side's kappa
     su = asym_model.shape_u
-    swapped = ShapeU(u=su.u, t0=su.t0, kappa_minus=1.0, kappa_plus=2.0, monotone_reach=math.inf,
+    swapped = ShapeU(u=su.u, kappa_minus=1.0, kappa_plus=2.0, monotone_reach=math.inf,
                      exact_deficit=su.exact_deficit,
                      deficit_inverse=lambda side, d: np.asarray(d) ** (1.0 if side > 0 else 0.5))
     report = validate_model(dataclasses.replace(asym_model, shape_u=swapped))
     assert {e.name for e in report.failures()} == {"shape_u.deficit_inverse"}
     assert validate_model(dataclasses.replace(
         asym_model, shape_u=dataclasses.replace(swapped, deficit_inverse=su.deficit_inverse))).passed
+
+
+def test_deficit_inverse_row_covers_the_closed_form_window():
+    # a cosine of half-width 4: the reach pi covers the bracket s_max = 2 but
+    # not the side, so compute_phi reads the inverse up to 1 - cos 2 = 1.416
+    mdl = build_builtin_model({"radial.family": "exponential", "angular.halfwidth": 4.0,
+                               "shape_u.family": "cosine"})
+    assert validate_model(mdl).entry("shape_u.deficit_inverse").passed
+    su = mdl.shape_u
+
+    def off(side, d):  # 1% off above d = 1.2
+        d = np.asarray(d, dtype=float)
+        return su.deficit_inverse(side, d) * np.where(d > 1.2, 1.01, 1.0)
+
+    bad = dataclasses.replace(mdl, shape_u=dataclasses.replace(su, deficit_inverse=off))
+    assert not validate_model(bad).entry("shape_u.deficit_inverse").passed
+    with pytest.raises(NonConvergence):
+        compute_phi(bad, 0.75)
 
 
 def test_an_infinite_level_passes_the_whole_side():
@@ -867,7 +888,8 @@ def test_an_infinite_level_passes_the_whole_side():
             for facts in mdl.sides(Condition.UNRESTRICTED):
                 side = facts.side
                 whole = mdl.angular.side_mass(side, np.array([facts.width]))[0]
-                assert mdl.level_mass(x, side, np.array([math.inf]))[0] == whole, (name, x, side)
+                a = mdl.radial.overshoot(x, np.array([math.inf]))
+                assert facts.passing_mass(x, a)[0] == whole, (name, x, side)
 
 
 RADIAL_LAWS = {
@@ -978,7 +1000,7 @@ def test_validate_fails_a_nan_closed_form(f1_model, component, field, fn, check)
 
 def test_validate_flags_shape_rising_within_declared_reach():
     # cos t rises again beyond pi, inside the support [-4, 4]
-    su = ShapeU(u=lambda t: np.cos(np.asarray(t, dtype=float)), t0=0.0,
+    su = ShapeU(u=lambda t: np.cos(np.asarray(t, dtype=float)),
                 kappa_minus=2.0, kappa_plus=2.0,
                 monotone_reach=math.inf)
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=_uniform_angular(4.0), shape_u=su)
@@ -1059,7 +1081,7 @@ def test_second_shape_regime_follows_kappa_against_delta(extra, kappa, expected)
 # Custom second shapes on u = 1 - t^2 (kappa = 2, t0 = 0) that copy a
 # builtin, with right and wrong declarations of the leading term and of theta
 def _custom_v(v, rho, delta, v_coeff, theta=(None, None)):
-    return ShapeV(v=v, t0=0.0, rho=rho, delta=delta, v_coeff=v_coeff,
+    return ShapeV(v=v, rho=rho, delta=delta, v_coeff=v_coeff,
                   theta_n=theta[0], theta_n_deriv_at_t0=theta[1])
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,10 +292,33 @@ def test_bivariate_fs_second_coordinate_formula(sine_model):
     s = sample_conditional(sine_model, x, 5000, Condition.RIGHT_SIDED, seed=6)
     _, second = bivariate_normalized(sine_model, "fs", s)
     phi = s.normalizers.phi_plus
-    vt_phi = float(sine_model.shape_v.v_tilde(np.array([phi]))[0])
+    v = sine_model.shape_v.v
+    vt_phi = float(v(np.array([sine_model.t0]))[0] - v(sine_model.t0 + np.array([phi]))[0])
     big_y = s.r * np.asarray(sine_model.shape_v.v(s.t), dtype=float)
     np.testing.assert_allclose(second, big_y / (x * vt_phi), rtol=1e-12)
     assert np.all(second < 0.0)
+
+
+def test_bivariate_first_coordinate_keeps_its_digits_at_large_x():
+    mdl = build_builtin_model(dict(F1_CONFIG, **{"shape_v.family": "seifert_linear",
+                                                 "shape_v.rho": 0.5}))
+    for x in (1e2, 1e13):
+        s = sample_conditional(mdl, x, 2000, Condition.RIGHT_SIDED, seed=3)
+        first, _ = bivariate_normalized(mdl, "seifert", s)
+        psi, phi = s.normalizers.psi_x, s.normalizers.phi_plus
+        # the acceptance test's form in exact arithmetic, on the overshoot and
+        # distance the sample carries; u = 1 - s^2, so delta = s^2
+        a, dist = psi * s.r_norm, phi * np.abs(s.t_norm)
+        exact = np.array([float((Fraction(ai) * (1 - Fraction(di) ** 2) - Fraction(x) * Fraction(di) ** 2)
+                                / Fraction(psi)) for ai, di in zip(a.tolist(), dist.tolist())])
+        size = (a + x * dist ** 2) / psi
+        assert np.all(np.abs(first - exact) <= 8.0 * np.finfo(float).eps * size), x
+        if x == 1e2:
+            raw = (s.r * mdl.shape_u.u(s.t) - x) / psi
+            np.testing.assert_allclose(first, raw, rtol=0.0, atol=1e-13)
+        else:
+            # the raw form (R u(T) - x)/psi is off by about 2e-3 here
+            assert np.all(first > 0.0)
 
 
 def test_bivariate_requires_shape_v(f1_model):
@@ -499,7 +523,7 @@ def _whole_batch(mdl, plan, cond, key, i, m):
         e = y_lo - np.log1p(-p_e * -math.expm1(-h))
         a = mdl.radial.overshoot(x, e)
         dist = mdl.angular.side_mass_inverse(side, p_t * cap)
-        d = mdl.shape_u.deficit(side, dist)
+        d = mdl.side(side).deficit(dist)
         keep = a * (1.0 - d) > x * d
         if cond == Condition.RIGHT_SIDED:
             keep &= dist > 0.0
@@ -770,7 +794,7 @@ def test_strip_caps_hold_every_accepted_pair():
             mass = np.append(wide * rng.random(count), min(np.nextafter(cap, math.inf), wide))
             a = mdl.radial.overshoot(x, e)
             s = mdl.angular.side_mass_inverse(side, mass)
-            d = mdl.shape_u.deficit(side, s)
+            d = mdl.side(side).deficit(s)
             keep = a * (1.0 - d) > x * d
             if cond == Condition.RIGHT_SIDED:
                 keep &= s > 0.0

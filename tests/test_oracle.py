@@ -200,7 +200,6 @@ def test_tail_quadrature_ignores_negative_u_region():
     )
     su = ShapeU(
         u=lambda t: np.cos(np.asarray(t, dtype=float)),
-        t0=0.0,
         kappa_minus=2.0,
         kappa_plus=2.0,
     )
@@ -303,7 +302,7 @@ def test_custom_shape_without_a_window_still_integrates():
         t0=0.0, tau_minus=0.0, tau_plus=0.0, support=(-half, half),
         sample=lambda rng, n: rng.uniform(-half, half, n),
     )
-    su = ShapeU(u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2, t0=0.0,
+    su = ShapeU(u=lambda t: 1.0 - np.asarray(t, dtype=float) ** 2,
                 kappa_minus=2.0, kappa_plus=2.0)
     mdl = PolarModel(radial=_radial_exponential(1.0), angular=ang, shape_u=su)
     with pytest.raises(BracketError):

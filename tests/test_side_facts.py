@@ -23,7 +23,7 @@ from polartail import (
 from polartail.limitlaw import gamma_shape
 from polartail.model import _angular_uniform
 
-from conftest import F1_CONFIG, TIED_CONFIG, tail_sweep
+from conftest import ASYM_CONFIG, F1_CONFIG, TIED_CONFIG, tail_sweep
 
 GAUSSIAN_PAIR = {
     "radial.family": "weibull",
@@ -51,8 +51,8 @@ def test_record_equals_the_per_call_values(name, config):
             else ("minus", su.kappa_minus, ang.tau_minus, ang.g_coeff_minus, su.u_coeff_minus))
         assert (facts.side, facts.name, facts.width, facts.s_max) == (side, name, width, width / 2.0)
         assert (facts.kappa, facts.tau, facts.g_coeff, facts.u_coeff) == (kappa, tau, g_coeff, u_coeff)
-        assert facts.edge_deficit == float(su.deficit(side, np.array([width]))[0])
-        assert facts.bracket_deficit == float(su.deficit(side, np.array([width / 2.0]))[0])
+        assert facts.edge_deficit == float(su.exact_deficit(side, np.array([width]))[0])
+        assert facts.bracket_deficit == float(su.exact_deficit(side, np.array([width / 2.0]))[0])
         assert facts.mass == float(ang.side_mass(side, np.array([width]))[0])
         assert facts.has_level_map == (su.monotone_reach >= width)
         assert facts.e == gamma_shape(kappa, tau)
@@ -194,3 +194,20 @@ def test_a_mirrored_model_swaps_every_side_reading():
     for entry in per_side:
         head, _, name = entry.name.rpartition("_")
         assert entry.measured == close(flipped.entry(f"{head}_{swap[name]}").measured), entry.name
+
+
+@pytest.mark.parametrize("which", ["slow_p", "asym_t0"])
+def test_deficit_without_a_closed_form_is_the_difference_about_the_angular_t0(which, slow_p_model):
+    # the custom kappa = (1, 4) model declares no exact_deficit; the builtin
+    # kappa = (1, 2) model is read about t0 = 0.3 with its closed form taken away
+    if which == "slow_p":
+        mdl = slow_p_model
+    else:
+        mdl = build_builtin_model(dict(ASYM_CONFIG, **{"angular.t0": 0.3}))
+        mdl = dataclasses.replace(mdl, shape_u=dataclasses.replace(mdl.shape_u, exact_deficit=None))
+    t0, u = mdl.angular.t0, mdl.shape_u.u
+    s = np.geomspace(1e-9, 1.0, 40)
+    for side in (1, -1):
+        got = np.asarray(mdl.side(side).deficit(s), dtype=float)
+        want = float(np.asarray(u(np.array([t0])))[0]) - u(t0 + side * s)
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes(), side

@@ -390,6 +390,25 @@ def test_convergence_report_benchmark_rows(f1_model):
     assert abs(last.tail_ratio - 1.0) < abs(first.tail_ratio - 1.0)
 
 
+def test_ratio_step_rule_forgives_rounding_only():
+    step = stats_module._ratio_step_ok
+    # x = 1e20 .. 1e300 on the README model: 12 ulps from 1 on every row,
+    # within the quadrature's relative error estimate there
+    assert step(1.0000000000000027, 1.0000000000000027, 2.9e-15)
+    assert step(1.1, 1.01, 1e-12)
+    # held at a resolvable distance, or moving away from 1
+    assert not step(1.0 + 1e-3, 1.0 + 1e-3, 3e-15)
+    assert not step(1.0 + 1e-3, 1.0 - 2e-3, 3e-15)
+    assert not step(1.0 + 1e-13, 1.0 + 2e-13, 3e-15)
+
+
+def test_ratio_flag_on_the_default_grid_is_the_strict_rule(f1_model):
+    report = convergence_report(f1_model, (10.0, 25.0, 50.0, 100.0), 2000, seed=5, bins=6)
+    rows = report.rows
+    strict = all(abs(b.tail_ratio - 1.0) < abs(a.tail_ratio - 1.0) for a, b in zip(rows, rows[1:]))
+    assert report.ratio_approaches_one and strict
+
+
 def test_convergence_report_single_row_flags_vacuous(f1_model):
     report = convergence_report(f1_model, (25.0,), 2000, seed=1, bins=6)
     assert report.ks_r_decreasing
